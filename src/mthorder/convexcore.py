@@ -20,11 +20,9 @@ from .numerics import (
     lp_feasible_interior,
     lp_maximize,
     make_rng,
-    sphere_sample,
 )
 
 _STREAM_VOLUME_MC = 101
-_STREAM_BALL_FACETS = 102
 
 _GEOM_TOL = 1e-9
 
@@ -435,14 +433,11 @@ def polygon_area(points: np.ndarray) -> float:
     return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
-def facets(K: ConvexBody, ball_nodes: int = 10_000) -> FacetData:
-    """Outer normals with (n-1)-measures; balls get a sphere-quadrature surrogate."""
+def facets(K: ConvexBody) -> FacetData:
+    """Outer unit normals of a polytope with their (n-1)-measures."""
+    if K.kind != "polytope":
+        raise ValueError("facets need a polytope")
     n = K.dim
-    if K.kind == "ball":
-        dirs = sphere_sample(n, ball_nodes, seed=0, stream=_STREAM_BALL_FACETS)
-        surface = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0) * K.radius ** (n - 1)
-        w = np.full(len(dirs), surface / len(dirs))
-        return FacetData(dirs, w, K.center + K.radius * dirs)
     V = K.vertices
     if n == 1:
         lo, hi = float(V.min()), float(V.max())

@@ -28,6 +28,7 @@ from .numerics import (
     integrate_1d,
     lp_maximize,
     make_rng,
+    sphere_surface,
 )
 
 _STREAM_DIRECT_MC = 201
@@ -346,7 +347,7 @@ def _coercive_box_radius(f: LogConcaveFunction, tol: float) -> float:
     """R with int_{|y|>R} f <= tol/10, from the exponential envelope when
     one exists and from iterated profile truncation otherwise."""
     n = f.dim
-    surface = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    surface = sphere_surface(n)
     shift_norm = float(np.linalg.norm(f.shift))
     try:
         amp, rate = f.coercivity_bound()

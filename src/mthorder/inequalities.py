@@ -86,6 +86,9 @@ def make_verdict(name: str, lhs: EstimateWithError, rhs: EstimateWithError,
                  sigma: float | None = None, equality_tol: float = _EQUALITY_TOL,
                  metadata: dict | None = None) -> Verdict:
     """Classify lhs <= rhs by the mechanical 3-sigma / equality_tol rule."""
+    if not (math.isfinite(lhs.value) and math.isfinite(rhs.value)):
+        raise ValueError(f"{name}: sides must be finite, got lhs = {lhs.value}, "
+                         f"rhs = {rhs.value}")
     sig = combine_sigma(lhs.std_error, rhs.std_error) if sigma is None else float(sigma)
     if not math.isfinite(sig) or sig < 0.0:
         raise ValueError("sigma_combined must be finite and nonnegative")

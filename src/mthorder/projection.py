@@ -1,13 +1,20 @@
 """Polar projection bodies of order m, for bodies and log-concave functions.
 
-The gauge of the m-th order polar projection body is a facet sum,
+For a polytope the gauge of the m-th order polar projection body is the
+facet sum
 
-    ||thetabar||_{PPB(K,m)} = sum_F area_F * max_i <n_F, theta_i>_-,
+    ||thetabar||_{PPB(K,m)} = sum_F area_F * max_i <n_F, theta_i>_-.
 
-exact for polytopes and evaluated on a sphere-quadrature surrogate for
-balls.  Function versions flow through the layer-cake decomposition: every
-level set of a profile function is a dilate of one body, so the gauge picks
-up a single profile-dependent factor.
+For a Euclidean ball rB^n the Cauchy-Kubota formula (Schneider, Convex
+Bodies: The Brunn-Minkowski Theory) gives it in closed form,
+
+    ||thetabar||_{PPB(rB^n,m)} = r^{n-1} kappa_{n-1} V_1(conv{0, -theta_1, ..., -theta_m}),
+
+with kappa_{n-1} the volume of the unit (n-1)-ball and V_1 the first
+intrinsic volume, which is half the perimeter of that hull whenever it is
+planar.  Both are exact.  Function versions flow through the layer-cake
+decomposition: every level set of a profile function is a dilate of one
+body, so the gauge picks up a single profile-dependent factor.
 """
 
 from __future__ import annotations
@@ -33,34 +40,62 @@ def cone_support(theta, u) -> float:
     return float(np.max(np.maximum(0.0, -(th @ u))))
 
 
-def _gauge_from_facets(normals, areas, blocks) -> float:
-    neg = np.maximum(0.0, -(normals @ blocks.T))   # (F, m)
-    return float(areas @ neg.max(axis=1))
-
-
-def ppb_gauge_body(K: ConvexBody, m: int, theta, ball_nodes: int = 10_000) -> float:
-    """||theta||_{PPB(K,m)}; exact facet sum for polytopes."""
+def ppb_gauge_body(K: ConvexBody, m: int, theta) -> float:
+    """||theta||_{PPB(K,m)}, exact for polytopes and balls."""
     th = as_mvector(theta, K.dim)
     if th.m != m:
         raise ValueError(f"direction has {th.m} blocks, expected m = {m}")
-    fd = cc.facets(K, ball_nodes=ball_nodes)
-    return _gauge_from_facets(fd.normals, fd.areas, th.blocks)
+    return float(ppb_gauge_body_many(K, m, th.blocks[None])[0])
 
 
-def ppb_gauge_body_many(K: ConvexBody, m: int, thetas,
-                        ball_nodes: int = 10_000) -> np.ndarray:
+def ppb_gauge_body_many(K: ConvexBody, m: int, thetas) -> np.ndarray:
     """Vectorized gauge over a (D, m, n) or (D, m*n) batch of directions."""
     T = np.asarray(thetas, dtype=float)
     if T.ndim == 2:
         T = T.reshape(len(T), m, K.dim)
-    fd = cc.facets(K, ball_nodes=ball_nodes)
-    out = np.empty(len(T))
-    step = max(1, int(2e7 / max(len(fd.normals) * m, 1)))
-    for j in range(0, len(T), step):
-        chunk = T[j:j + step]                              # (c, m, n)
-        neg = np.maximum(0.0, -np.einsum("fn,cmn->cfm", fd.normals, chunk))
-        out[j:j + step] = neg.max(axis=2) @ fd.areas
-    return out
+    if K.kind == "ball":
+        # V_1 is invariant under x -> -x, so the hull of the theta_i serves
+        n = K.dim
+        kappa = sphere_surface(n - 1) / (n - 1)
+        return K.radius ** (n - 1) * kappa * _hull_v1(T)
+    fd = cc.facets(K)
+    inner = (T.reshape(-1, K.dim) @ fd.normals.T).reshape(len(T), m, -1)
+    return np.maximum(0.0, -inner.min(axis=1)) @ fd.areas
+
+
+def _hull_v1(T) -> np.ndarray:
+    """V_1(conv{0, theta_1, ..., theta_m}) for a (D, m, n) batch, a planar
+    hull throughout: m <= 2 in any dimension, or n = 2."""
+    D, m, n = T.shape
+    if m == 1:
+        return np.linalg.norm(T[:, 0], axis=1)
+    if m == 2:
+        return 0.5 * (np.linalg.norm(T[:, 0], axis=1) + np.linalg.norm(T[:, 1], axis=1)
+                      + np.linalg.norm(T[:, 0] - T[:, 1], axis=1))
+    if n != 2:
+        raise NotImplementedError("closed-form ball gauge needs m <= 2 or n = 2")
+    return 0.5 * _perimeter_2d(np.concatenate([np.zeros((D, 1, 2)), T], axis=1))
+
+
+def _perimeter_2d(P) -> np.ndarray:
+    """Perimeter of conv(P) for a (D, k, 2) batch, by Cauchy's formula
+    L = int_0^{2pi} h(phi) dphi.  The maximizing point of <u(phi), p> can
+    change only where u(phi) is orthogonal to some p_i - p_j, so between
+    those angles h is one sinusoid, integrated exactly."""
+    i, j = np.triu_indices(P.shape[1], 1)
+    diff = P[:, i] - P[:, j]
+    normal = np.arctan2(diff[..., 1], diff[..., 0]) + 0.5 * math.pi
+    cuts = np.sort(np.mod(np.concatenate([normal, normal + math.pi], axis=1),
+                          2.0 * math.pi), axis=1)
+    cuts = np.concatenate([cuts, cuts[:, :1] + 2.0 * math.pi], axis=1)
+    a, b = cuts[:, :-1], cuts[:, 1:]
+    mid = 0.5 * (a + b)
+    u = np.stack([np.cos(mid), np.sin(mid)], axis=-1)          # (D, S, 2)
+    best = np.argmax(u @ P.transpose(0, 2, 1), axis=2)         # (D, S)
+    x = np.take_along_axis(P[..., 0], best, axis=1)
+    y = np.take_along_axis(P[..., 1], best, axis=1)
+    arcs = x * (np.sin(b) - np.sin(a)) - y * (np.cos(b) - np.cos(a))
+    return arcs.sum(axis=1)
 
 
 def level_scale_integral(f: LogConcaveFunction) -> float:
@@ -74,11 +109,9 @@ def level_scale_integral(f: LogConcaveFunction) -> float:
     return f.amplitude * (n - 1) * prof.moment(n - 2.0)
 
 
-def ppb_gauge_fn(f: LogConcaveFunction, m: int, theta,
-                 ball_nodes: int = 10_000) -> float:
+def ppb_gauge_fn(f: LogConcaveFunction, m: int, theta) -> float:
     """||theta||_{PPB(<f>,m)} = level_scale_integral(f) * ||theta||_{PPB(K,m)}."""
-    return level_scale_integral(f) * ppb_gauge_body(f.body, m, theta,
-                                                    ball_nodes=ball_nodes)
+    return level_scale_integral(f) * ppb_gauge_body(f.body, m, theta)
 
 
 def ppb_body_polytope(K: ConvexBody, m: int) -> ConvexBody:
@@ -106,12 +139,11 @@ def ppb_body_polytope(K: ConvexBody, m: int) -> ConvexBody:
     return cc.from_halfspaces(rows[keep], np.ones(int(keep.sum())))
 
 
-def ppb_volume(source, m: int, seed: int = 0, directions: int = 10_000,
-               ball_nodes: int = 10_000) -> EstimateWithError:
+def ppb_volume(source, m: int, seed: int = 0,
+               directions: int = 10_000) -> EstimateWithError:
     """vol_{nm} of the PPB unit ball of a body or a log-concave function."""
     if isinstance(source, LogConcaveFunction):
-        base = ppb_volume(source.body, m, seed=seed, directions=directions,
-                          ball_nodes=ball_nodes)
+        base = ppb_volume(source.body, m, seed=seed, directions=directions)
         d = source.dim * m
         return base.scaled(level_scale_integral(source) ** (-d))
     K = source
@@ -119,8 +151,7 @@ def ppb_volume(source, m: int, seed: int = 0, directions: int = 10_000,
     if K.kind == "polytope" and d <= 3:
         return cc.volume(ppb_body_polytope(K, m), seed=seed)
     dirs = sphere_sample(d, directions, seed, stream=_STREAM_PPB_DIRS)
-    gauges = ppb_gauge_body_many(K, m, dirs.reshape(len(dirs), m, K.dim),
-                                 ball_nodes=ball_nodes)
+    gauges = ppb_gauge_body_many(K, m, dirs.reshape(len(dirs), m, K.dim))
     if np.any(gauges <= 1e-12):
         raise UnboundedBodyError("PPB gauge vanishes along a sampled direction")
     rho_d = gauges ** (-d)

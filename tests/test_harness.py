@@ -196,6 +196,12 @@ class TestExitCode:
         assert vs[1].status == iq.VIOLATED
         assert harness.exit_code(vs) == 1
 
+    def test_non_finite_side_is_numeric_failure(self):
+        # the CLI maps NumericFailure to exit code 3
+        job = ("nan-job", lambda: _verdict("a", math.nan, 1.0))
+        with pytest.raises(harness.NumericFailure, match="nan-job"):
+            harness._execute([job], threads=1)
+
 
 class TestCli:
     def test_list_prints_catalog(self, capsys):

@@ -78,6 +78,14 @@ class TestVerdictRule:
         with pytest.raises(ValueError):
             iq.make_verdict("t", est(1.0), est(2.0), sigma=bad)
 
+    def test_nan_lhs_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            iq.make_verdict("t", est(float("nan")), est(1.0))
+
+    def test_inf_against_inf_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            iq.make_verdict("t", est(float("inf")), est(float("inf")))
+
     def test_to_dict_round_trip(self):
         v = iq.make_verdict("t", est(1.0, 0.5, 10), est(3.0), metadata={"k": 1})
         d = v.to_dict()

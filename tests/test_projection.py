@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mthorder.convexcore as cc
+import mthorder.inequalities as iq
 import mthorder.projection as proj
 from mthorder.covariogram import as_mvector
 from mthorder.lcfun import LogConcaveFunction, NonIntegrableError, profile_from_kind
@@ -104,6 +105,68 @@ class TestGaugeBody:
         flat = proj.ppb_gauge_body_many(K, 2, T)
         shaped = proj.ppb_gauge_body_many(K, 2, T.reshape(10, 2, 2))
         np.testing.assert_allclose(flat, shaped, rtol=1e-14)
+
+
+def _ball_gauge_reference(T):
+    """int over S^{n-1} of max_i <u, theta_i>_-, the unit-ball gauge, by a
+    fine deterministic quadrature: midpoint rule in the angle for n = 2,
+    Gauss-Legendre in the height times midpoint in the angle for n = 3."""
+    n = T.shape[1]
+    count = 4000 if n == 2 else 800
+    phi = (np.arange(count) + 0.5) * (2.0 * math.pi / count)
+    if n == 2:
+        U = np.column_stack([np.cos(phi), np.sin(phi)])
+        W = np.full(len(phi), 2.0 * math.pi / len(phi))
+    else:
+        z, wz = np.polynomial.legendre.leggauss(400)
+        s = np.sqrt(1.0 - z ** 2)
+        U = np.stack([np.outer(s, np.cos(phi)), np.outer(s, np.sin(phi)),
+                      np.repeat(z[:, None], len(phi), axis=1)], axis=-1).reshape(-1, 3)
+        W = np.repeat(wz, len(phi)) * 2.0 * math.pi / len(phi)
+    return float(W @ np.maximum(0.0, -(U @ T.T)).max(axis=1))
+
+
+class TestGaugeBall:
+    @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+    def test_matches_sphere_quadrature(self, n, m):
+        rng = make_rng(13, 10 * n + m)
+        K = cc.ball(n, 1.0)
+        for _ in range(3):
+            T = rng.normal(size=(m, n))
+            assert proj.ppb_gauge_body(K, m, T.ravel()) == pytest.approx(
+                _ball_gauge_reference(T), rel=1e-6)
+
+    def test_planar_hull_degenerate_blocks(self):
+        # collinear and repeated blocks: the hull is the segment [-1, 2] e_1
+        T = np.array([[1.0, 0.0], [-1.0, 0.0], [2.0, 0.0]])
+        got = proj.ppb_gauge_body(cc.ball(2, 1.0), 3, T.ravel())
+        assert got == pytest.approx(2.0 * 3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (2, 3), (3, 2)])
+    def test_radius_scaling_and_centre_invariance(self, n, m):
+        rng = make_rng(17, n + m)
+        th = rng.normal(size=n * m)
+        unit = proj.ppb_gauge_body(cc.ball(n, 1.0), m, th)
+        for r in (0.5, 2.5):
+            moved = cc.ball(n, r, center=rng.normal(size=n))
+            assert proj.ppb_gauge_body(moved, m, th) == pytest.approx(
+                r ** (n - 1) * unit, rel=1e-12)
+
+    def test_many_matches_single(self):
+        K = cc.ball(2, 1.3)
+        T = make_rng(19, 1).normal(size=(25, 3, 2))
+        vals = proj.ppb_gauge_body_many(K, 3, T)
+        for k in range(25):
+            assert vals[k] == pytest.approx(proj.ppb_gauge_body(K, 3, T[k]), rel=1e-12)
+
+    def test_three_blocks_in_space_not_implemented(self):
+        with pytest.raises(NotImplementedError):
+            proj.ppb_gauge_body(cc.ball(3, 1.0), 3, np.ones(9))
+
+    def test_petty_right_side_of_disc_is_exact(self):
+        # vol(PPB(B^2, 1)) vol(B^2) = (pi/4) pi
+        _, right = iq.check_zhang_body(cc.ball(2, 1.0), 1)
+        assert right.rhs.value == pytest.approx(math.pi ** 2 / 4.0, abs=1e-12)
 
 
 class TestGaugeFn:
