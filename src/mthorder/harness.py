@@ -680,6 +680,14 @@ def _custom_jobs(cfg: ExperimentConfig, seed: int, samples: int | None):
 
     n_samples = samples if samples is not None else p.get("samples")
     check = cfg.check
+    if check in ("zhang-body", "chain", "tangent-bound"):
+        # the Petty side of zhang-body is the unit ball
+        gauge_body = (cc.ball(body.dim, 1.0) if check == "zhang-body"
+                      else body if body is not None else func.body)
+        try:
+            proj.require_exact_gauge(gauge_body, p["m"])
+        except NotImplementedError as e:
+            raise ConfigError(f"{cfg.name!r}: {e}") from e
     if check == "rs-body":
         thunk = lambda: iq.check_rs_body(body, p["m"], seed=seed,
                                          samples=n_samples)

@@ -592,6 +592,7 @@ def check_tangent_bound(f: LogConcaveFunction, m: int, points,
     The verdict reports the most binding point; per-point margins live in
     the metadata.
     """
+    proj.require_exact_gauge(f.body, m)
     t0 = time.perf_counter()
     mass = f.mass()
     pts = [cov.as_mvector(x, f.dim) for x in points]
@@ -637,6 +638,8 @@ def check_chain(source, m: int, p_grid, directions=None, seed: int = 0,
     Bodies use the binomial normalizer (concavity index 1/n) and skip p = 0;
     functions use the Gamma normalizer (index 0) and include it.
     """
+    proj.require_exact_gauge(source if isinstance(source, ConvexBody)
+                             else source.body, m)
     grid = np.unique(np.asarray(p_grid, dtype=float))
     if grid.size == 0 or np.any(~np.isfinite(grid)) or np.any(grid <= -1.0):
         raise ValueError("p grid must be finite and lie in (-1, inf)")
@@ -708,10 +711,12 @@ def check_zhang_body(K: ConvexBody, m: int, seed: int = 0,
     with the same seed so sphere directions are shared).
     """
     n = K.dim
+    ball = cc.ball(n, 1.0)
+    proj.require_exact_gauge(ball, m)
     t0 = time.perf_counter()
     power = m * (n - 1)
     functional = []
-    for body in (K, cc.ball(n, 1.0)):
+    for body in (K, ball):
         vol = cc.volume(body, seed=seed).value
         pv = proj.ppb_volume(body, m, seed=seed, directions=directions)
         functional.append(pv.scaled(vol ** power))

@@ -11,10 +11,13 @@ Bodies: The Brunn-Minkowski Theory) gives it in closed form,
     ||thetabar||_{PPB(rB^n,m)} = r^{n-1} kappa_{n-1} V_1(conv{0, -theta_1, ..., -theta_m}),
 
 with kappa_{n-1} the volume of the unit (n-1)-ball and V_1 the first
-intrinsic volume, which is half the perimeter of that hull whenever it is
-planar.  Both are exact.  Function versions flow through the layer-cake
-decomposition: every level set of a profile function is a dilate of one
-body, so the gauge picks up a single profile-dependent factor.
+intrinsic volume: half the perimeter of that hull when it is planar, and
+a sum over its edges when it spans three dimensions.  Both are exact; a
+ball gauge whose hull may span four or more dimensions (n >= 4 and
+m >= 4) raises NotImplementedError.  Function versions flow through the
+layer-cake decomposition: every level set of a profile function is a
+dilate of one body, so the gauge picks up a single profile-dependent
+factor.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from . import convexcore as cc
 from .convexcore import ConvexBody, UnboundedBodyError
@@ -31,6 +35,7 @@ from .lcfun import LogConcaveFunction, NonIntegrableError
 from .numerics import EstimateWithError, sphere_sample, sphere_surface
 
 _STREAM_PPB_DIRS = 301
+_FLAT_TOL = 1e-12   # relative singular value below which a hull counts as flat
 
 
 def cone_support(theta, u) -> float:
@@ -38,6 +43,15 @@ def cone_support(theta, u) -> float:
     th = theta.blocks if isinstance(theta, MVector) else np.atleast_2d(np.asarray(theta, float))
     u = np.asarray(u, dtype=float)
     return float(np.max(np.maximum(0.0, -(th @ u))))
+
+
+def require_exact_gauge(K: ConvexBody, m: int) -> None:
+    """Raise NotImplementedError unless the gauge of PPB(K, m) is evaluated
+    here: always for a polytope, and for a ball when conv{0, theta_i} spans
+    at most three dimensions, that is n <= 3 or m <= 3."""
+    if K.kind == "ball" and min(K.dim, m) > 3:
+        raise NotImplementedError(
+            f"exact ball gauge needs n <= 3 or m <= 3, got n = {K.dim}, m = {m}")
 
 
 def ppb_gauge_body(K: ConvexBody, m: int, theta) -> float:
@@ -55,6 +69,7 @@ def ppb_gauge_body_many(K: ConvexBody, m: int, thetas) -> np.ndarray:
         T = T.reshape(len(T), m, K.dim)
     if K.kind == "ball":
         # V_1 is invariant under x -> -x, so the hull of the theta_i serves
+        require_exact_gauge(K, m)
         n = K.dim
         kappa = sphere_surface(n - 1) / (n - 1)
         return K.radius ** (n - 1) * kappa * _hull_v1(T)
@@ -64,17 +79,46 @@ def ppb_gauge_body_many(K: ConvexBody, m: int, thetas) -> np.ndarray:
 
 
 def _hull_v1(T) -> np.ndarray:
-    """V_1(conv{0, theta_1, ..., theta_m}) for a (D, m, n) batch, a planar
-    hull throughout: m <= 2 in any dimension, or n = 2."""
+    """V_1(conv{0, theta_1, ..., theta_m}) for a (D, m, n) batch whose hulls
+    span at most three dimensions."""
     D, m, n = T.shape
     if m == 1:
         return np.linalg.norm(T[:, 0], axis=1)
     if m == 2:
         return 0.5 * (np.linalg.norm(T[:, 0], axis=1) + np.linalg.norm(T[:, 1], axis=1)
                       + np.linalg.norm(T[:, 0] - T[:, 1], axis=1))
-    if n != 2:
-        raise NotImplementedError("closed-form ball gauge needs m <= 2 or n = 2")
-    return 0.5 * _perimeter_2d(np.concatenate([np.zeros((D, 1, 2)), T], axis=1))
+    if n == 2:
+        return 0.5 * _perimeter_2d(_with_origin(T))
+    # m, n >= 3: read the hull in coordinates of the span of the blocks
+    _, s, vt = np.linalg.svd(T, full_matrices=False)   # min(n, m) = 3
+    P = _with_origin(T @ vt[:, :3].transpose(0, 2, 1))
+    out = np.empty(D)
+    flat = s[:, 2] <= _FLAT_TOL * s[:, 0]
+    for k in np.flatnonzero(~flat):
+        try:
+            out[k] = _polyhedron_v1(P[k])
+        except QhullError:   # flat to working precision
+            flat[k] = True
+    if flat.any():
+        out[flat] = 0.5 * _perimeter_2d(P[flat][..., :2])
+    return out
+
+
+def _with_origin(T) -> np.ndarray:
+    return np.concatenate([np.zeros((len(T), 1, T.shape[2])), T], axis=1)
+
+
+def _polyhedron_v1(P) -> float:
+    """V_1 of a 3-D hull conv(P): (1/2pi) sum over its edges of the length
+    times the angle between the normals of the two facets meeting there."""
+    hull = ConvexHull(P)
+    S, N = hull.simplices, hull.equations[:, :3]
+    # facet f meets its neighbour opposite vertex k along the other two
+    length = np.linalg.norm(P[S[:, [1, 2, 0]]] - P[S[:, [2, 0, 1]]], axis=-1)
+    n1, n2 = N[:, None, :], N[hull.neighbors]
+    angle = 2.0 * np.arctan2(np.linalg.norm(n1 - n2, axis=-1),
+                             np.linalg.norm(n1 + n2, axis=-1))
+    return float(np.sum(length * angle)) / (4.0 * math.pi)   # each edge twice
 
 
 def _perimeter_2d(P) -> np.ndarray:

@@ -101,6 +101,28 @@ class TestConfigSchema:
         with pytest.raises(harness.ConfigError, match="bad input spec"):
             harness.run_config(cfg)
 
+    @pytest.mark.parametrize("raw", [
+        {"check": "zhang-body", "body": {"kind": "ball", "dim": 4}, "m": 4},
+        {"check": "chain", "body": {"kind": "ball", "dim": 4}, "m": 4,
+         "p_grid": [1.0]},
+        {"check": "tangent-bound", "m": 4, "points": [[0.1] * 16],
+         "function": {"profile": "exponential",
+                      "body": {"kind": "ball", "dim": 4}}},
+    ])
+    def test_ball_gauge_beyond_three_dimensions_is_config_error(self, raw):
+        cfg = harness.validate_config({"name": "x", **raw})
+        with pytest.raises(harness.ConfigError, match="n <= 3 or m <= 3"):
+            harness.run_config(cfg)
+
+    def test_zhang_body_in_space_at_m4_runs(self):
+        # the Petty side needs the gauge of the 3-ball at m = 4
+        cfg = harness.validate_config(
+            {"name": "x", "check": "zhang-body",
+             "body": {"kind": "cube", "dim": 3}, "m": 4, "directions": 200})
+        verdicts = harness.run_config(cfg, threads=1)
+        assert [v.name for v in verdicts] == ["zhang-body", "petty-body"]
+        assert all(v.status != iq.VIOLATED for v in verdicts)
+
 
 class TestCatalog:
     def test_eleven_experiments(self):
@@ -233,6 +255,12 @@ class TestCli:
         assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert "numeric failure" in err and "rs-body" in err
+
+    def test_unsupported_ball_gauge_exits_two(self, tmp_path, capsys):
+        path = _write(tmp_path, {"name": "x", "check": "zhang-body", "m": 4,
+                                 "body": {"kind": "ball", "dim": 4}})
+        assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 2
+        assert "n <= 3 or m <= 3" in capsys.readouterr().err
 
     def test_zhang_simplex_report(self, tmp_path, capsys):
         out = tmp_path / "report"
