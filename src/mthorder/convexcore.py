@@ -14,17 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
-    EstimateWithError,
-    default_mc_samples,
-    lp_feasible_interior,
-    lp_maximize,
-    make_rng,
-)
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
-_STREAM_VOLUME_MC = 101
+from .numerics import EstimateWithError, lp_feasible_interior, lp_maximize, sphere_surface
 
 _GEOM_TOL = 1e-9
+_INTERIOR_MARGIN = 1e-10   # Chebyshev radius below which a body counts as flat
 
 
 class DegenerateBodyError(ValueError):
@@ -64,7 +59,6 @@ class ConvexBody:
 class FacetData:
     normals: np.ndarray   # (F, n) unit outer normals
     areas: np.ndarray     # (F,) (n-1)-measures
-    points: np.ndarray    # (F, n) representative points
 
     def __len__(self):
         return len(self.areas)
@@ -74,61 +68,29 @@ class FacetData:
 # construction
 
 
-def _dedupe_points(pts, tol):
-    out = []
-    for p in pts:
-        if not any(np.linalg.norm(p - q) <= tol for q in out):
-            out.append(p)
-    return np.array(out)
-
-
-def _enumerate_vertices(normals, offsets, tol=_GEOM_TOL):
-    """Candidate vertices of {A x <= b} via n-subsets of active constraints."""
-    m, n = normals.shape
-    scale = 1.0 + float(np.max(np.abs(offsets), initial=0.0))
-    cands = []
-    for idx in itertools.combinations(range(m), n):
-        sub = normals[list(idx)]
-        if abs(np.linalg.det(sub)) < 1e-12:
-            continue
-        v = np.linalg.solve(sub, offsets[list(idx)])
-        if np.all(normals @ v <= offsets + tol * scale):
-            cands.append(v)
-    if not cands:
-        return np.empty((0, n))
-    return _dedupe_points(cands, 1e-7 * scale)
-
-
-def _affine_rank(pts):
-    if len(pts) < 2:
-        return 0
-    d = pts[1:] - pts[0]
-    return np.linalg.matrix_rank(d, tol=1e-9)
-
-
 def _canonical_order(normals, offsets):
     key = np.round(np.column_stack([normals, offsets]), 9)
     order = np.lexsort(key.T[::-1])
     return normals[order], offsets[order]
 
 
-def _irredundant(normals, offsets, vertices, n):
-    """Keep halfspaces that support a genuine facet ((n-1)-dimensional face)."""
-    scale = 1.0 + float(np.max(np.abs(vertices)))
-    keep_n, keep_b = [], []
-    for a, b in zip(normals, offsets):
-        on = vertices[np.abs(vertices @ a - b) <= 1e-7 * scale]
-        if len(on) >= n and _affine_rank(on) >= n - 1:
-            dup = any(np.linalg.norm(a - a2) <= 1e-9 and abs(b - b2) <= 1e-9 * scale
-                      for a2, b2 in zip(keep_n, keep_b))
-            if not dup:
-                keep_n.append(a)
-                keep_b.append(b)
-    return np.array(keep_n), np.array(keep_b)
+def _interval(normals, offsets) -> ConvexBody:
+    a = normals[:, 0]                      # +-1 after normalization
+    if not (np.any(a > 0) and np.any(a < 0)):
+        raise UnboundedBodyError("halfspace intersection is unbounded")
+    lo, hi = float(np.max(-offsets[a < 0])), float(np.min(offsets[a > 0]))
+    if hi - lo < 2.0 * _INTERIOR_MARGIN:
+        raise DegenerateBodyError("halfspace intersection has empty interior")
+    return ConvexBody(1, "polytope", np.array([[-1.0], [1.0]]), np.array([-lo, hi]),
+                      np.array([[lo], [hi]]))
 
 
 def from_halfspaces(normals, offsets) -> ConvexBody:
-    """Body from <a_i, x> <= b_i (canonicalized, vertices derived)."""
+    """Body from <a_i, x> <= b_i (canonicalized, vertices derived).
+
+    Qhull intersects the halfspaces about the Chebyshev centre; its dual
+    facets name the irredundant halfspaces.
+    """
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
     offsets = np.asarray(offsets, dtype=float)
     n = normals.shape[1]
@@ -139,15 +101,23 @@ def from_halfspaces(normals, offsets) -> ConvexBody:
         raise DegenerateBodyError("zero normal in halfspace list")
     normals = normals / lens[:, None]
     offsets = offsets / lens
-    verts = _enumerate_vertices(normals, offsets)
-    if len(verts) < n + 1 or _affine_rank(verts) < n:
+    if n == 1:
+        return _interval(normals, offsets)
+    feasible, center = lp_feasible_interior(normals, offsets, margin=_INTERIOR_MARGIN)
+    if feasible and center is None:
+        raise UnboundedBodyError("halfspace intersection is unbounded")
+    if not feasible:
         raise DegenerateBodyError("halfspace intersection has empty interior")
-    # boundedness: every axis direction has a finite maximum
-    for u in np.vstack([np.eye(n), -np.eye(n)]):
-        if lp_maximize(u, normals, offsets).status == "unbounded":
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):   # points at infinity
+            hs = HalfspaceIntersection(np.column_stack([normals, -offsets]), center)
+        if not np.all(np.isfinite(hs.intersections)):
             raise UnboundedBodyError("halfspace intersection is unbounded")
-    normals, offsets = _irredundant(normals, offsets, verts, n)
-    normals, offsets = _canonical_order(normals, offsets)
+        verts = hs.intersections[ConvexHull(hs.intersections).vertices]
+    except QhullError as e:
+        raise DegenerateBodyError("halfspace intersection has empty interior") from e
+    keep = np.unique(np.concatenate(hs.dual_facets))
+    normals, offsets = _canonical_order(normals[keep], offsets[keep])
     return ConvexBody(n, "polytope", normals, offsets, verts)
 
 
@@ -159,15 +129,12 @@ def from_vertices(points) -> ConvexBody:
         if hi - lo < 1e-12:
             raise DegenerateBodyError("interval has zero length")
         return from_halfspaces(np.array([[1.0], [-1.0]]), np.array([hi, -lo]))
-    if _affine_rank(points) < n:
-        raise DegenerateBodyError("vertices do not affinely span the space")
-    from scipy.spatial import ConvexHull
-
-    hull = ConvexHull(points)
+    try:
+        hull = ConvexHull(points)
+    except QhullError as e:
+        raise DegenerateBodyError("vertices do not affinely span the space") from e
     # qhull equations: a.x + b <= 0; coplanar simplices share one plane each
-    normals = hull.equations[:, :-1]
-    offsets = -hull.equations[:, -1]
-    return from_halfspaces(normals, offsets)
+    return from_halfspaces(hull.equations[:, :-1], -hull.equations[:, -1])
 
 
 def simplex(n: int, variant: str = "corner") -> ConvexBody:
@@ -349,7 +316,7 @@ def _stacked_translate_system(K: ConvexBody, xbar: np.ndarray):
 
 
 def intersect_translates(K: ConvexBody, xbar) -> ConvexBody | None:
-    """K cap (x_1+K) cap ... cap (x_m+K); None when empty (margin 1e-10).
+    """K cap (x_1+K) cap ... cap (x_m+K); None when its interior is empty.
 
     Polytopes come back as a canonicalized stacked-halfspace body.  For a
     Euclidean ball in n >= 2 the intersection is not polyhedral; use
@@ -360,13 +327,10 @@ def intersect_translates(K: ConvexBody, xbar) -> ConvexBody | None:
         raise ValueError("intersect_translates needs a polytope; "
                          "ball intersections are handled by the covariogram module")
     A, b = _stacked_translate_system(K, xbar)
-    feasible, _ = lp_feasible_interior(A, b, margin=1e-10)
-    if not feasible:
-        return None
     try:
         return from_halfspaces(A, b)
     except DegenerateBodyError:
-        return None          # sliver thinner than the vertex tolerance
+        return None
 
 
 def miniball_radius(points) -> float:
@@ -396,28 +360,18 @@ def miniball_radius(points) -> float:
 # volume and facets
 
 
-_UNIT_BALL_VOL = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
-
-
-def volume(K: ConvexBody, seed: int = 0, samples: int | None = None) -> EstimateWithError:
-    """vol_n(K): exact for n <= 2 and balls; seeded Monte Carlo for 3-D polytopes."""
+def volume(K: ConvexBody) -> EstimateWithError:
+    """vol_n(K), exact: closed form for balls, the qhull volume for 3-D polytopes."""
     n = K.dim
     if K.kind == "ball":
-        return EstimateWithError(_UNIT_BALL_VOL[n] * K.radius ** n, 0.0, 0)
-    V = K.vertices
-    if n == 1:
-        return EstimateWithError(float(V.max() - V.min()), 0.0, 0)
-    if n == 2:
-        return EstimateWithError(polygon_area(V), 0.0, 0)
-    lo, hi = bounding_box(K)
-    box_vol = float(np.prod(hi - lo))
-    N = samples or default_mc_samples(n)
-    gen = make_rng(seed, _STREAM_VOLUME_MC)
-    pts = lo + (hi - lo) * gen.random((N, n))
-    hit = contains(K, pts, tol=1e-12)
-    p = float(np.mean(hit))
-    sigma = box_vol * math.sqrt(max(p * (1.0 - p), 0.0) / N)
-    return EstimateWithError(box_vol * p, sigma, N)
+        value = sphere_surface(n) / n * K.radius ** n
+    elif n == 1:
+        value = float(K.vertices.max() - K.vertices.min())
+    elif n == 2:
+        value = polygon_area(K.vertices)
+    else:
+        value = float(ConvexHull(K.vertices).volume)
+    return EstimateWithError(value, 0.0, 0)
 
 
 def hull_order(points: np.ndarray) -> np.ndarray:
@@ -440,11 +394,9 @@ def facets(K: ConvexBody) -> FacetData:
     n = K.dim
     V = K.vertices
     if n == 1:
-        lo, hi = float(V.min()), float(V.max())
-        return FacetData(np.array([[-1.0], [1.0]]), np.array([1.0, 1.0]),
-                         np.array([[lo], [hi]]))
+        return FacetData(np.array([[-1.0], [1.0]]), np.array([1.0, 1.0]))
     scale_ = 1.0 + float(np.max(np.abs(V)))
-    normals, areas, points = [], [], []
+    normals, areas = [], []
     for a, b in zip(K.normals, K.offsets):
         on = V[np.abs(V @ a - b) <= 1e-7 * scale_]
         if n == 2:
@@ -458,8 +410,7 @@ def facets(K: ConvexBody) -> FacetData:
             measure = _facet_polygon_area(on, a)
         normals.append(a)
         areas.append(measure)
-        points.append(on.mean(axis=0))
-    return FacetData(np.array(normals), np.array(areas), np.array(points))
+    return FacetData(np.array(normals), np.array(areas))
 
 
 def _edge_dir(normal2d):
@@ -475,16 +426,6 @@ def _facet_polygon_area(points3d, normal):
     v = np.cross(a, u)
     coords = np.column_stack([points3d @ u, points3d @ v])
     return polygon_area(coords)
-
-
-def minkowski_sum(K: ConvexBody, L: ConvexBody) -> ConvexBody:
-    """Exact Minkowski sum for polytopes in dimension <= 2 (hull of vertex sums)."""
-    if K.kind != "polytope" or L.kind != "polytope":
-        raise ValueError("minkowski_sum is polytope-only")
-    if K.dim > 2:
-        raise ValueError("exact Minkowski sum implemented for n <= 2")
-    sums = (K.vertices[:, None, :] + L.vertices[None, :, :]).reshape(-1, K.dim)
-    return from_vertices(sums)
 
 
 def chebyshev_center(K: ConvexBody):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+from scipy.spatial import ConvexHull
 
 from . import convexcore as cc
 from .convexcore import ConvexBody
@@ -103,7 +104,7 @@ def as_mvector(x, n: int) -> MVector:
 # body covariograms
 
 
-def _axis_box(K: ConvexBody):
+def axis_box(K: ConvexBody):
     """(lo, hi) when K is an axis-aligned box (every facet normal is +-e_j)."""
     if K.kind != "polytope":
         return None
@@ -159,18 +160,19 @@ def _ball_cov(K: ConvexBody, xb: MVector, seed: int, samples) -> EstimateWithErr
 
 def covariogram_body(K: ConvexBody, xbar, seed: int = 0,
                      samples: int | None = None) -> EstimateWithError:
-    """g_{K,m}(xbar); exact for n <= 2 (and ball pairs), seeded MC otherwise."""
+    """g_{K,m}(xbar); exact for polytopes and for balls with at most two
+    distinct translates, seeded Monte Carlo for balls otherwise."""
     xb = as_mvector(xbar, K.dim)
     if K.kind == "ball":
         return _ball_cov(K, xb, seed, samples)
-    box = _axis_box(K)
+    box = axis_box(K)
     if box is not None:
         val = _box_cov(box[0], box[1], xb.blocks[None])
         return EstimateWithError(float(val[0]), 0.0, 0)
     body = cc.intersect_translates(K, xb.blocks)
     if body is None:
         return EstimateWithError(0.0, 0.0, 0)
-    return cc.volume(body, seed=seed, samples=samples)
+    return cc.volume(body)
 
 
 def covariogram_body_many(K: ConvexBody, xbars, seed: int = 0,
@@ -185,7 +187,7 @@ def covariogram_body_many(K: ConvexBody, xbars, seed: int = 0,
         B = B.reshape(len(B), -1, K.dim)
     if B.ndim != 3 or B.shape[2] != K.dim:
         raise ValueError("expected an (N, m, n) or (N, m*n) batch")
-    box = _axis_box(K)
+    box = axis_box(K)
     if box is not None:
         vals = _box_cov(box[0], box[1], B)
         return vals, np.zeros(len(vals))
@@ -249,40 +251,49 @@ def dm_support_radius_fn(f: LogConcaveFunction, theta) -> float:
     return dm_support_radius(supp, as_mvector(theta, f.dim))
 
 
-def dm_body(K: ConvexBody, m: int) -> ConvexBody:
-    """D^m(K) as an explicit body, where a closed form exists.
+def _dm_points(K: ConvexBody, m: int) -> np.ndarray:
+    """The |V|^{m+1} vertex sums (v_0 - v_1, ..., v_0 - v_m) spanning D^m(K)
+    = Delta(K) + (-K)^m (Rogers and Shephard, 1957), flattened to R^{nm}."""
+    V = K.vertices
+    k, n = V.shape
+    idx = np.indices((k,) * (m + 1)).reshape(m + 1, -1)
+    sums = V[idx[0]][:, None, :] - V[idx[1:].T]
+    return np.unique(sums.reshape(-1, n * m), axis=0)
 
-    Covered: any interval (facets x_i - x_j <= len, +-x_i <= len), any body
-    with m = 1 and n <= 2 (K + (-K)), and balls with m = 1.
-    """
+
+def dm_volume(K: ConvexBody, m: int) -> float:
+    """vol_{nm}(D^m(K)), exact: the hull volume of the vertex sums for a
+    polytope with n*m <= 6, vol(2K) = 2^n vol(K) for a ball at m = 1."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if K.kind == "ball":
+        if m > 1:
+            raise NotImplementedError("D^m of a ball has no closed form for m > 1")
+        return 2.0 ** K.dim * cc.volume(K).value
+    if K.dim * m > 6:
+        raise NotImplementedError("exact D^m volume limited to n*m <= 6")
+    if K.dim * m == 1:
+        return 2.0 * cc.volume(K).value
+    return float(ConvexHull(_dm_points(K, m)).volume)
+
+
+def dm_body(K: ConvexBody, m: int) -> ConvexBody:
+    """D^m(K) as an explicit body: the hull of the vertex sums for a
+    polytope with n*m <= 3, the ball 2rB^n for a ball at m = 1."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if K.kind == "ball" and m == 1:
         return cc.ball(K.dim, 2.0 * K.radius)
-    if K.dim == 1:
-        L = float(K.vertices.max() - K.vertices.min())
-        rows, rhs = [], []
-        for i in range(m):
-            e = np.zeros(m)
-            e[i] = 1.0
-            rows += [e, -e]
-            rhs += [L, L]
-            for j in range(i):
-                d = np.zeros(m)
-                d[i], d[j] = 1.0, -1.0
-                rows += [d, -d]
-                rhs += [L, L]
-        return cc.from_halfspaces(np.array(rows), np.array(rhs))
-    if m == 1 and K.kind == "polytope" and K.dim <= 2:
-        return cc.minkowski_sum(K, cc.reflect(K))
-    raise NotImplementedError("no closed-form D^m body for this (K, m)")
+    if K.kind == "polytope" and K.dim * m <= 3:
+        return cc.from_vertices(_dm_points(K, m))
+    raise NotImplementedError("no explicit D^m body for this (K, m)")
 
 
 # ---------------------------------------------------------------------------
 # function covariograms
 
 
-def _profile_cut(prof, n: int, scale: float) -> float:
+def profile_cut(prof, n: int, scale: float) -> float:
     """Radius beyond which the level-set integrand is negligible."""
     if prof.support_radius < math.inf:
         return prof.support_radius
@@ -305,19 +316,15 @@ def _cov_fn_levelset(f: LogConcaveFunction, xb: MVector, seed: int, samples,
 
     # with {f >= t} = shift + rK and t = A*phi(r) the t-integral becomes
     #   A * int (-phi'(r)) r^n g_{K,m}(xbar / r) dr
-    vol_k = cc.volume(K, seed=seed).value
+    vol_k = cc.volume(K).value
     nrm = xb.norm()
     r_lo = 0.0 if nrm < 1e-300 else nrm / dm_support_radius(K, xb.unit())
-    r_hi = _profile_cut(prof, n, A * vol_k)
+    r_hi = profile_cut(prof, n, A * vol_k)
     if r_hi <= r_lo:
         return EstimateWithError(0.0, 0.0, 0)
 
-    if K.kind == "ball":
-        distinct = len(np.unique(np.vstack([np.zeros(n), xb.blocks]), axis=0))
-        exact_inner = distinct <= 2  # single lens has a closed form
-    else:
-        exact_inner = n <= 2
-    if exact_inner:
+    distinct = len(np.unique(np.vstack([np.zeros(n), xb.blocks]), axis=0))
+    if K.kind == "polytope" or distinct <= 2:   # exact inner volumes
         def integrand(r):
             if r <= 0.0:
                 return 0.0
@@ -326,8 +333,9 @@ def _cov_fn_levelset(f: LogConcaveFunction, xb: MVector, seed: int, samples,
 
         return integrate_1d(integrand, r_lo, r_hi, cfg=cfg)
 
-    # the inner volumes are themselves Monte Carlo: fixed Gauss grid with
-    # independent per-node seeds, so adaptivity never chases the noise
+    # a ball meeting three or more distinct translates has Monte Carlo inner
+    # volumes: fixed Gauss grid with independent per-node seeds, so
+    # adaptivity never chases the noise
     nodes, weights = gauss_panels(r_lo, r_hi, panels=32, order=8)
     budget = samples or default_mc_samples(xb.total_dim)
     per_node = max(1000, budget // len(nodes))
@@ -343,7 +351,7 @@ def _cov_fn_levelset(f: LogConcaveFunction, xb: MVector, seed: int, samples,
     return EstimateWithError(total, math.sqrt(var), len(nodes) * per_node)
 
 
-def _coercive_box_radius(f: LogConcaveFunction, tol: float) -> float:
+def coercive_box_radius(f: LogConcaveFunction, tol: float) -> float:
     """R with int_{|y|>R} f <= tol/10, from the exponential envelope when
     one exists and from iterated profile truncation otherwise."""
     n = f.dim
@@ -425,7 +433,7 @@ def _cov_fn_direct(f: LogConcaveFunction, xb: MVector, seed: int,
     # truncation loss.  A single box out to that radius has terrible variance
     # for slowly decaying profiles, so stratify: a core box where f is large,
     # then geometrically growing box shells out to the truncation radius.
-    r_total = _coercive_box_radius(f, tol=1e-12)
+    r_total = coercive_box_radius(f, tol=1e-12)
     shift_norm = float(np.linalg.norm(f.shift))
     if f.body.kind == "ball":
         r_out = float(np.linalg.norm(f.body.center)) + f.body.radius

@@ -119,7 +119,7 @@ def _jobs_classical(seed, samples):
             n = K.dim
             f = _fn("exponential", K)
             lhs = f.mass() / math.factorial(n)
-            vol = cc.volume(K, seed=seed)
+            vol = cc.volume(K)
             return _identity_verdict(f"classical-closed[{label}]", lhs,
                                      vol.value, 1e-9,
                                      metadata={"n": n, "mass": f.mass()})
@@ -132,7 +132,7 @@ def _jobs_classical(seed, samples):
             rho = np.array([cc.radial(K, [math.cos(a), math.sin(a)])
                             for a in ang])
             mass = math.gamma(n) * (2.0 * math.pi / count) * float(np.sum(rho ** n))
-            vol = cc.volume(K, seed=seed)
+            vol = cc.volume(K)
             return _identity_verdict(f"classical-quadrature[{label}]",
                                      mass / math.factorial(n), vol.value, 5e-3,
                                      metadata={"n": n, "angles": count})
@@ -153,7 +153,7 @@ def _jobs_covariogram_mass(seed, samples):
         box = 16.0
         est = box * float(np.mean(vals))
         sig = box * float(np.std(vals, ddof=1)) / math.sqrt(count)
-        vol2 = cc.volume(K, seed=seed).value ** 2
+        vol2 = cc.volume(K).value ** 2
         return _identity_verdict("covariogram-mass[square]", est, vol2, 1e-2,
                                  sigma=sig, metadata={"samples": count})
     return [("covariogram-mass[square]", thunk)]
@@ -439,9 +439,9 @@ def _jobs_support_identity(seed, samples):
     for m in (1, 2):
         def thunk(m=m):
             dirs = sphere_sample(m, 64, seed, stream=_STREAM_SUPPORT_DIRS)
-            rays = sb._rays_for(dirs, lambda th: sb.fn_ray(chi, m, th,
-                                                           seed=seed,
-                                                           samples=samples))
+            rays = sb.rays_for(dirs, lambda th: sb.fn_ray(chi, m, th,
+                                                          seed=seed,
+                                                          samples=samples))
             radii, exact, devs = [], [], []
             for th, ray in zip(dirs, rays):
                 rho = sb.radial_from_ray(ray, 200.0).value
@@ -638,10 +638,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if "directions" in params:
         d = params["directions"]
         ok_int = isinstance(d, int) and not isinstance(d, bool) and d >= 1
-        ok_list = isinstance(d, list) and d
+        ok_list = isinstance(d, list) and d and check == "chain"
         if not (ok_int or ok_list):
-            raise ConfigError("'directions' must be a positive integer or a "
-                              "list of direction vectors")
+            raise ConfigError("'directions' must be a positive integer or, "
+                              "for chain, a list of direction vectors")
     for key in ("body", "function"):
         if key in params and not isinstance(params[key], dict):
             raise ConfigError(f"field {key!r} must be a JSON object")
@@ -663,6 +663,18 @@ def load_config(path) -> ExperimentConfig:
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     return validate_config(raw)
+
+
+def _require_shapes(name: str, key: str, vectors: list, allowed: list) -> None:
+    """Every entry of a `points` or `directions` list must be an n*m vector."""
+    for v in vectors:
+        try:
+            shape = np.asarray(v, dtype=float).shape
+        except (TypeError, ValueError):
+            shape = None
+        if shape not in allowed:
+            raise ConfigError(f"{name!r}: {key!r} entry {v!r} is not a vector "
+                              f"of n*m = {allowed[0][0]} numbers")
 
 
 def _custom_jobs(cfg: ExperimentConfig, seed: int, samples: int | None):
@@ -688,6 +700,12 @@ def _custom_jobs(cfg: ExperimentConfig, seed: int, samples: int | None):
             proj.require_exact_gauge(gauge_body, p["m"])
         except NotImplementedError as e:
             raise ConfigError(f"{cfg.name!r}: {e}") from e
+    if check in ("tangent-bound", "chain"):
+        n, m = (func if func is not None else body).dim, p["m"]
+        shapes = {"points": [(n * m,), (m, n)], "directions": [(n * m,)]}
+        for key, allowed in shapes.items():
+            if isinstance(p.get(key), list):
+                _require_shapes(cfg.name, key, p[key], allowed)
     if check == "rs-body":
         thunk = lambda: iq.check_rs_body(body, p["m"], seed=seed,
                                          samples=n_samples)

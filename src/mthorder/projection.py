@@ -162,8 +162,8 @@ def ppb_body_polytope(K: ConvexBody, m: int) -> ConvexBody:
     """The unit ball {||theta|| <= 1} of the PPB gauge, as an H-polytope.
 
     The facet sum of per-facet maxima equals the maximum of all per-facet
-    selections, giving (m+1)^F candidate linear functionals; feasible only
-    for nm <= 3 where vertex enumeration stays cheap.
+    selections, giving (m+1)^F candidate linear functionals; bodies are
+    built only for nm <= 3.
     """
     if K.kind != "polytope":
         raise ValueError("exact PPB unit balls need a polytope")
@@ -185,7 +185,9 @@ def ppb_body_polytope(K: ConvexBody, m: int) -> ConvexBody:
 
 def ppb_volume(source, m: int, seed: int = 0,
                directions: int = 10_000) -> EstimateWithError:
-    """vol_{nm} of the PPB unit ball of a body or a log-concave function."""
+    """vol_{nm} of the PPB unit ball of a body or a log-concave function:
+    exact for polytopes with nm <= 3 and for balls at m = 1, a seeded
+    sphere average over `directions` otherwise."""
     if isinstance(source, LogConcaveFunction):
         base = ppb_volume(source.body, m, seed=seed, directions=directions)
         d = source.dim * m
@@ -193,7 +195,11 @@ def ppb_volume(source, m: int, seed: int = 0,
     K = source
     d = K.dim * m
     if K.kind == "polytope" and d <= 3:
-        return cc.volume(ppb_body_polytope(K, m), seed=seed)
+        return cc.volume(ppb_body_polytope(K, m))
+    if K.kind == "ball" and m == 1:
+        # the gauge is constant on the sphere, so the unit ball is a ball
+        unit_gauge = ppb_gauge_body_many(K, 1, np.eye(K.dim)[:1])[0]
+        return cc.volume(cc.ball(K.dim, 1.0 / unit_gauge))
     dirs = sphere_sample(d, directions, seed, stream=_STREAM_PPB_DIRS)
     gauges = ppb_gauge_body_many(K, m, dirs.reshape(len(dirs), m, K.dim))
     if np.any(gauges <= 1e-12):

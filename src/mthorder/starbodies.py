@@ -28,11 +28,11 @@ from . import covariogram as cov
 from . import projection as proj
 from .convexcore import ConvexBody, UnboundedBodyError
 from .lcfun import LogConcaveFunction, NonIntegrableError
+from .mellin import _ZERO_P_WINDOW
 from .numerics import (EstimateWithError, QuadratureConfig, combine_sigma,
                        integrate_1d, sphere_sample, sphere_surface)
 
 _STREAM_STAR_DIRS = 401
-_ZERO_P_WINDOW = 1e-6
 
 
 def default_direction_count(d: int) -> int:
@@ -111,24 +111,23 @@ def body_ray(K: ConvexBody, m: int, theta, seed: int = 0,
              samples: int | None = None, nodes: int = 256) -> RadialRay:
     """The normalized covariogram section of a body along one unit direction."""
     th = as_unit(theta, K.dim)
-    vol = cc.volume(K, seed=seed)
+    vol = cc.volume(K).value
     R = cov.dm_support_radius(K, th)
-    slope0 = proj.ppb_gauge_body(K, m, th) / vol.value
-    cheap = (K.kind == "polytope" and cov._axis_box(K) is not None) \
+    slope0 = proj.ppb_gauge_body(K, m, th) / vol
+    cheap = (K.kind == "polytope" and cov.axis_box(K) is not None) \
         or (K.kind == "ball" and m == 1)
     if cheap:
-        psi = _body_section_direct(K, th.blocks, vol.value, seed, samples)
+        psi = _body_section_direct(K, th.blocks, vol, seed, samples)
         return RadialRay(psi, R, R, slope0, None)
     grid = np.linspace(0.0, R, nodes)
     vals, sigs = cov.covariogram_body_many(
         K, grid[:, None, None] * th.blocks[None, :, :], seed=seed, samples=samples)
-    vals = np.clip(vals / vol.value, 0.0, 1.0)
+    vals = np.clip(vals / vol, 0.0, 1.0)
     vals[0] = 1.0
     psi = _interp_section(grid, vals, float(K.dim), R)
     sigma = None
-    if np.any(sigs > 0.0) or vol.std_error > 0.0:
-        sig_vals = np.hypot(sigs / vol.value, vals * vol.std_error / vol.value)
-        lin = PchipInterpolator(grid, sig_vals)
+    if np.any(sigs > 0.0):
+        lin = PchipInterpolator(grid, sigs / vol)
         def sigma(r):  # noqa: E306
             rr = np.atleast_1d(np.asarray(r, dtype=float))
             out = np.where(rr < R, np.abs(lin(np.minimum(rr, R))), 0.0)
@@ -147,14 +146,14 @@ def fn_ray(f: LogConcaveFunction, m: int, theta, seed: int = 0,
     mass = f.mass()
     slope0 = proj.ppb_gauge_fn(f, m, th) / mass
     K = f.body
-    vol = cc.volume(K, seed=seed).value
+    vol = cc.volume(K).value
     scale = f.amplitude * vol / mass
     R_K = cov.dm_support_radius(K, th)
-    s_hi = cov._profile_cut(prof, n, f.amplitude * vol)
+    s_hi = cov.profile_cut(prof, n, f.amplitude * vol)
     support = cov.dm_support_radius_fn(f, th)
     tail = support if math.isfinite(support) else \
         R_K * prof.truncation_radius(1e-12, n + 8)
-    cheap = (K.kind == "polytope" and cov._axis_box(K) is not None) \
+    cheap = (K.kind == "polytope" and cov.axis_box(K) is not None) \
         or (K.kind == "ball" and m == 1)
     if cheap:
         section = _body_section_direct(K, th.blocks, vol, seed, samples)
@@ -404,7 +403,7 @@ def _build_table(rays, dirs, p, meta, cfg=None) -> StarBodyTable:
     return StarBodyTable(dirs, radii, sigs, meta)
 
 
-def _rays_for(dirs, make_ray):
+def rays_for(dirs, make_ray):
     """One ray per distinct direction; duplicates share the same object."""
     cache: dict[bytes, RadialRay] = {}
     rays = []
@@ -421,9 +420,9 @@ def radial_mean_body_body(K: ConvexBody, m: int, p: float, directions=None,
                           nodes: int = 256) -> StarBodyTable:
     """Radial table of R_p^m K over a sampled (or given) direction set."""
     d = K.dim * m
-    dirs = _direction_set(directions, d, seed)
-    rays = _rays_for(dirs, lambda th: body_ray(K, m, th, seed=seed,
-                                               samples=samples, nodes=nodes))
+    dirs = direction_set(directions, d, seed)
+    rays = rays_for(dirs, lambda th: body_ray(K, m, th, seed=seed,
+                                              samples=samples, nodes=nodes))
     meta = {"p": p, "m": m, "kind": "body", "source": _describe(K), "seed": seed}
     return _build_table(rays, dirs, p, meta)
 
@@ -434,15 +433,16 @@ def radial_mean_body_fn(f: LogConcaveFunction, m: int, p: float,
                         nodes: int = 256) -> StarBodyTable:
     """Radial table of R_p^m f over a sampled (or given) direction set."""
     d = f.dim * m
-    dirs = _direction_set(directions, d, seed)
-    rays = _rays_for(dirs, lambda th: fn_ray(f, m, th, seed=seed,
-                                             samples=samples, nodes=nodes))
+    dirs = direction_set(directions, d, seed)
+    rays = rays_for(dirs, lambda th: fn_ray(f, m, th, seed=seed,
+                                            samples=samples, nodes=nodes))
     meta = {"p": p, "m": m, "kind": "function",
             "source": f"{f.profile.kind} on {_describe(f.body)}", "seed": seed}
     return _build_table(rays, dirs, p, meta)
 
 
-def _direction_set(directions, d: int, seed: int) -> np.ndarray:
+def direction_set(directions, d: int, seed: int) -> np.ndarray:
+    """The given directions normalized, or the default seeded sphere sample."""
     if directions is None:
         return sphere_sample(d, default_direction_count(d), seed,
                              stream=_STREAM_STAR_DIRS)

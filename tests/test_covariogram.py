@@ -16,6 +16,7 @@ from mthorder.covariogram import (
     dm_support_membership_fn,
     dm_support_radius,
     dm_support_radius_fn,
+    dm_volume,
 )
 from mthorder.lcfun import LogConcaveFunction, NonIntegrableError, Profile
 from mthorder.numerics import combine_sigma, make_rng
@@ -406,3 +407,15 @@ class TestDmBody:
     def test_unsupported(self):
         with pytest.raises(NotImplementedError):
             dm_body(cc.simplex(2, "corner"), 2)
+
+    def test_quadrilateral_volume_against_membership_oracle(self):
+        K = cc.from_vertices([[0.0, 0.0], [2.0, 0.0], [1.5, 1.0], [0.2, 1.3]])
+        exact = dm_volume(K, 2)
+        lo, hi = cc.bounding_box(K)
+        width = hi - lo
+        N = 4000
+        X = (2.0 * make_rng(11, 0).random((N, 2, 2)) - 1.0) * width
+        frac = np.mean([dm_support_membership(K, x) for x in X])
+        box = float(np.prod(2.0 * width)) ** 2
+        sigma = box * math.sqrt(frac * (1.0 - frac) / N)
+        assert abs(box * frac - exact) <= 4.0 * sigma

@@ -79,6 +79,8 @@ class TestConfigSchema:
           "points": []}, "points"),
         ({"name": "x", "check": "rs-single", "function": "exp", "m": 1},
          "JSON object"),
+        ({"name": "x", "check": "zhang-body", "m": 2, "body": _BODY,
+          "directions": [[1.0, 0.0, 0.0, 0.0]]}, "for chain"),
     ])
     def test_rejects_bad_configs(self, raw, fragment):
         with pytest.raises(harness.ConfigError, match=fragment):
@@ -261,6 +263,19 @@ class TestCli:
                                  "body": {"kind": "ball", "dim": 4}})
         assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 2
         assert "n <= 3 or m <= 3" in capsys.readouterr().err
+
+    def test_point_of_wrong_length_exits_two(self, tmp_path, capsys):
+        path = _write(tmp_path, {"name": "x", "check": "tangent-bound", "m": 2,
+                                 "function": _FUNC, "points": [[0.1, 0.2, 0.3]]})
+        assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 2
+        assert "'points' entry [0.1, 0.2, 0.3]" in capsys.readouterr().err
+
+    def test_direction_of_wrong_length_exits_two(self, tmp_path, capsys):
+        path = _write(tmp_path, {"name": "x", "check": "chain", "m": 1,
+                                 "p_grid": [1.0], "body": _BODY,
+                                 "directions": [[1.0, 0.0, 0.0]]})
+        assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 2
+        assert "n*m = 2 numbers" in capsys.readouterr().err
 
     def test_zhang_simplex_report(self, tmp_path, capsys):
         out = tmp_path / "report"

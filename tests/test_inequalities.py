@@ -200,6 +200,21 @@ class TestRsBody:
         assert v.status == iq.EQUALITY
         assert v.lhs.value == pytest.approx(3.0, rel=1e-9)
 
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_interval_high_order_equality(self, m):
+        v = iq.check_rs_body(unit_interval(), m)
+        assert v.metadata["route"] == "exact"
+        assert v.lhs.value == pytest.approx(m + 1.0, rel=1e-12)
+        assert v.status == iq.EQUALITY
+
+    def test_simplex3_m2_is_exact_equality(self):
+        v = iq.check_rs_body(cc.simplex(3), 2)
+        assert v.metadata["route"] == "exact"
+        assert v.lhs.value == pytest.approx(7.0 / 3.0, rel=1e-12)
+        assert v.rhs.value == pytest.approx(7.0 / 3.0, rel=1e-12)
+        assert v.lhs.std_error == v.rhs.std_error == 0.0
+        assert v.status == iq.EQUALITY
+
     def test_disc_is_strict(self):
         v = iq.check_rs_body(cc.ball(2, 1.0), 1)
         assert v.status == iq.HOLDS
@@ -217,7 +232,7 @@ class TestRsBody:
         def refuse(K, m):
             raise NotImplementedError
 
-        monkeypatch.setattr(cov, "dm_body", refuse)
+        monkeypatch.setattr(cov, "dm_volume", refuse)
         v = iq.check_rs_body(cc.ball(2, 1.0), 1, samples=4_000)
         assert v.metadata["route"] == "monte-carlo"
         assert abs(v.lhs.value - 4.0 * math.pi) <= 4.0 * v.lhs.std_error
@@ -364,7 +379,8 @@ class TestRsSingle:
         v = iq.check_rs_single(disc_chi, 1)
         assert v.status == iq.HOLDS
         assert v.rhs.value == pytest.approx(6.0 * math.pi, rel=1e-12)
-        assert abs(v.lhs.value - 4.0 * math.pi) <= 4.0 * v.lhs.std_error
+        assert v.lhs.value == pytest.approx(4.0 * math.pi, rel=1e-12)
+        assert v.lhs.std_error == 0.0
         assert v.metadata["route"] == "ball-overlap"
 
     def test_exponential_goes_pointwise(self):
