@@ -252,7 +252,19 @@ def gauge_many(K: ConvexBody, X) -> np.ndarray:
     """Vectorized gauge over rows of X (same conventions as gauge)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if K.kind == "ball":
-        return np.array([gauge(K, x) for x in X])
+        c, r = K.center, K.radius
+        c2 = float(c @ c)
+        if c2 > r * r + _GEOM_TOL:
+            raise OriginNotContainedError("gauge needs the origin inside the body")
+        xx = np.einsum("ij,ij->i", X, X)
+        xc = X @ c
+        a = r * r - c2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if a <= _GEOM_TOL * r * r:      # origin on the boundary
+                out = np.where(xc > 0.0, xx / (2.0 * xc), math.inf)
+            else:
+                out = (np.sqrt(xc * xc + a * xx) - xc) / a
+        return np.where(xx == 0.0, 0.0, out)
     b = K.offsets
     if np.min(b) < -_GEOM_TOL:
         raise OriginNotContainedError("gauge needs the origin inside the body")
@@ -293,6 +305,13 @@ def contains(K: ConvexBody, X, tol: float = _GEOM_TOL) -> np.ndarray:
     if K.kind == "ball":
         return np.linalg.norm(X - K.center, axis=1) <= K.radius + tol
     return np.all(X @ K.normals.T <= K.offsets + tol, axis=1)
+
+
+def outer_radius(K: ConvexBody) -> float:
+    """max |x| over x in K: |c| + r for a ball, the largest vertex norm else."""
+    if K.kind == "ball":
+        return float(np.linalg.norm(K.center)) + K.radius
+    return float(np.max(np.linalg.norm(K.vertices, axis=1)))
 
 
 def bounding_box(K: ConvexBody):

@@ -251,18 +251,34 @@ def dm_support_radius_fn(f: LogConcaveFunction, theta) -> float:
     return dm_support_radius(supp, as_mvector(theta, f.dim))
 
 
-def _dm_points(K: ConvexBody, m: int) -> np.ndarray:
-    """The |V|^{m+1} vertex sums (v_0 - v_1, ..., v_0 - v_m) spanning D^m(K)
-    = Delta(K) + (-K)^m (Rogers and Shephard, 1957), flattened to R^{nm}."""
-    V = K.vertices
-    k, n = V.shape
-    idx = np.indices((k,) * (m + 1)).reshape(m + 1, -1)
-    sums = V[idx[0]][:, None, :] - V[idx[1:].T]
-    return np.unique(sums.reshape(-1, n * m), axis=0)
+def _meeting_points(bodies) -> np.ndarray:
+    """The vertex sums (y - k_1, ..., y - k_m), y a vertex of K_0 and k_i one
+    of K_i, flattened to R^{nm}.  Their hull is the set of x with
+    K_0 cap (x_1 + K_1) cap ... cap (x_m + K_m) nonempty; for K_i = K it is
+    D^m(K) = Delta(K) + (-K)^m (Rogers and Shephard, 1957)."""
+    V0, *rest = [K.vertices for K in bodies]
+    idx = np.indices([len(V0)] + [len(V) for V in rest]).reshape(len(bodies), -1)
+    sums = V0[idx[0]][:, None, :] - np.stack(
+        [V[i] for V, i in zip(rest, idx[1:])], axis=1)
+    return np.unique(sums.reshape(len(idx[0]), -1), axis=0)
+
+
+def meeting_volume(bodies) -> float:
+    """vol_{nm} of {x : K_0 cap (x_1 + K_1) cap ... cap (x_m + K_m) nonempty}
+    for polytopes K_0, ..., K_m in R^n with n*m <= 6, exact (a hull volume)."""
+    n, m = bodies[0].dim, len(bodies) - 1
+    if any(K.kind != "polytope" for K in bodies):
+        raise NotImplementedError("meeting volume needs polytopes")
+    if n * m > 6:
+        raise NotImplementedError("exact meeting volume limited to n*m <= 6")
+    pts = _meeting_points(bodies)
+    if n * m == 1:
+        return float(pts.max() - pts.min())
+    return float(ConvexHull(pts).volume)
 
 
 def dm_volume(K: ConvexBody, m: int) -> float:
-    """vol_{nm}(D^m(K)), exact: the hull volume of the vertex sums for a
+    """vol_{nm}(D^m(K)), exact: the meeting volume of m + 1 copies of a
     polytope with n*m <= 6, vol(2K) = 2^n vol(K) for a ball at m = 1."""
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -270,11 +286,7 @@ def dm_volume(K: ConvexBody, m: int) -> float:
         if m > 1:
             raise NotImplementedError("D^m of a ball has no closed form for m > 1")
         return 2.0 ** K.dim * cc.volume(K).value
-    if K.dim * m > 6:
-        raise NotImplementedError("exact D^m volume limited to n*m <= 6")
-    if K.dim * m == 1:
-        return 2.0 * cc.volume(K).value
-    return float(ConvexHull(_dm_points(K, m)).volume)
+    return meeting_volume([K] * (m + 1))
 
 
 def dm_body(K: ConvexBody, m: int) -> ConvexBody:
@@ -285,7 +297,7 @@ def dm_body(K: ConvexBody, m: int) -> ConvexBody:
     if K.kind == "ball" and m == 1:
         return cc.ball(K.dim, 2.0 * K.radius)
     if K.kind == "polytope" and K.dim * m <= 3:
-        return cc.from_vertices(_dm_points(K, m))
+        return cc.from_vertices(_meeting_points([K] * (m + 1)))
     raise NotImplementedError("no explicit D^m body for this (K, m)")
 
 
@@ -360,10 +372,7 @@ def coercive_box_radius(f: LogConcaveFunction, tol: float) -> float:
     try:
         amp, rate = f.coercivity_bound()
     except NonIntegrableError:
-        if f.body.kind == "ball":
-            r_out = float(np.linalg.norm(f.body.center)) + f.body.radius
-        else:
-            r_out = float(np.max(np.linalg.norm(f.body.vertices, axis=1)))
+        r_out = cc.outer_radius(f.body)
         eps = tol / (10.0 * f.amplitude * surface * max(1.0, r_out) ** n)
         return shift_norm + r_out * f.profile.truncation_radius(
             eps, extra_power=n + 1.0)
@@ -435,11 +444,8 @@ def _cov_fn_direct(f: LogConcaveFunction, xb: MVector, seed: int,
     # then geometrically growing box shells out to the truncation radius.
     r_total = coercive_box_radius(f, tol=1e-12)
     shift_norm = float(np.linalg.norm(f.shift))
-    if f.body.kind == "ball":
-        r_out = float(np.linalg.norm(f.body.center)) + f.body.radius
-    else:
-        r_out = float(np.max(np.linalg.norm(f.body.vertices, axis=1)))
-    r_core = min(r_total, shift_norm + r_out * f.profile.inverse_level(1e-2)
+    r_core = min(r_total, shift_norm + cc.outer_radius(f.body)
+                 * f.profile.inverse_level(1e-2)
                  + float(np.abs(xb.blocks).max()))
     radii = [r_core]
     while radii[-1] < r_total:

@@ -12,6 +12,15 @@ Carlo paths are governed by their combined 3 sigma band.  Wherever an
 inequality compares two integrals over the same sphere of directions, both
 sides are evaluated on a shared direction set so that direction noise
 cancels out of the margin.
+
+The functional Rogers-Shephard checks rest on the sup-convolution
+sup_z f_0(z) prod_i f_i(z - x_i).  In one dimension it is a single
+row-batched bracket search over all requested translates at once (the
+product is log-concave, hence unimodal); above that a compass search per
+translate.  The L1 norm over the translates is exact for indicator tuples
+of intervals (`interval`: the hull of the vertex sums) and of two balls
+(`ball-overlap`), and a uniform Monte Carlo over the translation box of
+those sups otherwise (`pointwise-sup`).
 """
 
 from __future__ import annotations
@@ -49,6 +58,10 @@ _STREAM_STAR_L1 = 503
 _STREAM_INT_CONV = 504
 
 _SHARDS = 8
+
+_TRUNCATION_TOL = 1e-13   # tail mass a factor's truncation box may drop
+_GRID_NODES = 65          # nodes per row and round of the 1-D bracket search
+_GRID_ROUNDS = 11         # rounds; each keeps 2 of 64 cells
 
 
 # ---------------------------------------------------------------------------
@@ -182,28 +195,32 @@ def _product_scalar(fbar, offsets):
 
 
 def _product_many(fbar, offsets, Z: np.ndarray) -> np.ndarray:
-    out = np.ones(len(Z))
+    """f_0(z - t_0) * prod_i f_i(z - t_i) at every point z (last axis) of Z;
+    each translation t_i broadcasts against Z."""
+    out = np.ones(Z.shape[:-1])
     for f, t in zip(fbar, offsets):
-        out *= f.eval_many(Z - t)
+        out *= f.eval_many((Z - t).reshape(-1, Z.shape[-1])).reshape(out.shape)
     return out
 
 
-def _factor_box(f: LogConcaveFunction, t: np.ndarray, tol: float):
-    """Axis box outside which the translated factor is negligible (or zero)."""
-    supp = f.support_body()
-    if supp is not None:
-        lo, hi = cc.bounding_box(supp)
-        return lo + t, hi + t
-    R = cov.coercive_box_radius(f, tol)
-    return t - R, t + R
+def _factor_boxes(fbar) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Axis box of each untranslated factor outside which it is negligible
+    (or zero); translating a factor by t moves its box by t."""
+    boxes = []
+    for f in fbar:
+        supp = f.support_body()
+        if supp is not None:
+            boxes.append(cc.bounding_box(supp))
+        else:
+            R = cov.coercive_box_radius(f, _TRUNCATION_TOL)
+            boxes.append((np.full(f.dim, -R), np.full(f.dim, R)))
+    return boxes
 
 
-def _conv_box(fbar, offsets, tol: float = 1e-13):
-    lo = np.full(fbar[0].dim, -math.inf)
-    hi = np.full(fbar[0].dim, math.inf)
-    for f, t in zip(fbar, offsets):
-        flo, fhi = _factor_box(f, t, tol)
-        lo, hi = np.maximum(lo, flo), np.minimum(hi, fhi)
+def _conv_box(boxes, offsets):
+    """Joint box of the translated factors; None when it is empty."""
+    lo = np.max([b[0] + t for b, t in zip(boxes, offsets)], axis=0)
+    hi = np.min([b[1] + t for b, t in zip(boxes, offsets)], axis=0)
     if np.any(lo >= hi):
         return None
     return lo, hi
@@ -254,30 +271,74 @@ def _feasible_point(fbar, offsets):
     return z if val <= 1e-9 else None
 
 
-def _ternary_max(F, lo: float, hi: float, iters: int = 80):
-    """Max of a unimodal F on [lo, hi] by golden-section; returns (x, F(x))."""
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
+def _bracket_max_many(F, lo: np.ndarray, hi: np.ndarray):
+    """Row-wise max of a unimodal F on [lo, hi]; returns (argmax, max).
+
+    Each round evaluates F on _GRID_NODES equispaced nodes per row and keeps
+    the two cells around the row's best node, so _GRID_ROUNDS rounds shrink
+    the bracket to 32^-11 ~ 3e-17 of its width.  The best node seen wins.
+    """
+    rows = np.arange(len(lo))
+    nodes = np.linspace(0.0, 1.0, _GRID_NODES)
     a, b = lo, hi
-    x1 = b - inv * (b - a)
-    x2 = a + inv * (b - a)
-    f1, f2 = F(np.array([x1])), F(np.array([x2]))
-    for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv * (b - a)
-            f2 = F(np.array([x2]))
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv * (b - a)
-            f1 = F(np.array([x1]))
-    xm = 0.5 * (a + b)
-    return np.array([xm]), float(F(np.array([xm])))
+    best_x = lo.copy()
+    best_v = np.full(len(lo), -math.inf)
+    for _ in range(_GRID_ROUNDS):
+        Z = a[:, None] + (b - a)[:, None] * nodes
+        V = F(Z)
+        k = np.argmax(V, axis=1)
+        gain = V[rows, k] > best_v
+        best_x[gain] = Z[rows, k][gain]
+        best_v[gain] = V[rows, k][gain]
+        a = Z[rows, np.maximum(k - 1, 0)]
+        b = Z[rows, np.minimum(k + 1, _GRID_NODES - 1)]
+    return best_x, best_v
 
 
-def _sup_point(fbar, offsets):
-    """(argmax, sup) of the translated product; (None, 0.0) when supports miss."""
-    box = _conv_box(fbar, offsets)
-    if box is None:
+def _sup_rows(fbar, boxes, X: np.ndarray):
+    """(argmax, sup) of z -> f_0(z) * prod_i f_i(z - x_i) for every row x of
+    X (n = 1), all rows in one bracket search; sup 0 where supports miss.
+
+    A row keeps its feasible start (the centre of the compact supports'
+    overlap, else 0) when the search finds no larger value there, as on a
+    zero-valued grid around a sliver of positive product.
+    """
+    T = np.column_stack([np.zeros(len(X)), X])
+
+    def product(rows):          # the product on a grid (rows, G) of those rows
+        offsets = [T[rows, i, None, None] for i in range(len(fbar))]
+        return lambda Z: _product_many(fbar, offsets, Z[..., None])
+
+    def joint_box(factors):
+        return (np.max([boxes[i][0][0] + T[:, i] for i in factors], axis=0),
+                np.min([boxes[i][1][0] + T[:, i] for i in factors], axis=0))
+
+    lo, hi = joint_box(range(len(fbar)))
+    compact = [i for i, f in enumerate(fbar) if f.profile.support_radius < math.inf]
+    z = np.zeros(len(X))
+    if compact:
+        c_lo, c_hi = joint_box(compact)
+        z = 0.5 * (c_lo + c_hi)
+    live = lo < hi
+    val = np.where(live, product(slice(None))(z[:, None])[:, 0], 0.0)
+    if all(f.profile.kind == "indicator" for f in fbar):
+        return z, val
+    search = live & (hi - lo > 1e-14)
+    if np.any(search):
+        x, v = _bracket_max_many(product(search), lo[search], hi[search])
+        keep = val[search] > v
+        z[search] = np.where(keep, z[search], x)
+        val[search] = np.where(keep, val[search], v)
+    return z, val
+
+
+def _sup_point(fbar, boxes, offsets):
+    """(argmax, sup) of the translated product; sup 0.0 when supports miss."""
+    n = fbar[0].dim
+    if n == 1:
+        z, val = _sup_rows(fbar, boxes, np.concatenate(offsets[1:])[None, :])
+        return z, float(val[0])
+    if _conv_box(boxes, offsets) is None:
         return None, 0.0
     F = _product_scalar(fbar, offsets)
     start = _feasible_point(fbar, offsets)
@@ -285,15 +346,6 @@ def _sup_point(fbar, offsets):
         return None, 0.0
     if all(f.profile.kind == "indicator" for f in fbar):
         return start, F(start)
-    n = fbar[0].dim
-    if n == 1:
-        lo, hi = box
-        if hi[0] - lo[0] <= 1e-14:
-            return start, F(start)
-        x, val = _ternary_max(F, float(lo[0]), float(hi[0]))
-        if F(start) > val:
-            return start, F(start)
-        return x, val
     candidates = [start] + [t + np.asarray(f.shift, dtype=float)
                             for f, t in zip(fbar, offsets)]
     best = max(candidates, key=F)
@@ -308,7 +360,7 @@ def _sup_point(fbar, offsets):
 def sup_convolution(fbar, xbar) -> float:
     """sup_z f_0(z) * prod_i f_i(z - x_i); 0 when the supports never meet."""
     fbar, _, _ = _validated_tuple(fbar)
-    return _sup_point(fbar, _offsets(fbar, xbar))[1]
+    return _sup_point(fbar, _factor_boxes(fbar), _offsets(fbar, xbar))[1]
 
 
 def int_convolution(fbar, xbar, seed: int = 0,
@@ -319,18 +371,24 @@ def int_convolution(fbar, xbar, seed: int = 0,
     around the product's mode, so the estimate stays sharp for peaked
     products without losing the heavy-tail coverage of the uniform part.
     """
-    fbar, n, _ = _validated_tuple(fbar)
-    offsets = _offsets(fbar, xbar)
-    box = _conv_box(fbar, offsets)
+    fbar, _, _ = _validated_tuple(fbar)
+    return _int_convolution(fbar, _factor_boxes(fbar), _offsets(fbar, xbar),
+                            seed, samples)
+
+
+def _int_convolution(fbar, boxes, offsets, seed: int,
+                     samples: int | None) -> EstimateWithError:
+    n = fbar[0].dim
+    box = _conv_box(boxes, offsets)
     if box is None:
         return EstimateWithError(0.0, 0.0, 0)
-    z_star, f_max = _sup_point(fbar, offsets)
+    z_star, f_max = _sup_point(fbar, boxes, offsets)
     if f_max <= 0.0:
         return EstimateWithError(0.0, 0.0, 0)
     lo, hi = box
     widths = hi - lo
     volume = float(np.prod(widths))
-    scales = _mode_scales(_product_scalar(fbar, offsets), z_star, f_max, widths)
+    scales = _mode_scales(fbar, offsets, z_star, f_max, widths)
 
     N = int(samples or 100_000)
     half = max(N // 2, 1)
@@ -352,21 +410,21 @@ def int_convolution(fbar, xbar, seed: int = 0,
     return EstimateWithError(float(w.mean()), sigma, len(w))
 
 
-def _mode_scales(F, z_star, f_max, widths) -> np.ndarray:
-    """Per-axis e^-2 half-widths of the product around its mode."""
+def _mode_scales(fbar, offsets, z_star, f_max, widths) -> np.ndarray:
+    """Per-axis e^-2 half-widths of the product around its mode: the first
+    doubling r = r0 * 2^k whose probes z* +- r e_j both fall to the e^-2
+    level, capped at the box width."""
     target = f_max * math.exp(-2.0)
     scales = np.empty(len(widths))
-    for j in range(len(widths)):
-        r = 1e-3 * max(widths[j], 1.0)
-        for _ in range(60):
-            probe = z_star.copy()
-            probe[j] += r
-            up = F(probe)
-            probe[j] = z_star[j] - r
-            if max(up, F(probe)) <= target or r >= widths[j]:
-                break
-            r *= 2.0
-        scales[j] = min(r, widths[j])
+    for j, w in enumerate(widths):
+        r = 1e-3 * max(w, 1.0) * 2.0 ** np.arange(60)
+        r = r[:int(np.argmax(r >= w)) + 1]       # r0 >= w / 1000: k <= 10
+        probes = np.repeat(z_star[None, :], 2 * len(r), axis=0)
+        probes[:len(r), j] += r
+        probes[len(r):, j] -= r
+        vals = _product_many(fbar, offsets, probes)
+        low = np.maximum(vals[:len(r)], vals[len(r):]) <= target
+        scales[j] = min(r[int(np.argmax(low | (r >= w)))], w)
     return scales
 
 
@@ -413,7 +471,8 @@ def _reflected(f: LogConcaveFunction) -> LogConcaveFunction:
                               -np.asarray(f.shift, dtype=float), f.amplitude)
 
 
-def _star_l1(fbar, seed: int, samples: int | None) -> tuple[EstimateWithError, dict]:
+def _star_l1(fbar, boxes, seed: int,
+             samples: int | None) -> tuple[EstimateWithError, dict]:
     """L1 norm of the sup-convolution over the m translation blocks."""
     fbar, n, m = _validated_tuple(fbar)
     f0 = fbar[0]
@@ -425,35 +484,23 @@ def _star_l1(fbar, seed: int, samples: int | None) -> tuple[EstimateWithError, d
         overlap = cc.volume(cc.ball(n, S0.radius + S1.radius)).value
         return (EstimateWithError(height * overlap, 0.0, 0),
                 {"route": "ball-overlap", "samples": 0})
-    lo0, hi0 = _factor_box(f0, np.zeros(n), 1e-13)
-    lows, highs = [], []
-    for f in fbar[1:]:
-        flo, fhi = _factor_box(f, np.zeros(n), 1e-13)
-        lows.append(lo0 - fhi)
-        highs.append(hi0 - flo)
-    lo = np.concatenate(lows)
-    hi = np.concatenate(highs)
-    box_vol = float(np.prod(hi - lo))
-    gen = make_rng(seed, _STREAM_STAR_L1)
     if all_indicator and n == 1:
-        N = int(samples or 200_000)
-        X = lo + (hi - lo) * gen.random((N, m))
-        los = np.full(N, float(_factor_box(f0, np.zeros(1), 0)[0][0]))
-        his = np.full(N, float(_factor_box(f0, np.zeros(1), 0)[1][0]))
-        for i, f in enumerate(fbar[1:]):
-            flo, fhi = _factor_box(f, np.zeros(1), 0)
-            los = np.maximum(los, X[:, i] + float(flo[0]))
-            his = np.minimum(his, X[:, i] + float(fhi[0]))
-        vals = np.where(los <= his + 1e-12, height, 0.0)
-        route = "interval"
+        overlap = cov.meeting_volume([f.support_body() for f in fbar])
+        return (EstimateWithError(height * overlap, 0.0, 0),
+                {"route": "interval", "samples": 0})
+    lo0, hi0 = boxes[0]
+    lo = np.concatenate([lo0 - fhi for _, fhi in boxes[1:]])
+    hi = np.concatenate([hi0 - flo for flo, _ in boxes[1:]])
+    box_vol = float(np.prod(hi - lo))
+    N = int(samples or 1_500)
+    X = lo + (hi - lo) * make_rng(seed, _STREAM_STAR_L1).random((N, n * m))
+    if n == 1:
+        vals = _sup_rows(fbar, boxes, X)[1]
     else:
-        N = int(samples or 1_500)
-        X = lo + (hi - lo) * gen.random((N, n * m))
-        vals = np.array([sup_convolution(fbar, X[i]) for i in range(N)])
-        route = "pointwise-sup"
+        vals = np.array([_sup_point(fbar, boxes, _offsets(fbar, x))[1] for x in X])
     est = EstimateWithError(box_vol * float(vals.mean()),
                             box_vol * _shard_sigma(vals), len(vals))
-    return est, {"route": route, "samples": len(vals)}
+    return est, {"route": "pointwise-sup", "samples": len(vals)}
 
 
 def check_rs_single(f: LogConcaveFunction, m: int, seed: int = 0,
@@ -464,7 +511,7 @@ def check_rs_single(f: LogConcaveFunction, m: int, seed: int = 0,
         raise ValueError("single-function check is limited to n*m <= 6")
     t0 = time.perf_counter()
     fbar = [f] + [_reflected(f)] * m
-    lhs, info = _star_l1(fbar, seed, samples)
+    lhs, info = _star_l1(fbar, _factor_boxes(fbar), seed, samples)
     rhs_val = math.comb(n * (m + 1), n) * f.sup_norm ** m * f.lp_norm(1.0 / m)
     meta = {"n": n, "m": m, "seed": seed, "profile": f.profile.kind,
             "runtime_s": time.perf_counter() - t0, **info}
@@ -480,9 +527,10 @@ def check_rs_multi(fbar, seed: int = 0, outer_samples: int | None = None,
         raise ValueError("the inner sup-norm search is limited to n*m <= 4")
     t0 = time.perf_counter()
     inner = int(inner_samples or 20_000)
+    boxes = _factor_boxes(fbar)
 
     def objective(x):
-        return int_convolution(fbar, x, seed=seed, samples=inner).value
+        return _int_convolution(fbar, boxes, _offsets(fbar, x), seed, inner).value
 
     starts = [np.zeros(n * m)]
     base = np.asarray(fbar[0].shift, dtype=float)
@@ -496,7 +544,7 @@ def check_rs_multi(fbar, seed: int = 0, outer_samples: int | None = None,
         x_star = best
     sup_est = int_convolution(fbar, x_star, seed=seed + 1, samples=4 * inner)
 
-    l1_est, info = _star_l1(fbar, seed, outer_samples)
+    l1_est, info = _star_l1(fbar, boxes, seed, outer_samples)
     lhs = EstimateWithError(
         sup_est.value * l1_est.value,
         combine_sigma(sup_est.std_error * l1_est.value,

@@ -241,10 +241,7 @@ class LogConcaveFunction:
         kind, par = self.profile.kind, self.profile.param
         if kind == "pfamily" and abs(par) < 1:
             raise NonIntegrableError("p-family decay is subexponential for |p| < 1")
-        lo, hi = cc.bounding_box(self.body)
-        r_out = float(np.max(np.linalg.norm(np.array([lo, hi]), axis=1)))
-        if self.body.kind == "polytope":
-            r_out = float(np.max(np.linalg.norm(self.body.vertices, axis=1)))
+        r_out = cc.outer_radius(self.body)
         b = 1.0 / r_out
         # phi(t) <= C exp(-t) for every kind here (C covers the Gaussian crossover)
         if kind == "gaussian":

@@ -53,12 +53,29 @@ class TestGauge:
             assert cc.gauge(K, t * x) == pytest.approx(t * cc.gauge(K, x), rel=1e-12)
 
     def test_gauge_many_matches_scalar(self):
-        K = cc.simplex(2, "centered")
+        bodies = [cc.simplex(2, "centered"),
+                  cc.ball(2, 1.5),
+                  cc.ball(2, 1.5, center=[0.4, -0.7]),     # off-centre
+                  cc.ball(3, 1.0, center=[0.2, 0.1, -0.3]),
+                  cc.ball(2, 1.0, center=[1.0, 0.0])]      # origin on the boundary
         gen = make_rng(4, 0)
-        X = gen.normal(size=(40, 2))
-        many = cc.gauge_many(K, X)
-        for x, g in zip(X, many):
-            assert g == pytest.approx(cc.gauge(K, x), rel=1e-12)
+        for K in bodies:
+            X = np.vstack([np.zeros(K.dim), gen.normal(size=(40, K.dim))])
+            many = cc.gauge_many(K, X)
+            assert many[0] == 0.0
+            for x, g in zip(X, many):
+                assert g == pytest.approx(cc.gauge(K, x), rel=1e-12)
+
+    def test_gauge_many_ball_boundary_origin(self):
+        B = cc.ball(2, 1.0, center=[1.0, 0.0])
+        g = cc.gauge_many(B, [[2.0, 0.0], [1.0, 1.0], [-1.0, 0.0], [0.0, 1.0]])
+        assert g[0] == pytest.approx(1.0, abs=1e-12)
+        assert g[1] == pytest.approx(1.0, abs=1e-12)
+        assert np.isinf(g[2]) and np.isinf(g[3])
+
+    def test_gauge_many_ball_origin_outside(self):
+        with pytest.raises(cc.OriginNotContainedError):
+            cc.gauge_many(cc.ball(2, 1.0, center=[2.0, 0.0]), [[1.0, 0.0]])
 
     def test_ball_gauge(self):
         B = cc.ball(2, 2.0)
@@ -241,3 +258,9 @@ def test_miniball():
 def test_chebyshev_center():
     c = cc.chebyshev_center(cc.cube(2, 1.0))
     assert np.allclose(c, 0.0, atol=1e-9)
+
+
+def test_outer_radius():
+    assert cc.outer_radius(cc.ball(2, 1.5, center=[3.0, 4.0])) == 6.5
+    assert cc.outer_radius(cc.cube(3, 2.0)) == pytest.approx(2.0 * math.sqrt(3.0))
+    assert cc.outer_radius(cc.from_vertices([[-1.0], [2.5]])) == 2.5

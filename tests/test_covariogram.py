@@ -17,6 +17,7 @@ from mthorder.covariogram import (
     dm_support_radius,
     dm_support_radius_fn,
     dm_volume,
+    meeting_volume,
 )
 from mthorder.lcfun import LogConcaveFunction, NonIntegrableError, Profile
 from mthorder.numerics import combine_sigma, make_rng
@@ -407,6 +408,23 @@ class TestDmBody:
     def test_unsupported(self):
         with pytest.raises(NotImplementedError):
             dm_body(cc.simplex(2, "corner"), 2)
+
+    def test_meeting_volume_of_intervals(self):
+        # {x : [0, a] meets x_1 + [0, b] and x_2 + [0, c]} has area ab + ac + bc
+        a, b, c = 1.0, 0.5, 2.0
+        bodies = [cc.from_vertices([[0.0], [w]]) for w in (a, b, c)]
+        assert meeting_volume(bodies) == pytest.approx(a * b + a * c + b * c,
+                                                       rel=1e-12)
+        assert meeting_volume(bodies[:2]) == a + b
+
+    @pytest.mark.parametrize("K,m", [(interval01(), 1), (interval01(), 3),
+                                     (cc.simplex(2, "corner"), 2)])
+    def test_dm_volume_is_meeting_volume_of_copies(self, K, m):
+        assert dm_volume(K, m) == meeting_volume([K] * (m + 1))
+
+    def test_meeting_volume_needs_polytopes(self):
+        with pytest.raises(NotImplementedError):
+            meeting_volume([cc.ball(2, 1.0), cc.ball(2, 1.0)])
 
     def test_quadrilateral_volume_against_membership_oracle(self):
         K = cc.from_vertices([[0.0, 0.0], [2.0, 0.0], [1.5, 1.0], [0.2, 1.3]])

@@ -9,7 +9,7 @@ import mthorder.convexcore as cc
 import mthorder.covariogram as cov
 import mthorder.inequalities as iq
 from mthorder.lcfun import LogConcaveFunction, profile_from_kind
-from mthorder.numerics import EstimateWithError
+from mthorder.numerics import EstimateWithError, make_rng
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -146,7 +146,7 @@ class TestConvolutions:
 
     def test_sup_gaussian_pair(self):
         got = iq.sup_convolution([std_gauss, std_gauss], [1.0])
-        assert got == pytest.approx(math.exp(-0.25), rel=1e-8)
+        assert got == pytest.approx(math.exp(-0.25), rel=1e-12)
 
     def test_sup_disjoint_discs(self):
         assert iq.sup_convolution([disc_chi, disc_chi], [3.0, 0.0]) == 0.0
@@ -185,6 +185,121 @@ class TestConvolutions:
     def test_wrong_block_count_rejected(self):
         with pytest.raises(ValueError):
             iq.sup_convolution([chi, chi, chi], [0.5])
+
+
+def sup_rows(fbar, X):
+    """Row-batched pointwise sups, as the pointwise-sup route computes them."""
+    return iq._sup_rows(fbar, iq._factor_boxes(fbar), np.asarray(X, dtype=float))
+
+
+class TestBatchedSup:
+    def test_gaussian_pairs_closed_form(self):
+        # sup_z e^(-z^2/2) e^(-(z-x)^2/2) = e^(-x^2/4), attained at z = x/2
+        X = make_rng(11, 0).uniform(-4.0, 4.0, size=(200, 1))
+        z, sup = sup_rows([std_gauss, std_gauss], X)
+        np.testing.assert_allclose(sup, np.exp(-0.25 * X[:, 0] ** 2), rtol=1e-12)
+        np.testing.assert_allclose(z, 0.5 * X[:, 0], atol=1e-6)
+
+    def test_two_sided_exponential_plateau(self):
+        # e^-|z| e^-|z-x| = e^-|x| on the whole segment between 0 and x
+        X = make_rng(12, 0).uniform(-5.0, 5.0, size=(200, 1))
+        _, sup = sup_rows([two_sided, two_sided], X)
+        np.testing.assert_allclose(sup, np.exp(-np.abs(X[:, 0])), rtol=1e-12)
+
+    def test_compact_sliver(self):
+        # the two indicators meet only on [1 - 1e-9, 1], far narrower than
+        # a cell of the Gaussian factor's box; the product there is e^-1/2
+        rchi = make_fn("indicator", cc.from_vertices([[-1.0], [0.0]]))
+        fbar = [std_gauss, chi, rchi]
+        x = [0.0, 2.0 - 1e-9]
+        _, sup = sup_rows(fbar, [x])
+        assert sup[0] == iq.sup_convolution(fbar, x)
+        assert sup[0] == pytest.approx(math.exp(-0.5), rel=1e-8)
+
+    def test_one_sided_sliver(self):
+        # e^-z on z >= 0 times e^(z-x) on z <= x is e^-x on [0, x]: a
+        # sliver no grid node of the truncation box hits
+        fbar = [f_exp, iq._reflected(f_exp)]
+        _, sup = sup_rows(fbar, [[1e-3], [1e-7]])
+        np.testing.assert_allclose(sup, np.exp(-np.array([1e-3, 1e-7])),
+                                   rtol=1e-14)
+        assert sup[1] == iq.sup_convolution(fbar, [1e-7])
+
+    def test_missing_supports_give_exact_zero(self):
+        rchi = make_fn("indicator", cc.from_vertices([[-1.0], [0.0]]))
+        fbar = [std_gauss, chi, rchi]
+        _, sup = sup_rows(fbar, [[0.5, -0.5], [0.0, 3.0], [0.5, 1.0]])
+        assert sup[0] == 0.0 and sup[1] == 0.0
+        assert sup[2] == pytest.approx(math.exp(-0.125), rel=1e-12)
+
+    def test_single_row_matches_batch_bitwise(self):
+        half = cc.from_vertices([[-0.7], [1.3]])
+        fbar = [make_fn("gaussian", half), make_fn("indicator", half, 1.4),
+                LogConcaveFunction(profile_from_kind("exponential", ambient_dim=1),
+                                   half, np.array([0.3]), 0.8)]
+        X = make_rng(13, 0).uniform(-3.0, 3.0, size=(64, 2))
+        z, sup = sup_rows(fbar, X)
+        assert np.count_nonzero(sup) > 10
+        for k, x in enumerate(X):
+            z1, sup1 = sup_rows(fbar, x[None, :])
+            assert (z1[0], sup1[0]) == (z[k], sup[k])
+            assert iq.sup_convolution(fbar, x) == sup[k]
+
+
+def _doubling_loop_scales(F, z_star, f_max, widths):
+    """Reference: probe one doubling radius at a time until both sides of the
+    mode fall to the e^-2 level or the radius reaches the box width."""
+    target = f_max * math.exp(-2.0)
+    scales = np.empty(len(widths))
+    for j in range(len(widths)):
+        r = 1e-3 * max(widths[j], 1.0)
+        for _ in range(60):
+            probe = z_star.copy()
+            probe[j] += r
+            up = F(probe)
+            probe[j] = z_star[j] - r
+            if max(up, F(probe)) <= target or r >= widths[j]:
+                break
+            r *= 2.0
+        scales[j] = min(r, widths[j])
+    return scales
+
+
+@pytest.mark.parametrize("fbar,x", [
+    ([std_gauss, std_gauss], [0.8]),
+    ([two_sided, f_exp, chi], [0.3, -0.2]),
+    ([make_fn("gaussian", cc.ball(2, 1.0)),
+      make_fn("exponential", cc.ball(2, 0.5, center=[0.1, 0.0]))], [0.5, 0.2]),
+])
+def test_mode_scales_match_the_doubling_loop(fbar, x):
+    boxes = iq._factor_boxes(fbar)
+    offsets = iq._offsets(fbar, x)
+    lo, hi = iq._conv_box(boxes, offsets)
+    z_star, f_max = iq._sup_point(fbar, boxes, offsets)
+    got = iq._mode_scales(fbar, offsets, z_star, f_max, hi - lo)
+    want = _doubling_loop_scales(iq._product_scalar(fbar, offsets), z_star,
+                                 f_max, hi - lo)
+    assert np.array_equal(got, want)
+
+
+def test_scalar_evaluations_do_not_grow_with_samples(monkeypatch):
+    """The pointwise-sup route evaluates all outer samples in batches, so the
+    count of scalar LogConcaveFunction.eval calls does not depend on them."""
+    calls = []
+    scalar_eval = LogConcaveFunction.eval
+
+    def counted(self, x):
+        calls.append(1)
+        return scalar_eval(self, x)
+
+    monkeypatch.setattr(LogConcaveFunction, "eval", counted)
+    counts = []
+    for samples in (100, 400):
+        calls.clear()
+        v = iq.check_rs_single(f_exp, 1, samples=samples)
+        assert v.metadata["route"] == "pointwise-sup"
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 class TestRsBody:
@@ -366,14 +481,22 @@ class TestRsSingle:
         v = iq.check_rs_single(chi, 1)
         assert v.status == iq.EQUALITY
         assert v.rhs.value == pytest.approx(2.0, rel=1e-12)
-        assert abs(v.lhs.value - 2.0) <= 4.0 * v.lhs.std_error
+        assert (v.lhs.value, v.lhs.std_error) == (2.0, 0.0)
         assert v.metadata["route"] == "interval"
+        assert v.metadata["samples"] == 0
 
     def test_chi_m2_equality(self):
         v = iq.check_rs_single(chi, 2)
         assert v.status == iq.EQUALITY
         assert v.rhs.value == pytest.approx(3.0, rel=1e-12)
-        assert abs(v.lhs.value - 3.0) <= 4.0 * v.lhs.std_error
+        assert (v.lhs.value, v.lhs.std_error) == (3.0, 0.0)
+
+    @pytest.mark.parametrize("m", [3, 6])
+    def test_chi_high_order_equality(self, m):
+        v = iq.check_rs_single(chi, m)
+        assert v.status == iq.EQUALITY
+        assert v.lhs.value == pytest.approx(m + 1.0, rel=1e-12)
+        assert v.rhs.value == pytest.approx(m + 1.0, rel=1e-12)
 
     def test_disc_is_strict(self):
         v = iq.check_rs_single(disc_chi, 1)
