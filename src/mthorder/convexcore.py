@@ -89,7 +89,8 @@ def from_halfspaces(normals, offsets) -> ConvexBody:
     """Body from <a_i, x> <= b_i (canonicalized, vertices derived).
 
     Qhull intersects the halfspaces about the Chebyshev centre; its dual
-    facets name the irredundant halfspaces.
+    facets name the irredundant halfspaces.  A vertex where exactly n of
+    them meet is solved from those n, so exact inputs give exact vertices.
     """
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
     offsets = np.asarray(offsets, dtype=float)
@@ -113,9 +114,15 @@ def from_halfspaces(normals, offsets) -> ConvexBody:
             hs = HalfspaceIntersection(np.column_stack([normals, -offsets]), center)
         if not np.all(np.isfinite(hs.intersections)):
             raise UnboundedBodyError("halfspace intersection is unbounded")
-        verts = hs.intersections[ConvexHull(hs.intersections).vertices]
+        corners = ConvexHull(hs.intersections).vertices
     except QhullError as e:
         raise DegenerateBodyError("halfspace intersection has empty interior") from e
+    verts = hs.intersections[corners]
+    simple = [k for k, i in enumerate(corners) if len(hs.dual_facets[i]) == n]
+    if simple:
+        active = np.array([hs.dual_facets[corners[k]] for k in simple])
+        verts[simple] = np.linalg.solve(normals[active],
+                                        offsets[active][..., None])[..., 0] + 0.0
     keep = np.unique(np.concatenate(hs.dual_facets))
     normals, offsets = _canonical_order(normals[keep], offsets[keep])
     return ConvexBody(n, "polytope", normals, offsets, verts)

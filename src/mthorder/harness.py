@@ -190,7 +190,7 @@ def _jobs_zhang_functional(seed, samples):
     def exp_m2():
         v = _retag(iq.check_zhang_fn(f_exp, 2, seed=seed), "exponential,m=2")
         value = _identity_verdict("zhang-fn-value[exponential,m=2]",
-                                  v.rhs.value, 3.0, 1e-2,
+                                  v.rhs.value, 3.0, 1e-12,
                                   sigma=v.rhs.std_error)
         return [v, value]
 
@@ -254,10 +254,12 @@ def _jobs_chain(seed, samples):
     ]
 
     def endpoint():
-        ray = sb.fn_ray(f_gauss, 1, [1.0], seed=seed, samples=samples)
-        lhs = ml.c_const(0.0) * sb.limit_body_minus1(ray)
+        ray = sb.body_ray(f_gauss.body, 1, [1.0], seed=seed, samples=samples)
+        lhs = (ml.c_const(0.0) * f_gauss.radial_factor(-1.0)
+               * sb.limit_body_minus1(ray))
         rhs = f_gauss.mass() / proj.ppb_gauge_fn(f_gauss, 1, [1.0])
-        near = iq.chain_normalizer(-0.99, 0.0) * sb.radial_from_ray(ray, -0.99).value
+        near = (iq.chain_normalizer(-0.99, 0.0) * f_gauss.radial_factor(-0.99)
+                * sb.radial_from_ray(ray, -0.99).value)
         return [
             _identity_verdict("chain-endpoint[gaussian]", lhs, rhs, 1e-2,
                               metadata={"theta": [1.0]}),
@@ -346,7 +348,11 @@ def _scaling_dirs(n: int, m: int):
 
 
 def _jobs_scaling(seed, samples):
-    """Function-to-body radial ratios against the Gamma-quotient laws."""
+    """Function-to-body radial ratios against the Gamma-quotient laws.
+
+    The function side is the layer-cake reference ray, not the profile
+    moment factor, so the law is checked rather than restated.
+    """
     jobs = []
     for profile in ("exponential", "gaussian"):
         for n, m, p in _SCALING_CASES:
@@ -361,8 +367,8 @@ def _jobs_scaling(seed, samples):
                                             / special.gamma(1.0 + n / 2.0)) ** (1.0 / p)
                 ratios = []
                 for theta in _scaling_dirs(n, m):
-                    rf = sb.radial_from_ray(sb.fn_ray(f, m, theta, seed=seed,
-                                                      samples=samples), p)
+                    rf = sb.radial_from_ray(sb.layer_cake_ray(
+                        f, m, theta, seed=seed, samples=samples), p)
                     rk = sb.radial_from_ray(sb.body_ray(K, m, theta, seed=seed,
                                                         samples=samples), p)
                     ratios.append(rf.value / rk.value)
@@ -380,8 +386,8 @@ def _jobs_scaling(seed, samples):
             dirs = [[1.0]] if n == 1 else [[1.0, 0.0], [0.6, 0.8]]
             pairs = []
             for theta in dirs:
-                rf = sb.radial_from_ray(sb.fn_ray(f, 1, theta, seed=seed,
-                                                  samples=samples), p).value
+                rf = sb.radial_from_ray(sb.layer_cake_ray(
+                    f, 1, theta, seed=seed, samples=samples), p).value
                 rk = sb.radial_from_ray(sb.body_ray(K, 1, theta, seed=seed,
                                                     samples=samples), p).value
                 pairs.append((rf, coef * rk))
@@ -439,12 +445,10 @@ def _jobs_support_identity(seed, samples):
     for m in (1, 2):
         def thunk(m=m):
             dirs = sphere_sample(m, 64, seed, stream=_STREAM_SUPPORT_DIRS)
-            rays = sb.rays_for(dirs, lambda th: sb.fn_ray(chi, m, th,
-                                                          seed=seed,
-                                                          samples=samples))
+            table = sb.radial_mean_body_fn(chi, m, 200.0, directions=dirs,
+                                           seed=seed, samples=samples)
             radii, exact, devs = [], [], []
-            for th, ray in zip(dirs, rays):
-                rho = sb.radial_from_ray(ray, 200.0).value
+            for th, rho in zip(dirs, table.radii.tolist()):
                 ref = cov.dm_support_radius_fn(chi, th)
                 radii.append(rho)
                 exact.append(ref)
@@ -547,7 +551,7 @@ _CHECK_PARAMS = {
     "rs-body": ({"body", "m"}, {"samples"}),
     "rs-single": ({"function", "m"}, {"samples"}),
     "rs-multi": ({"functions"}, {"samples", "inner_samples"}),
-    "zhang-fn": ({"function", "m"}, {"directions", "nodes"}),
+    "zhang-fn": ({"function", "m"}, {"directions"}),
     "tangent-bound": ({"function", "m", "points"}, {"samples"}),
     "chain": ({"m", "p_grid"}, {"body", "function", "directions", "samples",
                                 "nodes"}),
@@ -719,8 +723,8 @@ def _custom_jobs(cfg: ExperimentConfig, seed: int, samples: int | None):
                                           inner_samples=inner)
     elif check == "zhang-fn":
         thunk = lambda: iq.check_zhang_fn(func, p["m"], seed=seed,
-                                          directions=p.get("directions"),
-                                          nodes=p.get("nodes", 256))
+                                          directions=p.get("directions",
+                                                           10_000))
     elif check == "tangent-bound":
         thunk = lambda: iq.check_tangent_bound(func, p["m"], p["points"],
                                                seed=seed, samples=n_samples)

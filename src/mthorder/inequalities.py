@@ -18,9 +18,14 @@ sup_z f_0(z) prod_i f_i(z - x_i).  In one dimension it is a single
 row-batched bracket search over all requested translates at once (the
 product is log-concave, hence unimodal); above that a compass search per
 translate.  The L1 norm over the translates is exact for indicator tuples
-of intervals (`interval`: the hull of the vertex sums) and of two balls
-(`ball-overlap`), and a uniform Monte Carlo over the translation box of
-those sups otherwise (`pointwise-sup`).
+of polytopes with n*m <= 6 (the hull of the vertex sums: `interval` in
+one dimension, `meeting-volume` above) and of two balls (`ball-overlap`),
+and a uniform Monte Carlo over the translation box of those sups
+otherwise (`pointwise-sup`).
+
+The functional Zhang and chain checks rest on the layer cake: every
+function here is f = A phi(||x - c||_K), so its covariogram integral and
+its radial mean bodies are those of K times one profile moment factor.
 """
 
 from __future__ import annotations
@@ -39,12 +44,10 @@ from . import covariogram as cov
 from . import mellin as ml
 from . import projection as proj
 from . import starbodies as sb
-from .convexcore import ConvexBody, UnboundedBodyError
-from .lcfun import LogConcaveFunction
-from .mellin import _ZERO_P_WINDOW
-from .numerics import (EstimateWithError, combine_sigma, integrate_1d,
-                       lp_feasible_interior, make_rng, maximize_logconcave,
-                       minimize_convex, sphere_surface, sphere_sample)
+from .convexcore import ConvexBody
+from .lcfun import _ZERO_P_WINDOW, LogConcaveFunction
+from .numerics import (EstimateWithError, combine_sigma, lp_feasible_interior,
+                       make_rng, maximize_logconcave, minimize_convex)
 
 HOLDS = "holds"
 EQUALITY = "holds_with_equality"
@@ -52,7 +55,6 @@ VIOLATED = "violated_beyond_3sigma"
 
 _EQUALITY_TOL = 1e-6
 
-_STREAM_ZHANG_DIRS = 501
 _STREAM_RS_BOX = 502
 _STREAM_STAR_L1 = 503
 _STREAM_INT_CONV = 504
@@ -484,10 +486,11 @@ def _star_l1(fbar, boxes, seed: int,
         overlap = cc.volume(cc.ball(n, S0.radius + S1.radius)).value
         return (EstimateWithError(height * overlap, 0.0, 0),
                 {"route": "ball-overlap", "samples": 0})
-    if all_indicator and n == 1:
+    if all_indicator and n * m <= 6 and all(f.body.kind == "polytope" for f in fbar):
         overlap = cov.meeting_volume([f.support_body() for f in fbar])
         return (EstimateWithError(height * overlap, 0.0, 0),
-                {"route": "interval", "samples": 0})
+                {"route": "interval" if n == 1 else "meeting-volume",
+                 "samples": 0})
     lo0, hi0 = boxes[0]
     lo = np.concatenate([lo0 - fhi for _, fhi in boxes[1:]])
     hi = np.concatenate([hi0 - flo for flo, _ in boxes[1:]])
@@ -536,8 +539,9 @@ def check_rs_multi(fbar, seed: int = 0, outer_samples: int | None = None,
     base = np.asarray(fbar[0].shift, dtype=float)
     starts.append(np.concatenate([base - np.asarray(f.shift, dtype=float)
                                   for f in fbar[1:]]))
-    best = max(starts, key=objective)
-    if objective(best) > 0.0:
+    values = [objective(x) for x in starts]
+    best = starts[int(np.argmax(values))]
+    if max(values) > 0.0:
         x_star, _ = maximize_logconcave(objective, best, tol=1e-7,
                                         max_evals=2_000)
     else:
@@ -562,71 +566,28 @@ def check_rs_multi(fbar, seed: int = 0, outer_samples: int | None = None,
 # functional Zhang and the tangent bound
 
 
-def _zhang_directions(d: int, count: int | None, seed: int) -> np.ndarray:
-    """Shared direction set: exact poles for d = 1, stratified angles for
-    d = 2 (jittered equal sectors), plain antithetic sampling above."""
-    if d == 1:
-        return np.array([[1.0], [-1.0]])
-    if d == 2:
-        D = int(count or 256)
-        gen = make_rng(seed, _STREAM_ZHANG_DIRS)
-        phi = (np.arange(D) + gen.random(D)) * (2.0 * math.pi / D)
-        return np.stack([np.cos(phi), np.sin(phi)], axis=1)
-    return sphere_sample(d, int(count or 2_048), seed, stream=_STREAM_ZHANG_DIRS)
-
-
 def check_zhang_fn(f: LogConcaveFunction, m: int, seed: int = 0,
-                   directions: int | None = None, nodes: int = 256) -> Verdict:
+                   directions: int = 10_000) -> Verdict:
     """(1/(nm)!) int g_{f,m} <= ||f||_1^{nm+1} vol(PPB(<f>, m)).
 
-    Both sides are star-shaped integrals over S^{nm-1}; they share one
-    direction set, with the radial part of the left side integrated exactly
-    along each covariogram ray.  On the equality family the per-direction
-    margins then cancel to quadrature accuracy rather than Monte Carlo noise.
+    The layer cake gives the left side in closed form: for f = A phi(||x - c||_K),
+    int g_{f,m} = A M_{n(m+1)} vol(K)^{m+1} with M_k = int (-phi') s^k ds,
+    so it carries no error bar.  The right side is ||f||_1^{nm+1} times
+    ppb_volume(f, m), exact wherever that is and a seeded sphere average
+    over `directions` otherwise.
     """
     n = f.dim
     d = n * m
     if d > 6:
         raise ValueError("functional Zhang check is limited to n*m <= 6")
     t0 = time.perf_counter()
-    mass = f.mass()
-    fact = float(math.factorial(d))
-    omega = sphere_surface(d)
-    dirs = _zhang_directions(d, directions, seed)
-    D = len(dirs)
-    lhs_k = np.empty(D)
-    rhs_k = np.empty(D)
-    quad_sig = np.zeros(D)
-    for k in range(D):
-        ray = sb.fn_ray(f, m, dirs[k], seed=seed, nodes=nodes)
-        est = integrate_1d(lambda t: t ** (d - 1.0) * float(ray.psi(t)),
-                           0.0, ray.tail_radius)
-        lhs_k[k] = mass * est.value
-        quad_sig[k] = mass * est.std_error
-        if ray.sigma is not None:
-            env = integrate_1d(lambda t: t ** (d - 1.0) * float(ray.sigma(t)),
-                               0.0, ray.tail_radius)
-            quad_sig[k] = combine_sigma(quad_sig[k], mass * env.value)
-        gauge = proj.ppb_gauge_fn(f, m, dirs[k])
-        if gauge <= 1e-12:
-            raise UnboundedBodyError("projection gauge vanishes along a "
-                                     "sampled direction")
-        rhs_k[k] = mass ** (d + 1) / gauge ** d
-    lhs_vals = omega * lhs_k / fact
-    rhs_vals = omega * rhs_k / d
-    lhs = EstimateWithError(float(lhs_vals.mean()),
-                            combine_sigma(_shard_sigma(lhs_vals),
-                                          omega * _rss(quad_sig) / fact), D)
-    rhs = EstimateWithError(float(rhs_vals.mean()), _shard_sigma(rhs_vals), D)
-    margin_sigma = combine_sigma(_shard_sigma(rhs_vals - lhs_vals),
-                                 omega * _rss(quad_sig) / fact)
-    meta = {"n": n, "m": m, "seed": seed, "directions": D,
+    lhs = (f.amplitude * f.profile.level_moment(n * (m + 1))
+           * cc.volume(f.body).value ** (m + 1) / math.factorial(d))
+    rhs = proj.ppb_volume(f, m, seed=seed, directions=directions)
+    meta = {"n": n, "m": m, "seed": seed, "directions": rhs.samples_or_nodes,
             "profile": f.profile.kind, "runtime_s": time.perf_counter() - t0}
-    return make_verdict("zhang-fn", lhs, rhs, sigma=margin_sigma, metadata=meta)
-
-
-def _rss(sigmas: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(sigmas ** 2))) / max(len(sigmas), 1)
+    return make_verdict("zhang-fn", EstimateWithError(lhs, 0.0, 0),
+                        rhs.scaled(f.mass() ** (d + 1)), metadata=meta)
 
 
 def check_tangent_bound(f: LogConcaveFunction, m: int, points,
@@ -680,14 +641,16 @@ def check_chain(source, m: int, p_grid, directions=None, seed: int = 0,
     per adjacent grid pair, plus the p -> -1 endpoint as the outermost body.
 
     Bodies use the binomial normalizer (concavity index 1/n) and skip p = 0;
-    functions use the Gamma normalizer (index 0) and include it.
+    functions use the Gamma normalizer (index 0) and include it.  A function
+    reuses the rays of its body K, each level and the endpoint scaled by
+    f.radial_factor(p).
     """
-    proj.require_exact_gauge(source if isinstance(source, ConvexBody)
-                             else source.body, m)
+    is_body = isinstance(source, ConvexBody)
+    K = source if is_body else source.body
+    proj.require_exact_gauge(K, m)
     grid = np.unique(np.asarray(p_grid, dtype=float))
     if grid.size == 0 or np.any(~np.isfinite(grid)) or np.any(grid <= -1.0):
         raise ValueError("p grid must be finite and lie in (-1, inf)")
-    is_body = isinstance(source, ConvexBody)
     skipped = []
     if is_body:
         keep = np.abs(grid) > _ZERO_P_WINDOW
@@ -697,31 +660,25 @@ def check_chain(source, m: int, p_grid, directions=None, seed: int = 0,
         raise ValueError("p grid is empty after dropping p = 0")
     t0 = time.perf_counter()
     if is_body:
-        s = 1.0 / source.dim
-        d = source.dim * m
-        make_ray = lambda th: sb.body_ray(source, m, th, seed=seed,
-                                          samples=samples, nodes=nodes)
-        label = "body"
+        s, label, factor = 1.0 / K.dim, "body", lambda p: 1.0
     else:
-        s = 0.0
-        d = source.dim * m
-        make_ray = lambda th: sb.fn_ray(source, m, th, seed=seed,
-                                        samples=samples, nodes=nodes)
-        label = source.profile.kind
-    dirs = sb.direction_set(directions, d, seed)
-    rays = sb.rays_for(dirs, make_ray)
+        s, label, factor = 0.0, source.profile.kind, source.radial_factor
+    dirs = sb.direction_set(directions, K.dim * m, seed)
+    rays = sb.rays_for(dirs, lambda th: sb.body_ray(K, m, th, seed=seed,
+                                                    samples=samples, nodes=nodes))
 
     cache: dict[tuple[int, float], EstimateWithError] = {}
 
     def level(k: int, p: float) -> EstimateWithError:
         key = (id(rays[k]), p)
         if key not in cache:
-            norm = chain_normalizer(p, s)
+            norm = chain_normalizer(p, s) * factor(p)
             cache[key] = sb.radial_from_ray(rays[k], p).scaled(norm)
         return cache[key]
 
-    endpoint = [EstimateWithError(ml.c_const(s) * sb.limit_body_minus1(rays[k]),
-                                  0.0, 0) for k in range(len(dirs))]
+    reach = ml.c_const(s) * factor(-1.0)
+    endpoint = [EstimateWithError(reach * sb.limit_body_minus1(rays[k]), 0.0, 0)
+                for k in range(len(dirs))]
     pairs = [(-1.0, float(grid[0]))]
     pairs += [(float(a), float(b)) for a, b in zip(grid, grid[1:])]
     verdicts = []

@@ -22,6 +22,8 @@ from .convexcore import ConvexBody
 
 _KINDS = ("exponential", "gaussian", "power", "indicator", "pfamily")
 
+_ZERO_P_WINDOW = 1e-6     # |p| below this is routed to the p = 0 branch
+
 
 class NonIntegrableError(ValueError):
     pass
@@ -110,23 +112,29 @@ class Profile:
         return out if out.ndim else float(out)
 
     def inverse_level(self, u: float) -> float:
-        """sup{r >= 0 : phi(r) >= u} for 0 < u <= phi(0)."""
+        """sup{r >= 0 : phi(r) >= u} for 0 < u <= phi(0); 0 above phi(0)."""
         if u <= 0:
-            return math.inf if self.support_radius == math.inf else self.support_radius
-        if self.kind == "exponential":
-            return -math.log(u) if u <= 1.0 else 0.0
+            return self.support_radius
+        if self.kind == "pfamily" and self.param == 0.0:
+            return u ** (-1.0 / self.ambient_dim)
+        if u > self.phi0:
+            return 0.0
+        return float(self.depth_scale(max(math.log(self.phi0) - math.log(u), 0.0)))
+
+    def depth_scale(self, v):
+        """The level scale s(v) at depths v >= 0 (scalar or array), exact near
+        v = 0: phi(s(v)) = phi(0) e^-v, so {f >= A phi(0) e^-v} = c + s(v) K."""
+        v = np.asarray(v, dtype=float)
         if self.kind == "gaussian":
-            return math.sqrt(-2.0 * math.log(u)) if u <= 1.0 else 0.0
+            return np.sqrt(2.0 * v)
         if self.kind == "power":
-            return 1.0 - u ** self.param if u <= 1.0 else 0.0
+            return -np.expm1(-self.param * v)
         if self.kind == "indicator":
-            return 1.0 if u <= 1.0 else 0.0
-        n, p = self.ambient_dim, self.param
-        if p == 0.0:
-            return u ** (-1.0 / n)
-        a = abs(p)
-        inside = 1.0 - (a / n) * math.log(u)
-        return max(inside, 0.0) ** (1.0 / a)
+            return np.ones_like(v)
+        if self.kind == "pfamily":               # p = 0 has no finite peak
+            a = abs(self.param)
+            return (a * v / self.ambient_dim) ** (1.0 / a)
+        return v
 
     def moment(self, k: float, q: float = 1.0) -> float:
         """Closed-form int_0^inf phi(t)^q t^k dt (k > -1, q > 0)."""
@@ -146,6 +154,33 @@ class Profile:
         a = abs(p)
         c = q * n / a
         return math.exp(c + special.gammaln((k + 1.0) / a)) * c ** (-(k + 1.0) / a) / a
+
+    def level_moment(self, k: float) -> float:
+        """M_k = int_0^inf (-phi'(s)) s^k ds = k * moment(k - 1), M_0 = phi(0):
+        the layer cake of f = A phi(||x - c||_K) gives ||f||_1 = A M_n vol(K)."""
+        if k == 0:
+            if not math.isfinite(self.phi0):
+                raise NonIntegrableError("p=0 family has an infinite peak")
+            return self.phi0
+        return k * self.moment(k - 1.0)
+
+    def level_moment_log_slope(self, k: float) -> float:
+        """d/dk log M_k.  Up to constants M_k is c^(-k/a) Gamma(k/a + 1),
+        over Gamma(k + 1/s + 1) for the power kind; the indicator has M_k = 1."""
+        if self.kind == "indicator":
+            return 0.0
+        a, c = 1.0, 1.0
+        if self.kind == "gaussian":
+            a, c = 2.0, 0.5
+        elif self.kind == "pfamily":
+            if self.param == 0.0:
+                raise NonIntegrableError("p=0 family has no finite moments")
+            a = abs(self.param)
+            c = self.ambient_dim / a
+        slope = (float(special.digamma(k / a + 1.0)) - math.log(c)) / a
+        if self.kind == "power":
+            slope -= float(special.digamma(k + 1.0 / self.param + 1.0))
+        return slope
 
     def truncation_radius(self, eps: float, extra_power: float = 0.0) -> float:
         """Radius beyond which phi(r) * r^extra_power stays below eps."""
@@ -200,10 +235,20 @@ class LogConcaveFunction:
         return self.amplitude * np.asarray(self.profile.value(g))
 
     def mass(self) -> float:
-        """||f||_1 = A vol_n(K) n int phi(r) r^(n-1) dr."""
-        n = self.dim
+        """||f||_1 = A M_n vol_n(K)."""
         return (self.amplitude * cc.volume(self.body).value
-                * n * self.profile.moment(n - 1.0))
+                * self.profile.level_moment(self.dim))
+
+    def radial_factor(self, p: float) -> float:
+        """rho(R_p^m f) / rho(R_p^m K) = (M_{n+p} / M_n)^(1/p) for p in [-1, inf),
+        one factor for every m and direction by the layer cake; its limit
+        exp(d log M_k/dk at k = n) near p = 0."""
+        if p < -1.0:
+            raise ValueError("p must be at least -1")
+        prof, n = self.profile, self.dim
+        if abs(p) <= _ZERO_P_WINDOW:
+            return math.exp(prof.level_moment_log_slope(n))
+        return (prof.level_moment(n + p) / prof.level_moment(n)) ** (1.0 / p)
 
     def lp_norm(self, q: float) -> float:
         """(int f^q)^(1/q) for q > 0."""
@@ -222,12 +267,6 @@ class LogConcaveFunction:
         if s <= 1e-15 or not math.isfinite(s):
             return None
         return cc.translate(cc.scale(self.body, s), self.shift)
-
-    def level_scale(self, t: float) -> float:
-        """The dilation factor s(t) with {f >= t} = shift + s(t) K (0 if empty)."""
-        if t > self.sup_norm:
-            return 0.0
-        return self.profile.inverse_level(t / self.amplitude)
 
     def support_body(self) -> ConvexBody | None:
         """Closure of supp f when compact, else None."""

@@ -23,10 +23,9 @@ import numpy as np
 from scipy import special
 from scipy.interpolate import PchipInterpolator
 
-from .lcfun import NonIntegrableError, Profile
+from .lcfun import _ZERO_P_WINDOW, NonIntegrableError, Profile
 from .numerics import QuadratureConfig, integrate_1d
 
-_ZERO_P_WINDOW = 1e-6      # |p| below this is routed to the p = 0 branch
 _ROUTE_AGREEMENT = 1e-6    # required relative match between the two routes
 _SMALL_P = 0.05            # below this the direct t^(p-1) substitution underflows
 _TAIL_EPS = 1e-18          # pointwise envelope level used to place the horizon

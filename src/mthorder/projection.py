@@ -31,7 +31,7 @@ from scipy.spatial import ConvexHull, QhullError
 from . import convexcore as cc
 from .convexcore import ConvexBody, UnboundedBodyError
 from .covariogram import MVector, as_mvector, covariogram_fn
-from .lcfun import LogConcaveFunction, NonIntegrableError
+from .lcfun import LogConcaveFunction
 from .numerics import EstimateWithError, sphere_sample, sphere_surface
 
 _STREAM_PPB_DIRS = 301
@@ -143,14 +143,10 @@ def _perimeter_2d(P) -> np.ndarray:
 
 
 def level_scale_integral(f: LogConcaveFunction) -> float:
-    """A * int_0^inf r^{n-1} (-phi'(r)) dr, the factor carrying the gauge of
-    PPB(K,m) to the function body PPB(<f>,m) through the layer cake."""
-    prof, n = f.profile, f.dim
-    if prof.kind == "pfamily" and prof.param == 0.0:
-        raise NonIntegrableError("level integral diverges for the p = 0 profile")
-    if n == 1:
-        return f.amplitude * prof.phi0
-    return f.amplitude * (n - 1) * prof.moment(n - 2.0)
+    """A * M_{n-1} = A * int_0^inf r^{n-1} (-phi'(r)) dr, the factor carrying
+    the gauge of PPB(K,m) to the function body PPB(<f>,m) through the layer
+    cake."""
+    return f.amplitude * f.profile.level_moment(f.dim - 1.0)
 
 
 def ppb_gauge_fn(f: LogConcaveFunction, m: int, theta) -> float:

@@ -7,10 +7,17 @@ g(0) = sup g = 1) is
     rho   = exp( int_0^inf (-psi'(r)) log r dr )            p = 0
     rho^p = p * int_0^inf r^{p-1} (psi(r) - 1) dr           -1 < p < 0
 
-Radial mean bodies apply this to covariogram sections r -> g_{.,m}(r*theta),
-normalized by vol(K) (bodies) or ||f||_1 (functions).  Sections are either
-evaluated directly (cheap closed forms) or tabulated once per direction and
-interpolated, so that many p values can reuse one ray.
+Radial mean bodies apply this to covariogram sections r -> g_{K,m}(r*theta)
+normalized by vol(K).  Sections are either evaluated directly (cheap closed
+forms) or tabulated once per direction and interpolated, so that many p
+values can reuse one ray.
+
+A function f = A phi(||x - c||_K) needs no rays of its own.  The layer cake
+g_{f,m}(x) = A int (-phi'(s)) s^n g_{K,m}(x/s) ds factors its radial mean
+bodies as rho(R_p^m f) = f.radial_factor(p) * rho(R_p^m K), with the profile
+moments M_k = int (-phi') s^k ds in closed form.  `layer_cake_ray`
+tabulates the function section in the original order of integration; it
+is the independent reference that checks that factorization.
 """
 
 from __future__ import annotations
@@ -27,12 +34,14 @@ from . import convexcore as cc
 from . import covariogram as cov
 from . import projection as proj
 from .convexcore import ConvexBody, UnboundedBodyError
-from .lcfun import LogConcaveFunction, NonIntegrableError
-from .mellin import _ZERO_P_WINDOW
+from .lcfun import _ZERO_P_WINDOW, LogConcaveFunction, NonIntegrableError
 from .numerics import (EstimateWithError, QuadratureConfig, combine_sigma,
-                       integrate_1d, sphere_sample, sphere_surface)
+                       gauss_panels, integrate_1d, sphere_sample, sphere_surface)
 
 _STREAM_STAR_DIRS = 401
+
+_LEVEL_PANELS = 24        # geometric Gauss panels per radius of a layer-cake ray
+_LEVEL_DEPTH = 40.0       # least level depth v (levels down to e^-v of the peak)
 
 
 def default_direction_count(d: int) -> int:
@@ -58,27 +67,6 @@ class RadialRay:
     tail_radius: float
     slope0: float | None = None
     sigma: Callable | None = None
-
-
-def _vectorized(fn_scalar):
-    def wrapped(r):
-        rr = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.array([fn_scalar(float(v)) for v in rr])
-        return out if np.ndim(r) else float(out[0])
-    return wrapped
-
-
-_GAUSS8 = np.polynomial.legendre.leggauss(8)
-
-
-def _geometric_panels(a: float, b: float, panels: int = 32):
-    """Gauss nodes/weights on geometrically graded panels over [a, b], a > 0."""
-    x, w = _GAUSS8
-    edges = a * (b / a) ** np.linspace(0.0, 1.0, panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    return (mid[:, None] + half[:, None] * x).ravel(), \
-        (half[:, None] * w).ravel()
 
 
 def _body_section_direct(K: ConvexBody, thb: np.ndarray, vol: float,
@@ -135,69 +123,54 @@ def body_ray(K: ConvexBody, m: int, theta, seed: int = 0,
     return RadialRay(psi, R, R, slope0, sigma)
 
 
-def fn_ray(f: LogConcaveFunction, m: int, theta, seed: int = 0,
-           samples: int | None = None, nodes: int = 256) -> RadialRay:
-    """The normalized covariogram section of a log-concave function."""
+def layer_cake_ray(f: LogConcaveFunction, m: int, theta, seed: int = 0,
+                   samples: int | None = None, nodes: int = 256) -> RadialRay:
+    """Reference section g_{f,m}(r theta) / ||f||_1 at `nodes` fixed radii,
+    by the layer cake in its original order, over the level depth v:
+
+        g_{f,m}(r theta) = A phi(0) int e^{-v} s(v)^n g_{K,m}(r theta / s(v)) dv,
+
+    s(v) = profile.depth_scale(v), on geometric Gauss panels from the depth
+    at which r theta enters s(v) D^m(K); all (radius, level) pairs take one
+    call of the body section.  The slope at 0 is a Richardson difference of
+    the same integral over exact body covariograms.  Never swapping the
+    order of integration, it checks `radial_mean_body_fn`.
+    """
     th = as_unit(theta, f.dim)
-    n, prof = f.dim, f.profile
-    if prof.kind == "indicator":
-        supp = f.support_body()
-        return body_ray(supp, m, th, seed=seed, samples=samples, nodes=nodes)
-    mass = f.mass()
-    slope0 = proj.ppb_gauge_fn(f, m, th) / mass
-    K = f.body
+    K, prof, n = f.body, f.profile, f.dim
     vol = cc.volume(K).value
-    scale = f.amplitude * vol / mass
-    R_K = cov.dm_support_radius(K, th)
-    s_hi = cov.profile_cut(prof, n, f.amplitude * vol)
-    support = cov.dm_support_radius_fn(f, th)
-    tail = support if math.isfinite(support) else \
-        R_K * prof.truncation_radius(1e-12, n + 8)
-    cheap = (K.kind == "polytope" and cov.axis_box(K) is not None) \
-        or (K.kind == "ball" and m == 1)
-    if cheap:
-        section = _body_section_direct(K, th.blocks, vol, seed, samples)
+    R = cov.dm_support_radius(K, th)
+    weight = f.amplitude * prof.phi0 * vol / f.mass()
+    cut = float(prof.value(cov.profile_cut(prof, n, f.amplitude * vol))) / prof.phi0
+    depth = max(_LEVEL_DEPTH, -math.log(cut)) if cut > 0.0 else _LEVEL_DEPTH
+    unit, unit_w = gauss_panels(0.0, 1.0, _LEVEL_PANELS)
 
-        def psi_scalar(r):
-            if r <= 0.0:
-                return 1.0
-            s_lo = r / R_K
-            if r >= tail or s_lo >= s_hi:
-                return 0.0
-            S, W = _geometric_panels(s_lo, s_hi)
-            weight = prof.neg_derivative(S) * S ** n
-            return min(max(scale * float(W @ (weight * section(r / S))), 0.0), 1.0)
+    def section(r, body_psi):
+        with np.errstate(divide="ignore"):
+            v_lo = -np.log(np.asarray(prof.value(r / R)) / prof.phi0)
+        live = (v_lo < depth) & (r > 0.0)
+        v_lo = np.maximum(v_lo[live, None], 1e-18)
+        span = np.log(depth / v_lo)
+        V = v_lo * np.exp(span * unit)
+        S = prof.depth_scale(V)
+        g = body_psi((r[live, None] / S).ravel()).reshape(S.shape)
+        out = np.where(r > 0.0, 0.0, 1.0)
+        out[live] = weight * np.sum(span * unit_w * V * np.exp(-V) * S ** n * g,
+                                    axis=1)
+        return np.clip(out, 0.0, 1.0)
 
-        return RadialRay(_vectorized(psi_scalar), support, tail, slope0, None)
-
-    body = body_ray(K, m, th, seed=seed, samples=samples, nodes=nodes)
+    support = R * prof.support_radius
     if math.isfinite(support):
-        grid = np.linspace(0.0, tail, nodes)
-    else:
-        grid = tail * np.linspace(0.0, 1.0, nodes) ** 2
-    vals = np.empty(nodes)
-    sig_vals = np.zeros(nodes)
-    vals[0] = 1.0
-    for j in range(1, nodes):
-        s_lo = grid[j] / R_K
-        if s_lo >= s_hi:
-            vals[j] = 0.0
-            continue
-        S, W = _geometric_panels(s_lo, s_hi)
-        weight = prof.neg_derivative(S) * S ** n
-        vals[j] = scale * float(W @ (weight * body.psi(grid[j] / S)))
-        if body.sigma is not None:
-            sig_vals[j] = scale * float(W @ (weight * body.sigma(grid[j] / S)))
-    vals = np.clip(vals, 0.0, 1.0)
-    psi = _interp_section(grid, vals, float(n), grid[-1])
-    sigma = None
-    if np.any(sig_vals > 0.0):
-        lin = PchipInterpolator(grid, sig_vals)
-        def sigma(r):  # noqa: E306
-            rr = np.atleast_1d(np.asarray(r, dtype=float))
-            out = np.where(rr < grid[-1], np.abs(lin(np.minimum(rr, grid[-1]))), 0.0)
-            return out if np.ndim(r) else float(out[0])
-    return RadialRay(psi, support, tail, slope0, sigma)
+        grid = np.linspace(0.0, support, nodes)
+    else:   # quartic grading resolves heavy tails that fall steeply at 0
+        horizon = R * prof.truncation_radius(1e-12, n + 8)
+        grid = horizon * np.linspace(0.0, 1.0, nodes) ** 4
+    body = body_ray(K, m, th, seed=seed, samples=samples, nodes=nodes)
+    vals = section(grid, body.psi)
+    exact = _body_section_direct(K, th.blocks, vol, seed, samples)
+    slope0 = _fd_slope(lambda r: float(section(np.array([r]), exact)[0]), R)
+    return RadialRay(_interp_section(grid, vals, float(n), grid[-1]),
+                     support, grid[-1], slope0, None)
 
 
 def as_unit(theta, n: int) -> cov.MVector:
@@ -431,14 +404,15 @@ def radial_mean_body_fn(f: LogConcaveFunction, m: int, p: float,
                         directions=None, seed: int = 0,
                         samples: int | None = None,
                         nodes: int = 256) -> StarBodyTable:
-    """Radial table of R_p^m f over a sampled (or given) direction set."""
-    d = f.dim * m
-    dirs = direction_set(directions, d, seed)
-    rays = rays_for(dirs, lambda th: fn_ray(f, m, th, seed=seed,
-                                            samples=samples, nodes=nodes))
+    """Radial table of R_p^m f: the table of R_p^m K for the body K of f,
+    times the profile-moment factor f.radial_factor(p) (1 for indicators)."""
+    body = radial_mean_body_body(f.body, m, p, directions=directions, seed=seed,
+                                 samples=samples, nodes=nodes)
+    factor = f.radial_factor(p)
     meta = {"p": p, "m": m, "kind": "function",
             "source": f"{f.profile.kind} on {_describe(f.body)}", "seed": seed}
-    return _build_table(rays, dirs, p, meta)
+    return StarBodyTable(body.directions, factor * body.radii,
+                         factor * body.std_errors, meta)
 
 
 def direction_set(directions, d: int, seed: int) -> np.ndarray:

@@ -67,7 +67,7 @@ def test_criterion_04_zhang_functional():
     v1 = vs["zhang-fn-value[exponential,m=1]"]
     assert abs(v1.lhs.value - 2.0) <= 1e-6                      # both sides 2
     v2 = vs["zhang-fn-value[exponential,m=2]"]
-    assert abs(v2.lhs.value - 3.0) <= 1e-2 * 3.0                # 1% MC
+    assert abs(v2.lhs.value - 3.0) <= 1e-12 * 3.0               # exact
     gauss = vs["zhang-fn[gaussian,m=1]"]
     assert gauss.status == HOLDS                                # strict
     assert gauss.margin > 3.0 * gauss.sigma_combined

@@ -81,6 +81,8 @@ class TestConfigSchema:
          "JSON object"),
         ({"name": "x", "check": "zhang-body", "m": 2, "body": _BODY,
           "directions": [[1.0, 0.0, 0.0, 0.0]]}, "for chain"),
+        ({"name": "x", "check": "zhang-fn", "m": 1, "function": _FUNC,
+          "nodes": 64}, "unknown fields"),
     ])
     def test_rejects_bad_configs(self, raw, fragment):
         with pytest.raises(harness.ConfigError, match=fragment):

@@ -306,8 +306,7 @@ class TestRsBody:
     def test_simplex_is_the_equality_case(self):
         v = iq.check_rs_body(cc.simplex(2), 1)
         assert v.status == iq.EQUALITY
-        assert v.lhs.value == pytest.approx(3.0, rel=1e-9)
-        assert v.rhs.value == pytest.approx(3.0, rel=1e-9)
+        assert (v.lhs.value, v.rhs.value) == (3.0, 3.0)   # exact vertices
         assert v.metadata["route"] == "exact"
 
     def test_interval_m2_equality(self):
@@ -364,7 +363,7 @@ class TestZhangFn:
         assert v.lhs.value == pytest.approx(2.0, rel=1e-8)
         assert v.rhs.value == pytest.approx(2.0, rel=1e-8)
         assert v.sigma_combined < 1e-9
-        assert v.metadata["directions"] == 2
+        assert (v.lhs.std_error, v.rhs.std_error) == (0.0, 0.0)
 
     def test_exponential_m2_equality(self):
         v = iq.check_zhang_fn(f_exp, 2)
@@ -381,6 +380,22 @@ class TestZhangFn:
         assert v.lhs.value == pytest.approx(8.0, rel=1e-8)
         assert v.rhs.value == pytest.approx(4.0 * math.pi, rel=1e-8)
         assert v.margin > 3.0 * v.sigma_combined
+
+    def test_exponential_cube2_m2_closed_form_lhs(self):
+        # A M_{n(m+1)} vol(K)^{m+1} / (nm)! = 6! * 4^3 / 4! = 1920
+        v = iq.check_zhang_fn(make_fn("exponential", cc.cube(2, 1.0)), 2)
+        assert v.lhs.value == pytest.approx(1920.0, rel=1e-12)
+        assert v.lhs.std_error == 0.0
+        assert v.metadata["directions"] == 10_000
+        assert v.status != iq.VIOLATED
+
+    def test_rhs_is_mass_power_times_ppb_volume(self):
+        import mthorder.projection as proj
+        f = make_fn("gaussian", cc.simplex(2, "centered"), amplitude=1.5)
+        v = iq.check_zhang_fn(f, 1)
+        want = f.mass() ** 3 * proj.ppb_volume(f, 1).value
+        assert v.rhs.value == pytest.approx(want, rel=1e-12)
+        assert v.rhs.std_error == 0.0
 
     def test_budget_guard(self):
         with pytest.raises(ValueError):
@@ -506,6 +521,17 @@ class TestRsSingle:
         assert v.lhs.std_error == 0.0
         assert v.metadata["route"] == "ball-overlap"
 
+    def test_simplex_indicator_takes_meeting_volume(self):
+        # (chi_K, chi_K(-.)) meet where x lies in K + K, so the L1 norm is
+        # vol(2K) = 2 exactly; the right side is binom(4, 2) vol(K) = 3
+        v = iq.check_rs_single(make_fn("indicator", cc.simplex(2)), 1)
+        assert v.metadata["route"] == "meeting-volume"
+        assert v.metadata["samples"] == 0
+        assert v.lhs.value == pytest.approx(2.0, abs=1e-12)
+        assert v.rhs.value == pytest.approx(3.0, abs=1e-12)
+        assert v.sigma_combined == 0.0
+        assert v.status == iq.HOLDS
+
     def test_exponential_goes_pointwise(self):
         v = iq.check_rs_single(f_exp, 1, samples=800)
         assert v.metadata["route"] == "pointwise-sup"
@@ -519,6 +545,14 @@ class TestRsSingle:
 
 
 class TestRsMulti:
+    def test_simplex_pair_meets_on_difference_body(self):
+        # (chi_K, chi_K) meet where x lies in D(K) = K - K: vol 3 exactly
+        simplex_chi = make_fn("indicator", cc.simplex(2))
+        v = iq.check_rs_multi([simplex_chi, simplex_chi], inner_samples=2_000)
+        assert v.metadata["route"] == "meeting-volume"
+        assert v.metadata["l1_norm"] == pytest.approx(3.0, abs=1e-12)
+        assert v.rhs.value == pytest.approx(1.5, abs=1e-12)
+
     def test_chi_pair_equality(self):
         v = iq.check_rs_multi([chi, chi])
         assert v.status == iq.EQUALITY

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from mthorder import convexcore as cc
 from mthorder.lcfun import (
@@ -53,6 +54,68 @@ class TestProfileMoments:
     def test_p0_family_not_integrable(self):
         with pytest.raises(NonIntegrableError):
             Profile("pfamily", 0.0, ambient_dim=2).moment(1.0)
+
+
+_LEVEL_PROFILES = [
+    Profile("exponential"), Profile("gaussian"), Profile("power", 2.0),
+    Profile("power", 0.5), Profile("indicator"),
+    Profile("pfamily", 1.0, ambient_dim=1), Profile("pfamily", -0.5, ambient_dim=1),
+    Profile("pfamily", 1.5, ambient_dim=2),
+]
+
+
+class TestLevelMoments:
+    """M_k = int (-phi') s^k ds, its log-slope, and the radial factor."""
+
+    @pytest.mark.parametrize("prof", _LEVEL_PROFILES)
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.5, 4.0])
+    def test_against_quadrature(self, prof, k):
+        if prof.kind == "indicator":
+            oracle = 1.0                        # -phi' is the unit mass at 1
+        else:
+            top = 1.0 if prof.kind == "power" else math.inf
+            oracle = integrate.quad(lambda s: prof.neg_derivative(s) * s ** k,
+                                    0.0, top, limit=200)[0]
+        assert prof.level_moment(k) == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("prof", _LEVEL_PROFILES)
+    def test_zero_moment_is_peak(self, prof):
+        assert prof.level_moment(0.0) == prof.phi0
+
+    @pytest.mark.parametrize("prof", _LEVEL_PROFILES)
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.5, 4.0])
+    def test_log_slope_against_difference(self, prof, k):
+        h = 1e-5
+        fd = (math.log(prof.level_moment(k + h))
+              - math.log(prof.level_moment(k - h))) / (2.0 * h)
+        assert prof.level_moment_log_slope(k) == pytest.approx(fd, abs=1e-8)
+
+    def test_p0_family_not_integrable(self):
+        prof = Profile("pfamily", 0.0, ambient_dim=2)
+        for call in (lambda: prof.level_moment(0.0), lambda: prof.level_moment(2.0),
+                     lambda: prof.level_moment_log_slope(2.0)):
+            with pytest.raises(NonIntegrableError):
+                call()
+
+    @pytest.mark.parametrize("prof", _LEVEL_PROFILES)
+    def test_depth_scale_inverts_the_level(self, prof):
+        v = np.array([1e-3, 0.5, 3.0, 20.0])
+        want = [prof.inverse_level(prof.phi0 * math.exp(-x)) for x in v]
+        np.testing.assert_allclose(prof.depth_scale(v), want, rtol=1e-12)
+
+    def test_radial_factor_is_continuous(self):
+        f = expfun(cc.cube(2, 1.0))
+        # exponential: M_k = Gamma(k + 1), so the factor is
+        # (Gamma(n + p + 1) / Gamma(n + 1))^(1/p)
+        for p in (-0.5, 1.0, 5.0):
+            want = (math.gamma(3.0 + p) / math.gamma(3.0)) ** (1.0 / p)
+            assert f.radial_factor(p) == pytest.approx(want, rel=1e-12)
+        assert f.radial_factor(0.0) == pytest.approx(f.radial_factor(1e-4), rel=1e-4)
+        assert f.radial_factor(-1.0) == pytest.approx(2.0, rel=1e-12)   # M_2 / M_1
+        assert f.radial_factor(-1.0) == pytest.approx(f.radial_factor(-1.0 + 1e-7),
+                                                      rel=1e-6)
+        with pytest.raises(ValueError):
+            f.radial_factor(-1.5)
 
 
 class TestProfileShape:

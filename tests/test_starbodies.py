@@ -170,7 +170,7 @@ class TestRadialMeanBodies:
     def test_gaussian_section_matches_hand_formula(self):
         f = LogConcaveFunction(profile_from_kind("gaussian", ambient_dim=1),
                                cc.cube(1, 1.0), np.zeros(1))
-        ray = sb.fn_ray(f, 1, [1.0])
+        ray = sb.layer_cake_ray(f, 1, [1.0], nodes=1024)
         for r in [0.3, 1.0, 2.5]:
             want = 2.0 * (1.0 - norm.cdf(r / 2.0))
             assert ray.psi(r) == pytest.approx(want, rel=1e-7)
@@ -300,10 +300,10 @@ class TestChains:
         f = expfun(cc.simplex(1))
         import mthorder.projection as proj
         for sgn in (1.0, -1.0):
-            ray = sb.fn_ray(f, 1, [sgn])
+            ray = sb.body_ray(f.body, 1, [sgn])
             endpoint = f.mass() / proj.ppb_gauge_fn(f, 1, [sgn])
             for p in [-0.5, 0.0, 1.0, 2.0, 5.0]:
-                rho = sb.radial_from_ray(ray, p).value
+                rho = f.radial_factor(p) * sb.radial_from_ray(ray, p).value
                 scaled = rho * _gamma_norm(p)
                 assert scaled == pytest.approx(endpoint, rel=2e-6)
 
@@ -311,10 +311,10 @@ class TestChains:
         f = LogConcaveFunction(profile_from_kind("gaussian", ambient_dim=1),
                                cc.cube(1, 1.0), np.zeros(1))
         import mthorder.projection as proj
-        ray = sb.fn_ray(f, 1, [1.0])
+        ray = sb.body_ray(f.body, 1, [1.0])
         endpoint = f.mass() / proj.ppb_gauge_fn(f, 1, [1.0])
-        scaled = [sb.radial_from_ray(ray, p).value * _gamma_norm(p)
-                  for p in [-0.5, 0.0, 1.0, 2.0, 5.0]]
+        scaled = [f.radial_factor(p) * sb.radial_from_ray(ray, p).value
+                  * _gamma_norm(p) for p in [-0.5, 0.0, 1.0, 2.0, 5.0]]
         for a, b in zip(scaled, scaled[1:]):
             assert b < a * (1.0 - 1e-6)
         assert scaled[0] < endpoint
@@ -335,7 +335,7 @@ class TestScalingLaws:
         K = cc.cube(1, 1.0)
         prof = profile_from_kind(profile, ambient_dim=1)
         f = LogConcaveFunction(prof, K, np.zeros(1))
-        ray_f = sb.fn_ray(f, 1, [1.0])
+        ray_f = sb.layer_cake_ray(f, 1, [1.0])
         ray_k = sb.body_ray(K, 1, [1.0])
         got = sb.radial_from_ray(ray_f, p).value / sb.radial_from_ray(ray_k, p).value
         n = 1
@@ -349,7 +349,7 @@ class TestScalingLaws:
         f = LogConcaveFunction(profile_from_kind("gaussian", ambient_dim=1),
                                K, np.zeros(1))
         for p in [1.0, 2.0]:
-            got = sb.radial_from_ray(sb.fn_ray(f, 1, [1.0]), p).value \
+            got = sb.radial_from_ray(sb.layer_cake_ray(f, 1, [1.0]), p).value \
                 / sb.radial_from_ray(sb.body_ray(K, 1, [1.0]), p).value
             want = math.sqrt(2.0) * (gamma_fn(1.0 + (1.0 + p) / 2.0)
                                      / gamma_fn(1.5)) ** (1.0 / p)
@@ -360,7 +360,60 @@ class TestScalingLaws:
         K = unit_interval()
         prof = profile_from_kind("pfamily", p, ambient_dim=1)
         f = LogConcaveFunction(prof, K, np.zeros(1))
-        rho_f = sb.radial_from_ray(sb.fn_ray(f, 1, [1.0]), p).value
+        rho_f = sb.radial_from_ray(sb.layer_cake_ray(f, 1, [1.0]), p).value
         rho_k = sb.radial_from_ray(sb.body_ray(K, 1, [1.0]), p).value
         want = rho_k if p < 0 else (1.0 + p) ** (1.0 / p) * rho_k
         assert rho_f == pytest.approx(want, rel=1e-2)
+
+
+_PENTAGON = cc.from_vertices(make_rng(1, 1).normal(size=(5, 2)))   # 5 vertices
+
+
+class TestLayerCakeReference:
+    """The profile-moment factor against the layer cake in its original order."""
+
+    @pytest.mark.parametrize("body,theta", [
+        (cc.cube(1, 1.0), [1.0]), (cc.cube(2, 1.0), [0.6, 0.8]),
+        (_PENTAGON, [0.6, 0.8])], ids=["interval", "square", "pentagon"])
+    @pytest.mark.parametrize("kind,par", [
+        ("exponential", None), ("gaussian", None), ("power", 2.0),
+        ("pfamily", 1.0)])
+    def test_factor_matches_reference(self, body, theta, kind, par):
+        f = LogConcaveFunction(profile_from_kind(kind, par, ambient_dim=body.dim),
+                               body, np.zeros(body.dim))
+        ref = sb.layer_cake_ray(f, 1, theta)
+        body_ray = sb.body_ray(body, 1, theta)
+        for p in [-0.5, 0.0, 1.0, 5.0]:
+            got = f.radial_factor(p) * sb.radial_from_ray(body_ray, p).value
+            assert got == pytest.approx(sb.radial_from_ray(ref, p).value, rel=1e-5)
+        endpoint = f.radial_factor(-1.0) * sb.limit_body_minus1(body_ray)
+        assert endpoint == pytest.approx(sb.limit_body_minus1(ref), rel=1e-5)
+
+    @pytest.mark.parametrize("p", [-0.5, 0.0, 1.0, 5.0])
+    def test_table_is_body_table_times_factor(self, p):
+        f = LogConcaveFunction(profile_from_kind("gaussian", ambient_dim=2),
+                               cc.cube(2, 1.0), np.zeros(2))
+        dirs = [[0.6, 0.8], [1.0, 0.0]]
+        t = sb.radial_mean_body_fn(f, 1, p, directions=dirs)
+        ref = [sb.radial_from_ray(sb.layer_cake_ray(f, 1, th), p).value
+               for th in dirs]
+        np.testing.assert_allclose(t.radii, ref, rtol=1e-5)
+        assert t.meta["kind"] == "function"
+
+    def test_heavy_tailed_pfamily(self):
+        # p = -0.5: phi(t) = exp(-2(sqrt(t) - 1)) and a unit slope law
+        f = LogConcaveFunction(profile_from_kind("pfamily", -0.5, ambient_dim=1),
+                               cc.simplex(1), np.zeros(1))
+        ref = sb.radial_from_ray(sb.layer_cake_ray(f, 1, [1.0]), -0.5).value
+        rk = sb.radial_from_ray(sb.body_ray(cc.simplex(1), 1, [1.0]), -0.5).value
+        assert f.radial_factor(-0.5) == pytest.approx(1.0, rel=1e-12)
+        assert ref == pytest.approx(rk, rel=1e-5)
+
+    def test_indicator_section_is_body_section(self):
+        f = LogConcaveFunction(profile_from_kind("indicator", ambient_dim=2),
+                               cc.cube(2, 1.0), np.zeros(2))
+        ref = sb.layer_cake_ray(f, 1, [0.6, 0.8])
+        body = sb.body_ray(f.body, 1, [0.6, 0.8])
+        r = np.linspace(0.0, 1.5, 7)
+        np.testing.assert_allclose(ref.psi(r), body.psi(r), rtol=1e-6, atol=1e-12)
+        assert f.radial_factor(2.0) == 1.0
