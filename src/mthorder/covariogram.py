@@ -263,14 +263,21 @@ def _meeting_points(bodies) -> np.ndarray:
     return np.unique(sums.reshape(len(idx[0]), -1), axis=0)
 
 
+def meeting_sums(bodies) -> int | None:
+    """The number of vertex sums whose hull `meeting_volume` takes, or None
+    where it has no exact value (a body that is not a polytope, n*m > 6)."""
+    n, m = bodies[0].dim, len(bodies) - 1
+    if n * m > 6 or any(K.kind != "polytope" for K in bodies):
+        return None
+    return math.prod(len(K.vertices) for K in bodies)
+
+
 def meeting_volume(bodies) -> float:
     """vol_{nm} of {x : K_0 cap (x_1 + K_1) cap ... cap (x_m + K_m) nonempty}
     for polytopes K_0, ..., K_m in R^n with n*m <= 6, exact (a hull volume)."""
+    if meeting_sums(bodies) is None:
+        raise NotImplementedError("exact meeting volume needs polytopes with n*m <= 6")
     n, m = bodies[0].dim, len(bodies) - 1
-    if any(K.kind != "polytope" for K in bodies):
-        raise NotImplementedError("meeting volume needs polytopes")
-    if n * m > 6:
-        raise NotImplementedError("exact meeting volume limited to n*m <= 6")
     pts = _meeting_points(bodies)
     if n * m == 1:
         return float(pts.max() - pts.min())

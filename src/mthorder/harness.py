@@ -723,8 +723,7 @@ def _custom_jobs(cfg: ExperimentConfig, seed: int, samples: int | None):
                                           inner_samples=inner)
     elif check == "zhang-fn":
         thunk = lambda: iq.check_zhang_fn(func, p["m"], seed=seed,
-                                          directions=p.get("directions",
-                                                           10_000))
+                                          directions=p.get("directions"))
     elif check == "tangent-bound":
         thunk = lambda: iq.check_tangent_bound(func, p["m"], p["points"],
                                                seed=seed, samples=n_samples)

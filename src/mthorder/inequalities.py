@@ -62,6 +62,11 @@ _STREAM_INT_CONV = 504
 _SHARDS = 8
 
 _TRUNCATION_TOL = 1e-13   # tail mass a factor's truncation box may drop
+# Most vertex sums for which an all-indicator tuple takes the exact meeting
+# volume rather than sampled translates.  In R^6 the hull of 2,197 sums (a
+# 13-vertex 3-polytope at m = 2) took 2.7 s and 194 MB, 10,000 sums (a 10-gon
+# at m = 3) 14 s and 464 MB; R^4 and below stay under 0.05 s at this bound.
+_MEETING_SUMS_MAX = 2_500
 _GRID_NODES = 65          # nodes per row and round of the 1-D bracket search
 _GRID_ROUNDS = 11         # rounds; each keeps 2 of 64 cells
 
@@ -477,17 +482,18 @@ def _star_l1(fbar, boxes, seed: int,
              samples: int | None) -> tuple[EstimateWithError, dict]:
     """L1 norm of the sup-convolution over the m translation blocks."""
     fbar, n, m = _validated_tuple(fbar)
-    f0 = fbar[0]
     all_indicator = all(f.profile.kind == "indicator" for f in fbar)
     height = float(np.prod([f.sup_norm for f in fbar]))
-    S0, S1 = f0.support_body(), fbar[1].support_body()
+    supports = [f.support_body() for f in fbar]
+    S0, S1 = supports[0], supports[1]
     if all_indicator and m == 1 and S0.kind == S1.kind == "ball":
         # the x for which S0 meets x + S1 form a ball of radius r0 + r1
         overlap = cc.volume(cc.ball(n, S0.radius + S1.radius)).value
         return (EstimateWithError(height * overlap, 0.0, 0),
                 {"route": "ball-overlap", "samples": 0})
-    if all_indicator and n * m <= 6 and all(f.body.kind == "polytope" for f in fbar):
-        overlap = cov.meeting_volume([f.support_body() for f in fbar])
+    sums = cov.meeting_sums(supports) if all_indicator else None
+    if sums is not None and sums <= _MEETING_SUMS_MAX:
+        overlap = cov.meeting_volume(supports)
         return (EstimateWithError(height * overlap, 0.0, 0),
                 {"route": "interval" if n == 1 else "meeting-volume",
                  "samples": 0})
@@ -567,14 +573,14 @@ def check_rs_multi(fbar, seed: int = 0, outer_samples: int | None = None,
 
 
 def check_zhang_fn(f: LogConcaveFunction, m: int, seed: int = 0,
-                   directions: int = 10_000) -> Verdict:
+                   directions: int | None = None) -> Verdict:
     """(1/(nm)!) int g_{f,m} <= ||f||_1^{nm+1} vol(PPB(<f>, m)).
 
     The layer cake gives the left side in closed form: for f = A phi(||x - c||_K),
     int g_{f,m} = A M_{n(m+1)} vol(K)^{m+1} with M_k = int (-phi') s^k ds,
     so it carries no error bar.  The right side is ||f||_1^{nm+1} times
     ppb_volume(f, m), exact wherever that is and a seeded sphere average
-    over `directions` otherwise.
+    over `directions` (ppb_volume's default when None) otherwise.
     """
     n = f.dim
     d = n * m
@@ -583,7 +589,8 @@ def check_zhang_fn(f: LogConcaveFunction, m: int, seed: int = 0,
     t0 = time.perf_counter()
     lhs = (f.amplitude * f.profile.level_moment(n * (m + 1))
            * cc.volume(f.body).value ** (m + 1) / math.factorial(d))
-    rhs = proj.ppb_volume(f, m, seed=seed, directions=directions)
+    sphere = {} if directions is None else {"directions": directions}
+    rhs = proj.ppb_volume(f, m, seed=seed, **sphere)
     meta = {"n": n, "m": m, "seed": seed, "directions": rhs.samples_or_nodes,
             "profile": f.profile.kind, "runtime_s": time.perf_counter() - t0}
     return make_verdict("zhang-fn", EstimateWithError(lhs, 0.0, 0),

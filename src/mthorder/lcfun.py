@@ -156,8 +156,11 @@ class Profile:
         return math.exp(c + special.gammaln((k + 1.0) / a)) * c ** (-(k + 1.0) / a) / a
 
     def level_moment(self, k: float) -> float:
-        """M_k = int_0^inf (-phi'(s)) s^k ds = k * moment(k - 1), M_0 = phi(0):
-        the layer cake of f = A phi(||x - c||_K) gives ||f||_1 = A M_n vol(K)."""
+        """M_k = int_0^inf (-phi'(s)) s^k ds = k * moment(k - 1), M_0 = phi(0),
+        and exactly 1 for the indicator: the layer cake of
+        f = A phi(||x - c||_K) gives ||f||_1 = A M_n vol(K)."""
+        if self.kind == "indicator":
+            return self.phi0
         if k == 0:
             if not math.isfinite(self.phi0):
                 raise NonIntegrableError("p=0 family has an infinite peak")

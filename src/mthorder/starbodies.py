@@ -41,6 +41,7 @@ from .numerics import (EstimateWithError, QuadratureConfig, combine_sigma,
 _STREAM_STAR_DIRS = 401
 
 _LEVEL_PANELS = 24        # geometric Gauss panels per radius of a layer-cake ray
+_LAYER_CAKE_NODES = 1024  # fixed radii of a layer-cake ray (Gaussian section to 2e-8)
 _LEVEL_DEPTH = 40.0       # least level depth v (levels down to e^-v of the peak)
 
 
@@ -124,8 +125,8 @@ def body_ray(K: ConvexBody, m: int, theta, seed: int = 0,
 
 
 def layer_cake_ray(f: LogConcaveFunction, m: int, theta, seed: int = 0,
-                   samples: int | None = None, nodes: int = 256) -> RadialRay:
-    """Reference section g_{f,m}(r theta) / ||f||_1 at `nodes` fixed radii,
+                   samples: int | None = None) -> RadialRay:
+    """Reference section g_{f,m}(r theta) / ||f||_1 at fixed radii,
     by the layer cake in its original order, over the level depth v:
 
         g_{f,m}(r theta) = A phi(0) int e^{-v} s(v)^n g_{K,m}(r theta / s(v)) dv,
@@ -161,12 +162,14 @@ def layer_cake_ray(f: LogConcaveFunction, m: int, theta, seed: int = 0,
 
     support = R * prof.support_radius
     if math.isfinite(support):
-        grid = np.linspace(0.0, support, nodes)
+        grid = np.linspace(0.0, support, _LAYER_CAKE_NODES)
     else:   # quartic grading resolves heavy tails that fall steeply at 0
         horizon = R * prof.truncation_radius(1e-12, n + 8)
-        grid = horizon * np.linspace(0.0, 1.0, nodes) ** 4
-    body = body_ray(K, m, th, seed=seed, samples=samples, nodes=nodes)
-    vals = section(grid, body.psi)
+        grid = horizon * np.linspace(0.0, 1.0, _LAYER_CAKE_NODES) ** 4
+    body = body_ray(K, m, th, seed=seed, samples=samples)
+    # batches of 256 radii keep the (radius, level) arrays under 1 MB each
+    vals = np.concatenate([section(rows, body.psi)
+                           for rows in np.array_split(grid, _LAYER_CAKE_NODES // 256)])
     exact = _body_section_direct(K, th.blocks, vol, seed, samples)
     slope0 = _fd_slope(lambda r: float(section(np.array([r]), exact)[0]), R)
     return RadialRay(_interp_section(grid, vals, float(n), grid[-1]),

@@ -17,6 +17,7 @@ from mthorder.covariogram import (
     dm_support_radius,
     dm_support_radius_fn,
     dm_volume,
+    meeting_sums,
     meeting_volume,
 )
 from mthorder.lcfun import LogConcaveFunction, NonIntegrableError, Profile
@@ -421,6 +422,12 @@ class TestDmBody:
                                      (cc.simplex(2, "corner"), 2)])
     def test_dm_volume_is_meeting_volume_of_copies(self, K, m):
         assert dm_volume(K, m) == meeting_volume([K] * (m + 1))
+
+    def test_meeting_sums(self):
+        square, triangle = cc.cube(2, 1.0), cc.simplex(2, "corner")
+        assert meeting_sums([square, triangle, triangle]) == 4 * 3 * 3
+        assert meeting_sums([square, cc.ball(2, 1.0)]) is None
+        assert meeting_sums([square] * 5) is None            # n*m = 8
 
     def test_meeting_volume_needs_polytopes(self):
         with pytest.raises(NotImplementedError):

@@ -532,6 +532,22 @@ class TestRsSingle:
         assert v.sigma_combined == 0.0
         assert v.status == iq.HOLDS
 
+    def test_cube_indicator_at_m2_is_exact(self):
+        # D^2 of a box is the product of the D^2 of its edges: 12^3 for [-1, 1]^3
+        v = iq.check_rs_single(make_fn("indicator", cc.cube(3, 1.0)), 2)
+        assert v.metadata["route"] == "meeting-volume"
+        assert v.lhs.value == pytest.approx(1728.0, rel=1e-12)
+        assert v.lhs.std_error == 0.0
+
+    def test_many_vertex_sums_are_sampled(self):
+        # a 10-gon at m = 3 has 10^4 vertex sums in R^6, past the hull bound
+        t = 2.0 * math.pi * np.arange(10) / 10
+        K = cc.from_vertices(np.c_[np.cos(t), np.sin(t)])
+        assert cov.meeting_sums([K] * 4) > iq._MEETING_SUMS_MAX
+        v = iq.check_rs_single(make_fn("indicator", K), 3, samples=64)
+        assert v.metadata["route"] == "pointwise-sup"
+        assert v.metadata["samples"] == 64
+
     def test_exponential_goes_pointwise(self):
         v = iq.check_rs_single(f_exp, 1, samples=800)
         assert v.metadata["route"] == "pointwise-sup"

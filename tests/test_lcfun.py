@@ -103,6 +103,13 @@ class TestLevelMoments:
         want = [prof.inverse_level(prof.phi0 * math.exp(-x)) for x in v]
         np.testing.assert_allclose(prof.depth_scale(v), want, rtol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_indicator_factor_is_exactly_one(self, n):
+        f = LogConcaveFunction(profile_from_kind("indicator", ambient_dim=n),
+                               cc.cube(n, 1.0), np.zeros(n))
+        for p in (-1.0, -0.5, 0.0, 1.0, 5.0, 200.0):
+            assert f.radial_factor(p) == 1.0
+
     def test_radial_factor_is_continuous(self):
         f = expfun(cc.cube(2, 1.0))
         # exponential: M_k = Gamma(k + 1), so the factor is
