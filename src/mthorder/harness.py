@@ -129,8 +129,8 @@ def _jobs_classical(seed, samples):
             n = K.dim
             count = 4096
             ang = (np.arange(count) + 0.5) * (2.0 * math.pi / count)
-            rho = np.array([cc.radial(K, [math.cos(a), math.sin(a)])
-                            for a in ang])
+            dirs = np.column_stack([np.cos(ang), np.sin(ang)])
+            rho = 1.0 / cc.gauge_many(K, dirs)
             mass = math.gamma(n) * (2.0 * math.pi / count) * float(np.sum(rho ** n))
             vol = cc.volume(K)
             return _identity_verdict(f"classical-quadrature[{label}]",
@@ -479,8 +479,8 @@ def _jobs_zhang_petty(seed, samples):
     for m in (1, 2):
         for label, K in bodies:
             # the simplex at m = 2 sits on the equality boundary, so its
-            # sphere average needs a tighter budget than the strict cases
-            base = 40_000 if (label == "simplex" and m == 2) else 10_000
+            # sphere average needs a tighter budget than ppb_volume's default
+            base = 40_000 if (label == "simplex" and m == 2) else None
             def thunk(K=K, m=m, label=label, directions=samples or base):
                 left, right = iq.check_zhang_body(K, m, seed=seed,
                                                   directions=directions)
@@ -730,8 +730,7 @@ def _custom_jobs(cfg: ExperimentConfig, seed: int, samples: int | None):
     elif check == "zhang-body":
         thunk = lambda: iq.check_zhang_body(body, p["m"],
                                             seed=seed,
-                                            directions=p.get("directions",
-                                                             10_000))
+                                            directions=p.get("directions"))
     else:  # chain
         source = func if func is not None else body
         dirs = p.get("directions")

@@ -8,9 +8,17 @@ g(0) = sup g = 1) is
     rho^p = p * int_0^inf r^{p-1} (psi(r) - 1) dr           -1 < p < 0
 
 Radial mean bodies apply this to covariogram sections r -> g_{K,m}(r*theta)
-normalized by vol(K).  Sections are either evaluated directly (cheap closed
-forms) or tabulated once per direction and interpolated, so that many p
-values can reuse one ray.
+normalized by vol(K).  On an axis-aligned box K = prod_j [lo_j, hi_j] the
+section is the polynomial
+
+    psi(r) = prod_j (1 - r t_j)_+ = sum_k a_k r^k   on [0, R],  R = 1 / max_j t_j,
+
+with rates t_j = ptp(0, theta_1j, ..., theta_mj) / (hi_j - lo_j) and
+a = np.poly(t), so rho = R (-sum_{k>=1} k a_k R^k / (p + k))^{1/p} for every
+p in (-1, inf) off 0, rho = R exp(sum_{k>=1} a_k R^k / k) at p = 0, and the
+slope at 0 is sum_j t_j.  A ball at m = 1 evaluates its section directly;
+every other body tabulates it once per direction and interpolates, so that
+many p values can reuse one ray.
 
 A function f = A phi(||x - c||_K) needs no rays of its own.  The layer cake
 g_{f,m}(x) = A int (-phi'(s)) s^n g_{K,m}(x/s) ds factors its radial mean
@@ -61,6 +69,8 @@ class RadialRay:
     inf, in which case tail_radius gives a finite horizon beyond which the
     section is negligible.  slope0 is |psi'(0+)| where known exactly (the
     normalized projection-body gauge), sigma an optional pointwise std error.
+    rates, set on box rays only, are the t_j of psi(r) = prod_j (1 - r t_j)_+,
+    from which `radial_from_ray` takes the Ball-body radius in closed form.
     """
 
     psi: Callable
@@ -68,6 +78,7 @@ class RadialRay:
     tail_radius: float
     slope0: float | None = None
     sigma: Callable | None = None
+    rates: tuple | None = None
 
 
 def _body_section_direct(K: ConvexBody, thb: np.ndarray, vol: float,
@@ -96,16 +107,33 @@ def _interp_section(grid, vals, root_power: float, cutoff: float):
     return psi
 
 
+def _box_ray(lo, hi, blocks) -> RadialRay:
+    """The section prod_j (1 - r t_j)_+ of a box along a unit m-direction."""
+    rates = np.ptp(np.vstack([np.zeros(len(lo)), blocks]), axis=0) / (hi - lo)
+    R = 1.0 / float(rates.max())
+
+    def psi(r):
+        out = np.prod(np.clip(1.0 - np.multiply.outer(r, rates), 0.0, 1.0), axis=-1)
+        return out if np.ndim(r) else float(out)
+
+    return RadialRay(psi, R, R, float(rates.sum()), None, tuple(rates.tolist()))
+
+
 def body_ray(K: ConvexBody, m: int, theta, seed: int = 0,
              samples: int | None = None, nodes: int = 256) -> RadialRay:
-    """The normalized covariogram section of a body along one unit direction."""
+    """The normalized covariogram section of a body along one unit direction:
+    prod_j (1 - r t_j)_+ with its rates t for an axis-aligned box, the exact
+    section for a ball at m = 1, else a Pchip table of covariograms at
+    `nodes` radii (`samples` draws each where they are Monte Carlo).
+    """
     th = as_unit(theta, K.dim)
+    box = cov.axis_box(K)
+    if box is not None:
+        return _box_ray(box[0], box[1], th.blocks)
     vol = cc.volume(K).value
     R = cov.dm_support_radius(K, th)
     slope0 = proj.ppb_gauge_body(K, m, th) / vol
-    cheap = (K.kind == "polytope" and cov.axis_box(K) is not None) \
-        or (K.kind == "ball" and m == 1)
-    if cheap:
+    if K.kind == "ball" and m == 1:
         psi = _body_section_direct(K, th.blocks, vol, seed, samples)
         return RadialRay(psi, R, R, slope0, None)
     grid = np.linspace(0.0, R, nodes)
@@ -170,7 +198,8 @@ def layer_cake_ray(f: LogConcaveFunction, m: int, theta, seed: int = 0,
     # batches of 256 radii keep the (radius, level) arrays under 1 MB each
     vals = np.concatenate([section(rows, body.psi)
                            for rows in np.array_split(grid, _LAYER_CAKE_NODES // 256)])
-    exact = _body_section_direct(K, th.blocks, vol, seed, samples)
+    exact = body.psi if body.rates is not None \
+        else _body_section_direct(K, th.blocks, vol, seed, samples)
     slope0 = _fd_slope(lambda r: float(section(np.array([r]), exact)[0]), R)
     return RadialRay(_interp_section(grid, vals, float(n), grid[-1]),
                      support, grid[-1], slope0, None)
@@ -262,9 +291,29 @@ def ball_body_radial(psi, p: float, *, support_radius: float = math.inf,
     return val ** (1.0 / p)
 
 
+def _box_radial(ray: RadialRay, p: float) -> float:
+    """rho_p of the polynomial section prod_j (1 - r t_j)_+, term by term."""
+    a = np.poly(ray.rates)[1:]      # a_1 .. a_n; a_0 = 1
+    R = ray.support_radius
+    k = np.arange(1, len(a) + 1)
+    aR = a * R ** k
+    if abs(p) <= _ZERO_P_WINDOW:
+        return R * math.exp(float(np.sum(aR / k)))
+    return R * float(-np.sum(k * aR / (p + k))) ** (1.0 / p)
+
+
 def radial_from_ray(ray: RadialRay, p: float,
                     cfg: QuadratureConfig | None = None) -> EstimateWithError:
-    """rho of the Ball body of a ray, with an error bar when the ray is noisy."""
+    """rho of the Ball body of a ray, with an error bar when the ray is noisy.
+
+    A box ray takes the closed form R (-sum_{k>=1} k a_k R^k / (p + k))^{1/p},
+    a = np.poly(rates), or R exp(sum_{k>=1} a_k R^k / k) within _ZERO_P_WINDOW
+    of 0; every other ray goes through `ball_body_radial`.
+    """
+    if ray.rates is not None:
+        if p <= -1.0:
+            raise ValueError("p must exceed -1")
+        return EstimateWithError(_box_radial(ray, p), 0.0, 0)
     kw = dict(support_radius=ray.support_radius, tail_radius=ray.tail_radius,
               slope0=ray.slope0, cfg=cfg)
     rho = ball_body_radial(ray.psi, p, **kw)

@@ -617,6 +617,14 @@ class TestZhangPettyBodies:
         assert right.status == iq.HOLDS
         assert right.lhs.value == pytest.approx(2.0, rel=1e-9)
 
+    def test_directions_are_those_each_side_drew(self):
+        # both volumes are exact for the square and the disc at m = 1
+        for v in iq.check_zhang_body(cc.cube(2, 1.0), 1):
+            assert v.metadata["directions"] == [0, 0]
+        left, right = iq.check_zhang_body(cc.cube(3), 2, directions=300)
+        assert left.metadata["directions"] == [0, 300]
+        assert right.metadata["directions"] == [300, 300]
+
 
 class TestNormalizer:
     def test_binomial_value(self):

@@ -7,6 +7,7 @@ from scipy.stats import norm
 
 import mthorder.convexcore as cc
 import mthorder.covariogram as cov
+import mthorder.projection as proj
 import mthorder.starbodies as sb
 from mthorder.lcfun import LogConcaveFunction, NonIntegrableError, profile_from_kind
 from mthorder.numerics import make_rng
@@ -131,6 +132,100 @@ class TestBodyRays:
         want = (2.0 * math.acos(0.5) - 0.5 * math.sqrt(3.0)) / math.pi
         assert ray.psi(1.0) == pytest.approx(want, rel=1e-12)
         assert ray.sigma is None
+
+
+def _box(n):
+    return unit_interval() if n == 1 else cc.cube(n, 1.0)
+
+
+def _box_directions(n, m):
+    """A generic m-direction and one with a zero coordinate in every block."""
+    gen = make_rng(4, 10 * n + m)
+    generic = gen.normal(size=(m, n))
+    zeroed = gen.normal(size=(m, n))
+    if n > 1:
+        zeroed[:, 0] = 0.0          # t_0 = 0
+    else:
+        zeroed[0] = 0.0             # one block at rest
+    return [generic, zeroed] if m > 1 or n > 1 else [generic]
+
+
+_BOX_PS = [-0.99, -0.5, -1e-7, 0.0, 1e-7, 0.5, 1.0, 5.0, 200.0]
+
+
+class TestBoxRays:
+    """Box sections are polynomials: closed-form radii against quadrature."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_closed_form_matches_quadrature(self, n, m):
+        rays = [sb.body_ray(_box(n), m, th.ravel()) for th in _box_directions(n, m)]
+        if n > 1:
+            assert rays[1].rates[0] == 0.0
+        for ray in rays:
+            for p in _BOX_PS:
+                got = sb.radial_from_ray(ray, p)
+                want = sb.ball_body_radial(ray.psi, p,
+                                           support_radius=ray.support_radius,
+                                           slope0=ray.slope0)
+                assert got.value == pytest.approx(want, rel=1e-9)
+                assert got.std_error == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_section_support_and_slope_are_exact(self, n, m):
+        K = _box(n)
+        vol = cc.volume(K).value
+        for theta in _box_directions(n, m):
+            th = sb.as_unit(theta.ravel(), n)
+            ray = sb.body_ray(K, m, th)
+            r = np.linspace(0.0, 1.2 * ray.support_radius, 9)
+            want = [cov.covariogram_body(K, th.scaled(x)).value / vol for x in r]
+            np.testing.assert_allclose(ray.psi(r), want, rtol=1e-12, atol=1e-15)
+            assert ray.psi(float(r[3])) == pytest.approx(want[3], rel=1e-12)
+            assert ray.support_radius == pytest.approx(
+                cov.dm_support_radius(K, th), rel=1e-12)
+            assert sum(ray.rates) == pytest.approx(
+                proj.ppb_gauge_body(K, m, th) / vol, rel=1e-12)
+            assert ray.slope0 == sum(ray.rates)
+
+    @pytest.mark.parametrize("p", [-0.99, -0.5, 0.5, 1.0, 5.0, 200.0])
+    def test_unit_interval_closed_form(self, p):
+        ray = sb.body_ray(unit_interval(), 1, [1.0])
+        got = sb.radial_from_ray(ray, p).value
+        assert got == pytest.approx((1.0 + p) ** (-1.0 / p), rel=1e-14)
+
+    def test_p_at_most_minus_one_rejected(self):
+        ray = sb.body_ray(unit_interval(), 1, [1.0])
+        with pytest.raises(ValueError):
+            sb.radial_from_ray(ray, -1.0)
+
+    def test_box_functions_build_no_covariograms(self, monkeypatch):
+        import mthorder.inequalities as iq
+        calls = {"cov": 0, "quad": 0}
+        cov_many, quad = cov.covariogram_body_many, sb.integrate_1d
+
+        def counted_cov(*args, **kw):
+            calls["cov"] += 1
+            return cov_many(*args, **kw)
+
+        def counted_quad(*args, **kw):
+            calls["quad"] += 1
+            return quad(*args, **kw)
+
+        monkeypatch.setattr(cov, "covariogram_body_many", counted_cov)
+        monkeypatch.setattr(sb, "integrate_1d", counted_quad)
+        chi = LogConcaveFunction(profile_from_kind("indicator", ambient_dim=1),
+                                 cc.simplex(1), np.zeros(1))
+        dirs = make_rng(0, 3).normal(size=(8, 2))
+        t = sb.radial_mean_body_fn(chi, 2, 200.0, directions=dirs)
+        want = [cov.dm_support_radius(chi.body, th) for th in t.directions]
+        np.testing.assert_allclose(t.radii, want, rtol=0.05)
+        gauss = LogConcaveFunction(profile_from_kind("gaussian", ambient_dim=1),
+                                   cc.cube(1, 1.0), np.zeros(1))
+        verdicts = iq.check_chain(gauss, 1, [-0.5, 0.0, 1.0, 2.0])
+        assert all(v.status != iq.VIOLATED for v in verdicts)
+        assert calls == {"cov": 0, "quad": 0}
 
 
 class TestRadialMeanBodies:
@@ -298,7 +393,6 @@ class TestChains:
         # For the exponential of a simplex gauge the Gamma-normalized radial
         # is constant in p and meets the gauge endpoint exactly.
         f = expfun(cc.simplex(1))
-        import mthorder.projection as proj
         for sgn in (1.0, -1.0):
             ray = sb.body_ray(f.body, 1, [sgn])
             endpoint = f.mass() / proj.ppb_gauge_fn(f, 1, [sgn])
@@ -310,7 +404,6 @@ class TestChains:
     def test_strong_chain_gaussian_strictly_decreasing(self):
         f = LogConcaveFunction(profile_from_kind("gaussian", ambient_dim=1),
                                cc.cube(1, 1.0), np.zeros(1))
-        import mthorder.projection as proj
         ray = sb.body_ray(f.body, 1, [1.0])
         endpoint = f.mass() / proj.ppb_gauge_fn(f, 1, [1.0])
         scaled = [f.radial_factor(p) * sb.radial_from_ray(ray, p).value
