@@ -16,7 +16,7 @@ import numpy as np
 
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
-from .numerics import EstimateWithError, lp_feasible_interior, lp_maximize, sphere_surface
+from .numerics import EstimateWithError, max_slack, sphere_surface
 
 _GEOM_TOL = 1e-9
 _INTERIOR_MARGIN = 1e-10   # Chebyshev radius below which a body counts as flat
@@ -88,9 +88,12 @@ def _interval(normals, offsets) -> ConvexBody:
 def from_halfspaces(normals, offsets) -> ConvexBody:
     """Body from <a_i, x> <= b_i (canonicalized, vertices derived).
 
-    Qhull intersects the halfspaces about the Chebyshev centre; its dual
-    facets name the irredundant halfspaces.  A vertex where exactly n of
-    them meet is solved from those n, so exact inputs give exact vertices.
+    Qhull intersects the halfspaces about the Chebyshev centre, the x of
+    max t with <a_i, x> + t <= b_i (`max_slack` from the origin); a radius
+    below _INTERIOR_MARGIN means an empty interior, an unbounded one an
+    unbounded body.  Qhull's dual facets name the irredundant halfspaces.
+    A vertex where exactly n of them meet is solved from those n, so exact
+    inputs give exact vertices.
     """
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
     offsets = np.asarray(offsets, dtype=float)
@@ -104,10 +107,10 @@ def from_halfspaces(normals, offsets) -> ConvexBody:
     offsets = offsets / lens
     if n == 1:
         return _interval(normals, offsets)
-    feasible, center = lp_feasible_interior(normals, offsets, margin=_INTERIOR_MARGIN)
-    if feasible and center is None:
+    radius, center = max_slack(normals, offsets, np.ones(len(offsets)), np.zeros(n))
+    if center is None:
         raise UnboundedBodyError("halfspace intersection is unbounded")
-    if not feasible:
+    if radius < _INTERIOR_MARGIN:
         raise DegenerateBodyError("halfspace intersection has empty interior")
     try:
         with np.errstate(divide="ignore", invalid="ignore"):   # points at infinity
@@ -307,11 +310,11 @@ def radial(K: ConvexBody, x) -> float:
     return 1.0 / g
 
 
-def contains(K: ConvexBody, X, tol: float = _GEOM_TOL) -> np.ndarray:
+def contains(K: ConvexBody, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if K.kind == "ball":
-        return np.linalg.norm(X - K.center, axis=1) <= K.radius + tol
-    return np.all(X @ K.normals.T <= K.offsets + tol, axis=1)
+        return np.linalg.norm(X - K.center, axis=1) <= K.radius + _GEOM_TOL
+    return np.all(X @ K.normals.T <= K.offsets + _GEOM_TOL, axis=1)
 
 
 def outer_radius(K: ConvexBody) -> float:
@@ -452,13 +455,3 @@ def _facet_polygon_area(points3d, normal):
     v = np.cross(a, u)
     coords = np.column_stack([points3d @ u, points3d @ v])
     return polygon_area(coords)
-
-
-def chebyshev_center(K: ConvexBody):
-    if K.kind == "ball":
-        return K.center.copy()
-    m, n = K.normals.shape
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    res = lp_maximize(c, np.hstack([K.normals, np.ones((m, 1))]), K.offsets)
-    return res.x[:n]

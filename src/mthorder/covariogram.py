@@ -23,12 +23,11 @@ from .convexcore import ConvexBody
 from .lcfun import LogConcaveFunction, NonIntegrableError
 from .numerics import (
     EstimateWithError,
-    QuadratureConfig,
     default_mc_samples,
     gauss_panels,
     integrate_1d,
-    lp_maximize,
     make_rng,
+    max_slack,
     sphere_surface,
 )
 
@@ -120,6 +119,13 @@ def _box_cov(lo, hi, blocks):
     rise = np.maximum(0.0, blocks.max(axis=1))
     lengths = (hi - lo) + drop - rise
     return np.prod(np.maximum(lengths, 0.0), axis=1)
+
+
+def box_rates(lo, hi, blocks) -> np.ndarray:
+    """The rates t_j = ptp(0, x_1j, ..., x_mj) / (hi_j - lo_j) of the box
+    prod_j [lo_j, hi_j]: its covariogram at r * blocks is
+    vol * prod_j (1 - r t_j)_+."""
+    return np.ptp(np.vstack([np.zeros(len(lo)), blocks]), axis=0) / (hi - lo)
 
 
 def _ball_cov(K: ConvexBody, xb: MVector, seed: int, samples) -> EstimateWithError:
@@ -222,26 +228,26 @@ def dm_support_membership_fn(f: LogConcaveFunction, xbar) -> bool:
 
 
 def dm_support_radius(K: ConvexBody, theta) -> float:
-    """max{r >= 0 : r*theta in D^m(K)} -- the radial function of D^m(K)."""
+    """max{r >= 0 : r*theta in D^m(K)} -- the radial function of D^m(K).
+
+    For a box it is 1/max_j t_j with the `box_rates` t, for a ball its
+    radius over the miniball radius of (0, theta_1, ..., theta_m).  For
+    another polytope it is the LP max r with y and every y - r theta_i in
+    K; on K's own rows a_j that is a_j.y + r s_j <= b_j with
+    s_j = max_i (-a_j.theta_i)_+, solved by `max_slack` from the vertex
+    mean of K.
+    """
     th = as_mvector(theta, K.dim)
     if th.norm() <= 0.0:
         raise ValueError("direction must be nonzero")
     if K.kind == "ball":
         base = cc.miniball_radius(np.vstack([np.zeros(K.dim), th.blocks]))
         return K.radius / base
-    A0, b0 = K.normals, K.offsets
-    F = len(A0)
-    rows = [np.hstack([A0, np.zeros((F, 1))])]
-    rhs = [b0]
-    for x in th.blocks:
-        rows.append(np.hstack([A0, -(A0 @ x)[:, None]]))
-        rhs.append(b0)
-    c = np.zeros(K.dim + 1)
-    c[-1] = 1.0
-    res = lp_maximize(c, np.vstack(rows), np.concatenate(rhs))
-    if res.status != "optimal":
-        raise RuntimeError(f"support-radius LP ended with status {res.status}")
-    return float(res.value)
+    box = axis_box(K)
+    if box is not None:
+        return 1.0 / float(box_rates(box[0], box[1], th.blocks).max())
+    s = np.maximum(0.0, -(th.blocks @ K.normals.T).min(axis=0))
+    return float(max_slack(K.normals, K.offsets, s, K.vertices.mean(axis=0))[0])
 
 
 def dm_support_radius_fn(f: LogConcaveFunction, theta) -> float:
@@ -326,8 +332,8 @@ def profile_cut(prof, n: int, scale: float) -> float:
     return prof.truncation_radius(eps, extra_power=n + max(1.0, a) + 2.0)
 
 
-def _cov_fn_levelset(f: LogConcaveFunction, xb: MVector, seed: int, samples,
-                     cfg: QuadratureConfig | None) -> EstimateWithError:
+def _cov_fn_levelset(f: LogConcaveFunction, xb: MVector, seed: int,
+                     samples) -> EstimateWithError:
     K, prof, A = f.body, f.profile, f.amplitude
     n, m = f.dim, xb.m
     if prof.kind == "indicator":
@@ -350,7 +356,7 @@ def _cov_fn_levelset(f: LogConcaveFunction, xb: MVector, seed: int, samples,
             g = covariogram_body(K, xb.scaled(1.0 / r)).value
             return A * float(prof.neg_derivative(r)) * r ** n * g
 
-        return integrate_1d(integrand, r_lo, r_hi, cfg=cfg)
+        return integrate_1d(integrand, r_lo, r_hi)
 
     # a ball meeting three or more distinct translates has Monte Carlo inner
     # volumes: fixed Gauss grid with independent per-node seeds, so
@@ -474,8 +480,7 @@ def _cov_fn_direct(f: LogConcaveFunction, xb: MVector, seed: int,
 
 
 def covariogram_fn(f: LogConcaveFunction, xbar, method: str = "levelset",
-                   seed: int = 0, samples: int | None = None,
-                   cfg: QuadratureConfig | None = None) -> EstimateWithError:
+                   seed: int = 0, samples: int | None = None) -> EstimateWithError:
     """g_{f,m}(xbar), by level-set quadrature or direct Monte Carlo.
 
     The two methods are deliberately independent: "levelset" folds
@@ -487,7 +492,7 @@ def covariogram_fn(f: LogConcaveFunction, xbar, method: str = "levelset",
         raise NonIntegrableError("the p = 0 profile has infinite mass and "
                                  "no covariogram")
     if method == "levelset":
-        return _cov_fn_levelset(f, xb, seed, samples, cfg)
+        return _cov_fn_levelset(f, xb, seed, samples)
     if method == "direct_mc":
         return _cov_fn_direct(f, xb, seed, samples)
     raise ValueError(f"unknown method {method!r}")

@@ -76,7 +76,7 @@ def _identity_verdict(name, value, reference, rel_tol, sigma=0.0,
                         metadata=metadata)
 
 
-def _monotone_verdict(name, grid, values, sense, metadata=None) -> Verdict:
+def _monotone_verdict(name, grid, values, sense) -> Verdict:
     """Strict monotonicity along grid, encoded as worst-step <= 0.
 
     lhs is the largest adjacent violation of the requested sense, so a
@@ -94,7 +94,6 @@ def _monotone_verdict(name, grid, values, sense, metadata=None) -> Verdict:
     meta = {"grid": list(map(float, grid)), "values": vals.tolist(),
             "sense": sense,
             "curve": {"x": list(map(float, grid)), "y": vals.tolist()}}
-    meta.update(metadata or {})
     return make_verdict(name, _exact(worst), _exact(0.0),
                         equality_tol=1e-9, metadata=meta)
 

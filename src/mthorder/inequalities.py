@@ -45,9 +45,9 @@ from . import mellin as ml
 from . import projection as proj
 from . import starbodies as sb
 from .convexcore import ConvexBody
-from .lcfun import _ZERO_P_WINDOW, LogConcaveFunction
-from .numerics import (EstimateWithError, combine_sigma, lp_feasible_interior,
-                       make_rng, maximize_logconcave, minimize_convex)
+from .lcfun import ZERO_P_WINDOW, LogConcaveFunction
+from .numerics import (EstimateWithError, combine_sigma, make_rng, max_slack,
+                       maximize_logconcave, minimize_convex)
 
 HOLDS = "holds"
 EQUALITY = "holds_with_equality"
@@ -155,14 +155,14 @@ def run_jobs(jobs, threads: int | None = None) -> list:
     return flat
 
 
-def _shard_sigma(values: np.ndarray, shards: int = _SHARDS) -> float:
-    """Standard error of the mean from interleaved shard means."""
-    if len(values) < 2 * shards:
+def _shard_sigma(values: np.ndarray) -> float:
+    """Standard error of the mean from _SHARDS interleaved shard means."""
+    if len(values) < 2 * _SHARDS:
         if len(values) < 2:
             return 0.0
         return float(values.std(ddof=1)) / math.sqrt(len(values))
-    means = np.array([values[s::shards].mean() for s in range(shards)])
-    return float(means.std(ddof=1)) / math.sqrt(shards)
+    means = np.array([values[s::_SHARDS].mean() for s in range(_SHARDS)])
+    return float(means.std(ddof=1)) / math.sqrt(_SHARDS)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +236,10 @@ def _conv_box(boxes, offsets):
 def _feasible_point(fbar, offsets):
     """A point where every compactly supported factor is positive, or None.
 
-    Polytope supports go through the Chebyshev LP; a degenerate (flat)
-    intersection is still accepted.  Ball supports fall back to minimizing
-    the convex sum of gauge excesses.
+    Polytope supports go through the Chebyshev LP (`max_slack` on their
+    stacked rows); a degenerate (flat) intersection is still accepted.
+    Mixed supports fall back to minimizing the convex sum of gauge excesses
+    from the mean of the supports' interior points.
     """
     polys, balls = [], []
     for f, t in zip(fbar, offsets):
@@ -252,8 +253,8 @@ def _feasible_point(fbar, offsets):
     if not balls:
         A = np.vstack([S.normals for S in polys])
         b = np.concatenate([S.offsets for S in polys])
-        ok, witness = lp_feasible_interior(A, b, margin=-1e-9)
-        return witness if ok else None
+        t, x = max_slack(A, b, np.ones(len(b)), polys[0].vertices.mean(axis=0))
+        return x if t >= -1e-9 else None
     if not polys and len(balls) == 2:
         c0, c1 = balls[0].center, balls[1].center
         gap = float(np.linalg.norm(c1 - c0))
@@ -262,19 +263,18 @@ def _feasible_point(fbar, offsets):
         w = balls[0].radius / max(gap, 1e-300)
         return c0 + min(w, 0.5) * (c1 - c0) if gap > 0 else c0.copy()
 
-    interiors = [cc.chebyshev_center(S)[0] if S.kind == "polytope" else S.center
-                 for S in polys + balls]
-
     def excess(z):
         total = 0.0
-        for S, c in zip(polys + balls, interiors):
+        for S in polys + balls:
             if S.kind == "ball":
                 total += max(0.0, float(np.linalg.norm(z - S.center)) - S.radius)
             else:
                 total += max(0.0, float(np.max(S.normals @ z - S.offsets)))
         return total
 
-    z, val = minimize_convex(excess, np.mean(interiors, axis=0))
+    start = np.mean([S.vertices.mean(axis=0) for S in polys]
+                    + [S.center for S in balls], axis=0)
+    z, val = minimize_convex(excess, start)
     return z if val <= 1e-9 else None
 
 
@@ -636,7 +636,7 @@ def chain_normalizer(p: float, s: float) -> float:
     coefficient to the power 1/p, continued through p = 0 by its limit."""
     if s < 0.0:
         raise ValueError("concavity index must be nonnegative")
-    if abs(p) <= _ZERO_P_WINDOW:
+    if abs(p) <= ZERO_P_WINDOW:
         tilt = float(special.digamma(1.0 / s + 1.0)) if s > 0.0 else 0.0
         return math.exp(tilt + float(np.euler_gamma))
     return ml.binom_gen(p, s) ** (1.0 / p)
@@ -660,7 +660,7 @@ def check_chain(source, m: int, p_grid, directions=None, seed: int = 0,
         raise ValueError("p grid must be finite and lie in (-1, inf)")
     skipped = []
     if is_body:
-        keep = np.abs(grid) > _ZERO_P_WINDOW
+        keep = np.abs(grid) > ZERO_P_WINDOW
         skipped = [float(p) for p in grid[~keep]]
         grid = grid[keep]
     if grid.size == 0:

@@ -22,7 +22,7 @@ from .convexcore import ConvexBody
 
 _KINDS = ("exponential", "gaussian", "power", "indicator", "pfamily")
 
-_ZERO_P_WINDOW = 1e-6     # |p| below this is routed to the p = 0 branch
+ZERO_P_WINDOW = 1e-6     # |p| below this is routed to the p = 0 branch
 
 
 class NonIntegrableError(ValueError):
@@ -249,7 +249,7 @@ class LogConcaveFunction:
         if p < -1.0:
             raise ValueError("p must be at least -1")
         prof, n = self.profile, self.dim
-        if abs(p) <= _ZERO_P_WINDOW:
+        if abs(p) <= ZERO_P_WINDOW:
             return math.exp(prof.level_moment_log_slope(n))
         return (prof.level_moment(n + p) / prof.level_moment(n)) ** (1.0 / p)
 

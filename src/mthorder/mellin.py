@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special
 from scipy.interpolate import PchipInterpolator
 
-from .lcfun import _ZERO_P_WINDOW, NonIntegrableError, Profile
+from .lcfun import ZERO_P_WINDOW, NonIntegrableError, Profile
 from .numerics import QuadratureConfig, integrate_1d
 
 _ROUTE_AGREEMENT = 1e-6    # required relative match between the two routes
@@ -265,7 +265,7 @@ def i_p(psi: MellinProfile, p: float, cfg: QuadratureConfig | None = None) -> fl
     cfg = cfg or _DEFAULT_CFG
     if not math.isfinite(p) or p <= -1.0:
         raise ValueError("i_p needs a finite exponent p > -1")
-    if abs(p) <= _ZERO_P_WINDOW:
+    if abs(p) <= ZERO_P_WINDOW:
         _require_peak_at_zero(psi)
         return _log_moment_mean(psi, cfg)
     pm = p * mellin(psi, p, cfg) / psi.sup
@@ -274,8 +274,7 @@ def i_p(psi: MellinProfile, p: float, cfg: QuadratureConfig | None = None) -> fl
     return pm ** (1.0 / p)
 
 
-def berwald_g(psi: MellinProfile, p: float, s: float,
-              cfg: QuadratureConfig | None = None) -> float:
+def berwald_g(psi: MellinProfile, p: float, s: float) -> float:
     """G(psi, p, s) = binom_gen(p, s)^(1/p) * i_p(psi); limit expression at p = 0.
 
     Nonincreasing in p when psi is s-concave with its maximum at 0, and
@@ -286,10 +285,10 @@ def berwald_g(psi: MellinProfile, p: float, s: float,
         raise ValueError("concavity index s must be nonnegative")
     if not math.isfinite(p) or p <= -1.0:
         raise ValueError("berwald_g needs a finite exponent p > -1")
-    if abs(p) <= _ZERO_P_WINDOW:
+    if abs(p) <= ZERO_P_WINDOW:
         tilt = special.digamma(1.0 / s + 1.0) if s > 0 else 0.0
-        return math.exp(tilt + _EULER) * i_p(psi, 0.0, cfg)
-    return binom_gen(p, s) ** (1.0 / p) * i_p(psi, p, cfg)
+        return math.exp(tilt + _EULER) * i_p(psi, 0.0)
+    return binom_gen(p, s) ** (1.0 / p) * i_p(psi, p)
 
 
 def binom_gen(p: float, s: float) -> float:
@@ -321,7 +320,7 @@ def _require_exponent(psi: MellinProfile, p: float) -> None:
         raise ValueError("exponent must be finite")
     if p <= -1.0:
         raise ValueError("the transform needs p > -1")
-    if abs(p) <= _ZERO_P_WINDOW:
+    if abs(p) <= ZERO_P_WINDOW:
         raise ValueError("p = 0 is a simple pole of the transform; i_p handles p = 0")
     if p <= psi.min_p:
         raise NonIntegrableError(f"this profile only admits exponents p > {psi.min_p:g}")

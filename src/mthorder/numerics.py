@@ -1,4 +1,5 @@
-"""Shared numeric primitives: seeded streams, quadrature, convex search, small LPs.
+"""Shared numeric primitives: seeded streams, quadrature, convex search, and
+the one LP, max t over A x + t s <= b (`max_slack`, a one-phase simplex).
 
 Everything here is deterministic given its inputs.  Random draws come from a
 counter-based generator keyed by (seed, stream id) so that parallel shards can
@@ -252,24 +253,17 @@ def maximize_logconcave(F, x0, tol: float = 1e-9, max_evals: int = 60_000):
     return x, math.exp(logf)
 
 
-def minimize_convex(F, x0, tol: float = 1e-9, max_evals: int = 60_000):
+def minimize_convex(F, x0):
     """Compass-search minimizer for a finite convex F (same engine, flipped)."""
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     shifted = maximize_logconcave(lambda z: math.exp(-max(min(float(F(z)), 700.0), -700.0)),
-                                  x, tol=tol, max_evals=max_evals)
+                                  x)
     xm = shifted[0]
     return xm, float(F(xm))
 
 
 # ---------------------------------------------------------------------------
-# dense simplex LP (tiny problems; Bland's rule for determinism)
-
-
-@dataclass(frozen=True)
-class LPResult:
-    status: str                # optimal | infeasible | unbounded
-    x: np.ndarray | None
-    value: float
+# one-phase max-slack LP (tiny problems; Bland's rule for determinism)
 
 
 _PIV_TOL = 1e-11
@@ -303,104 +297,29 @@ def _bland_pivot(T, basis, ncols):
         basis[leave] = enter
 
 
-def lp_maximize(c, A, b) -> LPResult:
-    """Maximize c.x subject to A x <= b, x free.  Two-phase dense simplex."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).copy()
-    c = np.asarray(c, dtype=float)
-    m, n = A.shape
-    # free x -> u - w with u, w >= 0; slacks s >= 0
-    Astd = np.hstack([A, -A, np.eye(m)])
-    flip = b < 0
-    Astd[flip] *= -1.0
-    b[flip] *= -1.0
-    nvar = 2 * n + m
-    need_art = np.where(flip)[0]
-    nart = len(need_art)
+def max_slack(A, b, s, x0):
+    """max t over {(x, t) : A x + t s <= b} for s >= 0, from a point x0
+    that meets every row with s_i = 0.
 
-    T = np.zeros((m + 1, nvar + nart + 1))
-    T[:m, :nvar] = Astd
-    T[:m, -1] = b
-    basis = np.empty(m, dtype=int)
-    art_col = {}
-    k = 0
-    for i in range(m):
-        if flip[i]:
-            col = nvar + k
-            T[i, col] = 1.0
-            basis[i] = col
-            art_col[i] = col
-            k += 1
-        else:
-            basis[i] = 2 * n + i        # the slack of an unflipped row
-
-    if nart:
-        # phase 1: minimize sum of artificials
-        for i in need_art:
-            T[-1, :] -= T[i, :]
-        T[-1, nvar:nvar + nart] = 0.0
-        status = _bland_pivot(T, basis, nvar + nart)
-        if status != "optimal" or T[-1, -1] < -1e-8:
-            return LPResult("infeasible", None, math.nan)
-        for i in range(m):              # drive any leftover artificial out of the basis
-            if basis[i] >= nvar:
-                for j in range(nvar):
-                    if abs(T[i, j]) > _PIV_TOL:
-                        piv = T[i, j]
-                        T[i] /= piv
-                        for r in range(m + 1):
-                            if r != i and T[r, j] != 0.0:
-                                T[r] -= T[r, j] * T[i]
-                        basis[i] = j
-                        break
-        T = np.delete(T, np.s_[nvar:nvar + nart], axis=1)
-
-    # phase 2: minimize -c.x
-    T[-1, :] = 0.0
-    T[-1, :n] = -c
-    T[-1, n:2 * n] = c
-    for i in range(m):
-        if basis[i] < 2 * n + m and abs(T[-1, basis[i]]) > 0.0:
-            T[-1, :] -= T[-1, basis[i]] * T[i, :]
-    status = _bland_pivot(T, basis, 2 * n + m)
-    if status == "unbounded":
-        return LPResult("unbounded", None, math.inf)
-    xfull = np.zeros(2 * n + m)
-    for i in range(m):
-        if basis[i] < 2 * n + m:
-            xfull[basis[i]] = T[i, -1]
-    x = xfull[:n] - xfull[n:2 * n]
-    return LPResult("optimal", x, float(c @ x))
-
-
-def lp_feasible_interior(A, b, margin: float = 1e-10):
-    """Does {x : A x <= b} contain a point with slack >= margin on unit normals?
-
-    Returns (feasible, witness).  A's rows are normalized internally so the
-    slack is a true Euclidean interior margin.
+    At x0 the largest feasible t0 is min over s_i > 0 of (b - A x0)_i / s_i,
+    so with x = x0 + u - w and t = t0 + tau (u, w, tau >= 0) the slack
+    basis is feasible and one run of Bland's rule maximizes tau: no phase 1.
+    Returns (t, x), or (inf, None) when t is unbounded.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).copy()
-    norms = np.linalg.norm(A, axis=1)
-    keep = norms > 1e-14
-    if not np.all(keep):
-        if np.any(b[~keep] < 0):
-            return False, None
-        A, b, norms = A[keep], b[keep], norms[keep]
-    if A.shape[0] == 0:
-        return True, np.zeros(1)
-    An = A / norms[:, None]
-    bn = b / norms
-    m, n = An.shape
-    # maximize t s.t. An x + t <= bn  (Chebyshev radius)
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    Aext = np.hstack([An, np.ones((m, 1))])
-    res = lp_maximize(c, Aext, bn)
-    if res.status == "unbounded":
-        return True, None
-    if res.status != "optimal":
-        return False, None
-    if res.value >= margin:
-        return True, res.x[:n]
-    return False, None
+    A, s, x0 = (np.asarray(v, dtype=float) for v in (A, s, x0))
+    room = np.asarray(b, dtype=float) - A @ x0
+    pos = s > 0.0
+    if not np.any(pos):
+        return math.inf, None
+    t0 = float(np.min(room[pos] / s[pos]))
+    m, n = A.shape
+    T = np.zeros((m + 1, 2 * n + m + 2))       # columns u, w, tau, slacks | rhs
+    T[:m, :-1] = np.hstack([A, -A, s[:, None], np.eye(m)])
+    T[:m, -1] = np.maximum(room - t0 * s, 0.0)
+    T[-1, 2 * n] = -1.0
+    basis = np.arange(2 * n + 1, 2 * n + 1 + m)
+    if _bland_pivot(T, basis, 2 * n + 1 + m) == "unbounded":
+        return math.inf, None
+    z = np.zeros(2 * n + 1 + m)
+    z[basis] = T[:m, -1]
+    return t0 + float(z[2 * n]), x0 + z[:n] - z[n:2 * n]

@@ -208,13 +208,14 @@ def ppb_volume(source, m: int, seed: int = 0,
 
 
 def matheron_consistency(f: LogConcaveFunction, m: int, theta,
-                         steps=(1e-3, 1e-4), seed: int = 0) -> dict:
+                         seed: int = 0) -> dict:
     """Error of the raw covariogram difference quotient against the PPB gauge.
 
     The quotient (g(h) - g(0))/h converges at first order, so halving-type
     step ratios should reproduce the step ratio itself; callers check the
-    observed ratio against [8, 12] for steps (1e-3, 1e-4).
+    observed ratio against [8, 12] for the steps h = 1e-3 and 1e-4.
     """
+    steps = (1e-3, 1e-4)
     th = as_mvector(theta, f.dim)
     if th.m != m:
         raise ValueError(f"direction has {th.m} blocks, expected m = {m}")
@@ -226,5 +227,5 @@ def matheron_consistency(f: LogConcaveFunction, m: int, theta,
         quot = (covariogram_fn(f, th.scaled(h), seed=seed).value - g0) / h
         errors.append(abs(quot + gauge))
     ratio = errors[0] / errors[1] if errors[1] > 0 else math.inf
-    return {"gauge": gauge, "steps": tuple(steps), "errors": errors,
+    return {"gauge": gauge, "steps": steps, "errors": errors,
             "ratio": ratio}

@@ -42,7 +42,7 @@ from . import convexcore as cc
 from . import covariogram as cov
 from . import projection as proj
 from .convexcore import ConvexBody, UnboundedBodyError
-from .lcfun import _ZERO_P_WINDOW, LogConcaveFunction, NonIntegrableError
+from .lcfun import ZERO_P_WINDOW, LogConcaveFunction, NonIntegrableError
 from .numerics import (EstimateWithError, QuadratureConfig, combine_sigma,
                        gauss_panels, integrate_1d, sphere_sample, sphere_surface)
 
@@ -109,7 +109,7 @@ def _interp_section(grid, vals, root_power: float, cutoff: float):
 
 def _box_ray(lo, hi, blocks) -> RadialRay:
     """The section prod_j (1 - r t_j)_+ of a box along a unit m-direction."""
-    rates = np.ptp(np.vstack([np.zeros(len(lo)), blocks]), axis=0) / (hi - lo)
+    rates = cov.box_rates(lo, hi, blocks)
     R = 1.0 / float(rates.max())
 
     def psi(r):
@@ -256,7 +256,7 @@ def ball_body_radial(psi, p: float, *, support_radius: float = math.inf,
         raise NonIntegrableError("section needs a finite integration horizon")
     cfg = cfg or QuadratureConfig()
 
-    if abs(p) <= _ZERO_P_WINDOW:
+    if abs(p) <= ZERO_P_WINDOW:
         r_half = _level_radius(psi, T, 0.5)
         near = integrate_1d(lambda r: (psi(r) - 1.0) / r, 0.0, r_half, cfg=cfg)
         far = integrate_1d(lambda r: psi(r) / r, r_half, T, cfg=cfg)
@@ -297,17 +297,16 @@ def _box_radial(ray: RadialRay, p: float) -> float:
     R = ray.support_radius
     k = np.arange(1, len(a) + 1)
     aR = a * R ** k
-    if abs(p) <= _ZERO_P_WINDOW:
+    if abs(p) <= ZERO_P_WINDOW:
         return R * math.exp(float(np.sum(aR / k)))
     return R * float(-np.sum(k * aR / (p + k))) ** (1.0 / p)
 
 
-def radial_from_ray(ray: RadialRay, p: float,
-                    cfg: QuadratureConfig | None = None) -> EstimateWithError:
+def radial_from_ray(ray: RadialRay, p: float) -> EstimateWithError:
     """rho of the Ball body of a ray, with an error bar when the ray is noisy.
 
     A box ray takes the closed form R (-sum_{k>=1} k a_k R^k / (p + k))^{1/p},
-    a = np.poly(rates), or R exp(sum_{k>=1} a_k R^k / k) within _ZERO_P_WINDOW
+    a = np.poly(rates), or R exp(sum_{k>=1} a_k R^k / k) within ZERO_P_WINDOW
     of 0; every other ray goes through `ball_body_radial`.
     """
     if ray.rates is not None:
@@ -315,7 +314,7 @@ def radial_from_ray(ray: RadialRay, p: float,
             raise ValueError("p must exceed -1")
         return EstimateWithError(_box_radial(ray, p), 0.0, 0)
     kw = dict(support_radius=ray.support_radius, tail_radius=ray.tail_radius,
-              slope0=ray.slope0, cfg=cfg)
+              slope0=ray.slope0)
     rho = ball_body_radial(ray.psi, p, **kw)
     if ray.sigma is None:
         return EstimateWithError(rho, 0.0, 0)
@@ -340,7 +339,7 @@ def radial_from_ray_derivative(ray: RadialRay, p: float,
     r = T * np.linspace(0.0, 1.0, nodes) ** power
     vals = ray.psi(r)
     neg_slope = -np.gradient(vals, r, edge_order=1)
-    if abs(p) <= _ZERO_P_WINDOW:
+    if abs(p) <= ZERO_P_WINDOW:
         integrand = np.where(r > 0.0, np.log(np.maximum(r, 1e-300)), 0.0) * neg_slope
         integrand[0] = 0.0
         return math.exp(float(np.trapezoid(integrand, r)))
@@ -415,13 +414,13 @@ class StarBodyTable:
         return StarBodyTable(data[:, :-2], data[:, -2], data[:, -1], meta)
 
 
-def _build_table(rays, dirs, p, meta, cfg=None) -> StarBodyTable:
+def _build_table(rays, dirs, p, meta) -> StarBodyTable:
     radii = np.empty(len(dirs))
     sigs = np.empty(len(dirs))
     cache: dict[int, EstimateWithError] = {}
     for k, ray in enumerate(rays):
         if id(ray) not in cache:
-            cache[id(ray)] = radial_from_ray(ray, p, cfg=cfg)
+            cache[id(ray)] = radial_from_ray(ray, p)
         est = cache[id(ray)]
         radii[k] = est.value
         sigs[k] = est.std_error
@@ -454,12 +453,11 @@ def radial_mean_body_body(K: ConvexBody, m: int, p: float, directions=None,
 
 def radial_mean_body_fn(f: LogConcaveFunction, m: int, p: float,
                         directions=None, seed: int = 0,
-                        samples: int | None = None,
-                        nodes: int = 256) -> StarBodyTable:
+                        samples: int | None = None) -> StarBodyTable:
     """Radial table of R_p^m f: the table of R_p^m K for the body K of f,
     times the profile-moment factor f.radial_factor(p) (1 for indicators)."""
     body = radial_mean_body_body(f.body, m, p, directions=directions, seed=seed,
-                                 samples=samples, nodes=nodes)
+                                 samples=samples)
     factor = f.radial_factor(p)
     meta = {"p": p, "m": m, "kind": "function",
             "source": f"{f.profile.kind} on {_describe(f.body)}", "seed": seed}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mthorder import convexcore as cc
-from mthorder.numerics import make_rng
+from mthorder.numerics import make_rng, max_slack
 
 
 def test_simplex_corner():
@@ -257,9 +257,12 @@ def test_miniball():
     assert cc.miniball_radius(reg) == pytest.approx(math.sqrt(3.0), abs=1e-8)
 
 
-def test_chebyshev_center():
-    c = cc.chebyshev_center(cc.cube(2, 1.0))
-    assert np.allclose(c, 0.0, atol=1e-9)
+def test_chebyshev_lp_of_square():
+    # the Chebyshev LP that from_halfspaces solves, from a corner of cube(2)
+    K = cc.cube(2, 1.0)
+    t, c = max_slack(K.normals, K.offsets, np.ones(len(K.offsets)), K.vertices[0])
+    assert t == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(c, 0.0, atol=1e-12)
 
 
 def test_outer_radius():

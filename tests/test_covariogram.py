@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from mthorder import convexcore as cc
 from mthorder.covariogram import (
     MVector,
     as_mvector,
+    box_rates,
     cov_radial_derivative,
     covariogram_body,
     covariogram_body_many,
@@ -21,7 +23,7 @@ from mthorder.covariogram import (
     meeting_volume,
 )
 from mthorder.lcfun import LogConcaveFunction, NonIntegrableError, Profile
-from mthorder.numerics import combine_sigma, make_rng
+from mthorder.numerics import combine_sigma, make_rng, max_slack
 
 
 def interval01():
@@ -366,6 +368,49 @@ class TestDmSupport:
             rho = dm_support_radius(K, th)
             assert dm_support_membership(K, th * (0.999 * rho))
             assert not dm_support_membership(K, th * (1.001 * rho))
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_radius_against_linprog(self, n, m):
+        # max r with y in K and y - r theta_i in K, on the (m+1) F stacked rows
+        gen = make_rng(60 + 10 * n + m, 0)
+        for _ in range(4):
+            K = cc.from_vertices(gen.normal(size=(int(gen.integers(n + 3, 12)), n)))
+            th = gen.normal(size=(m, n))
+            th /= np.linalg.norm(th)
+            A, b = K.normals, K.offsets
+            rows = [np.column_stack([A, np.zeros(len(A))])]
+            rows += [np.column_stack([A, -(A @ x)]) for x in th]
+            ref = optimize.linprog(np.r_[np.zeros(n), -1.0], A_ub=np.vstack(rows),
+                                   b_ub=np.tile(b, m + 1),
+                                   bounds=[(None, None)] * (n + 1), method="highs")
+            assert dm_support_radius(K, th) == pytest.approx(-ref.fun, rel=1e-9)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_box_radius_is_closed_form(self, m):
+        # 1 / max_j t_j against the LP on the same rows, directions with zeros
+        gen = make_rng(70 + m, 0)
+        boxes = [cc.cube(n, 1.0) for n in (1, 2, 3)]
+        boxes += [cc.from_halfspaces(np.vstack([np.eye(n), -np.eye(n)]),
+                                     np.r_[hi, -np.asarray(lo)])
+                  for n, lo, hi in [(2, [0.0, -1.0], [3.0, 0.5]),
+                                    (3, [-0.5, 0.0, 1.0], [0.5, 4.0, 1.25])]]
+        for K in boxes:
+            n = K.dim
+            for _ in range(6):
+                th = gen.normal(size=(m, n)) * (gen.random((m, n)) < 0.6)
+                if not np.any(th):
+                    th[0, 0] = 1.0
+                lo, hi = cc.bounding_box(K)
+                want = 1.0 / box_rates(lo, hi, th).max()
+                s = np.maximum(0.0, -(th @ K.normals.T).min(axis=0))
+                lp, _ = max_slack(K.normals, K.offsets, s, K.vertices.mean(axis=0))
+                assert dm_support_radius(K, th) == want
+                assert want == pytest.approx(lp, rel=1e-12)
+
+    def test_box_rates(self):
+        lo, hi = np.array([0.0, -1.0]), np.array([2.0, 1.0])
+        got = box_rates(lo, hi, np.array([[1.0, 0.0], [-0.5, 0.5]]))
+        np.testing.assert_array_equal(got, [0.75, 0.25])
 
     def test_function_form(self):
         f = LogConcaveFunction(Profile("indicator"), interval01(), np.zeros(1))

@@ -266,6 +266,17 @@ class TestCli:
         assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 2
         assert "n <= 3 or m <= 3" in capsys.readouterr().err
 
+    def test_rs_multi_square_and_disc_runs(self, tmp_path):
+        funcs = [{"profile": "indicator", "body": _BODY},
+                 {"profile": "indicator", "body": {"kind": "ball", "dim": 2}}]
+        path = _write(tmp_path, {"name": "x", "check": "rs-multi",
+                                 "functions": funcs, "samples": 300,
+                                 "inner_samples": 1000})
+        out = tmp_path / "o"
+        assert cli.main(["run", path, "--out", str(out)]) == 0
+        report = json.loads((out / "verdicts.json").read_text())
+        assert [v["status"] for v in report["verdicts"]] == ["holds"]
+
     def test_point_of_wrong_length_exits_two(self, tmp_path, capsys):
         path = _write(tmp_path, {"name": "x", "check": "tangent-bound", "m": 2,
                                  "function": _FUNC, "points": [[0.1, 0.2, 0.3]]})

@@ -154,6 +154,13 @@ class TestConvolutions:
     def test_sup_overlapping_discs(self):
         assert iq.sup_convolution([disc_chi, disc_chi], [1.5, 0.0]) == 1.0
 
+    def test_sup_square_and_disc(self):
+        # a polytope support next to a ball support: the start of the
+        # excess search is the mean of a vertex mean and a centre
+        square_chi = make_fn("indicator", cc.cube(2, 1.0))
+        assert iq.sup_convolution([square_chi, disc_chi], [0.3, 0.3]) == 1.0
+        assert iq.sup_convolution([square_chi, disc_chi], [2.5, 2.5]) == 0.0
+
     def test_int_gaussian_pair(self):
         got = iq.int_convolution([std_gauss, std_gauss], [0.8], samples=60_000)
         exact = math.sqrt(math.pi) * math.exp(-0.16)

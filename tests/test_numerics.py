@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from mthorder import convexcore as cc
 from mthorder.numerics import (
     EstimateWithError,
     InvalidDimensionError,
     QuadratureConfig,
     ZeroFunctionRegionError,
     integrate_1d,
-    lp_feasible_interior,
-    lp_maximize,
     make_rng,
+    max_slack,
     maximize_logconcave,
     minimize_convex,
     sphere_sample,
@@ -131,46 +131,93 @@ def test_minimize_convex_max_of_norms():
     assert abs(val - math.sqrt(2.0)) < 1e-3      # min-enclosing-ball radius of the 3 points
 
 
+def _linprog_max_slack(A, b, s):
+    """Reference max t over {(x, t) : A x + t s <= b}; inf when unbounded."""
+    n = A.shape[1]
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    ref = optimize.linprog(c, A_ub=np.column_stack([A, s]), b_ub=b,
+                           bounds=[(None, None)] * (n + 1), method="highs")
+    assert ref.status in (0, 3)
+    return math.inf if ref.status == 3 else -ref.fun
+
+
 class TestSimplexLP:
+    """`max_slack`, the one-phase simplex, against hand values and linprog."""
+
     def test_simple_box(self):
-        res = lp_maximize(np.array([1.0, 1.0]),
-                          np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
-                          np.array([1.0, 0.0, 2.0, 0.0]))
-        assert res.status == "optimal"
-        assert abs(res.value - 3.0) < 1e-9
+        # [0, 1] x [0, 2]: Chebyshev radius 1/2
+        A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        t, x = max_slack(A, np.array([1.0, 0.0, 2.0, 0.0]), np.ones(4), np.zeros(2))
+        assert abs(t - 0.5) < 1e-12
+        assert abs(x[0] - 0.5) < 1e-12 and 0.5 - 1e-12 <= x[1] <= 1.5 + 1e-12
 
     def test_infeasible(self):
-        res = lp_maximize(np.array([1.0]), np.array([[1.0], [-1.0]]), np.array([1.0, -2.0]))
-        assert res.status == "infeasible"
+        # x <= 1 and x >= 2 share no point: the largest slack is negative
+        t, x = max_slack(np.array([[1.0], [-1.0]]), np.array([1.0, -2.0]),
+                         np.ones(2), np.zeros(1))
+        assert t == pytest.approx(-0.5, abs=1e-12) and x[0] == pytest.approx(1.5)
 
     def test_unbounded(self):
-        res = lp_maximize(np.array([1.0]), np.array([[-1.0]]), np.array([0.0]))
-        assert res.status == "unbounded"
+        t, x = max_slack(np.array([[-1.0]]), np.array([0.0]), np.ones(1), np.zeros(1))
+        assert t == math.inf and x is None
+
+    def test_no_positive_slack_rate_is_unbounded(self):
+        t, x = max_slack(np.array([[1.0]]), np.array([1.0]), np.zeros(1), np.zeros(1))
+        assert t == math.inf and x is None
 
     @pytest.mark.parametrize("trial", range(20))
     def test_against_scipy_linprog(self, trial):
+        # random systems with zero slack rates; x0 meets every row
         gen = make_rng(900 + trial, 0)
         m, n = int(gen.integers(3, 10)), int(gen.integers(1, 4))
         A = gen.normal(size=(m, n))
-        b = gen.normal(size=m) + 1.0
-        c = gen.normal(size=n)
-        res = lp_maximize(c, A, b)
-        ref = optimize.linprog(-c, A_ub=A, b_ub=b, bounds=[(None, None)] * n,
-                               method="highs")
-        if ref.status == 2:
-            assert res.status == "infeasible"
-        elif ref.status == 3:
-            assert res.status == "unbounded"
+        x0 = gen.normal(size=n)
+        b = A @ x0 + np.abs(gen.normal(size=m))
+        s = np.abs(gen.normal(size=m)) * (gen.random(m) < 0.7)
+        s[0] = max(s[0], 0.1)
+        t, x = max_slack(A, b, s, x0)
+        want = _linprog_max_slack(A, b, s)
+        if want == math.inf:
+            assert t == math.inf and x is None
         else:
-            assert res.status == "optimal"
-            assert abs(res.value - (-ref.fun)) < 1e-7 * max(1.0, abs(ref.fun))
+            assert abs(t - want) < 1e-9 * max(1.0, abs(want))
+            assert np.all(A @ x + t * s <= b + 1e-9)
+
+    @pytest.mark.parametrize("trial", range(5))
+    def test_open_polyhedron_is_unbounded(self, trial):
+        # every row points away from d, so x = x0 + r d gains slack without end
+        gen = make_rng(950 + trial, 0)
+        n = int(gen.integers(1, 4))
+        d = gen.normal(size=n)
+        A = gen.normal(size=(int(gen.integers(2, 7)), n))
+        A[A @ d > 0] *= -1.0
+        b = gen.normal(size=len(A))
+        assert _linprog_max_slack(A, b, np.ones(len(A))) == math.inf
+        t, x = max_slack(A, b, np.ones(len(A)), np.zeros(n))
+        assert t == math.inf and x is None
+
+    @pytest.mark.parametrize("start", [(0.0, 0.0), (0.3, -0.2), (0.9, 0.0)])
+    def test_degenerate_ties(self, start):
+        # a doubled square and a doubled diamond: at the centre every row ties
+        # in the ratio test, off it the doubled rows tie pairwise
+        square = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        diamond = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        A = np.vstack([square, square, diamond, diamond])
+        b = np.concatenate([np.ones(8), np.full(8, 1.2)])
+        t, x = max_slack(A, b, np.ones(16), np.array(start))
+        assert abs(t - _linprog_max_slack(A, b, np.ones(16))) < 1e-12
+        assert np.all(A @ x + t <= b + 1e-12)
 
     def test_feasibility_margin(self):
-        A = np.array([[1.0], [-1.0]])
-        ok, x = lp_feasible_interior(A, np.array([1.0, -1.0 + 5e-11]))  # width 5e-11
-        assert not ok
-        ok, x = lp_feasible_interior(A, np.array([1.0, 0.0]))
-        assert ok and 0.0 <= x[0] <= 1.0
+        # the margin sits in from_halfspaces: a 1 x w rectangle builds only
+        # when its Chebyshev radius w/2 reaches 1e-10
+        normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        with pytest.raises(cc.DegenerateBodyError):
+            cc.from_halfspaces(normals, [1.0, 0.0, 5e-11, 0.0])
+        K = cc.from_halfspaces(normals, [1.0, 0.0, 1e-9, 0.0])
+        assert len(K.vertices) == 4
+        assert cc.volume(K).value == pytest.approx(1e-9, rel=1e-6)
 
 
 def test_rng_streams_are_disjoint():
