@@ -430,8 +430,7 @@ def _jobs_rs_functional(seed, samples):
             gen = make_rng(seed + i, _STREAM_RANDOM_TRIPLES)
             fbar = _random_triple(gen)
             v = iq.check_rs_multi(fbar, seed=seed + i,
-                                  outer_samples=outer or 800,
-                                  inner_samples=samples or 6000)
+                                  outer_samples=outer or 800)
             return _retag(v, f"random-{i}")
         jobs.append((f"rs-multi[random-{i}]", thunk))
     return jobs

@@ -322,6 +322,18 @@ class TestCli:
             (outs[1] / "manifest.json").read_bytes()
         assert (outs[0] / "plots" / "chain.svg").is_file()
 
+    def test_verdicts_byte_identical_across_thread_counts(self, tmp_path, capsys,
+                                                         monkeypatch):
+        path = _write(tmp_path, {"name": "rsf", "experiment": "rs-functional",
+                                 "seed": 0})
+        reports = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MTHORDER_THREADS", threads)
+            out = tmp_path / f"t{threads}"
+            assert cli.main(["run", path, "--out", str(out)]) == 0
+            reports.append((out / "verdicts.json").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_samples_override_lands_in_manifest(self, tmp_path, capsys):
         out = tmp_path / "pair"
         rc = cli.main(["run", str(EXAMPLES / "rs_ball_pair.json"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 import mthorder.convexcore as cc
 import mthorder.covariogram as cov
@@ -162,11 +163,19 @@ class TestConvolutions:
         assert iq.sup_convolution([square_chi, disc_chi], [2.5, 2.5]) == 0.0
 
     def test_int_gaussian_pair(self):
-        got = iq.int_convolution([std_gauss, std_gauss], [0.8], samples=60_000)
-        exact = math.sqrt(math.pi) * math.exp(-0.16)
+        # in R^2: int e^-|z|^2/2 e^-|z-x|^2/2 dz = pi e^-|x|^2/4, by Monte Carlo
+        gauss = make_fn("gaussian", cc.ball(2, 1.0))
+        got = iq.int_convolution([gauss, gauss], [0.8, -0.4], samples=60_000)
+        exact = math.pi * math.exp(-0.2)
         assert got.std_error > 0.0
         assert abs(got.value - exact) <= 4.0 * got.std_error
         assert got.value == pytest.approx(exact, rel=0.03)
+
+    def test_int_gaussian_pair_1d_exact(self):
+        got = iq.int_convolution([std_gauss, std_gauss], [0.8])
+        exact = math.sqrt(math.pi) * math.exp(-0.16)
+        assert got.value == pytest.approx(exact, rel=1e-12)
+        assert got.std_error <= 1e-12 * exact
 
     def test_int_disc_pair_lens_area(self):
         got = iq.int_convolution([disc_chi, disc_chi], [1.0, 0.0], samples=60_000)
@@ -174,8 +183,23 @@ class TestConvolutions:
         assert abs(got.value - exact) <= 4.0 * got.std_error
 
     def test_int_two_sided_exp(self):
+        # in R^2: int e^-2|z| dz = pi / 2, by Monte Carlo
+        cone = make_fn("exponential", cc.ball(2, 1.0))
+        got = iq.int_convolution([cone, cone], [0.0, 0.0], samples=60_000)
+        assert got.std_error > 0.0
+        assert abs(got.value - 0.5 * math.pi) <= 4.0 * got.std_error
+
+    def test_int_two_sided_exp_1d_exact(self):
         got = iq.int_convolution([two_sided, two_sided], [0.0])
-        assert abs(got.value - 1.0) <= 4.0 * got.std_error
+        assert got.value == pytest.approx(1.0, rel=1e-12)
+
+    def test_int_1d_makes_no_sup_search(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the 1-D rule needs no mode")
+        monkeypatch.setattr(iq, "_sup_point", refuse)
+        monkeypatch.setattr(iq, "_sup_rows", refuse)
+        got = iq.int_convolution([std_gauss, two_sided, chi], [0.3, -0.2])
+        assert got.value > 0.0
 
     def test_int_disjoint_is_exact_zero(self):
         got = iq.int_convolution([disc_chi, disc_chi], [3.0, 0.0])
@@ -192,6 +216,45 @@ class TestConvolutions:
     def test_wrong_block_count_rejected(self):
         with pytest.raises(ValueError):
             iq.sup_convolution([chi, chi, chi], [0.5])
+
+
+def _quad_int_convolution(fbar, x):
+    """Reference: scipy quad of the translated product between its breakpoints
+    (each factor's centre and box ends) inside the joint box."""
+    offsets = [0.0] + list(x)
+    boxes = iq._factor_boxes(fbar)
+    lo = max(b[0][0] + t for b, t in zip(boxes, offsets))
+    hi = min(b[1][0] + t for b, t in zip(boxes, offsets))
+    cuts = {lo, hi}
+    for f, b, t in zip(fbar, boxes, offsets):
+        cuts |= {f.shift[0] + t, b[0][0] + t, b[1][0] + t}
+    cuts = sorted(c for c in cuts if lo <= c <= hi)
+
+    def F(z):
+        return float(np.prod([f.eval([z - t]) for f, t in zip(fbar, offsets)]))
+    return sum(integrate.quad(F, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+               for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("kind,s_param", [
+    ("indicator", None), ("exponential", None), ("gaussian", None),
+    ("power", 0.3), ("power", 3.0), ("power", 10.0)])
+def test_int_convolution_1d_matches_quad(kind, s_param, m):
+    """The breakpoint rule against quad on asymmetric, shifted factors; at
+    s = 10 the profile (1 - t)^0.1 has an infinite slope at its support end."""
+    def factor(lo, hi, shift, amplitude):
+        return LogConcaveFunction(profile_from_kind(kind, s_param, 1),
+                                  cc.from_vertices([[lo], [hi]]),
+                                  np.array([shift]), amplitude)
+    fbar = [factor(-0.7, 1.3, 0.2, 1.5)] + [
+        factor(-1.1 - 0.2 * i, 0.6 + 0.3 * i, -0.1 * i, 0.8) for i in range(m)]
+    x = [0.3 * (i + 1) * (-1) ** i for i in range(m)]
+    got = iq.int_convolution(fbar, x)
+    want = _quad_int_convolution(fbar, x)
+    assert want > 0.0
+    assert got.value == pytest.approx(want, rel=1e-9)
+    assert got.std_error <= 1e-6 * want
 
 
 def sup_rows(fbar, X):
@@ -573,12 +636,15 @@ class TestRsMulti:
         simplex_chi = make_fn("indicator", cc.simplex(2))
         v = iq.check_rs_multi([simplex_chi, simplex_chi], inner_samples=2_000)
         assert v.metadata["route"] == "meeting-volume"
+        assert v.metadata["sup_route"] == "mixture-mc"
         assert v.metadata["l1_norm"] == pytest.approx(3.0, abs=1e-12)
         assert v.rhs.value == pytest.approx(1.5, abs=1e-12)
 
     def test_chi_pair_equality(self):
         v = iq.check_rs_multi([chi, chi])
         assert v.status == iq.EQUALITY
+        assert v.metadata["sup_route"] == "breakpoint-gauss"
+        assert v.metadata["sup_evals"] > 0
         assert v.rhs.value == pytest.approx(2.0, rel=1e-12)
         assert v.lhs.value == pytest.approx(2.0, rel=0.05)
 
@@ -596,7 +662,26 @@ class TestRsMulti:
         assert v.status == iq.HOLDS
         assert v.rhs.value == pytest.approx(8.0, rel=1e-12)
         assert abs(v.lhs.value - 2.0) <= 4.0 * v.lhs.std_error
-        assert v.metadata["sup_norm"] == pytest.approx(1.0, rel=0.03)
+        assert v.metadata["sup_norm"] == pytest.approx(1.0, rel=1e-9)
+        # the sup value is the deterministic rule at the search's argmax
+        at_argmax = iq.int_convolution([two_sided, two_sided],
+                                       v.metadata["sup_argmax"])
+        assert v.metadata["sup_norm"] == at_argmax.value
+
+    def test_polygon_and_disc_take_steiner(self):
+        # {x : P meets x + B} = P - B, of area area(P) + r per(P) + pi r^2,
+        # with the polygon first or second
+        square_chi = make_fn("indicator", cc.cube(2, 1.0))
+        tri_chi = make_fn("indicator", cc.simplex(2), amplitude=2.0)
+        small = make_fn("indicator", cc.ball(2, 0.5, center=[0.1, 0.0]))
+        tri_area = 2.0 * (0.5 + 0.5 * (2.0 + math.sqrt(2.0)) + 0.25 * math.pi)
+        for fbar, area in (([square_chi, disc_chi], 12.0 + math.pi),
+                           ([disc_chi, square_chi], 12.0 + math.pi),
+                           ([small, tri_chi], tri_area)):
+            l1, info = iq._star_l1(fbar, iq._factor_boxes(fbar), 0, None)
+            assert info["route"] == "steiner"
+            assert l1.value == pytest.approx(area, rel=1e-12)
+            assert l1.std_error == 0.0
 
     def test_budget_guard(self):
         with pytest.raises(ValueError):
