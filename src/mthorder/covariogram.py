@@ -361,7 +361,7 @@ def _cov_fn_levelset(f: LogConcaveFunction, xb: MVector, seed: int,
     # a ball meeting three or more distinct translates has Monte Carlo inner
     # volumes: fixed Gauss grid with independent per-node seeds, so
     # adaptivity never chases the noise
-    nodes, weights = gauss_panels(r_lo, r_hi, panels=32, order=8)
+    nodes, weights = gauss_panels(np.linspace(r_lo, r_hi, 33), order=8)
     budget = samples or default_mc_samples(xb.total_dim)
     per_node = max(1000, budget // len(nodes))
     total = 0.0

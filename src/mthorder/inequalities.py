@@ -48,8 +48,9 @@ from . import projection as proj
 from . import starbodies as sb
 from .convexcore import ConvexBody
 from .lcfun import ZERO_P_WINDOW, LogConcaveFunction
-from .numerics import (EstimateWithError, combine_sigma, make_rng, max_slack,
-                       maximize_logconcave, minimize_convex)
+from .numerics import (EstimateWithError, combine_sigma, gauss_panels,
+                       make_rng, max_slack, maximize_logconcave,
+                       minimize_convex)
 
 HOLDS = "holds"
 EQUALITY = "holds_with_equality"
@@ -407,24 +408,24 @@ def _int_convolution(fbar, boxes, offsets, seed: int,
     return _mixture_mc(fbar, boxes, offsets, box, seed, samples)
 
 
+def _graded_edges(levels: int) -> np.ndarray:
+    """[0, 2^-(L-1), ..., 1/2, 1]: L panels on [0, 1] graded toward 0."""
+    return np.append(0.0, 0.5 ** np.arange(levels)[::-1])
+
+
 def _graded_half_rule():
-    """Nodes u in (0, 1) with the weights of two composite Gauss-Legendre
-    rules on [0, 1] graded toward u = 0: panels [2^-k, 2^-(k-1)] for
-    0 < k < L and [0, 2^-(L-1)], at L = _GRADING_LEVELS (fine) and at half
-    that (coarse).  The coarse rule shares all but its innermost panel."""
-    x, w = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
-    coarse = _GRADING_LEVELS // 2
-    upper = 0.5 ** np.arange(_GRADING_LEVELS)
-    lower = np.append(upper[1:], 0.0)
-    upper = np.append(upper, upper[coarse - 1])
-    lower = np.append(lower, 0.0)
-    half = 0.5 * (upper - lower)
-    nodes = (0.5 * (upper + lower))[:, None] + half[:, None] * x
-    weights = half[:, None] * w
-    panel = np.arange(len(upper))[:, None]
-    in_fine = panel < _GRADING_LEVELS
-    in_coarse = (panel < coarse - 1) | (panel == _GRADING_LEVELS)
-    return nodes.ravel(), (weights * in_fine).ravel(), (weights * in_coarse).ravel()
+    """Nodes u in (0, 1) with the weights of the composite Gauss-Legendre
+    rules on `_graded_edges` at L = _GRADING_LEVELS (fine) and at half that
+    (coarse).  The coarse rule shares every panel but its innermost, whose
+    nodes are appended."""
+    nodes, fine = gauss_panels(_graded_edges(_GRADING_LEVELS), _GAUSS_ORDER)
+    c_nodes, c_weights = gauss_panels(_graded_edges(_GRADING_LEVELS // 2),
+                                      _GAUSS_ORDER)
+    cut = 0.5 ** (_GRADING_LEVELS // 2 - 1)
+    inner = c_nodes < cut
+    return (np.concatenate([nodes, c_nodes[inner]]),
+            np.concatenate([fine, np.zeros(inner.sum())]),
+            np.concatenate([np.where(nodes > cut, fine, 0.0), c_weights[inner]]))
 
 
 _HALF_NODES, _HALF_FINE, _HALF_COARSE = _graded_half_rule()
@@ -602,14 +603,13 @@ def check_rs_multi(fbar, seed: int = 0, outer_samples: int | None = None,
                    inner_samples: int | None = None) -> Verdict:
     """||(fbar)_oplus_m||_inf * ||(fbar)_star_m||_1 <= binom * prod ||f_i||_inf ||f_i||_1.
 
-    The sup norm is a compass search over x of the int-convolution.  In one
-    dimension that is the deterministic breakpoint rule of `int_convolution`
-    (route `breakpoint-gauss`; `inner_samples` unused), and the sup value
-    is that rule at the search's argmax.  Above one dimension every call is
-    a mixture Monte Carlo over `inner_samples` draws (`mixture-mc`), and
-    the sup value a fresh 4 x `inner_samples` estimate at the argmax with
-    seed + 1, so the search's selection bias does not enter it.
-    metadata["sup_evals"] counts the objective calls.
+    The sup norm is a compass search over x of the int-convolution: the
+    deterministic breakpoint rule of `int_convolution` in one dimension
+    (route `breakpoint-gauss`; `inner_samples` unused), a mixture Monte
+    Carlo over `inner_samples` draws above it (`mixture-mc`).  The sup
+    value is `int_convolution` re-evaluated at the search's argmax with
+    seed + 1 and 4 x `inner_samples`, so Monte Carlo selection bias does
+    not enter it.  metadata["sup_evals"] counts the objective calls.
     """
     fbar, n, m = _validated_tuple(fbar)
     if n * m > 4:
@@ -635,10 +635,7 @@ def check_rs_multi(fbar, seed: int = 0, outer_samples: int | None = None,
                                         max_evals=2_000)
     else:
         x_star = best
-    if n == 1:
-        sup_est = _int_convolution(fbar, boxes, _offsets(fbar, x_star), seed, inner)
-    else:
-        sup_est = int_convolution(fbar, x_star, seed=seed + 1, samples=4 * inner)
+    sup_est = int_convolution(fbar, x_star, seed=seed + 1, samples=4 * inner)
 
     l1_est, info = _star_l1(fbar, boxes, seed, outer_samples)
     lhs = EstimateWithError(

@@ -171,10 +171,10 @@ def _quad(fn, a, b, cfg):
     return est
 
 
-def gauss_panels(a: float, b: float, panels: int, order: int = 16):
-    """Composite Gauss-Legendre nodes and weights on [a, b] (fixed grid)."""
+def gauss_panels(edges, order: int = 16):
+    """Composite Gauss-Legendre nodes and weights on the panels between
+    consecutive entries of the increasing array `edges`."""
     x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(a, b, panels + 1)
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)

@@ -172,7 +172,7 @@ def layer_cake_ray(f: LogConcaveFunction, m: int, theta, seed: int = 0,
     weight = f.amplitude * prof.phi0 * vol / f.mass()
     cut = float(prof.value(cov.profile_cut(prof, n, f.amplitude * vol))) / prof.phi0
     depth = max(_LEVEL_DEPTH, -math.log(cut)) if cut > 0.0 else _LEVEL_DEPTH
-    unit, unit_w = gauss_panels(0.0, 1.0, _LEVEL_PANELS)
+    unit, unit_w = gauss_panels(np.linspace(0.0, 1.0, _LEVEL_PANELS + 1))
 
     def section(r, body_psi):
         with np.errstate(divide="ignore"):
