@@ -128,6 +128,15 @@ def box_rates(lo, hi, blocks) -> np.ndarray:
     return np.ptp(np.vstack([np.zeros(len(lo)), blocks]), axis=0) / (hi - lo)
 
 
+def lens(n: int, u):
+    """vol(B cap (B + x)) / vol(B) for a ball B in R^n and |x| = 2u radius(B):
+    twice a cap, the regularized incomplete beta I_{1-u^2}((n+1)/2, 1/2),
+    and 0 for u >= 1.  Accepts scalars or arrays."""
+    u = np.minimum(np.abs(np.asarray(u, dtype=float)), 1.0)
+    out = special.betainc(0.5 * (n + 1), 0.5, (1.0 - u) * (1.0 + u))
+    return out if out.ndim else float(out)
+
+
 def _ball_cov(K: ConvexBody, xb: MVector, seed: int, samples) -> EstimateWithError:
     r = K.radius
     pts = np.vstack([np.zeros(K.dim), xb.blocks])
@@ -137,16 +146,8 @@ def _ball_cov(K: ConvexBody, xb: MVector, seed: int, samples) -> EstimateWithErr
     if len(pts) == 1:
         return cc.volume(K)
     if len(pts) == 2:
-        d = float(np.linalg.norm(pts[1] - pts[0]))
-        if d >= 2.0 * r:
-            return EstimateWithError(0.0, 0.0, 0)
-        if K.dim == 2:
-            area = (2.0 * r * r * math.acos(d / (2.0 * r))
-                    - 0.5 * d * math.sqrt(4.0 * r * r - d * d))
-            return EstimateWithError(area, 0.0, 0)
-        if K.dim == 3:
-            return EstimateWithError(
-                math.pi * (2.0 * r - d) ** 2 * (4.0 * r + d) / 12.0, 0.0, 0)
+        u = float(np.linalg.norm(pts[1] - pts[0])) / (2.0 * r)
+        return EstimateWithError(cc.volume(K).value * lens(K.dim, u), 0.0, 0)
     centers = K.center + pts
     lo = centers.max(axis=0) - r
     hi = centers.min(axis=0) + r

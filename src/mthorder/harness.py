@@ -257,7 +257,7 @@ def _jobs_chain(seed, samples):
         lhs = (ml.c_const(0.0) * f_gauss.radial_factor(-1.0)
                * sb.limit_body_minus1(ray))
         rhs = f_gauss.mass() / proj.ppb_gauge_fn(f_gauss, 1, [1.0])
-        near = (iq.chain_normalizer(-0.99, 0.0) * f_gauss.radial_factor(-0.99)
+        near = (ml.binom_root(-0.99, 0.0) * f_gauss.radial_factor(-0.99)
                 * sb.radial_from_ray(ray, -0.99).value)
         return [
             _identity_verdict("chain-endpoint[gaussian]", lhs, rhs, 1e-2,

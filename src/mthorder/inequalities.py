@@ -39,7 +39,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from . import convexcore as cc
 from . import covariogram as cov
@@ -716,17 +715,6 @@ def check_tangent_bound(f: LogConcaveFunction, m: int, points,
 # the normalized radial chain
 
 
-def chain_normalizer(p: float, s: float) -> float:
-    """Normalizing factor for the radial chain: the generalized binomial
-    coefficient to the power 1/p, continued through p = 0 by its limit."""
-    if s < 0.0:
-        raise ValueError("concavity index must be nonnegative")
-    if abs(p) <= ZERO_P_WINDOW:
-        tilt = float(special.digamma(1.0 / s + 1.0)) if s > 0.0 else 0.0
-        return math.exp(tilt + float(np.euler_gamma))
-    return ml.binom_gen(p, s) ** (1.0 / p)
-
-
 def check_chain(source, m: int, p_grid, directions=None, seed: int = 0,
                 samples: int | None = None, nodes: int = 256) -> list[Verdict]:
     """Normalized radial mean bodies shrink as p grows: one inclusion verdict
@@ -764,7 +752,7 @@ def check_chain(source, m: int, p_grid, directions=None, seed: int = 0,
     def level(k: int, p: float) -> EstimateWithError:
         key = (id(rays[k]), p)
         if key not in cache:
-            norm = chain_normalizer(p, s) * factor(p)
+            norm = ml.binom_root(p, s) * factor(p)
             cache[key] = sb.radial_from_ray(rays[k], p).scaled(norm)
         return cache[key]
 

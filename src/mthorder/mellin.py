@@ -5,7 +5,12 @@ excluded: directly for p > 0, and through the subtracted integral
 int t^(p-1) (psi(t) - psi(0)) dt for p in (-1, 0).  Every call runs two
 independent routes -- the branch integral and the integrated-by-parts form
 (1/p) int (-psi'(t)) t^p dt -- and cross-checks them against each other and
-against the closed form when the profile kind has one.
+against the closed form when the profile kind has one.  Piecewise polynomial
+profiles (`from_ppoly`, and `from_table` through its Pchip interpolant) are
+integrated knot by knot, exactly up to rounding; closed-form profiles by
+adaptive quadrature with the t^p weight absorbed by substitution.  A profile
+of finite support is measured in units of its support, so no power of a
+large radius overflows.
 
 On top of the transform sit the normalized means I_p (with a log-moment
 branch at p = 0), generalized binomial coefficients, and the Berwald-type
@@ -21,18 +26,18 @@ from typing import Callable
 
 import numpy as np
 from scipy import special
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import PchipInterpolator, PPoly
 
 from .lcfun import ZERO_P_WINDOW, NonIntegrableError, Profile
-from .numerics import QuadratureConfig, integrate_1d
+from .numerics import QuadratureConfig, gauss_panels, integrate_1d
 
 _ROUTE_AGREEMENT = 1e-6    # required relative match between the two routes
-_SMALL_P = 0.05            # below this the direct t^(p-1) substitution underflows
+_SMALL_P = 0.05            # below this the transform takes the subtracted form
 _TAIL_EPS = 1e-18          # pointwise envelope level used to place the horizon
+_T_FLOOR = 1e-150          # relative radius below which t^k-weighted integrands are frozen
 _EULER = float(np.euler_gamma)
 
 _DEFAULT_CFG = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-13)
-_GL8 = np.polynomial.legendre.leggauss(8)
 
 
 @dataclass(frozen=True)
@@ -43,7 +48,9 @@ class MellinProfile:
     drop(t) = psi(t) - psi(0) is evaluated cancellation-free near 0.
     Jump discontinuities of psi contribute point masses of -psi' recorded in
     `atoms` as (location, mass) pairs.  `pmellin`, when present, is the
-    closed form p -> p * M(psi)(p) used as an extra cross-check.
+    closed form p -> p * M(psi)(p) / s^p used as an extra cross-check, where
+    the scale s is the support radius when it is finite and 1 otherwise;
+    every route measures t in units of s, so no s^p is ever formed.
     `cutoff(p)` returns a horizon beyond which t^(p-1) psi(t) is negligible,
     and `deriv_exponent` is the power e with -psi'(t) ~ t^e as t -> 0+.
     Exponents are admissible on p > max(-1, min_p).
@@ -62,7 +69,7 @@ class MellinProfile:
     pmellin: Callable | None = None
     deriv_exponent: float = 0.0
     min_p: float = -1.0
-    spline: object = None      # drop interpolant for table profiles (knot-exact routes)
+    spline: PPoly | None = None   # psi(support_radius * u) on [0, 1], for knot-exact routes
 
 
 # ---------------------------------------------------------------------------
@@ -143,39 +150,63 @@ def from_table(ts, vals) -> MellinProfile:
         raise ValueError("nodes must start at 0 and increase strictly")
     if not np.all(np.isfinite(vals)) or np.any(vals < 0) or vals[0] <= 0:
         raise ValueError("values must be finite, nonnegative, positive at 0")
+    return replace(from_ppoly(PchipInterpolator(ts, vals)), kind="table")
 
-    psi0 = float(vals[0])
-    support = float(ts[-1])
-    dip = PchipInterpolator(ts, vals - psi0)      # first segment starts at 0: no cancellation
-    ddip = dip.derivative()
 
-    def drop(t):
-        t = np.asarray(t, dtype=float)
-        out = np.where(t > support, -psi0, dip(np.clip(t, 0.0, support)))
-        return out if out.ndim else float(out)
+def from_ppoly(pp: PPoly) -> MellinProfile:
+    """Profile of a piecewise polynomial on knots 0 = x_0 < ... < x_N, zero
+    beyond x_N; a nonzero value at x_N is an atom of -psi'.
 
-    def value(t):
-        return psi0 + drop(t)
+    Every route integrates it knot by knot (`_weighted_knot_integral`) on
+    the unit support, so its transforms are exact up to rounding for any
+    size and exponent.  The maximum is taken over the knots and the interior
+    critical points.
+    """
+    knots = pp.x
+    if knots[0] != 0.0 or not np.all(np.isfinite(pp.c)):
+        raise ValueError("a profile polynomial starts at 0 and has finite coefficients")
+    support = float(knots[-1])
+    psi0 = float(pp.c[-1, 0])
+    dip = _minus(pp, psi0)          # first piece has constant term 0: no cancellation
+    dpp = pp.derivative()
+    at_knots = pp(knots)
+    # a piece rises above the knot values only if its bound sum_j |c_j| h^j
+    # does; critical points are sought on those pieces alone
+    powers = np.arange(len(pp.c) - 1, -1, -1)[:, None]
+    reach = np.sum(np.abs(pp.c) * np.diff(knots) ** powers, axis=0)
+    dc = dpp.c.copy()
+    dc[:, reach <= at_knots.max()] = 0.0
+    crit = PPoly.construct_fast(dc, knots).roots(extrapolate=False)
+    sup = float(np.max(pp(np.concatenate([knots, crit[np.isfinite(crit)]]))))
+    last = float(at_knots[-1])
 
-    def neg_derivative(t):
-        t = np.asarray(t, dtype=float)
-        out = np.where(t > support, 0.0, -ddip(np.clip(t, 0.0, support)))
-        return out if out.ndim else float(out)
+    def inside(spline, beyond):
+        def f(t):
+            t = np.asarray(t, dtype=float)
+            out = np.where(t > support, beyond, spline(np.clip(t, 0.0, support)))
+            return out if out.ndim else float(out)
+        return f
 
-    atoms = ((support, float(vals[-1])),) if vals[-1] > 0 else ()
     return MellinProfile(
-        kind="table",
-        value=value,
-        drop=drop,
-        neg_derivative=neg_derivative,
+        kind="ppoly",
+        value=inside(pp, 0.0),
+        drop=inside(dip, -psi0),
+        neg_derivative=inside(lambda t: -dpp(t), 0.0),
         psi0=psi0,
-        slope0=float(ddip(0.0)),
-        sup=float(np.max(vals)),
+        slope0=float(dpp(0.0)),
+        sup=sup,
         support_radius=support,
         cutoff=lambda p: support,
-        atoms=atoms,
-        spline=dip,
+        atoms=((support, last),) if last > 0.0 else (),
+        spline=PPoly.construct_fast(pp.c * support ** powers, knots / support),
     )
+
+
+def _minus(pp: PPoly, c0: float) -> PPoly:
+    """pp - c0 as a piecewise polynomial on the same knots."""
+    c = pp.c.copy()
+    c[-1] -= c0
+    return PPoly.construct_fast(c, pp.x)
 
 
 def _drop_of(prof: Profile, scale: float, amplitude: float) -> Callable:
@@ -241,7 +272,8 @@ def _closed_form(prof: Profile, scale: float, amplitude: float) -> Callable:
         n, a = prof.ambient_dim, abs(prof.param)
         c = n / a
         core = lambda p: math.exp(c + lg(p / a + 1.0) - (p / a) * math.log(c))
-    return lambda p: amplitude * scale ** p * core(p)
+    unit = scale if math.isinf(prof.support_radius) else 1.0   # see MellinProfile
+    return lambda p: amplitude * unit ** p * core(p)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +282,17 @@ def _closed_form(prof: Profile, scale: float, amplitude: float) -> Callable:
 
 def mellin(psi: MellinProfile, p: float, cfg: QuadratureConfig | None = None) -> float:
     """M(psi)(p) for p in (-1, 0) or p > 0, computed and cross-checked twice."""
-    cfg = cfg or _DEFAULT_CFG
+    return _scale(psi) ** p * _transform(psi, p, cfg or _DEFAULT_CFG)
+
+
+def _scale(psi: MellinProfile) -> float:
+    """The radius the routes measure t in: the support radius when finite
+    (a piecewise polynomial's spline lives on [0, 1]), else 1."""
+    return psi.support_radius if math.isfinite(psi.support_radius) else 1.0
+
+
+def _transform(psi: MellinProfile, p: float, cfg: QuadratureConfig) -> float:
+    """M(psi)(p) / _scale(psi)^p from both routes, reconciled."""
     _require_exponent(psi, p)
     first = _branch_route(psi, p, cfg)
     second = _derivative_route(psi, p, cfg)
@@ -268,27 +310,20 @@ def i_p(psi: MellinProfile, p: float, cfg: QuadratureConfig | None = None) -> fl
     if abs(p) <= ZERO_P_WINDOW:
         _require_peak_at_zero(psi)
         return _log_moment_mean(psi, cfg)
-    pm = p * mellin(psi, p, cfg) / psi.sup
+    pm = p * _transform(psi, p, cfg) / psi.sup
     if not pm > 0.0:
         raise ArithmeticError(f"p*M = {pm:g} is not positive; cannot take the 1/p power")
-    return pm ** (1.0 / p)
+    return _scale(psi) * pm ** (1.0 / p)
 
 
 def berwald_g(psi: MellinProfile, p: float, s: float) -> float:
-    """G(psi, p, s) = binom_gen(p, s)^(1/p) * i_p(psi); limit expression at p = 0.
+    """G(psi, p, s) = binom_root(p, s) * i_p(psi).
 
     Nonincreasing in p when psi is s-concave with its maximum at 0, and
     constant exactly on the family psi(0) * (1 - t/alpha)_+^(1/s)
     (exponential psi(0) e^(-t/alpha) at s = 0).
     """
-    if s < 0:
-        raise ValueError("concavity index s must be nonnegative")
-    if not math.isfinite(p) or p <= -1.0:
-        raise ValueError("berwald_g needs a finite exponent p > -1")
-    if abs(p) <= ZERO_P_WINDOW:
-        tilt = special.digamma(1.0 / s + 1.0) if s > 0 else 0.0
-        return math.exp(tilt + _EULER) * i_p(psi, 0.0)
-    return binom_gen(p, s) ** (1.0 / p) * i_p(psi, p)
+    return binom_root(p, s) * i_p(psi, p)
 
 
 def binom_gen(p: float, s: float) -> float:
@@ -302,6 +337,18 @@ def binom_gen(p: float, s: float) -> float:
     r = 1.0 / s
     return math.exp(special.gammaln(r + p + 1.0) - special.gammaln(p + 1.0)
                     - special.gammaln(r + 1.0))
+
+
+def binom_root(p: float, s: float) -> float:
+    """binom_gen(p, s)^(1/p), the normalizer of the radial chain and of G,
+    continued through p = 0 (within ZERO_P_WINDOW) by its limit
+    exp(digamma(1/s + 1) + euler_gamma), exp(euler_gamma) at s = 0."""
+    if s < 0:
+        raise ValueError("concavity index s must be nonnegative")
+    if abs(p) <= ZERO_P_WINDOW:
+        tilt = float(special.digamma(1.0 / s + 1.0)) if s > 0 else 0.0
+        return math.exp(tilt + _EULER)
+    return binom_gen(p, s) ** (1.0 / p)
 
 
 def c_const(s: float) -> float:
@@ -333,10 +380,20 @@ def _require_peak_at_zero(psi: MellinProfile) -> None:
         raise ValueError("p <= 0 needs the profile maximum at t = 0")
 
 
-def _with_singularity(cfg: QuadratureConfig, e: float | None) -> QuadratureConfig:
-    if e is not None and e >= 0.0:
-        e = None
-    return replace(cfg, singular_exponent=e)
+def _power_quad(g: Callable, k: float, horizon: float, cfg: QuadratureConfig) -> float:
+    """int_0^horizon t^k g(t) dt for k > -1 and g bounded near 0.
+
+    For k < 0 the substitution w = (t / horizon)^(k+1) absorbs the weight,
+    horizon^(k+1) / (k+1) int_0^1 g(t(w)) dw, so no power of a tiny t is
+    formed even as k -> -1; g is taken at t >= _T_FLOOR * horizon, below
+    which t(w) would underflow.
+    """
+    if k >= 0.0:
+        return integrate_1d(lambda t: float(g(t)) * t ** k, 0.0, horizon, cfg).value
+    a = 1.0 / (k + 1.0)
+    floor = _T_FLOOR * horizon
+    inner = integrate_1d(lambda w: float(g(max(horizon * w ** a, floor))), 0.0, 1.0, cfg)
+    return horizon ** (k + 1.0) * a * inner.value
 
 
 def _weighted_knot_integral(pp, alpha: float, with_log: bool = False) -> float:
@@ -344,28 +401,22 @@ def _weighted_knot_integral(pp, alpha: float, with_log: bool = False) -> float:
 
     The first interval starts at t = 0 and owns the t^alpha endpoint behavior;
     there the local power-basis coefficients give the integral analytically.
-    Away from zero the integrand is smooth per interval, so knot-aligned
-    Gauss-Legendre is exact to rounding.
+    Every other interval is cut at doublings of its left end, so t^alpha is
+    smooth on each panel (an end at most twice the other), and Gauss-Legendre
+    of at least the pieces' degree is exact to rounding there.
     """
-    knots = pp.x
-    degree = pp.c.shape[0] - 1
-    first = 0.0
-    b = knots[1]
-    for m in range(degree + 1):
-        cm = float(pp.c[m, 0])
-        if cm == 0.0:
-            continue
-        q = (degree - m) + alpha + 1.0
-        if with_log:
-            first += cm * b ** q * (q * math.log(b) - 1.0) / (q * q)
-        else:
-            first += cm * b ** q / q
-    x, w = _GL8
+    knots, c = pp.x, pp.c
+    q = np.arange(len(c) - 1, -1, -1) + alpha + 1.0      # first piece: t^(q-1) terms
+    b = float(knots[1])
+    first = float(c[:, 0] @ (b ** q * (q * math.log(b) - 1.0) / (q * q) if with_log
+                             else b ** q / q))
     lo, hi = knots[1:-1], knots[2:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = (mid[:, None] + half[:, None] * x).ravel()
-    weights = (half[:, None] * w).ravel()
+    if lo.size == 0:
+        return first
+    cuts = [a * 2.0 ** np.arange(1, math.ceil(math.log2(b / a)))
+            for a, b in zip(lo[hi > 2.0 * lo], hi[hi > 2.0 * lo])]
+    edges = np.sort(np.concatenate([knots[1:], *cuts]))
+    nodes, weights = gauss_panels(edges, order=max(8, len(c) - 1))
     vals = pp(nodes) * nodes ** alpha
     if with_log:
         vals = vals * np.log(nodes)
@@ -373,45 +424,45 @@ def _weighted_knot_integral(pp, alpha: float, with_log: bool = False) -> float:
 
 
 def _branch_route(psi: MellinProfile, p: float, cfg: QuadratureConfig) -> float:
-    horizon = float(psi.cutoff(p))
     if psi.spline is not None:
-        return psi.psi0 * horizon ** p / p + _weighted_knot_integral(psi.spline, p - 1.0)
+        if p > 0.0:
+            return _weighted_knot_integral(psi.spline, p - 1.0)
+        return psi.psi0 / p + _weighted_knot_integral(_minus(psi.spline, psi.psi0), p - 1.0)
+    s = _scale(psi)
+    horizon = float(psi.cutoff(p)) / s
     if p >= _SMALL_P:
-        e = p - 1.0 if p < 1.0 else None
-        est = integrate_1d(lambda t: t ** (p - 1.0) * float(psi.value(t)),
-                           0.0, horizon, _with_singularity(cfg, e))
-        return est.value
+        return _power_quad(lambda u: psi.value(s * u), p - 1.0, horizon, cfg)
     # subtracted form: exact for p in (-1, 0), and for 0 < p < _SMALL_P the
     # identity int_0^T t^(p-1) psi = psi(0) T^p / p + int_0^T t^(p-1) (psi - psi(0))
-    # avoids the underflowing t = u^(1/p) substitution.
-    e = p + psi.deriv_exponent if p < 0.0 else None
-    est = integrate_1d(lambda t: t ** (p - 1.0) * float(psi.drop(t)),
-                       0.0, horizon, _with_singularity(cfg, e))
-    return psi.psi0 * horizon ** p / p + est.value
+    # keeps the integrand bounded; drop(t) ~ t^(1 + deriv_exponent) at 0.
+    e = psi.deriv_exponent
+    return psi.psi0 * horizon ** p / p + _power_quad(
+        lambda u: psi.drop(s * u) / u ** (1.0 + e), p + e, horizon, cfg)
 
 
 def _derivative_route(psi: MellinProfile, p: float, cfg: QuadratureConfig) -> float:
+    s = _scale(psi)
     if psi.spline is not None:
         quad_part = -_weighted_knot_integral(psi.spline.derivative(), p)
     else:
-        horizon = float(psi.cutoff(p))
-        e = p + psi.deriv_exponent if p < 0.0 else None
-        quad_part = integrate_1d(lambda t: float(psi.neg_derivative(t)) * t ** p,
-                                 0.0, horizon, _with_singularity(cfg, e)).value
-    total = quad_part + sum(w * loc ** p for loc, w in psi.atoms)
+        e = psi.deriv_exponent
+        quad_part = _power_quad(lambda u: s * psi.neg_derivative(s * u) / u ** e,
+                                p + e, float(psi.cutoff(p)) / s, cfg)
+    total = quad_part + sum(w * (loc / s) ** p for loc, w in psi.atoms)
     return total / p
 
 
 def _log_moment_mean(psi: MellinProfile, cfg: QuadratureConfig) -> float:
+    s = _scale(psi)
     if psi.spline is not None:
         quad_part = -_weighted_knot_integral(psi.spline.derivative(), 0.0, with_log=True)
     else:
-        horizon = float(psi.cutoff(1.0))
-        e = psi.deriv_exponent if psi.deriv_exponent < 0.0 else None
-        quad_part = integrate_1d(lambda t: float(psi.neg_derivative(t)) * math.log(t),
-                                 0.0, horizon, _with_singularity(cfg, e)).value
-    total = quad_part + sum(w * math.log(loc) for loc, w in psi.atoms)
-    return math.exp(total / psi.sup)
+        e = psi.deriv_exponent
+        quad_part = _power_quad(
+            lambda u: s * psi.neg_derivative(s * u) / u ** e * math.log(u),
+            e, float(psi.cutoff(1.0)) / s, cfg)
+    total = quad_part + sum(w * math.log(loc / s) for loc, w in psi.atoms)
+    return s * math.exp(total / psi.sup)
 
 
 def _reconcile(label: str, a: float, b: float) -> None:

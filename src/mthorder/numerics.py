@@ -8,6 +8,7 @@ use disjoint streams and still reproduce bit-identical results run to run.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -171,10 +172,18 @@ def _quad(fn, a, b, cfg):
     return est
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre(order: int):
+    """The Gauss-Legendre rule of one order, computed once and read-only."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_panels(edges, order: int = 16):
     """Composite Gauss-Legendre nodes and weights on the panels between
     consecutive entries of the increasing array `edges`."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _legendre(order)
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)

@@ -1,24 +1,27 @@
 """Ball bodies and radial p-th mean bodies, as star-body radial tables.
 
-The radial function of the Ball body of a radial section g (normalized so
-g(0) = sup g = 1) is
+The radial function of the Ball body of a radial section psi (normalized so
+psi(0) = sup psi = 1) is a Mellin mean of the section,
 
-    rho^p = p * int_0^inf r^{p-1} psi(r) dr                 p > 0
-    rho   = exp( int_0^inf (-psi'(r)) log r dr )            p = 0
-    rho^p = p * int_0^inf r^{p-1} (psi(r) - 1) dr           -1 < p < 0
+    rho^p = p int_0^inf r^{p-1} psi(r) dr = int_0^inf r^p (-psi'(r)) dr,
+    log rho = int_0^inf log r (-psi'(r)) dr                 at p = 0,
 
-Radial mean bodies apply this to covariogram sections r -> g_{K,m}(r*theta)
-normalized by vol(K).  On an axis-aligned box K = prod_j [lo_j, hi_j] the
-section is the polynomial
+for every p > -1, which is `mellin.i_p`.  Each ray therefore carries its
+section as a `mellin.MellinProfile`, and `radial_from_ray` is one `i_p` call
+for every kind of ray:
 
-    psi(r) = prod_j (1 - r t_j)_+ = sum_k a_k r^k   on [0, R],  R = 1 / max_j t_j,
-
-with rates t_j = ptp(0, theta_1j, ..., theta_mj) / (hi_j - lo_j) and
-a = np.poly(t), so rho = R (-sum_{k>=1} k a_k R^k / (p + k))^{1/p} for every
-p in (-1, inf) off 0, rho = R exp(sum_{k>=1} a_k R^k / k) at p = 0, and the
-slope at 0 is sum_j t_j.  A ball at m = 1 evaluates its section directly;
-every other body tabulates it once per direction and interpolates, so that
-many p values can reuse one ray.
+* an axis-aligned box K = prod_j [lo_j, hi_j] has the polynomial section
+  prod_j (1 - r t_j)_+ with rates t_j = ptp(0, theta_1j, ..., theta_mj) /
+  (hi_j - lo_j): one piece on [0, R], R = 1 / max_j t_j, with the
+  coefficients of np.poly(t), and slope sum_j t_j at 0;
+* a ball of radius a at m = 1 has the lens section
+  I_{1-(r/2a)^2}((n+1)/2, 1/2) (`covariogram.lens`), with
+  p M(psi)(p) = (2a)^p B((p+1)/2, (n+1)/2) / B(1/2, (n+1)/2) as the closed
+  form that `mellin` checks its quadratures against;
+* every other body tabulates its section once per direction, and the Pchip
+  interpolant of psi^(1/n) with each cubic piece raised to the n-th power is
+  integrated knot by knot, so many p values reuse one ray.  Monte Carlo
+  tables also carry the profiles of psi + sigma and psi - sigma.
 
 A function f = A phi(||x - c||_K) needs no rays of its own.  The layer cake
 g_{f,m}(x) = A int (-phi'(s)) s^n g_{K,m}(x/s) ds factors its radial mean
@@ -33,18 +36,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy import special
+from scipy.interpolate import PchipInterpolator, PPoly
 
 from . import convexcore as cc
 from . import covariogram as cov
+from . import mellin as ml
 from . import projection as proj
 from .convexcore import ConvexBody, UnboundedBodyError
-from .lcfun import ZERO_P_WINDOW, LogConcaveFunction, NonIntegrableError
-from .numerics import (EstimateWithError, QuadratureConfig, combine_sigma,
-                       gauss_panels, integrate_1d, sphere_sample, sphere_surface)
+from .lcfun import ZERO_P_WINDOW, LogConcaveFunction
+from .numerics import (EstimateWithError, combine_sigma, gauss_panels,
+                       sphere_sample, sphere_surface)
 
 _STREAM_STAR_DIRS = 401
 
@@ -65,20 +69,22 @@ def default_direction_count(d: int) -> int:
 class RadialRay:
     """A normalized radial section psi(r) = g(r*theta)/g(0) along one direction.
 
-    psi is a callable accepting scalars or 1-d arrays; support_radius may be
-    inf, in which case tail_radius gives a finite horizon beyond which the
-    section is negligible.  slope0 is |psi'(0+)| where known exactly (the
-    normalized projection-body gauge), sigma an optional pointwise std error.
-    rates, set on box rays only, are the t_j of psi(r) = prod_j (1 - r t_j)_+,
-    from which `radial_from_ray` takes the Ball-body radius in closed form.
+    `profile` is psi as a Mellin profile, and slope0 = |psi'(0+)|, exact (the
+    normalized projection-body gauge).  `envelope`, set on Monte Carlo
+    tables only, holds the profiles of psi + sigma and psi - sigma.
     """
 
-    psi: Callable
-    support_radius: float
-    tail_radius: float
-    slope0: float | None = None
-    sigma: Callable | None = None
-    rates: tuple | None = None
+    profile: ml.MellinProfile
+    slope0: float
+    envelope: tuple = ()
+
+    @property
+    def psi(self):
+        return self.profile.value
+
+    @property
+    def support_radius(self) -> float:
+        return self.profile.support_radius
 
 
 def _body_section_direct(K: ConvexBody, thb: np.ndarray, vol: float,
@@ -93,63 +99,84 @@ def _body_section_direct(K: ConvexBody, thb: np.ndarray, vol: float,
     return section
 
 
-def _interp_section(grid, vals, root_power: float, cutoff: float):
-    interp = PchipInterpolator(grid, np.maximum(vals, 0.0) ** (1.0 / root_power))
-
-    def psi(r):
-        rr = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.where(rr < cutoff,
-                       np.maximum(interp(np.minimum(rr, cutoff * (1 - 1e-15))), 0.0)
-                       ** root_power,
-                       0.0)
-        return out if np.ndim(r) else float(out[0])
-
-    return psi
+def _table_profile(grid, vals, n: int) -> ml.MellinProfile:
+    """The Pchip interpolant of vals^(1/n) on grid, each cubic piece raised to
+    the n-th power: a profile of kind "table", unlike the exact sections."""
+    root = PchipInterpolator(grid, np.clip(vals, 0.0, 1.0) ** (1.0 / n))
+    c = root.c
+    for _ in range(n - 1):
+        prod = np.zeros((len(c) + 3, c.shape[1]))
+        for i, row in enumerate(root.c):
+            prod[i:i + len(c)] += row * c
+        c = prod
+    return replace(ml.from_ppoly(PPoly.construct_fast(c, grid)), kind="table")
 
 
 def _box_ray(lo, hi, blocks) -> RadialRay:
     """The section prod_j (1 - r t_j)_+ of a box along a unit m-direction."""
     rates = cov.box_rates(lo, hi, blocks)
     R = 1.0 / float(rates.max())
+    pp = PPoly.construct_fast(np.poly(rates)[::-1, None].copy(), np.array([0.0, R]))
+    return RadialRay(ml.from_ppoly(pp), float(rates.sum()))
 
-    def psi(r):
-        out = np.prod(np.clip(1.0 - np.multiply.outer(r, rates), 0.0, 1.0), axis=-1)
-        return out if np.ndim(r) else float(out)
 
-    return RadialRay(psi, R, R, float(rates.sum()), None, tuple(rates.tolist()))
+def _lens_ray(n: int, a: float) -> RadialRay:
+    """The lens section of a ball of radius a in R^n at m = 1."""
+    beta = float(special.beta(0.5 * (n + 1), 0.5))
+
+    def drop(t):      # lens - 1 = -I_{u^2}(1/2, (n+1)/2), cancellation-free
+        u = np.minimum(np.asarray(t, dtype=float) / (2.0 * a), 1.0)
+        return -special.betainc(0.5, 0.5 * (n + 1), u * u)
+
+    def neg_derivative(t):
+        u = np.asarray(t, dtype=float) / (2.0 * a)
+        return np.where(u < 1.0, np.maximum(1.0 - u * u, 0.0) ** (0.5 * (n - 1)),
+                        0.0) / (a * beta)
+
+    def pmellin(p):     # p M(psi)(p) / (2a)^p
+        return special.beta(0.5 * (p + 1), 0.5 * (n + 1)) / special.beta(0.5, 0.5 * (n + 1))
+
+    profile = ml.MellinProfile(
+        kind="lens", value=lambda t: cov.lens(n, np.asarray(t) / (2.0 * a)),
+        drop=drop, neg_derivative=neg_derivative, psi0=1.0,
+        slope0=-1.0 / (a * beta), sup=1.0, support_radius=2.0 * a,
+        cutoff=lambda p: 2.0 * a, pmellin=pmellin)
+    return RadialRay(profile, 1.0 / (a * beta))
 
 
 def body_ray(K: ConvexBody, m: int, theta, seed: int = 0,
              samples: int | None = None, nodes: int = 256) -> RadialRay:
     """The normalized covariogram section of a body along one unit direction:
-    prod_j (1 - r t_j)_+ with its rates t for an axis-aligned box, the exact
-    section for a ball at m = 1, else a Pchip table of covariograms at
-    `nodes` radii (`samples` draws each where they are Monte Carlo).
+    the polynomial prod_j (1 - r t_j)_+ for an axis-aligned box, the lens for
+    a ball at m = 1, else a table of covariograms at `nodes` radii
+    (`samples` draws each where they are Monte Carlo).
     """
     th = as_unit(theta, K.dim)
     box = cov.axis_box(K)
     if box is not None:
         return _box_ray(box[0], box[1], th.blocks)
+    if K.kind == "ball" and m == 1:
+        return _lens_ray(K.dim, K.radius)
     vol = cc.volume(K).value
     R = cov.dm_support_radius(K, th)
     slope0 = proj.ppb_gauge_body(K, m, th) / vol
-    if K.kind == "ball" and m == 1:
-        psi = _body_section_direct(K, th.blocks, vol, seed, samples)
-        return RadialRay(psi, R, R, slope0, None)
     grid = np.linspace(0.0, R, nodes)
     vals, sigs = cov.covariogram_body_many(
         K, grid[:, None, None] * th.blocks[None, :, :], seed=seed, samples=samples)
     vals = np.clip(vals / vol, 0.0, 1.0)
     vals[0] = 1.0
-    psi = _interp_section(grid, vals, float(K.dim), R)
-    sigma = None
-    if np.any(sigs > 0.0):
-        lin = PchipInterpolator(grid, sigs / vol)
-        def sigma(r):  # noqa: E306
-            rr = np.atleast_1d(np.asarray(r, dtype=float))
-            out = np.where(rr < R, np.abs(lin(np.minimum(rr, R))), 0.0)
-            return out if np.ndim(r) else float(out[0])
-    return RadialRay(psi, R, R, slope0, sigma)
+    sig = sigs / vol
+    sig[0] = 0.0
+    envelope = () if not np.any(sig > 0.0) else tuple(
+        _table_profile(grid, vals + sign * sig, K.dim) for sign in (1.0, -1.0))
+    return RadialRay(_table_profile(grid, vals, K.dim), slope0, envelope)
+
+
+def _fd_slope(psi, scale: float) -> float:
+    h = 1e-5 * scale
+    d1 = (1.0 - psi(h)) / h
+    d2 = (1.0 - psi(h / 10.0)) / (h / 10.0)
+    return (10.0 * d2 - d1) / 9.0
 
 
 def layer_cake_ray(f: LogConcaveFunction, m: int, theta, seed: int = 0,
@@ -198,11 +225,10 @@ def layer_cake_ray(f: LogConcaveFunction, m: int, theta, seed: int = 0,
     # batches of 256 radii keep the (radius, level) arrays under 1 MB each
     vals = np.concatenate([section(rows, body.psi)
                            for rows in np.array_split(grid, _LAYER_CAKE_NODES // 256)])
-    exact = body.psi if body.rates is not None \
+    exact = body.psi if body.profile.kind != "table" \
         else _body_section_direct(K, th.blocks, vol, seed, samples)
     slope0 = _fd_slope(lambda r: float(section(np.array([r]), exact)[0]), R)
-    return RadialRay(_interp_section(grid, vals, float(n), grid[-1]),
-                     support, grid[-1], slope0, None)
+    return RadialRay(_table_profile(grid, vals, n), slope0)
 
 
 def as_unit(theta, n: int) -> cov.MVector:
@@ -213,120 +239,15 @@ def as_unit(theta, n: int) -> cov.MVector:
 
 
 # ---------------------------------------------------------------------------
-# the three-branch radial formula
-
-
-def _level_radius(psi, horizon: float, level: float) -> float:
-    """First radius at which the nonincreasing section drops to `level`."""
-    if psi(horizon) > level:
-        return horizon
-    lo, hi = 0.0, horizon
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if psi(mid) > level:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-def _fd_slope(psi, scale: float) -> float:
-    h = 1e-5 * scale
-    d1 = (1.0 - psi(h)) / h
-    d2 = (1.0 - psi(h / 10.0)) / (h / 10.0)
-    return (10.0 * d2 - d1) / 9.0
-
-
-def ball_body_radial(psi, p: float, *, support_radius: float = math.inf,
-                     tail_radius: float | None = None,
-                     slope0: float | None = None,
-                     cfg: QuadratureConfig | None = None) -> float:
-    """Radial value of the Ball body of a normalized section (psi(0) = 1).
-
-    p values within 1e-6 of 0 are routed to the p = 0 branch, evaluated as
-    the derivative-weighted log integral after integration by parts (which
-    trades the radial derivative for two ordinary integrals).  The p < 0
-    branch integrates the subtracted section, with the singular segment
-    [0, delta] replaced by its tangent-line model.
-    """
-    if p <= -1.0:
-        raise ValueError("p must exceed -1")
-    T = support_radius if math.isfinite(support_radius) else tail_radius
-    if T is None or not math.isfinite(T) or T <= 0.0:
-        raise NonIntegrableError("section needs a finite integration horizon")
-    cfg = cfg or QuadratureConfig()
-
-    if abs(p) <= ZERO_P_WINDOW:
-        r_half = _level_radius(psi, T, 0.5)
-        near = integrate_1d(lambda r: (psi(r) - 1.0) / r, 0.0, r_half, cfg=cfg)
-        far = integrate_1d(lambda r: psi(r) / r, r_half, T, cfg=cfg)
-        return math.exp(near.value + far.value + math.log(r_half))
-
-    if p >= 0.05:
-        cfg_pos = cfg if p >= 1.0 else replace(cfg, singular_exponent=p - 1.0)
-        inner = integrate_1d(lambda u: float(psi(T * u)) * u ** (p - 1.0),
-                             0.0, 1.0, cfg=cfg_pos)
-        return T * (p * max(inner.value, 0.0)) ** (1.0 / p)
-
-    if p > 0.0:
-        # small positive p: p*int u^{p-1} psi = 1 + p*int u^{p-1}(psi - 1),
-        # whose integrand is bounded; the direct form is ill-conditioned here
-        inner = integrate_1d(lambda u: (float(psi(T * u)) - 1.0) * u ** (p - 1.0),
-                             0.0, 1.0, cfg=cfg)
-        return T * max(1.0 + p * inner.value, 0.0) ** (1.0 / p)
-
-    if slope0 is None:
-        slope0 = _fd_slope(psi, _level_radius(psi, T, 0.99))
-    r99 = _level_radius(psi, T, 0.99)
-    delta = 1e-3 * r99
-    # quadratic correction to the tangent-line model on [0, delta]
-    curv = (float(psi(delta)) - 1.0 + slope0 * delta) / delta ** 2
-    seg = -slope0 * delta ** (p + 1.0) / (p + 1.0) \
-        + curv * delta ** (p + 2.0) / (p + 2.0)
-    mid = integrate_1d(lambda r: r ** (p - 1.0) * (float(psi(r)) - 1.0),
-                       delta, T, cfg=cfg)
-    val = p * (seg + mid.value) + T ** p
-    if val <= 0.0:
-        raise ArithmeticError("subtracted moment came out nonpositive")
-    return val ** (1.0 / p)
-
-
-def _box_radial(ray: RadialRay, p: float) -> float:
-    """rho_p of the polynomial section prod_j (1 - r t_j)_+, term by term."""
-    a = np.poly(ray.rates)[1:]      # a_1 .. a_n; a_0 = 1
-    R = ray.support_radius
-    k = np.arange(1, len(a) + 1)
-    aR = a * R ** k
-    if abs(p) <= ZERO_P_WINDOW:
-        return R * math.exp(float(np.sum(aR / k)))
-    return R * float(-np.sum(k * aR / (p + k))) ** (1.0 / p)
+# Ball-body radii
 
 
 def radial_from_ray(ray: RadialRay, p: float) -> EstimateWithError:
-    """rho of the Ball body of a ray, with an error bar when the ray is noisy.
-
-    A box ray takes the closed form R (-sum_{k>=1} k a_k R^k / (p + k))^{1/p},
-    a = np.poly(rates), or R exp(sum_{k>=1} a_k R^k / k) within ZERO_P_WINDOW
-    of 0; every other ray goes through `ball_body_radial`.
-    """
-    if ray.rates is not None:
-        if p <= -1.0:
-            raise ValueError("p must exceed -1")
-        return EstimateWithError(_box_radial(ray, p), 0.0, 0)
-    kw = dict(support_radius=ray.support_radius, tail_radius=ray.tail_radius,
-              slope0=ray.slope0)
-    rho = ball_body_radial(ray.psi, p, **kw)
-    if ray.sigma is None:
-        return EstimateWithError(rho, 0.0, 0)
-
-    def shifted(sign):
-        def env(r):
-            return np.clip(ray.psi(r) + sign * ray.sigma(r), 0.0, 1.0)
-        return env
-
-    hi = ball_body_radial(shifted(+1.0), p, **kw)
-    lo = ball_body_radial(shifted(-1.0), p, **kw)
-    return EstimateWithError(rho, 0.5 * abs(hi - lo), 0)
+    """rho of the Ball body of a ray, `mellin.i_p` of its profile; the error
+    bar is half the spread of i_p over the envelope profiles of a noisy ray."""
+    rho = ml.i_p(ray.profile, p)
+    bounds = [ml.i_p(env, p) for env in ray.envelope] or [rho]
+    return EstimateWithError(rho, 0.5 * (max(bounds) - min(bounds)), 0)
 
 
 def radial_from_ray_derivative(ray: RadialRay, p: float,
@@ -334,7 +255,7 @@ def radial_from_ray_derivative(ray: RadialRay, p: float,
     """Independent route: integrate r^p against the finite-difference -psi'."""
     if p <= -1.0:
         raise ValueError("p must exceed -1")
-    T = ray.tail_radius
+    T = float(ray.profile.cutoff(max(p, 0.0)))
     power = 2.0 if p >= 0.0 else 4.0
     r = T * np.linspace(0.0, 1.0, nodes) ** power
     vals = ray.psi(r)
@@ -350,12 +271,9 @@ def radial_from_ray_derivative(ray: RadialRay, p: float,
 
 def limit_body_minus1(ray: RadialRay) -> float:
     """rho of the limiting body at p = -1: reciprocal normalized slope at 0+."""
-    s0 = ray.slope0
-    if s0 is None:
-        s0 = _fd_slope(ray.psi, _level_radius(ray.psi, ray.tail_radius, 0.99))
-    if s0 <= 0.0:
+    if ray.slope0 <= 0.0:
         return math.inf
-    return 1.0 / s0
+    return 1.0 / ray.slope0
 
 
 # ---------------------------------------------------------------------------

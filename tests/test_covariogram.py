@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import integrate, optimize
 
 from mthorder import convexcore as cc
 from mthorder.covariogram import (
@@ -19,6 +19,7 @@ from mthorder.covariogram import (
     dm_support_radius,
     dm_support_radius_fn,
     dm_volume,
+    lens,
     meeting_sums,
     meeting_volume,
 )
@@ -146,6 +147,32 @@ class TestBallCovariogram:
         Y = gen.random((400_000, 3)) * [1.0, 2.0, 2.0] + [0.0, -1.0, -1.0]
         p = np.mean((np.sum(Y ** 2, 1) <= 1) & (np.sum((Y - [1, 0, 0]) ** 2, 1) <= 1))
         assert abs(val - 4.0 * p) <= 4.0 * 3 * math.sqrt(p * (1 - p) / 400_000)
+
+    @pytest.mark.parametrize("u", [0.05, 0.3, 0.5, 0.75, 0.9])
+    def test_lens_matches_planar_and_spatial_formulas(self, u):
+        r = 1.3
+        d = 2.0 * r * u
+        disc = 2.0 * r * r * math.acos(u) - 0.5 * d * math.sqrt(4.0 * r * r - d * d)
+        ball = math.pi * (2.0 * r - d) ** 2 * (4.0 * r + d) / 12.0
+        assert covariogram_body(cc.ball(2, r), [d, 0.0]).value == pytest.approx(
+            disc, rel=1e-13)
+        assert covariogram_body(cc.ball(3, r), [0.0, 0.0, d]).value == pytest.approx(
+            ball, rel=1e-13)
+        assert lens(2, u) == pytest.approx(disc / (math.pi * r * r), rel=1e-13)
+
+    @pytest.mark.parametrize("u", [0.1, 0.5, 0.9])
+    def test_lens_in_r4_matches_cap_quadrature(self, u):
+        # two caps of height 1 - u of the unit ball B^4, vol(B^4) = pi^2 / 2
+        caps = 2.0 * (4.0 * math.pi / 3.0) * integrate.quad(
+            lambda x: (1.0 - x * x) ** 1.5, u, 1.0, epsabs=0.0, epsrel=1e-13)[0]
+        est = covariogram_body(cc.ball(4, 1.0), [2.0 * u, 0.0, 0.0, 0.0])
+        assert est.std_error == 0.0
+        assert est.value == pytest.approx(caps, rel=1e-12)
+        assert lens(4, u) == pytest.approx(caps / (0.5 * math.pi ** 2), rel=1e-12)
+
+    def test_lens_vanishes_beyond_contact(self):
+        np.testing.assert_array_equal(lens(3, np.array([1.0, 1.5])), [0.0, 0.0])
+        assert lens(3, 0.0) == 1.0
 
     def test_duplicate_translate_reduces_to_lens(self):
         lens = covariogram_body(cc.ball(2, 1.0), [[1.0, 0.0]]).value

@@ -9,6 +9,7 @@ from scipy import integrate
 import mthorder.convexcore as cc
 import mthorder.covariogram as cov
 import mthorder.inequalities as iq
+import mthorder.mellin as ml
 from mthorder.lcfun import LogConcaveFunction, profile_from_kind
 from mthorder.numerics import EstimateWithError, make_rng
 
@@ -719,28 +720,30 @@ class TestZhangPettyBodies:
 
 
 class TestNormalizer:
+    """`mellin.binom_root`, the normalizer of `check_chain` and `berwald_g`."""
+
     def test_binomial_value(self):
-        assert iq.chain_normalizer(1.0, 0.5) == pytest.approx(3.0, rel=1e-12)
+        assert ml.binom_root(1.0, 0.5) == pytest.approx(3.0, rel=1e-12)
 
     def test_gamma_value(self):
         # Gamma(3)^(-1/2)
-        assert iq.chain_normalizer(2.0, 0.0) == pytest.approx(
+        assert ml.binom_root(2.0, 0.0) == pytest.approx(
             1.0 / math.sqrt(2.0), rel=1e-12)
 
     def test_zero_p_limits(self):
-        assert iq.chain_normalizer(0.0, 0.0) == pytest.approx(
+        assert ml.binom_root(0.0, 0.0) == pytest.approx(
             math.exp(np.euler_gamma), rel=1e-12)
-        assert iq.chain_normalizer(0.0, 1.0) == pytest.approx(math.e, rel=1e-12)
+        assert ml.binom_root(0.0, 1.0) == pytest.approx(math.e, rel=1e-12)
 
     def test_window_snaps_to_limit(self):
-        assert iq.chain_normalizer(1e-9, 0.0) == iq.chain_normalizer(0.0, 0.0)
+        assert ml.binom_root(1e-9, 0.0) == ml.binom_root(0.0, 0.0)
 
     def test_continuity_at_zero(self):
         eps = 1e-5
-        lim = iq.chain_normalizer(0.0, 0.5)
-        assert iq.chain_normalizer(eps, 0.5) == pytest.approx(lim, rel=1e-4)
-        assert iq.chain_normalizer(-eps, 0.5) == pytest.approx(lim, rel=1e-4)
+        lim = ml.binom_root(0.0, 0.5)
+        assert ml.binom_root(eps, 0.5) == pytest.approx(lim, rel=1e-4)
+        assert ml.binom_root(-eps, 0.5) == pytest.approx(lim, rel=1e-4)
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
-            iq.chain_normalizer(1.0, -0.1)
+            ml.binom_root(1.0, -0.1)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
+from scipy.interpolate import PPoly
 
 import mthorder.mellin as ml
 from mthorder.lcfun import NonIntegrableError, Profile
@@ -88,6 +89,34 @@ class TestProfiles:
             ml.from_table(ts, vals)
 
 
+class TestPiecewisePolynomialProfiles:
+    def test_fields_of_a_bump(self):
+        # psi = 1 + t - t^2 on [0, 1.5]: maximum 1.25 inside, 0.25 at the end
+        psi = ml.from_ppoly(PPoly([[-1.0], [1.0], [1.0]], [0.0, 1.5]))
+        assert psi.psi0 == 1.0
+        assert psi.sup == pytest.approx(1.25, rel=1e-14)
+        assert psi.slope0 == 1.0
+        assert psi.atoms == ((1.5, pytest.approx(0.25, rel=1e-14)),)
+        assert psi.value(1.6) == 0.0 and psi.drop(1.6) == -1.0
+        assert psi.neg_derivative(1.0) == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("p", [-0.99, -0.5, 0.5, 3.0])
+    def test_matches_closed_form_of_the_linear_profile(self, p):
+        # (1 - t/2)_+ as two pieces against power(1, scale=2)
+        pp = PPoly([[-0.5, -0.5], [1.0, 0.5]], [0.0, 1.0, 2.0])
+        assert ml.mellin(ml.from_ppoly(pp), p) == pytest.approx(
+            ml.mellin(ml.power(1.0, scale=2.0), p), rel=1e-12)
+
+    def test_large_support_and_exponent_stay_finite(self):
+        psi = ml.from_ppoly(PPoly([[-1.0 / 60.0], [1.0]], [0.0, 60.0]))
+        assert ml.i_p(psi, 400.0) == pytest.approx(60.0 * 401.0 ** (-1.0 / 400.0),
+                                                   rel=1e-12)
+
+    def test_must_start_at_zero(self):
+        with pytest.raises(ValueError):
+            ml.from_ppoly(PPoly([[-1.0], [1.0]], [0.5, 1.0]))
+
+
 class TestMellinTransform:
     @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0])
     def test_exponential_matches_gamma(self, p):
@@ -111,6 +140,14 @@ class TestMellinTransform:
     @pytest.mark.parametrize("p", [-0.9, -0.5, -0.25, -0.049])
     def test_negative_branch_continues_gamma(self, p):
         assert ml.mellin(ml.exponential(), p) == pytest.approx(math.gamma(p), rel=1e-7)
+
+    @pytest.mark.parametrize("make", [ml.exponential, lambda: ml.power(1.0)],
+                             ids=["exponential", "linear"])
+    def test_exponents_next_to_minus_one(self, make):
+        # the t^p weight is absorbed by substitution, so t^(p-1) never overflows
+        for p in (-0.99, -0.999):
+            want = math.gamma(p) if make is ml.exponential else 1.0 / (p * (p + 1.0))
+            assert ml.mellin(make(), p) == pytest.approx(want, rel=1e-8)
 
     def test_power_negative_branch(self):
         assert ml.mellin(ml.power(1.0), -0.5) == pytest.approx(-4.0, rel=1e-9)

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, special
+from scipy.interpolate import PPoly
 from scipy.special import gamma as gamma_fn
 from scipy.stats import norm
 
 import mthorder.convexcore as cc
 import mthorder.covariogram as cov
+import mthorder.mellin as ml
 import mthorder.projection as proj
 import mthorder.starbodies as sb
-from mthorder.lcfun import LogConcaveFunction, NonIntegrableError, profile_from_kind
+from mthorder.lcfun import LogConcaveFunction, profile_from_kind
 from mthorder.numerics import make_rng
 
 EULER_GAMMA = 0.5772156649015329
@@ -24,82 +27,67 @@ def unit_interval():
     return cc.from_halfspaces(np.array([[-1.0], [1.0]]), np.array([0.0, 1.0]))
 
 
-def exp_section(r):
-    return np.exp(-np.asarray(r, dtype=float))
+def triangle():
+    """psi(t) = (1 - t)_+ as a one-piece polynomial profile."""
+    return ml.from_ppoly(PPoly([[-1.0], [1.0]], [0.0, 1.0]))
 
 
 class TestBallBodyRadial:
+    """The Ball-body radius rho_p of a normalized section is `mellin.i_p`."""
+
     def test_exponential_p1(self):
-        got = sb.ball_body_radial(exp_section, 1.0, tail_radius=60.0, slope0=1.0)
-        assert got == pytest.approx(1.0, rel=1e-9)
+        assert ml.i_p(ml.exponential(), 1.0) == pytest.approx(1.0, rel=1e-9)
 
     @pytest.mark.parametrize("p", [0.25, 0.5, 1.0, 2.0, 3.5, 5.0])
     def test_exponential_positive_p_gamma_law(self, p):
-        got = sb.ball_body_radial(exp_section, p, tail_radius=80.0, slope0=1.0)
+        got = ml.i_p(ml.exponential(), p)
         assert got == pytest.approx(gamma_fn(p + 1.0) ** (1.0 / p), rel=1e-8)
 
     def test_exponential_p_minus_half(self):
-        got = sb.ball_body_radial(exp_section, -0.5, tail_radius=80.0, slope0=1.0)
-        assert got == pytest.approx(1.0 / math.pi, rel=1e-6)
+        assert ml.i_p(ml.exponential(), -0.5) == pytest.approx(1.0 / math.pi, rel=1e-6)
 
     @pytest.mark.parametrize("p", [-0.9, -0.5, -0.1])
     def test_exponential_negative_p_gamma_law(self, p):
-        got = sb.ball_body_radial(exp_section, p, tail_radius=120.0, slope0=1.0)
+        got = ml.i_p(ml.exponential(), p)
         assert got == pytest.approx(gamma_fn(p + 1.0) ** (1.0 / p), rel=1e-6)
 
     def test_exponential_p0_euler_constant(self):
-        got = sb.ball_body_radial(exp_section, 0.0, tail_radius=80.0, slope0=1.0)
+        got = ml.i_p(ml.exponential(), 0.0)
         assert got == pytest.approx(math.exp(-EULER_GAMMA), rel=1e-8)
 
     def test_p0_scaling(self):
         for c in [0.5, 3.0]:
-            got = sb.ball_body_radial(lambda r, c=c: np.exp(-c * np.asarray(r)),
-                                      0.0, tail_radius=200.0, slope0=c)
+            got = ml.i_p(ml.exponential(alpha=1.0 / c), 0.0)
             assert got == pytest.approx(math.exp(-EULER_GAMMA) / c, rel=1e-8)
 
     def test_tiny_p_routes_to_zero_branch(self):
-        at_zero = sb.ball_body_radial(exp_section, 0.0, tail_radius=80.0, slope0=1.0)
-        nearby = sb.ball_body_radial(exp_section, 1e-9, tail_radius=80.0, slope0=1.0)
-        assert nearby == at_zero
+        psi = ml.exponential()
+        assert ml.i_p(psi, 1e-9) == ml.i_p(psi, 0.0)
 
     def test_triangular_section_p1(self):
-        tri = lambda r: np.maximum(1.0 - np.asarray(r, dtype=float), 0.0)
-        got = sb.ball_body_radial(tri, 1.0, support_radius=1.0, slope0=1.0)
-        assert got == pytest.approx(0.5, rel=1e-10)
+        assert ml.i_p(triangle(), 1.0) == pytest.approx(0.5, rel=1e-10)
 
     def test_triangular_section_negative_p(self):
         # p * int r^{p-1}(psi - 1) over [0,1] and the constant -1 tail give
         # rho^p = 1/(p+1)
-        tri = lambda r: np.maximum(1.0 - np.asarray(r, dtype=float), 0.0)
         for p in [-0.5, -0.25]:
-            got = sb.ball_body_radial(tri, p, support_radius=1.0, slope0=1.0)
+            got = ml.i_p(triangle(), p)
             assert got == pytest.approx((1.0 / (p + 1.0)) ** (1.0 / p), rel=1e-6)
 
     def test_indicator_section_recovers_cut(self):
-        step = lambda r: np.where(np.asarray(r, dtype=float) < 0.75, 1.0, 0.0)
         for p in [2.0, 0.0, -0.5]:
-            got = sb.ball_body_radial(step, p, support_radius=0.75, slope0=0.0)
-            assert got == pytest.approx(0.75, rel=1e-6)
+            assert ml.i_p(ml.indicator(0.75), p) == pytest.approx(0.75, rel=1e-6)
 
     def test_continuity_across_branches(self):
         eps = 5e-6
-        lo = sb.ball_body_radial(exp_section, -eps, tail_radius=80.0, slope0=1.0)
-        mid = sb.ball_body_radial(exp_section, 0.0, tail_radius=80.0, slope0=1.0)
-        hi = sb.ball_body_radial(exp_section, eps, tail_radius=80.0, slope0=1.0)
-        assert lo == pytest.approx(mid, rel=1e-4)
-        assert hi == pytest.approx(mid, rel=1e-4)
+        psi = ml.exponential()
+        mid = ml.i_p(psi, 0.0)
+        assert ml.i_p(psi, -eps) == pytest.approx(mid, rel=1e-4)
+        assert ml.i_p(psi, eps) == pytest.approx(mid, rel=1e-4)
 
     def test_p_at_most_minus_one_rejected(self):
         with pytest.raises(ValueError):
-            sb.ball_body_radial(exp_section, -1.0, tail_radius=10.0)
-
-    def test_missing_horizon_rejected(self):
-        with pytest.raises(NonIntegrableError):
-            sb.ball_body_radial(exp_section, 1.0)
-
-    def test_slope_free_call_estimates_slope(self):
-        got = sb.ball_body_radial(exp_section, -0.5, tail_radius=80.0)
-        assert got == pytest.approx(1.0 / math.pi, rel=1e-5)
+            ml.i_p(ml.exponential(), -1.0)
 
 
 class TestBodyRays:
@@ -131,7 +119,7 @@ class TestBodyRays:
         # normalized lens area at distance 1
         want = (2.0 * math.acos(0.5) - 0.5 * math.sqrt(3.0)) / math.pi
         assert ray.psi(1.0) == pytest.approx(want, rel=1e-12)
-        assert ray.sigma is None
+        assert ray.envelope == ()
 
 
 def _box(n):
@@ -153,22 +141,39 @@ def _box_directions(n, m):
 _BOX_PS = [-0.99, -0.5, -1e-7, 0.0, 1e-7, 0.5, 1.0, 5.0, 200.0]
 
 
+def _box_reference(rates, p):
+    """rho_p of prod_j (1 - r t_j)_+ by scipy's QAWS quadrature of -psi'
+    against the weight r^p (log r within 1e-6 of p = 0)."""
+    t = np.asarray(rates)
+
+    def neg_slope(r):
+        f = 1.0 - r * t
+        return sum(t[j] * np.prod(np.delete(f, j)) for j in range(len(t)))
+
+    zero = abs(p) <= 1e-6
+    val = integrate.quad(neg_slope, 0.0, 1.0 / t.max(),
+                         weight="alg-loga" if zero else "alg",
+                         wvar=(0.0 if zero else p, 0.0), epsabs=0.0, epsrel=1e-13)[0]
+    return math.exp(val) if zero else val ** (1.0 / p)
+
+
 class TestBoxRays:
-    """Box sections are polynomials: closed-form radii against quadrature."""
+    """Box sections are polynomials: knot-exact radii against quadrature."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("m", [1, 2])
     def test_closed_form_matches_quadrature(self, n, m):
-        rays = [sb.body_ray(_box(n), m, th.ravel()) for th in _box_directions(n, m)]
-        if n > 1:
-            assert rays[1].rates[0] == 0.0
-        for ray in rays:
+        K = _box(n)
+        lo, hi = cc.bounding_box(K)
+        for k, theta in enumerate(_box_directions(n, m)):
+            th = sb.as_unit(theta.ravel(), n)
+            ray = sb.body_ray(K, m, th)
+            rates = cov.box_rates(lo, hi, th.blocks)
+            if k == 1 and n > 1:    # t_0 = 0 drops the top degree
+                assert ray.profile.spline.c[0, 0] == 0.0
             for p in _BOX_PS:
                 got = sb.radial_from_ray(ray, p)
-                want = sb.ball_body_radial(ray.psi, p,
-                                           support_radius=ray.support_radius,
-                                           slope0=ray.slope0)
-                assert got.value == pytest.approx(want, rel=1e-9)
+                assert got.value == pytest.approx(_box_reference(rates, p), rel=1e-9)
                 assert got.std_error == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -185,9 +190,9 @@ class TestBoxRays:
             assert ray.psi(float(r[3])) == pytest.approx(want[3], rel=1e-12)
             assert ray.support_radius == pytest.approx(
                 cov.dm_support_radius(K, th), rel=1e-12)
-            assert sum(ray.rates) == pytest.approx(
+            assert ray.slope0 == pytest.approx(
                 proj.ppb_gauge_body(K, m, th) / vol, rel=1e-12)
-            assert ray.slope0 == sum(ray.rates)
+            assert ray.slope0 == pytest.approx(-ray.profile.slope0, rel=1e-12)
 
     @pytest.mark.parametrize("p", [-0.99, -0.5, 0.5, 1.0, 5.0, 200.0])
     def test_unit_interval_closed_form(self, p):
@@ -203,7 +208,7 @@ class TestBoxRays:
     def test_box_functions_build_no_covariograms(self, monkeypatch):
         import mthorder.inequalities as iq
         calls = {"cov": 0, "quad": 0}
-        cov_many, quad = cov.covariogram_body_many, sb.integrate_1d
+        cov_many, quad = cov.covariogram_body_many, ml.integrate_1d
 
         def counted_cov(*args, **kw):
             calls["cov"] += 1
@@ -214,7 +219,7 @@ class TestBoxRays:
             return quad(*args, **kw)
 
         monkeypatch.setattr(cov, "covariogram_body_many", counted_cov)
-        monkeypatch.setattr(sb, "integrate_1d", counted_quad)
+        monkeypatch.setattr(ml, "integrate_1d", counted_quad)
         chi = LogConcaveFunction(profile_from_kind("indicator", ambient_dim=1),
                                  cc.simplex(1), np.zeros(1))
         dirs = make_rng(0, 3).normal(size=(8, 2))
@@ -226,6 +231,69 @@ class TestBoxRays:
         verdicts = iq.check_chain(gauss, 1, [-0.5, 0.0, 1.0, 2.0])
         assert all(v.status != iq.VIOLATED for v in verdicts)
         assert calls == {"cov": 0, "quad": 0}
+
+
+def _per_knot_radius(ray, knots, p):
+    """rho_p of a ray by scipy quad of r^p (log r within 1e-6 of p = 0)
+    against -psi' on each knot interval, the first with the weight taken
+    exactly (QAWS), plus the atom at the last knot."""
+    zero = abs(p) <= 1e-6
+    nd = ray.profile.neg_derivative
+    total = integrate.quad(nd, 0.0, knots[1], weight="alg-loga" if zero else "alg",
+                           wvar=(0.0 if zero else p, 0.0), epsabs=0.0, epsrel=1e-13)[0]
+    weight = (lambda r: math.log(r)) if zero else (lambda r: r ** p)
+    for a, b in zip(knots[1:-1], knots[2:]):
+        total += integrate.quad(lambda r: nd(r) * weight(r), a, b,
+                                epsabs=0.0, epsrel=1e-13)[0]
+    total += sum(w * weight(loc) for loc, w in ray.profile.atoms)
+    return math.exp(total) if zero else total ** (1.0 / p)
+
+
+class TestTableRays:
+    """Tabulated sections are integrated knot by knot, exactly."""
+
+    @pytest.mark.parametrize("p", [-0.99, -0.5, 0.0, 0.5, 1.0, 5.0, 200.0])
+    def test_polygon_radii_match_per_knot_quadrature(self, p):
+        ray = sb.body_ray(_PENTAGON, 1, [0.6, 0.8])
+        knots = np.linspace(0.0, ray.support_radius, 256)    # body_ray's table
+        got = sb.radial_from_ray(ray, p)
+        assert got.value == pytest.approx(_per_knot_radius(ray, knots, p), rel=1e-10)
+        assert got.std_error == 0.0
+
+    def test_monte_carlo_table_carries_an_envelope(self):
+        ray = sb.body_ray(cc.ball(2, 1.0), 2, [0.6, 0.0, 0.0, 0.8],
+                          samples=4000, nodes=32)
+        assert len(ray.envelope) == 2
+        for p in [-0.5, 0.0, 1.0]:
+            est = sb.radial_from_ray(ray, p)
+            lo, hi = sorted(ml.i_p(env, p) for env in ray.envelope)
+            assert lo <= est.value <= hi
+            assert est.std_error == pytest.approx(0.5 * (hi - lo), rel=1e-12)
+
+
+class TestBallRays:
+    """A ball at m = 1 has the lens section and Beta-function radii."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_radii_match_beta_closed_form(self, n):
+        a = 0.7
+        ray = sb.body_ray(cc.ball(n, a), 1, np.eye(n)[-1])
+        b = 0.5 * (n + 1)
+        for p in [-0.99, -0.5, 0.0, 0.5, 1.0, 5.0, 200.0]:
+            if p == 0.0:
+                want = 2.0 * a * math.exp(0.5 * (special.digamma(0.5)
+                                                 - special.digamma(0.5 + b)))
+            else:
+                want = 2.0 * a * (special.beta(0.5 * (p + 1.0), b)
+                                  / special.beta(0.5, b)) ** (1.0 / p)
+            assert sb.radial_from_ray(ray, p).value == pytest.approx(want, rel=1e-9)
+
+    def test_slope_is_the_projection_gauge(self):
+        K = cc.ball(3, 0.7)
+        th = sb.as_unit([0.0, 0.6, 0.8], 3)
+        ray = sb.body_ray(K, 1, th)
+        want = proj.ppb_gauge_body(K, 1, th) / cc.volume(K).value
+        assert ray.slope0 == pytest.approx(want, rel=1e-12)
 
 
 class TestRadialMeanBodies:
@@ -290,7 +358,7 @@ class TestRadialMeanBodies:
 class TestDerivativeRoute:
     @pytest.mark.parametrize("p", [1.0, 2.0, -0.5, 0.0])
     def test_matches_primary_on_exponential(self, p):
-        ray = sb.RadialRay(exp_section, math.inf, 60.0, 1.0)
+        ray = sb.RadialRay(ml.exponential(), 1.0)
         primary = sb.radial_from_ray(ray, p).value
         oracle = sb.radial_from_ray_derivative(ray, p, nodes=6001)
         assert oracle == pytest.approx(primary, rel=5e-3)
@@ -305,7 +373,7 @@ class TestDerivativeRoute:
 
 class TestLimitBodies:
     def test_exponential_limit(self):
-        ray = sb.RadialRay(exp_section, math.inf, 60.0, 1.0)
+        ray = sb.RadialRay(ml.exponential(), 1.0)
         assert sb.limit_body_minus1(ray) == pytest.approx(1.0)
 
     def test_interval_limit(self):
@@ -316,13 +384,8 @@ class TestLimitBodies:
         ray = sb.body_ray(cc.cube(2, 1.0), 1, [1.0, 0.0])
         assert sb.limit_body_minus1(ray) == pytest.approx(2.0, rel=1e-12)
 
-    def test_slope_estimated_when_missing(self):
-        ray = sb.RadialRay(exp_section, math.inf, 60.0, None)
-        assert sb.limit_body_minus1(ray) == pytest.approx(1.0, rel=1e-6)
-
     def test_flat_section_flags_unbounded(self):
-        flat = lambda r: np.where(np.asarray(r, dtype=float) < 3.0, 1.0, 0.0)
-        ray = sb.RadialRay(flat, 3.0, 3.0, 0.0)
+        ray = sb.RadialRay(ml.indicator(3.0), 0.0)
         assert sb.limit_body_minus1(ray) == math.inf
 
 
