@@ -8,9 +8,9 @@ independent routes -- the branch integral and the integrated-by-parts form
 against the closed form when the profile kind has one.  Piecewise polynomial
 profiles (`from_ppoly`, and `from_table` through its Pchip interpolant) are
 integrated knot by knot, exactly up to rounding; closed-form profiles by
-adaptive quadrature with the t^p weight absorbed by substitution.  A profile
-of finite support is measured in units of its support, so no power of a
-large radius overflows.
+adaptive quadrature, `integrate_1d` absorbing the t^p weight by substitution.
+A profile of finite support is measured in units of its support, so no power
+of a large radius overflows.
 
 On top of the transform sit the normalized means I_p (with a log-moment
 branch at p = 0), generalized binomial coefficients, and the Berwald-type
@@ -28,13 +28,13 @@ import numpy as np
 from scipy import special
 from scipy.interpolate import PchipInterpolator, PPoly
 
+from . import covariogram as cov
 from .lcfun import ZERO_P_WINDOW, NonIntegrableError, Profile
 from .numerics import QuadratureConfig, gauss_panels, integrate_1d
 
 _ROUTE_AGREEMENT = 1e-6    # required relative match between the two routes
 _SMALL_P = 0.05            # below this the transform takes the subtracted form
 _TAIL_EPS = 1e-18          # pointwise envelope level used to place the horizon
-_T_FLOOR = 1e-150          # relative radius below which t^k-weighted integrands are frozen
 _EULER = float(np.euler_gamma)
 
 _DEFAULT_CFG = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-13)
@@ -138,6 +138,34 @@ def power(s: float, scale: float = 1.0, amplitude: float = 1.0) -> MellinProfile
 def indicator(radius: float = 1.0, amplitude: float = 1.0) -> MellinProfile:
     """psi = amplitude on [0, radius], zero beyond."""
     return from_profile(Profile("indicator"), scale=radius, amplitude=amplitude)
+
+
+def lens(n: int, radius: float) -> MellinProfile:
+    """The lens section psi(t) = vol(B cap (B + t e)) / vol(B) of a ball B of
+    `radius` in R^n, I_{1-(t/2 radius)^2}((n+1)/2, 1/2) (`covariogram.lens`),
+    with p M(psi)(p) = (2 radius)^p B((p+1)/2, (n+1)/2) / B(1/2, (n+1)/2)."""
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    width = 2.0 * radius
+    beta = float(special.beta(0.5 * (n + 1), 0.5))
+
+    def drop(t):      # lens - 1 = -I_{u^2}(1/2, (n+1)/2), cancellation-free
+        u = np.minimum(np.asarray(t, dtype=float) / width, 1.0)
+        return -special.betainc(0.5, 0.5 * (n + 1), u * u)
+
+    def neg_derivative(t):
+        u = np.asarray(t, dtype=float) / width
+        return np.where(u < 1.0, np.maximum(1.0 - u * u, 0.0) ** (0.5 * (n - 1)),
+                        0.0) / (radius * beta)
+
+    def pmellin(p):   # scaled by width^-p, see MellinProfile
+        return special.beta(0.5 * (p + 1), 0.5 * (n + 1)) / special.beta(0.5, 0.5 * (n + 1))
+
+    return MellinProfile(
+        kind="lens", value=lambda t: cov.lens(n, np.asarray(t) / width),
+        drop=drop, neg_derivative=neg_derivative, psi0=1.0,
+        slope0=-1.0 / (radius * beta), sup=1.0, support_radius=width,
+        cutoff=lambda p: width, pmellin=pmellin)
 
 
 def from_table(ts, vals) -> MellinProfile:
@@ -380,22 +408,6 @@ def _require_peak_at_zero(psi: MellinProfile) -> None:
         raise ValueError("p <= 0 needs the profile maximum at t = 0")
 
 
-def _power_quad(g: Callable, k: float, horizon: float, cfg: QuadratureConfig) -> float:
-    """int_0^horizon t^k g(t) dt for k > -1 and g bounded near 0.
-
-    For k < 0 the substitution w = (t / horizon)^(k+1) absorbs the weight,
-    horizon^(k+1) / (k+1) int_0^1 g(t(w)) dw, so no power of a tiny t is
-    formed even as k -> -1; g is taken at t >= _T_FLOOR * horizon, below
-    which t(w) would underflow.
-    """
-    if k >= 0.0:
-        return integrate_1d(lambda t: float(g(t)) * t ** k, 0.0, horizon, cfg).value
-    a = 1.0 / (k + 1.0)
-    floor = _T_FLOOR * horizon
-    inner = integrate_1d(lambda w: float(g(max(horizon * w ** a, floor))), 0.0, 1.0, cfg)
-    return horizon ** (k + 1.0) * a * inner.value
-
-
 def _weighted_knot_integral(pp, alpha: float, with_log: bool = False) -> float:
     """int t^alpha * pp(t) [* log t] over the knot span of the piecewise poly pp.
 
@@ -431,13 +443,15 @@ def _branch_route(psi: MellinProfile, p: float, cfg: QuadratureConfig) -> float:
     s = _scale(psi)
     horizon = float(psi.cutoff(p)) / s
     if p >= _SMALL_P:
-        return _power_quad(lambda u: psi.value(s * u), p - 1.0, horizon, cfg)
+        return integrate_1d(lambda u: psi.value(s * u), 0.0, horizon, cfg,
+                            weight_exponent=p - 1.0).value
     # subtracted form: exact for p in (-1, 0), and for 0 < p < _SMALL_P the
     # identity int_0^T t^(p-1) psi = psi(0) T^p / p + int_0^T t^(p-1) (psi - psi(0))
     # keeps the integrand bounded; drop(t) ~ t^(1 + deriv_exponent) at 0.
     e = psi.deriv_exponent
-    return psi.psi0 * horizon ** p / p + _power_quad(
-        lambda u: psi.drop(s * u) / u ** (1.0 + e), p + e, horizon, cfg)
+    return psi.psi0 * horizon ** p / p + integrate_1d(
+        lambda u: psi.drop(s * u) / u ** (1.0 + e), 0.0, horizon, cfg,
+        weight_exponent=p + e).value
 
 
 def _derivative_route(psi: MellinProfile, p: float, cfg: QuadratureConfig) -> float:
@@ -446,8 +460,9 @@ def _derivative_route(psi: MellinProfile, p: float, cfg: QuadratureConfig) -> fl
         quad_part = -_weighted_knot_integral(psi.spline.derivative(), p)
     else:
         e = psi.deriv_exponent
-        quad_part = _power_quad(lambda u: s * psi.neg_derivative(s * u) / u ** e,
-                                p + e, float(psi.cutoff(p)) / s, cfg)
+        quad_part = integrate_1d(lambda u: s * psi.neg_derivative(s * u) / u ** e,
+                                 0.0, float(psi.cutoff(p)) / s, cfg,
+                                 weight_exponent=p + e).value
     total = quad_part + sum(w * (loc / s) ** p for loc, w in psi.atoms)
     return total / p
 
@@ -458,9 +473,9 @@ def _log_moment_mean(psi: MellinProfile, cfg: QuadratureConfig) -> float:
         quad_part = -_weighted_knot_integral(psi.spline.derivative(), 0.0, with_log=True)
     else:
         e = psi.deriv_exponent
-        quad_part = _power_quad(
+        quad_part = integrate_1d(
             lambda u: s * psi.neg_derivative(s * u) / u ** e * math.log(u),
-            e, float(psi.cutoff(1.0)) / s, cfg)
+            0.0, float(psi.cutoff(1.0)) / s, cfg, weight_exponent=e).value
     total = quad_part + sum(w * math.log(loc / s) for loc, w in psi.atoms)
     return s * math.exp(total / psi.sup)
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
+_T_FLOOR = 1e-150   # relative distance from the endpoint below which weighted integrands freeze
+
 
 class InvalidDimensionError(ValueError):
     pass
@@ -57,23 +59,15 @@ def combine_sigma(*sigmas: float) -> float:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and endpoint behaviour for integrate_1d.
-
-    singular_exponent e in (-1, 0] declares the integrand behaves like
-    (r - a)^e near the left endpoint; it is removed analytically by the
-    substitution r = a + u^(1/(1+e)).
-    """
+    """Tolerances for integrate_1d."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     max_subdivisions: int = 200
-    singular_exponent: float | None = None
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.singular_exponent is not None and not (-1 < self.singular_exponent <= 0):
-            raise ValueError("singular exponent must lie in (-1, 0]")
 
 
 # ---------------------------------------------------------------------------
@@ -129,15 +123,23 @@ def sphere_surface(d: int) -> float:
 
 
 def integrate_1d(phi, a: float, b: float, cfg: QuadratureConfig | None = None,
-                 tail_bound: tuple[float, float] | None = None) -> EstimateWithError:
-    """Integrate phi over [a, b] (b may be +inf) to the configured tolerance.
+                 tail_bound: tuple[float, float] | None = None,
+                 weight_exponent: float = 0.0) -> EstimateWithError:
+    """Integrate (t - a)^k phi(t) over [a, b] (b may be +inf) to the configured
+    tolerance, with k = weight_exponent > -1 and phi bounded near a.
 
+    For k < 0 the substitution w = ((t - a) / (b - a))^(k+1) absorbs the
+    weight, (b - a)^(k+1) / (k+1) int_0^1 phi(t(w)) dw, so no power of a
+    tiny t - a is formed even as k -> -1; phi is taken at
+    t - a >= _T_FLOOR (b - a), below which t(w) would underflow.
     An infinite upper limit requires tail_bound = (A, B) with
-    phi(t) <= A*exp(-B*t); the integral is truncated where that envelope
-    drops below abs_tol/10.  Raises QuadratureFailure (carrying the best
-    estimate) if the adaptive rule cannot reach the tolerance.
+    (t - a)^k phi(t) <= A*exp(-B*t); the integral is truncated where that
+    envelope drops below abs_tol/10.  Raises QuadratureFailure (carrying the
+    best estimate) if the adaptive rule cannot reach the tolerance.
     """
     cfg = cfg or QuadratureConfig()
+    if not weight_exponent > -1.0:
+        raise ValueError("the weight exponent must exceed -1")
     if math.isinf(b):
         if tail_bound is None:
             raise ValueError("infinite upper limit needs an exponential tail_bound (A, B)")
@@ -147,18 +149,15 @@ def integrate_1d(phi, a: float, b: float, cfg: QuadratureConfig | None = None,
         cut = math.log(max(10.0 * big_a / cfg.abs_tol, 2.0)) / big_b
         b = max(a + 1.0, cut)
 
-    e = cfg.singular_exponent
-    if e is not None and e < 0:
-        # r = a + u^(1/(1+e)) turns an (r-a)^e singularity into a bounded integrand
-        q = 1.0 / (1.0 + e)
-
-        def transformed(u):
-            if u <= 0.0:
-                return 0.0
-            return phi(a + u ** q) * q * u ** (q - 1.0)
-
-        return _quad(transformed, 0.0, (b - a) ** (1.0 + e), cfg)
-    return _quad(phi, a, b, cfg)
+    k = weight_exponent
+    if k == 0.0:
+        return _quad(phi, a, b, cfg)
+    if k > 0.0:
+        return _quad(lambda t: phi(t) * (t - a) ** k, a, b, cfg)
+    span, q = b - a, 1.0 / (k + 1.0)
+    floor = a + _T_FLOOR * span
+    inner = _quad(lambda w: phi(max(a + span * w ** q, floor)), 0.0, 1.0, cfg)
+    return inner.scaled(span ** (k + 1.0) * q)
 
 
 def _quad(fn, a, b, cfg):

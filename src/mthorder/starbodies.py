@@ -15,9 +15,8 @@ for every kind of ray:
   (hi_j - lo_j): one piece on [0, R], R = 1 / max_j t_j, with the
   coefficients of np.poly(t), and slope sum_j t_j at 0;
 * a ball of radius a at m = 1 has the lens section
-  I_{1-(r/2a)^2}((n+1)/2, 1/2) (`covariogram.lens`), with
-  p M(psi)(p) = (2a)^p B((p+1)/2, (n+1)/2) / B(1/2, (n+1)/2) as the closed
-  form that `mellin` checks its quadratures against;
+  I_{1-(r/2a)^2}((n+1)/2, 1/2) (`mellin.lens`), whose Beta closed form
+  `mellin` checks its quadratures against;
 * every other body tabulates its section once per direction, and the Pchip
   interpolant of psi^(1/n) with each cubic piece raised to the n-th power is
   integrated knot by knot, so many p values reuse one ray.  Monte Carlo
@@ -38,7 +37,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 from scipy.interpolate import PchipInterpolator, PPoly
 
 from . import convexcore as cc
@@ -78,14 +76,6 @@ class RadialRay:
     slope0: float
     envelope: tuple = ()
 
-    @property
-    def psi(self):
-        return self.profile.value
-
-    @property
-    def support_radius(self) -> float:
-        return self.profile.support_radius
-
 
 def _body_section_direct(K: ConvexBody, thb: np.ndarray, vol: float,
                          seed: int, samples: int | None):
@@ -120,30 +110,6 @@ def _box_ray(lo, hi, blocks) -> RadialRay:
     return RadialRay(ml.from_ppoly(pp), float(rates.sum()))
 
 
-def _lens_ray(n: int, a: float) -> RadialRay:
-    """The lens section of a ball of radius a in R^n at m = 1."""
-    beta = float(special.beta(0.5 * (n + 1), 0.5))
-
-    def drop(t):      # lens - 1 = -I_{u^2}(1/2, (n+1)/2), cancellation-free
-        u = np.minimum(np.asarray(t, dtype=float) / (2.0 * a), 1.0)
-        return -special.betainc(0.5, 0.5 * (n + 1), u * u)
-
-    def neg_derivative(t):
-        u = np.asarray(t, dtype=float) / (2.0 * a)
-        return np.where(u < 1.0, np.maximum(1.0 - u * u, 0.0) ** (0.5 * (n - 1)),
-                        0.0) / (a * beta)
-
-    def pmellin(p):     # p M(psi)(p) / (2a)^p
-        return special.beta(0.5 * (p + 1), 0.5 * (n + 1)) / special.beta(0.5, 0.5 * (n + 1))
-
-    profile = ml.MellinProfile(
-        kind="lens", value=lambda t: cov.lens(n, np.asarray(t) / (2.0 * a)),
-        drop=drop, neg_derivative=neg_derivative, psi0=1.0,
-        slope0=-1.0 / (a * beta), sup=1.0, support_radius=2.0 * a,
-        cutoff=lambda p: 2.0 * a, pmellin=pmellin)
-    return RadialRay(profile, 1.0 / (a * beta))
-
-
 def body_ray(K: ConvexBody, m: int, theta, seed: int = 0,
              samples: int | None = None, nodes: int = 256) -> RadialRay:
     """The normalized covariogram section of a body along one unit direction:
@@ -156,7 +122,8 @@ def body_ray(K: ConvexBody, m: int, theta, seed: int = 0,
     if box is not None:
         return _box_ray(box[0], box[1], th.blocks)
     if K.kind == "ball" and m == 1:
-        return _lens_ray(K.dim, K.radius)
+        lens = ml.lens(K.dim, K.radius)
+        return RadialRay(lens, -lens.slope0)
     vol = cc.volume(K).value
     R = cov.dm_support_radius(K, th)
     slope0 = proj.ppb_gauge_body(K, m, th) / vol
@@ -223,9 +190,9 @@ def layer_cake_ray(f: LogConcaveFunction, m: int, theta, seed: int = 0,
         grid = horizon * np.linspace(0.0, 1.0, _LAYER_CAKE_NODES) ** 4
     body = body_ray(K, m, th, seed=seed, samples=samples)
     # batches of 256 radii keep the (radius, level) arrays under 1 MB each
-    vals = np.concatenate([section(rows, body.psi)
+    vals = np.concatenate([section(rows, body.profile.value)
                            for rows in np.array_split(grid, _LAYER_CAKE_NODES // 256)])
-    exact = body.psi if body.profile.kind != "table" \
+    exact = body.profile.value if body.profile.kind != "table" \
         else _body_section_direct(K, th.blocks, vol, seed, samples)
     slope0 = _fd_slope(lambda r: float(section(np.array([r]), exact)[0]), R)
     return RadialRay(_table_profile(grid, vals, n), slope0)
@@ -258,7 +225,7 @@ def radial_from_ray_derivative(ray: RadialRay, p: float,
     T = float(ray.profile.cutoff(max(p, 0.0)))
     power = 2.0 if p >= 0.0 else 4.0
     r = T * np.linspace(0.0, 1.0, nodes) ** power
-    vals = ray.psi(r)
+    vals = ray.profile.value(r)
     neg_slope = -np.gradient(vals, r, edge_order=1)
     if abs(p) <= ZERO_P_WINDOW:
         integrand = np.where(r > 0.0, np.log(np.maximum(r, 1e-300)), 0.0) * neg_slope

@@ -8,7 +8,6 @@ from mthorder import convexcore as cc
 from mthorder.numerics import (
     EstimateWithError,
     InvalidDimensionError,
-    QuadratureConfig,
     ZeroFunctionRegionError,
     integrate_1d,
     make_rng,
@@ -62,14 +61,21 @@ class TestIntegrate1d:
         assert abs(est.value - 1.0) < 1e-9
 
     def test_gamma_half_with_singularity(self):
-        cfg = QuadratureConfig(singular_exponent=-0.5)
-        est = integrate_1d(lambda t: math.exp(-t) * t ** -0.5, 0.0, math.inf,
-                           cfg=cfg, tail_bound=(1.0, 1.0))
+        est = integrate_1d(lambda t: math.exp(-t), 0.0, math.inf,
+                           tail_bound=(1.0, 1.0), weight_exponent=-0.5)
         # independent oracle: u = sqrt(t) gives 2*int exp(-u^2) du on a fixed fine grid
         u = np.linspace(0.0, 14.0, 2_000_001)
         oracle = 2.0 * np.trapezoid(np.exp(-u * u), u)
         assert abs(oracle - math.sqrt(math.pi)) < 1e-10
         assert abs(est.value - oracle) < 1e-8
+
+    def test_weight_about_left_endpoint(self):
+        # int_1^2 (t - 1)^k dt = 1/(k + 1), for a weight on either side of 0
+        for k in (2.5, -0.999):
+            est = integrate_1d(lambda t: 1.0, 1.0, 2.0, weight_exponent=k)
+            assert est.value == pytest.approx(1.0 / (k + 1.0), rel=1e-9)
+        with pytest.raises(ValueError):
+            integrate_1d(lambda t: 1.0, 0.0, 1.0, weight_exponent=-1.0)
 
     @pytest.mark.parametrize("deg", [0, 3, 7, 10])
     def test_polynomials_exact(self, deg):

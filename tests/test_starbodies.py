@@ -94,15 +94,15 @@ class TestBodyRays:
     def test_unit_interval_section(self):
         ray = sb.body_ray(unit_interval(), 1, [1.0])
         r = np.array([0.0, 0.25, 0.5, 0.99, 1.0, 2.0])
-        np.testing.assert_allclose(ray.psi(r), np.maximum(1.0 - r, 0.0), atol=1e-12)
-        assert ray.support_radius == pytest.approx(1.0)
+        np.testing.assert_allclose(ray.profile.value(r), np.maximum(1.0 - r, 0.0), atol=1e-12)
+        assert ray.profile.support_radius == pytest.approx(1.0)
         assert ray.slope0 == pytest.approx(1.0, rel=1e-12)
 
     def test_square_axis_section(self):
         ray = sb.body_ray(cc.cube(2, 1.0), 1, [1.0, 0.0])
-        assert ray.support_radius == pytest.approx(2.0)
+        assert ray.profile.support_radius == pytest.approx(2.0)
         assert ray.slope0 == pytest.approx(0.5, rel=1e-12)  # gauge 2 / vol 4
-        assert ray.psi(1.0) == pytest.approx(0.5, rel=1e-12)
+        assert ray.profile.value(1.0) == pytest.approx(0.5, rel=1e-12)
 
     def test_simplex_interp_accuracy(self):
         K = cc.simplex(2)
@@ -111,14 +111,14 @@ class TestBodyRays:
         vol = cc.volume(K).value
         for r in [0.1, 0.3, 0.55, 0.8]:
             exact = cov.covariogram_body(K, th.scaled(r)).value / vol
-            assert ray.psi(r) == pytest.approx(exact, abs=2e-6)
+            assert ray.profile.value(r) == pytest.approx(exact, abs=2e-6)
 
     def test_disk_m1_section_is_cheap_exact(self):
         K = cc.ball(2, 1.0)
         ray = sb.body_ray(K, 1, [0.0, 1.0])
         # normalized lens area at distance 1
         want = (2.0 * math.acos(0.5) - 0.5 * math.sqrt(3.0)) / math.pi
-        assert ray.psi(1.0) == pytest.approx(want, rel=1e-12)
+        assert ray.profile.value(1.0) == pytest.approx(want, rel=1e-12)
         assert ray.envelope == ()
 
 
@@ -184,11 +184,11 @@ class TestBoxRays:
         for theta in _box_directions(n, m):
             th = sb.as_unit(theta.ravel(), n)
             ray = sb.body_ray(K, m, th)
-            r = np.linspace(0.0, 1.2 * ray.support_radius, 9)
+            r = np.linspace(0.0, 1.2 * ray.profile.support_radius, 9)
             want = [cov.covariogram_body(K, th.scaled(x)).value / vol for x in r]
-            np.testing.assert_allclose(ray.psi(r), want, rtol=1e-12, atol=1e-15)
-            assert ray.psi(float(r[3])) == pytest.approx(want[3], rel=1e-12)
-            assert ray.support_radius == pytest.approx(
+            np.testing.assert_allclose(ray.profile.value(r), want, rtol=1e-12, atol=1e-15)
+            assert ray.profile.value(float(r[3])) == pytest.approx(want[3], rel=1e-12)
+            assert ray.profile.support_radius == pytest.approx(
                 cov.dm_support_radius(K, th), rel=1e-12)
             assert ray.slope0 == pytest.approx(
                 proj.ppb_gauge_body(K, m, th) / vol, rel=1e-12)
@@ -255,7 +255,7 @@ class TestTableRays:
     @pytest.mark.parametrize("p", [-0.99, -0.5, 0.0, 0.5, 1.0, 5.0, 200.0])
     def test_polygon_radii_match_per_knot_quadrature(self, p):
         ray = sb.body_ray(_PENTAGON, 1, [0.6, 0.8])
-        knots = np.linspace(0.0, ray.support_radius, 256)    # body_ray's table
+        knots = np.linspace(0.0, ray.profile.support_radius, 256)    # body_ray's table
         got = sb.radial_from_ray(ray, p)
         assert got.value == pytest.approx(_per_knot_radius(ray, knots, p), rel=1e-10)
         assert got.std_error == 0.0
@@ -336,7 +336,7 @@ class TestRadialMeanBodies:
         ray = sb.layer_cake_ray(f, 1, [1.0])
         for r in [0.3, 1.0, 2.5]:
             want = 2.0 * (1.0 - norm.cdf(r / 2.0))
-            assert ray.psi(r) == pytest.approx(want, rel=1e-7)
+            assert ray.profile.value(r) == pytest.approx(want, rel=1e-7)
 
     def test_determinism(self):
         f = expfun(cc.cube(1, 1.0))
@@ -571,5 +571,5 @@ class TestLayerCakeReference:
         ref = sb.layer_cake_ray(f, 1, [0.6, 0.8])
         body = sb.body_ray(f.body, 1, [0.6, 0.8])
         r = np.linspace(0.0, 1.5, 7)
-        np.testing.assert_allclose(ref.psi(r), body.psi(r), rtol=1e-6, atol=1e-12)
+        np.testing.assert_allclose(ref.profile.value(r), body.profile.value(r), rtol=1e-6, atol=1e-12)
         assert f.radial_factor(2.0) == 1.0
