@@ -230,36 +230,12 @@ def make_body(spec: dict) -> ConvexBody:
 
 def gauge(K: ConvexBody, x) -> float:
     """Minkowski functional inf{t > 0 : x in tK}; +inf outside every dilate."""
-    x = np.asarray(x, dtype=float)
-    if K.kind == "ball":
-        c, r = K.center, K.radius
-        c2 = float(c @ c)
-        if c2 > r * r + _GEOM_TOL:
-            raise OriginNotContainedError("gauge needs the origin inside the body")
-        xx = float(x @ x)
-        if xx == 0.0:
-            return 0.0
-        xc = float(x @ c)
-        a = r * r - c2
-        if a <= _GEOM_TOL * r * r:          # origin on the boundary
-            if xc <= 0.0:
-                return math.inf
-            return xx / (2.0 * xc)
-        return (math.sqrt(xc * xc + a * xx) - xc) / a
-    b = K.offsets
-    if np.min(b) < -_GEOM_TOL:
-        raise OriginNotContainedError("gauge needs the origin inside the body")
-    ax = K.normals @ x
-    pos = b > _GEOM_TOL
-    if np.any(ax[~pos] > _GEOM_TOL):
-        return math.inf
-    if not np.any(pos):
-        return math.inf
-    return max(0.0, float(np.max(ax[pos] / b[pos])))
+    return float(gauge_many(K, x)[0])
 
 
 def gauge_many(K: ConvexBody, X) -> np.ndarray:
-    """Vectorized gauge over rows of X (same conventions as gauge)."""
+    """Minkowski functional of every row of X: inf{t > 0 : x in tK}, 0 at
+    the origin and +inf outside every dilate; the origin must lie in K."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if K.kind == "ball":
         c, r = K.center, K.radius
@@ -334,30 +310,21 @@ def bounding_box(K: ConvexBody):
 # intersections of translates
 
 
-def _stacked_translate_system(K: ConvexBody, xbar: np.ndarray):
-    """Halfspace system of K cap (x_1 + K) cap ... cap (x_m + K)."""
-    A = [K.normals]
-    b = [K.offsets]
-    for xi in xbar:
-        A.append(K.normals)
-        b.append(K.offsets + K.normals @ xi)
-    return np.vstack(A), np.concatenate(b)
-
-
 def intersect_translates(K: ConvexBody, xbar) -> ConvexBody | None:
     """K cap (x_1+K) cap ... cap (x_m+K); None when its interior is empty.
 
-    Polytopes come back as a canonicalized stacked-halfspace body.  For a
-    Euclidean ball in n >= 2 the intersection is not polyhedral; use
+    x in x_i + K reads a_j.x <= b_j + a_j.x_i on every row of K, so the
+    intersection keeps K's own rows with right sides b_j + min(0, min_i
+    a_j.x_i).  For a Euclidean ball in n >= 2 it is not polyhedral; use
     covariogram helpers for its volume and miniball_radius for emptiness.
     """
     xbar = np.atleast_2d(np.asarray(xbar, dtype=float))
     if K.kind == "ball":
         raise ValueError("intersect_translates needs a polytope; "
                          "ball intersections are handled by the covariogram module")
-    A, b = _stacked_translate_system(K, xbar)
+    shift = np.minimum(0.0, (xbar @ K.normals.T).min(axis=0))
     try:
-        return from_halfspaces(A, b)
+        return from_halfspaces(K.normals, K.offsets + shift)
     except DegenerateBodyError:
         return None
 

@@ -195,19 +195,6 @@ def _offsets(fbar, xbar) -> list[np.ndarray]:
     return [np.zeros(n)] + [xb.blocks[i].copy() for i in range(m)]
 
 
-def _product_scalar(fbar, offsets):
-    def F(z):
-        z = np.asarray(z, dtype=float)
-        out = 1.0
-        for f, t in zip(fbar, offsets):
-            v = f.eval(z - t)
-            if v <= 0.0:
-                return 0.0
-            out *= v
-        return out
-    return F
-
-
 def _product_many(fbar, offsets, Z: np.ndarray) -> np.ndarray:
     """f_0(z - t_0) * prod_i f_i(z - t_i) at every point z (last axis) of Z;
     each translation t_i broadcasts against Z."""
@@ -270,13 +257,13 @@ def _feasible_point(fbar, offsets):
         w = balls[0].radius / max(gap, 1e-300)
         return c0 + min(w, 0.5) * (c1 - c0) if gap > 0 else c0.copy()
 
-    def excess(z):
-        total = 0.0
+    def excess(Z):
+        total = np.zeros(len(Z))
         for S in polys + balls:
             if S.kind == "ball":
-                total += max(0.0, float(np.linalg.norm(z - S.center)) - S.radius)
+                total += np.maximum(0.0, np.linalg.norm(Z - S.center, axis=1) - S.radius)
             else:
-                total += max(0.0, float(np.max(S.normals @ z - S.offsets)))
+                total += np.maximum(0.0, np.max(Z @ S.normals.T - S.offsets, axis=1))
         return total
 
     start = np.mean([S.vertices.mean(axis=0) for S in polys]
@@ -309,6 +296,14 @@ def _bracket_max_many(F, lo: np.ndarray, hi: np.ndarray):
     return best_x, best_v
 
 
+def _row_boxes(boxes, X: np.ndarray):
+    """n = 1: the offsets T = (0, x) of every row x of X, and the lower and
+    upper ends of each factor's box translated by them; all (rows, factors)."""
+    T = np.column_stack([np.zeros(len(X)), X])
+    return (T, np.array([b[0][0] for b in boxes]) + T,
+            np.array([b[1][0] for b in boxes]) + T)
+
+
 def _sup_rows(fbar, boxes, X: np.ndarray):
     """(argmax, sup) of z -> f_0(z) * prod_i f_i(z - x_i) for every row x of
     X (n = 1), all rows in one bracket search; sup 0 where supports miss.
@@ -317,22 +312,17 @@ def _sup_rows(fbar, boxes, X: np.ndarray):
     overlap, else 0) when the search finds no larger value there, as on a
     zero-valued grid around a sliver of positive product.
     """
-    T = np.column_stack([np.zeros(len(X)), X])
+    T, lo_i, hi_i = _row_boxes(boxes, X)
 
     def product(rows):          # the product on a grid (rows, G) of those rows
         offsets = [T[rows, i, None, None] for i in range(len(fbar))]
         return lambda Z: _product_many(fbar, offsets, Z[..., None])
 
-    def joint_box(factors):
-        return (np.max([boxes[i][0][0] + T[:, i] for i in factors], axis=0),
-                np.min([boxes[i][1][0] + T[:, i] for i in factors], axis=0))
-
-    lo, hi = joint_box(range(len(fbar)))
+    lo, hi = lo_i.max(axis=1), hi_i.min(axis=1)
     compact = [i for i, f in enumerate(fbar) if f.profile.support_radius < math.inf]
     z = np.zeros(len(X))
     if compact:
-        c_lo, c_hi = joint_box(compact)
-        z = 0.5 * (c_lo + c_hi)
+        z = 0.5 * (lo_i[:, compact].max(axis=1) + hi_i[:, compact].min(axis=1))
     live = lo < hi
     val = np.where(live, product(slice(None))(z[:, None])[:, 0], 0.0)
     if all(f.profile.kind == "indicator" for f in fbar):
@@ -354,21 +344,22 @@ def _sup_point(fbar, boxes, offsets):
         return z, float(val[0])
     if _conv_box(boxes, offsets) is None:
         return None, 0.0
-    F = _product_scalar(fbar, offsets)
     start = _feasible_point(fbar, offsets)
     if start is None:
         return None, 0.0
+
+    def F(Z):
+        return _product_many(fbar, offsets, Z)
+
     if all(f.profile.kind == "indicator" for f in fbar):
-        return start, F(start)
-    candidates = [start] + [t + np.asarray(f.shift, dtype=float)
-                            for f, t in zip(fbar, offsets)]
-    best = max(candidates, key=F)
-    if F(best) <= 0.0:
-        best = start
-        if F(best) <= 0.0:
-            return start, 0.0
-    x, val = maximize_logconcave(F, best)
-    return x, val
+        return start, float(F(start[None, :])[0])
+    candidates = np.array([start] + [t + np.asarray(f.shift, dtype=float)
+                                     for f, t in zip(fbar, offsets)])
+    values = F(candidates)
+    best = int(np.argmax(values))
+    if values[best] <= 0.0:
+        return start, 0.0
+    return maximize_logconcave(F, candidates[best])
 
 
 def sup_convolution(fbar, xbar) -> float:
@@ -399,11 +390,13 @@ def int_convolution(fbar, xbar, seed: int = 0,
 
 def _int_convolution(fbar, boxes, offsets, seed: int,
                      samples: int | None) -> EstimateWithError:
+    if fbar[0].dim == 1:
+        value, error, nodes = _breakpoint_rows(
+            fbar, boxes, np.concatenate(offsets[1:])[None, :])
+        return EstimateWithError(float(value[0]), float(error[0]), int(nodes[0]))
     box = _conv_box(boxes, offsets)
     if box is None:
         return EstimateWithError(0.0, 0.0, 0)
-    if fbar[0].dim == 1:
-        return _breakpoint_gauss(fbar, boxes, offsets, box)
     return _mixture_mc(fbar, boxes, offsets, box, seed, samples)
 
 
@@ -430,21 +423,25 @@ def _graded_half_rule():
 _HALF_NODES, _HALF_FINE, _HALF_COARSE = _graded_half_rule()
 
 
-def _breakpoint_gauss(fbar, boxes, offsets, box) -> EstimateWithError:
-    """n = 1: the graded rule on both halves of every interval between
-    consecutive breakpoints inside the joint box, all in one product call."""
-    lo, hi = box[0][0], box[1][0]
-    cuts = [lo, hi]
-    for f, (b_lo, b_hi), t in zip(fbar, boxes, offsets):
-        cuts += [f.shift[0] + t[0], b_lo[0] + t[0], b_hi[0] + t[0]]
-    cuts = np.unique(np.clip(cuts, lo, hi))
-    a, b = cuts[:-1, None], cuts[1:, None]
+def _breakpoint_rows(fbar, boxes, X: np.ndarray):
+    """n = 1: (value, error, nodes) of the int-convolution at every row x of
+    X, all rows in one product call.  Each row takes the graded rule on both
+    halves of every interval between consecutive breakpoints inside its
+    joint box; zero-width intervals are dropped, so a row whose supports
+    miss gets value, error and nodes 0."""
+    T, lo_i, hi_i = _row_boxes(boxes, X)
+    lo, hi = lo_i.max(axis=1, keepdims=True), hi_i.min(axis=1, keepdims=True)
+    centres = np.array([f.shift[0] for f in fbar]) + T
+    cuts = np.sort(np.clip(np.hstack([lo, hi, centres, lo_i, hi_i]), lo, hi), axis=1)
+    rows, cols = np.nonzero(cuts[:, 1:] > cuts[:, :-1])
+    a, b = cuts[rows, cols, None], cuts[rows, cols + 1, None]
     h = 0.5 * (b - a)
     Z = np.concatenate([a + h * _HALF_NODES, b - h * _HALF_NODES], axis=1)
+    offsets = [T[rows, i, None, None] for i in range(len(fbar))]
     vals = h * _product_many(fbar, offsets, Z[..., None])
-    fine = float((vals * np.tile(_HALF_FINE, 2)).sum())
-    coarse = float((vals * np.tile(_HALF_COARSE, 2)).sum())
-    return EstimateWithError(fine, abs(fine - coarse), Z.size)
+    fine = np.bincount(rows, (vals * np.tile(_HALF_FINE, 2)).sum(axis=1), len(X))
+    coarse = np.bincount(rows, (vals * np.tile(_HALF_COARSE, 2)).sum(axis=1), len(X))
+    return fine, np.abs(fine - coarse), np.bincount(rows, minlength=len(X)) * Z.shape[1]
 
 
 def _mixture_mc(fbar, boxes, offsets, box, seed: int,
@@ -533,12 +530,6 @@ def check_rs_body(K: ConvexBody, m: int, seed: int = 0,
     return make_verdict("rs-body", lhs, rhs, metadata=meta)
 
 
-def _reflected(f: LogConcaveFunction) -> LogConcaveFunction:
-    """x -> f(-x), staying inside the profile-on-body class."""
-    return LogConcaveFunction(f.profile, cc.reflect(f.body),
-                              -np.asarray(f.shift, dtype=float), f.amplitude)
-
-
 def _star_l1(fbar, boxes, seed: int,
              samples: int | None) -> tuple[EstimateWithError, dict]:
     """L1 norm of the sup-convolution over the m translation blocks."""
@@ -584,12 +575,19 @@ def _star_l1(fbar, boxes, seed: int,
 
 def check_rs_single(f: LogConcaveFunction, m: int, seed: int = 0,
                     samples: int | None = None) -> Verdict:
-    """||(f, f(-.), ..., f(-.))_star_m||_1 <= binom(n(m+1), n) ||f||_inf^m ||f||_{1/m}."""
+    """||(f, f, ..., f)_star_m||_1 <= binom(n(m+1), n) ||f||_inf^m ||f||_{1/m}.
+
+    The tuple repeats f unreflected, as `check_rs_multi` takes its tuples:
+    sup_z f(z) prod_i f(z - x_i) is positive exactly where supp f meets
+    every supp f + x_i, so on f = chi_K the left side is vol(D^m K), the
+    check coincides with `check_rs_body`, and simplices give Schneider's
+    equality.
+    """
     n = f.dim
     if n * m > 6:
         raise ValueError("single-function check is limited to n*m <= 6")
     t0 = time.perf_counter()
-    fbar = [f] + [_reflected(f)] * m
+    fbar = [f] * (m + 1)
     lhs, info = _star_l1(fbar, _factor_boxes(fbar), seed, samples)
     rhs_val = math.comb(n * (m + 1), n) * f.sup_norm ** m * f.lp_norm(1.0 / m)
     meta = {"n": n, "m": m, "seed": seed, "profile": f.profile.kind,
@@ -608,7 +606,9 @@ def check_rs_multi(fbar, seed: int = 0, outer_samples: int | None = None,
     Carlo over `inner_samples` draws above it (`mixture-mc`).  The sup
     value is `int_convolution` re-evaluated at the search's argmax with
     seed + 1 and 4 x `inner_samples`, so Monte Carlo selection bias does
-    not enter it.  metadata["sup_evals"] counts the objective calls.
+    not enter it.  Each compass stencil is one objective call: one row-batched
+    rule in one dimension, one Monte Carlo estimate per row above it.
+    metadata["sup_evals"] counts the points evaluated.
     """
     fbar, n, m = _validated_tuple(fbar)
     if n * m > 4:
@@ -618,18 +618,21 @@ def check_rs_multi(fbar, seed: int = 0, outer_samples: int | None = None,
     boxes = _factor_boxes(fbar)
     evals = 0
 
-    def objective(x):
+    def objective(X):
         nonlocal evals
-        evals += 1
-        return _int_convolution(fbar, boxes, _offsets(fbar, x), seed, inner).value
+        evals += len(X)
+        if n == 1:
+            return _breakpoint_rows(fbar, boxes, X)[0]
+        return np.array([_int_convolution(fbar, boxes, _offsets(fbar, x), seed,
+                                          inner).value for x in X])
 
-    starts = [np.zeros(n * m)]
     base = np.asarray(fbar[0].shift, dtype=float)
-    starts.append(np.concatenate([base - np.asarray(f.shift, dtype=float)
-                                  for f in fbar[1:]]))
-    values = [objective(x) for x in starts]
+    starts = np.array([np.zeros(n * m),
+                       np.concatenate([base - np.asarray(f.shift, dtype=float)
+                                       for f in fbar[1:]])])
+    values = objective(starts)
     best = starts[int(np.argmax(values))]
-    if max(values) > 0.0:
+    if values.max() > 0.0:
         x_star, _ = maximize_logconcave(objective, best, tol=1e-7,
                                         max_evals=2_000)
     else:

@@ -186,13 +186,18 @@ class Profile:
         return slope
 
     def truncation_radius(self, eps: float, extra_power: float = 0.0) -> float:
-        """Radius beyond which phi(r) * r^extra_power stays below eps."""
+        """Radius beyond which phi(r) * r^extra_power stays below eps.  The
+        damped level eps / (2r)^extra_power is taken as a depth in logs, so
+        it never overflows."""
         if self.support_radius < math.inf:
             return self.support_radius
-        r = self.inverse_level(min(eps, self.phi0))
-        for _ in range(4):
-            damp = eps / max(1.0, (2.0 * r) ** extra_power)
-            r = max(r, self.inverse_level(damp))
+        if not math.isfinite(self.phi0):
+            raise NonIntegrableError("p=0 family has an infinite peak")
+        r = 0.0
+        for _ in range(5):
+            depth = (math.log(self.phi0) - math.log(eps)
+                     + extra_power * math.log(max(2.0 * r, 1.0)))
+            r = max(r, float(self.depth_scale(max(depth, 0.0))))
         return r
 
 
@@ -227,8 +232,7 @@ class LogConcaveFunction:
         return self.amplitude * self.profile.phi0
 
     def eval(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return self.amplitude * float(self.profile.value(cc.gauge(self.body, x - self.shift)))
+        return float(self.eval_many(x)[0])
 
     __call__ = eval
 

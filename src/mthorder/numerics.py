@@ -209,26 +209,29 @@ def _ring_search(F, x0, dirs, base):
         r = base * 2.0 ** k
         if r > 1e18:
             break
-        for v in dirs:
-            y = x0 + r * v
-            fy = float(F(y))
-            if fy > 0.0:
-                return y, fy
+        Y = x0 + r * dirs
+        fy = np.asarray(F(Y), dtype=float)
+        hit = np.flatnonzero(fy > 0.0)
+        if hit.size:
+            return Y[hit[0]], float(fy[hit[0]])
     raise ZeroFunctionRegionError("no positive value found by expanding ring search")
 
 
 def maximize_logconcave(F, x0, tol: float = 1e-9, max_evals: int = 60_000):
     """Locate the supremum of a coercive log-concave F by compass search.
 
-    Derivative-free adaptive coordinate search (axes + diagonals) with one
-    restart; deterministic for fixed inputs.  Returns (argmax, value) with
-    the value within ~tol (relative) of the supremum for smooth F; plateau
-    maxima (indicator-type F) are returned exactly.
+    F maps a (k, d) array of points to their k values.  Each sweep evaluates
+    its whole stencil (the 2d axes and, for d <= 6, the 2^d diagonals) in one
+    call and moves to the point of largest strictly positive log gain, the
+    first direction winning ties; each ring of the start-up search for a
+    positive value is one call too.  One restart with a fresh step;
+    deterministic for fixed inputs, and `max_evals` counts points.  Returns
+    (argmax, value) with the value within ~tol (relative) of the supremum
+    for smooth F; plateau maxima (indicator-type F) are returned exactly.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    d = x.size
-    dirs = _direction_set(d)
-    fx = float(F(x))
+    dirs = _direction_set(x.size)
+    fx = float(F(x[None, :])[0])
     evals = 1
     if not fx > 0.0:
         x, fx = _ring_search(F, x, dirs, base=1.0)
@@ -237,18 +240,16 @@ def maximize_logconcave(F, x0, tol: float = 1e-9, max_evals: int = 60_000):
     def sweep(x, logf, h, evals):
         moved = True
         while moved and evals < max_evals:
-            moved = False
-            best_gain, best_x, best_logf = 0.0, None, None
-            for v in dirs:
-                y = x + h * v
-                fy = float(F(y))
-                evals += 1
-                if fy > 0.0:
-                    ly = math.log(fy)
-                    if ly - logf > best_gain:
-                        best_gain, best_x, best_logf = ly - logf, y, ly
-            if best_x is not None and best_gain > 0.0:
-                x, logf, moved = best_x, best_logf, True
+            Y = x + h * dirs
+            fy = np.asarray(F(Y), dtype=float)
+            evals += len(Y)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ly = np.where(fy > 0.0, np.log(fy), -math.inf)
+            gain = ly - logf
+            k = int(np.argmax(gain))
+            moved = bool(gain[k] > 0.0)
+            if moved:
+                x, logf = Y[k], float(ly[k])
         return x, logf, evals
 
     scale = max(1.0, float(np.linalg.norm(x)))
@@ -262,12 +263,11 @@ def maximize_logconcave(F, x0, tol: float = 1e-9, max_evals: int = 60_000):
 
 
 def minimize_convex(F, x0):
-    """Compass-search minimizer for a finite convex F (same engine, flipped)."""
+    """Compass-search minimizer for a finite convex F on rows (same engine
+    and contract, flipped)."""
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    shifted = maximize_logconcave(lambda z: math.exp(-max(min(float(F(z)), 700.0), -700.0)),
-                                  x)
-    xm = shifted[0]
-    return xm, float(F(xm))
+    xm, _ = maximize_logconcave(lambda Z: np.exp(-np.clip(F(Z), -700.0, 700.0)), x)
+    return xm, float(F(xm[None, :])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from . import convexcore as cc
+from . import starbodies as sb
 from .convexcore import ConvexBody, UnboundedBodyError
 from .covariogram import MVector, as_mvector, covariogram_fn
 from .lcfun import LogConcaveFunction
@@ -182,8 +183,8 @@ def ppb_body_polytope(K: ConvexBody, m: int) -> ConvexBody:
 def ppb_volume(source, m: int, seed: int = 0,
                directions: int = 10_000) -> EstimateWithError:
     """vol_{nm} of the PPB unit ball of a body or a log-concave function:
-    exact for polytopes with nm <= 3 and for balls at m = 1, a seeded
-    sphere average over `directions` otherwise."""
+    exact for polytopes with nm <= 3 and for balls at m = 1, otherwise the
+    star volume of the radii 1/gauge over `directions` seeded directions."""
     if isinstance(source, LogConcaveFunction):
         base = ppb_volume(source.body, m, seed=seed, directions=directions)
         d = source.dim * m
@@ -200,11 +201,8 @@ def ppb_volume(source, m: int, seed: int = 0,
     gauges = ppb_gauge_body_many(K, m, dirs.reshape(len(dirs), m, K.dim))
     if np.any(gauges <= 1e-12):
         raise UnboundedBodyError("PPB gauge vanishes along a sampled direction")
-    rho_d = gauges ** (-d)
-    surface = sphere_surface(d)
-    value = surface * float(rho_d.mean()) / d
-    sigma = surface * float(rho_d.std(ddof=1)) / (d * math.sqrt(len(rho_d)))
-    return EstimateWithError(value, sigma, len(rho_d))
+    table = sb.StarBodyTable(dirs, 1.0 / gauges, np.zeros(len(dirs)), {})
+    return sb.star_volume(table)
 
 
 def matheron_consistency(f: LogConcaveFunction, m: int, theta,

@@ -128,6 +128,32 @@ class TestIntersectTranslates:
             J = cc.intersect_translates(K, np.zeros((2, 2)))
             assert cc.volume(J).value == pytest.approx(cc.volume(K).value, rel=1e-9)
 
+    def test_matches_the_stacked_system(self):
+        # reference: K's rows once per translate, K cap (x_1 + K) cap ...
+        gen = make_rng(31, 0)
+        bodies = [cc.simplex(2), cc.simplex(3), cc.cube(3, 0.5)]
+        bodies += [cc.from_vertices(gen.standard_normal((k, 2))) for k in (3, 5, 8)]
+        bodies += [cc.from_vertices(gen.standard_normal((k, 3))) for k in (5, 9)]
+        empty = 0
+        for K in bodies:
+            lo, hi = cc.bounding_box(K)
+            for _ in range(24):
+                m = int(gen.integers(1, 4))
+                xbar = (hi - lo) * gen.uniform(-1.0, 1.0, size=(m, K.dim))
+                A = np.vstack([K.normals] * (m + 1))
+                b = np.concatenate([K.offsets] + [K.offsets + K.normals @ x for x in xbar])
+                try:
+                    want = cc.volume(cc.from_halfspaces(A, b)).value
+                except cc.DegenerateBodyError:
+                    want = None
+                J = cc.intersect_translates(K, xbar)
+                if want is None:
+                    empty += 1
+                    assert J is None
+                else:
+                    assert cc.volume(J).value == pytest.approx(want, rel=1e-12, abs=1e-14)
+        assert 0 < empty < 24 * len(bodies)
+
 
 class TestVolume:
     def test_simplex_exact(self):

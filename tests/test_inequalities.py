@@ -258,6 +258,48 @@ def test_int_convolution_1d_matches_quad(kind, s_param, m):
     assert got.std_error <= 1e-6 * want
 
 
+def test_breakpoint_rows_match_single_rows():
+    """One batched call gives every row bit for bit what int_convolution
+    gives at that row alone; rows whose supports miss cost no nodes."""
+    half = cc.from_vertices([[-0.7], [1.3]])
+    fbar = [make_fn("indicator", half, 1.4), make_fn("gaussian", half),
+            LogConcaveFunction(profile_from_kind("power", 2.0, 1),
+                               half, np.array([0.3]), 0.8)]
+    X = make_rng(14, 0).uniform(-3.0, 3.0, size=(48, 2))
+    value, error, nodes = iq._breakpoint_rows(fbar, iq._factor_boxes(fbar), X)
+    assert np.count_nonzero(nodes == 0) > 5 and np.count_nonzero(value) > 10
+    assert np.all(value[nodes == 0] == 0.0)
+    for k, x in enumerate(X):
+        one = iq.int_convolution(fbar, x)
+        assert (one.value, one.std_error, one.samples_or_nodes) == (
+            value[k], error[k], nodes[k])
+
+
+def test_coinciding_breakpoints_add_no_interval():
+    # chi * chi at x = 0: every cut is 0 or 1, so one interval
+    got = iq.int_convolution([chi, chi], [0.0])
+    assert got.samples_or_nodes == 2 * len(iq._HALF_NODES)
+    assert got.value == pytest.approx(1.0, rel=1e-14)
+
+
+def test_sup_evals_count_points_of_batched_calls(monkeypatch):
+    shapes = []
+    rows_rule = iq._breakpoint_rows
+
+    def spy(fbar, boxes, X):
+        shapes.append(X.shape)
+        return rows_rule(fbar, boxes, X)
+
+    monkeypatch.setattr(iq, "_breakpoint_rows", spy)
+    v = iq.check_rs_multi([two_sided, std_gauss], outer_samples=50)
+    # the two starts share one call, the search evaluates its start, each
+    # sweep's 4-point stencil is one call, and the last call is
+    # int_convolution at the argmax
+    assert shapes[:2] == [(2, 1), (1, 1)] and shapes[-1] == (1, 1)
+    assert len(shapes) > 4 and all(s == (4, 1) for s in shapes[2:-1])
+    assert v.metadata["sup_evals"] == sum(s[0] for s in shapes[:-1])
+
+
 def sup_rows(fbar, X):
     """Row-batched pointwise sups, as the pointwise-sup route computes them."""
     return iq._sup_rows(fbar, iq._factor_boxes(fbar), np.asarray(X, dtype=float))
@@ -290,7 +332,7 @@ class TestBatchedSup:
     def test_one_sided_sliver(self):
         # e^-z on z >= 0 times e^(z-x) on z <= x is e^-x on [0, x]: a
         # sliver no grid node of the truncation box hits
-        fbar = [f_exp, iq._reflected(f_exp)]
+        fbar = [f_exp, make_fn("exponential", cc.reflect(unit_interval()))]
         _, sup = sup_rows(fbar, [[1e-3], [1e-7]])
         np.testing.assert_allclose(sup, np.exp(-np.array([1e-3, 1e-7])),
                                    rtol=1e-14)
@@ -348,8 +390,9 @@ def test_mode_scales_match_the_doubling_loop(fbar, x):
     lo, hi = iq._conv_box(boxes, offsets)
     z_star, f_max = iq._sup_point(fbar, boxes, offsets)
     got = iq._mode_scales(fbar, offsets, z_star, f_max, hi - lo)
-    want = _doubling_loop_scales(iq._product_scalar(fbar, offsets), z_star,
-                                 f_max, hi - lo)
+    def F(z):
+        return iq._product_many(fbar, offsets, z[None, :])[0]
+    want = _doubling_loop_scales(F, z_star, f_max, hi - lo)
     assert np.array_equal(got, want)
 
 
@@ -593,15 +636,28 @@ class TestRsSingle:
         assert v.metadata["route"] == "ball-overlap"
 
     def test_simplex_indicator_takes_meeting_volume(self):
-        # (chi_K, chi_K(-.)) meet where x lies in K + K, so the L1 norm is
-        # vol(2K) = 2 exactly; the right side is binom(4, 2) vol(K) = 3
+        # (chi_K, chi_K) meet where x lies in D(K) = K - K, so the L1 norm is
+        # vol D(K) = 3 exactly; the right side is binom(4, 2) vol(K) = 3
         v = iq.check_rs_single(make_fn("indicator", cc.simplex(2)), 1)
         assert v.metadata["route"] == "meeting-volume"
         assert v.metadata["samples"] == 0
-        assert v.lhs.value == pytest.approx(2.0, abs=1e-12)
+        assert v.lhs.value == pytest.approx(3.0, abs=1e-12)
         assert v.rhs.value == pytest.approx(3.0, abs=1e-12)
         assert v.sigma_combined == 0.0
-        assert v.status == iq.HOLDS
+        assert v.status == iq.EQUALITY
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 1)])
+    def test_indicator_matches_rs_body(self, n, m):
+        # the tuple (chi_K, ..., chi_K) meets exactly on D^m(K), so both
+        # sides equal those of rs-body and simplices reach Schneider's
+        # equality: 3, 3.75 and 10/3
+        K = cc.simplex(n)
+        single = iq.check_rs_single(make_fn("indicator", K), m)
+        body = iq.check_rs_body(K, m)
+        assert single.metadata["route"] == "meeting-volume"
+        assert single.lhs.value == body.lhs.value
+        assert single.rhs.value == pytest.approx(body.rhs.value, rel=1e-12)
+        assert single.status == body.status == iq.EQUALITY
 
     def test_cube_indicator_at_m2_is_exact(self):
         # D^2 of a box is the product of the D^2 of its edges: 12^3 for [-1, 1]^3
@@ -623,7 +679,8 @@ class TestRsSingle:
         v = iq.check_rs_single(f_exp, 1, samples=800)
         assert v.metadata["route"] == "pointwise-sup"
         assert v.rhs.value == pytest.approx(2.0, rel=1e-12)
-        assert abs(v.lhs.value - 1.0) <= 4.0 * v.lhs.std_error
+        # sup_z e^-z e^-(z - x) over z >= max(0, x) is e^-|x|: L1 norm 2
+        assert abs(v.lhs.value - 2.0) <= 4.0 * v.lhs.std_error
         assert v.status != iq.VIOLATED
 
     def test_budget_guard(self):

@@ -298,6 +298,23 @@ def test_truncation_radius_bounds_weighted_tail():
     assert np.all(np.asarray(prof.value(t)) * t ** 3.0 <= 1e-13 * 1.01)
 
 
+@pytest.mark.parametrize("kind", ["exponential", "gaussian"])
+def test_truncation_radius_at_high_weight(kind):
+    # (2r)^301 overflows a float; the damped level is a depth in logs
+    prof = Profile(kind)
+    r = prof.truncation_radius(1e-13, extra_power=301.0)
+    assert math.isfinite(r)
+    t = np.linspace(r, 4 * r, 1000)
+    with np.errstate(divide="ignore"):               # phi underflows far out
+        log_weighted = np.log(prof.value(t)) + 301.0 * np.log(t)
+    assert np.all(log_weighted <= math.log(1e-13) + 1e-9)
+
+
+def test_truncation_radius_rejects_infinite_peak():
+    with pytest.raises(NonIntegrableError):
+        Profile("pfamily", 0.0, ambient_dim=1).truncation_radius(1e-13, extra_power=2.0)
+
+
 def test_make_function_json():
     f = make_function({"profile": "power", "s_or_p": 2.0,
                        "body": {"kind": "cube", "dim": 2, "halfwidth": 1.0},

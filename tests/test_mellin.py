@@ -250,6 +250,13 @@ class TestIp:
         assert abs(value - 2.0) <= 2.0 * math.log(p) / p
         assert value == pytest.approx(2.0, rel=1e-9)
 
+    def test_large_exponent_horizon_does_not_overflow(self):
+        # the tail horizon damps eps by (2r)^(p+1), taken in logs
+        assert ml.i_p(ml.exponential(), 100.0) == pytest.approx(
+            37.99268934483429, rel=1e-12)                  # Gamma(101)^(1/100)
+        gauss = math.exp((50.0 * math.log(2.0) + special.gammaln(51.0)) / 100.0)
+        assert ml.i_p(ml.gaussian(), 100.0) == pytest.approx(gauss, rel=1e-12)
+
     def test_domain_error(self):
         with pytest.raises(ValueError):
             ml.i_p(ml.exponential(), -1.0)

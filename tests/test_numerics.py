@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -92,47 +93,79 @@ class TestIntegrate1d:
 
 class TestMaximizeLogconcave:
     def test_gaussian_bump(self):
-        x, val = maximize_logconcave(lambda z: math.exp(-float(z @ z)), np.array([3.0, 3.0]))
+        x, val = maximize_logconcave(lambda Z: np.exp(-(Z * Z).sum(axis=1)),
+                                     np.array([3.0, 3.0]))
         assert np.linalg.norm(x) < 1e-4
         assert abs(val - 1.0) < 1e-8
 
     def test_indicator_plateau(self):
-        x, val = maximize_logconcave(lambda z: 1.0 if 0.0 <= z[0] <= 1.0 else 0.0, [0.5])
+        x, val = maximize_logconcave(
+            lambda Z: ((0.0 <= Z[:, 0]) & (Z[:, 0] <= 1.0)).astype(float), [0.5])
         assert val == 1.0
 
     def test_product_of_shifted_exponentials(self):
         # brute-force oracle on a 10^6 grid
         grid = np.linspace(-3.0, 4.0, 1_000_001)
         oracle = np.max(np.exp(-np.abs(grid)) * np.exp(-np.abs(grid - 1.0)))
-        f = lambda z: math.exp(-abs(float(z[0]))) * math.exp(-abs(float(z[0]) - 1.0))
+        f = lambda Z: np.exp(-np.abs(Z[:, 0])) * np.exp(-np.abs(Z[:, 0] - 1.0))
         x, val = maximize_logconcave(f, [-2.0])
         assert abs(val - oracle) < 1e-9
         assert abs(val - math.exp(-1.0)) < 1e-9
 
     def test_concave_quadratic_reaches_analytic_max(self):
-        f = lambda z: math.exp(-(2.0 * (z[0] - 0.3) ** 2 + 0.5 * (z[1] + 1.2) ** 2))
+        f = lambda Z: np.exp(-(2.0 * (Z[:, 0] - 0.3) ** 2 + 0.5 * (Z[:, 1] + 1.2) ** 2))
         x, val = maximize_logconcave(f, [5.0, 5.0], tol=1e-10)
         assert abs(val - 1.0) < 1e-8
 
     def test_zero_region_error(self):
         with pytest.raises(ZeroFunctionRegionError):
-            maximize_logconcave(lambda z: 0.0, [0.0])
+            maximize_logconcave(lambda Z: np.zeros(len(Z)), [0.0])
 
     def test_ring_search_recovers_offset_support(self):
-        f = lambda z: 1.0 if 4.0 <= z[0] <= 6.0 else 0.0
+        f = lambda Z: ((4.0 <= Z[:, 0]) & (Z[:, 0] <= 6.0)).astype(float)
         x, val = maximize_logconcave(f, [0.0])
         assert val == 1.0
 
     def test_deterministic(self):
-        f = lambda z: math.exp(-float(z @ z) - 0.2 * float(z[0]))
+        f = lambda Z: np.exp(-(Z * Z).sum(axis=1) - 0.2 * Z[:, 0])
         a = maximize_logconcave(f, np.array([1.0, -2.0]))
         b = maximize_logconcave(f, np.array([1.0, -2.0]))
         assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_one_call_per_ring_and_per_sweep(self, d):
+        # the objective is zero at the start, so rings run before the sweeps
+        dirs = np.vstack([np.eye(d), -np.eye(d)]
+                         + [np.array(s) / math.sqrt(d)
+                            for s in itertools.product((-1.0, 1.0), repeat=d)])
+        calls = []
+
+        def spy(Z):
+            out = np.where(np.all(Z > 1.5, axis=1),
+                           np.exp(-((Z - 2.0) ** 2).sum(axis=1)), 0.0)
+            calls.append((np.array(Z, copy=True), out))
+            return out
+
+        stencil = len(dirs)
+        assert stencil == 2 * d + 2 ** d
+        maximize_logconcave(spy, np.zeros(d), max_evals=1 + 5 * stencil)
+        assert all(Z.ndim == 2 and Z.shape[1] == d for Z, _ in calls)
+        assert calls[0][0].shape == (1, d)
+        for Z, _ in calls[1:]:          # every other call is one whole stencil
+            c = Z.mean(axis=0)
+            h = np.linalg.norm(Z[0] - c)
+            np.testing.assert_allclose(Z, c + h * dirs, atol=1e-12 * (1.0 + h))
+        rings = [out for Z, out in calls[1:] if np.allclose(Z.mean(axis=0), 0.0)]
+        assert len(rings) >= 2
+        assert not any(np.any(out > 0.0) for out in rings[:-1])
+        assert np.any(rings[-1] > 0.0)
+        # the ring's points are not counted; each sweep adds its stencil
+        assert len(calls) - 1 - len(rings) == 5
+
 
 def test_minimize_convex_max_of_norms():
     centers = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
-    F = lambda z: max(np.linalg.norm(z - c) for c in centers)
+    F = lambda Z: np.linalg.norm(Z[:, None, :] - centers, axis=2).max(axis=1)
     x, val = minimize_convex(F, [5.0, 5.0])
     assert abs(val - math.sqrt(2.0)) < 1e-3      # min-enclosing-ball radius of the 3 points
 
