@@ -323,14 +323,8 @@ def profile_cut(prof, n: int, scale: float) -> float:
     """Radius beyond which the level-set integrand is negligible."""
     if prof.support_radius < math.inf:
         return prof.support_radius
-    if prof.kind == "pfamily":
-        a = abs(prof.param)
-    elif prof.kind == "gaussian":
-        a = 2.0
-    else:
-        a = 1.0
     eps = 1e-13 / max(1.0, scale * n)
-    return prof.truncation_radius(eps, extra_power=n + max(1.0, a) + 2.0)
+    return prof.truncation_radius(eps, extra_power=n + max(1.0, prof.exponent) + 2.0)
 
 
 def _cov_fn_levelset(f: LogConcaveFunction, xb: MVector, seed: int,
@@ -489,7 +483,7 @@ def covariogram_fn(f: LogConcaveFunction, xbar, method: str = "levelset",
     "direct_mc" integrates min_i f(y - x_i) over a truncation box.
     """
     xb = as_mvector(xbar, f.dim)
-    if f.profile.kind == "pfamily" and f.profile.param == 0.0:
+    if not math.isfinite(f.profile.phi0):
         raise NonIntegrableError("the p = 0 profile has infinite mass and "
                                  "no covariogram")
     if method == "levelset":

@@ -353,17 +353,17 @@ def _jobs_scaling(seed, samples):
     moment factor, so the law is checked rather than restated.
     """
     jobs = []
-    for profile in ("exponential", "gaussian"):
+    laws = (("exponential", lambda n, p: (special.gamma(n + p + 1.0)
+                                          / special.gamma(n + 1.0)) ** (1.0 / p)),
+            ("gaussian", lambda n, p: math.sqrt(2.0) * (
+                special.gamma(1.0 + (n + p) / 2.0)
+                / special.gamma(1.0 + n / 2.0)) ** (1.0 / p)))
+    for profile, law_of in laws:
         for n, m, p in _SCALING_CASES:
-            def thunk(profile=profile, n=n, m=m, p=p):
+            def thunk(profile=profile, law_of=law_of, n=n, m=m, p=p):
                 K = cc.cube(n, 1.0)
                 f = _fn(profile, K)
-                if profile == "exponential":
-                    law = (special.gamma(n + p + 1.0)
-                           / special.gamma(n + 1.0)) ** (1.0 / p)
-                else:
-                    law = math.sqrt(2.0) * (special.gamma(1.0 + (n + p) / 2.0)
-                                            / special.gamma(1.0 + n / 2.0)) ** (1.0 / p)
+                law = law_of(n, p)
                 ratios = []
                 for theta in _scaling_dirs(n, m):
                     rf = sb.radial_from_ray(sb.layer_cake_ray(
@@ -623,9 +623,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("chain needs exactly one of 'body' or 'function'")
     if "m" in params:
         params["m"] = _need_int(raw, "m", 1)
-    for key in ("samples", "inner_samples", "nodes"):
+    # a ray table takes at least the 4 nodes `mellin.from_table` needs
+    for key, least in (("samples", 1), ("inner_samples", 1), ("nodes", 4)):
         if key in params:
-            params[key] = _need_int(raw, key, 1)
+            params[key] = _need_int(raw, key, least)
     if "p_grid" in params:
         grid = params["p_grid"]
         if (not isinstance(grid, list) or not grid

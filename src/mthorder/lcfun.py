@@ -1,9 +1,18 @@
 """Log-concave model functions f = A * phi(||x - x'||_K).
 
-Only profile-of-gauge functions are first class: exponential, Gaussian,
-power (1-t)_+^(1/s), indicator, and the p-family exp(-(n/|p|)(t^|p|-1))
-(t^-n at p = 0, admitted for radial-mean-body limit work only).  The form
-gives closed-form masses, level sets, q-norms and level-integral weights.
+Only profile-of-gauge functions are first class, and every formula for a
+profile phi lives in `Profile`, once per family:
+
+* the stretched exponentials phi(t) = exp(b - c t^a): the exponential
+  (a, c, b) = (1, 1, 0), the Gaussian (2, 1/2, 0) and the p-family
+  exp(-(n/|p|)(t^|p| - 1)) at p != 0, (|p|, n/|p|, n/|p|);
+* the power kind (1 - t)_+^(1/s);
+* the indicator of [0, 1];
+* the p-family at p = 0, t^-n, admitted for radial-mean-body limit work only.
+
+The form gives closed-form masses, level sets, q-norms and the level moments
+M_k = int (-phi') s^k ds, which `mellin` reads as the closed-form Mellin
+transforms of these profiles.
 
 Note the p-family with |p| < 1 is a valid monotone profile but is *not*
 log-concave; it participates only in scaling-law computations.
@@ -13,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -23,6 +33,7 @@ from .convexcore import ConvexBody
 _KINDS = ("exponential", "gaussian", "power", "indicator", "pfamily")
 
 ZERO_P_WINDOW = 1e-6     # |p| below this is routed to the p = 0 branch
+_P0_MESSAGE = "p=0 family has an infinite peak and no finite moments"
 
 
 class NonIntegrableError(ValueError):
@@ -45,77 +56,102 @@ class Profile:
         if self.kind == "pfamily" and self.param <= -1:
             raise ValueError("pfamily needs p > -1")
 
+    @cached_property
+    def _stretch(self) -> tuple[float, float, float] | None:
+        """(a, c, b) with phi(t) = exp(b - c t^a); None off the stretched family."""
+        if self.kind == "exponential":
+            return 1.0, 1.0, 0.0
+        if self.kind == "gaussian":
+            return 2.0, 0.5, 0.0
+        if self.kind == "pfamily" and self.param != 0.0:
+            a = abs(self.param)
+            c = self.ambient_dim / a
+            return a, c, c
+        return None
+
     # -- pointwise data ------------------------------------------------------
 
     @property
     def phi0(self) -> float:
-        if self.kind == "pfamily":
-            p = self.param
-            return math.inf if p == 0 else math.exp(self.ambient_dim / abs(p))
-        return 1.0
+        if self._stretch:
+            return math.exp(self._stretch[2])
+        return math.inf if self.kind == "pfamily" else 1.0
 
     @property
     def support_radius(self) -> float:
         return 1.0 if self.kind in ("power", "indicator") else math.inf
 
     @property
-    def is_log_concave(self) -> bool:
-        if self.kind == "pfamily":
-            return self.param >= 1
-        return True
+    def exponent(self) -> float:
+        """The a with -phi'(t) ~ t^(a-1) as t -> 0+: the stretched family's
+        own, 1 for the power and indicator kinds, -n at p = 0."""
+        if self._stretch:
+            return self._stretch[0]
+        return -float(self.ambient_dim) if self.kind == "pfamily" else 1.0
+
+    @property
+    def slope0(self) -> float:
+        """phi'(0+): -c e^b at a = 1, -inf below and 0 above; -1/s for the
+        power kind and 0 for the indicator."""
+        if self._stretch:
+            a, c, b = self._stretch
+            return -math.inf if a < 1.0 else (-c * math.exp(b) if a == 1.0 else 0.0)
+        if self.kind == "power":
+            return -1.0 / self.param
+        return 0.0 if self.kind == "indicator" else -math.inf
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "exponential":
-            out = np.exp(-t)
-        elif self.kind == "gaussian":
-            out = np.exp(-0.5 * t * t)
+        t = np.asarray(t, dtype=float)[()]     # 0-d input: a numpy scalar, cheap to compute on
+        if self._stretch:
+            a, c, b = self._stretch
+            out = np.exp(b - c * t ** a)
         elif self.kind == "power":
             out = np.maximum(1.0 - t, 0.0) ** (1.0 / self.param)
         elif self.kind == "indicator":
             out = (t <= 1.0).astype(float)
         else:
-            n, p = self.ambient_dim, self.param
-            if p == 0.0:
-                with np.errstate(divide="ignore"):
-                    out = np.where(t > 0, t, np.nan) ** (-float(n))
-                    out = np.where(t > 0, out, np.inf)
-            else:
-                a = abs(p)
-                out = np.exp(-(n / a) * (np.minimum(t, 1e300) ** a - 1.0))
-        out = np.where(np.isinf(t) & (t > 0), 0.0, out)
+            with np.errstate(divide="ignore"):
+                out = t ** -float(self.ambient_dim)
+        return out if out.ndim else float(out)
+
+    def drop(self, t):
+        """phi(t) - phi(0), cancellation-free near t = 0."""
+        t = np.asarray(t, dtype=float)[()]
+        if self._stretch:
+            a, c, b = self._stretch
+            out = math.exp(b) * np.expm1(-c * t ** a)
+        elif self.kind == "power":
+            with np.errstate(divide="ignore"):
+                out = np.expm1(np.log1p(-np.minimum(t, 1.0)) / self.param)
+        elif self.kind == "indicator":
+            out = np.where(t <= 1.0, 0.0, -1.0)
+        else:
+            raise NonIntegrableError(_P0_MESSAGE)
         return out if out.ndim else float(out)
 
     def neg_derivative(self, t):
         """-phi'(t); undefined for the indicator kind (a point mass at t=1)."""
-        t = np.asarray(t, dtype=float)
-        if self.kind == "exponential":
-            out = np.exp(-t)
-        elif self.kind == "gaussian":
-            out = t * np.exp(-0.5 * t * t)
+        t = np.asarray(t, dtype=float)[()]
+        if self._stretch:
+            a, c, b = self._stretch
+            if a < 1.0:                     # finite right-limit values at t = 0
+                t = np.maximum(t, 1e-300)
+            out = (c * a) * t ** (a - 1.0) * np.exp(b - c * t ** a)
         elif self.kind == "power":
-            s = self.param
-            inside = t < 1.0
-            with np.errstate(divide="ignore"):
-                out = np.where(inside, np.maximum(1.0 - t, 1e-300) ** (1.0 / s - 1.0) / s, 0.0)
+            s = self.param            # 1/s - 1 > -1, so the floored power stays finite
+            out = np.where(t < 1.0, np.maximum(1.0 - t, 1e-300) ** (1.0 / s - 1.0) / s, 0.0)
         elif self.kind == "indicator":
             raise ValueError("indicator profile has no pointwise derivative")
         else:
-            n, p = self.ambient_dim, self.param
-            tp = np.maximum(t, 1e-300)       # right-limit values at t = 0
-            with np.errstate(over="ignore"):
-                if p == 0.0:
-                    out = n * tp ** (-n - 1.0)
-                else:
-                    a = abs(p)
-                    out = n * tp ** (a - 1.0) * np.exp(-(n / a) * (np.minimum(tp, 1e300) ** a - 1.0))
+            with np.errstate(divide="ignore"):
+                out = self.ambient_dim * t ** (-self.ambient_dim - 1.0)
         return out if out.ndim else float(out)
 
     def inverse_level(self, u: float) -> float:
         """sup{r >= 0 : phi(r) >= u} for 0 < u <= phi(0); 0 above phi(0)."""
         if u <= 0:
             return self.support_radius
-        if self.kind == "pfamily" and self.param == 0.0:
+        if not math.isfinite(self.phi0):
             return u ** (-1.0 / self.ambient_dim)
         if u > self.phi0:
             return 0.0
@@ -125,65 +161,67 @@ class Profile:
         """The level scale s(v) at depths v >= 0 (scalar or array), exact near
         v = 0: phi(s(v)) = phi(0) e^-v, so {f >= A phi(0) e^-v} = c + s(v) K."""
         v = np.asarray(v, dtype=float)
-        if self.kind == "gaussian":
-            return np.sqrt(2.0 * v)
+        if self._stretch:
+            a, c, _ = self._stretch
+            return np.asarray(v / c) ** (1.0 / a)   # ndarray ** 0.5: np.sqrt, correctly rounded
         if self.kind == "power":
             return -np.expm1(-self.param * v)
         if self.kind == "indicator":
             return np.ones_like(v)
-        if self.kind == "pfamily":               # p = 0 has no finite peak
-            a = abs(self.param)
-            return (a * v / self.ambient_dim) ** (1.0 / a)
-        return v
+        raise NonIntegrableError(_P0_MESSAGE)
 
     def moment(self, k: float, q: float = 1.0) -> float:
-        """Closed-form int_0^inf phi(t)^q t^k dt (k > -1, q > 0)."""
+        """Closed-form int_0^inf phi(t)^q t^k dt (k > -1, q > 0); by parts it
+        is the level moment M_(k+1) of phi^q over k + 1."""
         if k <= -1 or q <= 0:
             raise ValueError("moment requires k > -1, q > 0")
-        if self.kind == "exponential":
-            return math.exp(special.gammaln(k + 1.0)) / q ** (k + 1.0)
-        if self.kind == "gaussian":
-            return 0.5 * (2.0 / q) ** ((k + 1.0) / 2.0) * math.exp(special.gammaln((k + 1.0) / 2.0))
-        if self.kind == "power":
-            return math.exp(special.betaln(k + 1.0, q / self.param + 1.0))
-        if self.kind == "indicator":
-            return 1.0 / (k + 1.0)
-        n, p = self.ambient_dim, self.param
-        if p == 0.0:
-            raise NonIntegrableError("p=0 family has no finite moments")
-        a = abs(p)
-        c = q * n / a
-        return math.exp(c + special.gammaln((k + 1.0) / a)) * c ** (-(k + 1.0) / a) / a
+        return self._level_moment(k + 1.0, q) / (k + 1.0)
 
     def level_moment(self, k: float) -> float:
-        """M_k = int_0^inf (-phi'(s)) s^k ds = k * moment(k - 1), M_0 = phi(0),
-        and exactly 1 for the indicator: the layer cake of
-        f = A phi(||x - c||_K) gives ||f||_1 = A M_n vol(K)."""
+        """M_k = int_0^inf (-phi'(s)) s^k ds: e^b Gamma(k/a + 1) c^(-k/a) on the
+        stretched family and Gamma(k + 1) Gamma(1/s + 1) / Gamma(k + 1/s + 1)
+        on the power kind, finite for k > -a, and 1 for the indicator.  The
+        layer cake of f = A phi(||x - c||_K) gives ||f||_1 = A M_n vol(K)."""
+        return self._level_moment(k, 1.0)
+
+    def _level_moment(self, k: float, q: float) -> float:
+        """M_k of phi^q, which stays in phi's family: (a, qc, qb) for the
+        stretched kinds, s/q for the power kind."""
         if self.kind == "indicator":
-            return self.phi0
-        if k == 0:
-            if not math.isfinite(self.phi0):
-                raise NonIntegrableError("p=0 family has an infinite peak")
-            return self.phi0
-        return k * self.moment(k - 1.0)
+            return 1.0
+        if not math.isfinite(self.phi0):
+            raise NonIntegrableError(_P0_MESSAGE)
+        if not k > -self.exponent:
+            raise NonIntegrableError(f"M_k is infinite for k <= {-self.exponent:g}")
+        if self._stretch:
+            a, c, b = self._stretch
+            return math.exp(q * b + special.gammaln(k / a + 1.0) - (k / a) * math.log(q * c))
+        r = q / self.param
+        lg = special.gammaln
+        return math.exp(lg(k + 1.0) + lg(r + 1.0) - lg(k + r + 1.0))
 
     def level_moment_log_slope(self, k: float) -> float:
-        """d/dk log M_k.  Up to constants M_k is c^(-k/a) Gamma(k/a + 1),
-        over Gamma(k + 1/s + 1) for the power kind; the indicator has M_k = 1."""
+        """d/dk log M_k (see `level_moment`); 0 for the indicator."""
         if self.kind == "indicator":
             return 0.0
-        a, c = 1.0, 1.0
-        if self.kind == "gaussian":
-            a, c = 2.0, 0.5
-        elif self.kind == "pfamily":
-            if self.param == 0.0:
-                raise NonIntegrableError("p=0 family has no finite moments")
-            a = abs(self.param)
-            c = self.ambient_dim / a
-        slope = (float(special.digamma(k / a + 1.0)) - math.log(c)) / a
+        if self._stretch:
+            a, c, _ = self._stretch
+            return (float(special.digamma(k / a + 1.0)) - math.log(c)) / a
         if self.kind == "power":
-            slope -= float(special.digamma(k + 1.0 / self.param + 1.0))
-        return slope
+            return float(special.digamma(k + 1.0) - special.digamma(k + 1.0 / self.param + 1.0))
+        raise NonIntegrableError(_P0_MESSAGE)
+
+    def coercivity_bound(self) -> float:
+        """C with phi(t) <= C e^-t for every t >= 0: e^(b + g) on the stretched
+        family with a >= 1, where g = sup_t (t - c t^a)."""
+        if not self._stretch or self._stretch[0] < 1.0:
+            raise NonIntegrableError("only stretched profiles with a >= 1 have an "
+                                     "envelope C e^-t")
+        a, c, b = self._stretch
+        if a == 1.0:
+            return math.exp(b)              # c >= 1 on every kind with a = 1
+        t = (c * a) ** (-1.0 / (a - 1.0))
+        return math.exp(b + t - c * t ** a)
 
     def truncation_radius(self, eps: float, extra_power: float = 0.0) -> float:
         """Radius beyond which phi(r) * r^extra_power stays below eps.  The
@@ -191,8 +229,6 @@ class Profile:
         it never overflows."""
         if self.support_radius < math.inf:
             return self.support_radius
-        if not math.isfinite(self.phi0):
-            raise NonIntegrableError("p=0 family has an infinite peak")
         r = 0.0
         for _ in range(5):
             depth = (math.log(self.phi0) - math.log(eps)
@@ -284,33 +320,14 @@ class LogConcaveFunction:
 
     def coercivity_bound(self) -> tuple[float, float]:
         """(A, B) with f(x) <= A exp(-B |x|) everywhere; needs exponential-type decay."""
-        kind, par = self.profile.kind, self.profile.param
-        if kind == "pfamily" and abs(par) < 1:
-            raise NonIntegrableError("p-family decay is subexponential for |p| < 1")
+        prof = self.profile
         r_out = cc.outer_radius(self.body)
-        b = 1.0 / r_out
-        # phi(t) <= C exp(-t) for every kind here (C covers the Gaussian crossover)
-        if kind == "gaussian":
-            c = math.exp(0.5)
-        elif kind == "pfamily":
-            n, a = self.profile.ambient_dim, abs(par)
-            c = self.profile.phi0 * math.exp(_sup_gap(n, a))
-        else:
-            c = 1.0
-        if kind in ("power", "indicator"):
+        shift = float(np.linalg.norm(self.shift))
+        if prof.support_radius < math.inf:
             # compactly supported: A e^(R - |x|) dominates f inside |x| <= R
-            reach = r_out * self.profile.support_radius + float(np.linalg.norm(self.shift))
-            return self.amplitude * math.exp(reach), 1.0
-        amp = self.amplitude * c * math.exp(b * float(np.linalg.norm(self.shift)))
-        return amp, b
-
-
-def _sup_gap(n: int, a: float) -> float:
-    # sup_t [ t - (n/a) t^a ] for a >= 1 (finite; equals the crossover constant)
-    if a == 1.0:
-        return 0.0 if n >= 1 else math.inf
-    t_star = (1.0 / n) ** (1.0 / (a - 1.0))
-    return t_star - (n / a) * t_star ** a
+            return self.amplitude * math.exp(r_out * prof.support_radius + shift), 1.0
+        b = 1.0 / r_out
+        return self.amplitude * prof.coercivity_bound() * math.exp(b * shift), b
 
 
 def make_function(spec: dict) -> LogConcaveFunction:

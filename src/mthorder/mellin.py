@@ -5,11 +5,13 @@ excluded: directly for p > 0, and through the subtracted integral
 int t^(p-1) (psi(t) - psi(0)) dt for p in (-1, 0).  Every call runs two
 independent routes -- the branch integral and the integrated-by-parts form
 (1/p) int (-psi'(t)) t^p dt -- and cross-checks them against each other and
-against the closed form when the profile kind has one.  Piecewise polynomial
-profiles (`from_ppoly`, and `from_table` through its Pchip interpolant) are
-integrated knot by knot, exactly up to rounding; closed-form profiles by
-adaptive quadrature, `integrate_1d` absorbing the t^p weight by substitution.
-A profile of finite support is measured in units of its support, so no power
+against the closed form when the profile has one.  `from_profile` only reads
+a `lcfun.Profile`: its pointwise formulas, and its level moment M_p, which is
+the closed form p M(phi)(p).  Piecewise polynomial profiles (`from_ppoly`,
+and `from_table` through its Pchip interpolant) are integrated knot by knot,
+exactly up to rounding; closed-form profiles by adaptive quadrature,
+`integrate_1d` taking the t^p weight in units of the integration span.  A
+profile of finite support is measured in units of its support, so no power
 of a large radius overflows.
 
 On top of the transform sit the normalized means I_p (with a log-moment
@@ -35,7 +37,6 @@ from .numerics import QuadratureConfig, gauss_panels, integrate_1d
 _ROUTE_AGREEMENT = 1e-6    # required relative match between the two routes
 _SMALL_P = 0.05            # below this the transform takes the subtracted form
 _TAIL_EPS = 1e-18          # pointwise envelope level used to place the horizon
-_EULER = float(np.euler_gamma)
 
 _DEFAULT_CFG = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-13)
 
@@ -77,46 +78,43 @@ class MellinProfile:
 
 
 def from_profile(prof: Profile, scale: float = 1.0, amplitude: float = 1.0) -> MellinProfile:
-    """Wrap a closed-form profile as psi(t) = amplitude * phi(t / scale)."""
+    """Wrap a closed-form profile as psi(t) = amplitude * phi(t / scale); its
+    closed form p M(psi)(p) is the level moment M_p of `Profile`."""
     if scale <= 0 or amplitude <= 0:
         raise ValueError("scale and amplitude must be positive")
-    if prof.kind == "pfamily" and prof.param == 0.0:
+    if not math.isfinite(prof.phi0):
         raise NonIntegrableError("the p = 0 family is unbounded at the origin")
+    indicator = prof.kind == "indicator"     # -phi' is the atom at 1 alone
 
     def value(t):
-        return amplitude * prof.value(np.asarray(t, dtype=float) / scale)
+        return amplitude * prof.value(np.divide(t, scale))
+
+    def drop(t):
+        return amplitude * prof.drop(np.divide(t, scale))
 
     def neg_derivative(t):
-        if prof.kind == "indicator":
-            t = np.asarray(t, dtype=float)
-            out = np.zeros_like(t)
+        if indicator:
+            out = np.zeros_like(np.asarray(t, dtype=float))
             return out if out.ndim else 0.0
-        return (amplitude / scale) * prof.neg_derivative(np.asarray(t, dtype=float) / scale)
+        return (amplitude / scale) * prof.neg_derivative(np.divide(t, scale))
 
-    drop = _drop_of(prof, scale, amplitude)
     psi0 = amplitude * prof.phi0
-    atoms = ((scale, amplitude),) if prof.kind == "indicator" else ()
-
-    if prof.support_radius < math.inf:
-        horizon = scale * prof.support_radius
-        cutoff = lambda p: horizon
-    else:
-        cutoff = lambda p: scale * prof.truncation_radius(_TAIL_EPS, max(p, 0.0) + 1.0)
-
+    unit = scale if math.isinf(prof.support_radius) else 1.0   # see MellinProfile
+    a = prof.exponent
     return MellinProfile(
         kind=prof.kind,
         value=value,
         drop=drop,
         neg_derivative=neg_derivative,
         psi0=psi0,
-        slope0=_slope_at_zero(prof, scale, amplitude),
+        slope0=amplitude * prof.slope0 / scale,
         sup=psi0,
         support_radius=scale * prof.support_radius,
-        cutoff=cutoff,
-        atoms=atoms,
-        pmellin=_closed_form(prof, scale, amplitude),
-        deriv_exponent=_deriv_exponent(prof),
-        min_p=-min(1.0, abs(prof.param)) if prof.kind == "pfamily" else -1.0,
+        cutoff=lambda p: scale * prof.truncation_radius(_TAIL_EPS, max(p, 0.0) + 1.0),
+        atoms=((scale, amplitude),) if indicator else (),
+        pmellin=lambda p: amplitude * unit ** p * prof.level_moment(p),
+        deriv_exponent=a - 1.0,
+        min_p=-min(1.0, a),
     )
 
 
@@ -168,8 +166,10 @@ def lens(n: int, radius: float) -> MellinProfile:
         cutoff=lambda p: width, pmellin=pmellin)
 
 
-def from_table(ts, vals) -> MellinProfile:
-    """Monotone-interpolated profile from samples; zero beyond the last node."""
+def from_table(ts, vals, root: int = 1) -> MellinProfile:
+    """Profile from samples, zero beyond the last node: the Pchip interpolant
+    of vals^(1/root) with each cubic piece raised to the root-th power.  A
+    root n follows a covariogram section in R^n, whose n-th root is concave."""
     ts = np.asarray(ts, dtype=float)
     vals = np.asarray(vals, dtype=float)
     if ts.ndim != 1 or ts.shape != vals.shape or ts.size < 4:
@@ -178,7 +178,16 @@ def from_table(ts, vals) -> MellinProfile:
         raise ValueError("nodes must start at 0 and increase strictly")
     if not np.all(np.isfinite(vals)) or np.any(vals < 0) or vals[0] <= 0:
         raise ValueError("values must be finite, nonnegative, positive at 0")
-    return replace(from_ppoly(PchipInterpolator(ts, vals)), kind="table")
+    if root != int(root) or root < 1:
+        raise ValueError("root must be a positive integer")
+    base = PchipInterpolator(ts, vals ** (1.0 / root)).c
+    c = base
+    for _ in range(int(root) - 1):
+        prod = np.zeros((len(c) + 3, c.shape[1]))
+        for i, row in enumerate(base):
+            prod[i:i + len(c)] += row * c
+        c = prod
+    return replace(from_ppoly(PPoly.construct_fast(c, ts)), kind="table")
 
 
 def from_ppoly(pp: PPoly) -> MellinProfile:
@@ -237,73 +246,6 @@ def _minus(pp: PPoly, c0: float) -> PPoly:
     return PPoly.construct_fast(c, pp.x)
 
 
-def _drop_of(prof: Profile, scale: float, amplitude: float) -> Callable:
-    kind, s = prof.kind, prof.param
-
-    def drop(t):
-        u = np.asarray(t, dtype=float) / scale
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if kind == "exponential":
-                out = np.expm1(-u)
-            elif kind == "gaussian":
-                out = np.expm1(-0.5 * u * u)
-            elif kind == "power":
-                out = np.expm1(np.log1p(-np.minimum(u, 1.0)) / s)
-            elif kind == "indicator":
-                out = np.where(u <= 1.0, 0.0, -1.0)
-            else:                                  # pfamily with param != 0
-                n, a = prof.ambient_dim, abs(s)
-                phi0 = math.exp(n / a)
-                out = phi0 * np.expm1(-(n / a) * np.minimum(u, 1e300) ** a)
-        out = amplitude * out
-        return out if out.ndim else float(out)
-
-    return drop
-
-
-def _slope_at_zero(prof: Profile, scale: float, amplitude: float) -> float:
-    kind, par = prof.kind, prof.param
-    if kind == "exponential":
-        base = -1.0
-    elif kind in ("gaussian", "indicator"):
-        base = 0.0
-    elif kind == "power":
-        base = -1.0 / par
-    else:
-        n, a = prof.ambient_dim, abs(par)
-        base = -math.inf if a < 1 else (-n * prof.phi0 if a == 1.0 else 0.0)
-    return amplitude * base / scale
-
-
-def _deriv_exponent(prof: Profile) -> float:
-    if prof.kind == "gaussian":
-        return 1.0
-    if prof.kind == "pfamily":
-        return abs(prof.param) - 1.0
-    return 0.0
-
-
-def _closed_form(prof: Profile, scale: float, amplitude: float) -> Callable:
-    """The analytic map p -> p * M(psi)(p), valid on the admissible range."""
-    kind = prof.kind
-    lg = special.gammaln
-    if kind == "exponential":
-        core = lambda p: math.exp(lg(p + 1.0))
-    elif kind == "gaussian":
-        core = lambda p: 2.0 ** (0.5 * p) * math.exp(lg(1.0 + 0.5 * p))
-    elif kind == "power":
-        s = prof.param
-        core = lambda p: math.exp(lg(p + 1.0) + lg(1.0 / s + 1.0) - lg(p + 1.0 / s + 1.0))
-    elif kind == "indicator":
-        core = lambda p: 1.0
-    else:
-        n, a = prof.ambient_dim, abs(prof.param)
-        c = n / a
-        core = lambda p: math.exp(c + lg(p / a + 1.0) - (p / a) * math.log(c))
-    unit = scale if math.isinf(prof.support_radius) else 1.0   # see MellinProfile
-    return lambda p: amplitude * unit ** p * core(p)
-
-
 # ---------------------------------------------------------------------------
 # the transform
 
@@ -354,28 +296,27 @@ def berwald_g(psi: MellinProfile, p: float, s: float) -> float:
     return binom_root(p, s) * i_p(psi, p)
 
 
-def binom_gen(p: float, s: float) -> float:
-    """Generalized binomial coefficient (1/s + p choose p); 1/Gamma(p+1) at s=0."""
-    if not math.isfinite(p) or p <= -1.0:
-        raise ValueError("binom_gen needs a finite p > -1")
+def _extremal(s: float) -> Profile:
+    """The profile on which G(., p, s) is constant: (1 - t)_+^(1/s), e^-t at s = 0."""
     if s < 0:
         raise ValueError("concavity index s must be nonnegative")
-    if s == 0.0:
-        return math.exp(-special.gammaln(p + 1.0))
-    r = 1.0 / s
-    return math.exp(special.gammaln(r + p + 1.0) - special.gammaln(p + 1.0)
-                    - special.gammaln(r + 1.0))
+    return Profile("power", s) if s > 0 else Profile("exponential")
+
+
+def binom_gen(p: float, s: float) -> float:
+    """Generalized binomial coefficient (1/s + p choose p), 1/Gamma(p+1) at
+    s = 0: the reciprocal of the extremal profile's level moment M_p."""
+    if not math.isfinite(p) or p <= -1.0:
+        raise ValueError("binom_gen needs a finite p > -1")
+    return 1.0 / _extremal(s).level_moment(p)
 
 
 def binom_root(p: float, s: float) -> float:
     """binom_gen(p, s)^(1/p), the normalizer of the radial chain and of G,
     continued through p = 0 (within ZERO_P_WINDOW) by its limit
-    exp(digamma(1/s + 1) + euler_gamma), exp(euler_gamma) at s = 0."""
-    if s < 0:
-        raise ValueError("concavity index s must be nonnegative")
+    exp(-d/dp log M_p) = exp(digamma(1/s + 1) + euler_gamma)."""
     if abs(p) <= ZERO_P_WINDOW:
-        tilt = float(special.digamma(1.0 / s + 1.0)) if s > 0 else 0.0
-        return math.exp(tilt + _EULER)
+        return math.exp(-_extremal(s).level_moment_log_slope(0.0))
     return binom_gen(p, s) ** (1.0 / p)
 
 

@@ -131,7 +131,10 @@ def integrate_1d(phi, a: float, b: float, cfg: QuadratureConfig | None = None,
     For k < 0 the substitution w = ((t - a) / (b - a))^(k+1) absorbs the
     weight, (b - a)^(k+1) / (k+1) int_0^1 phi(t(w)) dw, so no power of a
     tiny t - a is formed even as k -> -1; phi is taken at
-    t - a >= _T_FLOOR (b - a), below which t(w) would underflow.
+    t - a >= _T_FLOOR (b - a), below which t(w) would underflow.  For
+    k > 0 the weight is ((t - a) / (b - a))^k <= 1, and the factor
+    (b - a)^k, like the absolute tolerance it rescales, is applied in logs,
+    so the result overflows only when the integral itself does.
     An infinite upper limit requires tail_bound = (A, B) with
     (t - a)^k phi(t) <= A*exp(-B*t); the integral is truncated where that
     envelope drops below abs_tol/10.  Raises QuadratureFailure (carrying the
@@ -152,23 +155,37 @@ def integrate_1d(phi, a: float, b: float, cfg: QuadratureConfig | None = None,
     k = weight_exponent
     if k == 0.0:
         return _quad(phi, a, b, cfg)
+    span = b - a
     if k > 0.0:
-        return _quad(lambda t: phi(t) * (t - a) ** k, a, b, cfg)
-    span, q = b - a, 1.0 / (k + 1.0)
+        log_unit = k * math.log(span)
+        inner = _quad(lambda t: phi(t) * ((t - a) / span) ** k, a, b, cfg,
+                      abs_tol=_times_exp(cfg.abs_tol, -log_unit))
+        return EstimateWithError(_times_exp(inner.value, log_unit),
+                                 _times_exp(inner.std_error, log_unit),
+                                 inner.samples_or_nodes)
+    q = 1.0 / (k + 1.0)
     floor = a + _T_FLOOR * span
     inner = _quad(lambda w: phi(max(a + span * w ** q, floor)), 0.0, 1.0, cfg)
     return inner.scaled(span ** (k + 1.0) * q)
 
 
-def _quad(fn, a, b, cfg):
-    out = integrate.quad(fn, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
+def _quad(fn, a, b, cfg, abs_tol=None):
+    abs_tol = cfg.abs_tol if abs_tol is None else abs_tol
+    out = integrate.quad(fn, a, b, epsabs=abs_tol, epsrel=cfg.rel_tol,
                          limit=cfg.max_subdivisions, full_output=1)
     value, err = out[0], out[1]
     nodes = int(out[2].get("neval", 0)) if len(out) > 2 and isinstance(out[2], dict) else 0
     est = EstimateWithError(value, err, nodes)
-    if len(out) == 4 and err > 50 * max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+    if len(out) == 4 and err > 50 * max(abs_tol, cfg.rel_tol * abs(value)):
         raise QuadratureFailure(f"quadrature did not converge: {out[3]}", est)
     return est
+
+
+def _times_exp(x: float, log_factor: float) -> float:
+    """x * e^log_factor, overflowing only when the product itself does."""
+    if x == 0.0:
+        return 0.0
+    return math.copysign(math.exp(math.log(abs(x)) + log_factor), x)
 
 
 @functools.lru_cache(maxsize=None)

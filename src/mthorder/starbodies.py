@@ -17,9 +17,10 @@ for every kind of ray:
 * a ball of radius a at m = 1 has the lens section
   I_{1-(r/2a)^2}((n+1)/2, 1/2) (`mellin.lens`), whose Beta closed form
   `mellin` checks its quadratures against;
-* every other body tabulates its section once per direction, and the Pchip
-  interpolant of psi^(1/n) with each cubic piece raised to the n-th power is
-  integrated knot by knot, so many p values reuse one ray.  Monte Carlo
+* every other body tabulates its section once per direction, and
+  `mellin.from_table(..., root=n)` (the Pchip interpolant of psi^(1/n) with
+  each cubic piece raised to the n-th power) is integrated knot by knot, so
+  many p values reuse one ray.  Monte Carlo
   tables also carry the profiles of psi + sigma and psi - sigma.
 
 A function f = A phi(||x - c||_K) needs no rays of its own.  The layer cake
@@ -34,10 +35,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator, PPoly
+from scipy.interpolate import PPoly
 
 from . import convexcore as cc
 from . import covariogram as cov
@@ -89,19 +90,6 @@ def _body_section_direct(K: ConvexBody, thb: np.ndarray, vol: float,
     return section
 
 
-def _table_profile(grid, vals, n: int) -> ml.MellinProfile:
-    """The Pchip interpolant of vals^(1/n) on grid, each cubic piece raised to
-    the n-th power: a profile of kind "table", unlike the exact sections."""
-    root = PchipInterpolator(grid, np.clip(vals, 0.0, 1.0) ** (1.0 / n))
-    c = root.c
-    for _ in range(n - 1):
-        prod = np.zeros((len(c) + 3, c.shape[1]))
-        for i, row in enumerate(root.c):
-            prod[i:i + len(c)] += row * c
-        c = prod
-    return replace(ml.from_ppoly(PPoly.construct_fast(c, grid)), kind="table")
-
-
 def _box_ray(lo, hi, blocks) -> RadialRay:
     """The section prod_j (1 - r t_j)_+ of a box along a unit m-direction."""
     rates = cov.box_rates(lo, hi, blocks)
@@ -135,8 +123,9 @@ def body_ray(K: ConvexBody, m: int, theta, seed: int = 0,
     sig = sigs / vol
     sig[0] = 0.0
     envelope = () if not np.any(sig > 0.0) else tuple(
-        _table_profile(grid, vals + sign * sig, K.dim) for sign in (1.0, -1.0))
-    return RadialRay(_table_profile(grid, vals, K.dim), slope0, envelope)
+        ml.from_table(grid, np.clip(vals + sign * sig, 0.0, 1.0), root=K.dim)
+        for sign in (1.0, -1.0))
+    return RadialRay(ml.from_table(grid, vals, root=K.dim), slope0, envelope)
 
 
 def _fd_slope(psi, scale: float) -> float:
@@ -195,7 +184,7 @@ def layer_cake_ray(f: LogConcaveFunction, m: int, theta, seed: int = 0,
     exact = body.profile.value if body.profile.kind != "table" \
         else _body_section_direct(K, th.blocks, vol, seed, samples)
     slope0 = _fd_slope(lambda r: float(section(np.array([r]), exact)[0]), R)
-    return RadialRay(_table_profile(grid, vals, n), slope0)
+    return RadialRay(ml.from_table(grid, vals, root=n), slope0)
 
 
 def as_unit(theta, n: int) -> cov.MVector:

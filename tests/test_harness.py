@@ -277,6 +277,17 @@ class TestCli:
         report = json.loads((out / "verdicts.json").read_text())
         assert [v["status"] for v in report["verdicts"]] == ["holds"]
 
+    @pytest.mark.parametrize("nodes", [1, 3])
+    def test_too_few_ray_nodes_exit_two(self, tmp_path, capsys, nodes):
+        pentagon = {"kind": "vertices",
+                    "points": [[math.cos(0.3 + 0.4 * math.pi * k),
+                                math.sin(0.3 + 0.4 * math.pi * k)] for k in range(5)]}
+        path = _write(tmp_path, {"name": "x", "check": "chain", "m": 1,
+                                 "p_grid": [-0.5, 1.0], "body": pentagon,
+                                 "directions": 2, "nodes": nodes})
+        assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 2
+        assert "'nodes' must be >= 4" in capsys.readouterr().err
+
     def test_point_of_wrong_length_exits_two(self, tmp_path, capsys):
         path = _write(tmp_path, {"name": "x", "check": "tangent-bound", "m": 2,
                                  "function": _FUNC, "points": [[0.1, 0.2, 0.3]]})

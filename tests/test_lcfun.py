@@ -64,19 +64,47 @@ _LEVEL_PROFILES = [
 ]
 
 
+# k in (-a, 0), where M_k is still finite: -phi'(s) ~ s^(a-1) at 0, with
+# a = 1 for the exponential and power kinds, 2 for the Gaussian, |p| for the p-family
+_NEGATIVE_K = [
+    (Profile("exponential"), -0.5), (Profile("exponential"), -0.9),
+    (Profile("gaussian"), -0.5), (Profile("gaussian"), -0.9), (Profile("gaussian"), -1.5),
+    (Profile("power", 0.5), -0.5), (Profile("power", 0.5), -0.9),
+    (Profile("pfamily", 1.5, ambient_dim=2), -0.5),
+    (Profile("pfamily", 1.5, ambient_dim=2), -0.9),
+    (Profile("pfamily", -0.5, ambient_dim=1), -0.25),
+    (Profile("pfamily", -0.5, ambient_dim=1), -0.4),
+]
+_QUADRATURE_CASES = (
+    [pytest.param(prof, k, id=f"{k}-prof{i}")
+     for i, prof in enumerate(_LEVEL_PROFILES) for k in (0.5, 1.0, 2.5, 4.0)]
+    + [pytest.param(prof, k, id=f"{k}-{prof.kind}{prof.param:g}") for prof, k in _NEGATIVE_K])
+
+
 class TestLevelMoments:
     """M_k = int (-phi') s^k ds, its log-slope, and the radial factor."""
 
-    @pytest.mark.parametrize("prof", _LEVEL_PROFILES)
-    @pytest.mark.parametrize("k", [0.5, 1.0, 2.5, 4.0])
+    @pytest.mark.parametrize("prof,k", _QUADRATURE_CASES)
     def test_against_quadrature(self, prof, k):
         if prof.kind == "indicator":
             oracle = 1.0                        # -phi' is the unit mass at 1
         else:
+            # s = u^4 flattens the integrand's endpoint power s^(k+a-1) at 0
             top = 1.0 if prof.kind == "power" else math.inf
-            oracle = integrate.quad(lambda s: prof.neg_derivative(s) * s ** k,
-                                    0.0, top, limit=200)[0]
+            oracle = integrate.quad(
+                lambda u: 4.0 * prof.neg_derivative(u ** 4) * u ** (4.0 * k + 3.0),
+                0.0, top, limit=200)[0]
         assert prof.level_moment(k) == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("prof,k", [
+        (Profile("pfamily", -0.5, ambient_dim=1), -0.7),
+        (Profile("exponential"), -1.0),
+        (Profile("power", 0.5), -1.2),
+        (Profile("gaussian"), -2.0),
+    ])
+    def test_below_the_domain_is_not_integrable(self, prof, k):
+        with pytest.raises(NonIntegrableError):
+            prof.level_moment(k)
 
     @pytest.mark.parametrize("prof", _LEVEL_PROFILES)
     def test_zero_moment_is_peak(self, prof):

@@ -257,6 +257,22 @@ class TestIp:
         gauss = math.exp((50.0 * math.log(2.0) + special.gammaln(51.0)) / 100.0)
         assert ml.i_p(ml.gaussian(), 100.0) == pytest.approx(gauss, rel=1e-12)
 
+    @pytest.mark.parametrize("make,p,log_pm", [
+        (ml.exponential, 108.0, special.gammaln(109.0)),
+        (ml.exponential, 109.0, special.gammaln(110.0)),
+        (ml.exponential, 150.0, special.gammaln(151.0)),
+        (ml.exponential, 170.0, special.gammaln(171.0)),
+        (ml.gaussian, 200.0, 100.0 * math.log(2.0) + special.gammaln(101.0)),
+    ], ids=["exp-108", "exp-109", "exp-150", "exp-170", "gauss-200"])
+    def test_large_exponent_weight_does_not_overflow(self, make, p, log_pm):
+        # (t - a)^(p-1) would overflow on the horizon; the weight is taken in
+        # units of the span, with span^(p-1) in logs
+        assert ml.i_p(make(), p) == pytest.approx(math.exp(log_pm / p), rel=1e-14)
+
+    def test_out_of_range_transform_is_arithmetic_error(self):
+        with pytest.raises(ArithmeticError):      # 171! exceeds the float range
+            ml.i_p(ml.exponential(), 171.0)
+
     def test_domain_error(self):
         with pytest.raises(ValueError):
             ml.i_p(ml.exponential(), -1.0)

@@ -8,6 +8,13 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "mthorder"
 _PRIVATE_ACCESS = re.compile(r"\b(?:cc|cov|sb|ml|proj|lc|iq)\._(?!_)\w+")
 
 
+def _sources() -> list[Path]:
+    """The package's modules; none found means the scans below would pass vacuously."""
+    paths = sorted(SRC.glob("*.py"))
+    assert paths, f"no package modules under {SRC}"
+    return paths
+
+
 def _private_imports(source: str, label: str) -> list[str]:
     """Every `_name` (not `__dunder__`) that a relative import pulls in."""
     return [f"{label}:{node.lineno}: from .{node.module or ''} import {alias.name}"
@@ -19,14 +26,14 @@ def _private_imports(source: str, label: str) -> list[str]:
 
 def test_no_cross_module_private_access():
     found = [f"{path.name}:{k}: {match.group()}"
-             for path in sorted(SRC.glob("*.py"))
+             for path in _sources()
              for k, line in enumerate(path.read_text().splitlines(), 1)
              for match in _PRIVATE_ACCESS.finditer(line)]
     assert found == []
 
 
 def test_no_private_name_imported_from_a_sibling():
-    found = [hit for path in sorted(SRC.glob("*.py"))
+    found = [hit for path in _sources()
              for hit in _private_imports(path.read_text(), path.name)]
     assert found == []
 
@@ -34,3 +41,35 @@ def test_no_private_name_imported_from_a_sibling():
 def test_import_scan_reads_parenthesized_imports():
     source = "from . import __version__\nfrom .lcfun import (\n    _HIDDEN,\n    Public,\n)\n"
     assert _private_imports(source, "x.py") == ["x.py:2: from .lcfun import _HIDDEN"]
+
+
+# the profile kinds with formulas of their own, which live in lcfun.Profile
+_KIND_FORMULAS = {"exponential", "gaussian", "power", "pfamily"}
+
+
+def _kind_comparisons(source: str, label: str) -> list[str]:
+    """Every comparison (==, !=, in, ...) that involves one of _KIND_FORMULAS."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            kinds = {leaf.value for operand in (node.left, *node.comparators)
+                     for leaf in ast.walk(operand)
+                     if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str)
+                     and leaf.value in _KIND_FORMULAS}
+            if kinds:
+                hits.append(f"{label}:{node.lineno}: {sorted(kinds)}")
+    return hits
+
+
+def test_profile_kind_formulas_stay_in_lcfun():
+    found = [hit for path in _sources() if path.name != "lcfun.py"
+             for hit in _kind_comparisons(path.read_text(), path.name)]
+    assert found == []
+
+
+def test_kind_scan_reads_membership_tests():
+    source = ('if prof.kind in ("power", "indicator"):\n    pass\n'
+              'if kind == "indicator" or K.kind != "ball":\n    pass\n'
+              'if "gaussian" == name:\n    pass\n')
+    assert _kind_comparisons(source, "x.py") == ["x.py:1: ['power']",
+                                                 "x.py:5: ['gaussian']"]
