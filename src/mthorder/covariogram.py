@@ -23,6 +23,7 @@ from .convexcore import ConvexBody
 from .lcfun import LogConcaveFunction, NonIntegrableError
 from .numerics import (
     EstimateWithError,
+    QuadratureConfig,
     default_mc_samples,
     gauss_panels,
     integrate_1d,
@@ -35,6 +36,9 @@ _STREAM_DIRECT_MC = 201
 _STREAM_BALL_COV = 202
 _NODE_SEED_STRIDE = 100_003  # decorrelates per-node seeds inside quadratures
 _MC_SHARDS = 8
+# layer cakes feed difference quotients: a tight tolerance, and an absolute
+# one that puts a compact profile's depth horizon where e^-v is 1e-17
+_LEVELSET_QUAD = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-16)
 
 
 # ---------------------------------------------------------------------------
@@ -138,16 +142,13 @@ def lens(n: int, u):
 
 
 def _ball_cov(K: ConvexBody, xb: MVector, seed: int, samples) -> EstimateWithError:
+    """Seeded Monte Carlo g_{K,m} of a ball meeting three or more distinct
+    translates, over the box that bounds their intersection."""
     r = K.radius
     pts = np.vstack([np.zeros(K.dim), xb.blocks])
     pts = np.unique(pts, axis=0)  # only distinct translates matter
     if cc.miniball_radius(pts) > r + 1e-12:
         return EstimateWithError(0.0, 0.0, 0)
-    if len(pts) == 1:
-        return cc.volume(K)
-    if len(pts) == 2:
-        u = float(np.linalg.norm(pts[1] - pts[0])) / (2.0 * r)
-        return EstimateWithError(cc.volume(K).value * lens(K.dim, u), 0.0, 0)
     centers = K.center + pts
     lo = centers.max(axis=0) - r
     hi = centers.min(axis=0) + r
@@ -165,17 +166,69 @@ def _ball_cov(K: ConvexBody, xb: MVector, seed: int, samples) -> EstimateWithErr
     return EstimateWithError(box_vol * frac, sigma, N)
 
 
+def _polygon_cov(K: ConvexBody, blocks) -> np.ndarray:
+    """Vectorized covariogram of a polygon; blocks has shape (N, m, 2).
+
+    The intersection keeps K's unit rows a_j with right sides
+    c_j = b_j + min(0, min_i a_j.x_i) (`convexcore.intersect_translates`),
+    and its area is (1/2) sum_j c_j l_j (Lasserre, 1983), l_j being the
+    length of the segment of the line a_j.y = c_j that meets every other
+    row.  Along y = c_j a_j + tau e_j, with e_j = a_j turned by a right
+    angle, row k reads tau (a_k.e_j) <= c_k - c_j (a_k.a_j).  A segment is
+    empty when a parallel row excludes its line, and every segment is empty
+    when the intersection is.
+    """
+    A = K.normals
+    c = K.offsets + np.minimum(0.0, (blocks @ A.T).min(axis=1))        # (N, F)
+    slope = (A @ np.array([[0.0, 1.0], [-1.0, 0.0]])) @ A.T           # a_k.e_j at [j, k]
+    room = c[:, None, :] - c[:, :, None] * (A @ A.T)                  # (N, F, F)
+    up, down = slope > 1e-12, slope < -1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = room / slope
+    hi = np.where(up, bound, np.inf).min(axis=2)
+    lo = np.where(down, bound, -np.inf).max(axis=2)
+    parallel = ~(up | down) & ~np.eye(len(A), dtype=bool)
+    blocked = np.any(parallel & (room < 0.0), axis=2)
+    length = np.where(blocked, 0.0, np.maximum(hi - lo, 0.0))
+    return np.maximum(0.5 * np.sum(c * length, axis=1), 0.0)
+
+
+def _ball_lens_cov(K: ConvexBody, blocks) -> np.ndarray | None:
+    """Vectorized covariogram of a ball whose translates o, x_1, ..., x_m
+    take at most two distinct values in every row: the lens of the origin
+    and the farthest translate.  None when some row has three or more."""
+    pts = np.concatenate([np.zeros((len(blocks), 1, K.dim)), blocks], axis=1)
+    dist = np.linalg.norm(pts, axis=2)
+    far = pts[np.arange(len(pts)), np.argmax(dist, axis=1)]
+    if not np.all((dist == 0.0) | np.all(pts == far[:, None, :], axis=2)):
+        return None
+    return cc.volume(K).value * lens(K.dim, dist.max(axis=1) / (2.0 * K.radius))
+
+
+def _exact_cov(K: ConvexBody, blocks) -> np.ndarray | None:
+    """The vectorized closed form of g_{K,m} on an (N, m, n) batch: axis-aligned
+    boxes, polygons, and balls with at most two distinct translates per row;
+    None where it has none."""
+    if K.kind == "ball":
+        return _ball_lens_cov(K, blocks)
+    box = axis_box(K)
+    if box is not None:
+        return _box_cov(box[0], box[1], blocks)
+    if K.dim == 2:
+        return _polygon_cov(K, blocks)
+    return None
+
+
 def covariogram_body(K: ConvexBody, xbar, seed: int = 0,
                      samples: int | None = None) -> EstimateWithError:
     """g_{K,m}(xbar); exact for polytopes and for balls with at most two
     distinct translates, seeded Monte Carlo for balls otherwise."""
     xb = as_mvector(xbar, K.dim)
+    val = _exact_cov(K, xb.blocks[None])
+    if val is not None:
+        return EstimateWithError(float(val[0]), 0.0, 0)
     if K.kind == "ball":
         return _ball_cov(K, xb, seed, samples)
-    box = axis_box(K)
-    if box is not None:
-        val = _box_cov(box[0], box[1], xb.blocks[None])
-        return EstimateWithError(float(val[0]), 0.0, 0)
     body = cc.intersect_translates(K, xb.blocks)
     if body is None:
         return EstimateWithError(0.0, 0.0, 0)
@@ -186,17 +239,17 @@ def covariogram_body_many(K: ConvexBody, xbars, seed: int = 0,
                           samples: int | None = None):
     """Batch g_{K,m}; returns (values, std_errors) arrays.
 
-    Axis-aligned boxes (intervals included) go through a fully vectorized
-    closed form; everything else loops over covariogram_body.
+    Axis-aligned boxes (intervals included), polygons and balls with at
+    most two distinct translates per row go through a fully vectorized
+    closed form (`_exact_cov`); everything else loops over covariogram_body.
     """
     B = np.asarray(xbars, dtype=float)
     if B.ndim == 2:
         B = B.reshape(len(B), -1, K.dim)
     if B.ndim != 3 or B.shape[2] != K.dim:
         raise ValueError("expected an (N, m, n) or (N, m*n) batch")
-    box = axis_box(K)
-    if box is not None:
-        vals = _box_cov(box[0], box[1], B)
+    vals = _exact_cov(K, B)
+    if vals is not None:
         return vals, np.zeros(len(vals))
     vals = np.empty(len(B))
     sigs = np.empty(len(B))
@@ -345,27 +398,35 @@ def _cov_fn_levelset(f: LogConcaveFunction, xb: MVector, seed: int,
 
     distinct = len(np.unique(np.vstack([np.zeros(n), xb.blocks]), axis=0))
     if K.kind == "polytope" or distinct <= 2:   # exact inner volumes
-        def integrand(r):
-            if r <= 0.0:
-                return 0.0
-            g = covariogram_body(K, xb.scaled(1.0 / r)).value
-            return A * float(prof.neg_derivative(r)) * r ** n * g
+        # over the level depth v, with r = s(v) = prof.depth_scale(v) and
+        # -phi'(r) dr = phi(0) e^-v dv, it is
+        #   A phi(0) int e^-v s(v)^n g_{K,m}(xbar / s(v)) dv,
+        # smooth where phi is not: the power kind's end r = 1 is v = inf
+        peak = A * prof.phi0
 
-        return integrate_1d(integrand, r_lo, r_hi)
+        def integrand(v):
+            s = prof.depth_scale(v)
+            g, _ = covariogram_body_many(K, xb.blocks[None] / s[:, None, None])
+            return peak * np.exp(-v) * s ** n * g
+
+        v_hi = prof.depth(r_hi)
+        tail = None if math.isfinite(v_hi) else (peak * vol_k, 1.0)   # s(v) <= 1 there
+        return integrate_1d(integrand, prof.depth(r_lo), v_hi, _LEVELSET_QUAD,
+                            tail_bound=tail)
 
     # a ball meeting three or more distinct translates has Monte Carlo inner
     # volumes: fixed Gauss grid with independent per-node seeds, so
     # adaptivity never chases the noise
     nodes, weights = gauss_panels(np.linspace(r_lo, r_hi, 33), order=8)
+    factors = A * prof.neg_derivative(nodes) * nodes ** n * weights
     budget = samples or default_mc_samples(xb.total_dim)
     per_node = max(1000, budget // len(nodes))
     total = 0.0
     var = 0.0
-    for k, (r, w) in enumerate(zip(nodes, weights)):
+    for k, (r, factor) in enumerate(zip(nodes, factors)):
         est = covariogram_body(K, xb.scaled(1.0 / r),
                                seed=seed + _NODE_SEED_STRIDE * (k + 1),
                                samples=per_node)
-        factor = A * float(prof.neg_derivative(r)) * r ** n * w
         total += factor * est.value
         var += (factor * est.std_error) ** 2
     return EstimateWithError(total, math.sqrt(var), len(nodes) * per_node)

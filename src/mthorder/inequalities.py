@@ -747,8 +747,8 @@ def check_chain(source, m: int, p_grid, directions=None, seed: int = 0,
     else:
         s, label, factor = 0.0, source.profile.kind, source.radial_factor
     dirs = sb.direction_set(directions, K.dim * m, seed)
-    rays = sb.rays_for(dirs, lambda th: sb.body_ray(K, m, th, seed=seed,
-                                                    samples=samples, nodes=nodes))
+    rays = sb.rays_for(dirs, m, lambda th: sb.body_ray(K, m, th, seed=seed,
+                                                       samples=samples, nodes=nodes))
 
     cache: dict[tuple[int, float], EstimateWithError] = {}
 

@@ -157,6 +157,22 @@ class Profile:
             return 0.0
         return float(self.depth_scale(max(math.log(self.phi0) - math.log(u), 0.0)))
 
+    def depth(self, r):
+        """The level depth v = log(phi(0) / phi(r)) at radii r >= 0 (scalar or
+        array), the inverse of `depth_scale`; inf where phi vanishes."""
+        r = np.asarray(r, dtype=float)[()]
+        if self._stretch:
+            a, c, _ = self._stretch
+            out = c * r ** a
+        elif self.kind == "power":
+            with np.errstate(divide="ignore"):
+                out = -np.log1p(-np.minimum(r, 1.0)) / self.param
+        elif self.kind == "indicator":
+            out = np.where(r <= 1.0, 0.0, math.inf)
+        else:
+            raise NonIntegrableError(_P0_MESSAGE)
+        return out if out.ndim else float(out)
+
     def depth_scale(self, v):
         """The level scale s(v) at depths v >= 0 (scalar or array), exact near
         v = 0: phi(s(v)) = phi(0) e^-v, so {f >= A phi(0) e^-v} = c + s(v) K."""

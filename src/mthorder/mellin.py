@@ -6,11 +6,15 @@ int t^(p-1) (psi(t) - psi(0)) dt for p in (-1, 0).  Every call runs two
 independent routes -- the branch integral and the integrated-by-parts form
 (1/p) int (-psi'(t)) t^p dt -- and cross-checks them against each other and
 against the closed form when the profile has one.  `from_profile` only reads
-a `lcfun.Profile`: its pointwise formulas, and its level moment M_p, which is
-the closed form p M(phi)(p).  Piecewise polynomial profiles (`from_ppoly`,
+a `lcfun.Profile`: its pointwise formulas, its level scale s(v) (the second
+route runs over the level depth v on a finite support, where -psi'(t) dt =
+psi(0) e^-v dv tames a singular end), and its level moment M_p, which is the
+closed form p M(phi)(p).  Piecewise polynomial profiles (`from_ppoly`,
 and `from_table` through its Pchip interpolant) are integrated knot by knot,
 exactly up to rounding; closed-form profiles by adaptive quadrature,
-`integrate_1d` taking the t^p weight in units of the integration span.  A
+`integrate_1d` taking the t^p weight in units of the integration span.
+Every integrand here maps an array of nodes to an array of values, so one
+refinement round is one call of the profile's vectorized formulas.  A
 profile of finite support is measured in units of its support, so no power
 of a large radius overflows.
 
@@ -54,7 +58,8 @@ class MellinProfile:
     every route measures t in units of s, so no s^p is ever formed.
     `cutoff(p)` returns a horizon beyond which t^(p-1) psi(t) is negligible,
     and `deriv_exponent` is the power e with -psi'(t) ~ t^e as t -> 0+.
-    Exponents are admissible on p > max(-1, min_p).
+    Exponents are admissible on p > max(-1, min_p).  `level`, on closed-form
+    profiles, maps a level depth v to the radius where psi = psi0 e^-v.
     """
 
     kind: str
@@ -71,6 +76,7 @@ class MellinProfile:
     deriv_exponent: float = 0.0
     min_p: float = -1.0
     spline: PPoly | None = None   # psi(support_radius * u) on [0, 1], for knot-exact routes
+    level: Callable | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +121,7 @@ def from_profile(prof: Profile, scale: float = 1.0, amplitude: float = 1.0) -> M
         pmellin=lambda p: amplitude * unit ** p * prof.level_moment(p),
         deriv_exponent=a - 1.0,
         min_p=-min(1.0, a),
+        level=None if indicator else lambda v: scale * prof.depth_scale(v),
     )
 
 
@@ -395,10 +402,26 @@ def _branch_route(psi: MellinProfile, p: float, cfg: QuadratureConfig) -> float:
         weight_exponent=p + e).value
 
 
+def _over_depth(psi: MellinProfile) -> bool:
+    """Whether the derivative routes integrate over the level depth v: on a
+    closed-form profile of finite support, whose -psi' may be singular at the
+    support end (the power kind with s > 1), and whose mass near that end no
+    grid in t resolves.  With t = level(v), -psi'(t) dt = psi0 e^-v dv, and
+    that end becomes a smooth e^-v tail."""
+    return psi.level is not None and math.isfinite(psi.support_radius)
+
+
 def _derivative_route(psi: MellinProfile, p: float, cfg: QuadratureConfig) -> float:
     s = _scale(psi)
     if psi.spline is not None:
         quad_part = -_weighted_knot_integral(psi.spline.derivative(), p)
+    elif _over_depth(psi):
+        # level(v) ~ v^(1/a) at 0, a = 1 + deriv_exponent: the weight v^(p/a)
+        # is absorbed, and (level/s)^p <= 2 where the tail is cut
+        a = 1.0 + psi.deriv_exponent
+        quad_part = psi.psi0 * integrate_1d(
+            lambda v: np.exp(-v) * (psi.level(v) / (s * v ** (1.0 / a))) ** p,
+            0.0, math.inf, cfg, tail_bound=(2.0, 1.0), weight_exponent=p / a).value
     else:
         e = psi.deriv_exponent
         quad_part = integrate_1d(lambda u: s * psi.neg_derivative(s * u) / u ** e,
@@ -412,10 +435,14 @@ def _log_moment_mean(psi: MellinProfile, cfg: QuadratureConfig) -> float:
     s = _scale(psi)
     if psi.spline is not None:
         quad_part = -_weighted_knot_integral(psi.spline.derivative(), 0.0, with_log=True)
+    elif _over_depth(psi):
+        quad_part = psi.psi0 * integrate_1d(
+            lambda v: np.exp(-v) * np.log(psi.level(v) / s), 0.0, math.inf, cfg,
+            tail_bound=(1.0, 1.0)).value
     else:
         e = psi.deriv_exponent
         quad_part = integrate_1d(
-            lambda u: s * psi.neg_derivative(s * u) / u ** e * math.log(u),
+            lambda u: s * psi.neg_derivative(s * u) / u ** e * np.log(u),
             0.0, float(psi.cutoff(1.0)) / s, cfg, weight_exponent=e).value
     total = quad_part + sum(w * math.log(loc / s) for loc, w in psi.atoms)
     return s * math.exp(total / psi.sup)

@@ -1,6 +1,11 @@
 """Shared numeric primitives: seeded streams, quadrature, convex search, and
 the one LP, max t over A x + t s <= b (`max_slack`, a one-phase simplex).
 
+Quadrature and search are array-first: `integrate_1d` is adaptive
+Gauss-Kronrod 21 whose integrand maps a 1-D array of nodes to their values,
+one call per refinement round, and the compass search takes objectives on
+(k, d) arrays of points, one call per stencil.
+
 Everything here is deterministic given its inputs.  Random draws come from a
 counter-based generator keyed by (seed, stream id) so that parallel shards can
 use disjoint streams and still reproduce bit-identical results run to run.
@@ -14,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 _T_FLOOR = 1e-150   # relative distance from the endpoint below which weighted integrands freeze
 
@@ -128,6 +132,8 @@ def integrate_1d(phi, a: float, b: float, cfg: QuadratureConfig | None = None,
     """Integrate (t - a)^k phi(t) over [a, b] (b may be +inf) to the configured
     tolerance, with k = weight_exponent > -1 and phi bounded near a.
 
+    phi maps a 1-D array of nodes to the array of its values there; the
+    adaptive rule (`_adaptive_gk21`) calls it once per refinement round.
     For k < 0 the substitution w = ((t - a) / (b - a))^(k+1) absorbs the
     weight, (b - a)^(k+1) / (k+1) int_0^1 phi(t(w)) dw, so no power of a
     tiny t - a is formed even as k -> -1; phi is taken at
@@ -138,7 +144,9 @@ def integrate_1d(phi, a: float, b: float, cfg: QuadratureConfig | None = None,
     An infinite upper limit requires tail_bound = (A, B) with
     (t - a)^k phi(t) <= A*exp(-B*t); the integral is truncated where that
     envelope drops below abs_tol/10.  Raises QuadratureFailure (carrying the
-    best estimate) if the adaptive rule cannot reach the tolerance.
+    best estimate) if the adaptive rule cannot reach the tolerance within
+    cfg.max_subdivisions panels.  `samples_or_nodes` counts the nodes phi
+    was evaluated at.
     """
     cfg = cfg or QuadratureConfig()
     if not weight_exponent > -1.0:
@@ -154,31 +162,116 @@ def integrate_1d(phi, a: float, b: float, cfg: QuadratureConfig | None = None,
 
     k = weight_exponent
     if k == 0.0:
-        return _quad(phi, a, b, cfg)
+        return _adaptive_gk21(phi, a, b, cfg, cfg.abs_tol)
     span = b - a
     if k > 0.0:
         log_unit = k * math.log(span)
-        inner = _quad(lambda t: phi(t) * ((t - a) / span) ** k, a, b, cfg,
-                      abs_tol=_times_exp(cfg.abs_tol, -log_unit))
+        inner = _adaptive_gk21(lambda t: phi(t) * ((t - a) / span) ** k, a, b, cfg,
+                               _times_exp(cfg.abs_tol, -log_unit))
         return EstimateWithError(_times_exp(inner.value, log_unit),
                                  _times_exp(inner.std_error, log_unit),
                                  inner.samples_or_nodes)
     q = 1.0 / (k + 1.0)
     floor = a + _T_FLOOR * span
-    inner = _quad(lambda w: phi(max(a + span * w ** q, floor)), 0.0, 1.0, cfg)
+    inner = _adaptive_gk21(lambda w: phi(np.maximum(a + span * w ** q, floor)),
+                           0.0, 1.0, cfg, cfg.abs_tol)
     return inner.scaled(span ** (k + 1.0) * q)
 
 
-def _quad(fn, a, b, cfg, abs_tol=None):
-    abs_tol = cfg.abs_tol if abs_tol is None else abs_tol
-    out = integrate.quad(fn, a, b, epsabs=abs_tol, epsrel=cfg.rel_tol,
-                         limit=cfg.max_subdivisions, full_output=1)
-    value, err = out[0], out[1]
-    nodes = int(out[2].get("neval", 0)) if len(out) > 2 and isinstance(out[2], dict) else 0
-    est = EstimateWithError(value, err, nodes)
-    if len(out) == 4 and err > 50 * max(abs_tol, cfg.rel_tol * abs(value)):
-        raise QuadratureFailure(f"quadrature did not converge: {out[3]}", est)
-    return est
+# Gauss-Kronrod 21-point rule (QUADPACK's qk21): the Kronrod abscissae of
+# [0, 1] in decreasing order, their weights, and the weights of the 10-point
+# Gauss rule, whose abscissae are every other Kronrod one from the second
+_XGK = np.array([0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+                 0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+                 0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+                 0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+                 0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+                 0.0])
+_WGK = np.array([0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+                 0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+                 0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+                 0.123491976262065851077208643474262, 0.134709217311473325928054001771707,
+                 0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+                 0.149445554002916905664936468389821])
+_WG = np.zeros(11)
+_WG[1::2] = [0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+             0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+             0.295524224714752870173892994651338]
+_GK_NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
+_GK_WEIGHTS = np.concatenate([_WGK, _WGK[-2::-1]])
+_GK_ERROR = _GK_WEIGHTS - np.concatenate([_WG, _WG[-2::-1]])
+_CASCADE = 2.0 ** -np.arange(8.0, 0.0, -1.0)   # 1/256, ..., 1/2 of a panel toward its end
+_EPS = np.finfo(float).eps
+_MIN_PANEL = 1024.0 * _EPS   # least panel width relative to its edges' magnitude
+
+
+def _gk21(phi, lo, hi):
+    """GK21 integrals, errors |K21 - G10| and integrals of |phi| on the
+    panels [lo, hi], all nodes in one phi call."""
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES
+    f = np.asarray(phi(x.ravel()), dtype=float)
+    if f.shape != (x.size,):
+        raise ValueError("phi must map a 1-D array of nodes to an array of its values")
+    f = f.reshape(x.shape)
+    return half * (f @ _GK_WEIGHTS), np.abs(half * (f @ _GK_ERROR)), \
+        np.abs(half) * (np.abs(f) @ _GK_WEIGHTS)
+
+
+def _children(lo, hi, a, b):
+    """The panels that replace [lo_i, hi_i]: a geometric cascade of halvings
+    toward the one end of [a, b] that a panel touches, else its bisection
+    (so the first split halves [a, b]).  Cuts closer than _MIN_PANEL
+    (relative) to an edge are dropped, so the outer nodes of every child
+    stay distinct from its edges."""
+    edges = []
+    for l, h in zip(lo.tolist(), hi.tolist()):
+        w = h - l
+        if l == a and h != b:
+            cuts = l + w * _CASCADE
+        elif h == b and l != a:
+            cuts = h - w * _CASCADE[::-1]
+        else:
+            cuts = np.array([l + 0.5 * w])
+        gap = _MIN_PANEL * max(abs(l), abs(h))
+        edges.append(np.concatenate([[l], cuts[(cuts - l >= gap) & (h - cuts >= gap)], [h]]))
+    return (np.concatenate([np.empty(0)] + [e[:-1] for e in edges]),
+            np.concatenate([np.empty(0)] + [e[1:] for e in edges]))
+
+
+def _adaptive_gk21(phi, a, b, cfg, abs_tol):
+    """Adaptive GK21 on [a, b].  Each round splits the worst panels until the
+    error left on unsplit panels is within half the tolerance, and evaluates
+    all of their children in one phi call.  Panel errors are |K21 - G10|;
+    the rule stops once their sum is within max(abs_tol, rel_tol |I|), or
+    within the rounding floor 50 eps int |phi|."""
+    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
+    val, err, mag = _gk21(phi, lo, hi)
+    evals = _GK_NODES.size
+    while True:
+        total, total_err = float(val.sum()), float(err.sum())
+        if not (math.isfinite(total) and math.isfinite(total_err)):
+            raise QuadratureFailure("quadrature met a non-finite integrand value",
+                                    EstimateWithError(total, 0.0, evals))
+        tol = max(abs_tol, cfg.rel_tol * abs(total))
+        if total_err <= max(tol, 50.0 * _EPS * float(mag.sum())):
+            return EstimateWithError(total, total_err, evals)
+        splittable = hi - lo >= 2.0 * _MIN_PANEL * np.maximum(np.abs(lo), np.abs(hi))
+        order = np.flatnonzero(splittable)
+        order = order[np.argsort(-err[order], kind="stable")]
+        left = float(err[~splittable].sum()) + np.cumsum(err[order][::-1])[::-1]
+        pick = order[:max(1, int(np.count_nonzero(left > 0.5 * tol)))]
+        new_lo, new_hi = _children(lo[pick], hi[pick], a, b)
+        if pick.size == 0 or lo.size - pick.size + new_lo.size > cfg.max_subdivisions:
+            raise QuadratureFailure(
+                f"quadrature did not converge: error {total_err:.3g} above tolerance "
+                f"{tol:.3g} on {lo.size} panels", EstimateWithError(total, total_err, evals))
+        v, e, g = _gk21(phi, new_lo, new_hi)
+        evals += new_lo.size * _GK_NODES.size
+        keep = np.ones(lo.size, dtype=bool)
+        keep[pick] = False
+        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+        val, err, mag = (np.concatenate([x[keep], y]) for x, y in ((val, v), (err, e), (mag, g)))
 
 
 def _times_exp(x: float, log_factor: float) -> float:

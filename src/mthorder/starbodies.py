@@ -153,13 +153,12 @@ def layer_cake_ray(f: LogConcaveFunction, m: int, theta, seed: int = 0,
     vol = cc.volume(K).value
     R = cov.dm_support_radius(K, th)
     weight = f.amplitude * prof.phi0 * vol / f.mass()
-    cut = float(prof.value(cov.profile_cut(prof, n, f.amplitude * vol))) / prof.phi0
-    depth = max(_LEVEL_DEPTH, -math.log(cut)) if cut > 0.0 else _LEVEL_DEPTH
+    cut = prof.depth(cov.profile_cut(prof, n, f.amplitude * vol))
+    depth = max(_LEVEL_DEPTH, cut) if math.isfinite(cut) else _LEVEL_DEPTH
     unit, unit_w = gauss_panels(np.linspace(0.0, 1.0, _LEVEL_PANELS + 1))
 
     def section(r, body_psi):
-        with np.errstate(divide="ignore"):
-            v_lo = -np.log(np.asarray(prof.value(r / R)) / prof.phi0)
+        v_lo = prof.depth(r / R)
         live = (v_lo < depth) & (r > 0.0)
         v_lo = np.maximum(v_lo[live, None], 1e-18)
         span = np.log(depth / v_lo)
@@ -301,12 +300,17 @@ def _build_table(rays, dirs, p, meta) -> StarBodyTable:
     return StarBodyTable(dirs, radii, sigs, meta)
 
 
-def rays_for(dirs, make_ray):
-    """One ray per distinct direction; duplicates share the same object."""
+def rays_for(dirs, m: int, make_ray):
+    """One ray per distinct direction; duplicates share the same object.
+    At m = 1 the directions theta and -theta share one ray too, since
+    g_K(x) = g_K(-x); it is built along the first of the two in `dirs`."""
     cache: dict[bytes, RadialRay] = {}
     rays = []
     for k in range(len(dirs)):
-        key = np.round(dirs[k], 15).tobytes()
+        theta = np.round(dirs[k], 15) + 0.0          # + 0.0 turns -0.0 into 0.0
+        key = theta.tobytes()
+        if m == 1:                                   # one key for the pair +-theta
+            key = max(key, (0.0 - theta).tobytes())
         if key not in cache:
             cache[key] = make_ray(dirs[k])
         rays.append(cache[key])
@@ -319,8 +323,8 @@ def radial_mean_body_body(K: ConvexBody, m: int, p: float, directions=None,
     """Radial table of R_p^m K over a sampled (or given) direction set."""
     d = K.dim * m
     dirs = direction_set(directions, d, seed)
-    rays = rays_for(dirs, lambda th: body_ray(K, m, th, seed=seed,
-                                              samples=samples, nodes=nodes))
+    rays = rays_for(dirs, m, lambda th: body_ray(K, m, th, seed=seed,
+                                                 samples=samples, nodes=nodes))
     meta = {"p": p, "m": m, "kind": "body", "source": _describe(K), "seed": seed}
     return _build_table(rays, dirs, p, meta)
 

@@ -101,6 +101,23 @@ class TestBodyCovariogram:
             slow = 0.0 if body is None else cc.volume(body).value
             assert fast == pytest.approx(slow, abs=1e-9)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_polygon_closed_form_matches_halfspace_route(self, m):
+        # oracle: the qhull volume of the intersected halfspaces
+        gen = make_rng(17, m)
+        polys = [cc.simplex(2, "corner"),
+                 cc.from_vertices(gen.normal(size=(7, 2))),
+                 cc.from_vertices([[math.cos(t), math.sin(t)]
+                                   for t in 2 * math.pi * np.arange(5) / 5 + 0.3])]
+        for K in polys:
+            B = gen.normal(size=(60, m, 2)) * 0.5
+            vals, sigs = covariogram_body_many(K, B)
+            assert np.all(sigs == 0.0)
+            for xb, v in zip(B, vals):
+                body = cc.intersect_translates(K, xb)
+                slow = 0.0 if body is None else cc.volume(body).value
+                assert v == pytest.approx(slow, abs=1e-13 * cc.volume(K).value)
+
     def test_evenness_m1(self):
         K = cc.simplex(2, "corner")
         gen = make_rng(11, 0)
@@ -182,6 +199,24 @@ class TestBallCovariogram:
     def test_far_translates_empty(self):
         assert covariogram_body(cc.ball(2, 1.0), [[3.0, 0.0], [0.0, 0.1]]).value == 0.0
 
+    def test_batch_of_two_translates_takes_the_lens(self):
+        r = 1.3
+        d = np.array([0.0, 0.4, 1.1, 2.5, 2.6, 3.0])
+        disc = np.where(d < 2 * r, 2 * r * r * np.arccos(np.minimum(d / (2 * r), 1.0))
+                        - 0.5 * d * np.sqrt(np.maximum(4 * r * r - d * d, 0.0)), 0.0)
+        x = np.stack([0.6 * d, -0.8 * d], axis=1)
+        for B in (x[:, None, :], np.stack([x, x], axis=1), np.stack([x, 0.0 * x], axis=1)):
+            vals, sigs = covariogram_body_many(cc.ball(2, r), B)
+            assert np.all(sigs == 0.0)
+            np.testing.assert_allclose(vals, disc, rtol=1e-13, atol=1e-15)
+
+    def test_batch_with_three_translates_falls_back_to_monte_carlo(self):
+        B = np.array([[[0.4, 0.0], [0.4, 0.0]], [[0.4, 0.0], [0.0, 0.3]]])
+        vals, sigs = covariogram_body_many(cc.ball(2, 1.0), B, seed=4, samples=20_000)
+        assert sigs[0] == 0.0 and sigs[1] > 0.0
+        for xb, v in zip(B, vals):
+            assert v == covariogram_body(cc.ball(2, 1.0), xb, seed=4, samples=20_000).value
+
     def test_determinism(self):
         a = covariogram_body(cc.ball(2, 1.0), [[0.5, 0.2], [0.1, 0.4]], seed=9)
         b = covariogram_body(cc.ball(2, 1.0), [[0.5, 0.2], [0.1, 0.4]], seed=9)
@@ -210,6 +245,17 @@ class TestFunctionCovariogram:
         xb = np.zeros((2, f.dim))
         est = covariogram_fn(f, xb, method="levelset")
         assert est.value == pytest.approx(f.mass(), rel=1e-7)
+
+    @pytest.mark.parametrize("kind, param", [("exponential", 0.0), ("gaussian", 0.0),
+                                             ("power", 2.0), ("pfamily", 1.5),
+                                             ("pfamily", -0.5)])
+    @pytest.mark.parametrize("body", ["interval", "square"])
+    def test_level_depth_route_at_origin_is_mass(self, kind, param, body):
+        # the level-depth integral at xbar = 0 against the closed-form mass
+        K = interval01() if body == "interval" else cc.cube(2, 1.0)
+        f = LogConcaveFunction(Profile(kind, param, ambient_dim=K.dim), K, np.zeros(K.dim))
+        est = covariogram_fn(f, np.zeros(K.dim))
+        assert est.value == pytest.approx(f.mass(), rel=1e-10)
 
     def test_indicator_reduces_to_body(self):
         f = LogConcaveFunction(Profile("indicator"), cc.cube(2, 1.0), np.zeros(2), 2.0)

@@ -318,6 +318,14 @@ class TestBerwald:
     def test_quadratic_family_is_flat(self, p):
         assert abs(ml.berwald_g(ml.power(0.5), p, 0.5) - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("p", [-0.5, 0.0, 1.0, 3.0])
+    @pytest.mark.parametrize("s", [1.5, 2.0, 4.0, 10.0])
+    def test_singular_end_families_are_flat(self, s, p):
+        # -psi' = (1 - t)^(1/s - 1) / s is singular at the support end; no grid
+        # in t resolves its mass there (2e-8 of it within one ulp of 1 at
+        # s = 2), so the derivative routes run over the level depth
+        assert abs(ml.berwald_g(ml.power(s), p, s) - 1.0) <= 1e-12
+
     def test_flat_families_scale_to_alpha(self):
         # the equality value is the scale parameter, not always 1
         for p in (-0.5, 0.0, 2.0):

@@ -73,3 +73,34 @@ def test_kind_scan_reads_membership_tests():
               'if "gaussian" == name:\n    pass\n')
     assert _kind_comparisons(source, "x.py") == ["x.py:1: ['power']",
                                                  "x.py:5: ['gaussian']"]
+
+
+def _scipy_integrate_imports(source: str, label: str) -> list[str]:
+    """Every import of scipy.integrate, in any of its spellings."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        hits += [f"{label}:{node.lineno}: {name}" for name in names
+                 if name == "scipy.integrate" or name.startswith("scipy.integrate.")]
+    return hits
+
+
+def test_quadrature_is_numerics_own():
+    """`numerics.integrate_1d` is the one quadrature engine of the package;
+    tests keep scipy.integrate as an independent oracle."""
+    found = [hit for path in _sources()
+             for hit in _scipy_integrate_imports(path.read_text(), path.name)]
+    assert found == []
+
+
+def test_scipy_integrate_scan_reads_every_spelling():
+    source = ("from scipy import integrate\nimport scipy.integrate as si\n"
+              "from scipy.integrate import quad\nfrom scipy import special\n")
+    assert _scipy_integrate_imports(source, "x.py") == [
+        "x.py:1: scipy.integrate", "x.py:2: scipy.integrate",
+        "x.py:3: scipy.integrate.quad"]

@@ -9,6 +9,8 @@ from mthorder import convexcore as cc
 from mthorder.numerics import (
     EstimateWithError,
     InvalidDimensionError,
+    QuadratureConfig,
+    QuadratureFailure,
     ZeroFunctionRegionError,
     integrate_1d,
     make_rng,
@@ -58,11 +60,11 @@ class TestIntegrate1d:
         assert abs(est.value - 0.5) < 1e-12
 
     def test_exponential_tail(self):
-        est = integrate_1d(lambda t: math.exp(-t), 0.0, math.inf, tail_bound=(1.0, 1.0))
+        est = integrate_1d(lambda t: np.exp(-t), 0.0, math.inf, tail_bound=(1.0, 1.0))
         assert abs(est.value - 1.0) < 1e-9
 
     def test_gamma_half_with_singularity(self):
-        est = integrate_1d(lambda t: math.exp(-t), 0.0, math.inf,
+        est = integrate_1d(lambda t: np.exp(-t), 0.0, math.inf,
                            tail_bound=(1.0, 1.0), weight_exponent=-0.5)
         # independent oracle: u = sqrt(t) gives 2*int exp(-u^2) du on a fixed fine grid
         u = np.linspace(0.0, 14.0, 2_000_001)
@@ -73,10 +75,10 @@ class TestIntegrate1d:
     def test_weight_about_left_endpoint(self):
         # int_1^2 (t - 1)^k dt = 1/(k + 1), for a weight on either side of 0
         for k in (2.5, -0.999):
-            est = integrate_1d(lambda t: 1.0, 1.0, 2.0, weight_exponent=k)
+            est = integrate_1d(np.ones_like, 1.0, 2.0, weight_exponent=k)
             assert est.value == pytest.approx(1.0 / (k + 1.0), rel=1e-9)
         with pytest.raises(ValueError):
-            integrate_1d(lambda t: 1.0, 0.0, 1.0, weight_exponent=-1.0)
+            integrate_1d(np.ones_like, 0.0, 1.0, weight_exponent=-1.0)
 
     @pytest.mark.parametrize("deg", [0, 3, 7, 10])
     def test_polynomials_exact(self, deg):
@@ -88,7 +90,50 @@ class TestIntegrate1d:
 
     def test_infinite_limit_requires_bound(self):
         with pytest.raises(ValueError):
-            integrate_1d(lambda t: math.exp(-t), 0.0, math.inf)
+            integrate_1d(lambda t: np.exp(-t), 0.0, math.inf)
+
+    def test_singular_upper_end(self):
+        # the cascade toward t = 1 resolves (1 - t)^(-1/2) down to panels of
+        # width ~1e-12; the mass of the last float below 1 alone is 2e-8, so
+        # the tolerance is looser than that
+        cfg = QuadratureConfig(rel_tol=1e-7)
+        est = integrate_1d(lambda t: (1.0 - t) ** -0.5, 0.0, 1.0, cfg)
+        assert abs(est.value - 2.0) <= max(est.std_error, 1e-12)
+        assert est.std_error <= 2e-7
+
+    def test_log_singularity_at_lower_end(self):
+        est = integrate_1d(np.log, 0.0, 1.0)
+        assert est.value == pytest.approx(-1.0, rel=1e-8)
+
+    def test_one_call_per_round(self):
+        calls = []
+
+        def spy(f):
+            def phi(t):
+                assert t.ndim == 1
+                calls.append(t.size)
+                return f(t)
+            return phi
+
+        coeffs = np.arange(1.0, 12.0)      # degree 10: one GK21 panel is exact
+        est = integrate_1d(spy(lambda r: np.polynomial.polynomial.polyval(r, coeffs)), 1.0, 2.0)
+        assert calls == [21] and est.samples_or_nodes == 21
+        calls.clear()
+        est = integrate_1d(spy(lambda t: np.exp(-t)), 0.0, math.inf, tail_bound=(1.0, 1.0))
+        assert len(calls) >= 2 and sum(calls) == est.samples_or_nodes
+        assert all(c % 21 == 0 for c in calls)
+
+    def test_failure_carries_best_estimate(self):
+        cfg = QuadratureConfig(max_subdivisions=5)
+        with pytest.raises(QuadratureFailure) as info:
+            integrate_1d(lambda t: (1.0 - t) ** -0.5, 0.0, 1.0, cfg)
+        best = info.value.best
+        assert best.samples_or_nodes % 21 == 0 and best.samples_or_nodes > 0
+        assert 0.0 < abs(best.value - 2.0) <= best.std_error
+
+    def test_scalar_integrand_rejected(self):
+        with pytest.raises(ValueError, match="array"):
+            integrate_1d(lambda t: 1.0, 0.0, 1.0)
 
 
 class TestMaximizeLogconcave:

@@ -113,6 +113,30 @@ class TestBodyRays:
             exact = cov.covariogram_body(K, th.scaled(r)).value / vol
             assert ray.profile.value(r) == pytest.approx(exact, abs=2e-6)
 
+    def test_antithetic_pair_shares_one_ray_at_m1(self):
+        K = cc.from_vertices([[math.cos(t), math.sin(t)]
+                              for t in 2 * math.pi * np.arange(5) / 5 + 0.3])
+        dirs = np.array([[0.6, 0.8], [-0.6, -0.8], [0.8, -0.6]])
+        built = []
+
+        def make(th):
+            built.append(th)
+            return sb.body_ray(K, 1, th, nodes=64)
+
+        rays = sb.rays_for(dirs, 1, make)
+        assert len(built) == 2 and rays[0] is rays[1]
+        apart = [sb.body_ray(K, 1, th, nodes=64) for th in dirs[:2]]
+        for p in (-0.9, 0.0, 0.5, 2.0):
+            for ray in apart:
+                assert sb.radial_from_ray(rays[1], p).value == pytest.approx(
+                    sb.radial_from_ray(ray, p).value, rel=1e-14)
+        assert apart[1].slope0 == pytest.approx(rays[1].slope0, rel=1e-14)
+
+    def test_antithetic_pair_keeps_two_rays_at_m2(self):
+        dirs = np.array([[0.6, 0.0, 0.0, 0.8], [-0.6, 0.0, 0.0, -0.8]])
+        rays = sb.rays_for(dirs, 2, lambda th: sb.body_ray(cc.simplex(2), 2, th, nodes=16))
+        assert rays[0] is not rays[1]
+
     def test_disk_m1_section_is_cheap_exact(self):
         K = cc.ball(2, 1.0)
         ray = sb.body_ray(K, 1, [0.0, 1.0])
