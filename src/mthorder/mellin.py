@@ -9,9 +9,10 @@ against the closed form when the profile has one.  `from_profile` only reads
 a `lcfun.Profile`: its pointwise formulas, its level scale s(v) (the second
 route runs over the level depth v on a finite support, where -psi'(t) dt =
 psi(0) e^-v dv tames a singular end), and its level moment M_p, which is the
-closed form p M(phi)(p).  Piecewise polynomial profiles (`from_ppoly`,
-and `from_table` through its Pchip interpolant) are integrated knot by knot,
-exactly up to rounding; closed-form profiles by adaptive quadrature,
+closed form p M(phi)(p).  Piecewise polynomial profiles (`Pieces`, a
+small numpy piecewise polynomial; `from_ppoly`, and `from_table` through
+the in-house monotone cubic interpolant `pchip`) are integrated knot by
+knot, exactly up to rounding; closed-form profiles by adaptive quadrature,
 `integrate_1d` taking the t^p weight in units of the integration span.
 Every integrand here maps an array of nodes to an array of values, so one
 refinement round is one call of the profile's vectorized formulas.  A
@@ -32,7 +33,6 @@ from typing import Callable
 
 import numpy as np
 from scipy import special
-from scipy.interpolate import PchipInterpolator, PPoly
 
 from . import covariogram as cov
 from .lcfun import ZERO_P_WINDOW, NonIntegrableError, Profile
@@ -43,6 +43,107 @@ _SMALL_P = 0.05            # below this the transform takes the subtracted form
 _TAIL_EPS = 1e-18          # pointwise envelope level used to place the horizon
 
 _DEFAULT_CFG = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# piecewise polynomials
+
+
+@dataclass(frozen=True, eq=False)
+class Pieces:
+    """Piecewise polynomial sum_k c[k, i] (t - x[i])^(K - k) on [x[i], x[i+1]]:
+    highest power first, each piece in its local variable (the layout of
+    scipy's PPoly).  The end pieces extend beyond [x[0], x[-1]]."""
+
+    c: np.ndarray   # (K + 1, N) coefficients
+    x: np.ndarray   # (N + 1,) increasing knots
+
+    def __post_init__(self):
+        object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
+        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
+        if self.c.ndim != 2 or self.x.shape != (self.c.shape[1] + 1,):
+            raise ValueError("need (K + 1, N) coefficients on N + 1 knots")
+
+    def __call__(self, t):
+        """Values at t, in t's shape (0-d included)."""
+        t = np.asarray(t, dtype=float)
+        if self.c.shape[1] == 1:   # one piece: no knot search, scalar coefficients
+            s = t - self.x[0] if self.x[0] else t
+            coef = self.c[:, 0]
+        else:
+            i = np.searchsorted(self.x, t, side="right") - 1
+            i = np.clip(i, 0, self.c.shape[1] - 1)
+            s = t - self.x[i]
+            coef = np.take(self.c, i, axis=1)   # three times faster than c[:, i]
+        if len(coef) == 1:
+            return np.zeros_like(s) + coef[0]
+        y = coef[0] * s + coef[1]
+        for ck in coef[2:]:   # Horner
+            y *= s
+            y += ck
+        return y
+
+    def derivative(self) -> Pieces:
+        K = len(self.c) - 1
+        if K == 0:
+            return Pieces(np.zeros_like(self.c), self.x)
+        return Pieces(self.c[:-1] * np.arange(K, 0, -1.0)[:, None], self.x)
+
+    def roots(self) -> np.ndarray:
+        """The distinct real roots in each piece's own interval, ascending;
+        a piece that vanishes identically is skipped."""
+        found = [np.empty(0)]
+        for i in np.flatnonzero(np.any(self.c != 0.0, axis=0)):
+            s = _real_roots(np.trim_zeros(self.c[:, i], "f"))
+            found.append(self.x[i] + s[(s >= 0.0) & (s <= self.x[i + 1] - self.x[i])])
+        return np.unique(np.concatenate(found))
+
+
+def _real_roots(coef: np.ndarray) -> np.ndarray:
+    """Real roots of a polynomial, highest power first, with a nonzero lead."""
+    if len(coef) == 3:   # without cancellation, and a double root stays real
+        a, b, c = coef
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            return np.empty(0)
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        return np.array([q / a, c / q]) if q else np.zeros(2)
+    z = np.roots(coef)
+    return z[z.imag == 0.0].real
+
+
+def pchip(x, y, slope0: float | None = None) -> Pieces:
+    """The monotone cubic Hermite interpolant of (x, y), with scipy's
+    PchipInterpolator coefficients: inner slopes are the weighted harmonic
+    means of the adjacent secants, zero where the data turn or stay flat
+    (Fritsch and Butland, 1984); the end slopes are one-sided three-point
+    estimates clamped to the data's shape (Moler, Numerical Computing with
+    MATLAB, 3.6).  `slope0`, when given, is the derivative at x[0] instead."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.zeros_like(y)
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    inner = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d[1:-1][inner] = 1.0 / whmean[inner]
+    d[0] = _pchip_end(h[0], h[1], m[0], m[1]) if slope0 is None else slope0
+    d[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    return Pieces(np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]]), x)
+
+
+def _pchip_end(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided end slope from the two end secants m0, m1 of widths h0, h1."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 @dataclass(frozen=True)
@@ -75,7 +176,7 @@ class MellinProfile:
     pmellin: Callable | None = None
     deriv_exponent: float = 0.0
     min_p: float = -1.0
-    spline: PPoly | None = None   # psi(support_radius * u) on [0, 1], for knot-exact routes
+    spline: Pieces | None = None  # psi(support_radius * u) on [0, 1], for knot-exact routes
     level: Callable | None = None
 
 
@@ -173,10 +274,13 @@ def lens(n: int, radius: float) -> MellinProfile:
         cutoff=lambda p: width, pmellin=pmellin)
 
 
-def from_table(ts, vals, root: int = 1) -> MellinProfile:
-    """Profile from samples, zero beyond the last node: the Pchip interpolant
-    of vals^(1/root) with each cubic piece raised to the root-th power.  A
-    root n follows a covariogram section in R^n, whose n-th root is concave."""
+def from_table(ts, vals, root: int = 1, slope0: float | None = None) -> MellinProfile:
+    """Profile from samples, zero beyond the last node: the `pchip`
+    interpolant of vals^(1/root) with each cubic piece raised to the root-th
+    power.  A root n follows a covariogram section in R^n, whose n-th root is
+    concave.  `slope0`, when given, is the exact -psi'(0+); it pins the
+    interpolant's derivative at 0 in place of the one-sided estimate from the
+    first nodes, which noisy tables get wrong."""
     ts = np.asarray(ts, dtype=float)
     vals = np.asarray(vals, dtype=float)
     if ts.ndim != 1 or ts.shape != vals.shape or ts.size < 4:
@@ -187,17 +291,18 @@ def from_table(ts, vals, root: int = 1) -> MellinProfile:
         raise ValueError("values must be finite, nonnegative, positive at 0")
     if root != int(root) or root < 1:
         raise ValueError("root must be a positive integer")
-    base = PchipInterpolator(ts, vals ** (1.0 / root)).c
+    d0 = None if slope0 is None else -slope0 * vals[0] ** (1.0 / root - 1.0) / root
+    base = pchip(ts, vals ** (1.0 / root), d0).c
     c = base
     for _ in range(int(root) - 1):
         prod = np.zeros((len(c) + 3, c.shape[1]))
         for i, row in enumerate(base):
             prod[i:i + len(c)] += row * c
         c = prod
-    return replace(from_ppoly(PPoly.construct_fast(c, ts)), kind="table")
+    return replace(from_ppoly(Pieces(c, ts)), kind="table")
 
 
-def from_ppoly(pp: PPoly) -> MellinProfile:
+def from_ppoly(pp: Pieces) -> MellinProfile:
     """Profile of a piecewise polynomial on knots 0 = x_0 < ... < x_N, zero
     beyond x_N; a nonzero value at x_N is an atom of -psi'.
 
@@ -220,8 +325,7 @@ def from_ppoly(pp: PPoly) -> MellinProfile:
     reach = np.sum(np.abs(pp.c) * np.diff(knots) ** powers, axis=0)
     dc = dpp.c.copy()
     dc[:, reach <= at_knots.max()] = 0.0
-    crit = PPoly.construct_fast(dc, knots).roots(extrapolate=False)
-    sup = float(np.max(pp(np.concatenate([knots, crit[np.isfinite(crit)]]))))
+    sup = float(np.max(pp(np.concatenate([knots, Pieces(dc, knots).roots()]))))
     last = float(at_knots[-1])
 
     def inside(spline, beyond):
@@ -242,15 +346,15 @@ def from_ppoly(pp: PPoly) -> MellinProfile:
         support_radius=support,
         cutoff=lambda p: support,
         atoms=((support, last),) if last > 0.0 else (),
-        spline=PPoly.construct_fast(pp.c * support ** powers, knots / support),
+        spline=Pieces(pp.c * support ** powers, knots / support),
     )
 
 
-def _minus(pp: PPoly, c0: float) -> PPoly:
+def _minus(pp: Pieces, c0: float) -> Pieces:
     """pp - c0 as a piecewise polynomial on the same knots."""
     c = pp.c.copy()
     c[-1] -= c0
-    return PPoly.construct_fast(c, pp.x)
+    return Pieces(c, pp.x)
 
 
 # ---------------------------------------------------------------------------

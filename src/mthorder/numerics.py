@@ -147,6 +147,12 @@ def integrate_1d(phi, a: float, b: float, cfg: QuadratureConfig | None = None,
     best estimate) if the adaptive rule cannot reach the tolerance within
     cfg.max_subdivisions panels.  `samples_or_nodes` counts the nodes phi
     was evaluated at.
+
+    Only the end a has this singular treatment.  An algebraic singularity
+    at b is resolved only down to panels 1024 eps (relative) wide, as the
+    rule neither extrapolates nor puts nodes on a panel edge, so
+    int_0^1 (1 - t)^(-1/2) dt fails at the default tolerance: the caller
+    must move such a point to a, or substitute it away.
     """
     cfg = cfg or QuadratureConfig()
     if not weight_exponent > -1.0:

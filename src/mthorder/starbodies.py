@@ -18,9 +18,10 @@ for every kind of ray:
   I_{1-(r/2a)^2}((n+1)/2, 1/2) (`mellin.lens`), whose Beta closed form
   `mellin` checks its quadratures against;
 * every other body tabulates its section once per direction, and
-  `mellin.from_table(..., root=n)` (the Pchip interpolant of psi^(1/n) with
-  each cubic piece raised to the n-th power) is integrated knot by knot, so
-  many p values reuse one ray.  Monte Carlo
+  `mellin.from_table(..., root=n)` (the in-house monotone cubic interpolant
+  `mellin.pchip` of psi^(1/n), with each cubic piece raised to the n-th
+  power and its slope at 0 pinned to the exact projection-body gauge) is
+  integrated knot by knot, so many p values reuse one ray.  Monte Carlo
   tables also carry the profiles of psi + sigma and psi - sigma.
 
 A function f = A phi(||x - c||_K) needs no rays of its own.  The layer cake
@@ -38,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PPoly
 
 from . import convexcore as cc
 from . import covariogram as cov
@@ -94,7 +94,7 @@ def _box_ray(lo, hi, blocks) -> RadialRay:
     """The section prod_j (1 - r t_j)_+ of a box along a unit m-direction."""
     rates = cov.box_rates(lo, hi, blocks)
     R = 1.0 / float(rates.max())
-    pp = PPoly.construct_fast(np.poly(rates)[::-1, None].copy(), np.array([0.0, R]))
+    pp = ml.Pieces(np.poly(rates)[::-1, None], np.array([0.0, R]))
     return RadialRay(ml.from_ppoly(pp), float(rates.sum()))
 
 
@@ -103,7 +103,8 @@ def body_ray(K: ConvexBody, m: int, theta, seed: int = 0,
     """The normalized covariogram section of a body along one unit direction:
     the polynomial prod_j (1 - r t_j)_+ for an axis-aligned box, the lens for
     a ball at m = 1, else a table of covariograms at `nodes` radii
-    (`samples` draws each where they are Monte Carlo).
+    (`samples` draws each where they are Monte Carlo) whose interpolants,
+    the envelope's too, start at the exact slope.
     """
     th = as_unit(theta, K.dim)
     box = cov.axis_box(K)
@@ -123,9 +124,11 @@ def body_ray(K: ConvexBody, m: int, theta, seed: int = 0,
     sig = sigs / vol
     sig[0] = 0.0
     envelope = () if not np.any(sig > 0.0) else tuple(
-        ml.from_table(grid, np.clip(vals + sign * sig, 0.0, 1.0), root=K.dim)
+        ml.from_table(grid, np.clip(vals + sign * sig, 0.0, 1.0), root=K.dim,
+                      slope0=slope0)
         for sign in (1.0, -1.0))
-    return RadialRay(ml.from_table(grid, vals, root=K.dim), slope0, envelope)
+    return RadialRay(ml.from_table(grid, vals, root=K.dim, slope0=slope0), slope0,
+                     envelope)
 
 
 def _fd_slope(psi, scale: float) -> float:

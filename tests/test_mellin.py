@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
-from scipy.interpolate import PPoly
+from scipy.interpolate import PchipInterpolator, PPoly
 
 import mthorder.mellin as ml
 from mthorder.lcfun import NonIntegrableError, Profile
@@ -69,6 +69,16 @@ class TestProfiles:
         with pytest.raises(NonIntegrableError):
             ml.mellin(psi, -0.7)
 
+    def test_from_table_slope0_pins_the_slope_at_zero(self):
+        ts = np.linspace(0.0, 1.0, 9)
+        vals = (1.0 - ts) ** 2
+        for root in (1, 2, 3):
+            assert ml.from_table(ts, vals, root=root, slope0=1.7).slope0 == pytest.approx(
+                -1.7, rel=1e-14)
+        psi = ml.from_table(ts, vals, root=2, slope0=2.0)    # exact: one piece per node
+        np.testing.assert_allclose(psi.value(np.linspace(0.0, 1.0, 33)),
+                                   (1.0 - np.linspace(0.0, 1.0, 33)) ** 2, atol=1e-15)
+
     def test_from_table_matches_samples(self):
         ts = np.linspace(0.0, 40.0, 2001)
         psi = ml.from_table(ts, np.exp(-ts))
@@ -92,7 +102,7 @@ class TestProfiles:
 class TestPiecewisePolynomialProfiles:
     def test_fields_of_a_bump(self):
         # psi = 1 + t - t^2 on [0, 1.5]: maximum 1.25 inside, 0.25 at the end
-        psi = ml.from_ppoly(PPoly([[-1.0], [1.0], [1.0]], [0.0, 1.5]))
+        psi = ml.from_ppoly(ml.Pieces([[-1.0], [1.0], [1.0]], [0.0, 1.5]))
         assert psi.psi0 == 1.0
         assert psi.sup == pytest.approx(1.25, rel=1e-14)
         assert psi.slope0 == 1.0
@@ -103,18 +113,109 @@ class TestPiecewisePolynomialProfiles:
     @pytest.mark.parametrize("p", [-0.99, -0.5, 0.5, 3.0])
     def test_matches_closed_form_of_the_linear_profile(self, p):
         # (1 - t/2)_+ as two pieces against power(1, scale=2)
-        pp = PPoly([[-0.5, -0.5], [1.0, 0.5]], [0.0, 1.0, 2.0])
+        pp = ml.Pieces([[-0.5, -0.5], [1.0, 0.5]], [0.0, 1.0, 2.0])
         assert ml.mellin(ml.from_ppoly(pp), p) == pytest.approx(
             ml.mellin(ml.power(1.0, scale=2.0), p), rel=1e-12)
 
     def test_large_support_and_exponent_stay_finite(self):
-        psi = ml.from_ppoly(PPoly([[-1.0 / 60.0], [1.0]], [0.0, 60.0]))
+        psi = ml.from_ppoly(ml.Pieces([[-1.0 / 60.0], [1.0]], [0.0, 60.0]))
         assert ml.i_p(psi, 400.0) == pytest.approx(60.0 * 401.0 ** (-1.0 / 400.0),
                                                    rel=1e-12)
 
     def test_must_start_at_zero(self):
         with pytest.raises(ValueError):
-            ml.from_ppoly(PPoly([[-1.0], [1.0]], [0.5, 1.0]))
+            ml.from_ppoly(ml.Pieces([[-1.0], [1.0]], [0.5, 1.0]))
+
+
+class TestPieces:
+    """`ml.Pieces` and `ml.pchip` against scipy.interpolate as an oracle."""
+
+    TABLES = {
+        "non-uniform": ([0.0, 0.3, 1.0, 1.1, 2.5, 4.0],
+                        [1.0, 0.8, 0.35, 0.3, 0.05, 0.0]),
+        "flat-runs": ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+                      [1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.2]),
+        "sign-changes": ([0.0, 0.5, 1.5, 2.0, 3.5, 4.0],
+                         [0.0, 1.0, -1.0, 2.0, 0.5, 3.0]),
+        # left end (3 m0 - m1)/2 = -0.5 against m0 = 1: clamped to 0
+        "end-sign-clamp": ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 5.0, 6.0, 7.0]),
+        # left end 6.5 > 3 m0 where the secants turn: clamped to 3 m0
+        "end-size-clamp": ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, -9.0, -8.0, -7.0]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_pchip_coefficients(self, name):
+        x, y = map(np.array, self.TABLES[name])
+        for xs, ys in ((x, y), (x[-1] - x[::-1], y[::-1])):   # and the mirror: right ends
+            want = PchipInterpolator(xs, ys).c
+            np.testing.assert_allclose(ml.pchip(xs, ys).c, want, rtol=1e-14, atol=0.0)
+
+    def test_end_clamps_are_met(self):
+        x, y = self.TABLES["end-sign-clamp"]
+        assert ml.pchip(x, y).c[2, 0] == 0.0
+        x, y = self.TABLES["end-size-clamp"]
+        assert ml.pchip(x, y).c[2, 0] == 3.0
+
+    def test_pchip_coefficients_of_random_tables(self):
+        rng = np.random.default_rng(7)
+        for k in range(50):
+            x = np.cumsum(rng.exponential(size=int(rng.integers(3, 30))))
+            y = rng.normal(size=x.size)
+            if k % 2:
+                y[rng.integers(0, x.size, 3)] = 0.0     # flat runs
+            np.testing.assert_allclose(ml.pchip(x, y).c, PchipInterpolator(x, y).c,
+                                       rtol=1e-14, atol=0.0)
+
+    def test_slope0_pins_the_first_derivative_only(self):
+        x, y = map(np.array, self.TABLES["non-uniform"])
+        got = ml.pchip(x, y, slope0=-0.4)
+        assert got.derivative()(0.0) == -0.4
+        assert got.c[2, 0] == -0.4
+        np.testing.assert_array_equal(got.c[:, 1:], PchipInterpolator(x, y).c[:, 1:])
+        np.testing.assert_allclose(got(x), y, rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize("x0", [0.0, 0.5])
+    @pytest.mark.parametrize("pieces", [1, 5])
+    def test_evaluation_in_the_input_shape(self, x0, pieces):
+        rng = np.random.default_rng(pieces)
+        x = x0 + np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, pieces))])
+        c = rng.normal(size=(4, pieces))
+        got, want = ml.Pieces(c, x), PPoly(c, x)
+        for t in (x0 + 0.3, np.array(x[-1] + 0.7), x0 - 1.0,       # 0-d, outside too
+                  np.linspace(x0 - 1.0, x[-1] + 1.0, 41),
+                  rng.uniform(x0 - 1.0, x[-1] + 1.0, size=(3, 5))):
+            val = got(t)
+            assert np.shape(val) == np.shape(t)
+            np.testing.assert_allclose(val, want(t), rtol=1e-13, atol=1e-13)
+
+    def test_constant_pieces_keep_the_shape(self):
+        flat = ml.Pieces([[1.0, 2.0]], [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(flat(np.array([[0.5], [1.5]])), [[1.0], [2.0]])
+        assert flat.derivative()(1.5) == 0.0
+
+    def test_derivative(self):
+        x, y = map(np.array, self.TABLES["sign-changes"])
+        c = ml.pchip(x, y).c
+        got, want = ml.Pieces(c, x).derivative(), PPoly(c, x).derivative()
+        np.testing.assert_array_equal(got.c, want.c)
+        t = np.linspace(-0.5, 4.5, 23)
+        np.testing.assert_allclose(got(t), want(t), rtol=1e-13, atol=1e-13)
+
+    def test_roots(self):
+        # pieces: zero, a double root at 1.5, zero, roots 3.5 and 4 (a knot),
+        # a cubic with roots 4.2, 4.5, 4.9, and one with none
+        c = np.zeros((4, 6))
+        c[1:, 1] = [1.0, -1.0, 0.25]
+        c[1:, 3] = [2.0, -3.0, 1.0]
+        c[:, 4] = np.poly([0.2, 0.5, 0.9])
+        c[:, 5] = [1.0, 0.0, 1.0, 1.0]
+        x = np.arange(7.0)
+        want = PPoly(c, x).roots(extrapolate=False)
+        # scipy reports an identically zero piece as its left knot and a nan
+        zero_piece = np.isnan(want) | np.isnan(np.append(want[1:], 0.0))
+        got = ml.Pieces(c, x).roots()
+        np.testing.assert_allclose(got, np.unique(want[~zero_piece]), rtol=1e-12)
+        np.testing.assert_allclose(got, [1.5, 3.5, 4.0, 4.2, 4.5, 4.9], rtol=1e-12)
 
 
 class TestMellinTransform:

@@ -1,6 +1,10 @@
-"""No module of the package reaches into another module's private names."""
+"""No module of the package reaches into another module's private names, or
+loads a scipy subpackage that the package has its own code for."""
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mthorder"
@@ -75,8 +79,8 @@ def test_kind_scan_reads_membership_tests():
                                                  "x.py:5: ['gaussian']"]
 
 
-def _scipy_integrate_imports(source: str, label: str) -> list[str]:
-    """Every import of scipy.integrate, in any of its spellings."""
+def _scipy_imports(source: str, label: str, subpackages=("integrate",)) -> list[str]:
+    """Every import of the given scipy subpackages, in any of their spellings."""
     hits = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -86,7 +90,8 @@ def _scipy_integrate_imports(source: str, label: str) -> list[str]:
         else:
             continue
         hits += [f"{label}:{node.lineno}: {name}" for name in names
-                 if name == "scipy.integrate" or name.startswith("scipy.integrate.")]
+                 for sub in subpackages
+                 if name == f"scipy.{sub}" or name.startswith(f"scipy.{sub}.")]
     return hits
 
 
@@ -94,13 +99,44 @@ def test_quadrature_is_numerics_own():
     """`numerics.integrate_1d` is the one quadrature engine of the package;
     tests keep scipy.integrate as an independent oracle."""
     found = [hit for path in _sources()
-             for hit in _scipy_integrate_imports(path.read_text(), path.name)]
+             for hit in _scipy_imports(path.read_text(), path.name)]
     assert found == []
 
 
 def test_scipy_integrate_scan_reads_every_spelling():
     source = ("from scipy import integrate\nimport scipy.integrate as si\n"
               "from scipy.integrate import quad\nfrom scipy import special\n")
-    assert _scipy_integrate_imports(source, "x.py") == [
+    assert _scipy_imports(source, "x.py") == [
         "x.py:1: scipy.integrate", "x.py:2: scipy.integrate",
         "x.py:3: scipy.integrate.quad"]
+
+
+# scipy.interpolate loads scipy.optimize with it; `mellin.Pieces` and
+# `mellin.pchip` stand in for both, and tests keep them as oracles
+_HEAVY = ("interpolate", "optimize")
+
+
+def test_no_interpolate_or_optimize_import():
+    found = [hit for path in _sources()
+             for hit in _scipy_imports(path.read_text(), path.name, _HEAVY)]
+    assert found == []
+
+
+def test_heavy_scan_reads_every_spelling():
+    source = ("from scipy import optimize, special\nimport scipy.interpolate\n"
+              "from scipy.interpolate import PPoly\nfrom scipy.spatial import ConvexHull\n")
+    assert _scipy_imports(source, "x.py", _HEAVY) == [
+        "x.py:1: scipy.optimize", "x.py:2: scipy.interpolate",
+        "x.py:3: scipy.interpolate.PPoly"]
+
+
+def test_cli_import_leaves_interpolate_and_optimize_unloaded():
+    """No module pulls them in at run time either, through a sibling or a
+    scipy subpackage; a fresh process sees what `mthorder run` loads."""
+    probe = ("import sys, mthorder.cli, mthorder.harness\n"
+             "print(sorted(m for m in sys.modules if m in "
+             "('scipy.interpolate', 'scipy.optimize')))")
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert out.stdout.strip() == "[]"

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, special
-from scipy.interpolate import PPoly
 from scipy.special import gamma as gamma_fn
 from scipy.stats import norm
 
@@ -29,7 +28,7 @@ def unit_interval():
 
 def triangle():
     """psi(t) = (1 - t)_+ as a one-piece polynomial profile."""
-    return ml.from_ppoly(PPoly([[-1.0], [1.0]], [0.0, 1.0]))
+    return ml.from_ppoly(ml.Pieces([[-1.0], [1.0]], [0.0, 1.0]))
 
 
 class TestBallBodyRadial:
@@ -293,6 +292,27 @@ class TestTableRays:
             lo, hi = sorted(ml.i_p(env, p) for env in ray.envelope)
             assert lo <= est.value <= hi
             assert est.std_error == pytest.approx(0.5 * (hi - lo), rel=1e-12)
+
+    def test_monte_carlo_table_takes_the_exact_slope(self):
+        """Pinning the slope at 0 to the projection gauge narrows the p -> -1
+        radius of a noisy disc ray, and keeps it on the long-run value."""
+        disc, th = cc.ball(2, 1.0), sb.as_unit([1.0, 0.0, 0.0, 1.0], 2)
+        ray = sb.body_ray(disc, 2, th, samples=4000, nodes=64)
+        for prof in (ray.profile, *ray.envelope):
+            assert prof.slope0 == pytest.approx(-ray.slope0, rel=1e-12)
+        pinned = sb.radial_from_ray(ray, -0.99)
+        # the same table with one-sided end slopes, as before the pin
+        grid = np.linspace(0.0, cov.dm_support_radius(disc, th), 64)
+        vals, sigs = cov.covariogram_body_many(disc, grid[:, None, None] * th.blocks[None],
+                                               seed=0, samples=4000)
+        vals, sig = np.clip(vals / math.pi, 0.0, 1.0), sigs / math.pi
+        vals[0], sig[0] = 1.0, 0.0
+        bounds = [ml.i_p(ml.from_table(grid, np.clip(vals + s * sig, 0.0, 1.0), root=2),
+                         -0.99) for s in (1.0, -1.0)]
+        assert pinned.std_error <= abs(bounds[0] - bounds[1]) / 40.0
+        long_run = sb.radial_from_ray(sb.body_ray(disc, 2, th, samples=64000, nodes=64),
+                                      -0.99)
+        assert abs(pinned.value - long_run.value) <= 3.0 * pinned.std_error
 
 
 class TestBallRays:
