@@ -4,6 +4,11 @@ Bodies are canonically halfspace-represented (<a_i, x> <= b_i); the vertex list
 is derived at construction for polytopes.  Euclidean balls are carried as a
 separate kind with closed-form gauge/support/volume; a 1-D "ball" is just an
 interval and is stored as a polytope.
+
+Planar hulls and polygons are the package's own (`planar_hull`, Andrew's
+monotone chain).  qhull (`scipy.spatial`) serves only 3-D bodies here and
+hulls in R^{nm}, nm >= 3, in `covariogram` and `projection`; each function
+that needs it imports it on its first call.
 """
 
 from __future__ import annotations
@@ -14,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
-
 from .numerics import EstimateWithError, max_slack, sphere_surface
 
 _GEOM_TOL = 1e-9
 _INTERIOR_MARGIN = 1e-10   # Chebyshev radius below which a body counts as flat
+_TURN_TOL = 1e-12          # planar turn below which three points count as collinear
 
 
 class DegenerateBodyError(ValueError):
@@ -88,12 +92,11 @@ def _interval(normals, offsets) -> ConvexBody:
 def from_halfspaces(normals, offsets) -> ConvexBody:
     """Body from <a_i, x> <= b_i (canonicalized, vertices derived).
 
-    Qhull intersects the halfspaces about the Chebyshev centre, the x of
-    max t with <a_i, x> + t <= b_i (`max_slack` from the origin); a radius
-    below _INTERIOR_MARGIN means an empty interior, an unbounded one an
-    unbounded body.  Qhull's dual facets name the irredundant halfspaces.
-    A vertex where exactly n of them meet is solved from those n, so exact
-    inputs give exact vertices.
+    The halfspaces are read about the Chebyshev centre c, the x of max t
+    with <a_i, x> + t <= b_i (`max_slack` from the origin); a radius below
+    _INTERIOR_MARGIN means an empty interior, an unbounded one an unbounded
+    body.  A vertex where exactly n irredundant halfspaces meet is solved
+    from those n, so exact inputs give exact vertices.
     """
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
     offsets = np.asarray(offsets, dtype=float)
@@ -112,6 +115,38 @@ def from_halfspaces(normals, offsets) -> ConvexBody:
         raise UnboundedBodyError("halfspace intersection is unbounded")
     if radius < _INTERIOR_MARGIN:
         raise DegenerateBodyError("halfspace intersection has empty interior")
+    make = _polygon if n == 2 else _polyhedron
+    keep, verts = make(normals, offsets, center)
+    normals, offsets = _canonical_order(normals[keep], offsets[keep])
+    return ConvexBody(n, "polytope", normals, offsets, verts)
+
+
+def _polygon(normals, offsets, center):
+    """Irredundant rows and counterclockwise vertices of a polygon with
+    interior point `center`.  Its polar about the centre is the hull of the
+    dual points a_i / (b_i - <a_i, c>): the irredundant rows are the hull's
+    vertices, the polygon is bounded exactly when that hull holds the origin
+    strictly inside, and each polygon vertex is solved from the two rows of
+    one hull edge."""
+    dual = normals / (offsets - normals @ center)[:, None]
+    keep = planar_hull(dual)
+    D = dual[keep]
+    nxt = np.roll(np.arange(len(keep)), -1)
+    edge = np.linalg.norm(D[nxt] - D, axis=1)
+    inside = D[:, 0] * D[nxt, 1] - D[:, 1] * D[nxt, 0]
+    scale = float(np.max(np.abs(dual)))
+    if len(keep) < 3 or np.any(inside <= _TURN_TOL * scale * edge):
+        raise UnboundedBodyError("halfspace intersection is unbounded")
+    pairs = np.column_stack([keep, keep[nxt]])
+    verts = np.linalg.solve(normals[pairs], offsets[pairs][..., None])[..., 0] + 0.0
+    return keep, verts
+
+
+def _polyhedron(normals, offsets, center):
+    """Irredundant rows and vertices of a 3-D polytope by qhull's halfspace
+    intersection about the interior point `center`; its dual facets name the
+    irredundant rows and the rows that meet at each vertex."""
+    from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
     try:
         with np.errstate(divide="ignore", invalid="ignore"):   # points at infinity
             hs = HalfspaceIntersection(np.column_stack([normals, -offsets]), center)
@@ -121,14 +156,37 @@ def from_halfspaces(normals, offsets) -> ConvexBody:
     except QhullError as e:
         raise DegenerateBodyError("halfspace intersection has empty interior") from e
     verts = hs.intersections[corners]
-    simple = [k for k, i in enumerate(corners) if len(hs.dual_facets[i]) == n]
+    simple = [k for k, i in enumerate(corners) if len(hs.dual_facets[i]) == 3]
     if simple:
         active = np.array([hs.dual_facets[corners[k]] for k in simple])
         verts[simple] = np.linalg.solve(normals[active],
                                         offsets[active][..., None])[..., 0] + 0.0
-    keep = np.unique(np.concatenate(hs.dual_facets))
-    normals, offsets = _canonical_order(normals[keep], offsets[keep])
-    return ConvexBody(n, "polytope", normals, offsets, verts)
+    return np.unique(np.concatenate(hs.dual_facets)), verts
+
+
+def planar_hull(points) -> np.ndarray:
+    """Indices of the vertices of conv(points) for (k, 2) points, in
+    counterclockwise order, by Andrew's monotone chain: O(k log k).  Repeated
+    points and points on an edge, within _TURN_TOL of the points' extent,
+    are not vertices; collinear points give the two ends."""
+    P = np.asarray(points, dtype=float)
+    _, order = np.unique(P, axis=0, return_index=True)     # sorted by x, then y
+    tol = _TURN_TOL * float(np.max(np.ptp(P, axis=0))) ** 2
+    xs, ys = P[:, 0].tolist(), P[:, 1].tolist()
+
+    def chain(idx):
+        out = []
+        for i in idx:
+            while len(out) >= 2:
+                o, a = out[-2], out[-1]
+                if (xs[a] - xs[o]) * (ys[i] - ys[o]) - (ys[a] - ys[o]) * (xs[i] - xs[o]) > tol:
+                    break
+                out.pop()
+            out.append(i)
+        return out
+
+    lower, upper = chain(order.tolist()), chain(order[::-1].tolist())
+    return np.array(lower[:-1] + upper[:-1] if len(lower) > 1 else lower)
 
 
 def from_vertices(points) -> ConvexBody:
@@ -139,6 +197,14 @@ def from_vertices(points) -> ConvexBody:
         if hi - lo < 1e-12:
             raise DegenerateBodyError("interval has zero length")
         return from_halfspaces(np.array([[1.0], [-1.0]]), np.array([hi, -lo]))
+    if n == 2:
+        P = points[planar_hull(points)]
+        if len(P) < 3:
+            raise DegenerateBodyError("vertices do not affinely span the space")
+        edge = np.roll(P, -1, axis=0) - P
+        normals = np.column_stack([edge[:, 1], -edge[:, 0]])   # outward for ccw
+        return from_halfspaces(normals, np.einsum("ij,ij->i", normals, P))
+    from scipy.spatial import ConvexHull, QhullError
     try:
         hull = ConvexHull(points)
     except QhullError as e:
@@ -366,19 +432,14 @@ def volume(K: ConvexBody) -> EstimateWithError:
     elif n == 2:
         value = polygon_area(K.vertices)
     else:
+        from scipy.spatial import ConvexHull
         value = float(ConvexHull(K.vertices).volume)
     return EstimateWithError(value, 0.0, 0)
 
 
-def hull_order(points: np.ndarray) -> np.ndarray:
-    """2-D points sorted counterclockwise about their centroid."""
-    c = points.mean(axis=0)
-    ang = np.arctan2(points[:, 1] - c[1], points[:, 0] - c[0])
-    return points[np.argsort(ang, kind="stable")]
-
-
 def polygon_area(points: np.ndarray) -> float:
-    P = hull_order(points)
+    """Area of the hull of (k, 2) points: the shoelace formula over `planar_hull`."""
+    P = points[planar_hull(points)]
     x, y = P[:, 0], P[:, 1]
     return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-from scipy.spatial import ConvexHull
 
 from . import convexcore as cc
 from .convexcore import ConvexBody
@@ -24,7 +22,9 @@ from .lcfun import LogConcaveFunction, NonIntegrableError
 from .numerics import (
     EstimateWithError,
     QuadratureConfig,
+    beta,
     default_mc_samples,
+    gamma_q,
     gauss_panels,
     integrate_1d,
     make_rng,
@@ -134,10 +134,51 @@ def box_rates(lo, hi, blocks) -> np.ndarray:
 
 def lens(n: int, u):
     """vol(B cap (B + x)) / vol(B) for a ball B in R^n and |x| = 2u radius(B):
-    twice a cap, the regularized incomplete beta I_{1-u^2}((n+1)/2, 1/2),
-    and 0 for u >= 1.  Accepts scalars or arrays."""
+    twice a cap, the regularized incomplete beta I_w(b, 1/2) with
+    w = 1 - u^2 and b = (n+1)/2, and 0 for u >= 1.  Accepts scalars or
+    arrays.  It is 1 - `lens_drop` for w >= 1/2; below, where the lens is
+    small, the series w^b u / (b B(b, 1/2)) sum_k (b+1/2)_k / (b+1)_k w^k
+    keeps its relative accuracy."""
     u = np.minimum(np.abs(np.asarray(u, dtype=float)), 1.0)
-    out = special.betainc(0.5 * (n + 1), 0.5, (1.0 - u) * (1.0 + u))
+    w = (1.0 - u) * (1.0 + u)
+    out = np.asarray(1.0 - lens_drop(n, u))
+    near = w < 0.5
+    if np.any(near):
+        b, x = 0.5 * (n + 1), w[near]
+        term = total = np.ones_like(x)
+        k = 0
+        while np.any(term > 1e-17 * total):
+            term = term * x * (b + 0.5 + k) / (b + 1.0 + k)
+            total = total + term
+            k += 1
+        out[near] = x ** b * u[near] * total / (b * beta(b, 0.5))
+    return out if out.ndim else float(out)
+
+
+def lens_drop(n: int, u):
+    """1 - lens(n, u) = I_{u^2}(1/2, (n+1)/2), from sums of nonnegative
+    terms in u and w = 1 - u^2, accurate relative to itself down to u -> 0:
+    u sum_{j<(n+1)/2} c_j w^j with c_0 = 1, c_j = c_{j-1} (j - 1/2)/j at
+    odd n, and (2/pi) (arcsin u + u w^(1/2) sum_{j<n/2} d_j w^j) with
+    d_0 = 1, d_j = d_{j-1} j / (j + 1/2) at even n."""
+    u = np.minimum(np.abs(np.asarray(u, dtype=float)), 1.0)
+    w = (1.0 - u) * (1.0 + u)
+    if n % 2:
+        coef = np.cumprod([1.0] + [(j - 0.5) / j for j in range(1, (n + 1) // 2)])
+        out = u * np.polyval(coef[::-1], w)
+    else:
+        coef = np.cumprod([1.0] + [j / (j + 0.5) for j in range(1, n // 2)])
+        out = (np.arcsin(u) + u * np.sqrt(w) * np.polyval(coef[::-1], w)) / (0.5 * math.pi)
+    return out if out.ndim else float(out)
+
+
+def lens_slope(n: int, u):
+    """-d lens(n, u) / du = 2 (1 - u^2)^((n-1)/2) / B((n+1)/2, 1/2) on
+    [0, 1), and 0 from u = 1 on."""
+    u = np.abs(np.asarray(u, dtype=float))
+    w = np.maximum((1.0 - u) * (1.0 + u), 0.0)
+    out = np.where(u < 1.0, w ** (0.5 * (n - 1)), 0.0) * (
+        2.0 / beta(0.5 * (n + 1), 0.5))
     return out if out.ndim else float(out)
 
 
@@ -334,13 +375,17 @@ def meeting_sums(bodies) -> int | None:
 
 def meeting_volume(bodies) -> float:
     """vol_{nm} of {x : K_0 cap (x_1 + K_1) cap ... cap (x_m + K_m) nonempty}
-    for polytopes K_0, ..., K_m in R^n with n*m <= 6, exact (a hull volume)."""
+    for polytopes K_0, ..., K_m in R^n with n*m <= 6, exact (a hull volume:
+    the planar hull's shoelace area at n*m = 2, qhull's above)."""
     if meeting_sums(bodies) is None:
         raise NotImplementedError("exact meeting volume needs polytopes with n*m <= 6")
     n, m = bodies[0].dim, len(bodies) - 1
     pts = _meeting_points(bodies)
     if n * m == 1:
         return float(pts.max() - pts.min())
+    if n * m == 2:
+        return cc.polygon_area(pts)
+    from scipy.spatial import ConvexHull
     return float(ConvexHull(pts).volume)
 
 
@@ -447,8 +492,7 @@ def coercive_box_radius(f: LogConcaveFunction, tol: float) -> float:
             eps, extra_power=n + 1.0)
 
     def tail(radius):
-        return (amp * surface * math.gamma(n)
-                * float(special.gammaincc(n, rate * radius)) / rate ** n)
+        return amp * surface * math.gamma(n) * gamma_q(n, rate * radius) / rate ** n
 
     hi = 1.0 / rate
     while tail(hi) > tol / 10.0 and hi < 1e6:

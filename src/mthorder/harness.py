@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy import special
 
 from . import __version__
 from . import convexcore as cc
@@ -319,7 +318,7 @@ def _jobs_mellin(seed, samples):
     def collapse():
         grid = (20.0, 50.0, 100.0)
         vals = [math.exp((math.log(p * ml.mellin(ml.gaussian(), p))
-                          - special.gammaln(p + 1.0)) / p) for p in grid]
+                          - math.log(math.gamma(p + 1.0))) / p) for p in grid]
         return _monotone_verdict("gaussian-collapse", grid, vals, "decreasing")
     jobs.append(("gaussian-collapse", collapse))
 
@@ -353,11 +352,11 @@ def _jobs_scaling(seed, samples):
     moment factor, so the law is checked rather than restated.
     """
     jobs = []
-    laws = (("exponential", lambda n, p: (special.gamma(n + p + 1.0)
-                                          / special.gamma(n + 1.0)) ** (1.0 / p)),
+    laws = (("exponential", lambda n, p: (math.gamma(n + p + 1.0)
+                                          / math.gamma(n + 1.0)) ** (1.0 / p)),
             ("gaussian", lambda n, p: math.sqrt(2.0) * (
-                special.gamma(1.0 + (n + p) / 2.0)
-                / special.gamma(1.0 + n / 2.0)) ** (1.0 / p)))
+                math.gamma(1.0 + (n + p) / 2.0)
+                / math.gamma(1.0 + n / 2.0)) ** (1.0 / p)))
     for profile, law_of in laws:
         for n, m, p in _SCALING_CASES:
             def thunk(profile=profile, law_of=law_of, n=n, m=m, p=p):

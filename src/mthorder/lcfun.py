@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 from . import convexcore as cc
 from .convexcore import ConvexBody
+from .numerics import digamma, gamma_ratio
 
 _KINDS = ("exponential", "gaussian", "power", "indicator", "pfamily")
 
@@ -205,27 +205,30 @@ class Profile:
         stretched kinds, s/q for the power kind."""
         if self.kind == "indicator":
             return 1.0
+        self._require_level_moment(k)
+        if self._stretch:
+            a, c, b = self._stretch
+            return gamma_ratio((k / a + 1.0,), (), q * b - (k / a) * math.log(q * c))
+        r = q / self.param
+        return gamma_ratio((r + 1.0, k + 1.0), (k + r + 1.0,))
+
+    def level_moment_log_slope(self, k: float) -> float:
+        """d/dk log M_k (see `level_moment`) on the same domain; 0 for the
+        indicator."""
+        if self.kind == "indicator":
+            return 0.0
+        self._require_level_moment(k)
+        if self._stretch:
+            a, c, _ = self._stretch
+            return (digamma(k / a + 1.0) - math.log(c)) / a
+        return digamma(k + 1.0) - digamma(k + 1.0 / self.param + 1.0)
+
+    def _require_level_moment(self, k: float) -> None:
+        """Raise NonIntegrableError unless M_k is finite: k > -a, phi0 finite."""
         if not math.isfinite(self.phi0):
             raise NonIntegrableError(_P0_MESSAGE)
         if not k > -self.exponent:
             raise NonIntegrableError(f"M_k is infinite for k <= {-self.exponent:g}")
-        if self._stretch:
-            a, c, b = self._stretch
-            return math.exp(q * b + special.gammaln(k / a + 1.0) - (k / a) * math.log(q * c))
-        r = q / self.param
-        lg = special.gammaln
-        return math.exp(lg(k + 1.0) + lg(r + 1.0) - lg(k + r + 1.0))
-
-    def level_moment_log_slope(self, k: float) -> float:
-        """d/dk log M_k (see `level_moment`); 0 for the indicator."""
-        if self.kind == "indicator":
-            return 0.0
-        if self._stretch:
-            a, c, _ = self._stretch
-            return (float(special.digamma(k / a + 1.0)) - math.log(c)) / a
-        if self.kind == "power":
-            return float(special.digamma(k + 1.0) - special.digamma(k + 1.0 / self.param + 1.0))
-        raise NonIntegrableError(_P0_MESSAGE)
 
     def coercivity_bound(self) -> float:
         """C with phi(t) <= C e^-t for every t >= 0: e^(b + g) on the stretched

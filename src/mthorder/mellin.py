@@ -32,11 +32,10 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from . import covariogram as cov
 from .lcfun import ZERO_P_WINDOW, NonIntegrableError, Profile
-from .numerics import QuadratureConfig, gauss_panels, integrate_1d
+from .numerics import QuadratureConfig, beta, gauss_panels, integrate_1d
 
 _ROUTE_AGREEMENT = 1e-6    # required relative match between the two routes
 _SMALL_P = 0.05            # below this the transform takes the subtracted form
@@ -253,25 +252,17 @@ def lens(n: int, radius: float) -> MellinProfile:
     if radius <= 0:
         raise ValueError("radius must be positive")
     width = 2.0 * radius
-    beta = float(special.beta(0.5 * (n + 1), 0.5))
-
-    def drop(t):      # lens - 1 = -I_{u^2}(1/2, (n+1)/2), cancellation-free
-        u = np.minimum(np.asarray(t, dtype=float) / width, 1.0)
-        return -special.betainc(0.5, 0.5 * (n + 1), u * u)
-
-    def neg_derivative(t):
-        u = np.asarray(t, dtype=float) / width
-        return np.where(u < 1.0, np.maximum(1.0 - u * u, 0.0) ** (0.5 * (n - 1)),
-                        0.0) / (radius * beta)
+    b = 0.5 * (n + 1)
 
     def pmellin(p):   # scaled by width^-p, see MellinProfile
-        return special.beta(0.5 * (p + 1), 0.5 * (n + 1)) / special.beta(0.5, 0.5 * (n + 1))
+        return beta(0.5 * (p + 1), b) / beta(0.5, b)
 
     return MellinProfile(
-        kind="lens", value=lambda t: cov.lens(n, np.asarray(t) / width),
-        drop=drop, neg_derivative=neg_derivative, psi0=1.0,
-        slope0=-1.0 / (radius * beta), sup=1.0, support_radius=width,
-        cutoff=lambda p: width, pmellin=pmellin)
+        kind="lens", value=lambda t: cov.lens(n, np.divide(t, width)),
+        drop=lambda t: -cov.lens_drop(n, np.divide(t, width)),
+        neg_derivative=lambda t: cov.lens_slope(n, np.divide(t, width)) / width,
+        psi0=1.0, slope0=-cov.lens_slope(n, 0.0) / width, sup=1.0,
+        support_radius=width, cutoff=lambda p: width, pmellin=pmellin)
 
 
 def from_table(ts, vals, root: int = 1, slope0: float | None = None) -> MellinProfile:

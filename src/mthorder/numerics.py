@@ -1,5 +1,6 @@
-"""Shared numeric primitives: seeded streams, quadrature, convex search, and
-the one LP, max t over A x + t s <= b (`max_slack`, a one-phase simplex).
+"""Shared numeric primitives: seeded streams, the few special functions the
+package needs (on `math`), quadrature, convex search, and the one LP, max t
+over A x + t s <= b (`max_slack`, a one-phase simplex).
 
 Quadrature and search are array-first: `integrate_1d` is adaptive
 Gauss-Kronrod 21 whose integrand maps a 1-D array of nodes to their values,
@@ -120,6 +121,62 @@ def sphere_surface(d: int) -> float:
     if d < 1:
         raise InvalidDimensionError("sphere dimension must be >= 1")
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# special functions (the few the package needs, on `math`)
+
+# B_2k / 2k for k = 7, ..., 1: psi(x) ~ log x - 1/2x - sum_k B_2k / (2k x^2k)
+_DIGAMMA_SERIES = (1.0 / 12.0, -691.0 / 32760.0, 1.0 / 132.0, -1.0 / 240.0,
+                   1.0 / 252.0, -1.0 / 120.0, 1.0 / 12.0)
+
+
+def digamma(x: float) -> float:
+    """psi(x) = d/dx log Gamma(x) for x > 0: the recurrence
+    psi(x) = psi(x + 1) - 1/x up to x >= 10, then the asymptotic series
+    through x^-14, whose first omitted term is below 5e-17 there.  The
+    terms are summed exactly (`math.fsum`), so only their own roundings
+    remain: within 4e-16 of max(1, |psi|)."""
+    if not x > 0.0:
+        raise ValueError("digamma is implemented for x > 0 only")
+    terms = []
+    while x < 10.0:
+        terms.append(-1.0 / x)
+        x += 1.0
+    w = 1.0 / (x * x)
+    series = 0.0
+    for c in _DIGAMMA_SERIES:
+        series = series * w + c
+    return math.fsum(terms + [math.log(x), -0.5 / x, -series * w])
+
+
+def gamma_ratio(num, den=(), log_factor: float = 0.0) -> float:
+    """prod Gamma(num) / prod Gamma(den) * e^log_factor for positive
+    arguments.  `math.gamma` is exact on small integers where `math.lgamma`
+    is a few ulps off, so the log form serves only where a Gamma or the
+    exponential would leave the float range.  The pairs Gamma(num_i) /
+    Gamma(den_i) are divided first, so equal pairs give exactly 1."""
+    if max((*num, *den)) < 171.0 and abs(log_factor) < 700.0:
+        out = math.exp(log_factor)
+        for i, x in enumerate(num):
+            out *= math.gamma(x) / math.gamma(den[i]) if i < len(den) else math.gamma(x)
+        return out
+    return math.exp(sum(map(math.lgamma, num)) - sum(map(math.lgamma, den)) + log_factor)
+
+
+def beta(a: float, b: float) -> float:
+    """B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b) for a, b > 0."""
+    return gamma_ratio((a, b), (a + b,))
+
+
+def gamma_q(n: int, x: float) -> float:
+    """The regularized upper incomplete gamma Gamma(n, x) / Gamma(n) at an
+    integer n >= 1 and x >= 0: e^-x sum_{k<n} x^k / k!."""
+    term = total = 1.0
+    for k in range(1, n):
+        term *= x / k
+        total += term
+    return math.exp(-x) * total
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from . import convexcore as cc
 from . import starbodies as sb
@@ -93,13 +92,10 @@ def _hull_v1(T) -> np.ndarray:
     # m, n >= 3: read the hull in coordinates of the span of the blocks
     _, s, vt = np.linalg.svd(T, full_matrices=False)   # min(n, m) = 3
     P = _with_origin(T @ vt[:, :3].transpose(0, 2, 1))
-    out = np.empty(D)
-    flat = s[:, 2] <= _FLAT_TOL * s[:, 0]
-    for k in np.flatnonzero(~flat):
-        try:
-            out[k] = _polyhedron_v1(P[k])
-        except QhullError:   # flat to working precision
-            flat[k] = True
+    out = np.full(D, math.nan)
+    for k in np.flatnonzero(s[:, 2] > _FLAT_TOL * s[:, 0]):
+        out[k] = _polyhedron_v1(P[k])
+    flat = np.isnan(out)
     if flat.any():
         out[flat] = 0.5 * _perimeter_2d(P[flat][..., :2])
     return out
@@ -111,8 +107,13 @@ def _with_origin(T) -> np.ndarray:
 
 def _polyhedron_v1(P) -> float:
     """V_1 of a 3-D hull conv(P): (1/2pi) sum over its edges of the length
-    times the angle between the normals of the two facets meeting there."""
-    hull = ConvexHull(P)
+    times the angle between the normals of the two facets meeting there;
+    nan when qhull finds conv(P) flat to working precision."""
+    from scipy.spatial import ConvexHull, QhullError
+    try:
+        hull = ConvexHull(P)
+    except QhullError:
+        return math.nan
     S, N = hull.simplices, hull.equations[:, :3]
     # facet f meets its neighbour opposite vertex k along the other two
     length = np.linalg.norm(P[S[:, [1, 2, 0]]] - P[S[:, [2, 0, 1]]], axis=-1)

@@ -295,3 +295,132 @@ def test_outer_radius():
     assert cc.outer_radius(cc.ball(2, 1.5, center=[3.0, 4.0])) == 6.5
     assert cc.outer_radius(cc.cube(3, 2.0)) == pytest.approx(2.0 * math.sqrt(3.0))
     assert cc.outer_radius(cc.from_vertices([[-1.0], [2.5]])) == 2.5
+
+
+def _qhull_polygon(normals, offsets):
+    """Vertices and irredundant rows of {a_i . x <= b_i} from qhull, the
+    oracle for the planar path (same unit rows, same Chebyshev centre)."""
+    from scipy.spatial import ConvexHull, HalfspaceIntersection
+    A = np.asarray(normals, dtype=float)
+    lens = np.linalg.norm(A, axis=1)
+    A, b = A / lens[:, None], np.asarray(offsets, dtype=float) / lens
+    _, c = max_slack(A, b, np.ones(len(b)), np.zeros(2))
+    hs = HalfspaceIntersection(np.column_stack([A, -b]), c)
+    verts = hs.intersections[ConvexHull(hs.intersections).vertices]
+    keep = np.unique(np.concatenate(hs.dual_facets))
+    return verts, np.column_stack([A[keep], b[keep]])
+
+
+def _same_rows(P, Q, tol):
+    """P and Q hold the same rows up to order."""
+    if P.shape != Q.shape:
+        return False
+    return all(np.min(np.max(np.abs(Q - row), axis=1)) <= tol for row in P)
+
+
+def _random_halfspaces(gen, count):
+    ang = np.sort(gen.uniform(0.0, 2.0 * math.pi, count))
+    return (np.column_stack([np.cos(ang), np.sin(ang)]) * gen.uniform(0.5, 3.0, (count, 1)),
+            gen.uniform(0.2, 2.0, count), ang)
+
+
+class TestPlanarPath:
+    """`from_halfspaces` and `from_vertices` in the plane, without qhull."""
+
+    @pytest.mark.parametrize("normals,offsets", [
+        ([[1.0, 0.0]], [1.0]),                                  # half-plane
+        ([[0.0, 1.0], [0.0, -1.0]], [1.0, 1.0]),                # strip
+        ([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0]], [1.0, 1.0, 2.0]),   # half-strip
+        ([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0]),                 # wedge
+        ([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0], [1.0, 1.0]], [1.0, 1.0, 2.0, 5.0]),
+    ], ids=["half-plane", "strip", "half-strip", "wedge", "half-strip-redundant"])
+    def test_unbounded(self, normals, offsets):
+        with pytest.raises(cc.UnboundedBodyError):
+            cc.from_halfspaces(normals, offsets)
+
+    @pytest.mark.parametrize("offsets", [[0.0, 0.0, 1.0, 1.0], [-1.0, -1.0, 1.0, 1.0]],
+                             ids=["flat", "empty"])
+    def test_empty_interior(self, offsets):
+        square = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+        with pytest.raises(cc.DegenerateBodyError):
+            cc.from_halfspaces(square, offsets)
+
+    def test_redundant_and_vertex_touching_rows_dropped(self):
+        square = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+        extra = [[1.0, 0.0], [1.0, 1.0], [-1.0, 1.0], [3.0, -1.0], [1.0, 1.0]]
+        # x <= 5 is redundant; x + y <= 2, y - x <= 2 and 3x - y <= 4 touch
+        # the square at a vertex only; the repeated x + y row as well
+        K = cc.from_halfspaces(square + extra, [1.0, 1.0, 1.0, 1.0, 5.0, 2.0, 2.0, 4.0, 2.0])
+        assert len(K.offsets) == 4
+        assert {tuple(v) for v in K.vertices.tolist()} == {
+            (1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)}
+        assert cc.volume(K).value == 4.0
+
+    @pytest.mark.parametrize("normals,offsets,want", [
+        ([[1, 1], [1, -1], [-1, 1], [-1, -1]], [2, 2, 2, 2],
+         {(2.0, 0.0), (0.0, 2.0), (-2.0, 0.0), (0.0, -2.0)}),
+        ([[-1, 0], [0, -1], [1, 2]], [0, 0, 4], {(0.0, 0.0), (4.0, 0.0), (0.0, 2.0)}),
+        ([[-1, 0], [0, -1], [1, 0], [0, 1], [1, 1]], [0, 0, 3, 2, 4],
+         {(0.0, 0.0), (3.0, 0.0), (3.0, 1.0), (2.0, 2.0), (0.0, 2.0)}),
+    ], ids=["diamond", "triangle", "clipped"])
+    def test_integer_inputs_give_exact_vertices(self, normals, offsets, want):
+        K = cc.from_halfspaces(normals, offsets)
+        assert {tuple(v) for v in K.vertices.tolist()} == want
+
+    def test_vertices_are_counterclockwise(self):
+        K = cc.from_halfspaces(*_random_halfspaces(make_rng(2, 0), 12)[:2])
+        V = K.vertices
+        W = np.roll(V, -1, axis=0)
+        assert np.all(V[:, 0] * W[:, 1] - V[:, 1] * W[:, 0] > 0.0)
+
+    def test_agrees_with_qhull_on_random_polygons(self):
+        gen = make_rng(17, 0)
+        checked = 0
+        for _ in range(200):
+            A, b, ang = _random_halfspaces(gen, int(gen.integers(3, 16)))
+            gaps = np.diff(np.concatenate([ang, [ang[0] + 2.0 * math.pi]]))
+            if gaps.max() >= math.pi:
+                with pytest.raises(cc.UnboundedBodyError):
+                    cc.from_halfspaces(A, b)
+                continue
+            K = cc.from_halfspaces(A, b)
+            verts, rows = _qhull_polygon(A, b)
+            assert _same_rows(K.vertices, verts, 1e-12)
+            assert _same_rows(np.column_stack([K.normals, K.offsets]), rows, 1e-12)
+            checked += 1
+        assert checked >= 150
+
+    def test_agrees_with_qhull_on_a_ppb_polytope(self):
+        from mthorder import projection as proj
+        ang = np.sort(make_rng(5, 1).uniform(0.0, 2.0 * math.pi, 7))
+        P = cc.from_vertices(np.column_stack([np.cos(ang), 1.5 * np.sin(ang)]))
+        fd = cc.facets(P)
+        assert len(fd) == 7
+        rows = np.array([-(np.array(sel)[:, None] * fd.areas[:, None] * fd.normals).sum(axis=0)
+                         for sel in np.ndindex(*([2] * 7))])
+        rows = rows[np.linalg.norm(rows, axis=1) > 1e-14]
+        K = proj.ppb_body_polytope(P, 1)
+        verts, kept = _qhull_polygon(rows, np.ones(len(rows)))
+        assert _same_rows(K.vertices, verts, 1e-12)
+        assert _same_rows(np.column_stack([K.normals, K.offsets]), kept, 1e-12)
+
+    def test_from_vertices_drops_repeated_and_collinear_points(self):
+        pts = [[0, 0], [2, 0], [2, 2], [0, 2], [2, 2], [1, 0], [2, 1], [0, 0],
+               [1, 1], [0.5, 2], [0, 1.5]]
+        K = cc.from_vertices(pts)
+        assert len(K.vertices) == 4 and len(K.offsets) == 4
+        assert cc.volume(K).value == 4.0
+
+    @pytest.mark.parametrize("pts", [
+        [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [0.5, 0.5]],
+        [[1.0, 2.0]] * 4,
+        [[0.0, 0.0], [3.0, 0.0]],
+    ], ids=["collinear", "one-point", "two-points"])
+    def test_from_vertices_rejects_flat_input(self, pts):
+        with pytest.raises(cc.DegenerateBodyError):
+            cc.from_vertices(pts)
+
+    def test_planar_hull_order_and_ties(self):
+        pts = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.0],
+                        [0.0, 0.0], [0.5, 0.5]])
+        assert cc.planar_hull(pts).tolist() == [1, 2, 0, 3]

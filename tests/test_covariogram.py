@@ -1,8 +1,11 @@
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, optimize
+from scipy.spatial import ConvexHull
 
 from mthorder import convexcore as cc
 from mthorder.covariogram import (
@@ -20,6 +23,8 @@ from mthorder.covariogram import (
     dm_support_radius_fn,
     dm_volume,
     lens,
+    lens_drop,
+    lens_slope,
     meeting_sums,
     meeting_volume,
 )
@@ -186,6 +191,35 @@ class TestBallCovariogram:
         assert est.std_error == 0.0
         assert est.value == pytest.approx(caps, rel=1e-12)
         assert lens(4, u) == pytest.approx(caps / (0.5 * math.pi ** 2), rel=1e-12)
+
+    # u down to 1e-12 and 1 - u down to 1e-12; 1 - u^2 is formed in mpmath from
+    # the float u, since a float 1 - u^2 would round away the small tail
+    _LENS_GRID = np.unique(np.concatenate([
+        np.logspace(-12, -0.01, 25), 1.0 - np.logspace(-12, -0.01, 25),
+        np.linspace(0.0, 1.0, 21)]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_lens_and_drop_against_mpmath(self, n):
+        got_lens, got_drop = lens(n, self._LENS_GRID), lens_drop(n, self._LENS_GRID)
+        with mpmath.workdps(40):
+            b, half = mpmath.mpf(n + 1) / 2, mpmath.mpf(1) / 2
+            for u, g_lens, g_drop in zip(self._LENS_GRID, got_lens, got_drop):
+                x = mpmath.mpf(float(u))
+                want_lens = mpmath.betainc(b, half, 0, 1 - x * x, regularized=True)
+                want_drop = mpmath.betainc(half, b, 0, x * x, regularized=True)
+                assert abs(g_lens - want_lens) <= 1e-13 * want_lens, (n, u)
+                assert abs(g_drop - want_drop) <= 1e-13 * want_drop, (n, u)
+                assert lens(n, float(u)) == g_lens and lens_drop(n, float(u)) == g_drop
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_lens_slope_against_mpmath(self, n):
+        for u in (0.0, 1e-9, 0.3, 0.8, 1.0 - 1e-9):
+            with mpmath.workdps(30):
+                want = mpmath.diff(lambda x: mpmath.betainc(
+                    mpmath.mpf(n + 1) / 2, 0.5, 0, 1 - x * x, regularized=True), u,
+                    direction=1)
+            assert lens_slope(n, u) == pytest.approx(-float(want), rel=1e-13)
+        np.testing.assert_array_equal(lens_slope(n, np.array([1.0, 2.0])), [0.0, 0.0])
 
     def test_lens_vanishes_beyond_contact(self):
         np.testing.assert_array_equal(lens(3, np.array([1.0, 1.5])), [0.0, 0.0])
@@ -540,6 +574,18 @@ class TestDmBody:
                                      (cc.simplex(2, "corner"), 2)])
     def test_dm_volume_is_meeting_volume_of_copies(self, K, m):
         assert dm_volume(K, m) == meeting_volume([K] * (m + 1))
+
+    @pytest.mark.parametrize("bodies", [
+        [cc.cube(2, 1.0), cc.simplex(2, "corner")],
+        [cc.from_vertices(make_rng(3, 0).normal(size=(7, 2)))] * 2,
+        [cc.from_vertices([[0.0], [w]]) for w in (1.0, 0.5, 2.0)],
+        [cc.from_vertices([[-0.3], [1.0]])] * 3,
+    ], ids=["square-triangle", "polygon-7", "three-intervals", "interval-m2"])
+    def test_planar_meeting_volume_against_qhull(self, bodies):
+        # the vertex sums (y - k_1, ..., y - k_m), built independently
+        pts = [np.ravel(y - np.array(ks)) for y in bodies[0].vertices
+               for ks in itertools.product(*[K.vertices for K in bodies[1:]])]
+        assert meeting_volume(bodies) == pytest.approx(ConvexHull(pts).volume, rel=1e-14)
 
     def test_meeting_sums(self):
         square, triangle = cc.cube(2, 1.0), cc.simplex(2, "corner")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from mthorder import convexcore as cc
 from mthorder.lcfun import (
@@ -105,6 +105,45 @@ class TestLevelMoments:
     def test_below_the_domain_is_not_integrable(self, prof, k):
         with pytest.raises(NonIntegrableError):
             prof.level_moment(k)
+
+    @pytest.mark.parametrize("prof,k", [
+        (Profile("pfamily", -0.5, ambient_dim=1), -0.5),
+        (Profile("exponential"), -1.0),
+        (Profile("power", 0.5), -1.2),
+        (Profile("gaussian"), -2.0),
+        (Profile("gaussian"), -7.5),
+    ])
+    def test_log_slope_below_the_domain_is_not_integrable(self, prof, k):
+        with pytest.raises(NonIntegrableError):
+            prof.level_moment_log_slope(k)
+
+    @staticmethod
+    def _scipy_forms(prof, k):
+        """M_k and d log M_k / dk from scipy.special, the oracle for `math`."""
+        if prof.kind == "power":
+            r = 1.0 / prof.param
+            lg = special.gammaln
+            return (math.exp(lg(k + 1.0) + lg(r + 1.0) - lg(k + r + 1.0)),
+                    special.digamma(k + 1.0) - special.digamma(k + r + 1.0))
+        if prof.kind == "pfamily":
+            a = abs(prof.param)
+            c = b = prof.ambient_dim / a
+        else:
+            a, c, b = {"exponential": (1.0, 1.0, 0.0), "gaussian": (2.0, 0.5, 0.0)}[prof.kind]
+        return (math.exp(b + special.gammaln(k / a + 1.0) - (k / a) * math.log(c)),
+                (special.digamma(k / a + 1.0) - math.log(c)) / a)
+
+    @pytest.mark.parametrize("prof", [p for p in _LEVEL_PROFILES if p.kind != "indicator"])
+    def test_against_scipy_special(self, prof):
+        edge = -prof.exponent
+        for k in (edge + 1e-9, edge + 1e-3, edge + 0.5, 0.0, 1.0, 2.5, 30.0, 60.0):
+            moment, slope = self._scipy_forms(prof, k)
+            assert prof.level_moment(k) == pytest.approx(moment, rel=1e-12)
+            assert abs(prof.level_moment_log_slope(k) - slope) <= 1e-13 * max(1.0, abs(slope))
+
+    def test_overflowing_moment_raises(self):
+        with pytest.raises(OverflowError):
+            Profile("exponential").level_moment(200.0)
 
     @pytest.mark.parametrize("prof", _LEVEL_PROFILES)
     def test_zero_moment_is_peak(self, prof):

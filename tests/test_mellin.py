@@ -59,6 +59,25 @@ class TestProfiles:
         assert psi.value(2.0) == pytest.approx(3.0 * math.exp(-1.0), rel=1e-15)
         assert psi.slope0 == -1.5
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_lens_against_scipy_special(self, n):
+        # dyadic u, so scipy's 1 - u^2 and u^2 are exact
+        radius, b = 0.8, 0.5 * (n + 1)
+        psi = ml.lens(n, radius)
+        u = np.arange(1, 64) / 64.0
+        t = 2.0 * radius * u
+        np.testing.assert_allclose(psi.value(t), special.betainc(b, 0.5, 1.0 - u * u),
+                                   rtol=1e-13)
+        np.testing.assert_allclose(psi.drop(t), -special.betainc(0.5, b, u * u), rtol=1e-13)
+        beta = special.beta(b, 0.5)
+        np.testing.assert_allclose(psi.neg_derivative(t),
+                                   (1.0 - u * u) ** (0.5 * (n - 1)) / (radius * beta),
+                                   rtol=1e-13)
+        assert psi.slope0 == pytest.approx(-1.0 / (radius * beta), rel=1e-14)
+        for p in (-0.99, -0.5, 0.5, 1.0, 7.0, 200.0, 400.0):
+            want = special.beta(0.5 * (p + 1.0), b) / special.beta(0.5, b)
+            assert psi.pmellin(p) == pytest.approx(want, rel=1e-12)
+
     def test_pfamily_zero_rejected(self):
         with pytest.raises(NonIntegrableError):
             ml.from_profile(Profile("pfamily", 0.0, ambient_dim=2))

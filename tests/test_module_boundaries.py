@@ -1,11 +1,14 @@
 """No module of the package reaches into another module's private names, or
 loads a scipy subpackage that the package has its own code for."""
 import ast
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mthorder"
 # the aliases under which the package's modules import each other
@@ -79,10 +82,11 @@ def test_kind_scan_reads_membership_tests():
                                                  "x.py:5: ['gaussian']"]
 
 
-def _scipy_imports(source: str, label: str, subpackages=("integrate",)) -> list[str]:
-    """Every import of the given scipy subpackages, in any of their spellings."""
+def _scipy_hits(nodes, label: str, subpackages) -> list[str]:
+    """Every import among `nodes` of the given scipy subpackages, in any of
+    their spellings."""
     hits = []
-    for node in ast.walk(ast.parse(source)):
+    for node in nodes:
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -93,6 +97,10 @@ def _scipy_imports(source: str, label: str, subpackages=("integrate",)) -> list[
                  for sub in subpackages
                  if name == f"scipy.{sub}" or name.startswith(f"scipy.{sub}.")]
     return hits
+
+
+def _scipy_imports(source: str, label: str, subpackages=("integrate",)) -> list[str]:
+    return _scipy_hits(ast.walk(ast.parse(source)), label, subpackages)
 
 
 def test_quadrature_is_numerics_own():
@@ -130,13 +138,81 @@ def test_heavy_scan_reads_every_spelling():
         "x.py:3: scipy.interpolate.PPoly"]
 
 
-def test_cli_import_leaves_interpolate_and_optimize_unloaded():
-    """No module pulls them in at run time either, through a sibling or a
-    scipy subpackage; a fresh process sees what `mthorder run` loads."""
-    probe = ("import sys, mthorder.cli, mthorder.harness\n"
-             "print(sorted(m for m in sys.modules if m in "
-             "('scipy.interpolate', 'scipy.optimize')))")
+def _loaded_after(code: str, modules) -> list[str]:
+    """The given modules that a fresh process holds after running `code`
+    with the package importable."""
+    probe = f"import sys\n{code}\nprint(sorted(m for m in sys.modules if m in {tuple(modules)!r}))"
     path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, check=True)
-    assert out.stdout.strip() == "[]"
+    return ast.literal_eval(out.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_leaves_interpolate_and_optimize_unloaded():
+    """No module pulls them in at run time either, through a sibling or a
+    scipy subpackage; a fresh process sees what `mthorder run` loads."""
+    assert _loaded_after("import mthorder.cli, mthorder.harness",
+                         ("scipy.interpolate", "scipy.optimize")) == []
+
+
+# the special functions are numerics' own (`math` underneath); tests keep
+# scipy.special and mpmath as oracles
+def test_no_scipy_special_import():
+    found = [hit for path in _sources()
+             for hit in _scipy_imports(path.read_text(), path.name, ("special",))]
+    assert found == []
+
+
+def _module_level_imports(source: str, label: str, subpackage: str) -> list[str]:
+    """Imports of scipy.<subpackage> outside any function body."""
+    tree = ast.parse(source)
+    nested = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(fn)}
+    return _scipy_hits([node for node in ast.walk(tree) if id(node) not in nested],
+                       label, (subpackage,))
+
+
+def test_qhull_loads_on_first_use():
+    """scipy.spatial (qhull) serves 3-D polytopes and hulls in R^{nm},
+    nm >= 3 only, so it is imported inside the functions that need it."""
+    found = [hit for path in _sources()
+             for hit in _module_level_imports(path.read_text(), path.name, "spatial")]
+    assert found == []
+
+
+def test_module_level_scan_skips_function_bodies():
+    source = ("from scipy.spatial import ConvexHull\n"
+              "def f():\n    from scipy.spatial import QhullError\n"
+              "class C:\n    def g(self):\n        import scipy.spatial\n"
+              "if True:\n    import scipy.spatial as sp\n")
+    assert _module_level_imports(source, "x.py", "spatial") == [
+        "x.py:1: scipy.spatial.ConvexHull", "x.py:8: scipy.spatial"]
+
+
+_LAZY = ("scipy.spatial", "scipy.special")
+
+
+def test_cli_import_leaves_spatial_and_special_unloaded():
+    assert _loaded_after("import mthorder.cli, mthorder.harness", _LAZY) == []
+
+
+_PENTAGON_CHAIN = {
+    "name": "chain-pentagon", "check": "chain",
+    "body": {"kind": "vertices", "dim": 2,
+             "points": [[1.0, 0.0], [0.3, 0.9], [-0.8, 0.6], [-0.8, -0.6], [0.3, -0.9]]},
+    "m": 1, "p_grid": [-0.5, 0, 1, 2], "directions": 8, "nodes": 16}
+
+
+@pytest.mark.parametrize("config", ["chain_gaussian", "pentagon"])
+def test_radial_run_leaves_spatial_and_special_unloaded(config, tmp_path):
+    """A radial `mthorder run` (function rays, polygon rays and Mellin
+    transforms) loads neither qhull nor scipy.special."""
+    if config == "pentagon":
+        path = tmp_path / "pentagon.json"
+        path.write_text(json.dumps(_PENTAGON_CHAIN))
+    else:
+        path = SRC.parent.parent / "examples" / f"{config}.json"
+    run = ("from mthorder import cli\n"
+           f"assert cli.main(['run', {str(path)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0")
+    assert _loaded_after(run, _LAZY) == []

@@ -1,9 +1,10 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import optimize, special
 
 from mthorder import convexcore as cc
 from mthorder.numerics import (
@@ -12,6 +13,10 @@ from mthorder.numerics import (
     QuadratureConfig,
     QuadratureFailure,
     ZeroFunctionRegionError,
+    beta,
+    digamma,
+    gamma_ratio,
+    gamma_q,
     integrate_1d,
     make_rng,
     max_slack,
@@ -309,3 +314,40 @@ def test_rng_streams_are_disjoint():
     b = make_rng(5, 2).random(8)
     assert not np.allclose(a, b)
     assert np.array_equal(a, make_rng(5, 1).random(8))
+
+
+class TestSpecialFunctions:
+    """The `math`-based special functions against mpmath and scipy.special."""
+
+    def test_digamma_against_mpmath(self):
+        xs = np.concatenate([np.logspace(-8, 3, 300),
+                             [0.5, 1.0, 1.5, 1.4616321449683622, 9.999999, 10.0]])
+        for x in xs:
+            with mpmath.workdps(30):
+                want = float(mpmath.digamma(mpmath.mpf(float(x))))
+            assert abs(digamma(float(x)) - want) <= 1e-14 * max(1.0, abs(want)), x
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5, math.nan])
+    def test_digamma_outside_its_domain(self, x):
+        with pytest.raises(ValueError):
+            digamma(x)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    def test_integer_gamma_q(self, n):
+        for x in [0.0, 1e-12, 0.3, 1.0, 4.5, 30.0, 300.0]:
+            want = float(special.gammaincc(n, x))
+            assert gamma_q(n, x) == pytest.approx(want, rel=1e-13, abs=1e-300)
+
+    def test_gamma_ratio_and_beta(self):
+        assert gamma_ratio((4.0,)) == 6.0          # exact factorials
+        assert gamma_ratio((2.5, 1.0), (2.5,)) == 1.0
+        assert beta(1.0, 2.0) == 0.5
+        for g, lf in [(0.5, 1.3), (7.25, -20.0), (170.5, 0.0), (200.0, -500.0), (1.5, 709.5)]:
+            want = math.exp(float(special.gammaln(g)) + lf)
+            assert gamma_ratio((g,), (), lf) == pytest.approx(want, rel=1e-12)
+        for a, b in [(0.5, 0.5), (1e-3, 2.0), (2.5, 1.5), (100.0, 80.5), (300.0, 0.5)]:
+            assert beta(a, b) == pytest.approx(float(special.beta(a, b)), rel=1e-12)
+
+    def test_gamma_overflow_raises(self):
+        with pytest.raises(OverflowError):
+            gamma_ratio((200.0,))
