@@ -31,9 +31,8 @@ from . import mellin as ml
 from . import projection as proj
 from . import starbodies as sb
 from .inequalities import Verdict, make_verdict
-from .numerics import EstimateWithError, make_rng, sphere_sample
+from .numerics import EstimateWithError, gauss_panels, make_rng, sphere_sample
 
-_STREAM_COV_BOX = 901
 _STREAM_SUPPORT_DIRS = 903
 _STREAM_RANDOM_BODIES = 905
 _STREAM_RANDOM_TRIPLES = 907
@@ -141,19 +140,20 @@ def _jobs_classical(seed, samples):
 
 
 def _jobs_covariogram_mass(seed, samples):
-    """MC integral of the square's covariogram against vol^2."""
+    """The square's covariogram integrates to vol^2.  g(x) = (2 - |x_1|)(2 - |x_2|)
+    is a product of tents, bilinear on each quadrant of [-2, 2]^2, so the
+    tensor Gauss-Legendre rule on the quadrants is exact at any order; 4 nodes
+    per half-axis probe the covariogram at 64 points.  seed and samples are
+    unused."""
     def thunk():
         K = cc.cube(2, 1.0)
-        count = samples or 200_000
-        rng = make_rng(seed, _STREAM_COV_BOX)
-        X = rng.uniform(-2.0, 2.0, size=(count, 2))
-        vals, _ = cov.covariogram_body_many(K, X[:, None, :])
-        box = 16.0
-        est = box * float(np.mean(vals))
-        sig = box * float(np.std(vals, ddof=1)) / math.sqrt(count)
+        t, w = gauss_panels(np.array([-2.0, 0.0, 2.0]), 4)
+        X = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 1, 2)
+        vals, _ = cov.covariogram_body_many(K, X)
+        lhs = EstimateWithError(float(vals @ np.outer(w, w).ravel()), 0.0, len(X))
         vol2 = cc.volume(K).value ** 2
-        return _identity_verdict("covariogram-mass[square]", est, vol2, 1e-2,
-                                 sigma=sig, metadata={"samples": count})
+        return make_verdict("covariogram-mass[square]", lhs, _exact(vol2),
+                            equality_tol=1e-2 * vol2, metadata={"samples": len(X)})
     return [("covariogram-mass[square]", thunk)]
 
 

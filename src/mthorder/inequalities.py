@@ -14,16 +14,21 @@ sides are evaluated on a shared direction set so that direction noise
 cancels out of the margin.
 
 The functional Rogers-Shephard checks rest on the sup-convolution
-sup_z f_0(z) prod_i f_i(z - x_i).  In one dimension it is a single
-row-batched bracket search over all requested translates at once (the
-product is log-concave, hence unimodal); above that a compass search per
-translate.  The L1 norm over the translates is exact for indicator tuples
-of polytopes with n*m <= 6 (the hull of the vertex sums: `interval` in
-one dimension, `meeting-volume` above), of two balls (`ball-overlap`) and
-of a polygon and a disc (`steiner`), and a uniform Monte Carlo over the
-translation box of those sups otherwise (`pointwise-sup`).  The sup norm
-rests on the int-convolution int_z f_0(z) prod_i f_i(z - x_i) dz: a fixed
-breakpoint-aligned Gauss rule in one dimension, Monte Carlo above.
+sup_z f_0(z) prod_i f_i(z - x_i).  In one dimension, for indicator,
+exponential and Gaussian factors, the log of the product is a concave
+quadratic on each cell between the factors' breakpoints, so the sup of
+every requested translate is the best cell's peak in closed form; for
+other profiles it is a single row-batched bracket search over all
+translates at once (the product is log-concave, hence unimodal).  Above
+one dimension it is a compass search per translate.  The L1 norm over the
+translates is exact for indicator tuples of polytopes with n*m <= 6 (the
+hull of the vertex sums: `interval` in one dimension, `meeting-volume`
+above), of two balls (`ball-overlap`) and of a polygon and a disc
+(`steiner`), and a uniform Monte Carlo over the translation box of those
+sups otherwise (`pointwise-sup`).  The sup norm rests on the int-convolution
+int_z f_0(z) prod_i f_i(z - x_i) dz: in one dimension the same cells
+integrated in closed form, or a fixed breakpoint-aligned Gauss rule for
+other profiles; Monte Carlo above.
 
 The functional Zhang and chain checks rest on the layer cake: every
 function here is f = A phi(||x - c||_K), so its covariogram integral and
@@ -47,7 +52,7 @@ from . import projection as proj
 from . import starbodies as sb
 from .convexcore import ConvexBody
 from .lcfun import ZERO_P_WINDOW, LogConcaveFunction
-from .numerics import (EstimateWithError, combine_sigma, gauss_panels,
+from .numerics import (EstimateWithError, combine_sigma, erfcx, gauss_panels,
                        make_rng, max_slack, maximize_logconcave,
                        minimize_convex)
 
@@ -76,6 +81,9 @@ _GAUSS_ORDER = 16         # Gauss-Legendre points per panel of the 1-D int rule
 # carries the error at a power profile's support end, (1 - t)^(1/s): at s = 10
 # 16 levels left 1.3e-9 relative against scipy quad, 20 leave 6e-11.
 _GRADING_LEVELS = 20
+# Gauss-Legendre rule on [0, 1] for the closed-form half-cells whose exponent
+# drops by less than 1 (`_fall_integral`)
+_FLAT_NODES, _FLAT_WEIGHTS = gauss_panels(np.array([0.0, 1.0]), 10)
 
 
 # ---------------------------------------------------------------------------
@@ -299,19 +307,164 @@ def _bracket_max_many(F, lo: np.ndarray, hi: np.ndarray):
 def _row_boxes(boxes, X: np.ndarray):
     """n = 1: the offsets T = (0, x) of every row x of X, and the lower and
     upper ends of each factor's box translated by them; all (rows, factors)."""
-    T = np.column_stack([np.zeros(len(X)), X])
+    T = np.concatenate([np.zeros((len(X), 1)), X], axis=1)
     return (T, np.array([b[0][0] for b in boxes]) + T,
             np.array([b[1][0] for b in boxes]) + T)
 
 
+def _row_cells(fbar, boxes, X: np.ndarray):
+    """n = 1: the cells between consecutive breakpoints of every row x of X
+    inside its joint box.  The breakpoints are each translated factor's
+    centre, where its gauge kinks, and its box ends, all clipped to the
+    joint box; zero-width cells are dropped, so a row whose supports miss
+    has none.  Returns the offsets T and centres per (row, factor), and per
+    cell its row and its ends a < b, in row order."""
+    T, lo_i, hi_i = _row_boxes(boxes, X)
+    lo, hi = lo_i.max(axis=1, keepdims=True), hi_i.min(axis=1, keepdims=True)
+    centres = np.array([f.shift[0] for f in fbar]) + T
+    cuts = np.concatenate([lo, hi, centres, lo_i, hi_i], axis=1)
+    cuts = np.sort(np.minimum(np.maximum(cuts, lo), hi), axis=1)
+    rows, cols = np.nonzero(cuts[:, 1:] > cuts[:, :-1])
+    return T, centres, rows, cuts[rows, cols], cuts[rows, cols + 1]
+
+
+def _closed_form(fbar) -> bool:
+    """True for one-dimensional tuples whose log-profiles are polynomials of
+    degree <= 2 on their supports (`Profile.log_quadratic`): the indicator,
+    exponential and Gaussian kinds.  `_exponent_pieces` gives their row
+    kernels in closed form."""
+    return fbar[0].dim == 1 and all(f.profile.log_quadratic is not None
+                                   for f in fbar)
+
+
+@dataclass(frozen=True)
+class _Pieces:
+    """The log of a 1-D product on each cell [a, b] of a row: with the peak
+    p in [a, b], it is top - fall_lo (p - z) - q (p - z)^2 on [a, p] and
+    top - fall_hi (z - p) - q (z - p)^2 on [p, b], where fall_lo, fall_hi
+    and q are >= 0.  top is -inf on a cell where a factor vanishes."""
+    rows: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    p: np.ndarray
+    top: np.ndarray
+    fall_lo: np.ndarray
+    fall_hi: np.ndarray
+    q: np.ndarray
+
+
+def _exponent_pieces(fbar, boxes, X: np.ndarray) -> _Pieces:
+    """The log of z -> f_0(z) prod_i f_i(z - x_i) on every cell of
+    `_row_cells`, for a tuple that `_closed_form` admits.
+
+    On a cell, each factor A phi(||z - c||_K) with K = [-w, v] sees one side
+    of its centre c, where its gauge is g = s (z - c) with s = 1/v on the
+    right and -1/w on the left, and its log is log A + b - c1 g - c2 g^2
+    (an indicator adds log A alone: the cell lies in its support).  The sum
+    is a concave quadratic, whose peak on the cell is its vertex clipped to
+    [a, b], or the higher end when no c2 is positive.  The log and its
+    slope at that peak are summed from the factors themselves rather than
+    from expanded polynomial coefficients, which cancel when the centres
+    are far from the origin.  A cell beyond a one-sided body's centre
+    (w or v = 0) gets top = -inf.
+    """
+    _, centres, rows, a, b = _row_cells(fbar, boxes, X)
+    coef = np.array([f.profile.log_quadratic for f in fbar])
+    log_amp = math.fsum(math.log(f.amplitude) for f in fbar) + math.fsum(coef[:, 0])
+    c1, c2 = coef[:, 1], coef[:, 2]
+    ends = np.sort([f.body.vertices[:, 0] for f in fbar], axis=1)    # (-w, v)
+    C = centres[rows]
+    right = C <= a[:, None]                 # centres are cuts: none lies inside a cell
+    reach = np.where(right, ends[:, 1], -ends[:, 0])
+    live = reach > 0.0
+    S = np.where(right, 1.0, -1.0) / np.where(live, reach, math.inf)
+    c1S, c2S2 = c1 * S, c2 * S * S
+    q = c2S2.sum(axis=1)
+    tilt = c1S.sum(axis=1)
+    curved = q > 0.0
+    vertex = ((c2S2 * C).sum(axis=1) - 0.5 * tilt) / np.where(curved, q, 1.0)
+    p = np.where(curved, np.minimum(np.maximum(vertex, a), b), np.where(tilt < 0.0, b, a))
+    d = p[:, None] - C
+    g = S * d                               # every factor's gauge at the peak
+    top = np.where(np.any(~live & (c1 + c2 > 0.0), axis=1), -math.inf,
+                   log_amp - ((c1 + c2 * g) * g).sum(axis=1))
+    slope = -(c1S + 2.0 * c2S2 * d).sum(axis=1)
+    return _Pieces(rows, a, b, p, top, np.maximum(slope, 0.0),
+                   np.maximum(-slope, 0.0), q)
+
+
+def _fall_integral(fall, q, L):
+    """int_0^L e^(-fall t - q t^2) dt, elementwise, for fall, q, L >= 0.
+
+    With the drop d = fall L + q L^2: q = 0 gives -expm1(-fall L) / fall;
+    q > 0 and d >= 1 the scaled erfc difference
+    sqrt(pi) / (2 sqrt q) [erfcx(u) - e^-d erfcx(u + sqrt(q) L)] at
+    u = fall / (2 sqrt q), which never overflows and whose bracket keeps at
+    least 1 - 1/e of its first term; d < 1, where that difference would
+    cancel, a 10-point Gauss-Legendre rule, exact to rounding on so flat an
+    integrand.
+    """
+    out = L.copy()
+    drop = L * (fall + q * L)
+    curved = q > 0.0
+    tilted = ~curved & (fall > 0.0)
+    if tilted.any():
+        out[tilted] = -np.expm1(-fall[tilted] * L[tilted]) / fall[tilted]
+    flat = curved & (drop < 1.0)
+    if flat.any():
+        t = L[flat, None] * _FLAT_NODES
+        out[flat] = L[flat] * (np.exp(-t * (fall[flat, None] + q[flat, None] * t))
+                               @ _FLAT_WEIGHTS)
+    steep = curved & (drop >= 1.0)
+    if steep.any():
+        root = np.sqrt(q[steep])
+        u = fall[steep] / (2.0 * root)
+        ends = erfcx(np.concatenate([u, u + root * L[steep]]))
+        out[steep] = (0.5 * math.sqrt(math.pi) / root) * (
+            ends[:len(u)] - np.exp(-drop[steep]) * ends[len(u):])
+    return out
+
+
+def _closed_int_rows(pieces: _Pieces, count: int) -> np.ndarray:
+    """The integral of the product over every row: each cell's e^top times
+    the integrals falling away from its peak on either side."""
+    P = pieces
+    k = len(P.p)
+    halves = _fall_integral(np.concatenate([P.fall_lo, P.fall_hi]),
+                            np.concatenate([P.q, P.q]),
+                            np.concatenate([P.p - P.a, P.b - P.p]))
+    return np.bincount(P.rows, np.exp(P.top) * (halves[:k] + halves[k:]),
+                       minlength=count)
+
+
+def _closed_sup_rows(pieces: _Pieces, count: int):
+    """(argmax, sup) over every row: the best cell's peak, the leftmost on
+    ties; (0, 0) on a row without cells."""
+    P = pieces
+    order = np.lexsort((-P.top, P.rows))
+    best = order[np.unique(P.rows[order], return_index=True)[1]]
+    z, val = np.zeros(count), np.zeros(count)
+    z[P.rows[best]] = P.p[best]
+    val[P.rows[best]] = np.exp(P.top[best])
+    return z, val
+
+
 def _sup_rows(fbar, boxes, X: np.ndarray):
     """(argmax, sup) of z -> f_0(z) * prod_i f_i(z - x_i) for every row x of
-    X (n = 1), all rows in one bracket search; sup 0 where supports miss.
+    X (n = 1); sup 0 where supports miss.
 
-    A row keeps its feasible start (the centre of the compact supports'
-    overlap, else 0) when the search finds no larger value there, as on a
-    zero-valued grid around a sliver of positive product.
+    All-indicator tuples take the product at the centre of their supports'
+    overlap.  Other tuples that `_closed_form` admits (indicator,
+    exponential and Gaussian factors) take the exact peak of
+    `_exponent_pieces`.  Power and other p-family factors take one bracket
+    search over all rows at once (the product is log-concave, hence
+    unimodal); a row then keeps its feasible start (the centre of the
+    compact supports' overlap, else 0) when the search finds no larger
+    value there, as on a zero-valued grid around a sliver of positive
+    product.
     """
+    if _closed_form(fbar) and any(f.profile.kind != "indicator" for f in fbar):
+        return _closed_sup_rows(_exponent_pieces(fbar, boxes, X), len(X))
     T, lo_i, hi_i = _row_boxes(boxes, X)
 
     def product(rows):          # the product on a grid (rows, G) of those rows
@@ -374,10 +527,15 @@ def int_convolution(fbar, xbar, seed: int = 0,
 
     In one dimension the product is smooth between the breakpoints of its
     translated factors (each centre, where the gauge kinks, and each end of
-    a support or truncation box), so a composite Gauss-Legendre rule graded
-    geometrically toward every breakpoint integrates it; the error bar is
-    the difference from the same rule at half the grading levels, and
-    `seed` and `samples` are unused.  Above one dimension it is
+    a support or truncation box), and `seed` and `samples` are unused.
+    When every factor is an indicator, exponential or Gaussian (see
+    `Profile.log_quadratic`), its log is a concave quadratic on each cell
+    between breakpoints, and the cells are
+    integrated in closed form (scaled erfc differences): the error bar is
+    0 and `samples_or_nodes` counts the cells.  Other profiles take a
+    composite Gauss-Legendre rule graded geometrically toward every
+    breakpoint; the error bar is the difference from the same rule at half
+    the grading levels.  Above one dimension it is
     mixture-importance Monte Carlo over `samples` seeded draws: half uniform
     on the joint truncation box, half Gaussian around the product's mode,
     so the estimate stays sharp for peaked products without losing the
@@ -425,16 +583,18 @@ _HALF_NODES, _HALF_FINE, _HALF_COARSE = _graded_half_rule()
 
 def _breakpoint_rows(fbar, boxes, X: np.ndarray):
     """n = 1: (value, error, nodes) of the int-convolution at every row x of
-    X, all rows in one product call.  Each row takes the graded rule on both
-    halves of every interval between consecutive breakpoints inside its
-    joint box; zero-width intervals are dropped, so a row whose supports
-    miss gets value, error and nodes 0."""
-    T, lo_i, hi_i = _row_boxes(boxes, X)
-    lo, hi = lo_i.max(axis=1, keepdims=True), hi_i.min(axis=1, keepdims=True)
-    centres = np.array([f.shift[0] for f in fbar]) + T
-    cuts = np.sort(np.clip(np.hstack([lo, hi, centres, lo_i, hi_i]), lo, hi), axis=1)
-    rows, cols = np.nonzero(cuts[:, 1:] > cuts[:, :-1])
-    a, b = cuts[rows, cols, None], cuts[rows, cols + 1, None]
+    X, all rows at once, over the cells of `_row_cells`; a row whose
+    supports miss gets value, error and nodes 0.  Tuples that `_closed_form`
+    admits integrate each cell of `_exponent_pieces` in closed form, with
+    error 0 and the cells counted as nodes.  Others take the graded rule on
+    both halves of every cell, in one product call, with the error from the
+    coarse rule."""
+    if _closed_form(fbar):
+        pieces = _exponent_pieces(fbar, boxes, X)
+        return (_closed_int_rows(pieces, len(X)), np.zeros(len(X)),
+                np.bincount(pieces.rows, minlength=len(X)))
+    T, _, rows, a, b = _row_cells(fbar, boxes, X)
+    a, b = a[:, None], b[:, None]
     h = 0.5 * (b - a)
     Z = np.concatenate([a + h * _HALF_NODES, b - h * _HALF_NODES], axis=1)
     offsets = [T[rows, i, None, None] for i in range(len(fbar))]
@@ -566,11 +726,14 @@ def _star_l1(fbar, boxes, seed: int,
     X = lo + (hi - lo) * make_rng(seed, _STREAM_STAR_L1).random((N, n * m))
     if n == 1:
         vals = _sup_rows(fbar, boxes, X)[1]
+        kernel = "closed-form" if _closed_form(fbar) else "bracket-search"
     else:
         vals = np.array([_sup_point(fbar, boxes, _offsets(fbar, x))[1] for x in X])
+        kernel = "compass-search"
     est = EstimateWithError(box_vol * float(vals.mean()),
                             box_vol * _shard_sigma(vals), len(vals))
-    return est, {"route": "pointwise-sup", "samples": len(vals)}
+    return est, {"route": "pointwise-sup", "samples": len(vals),
+                 "row_kernel": kernel}
 
 
 def check_rs_single(f: LogConcaveFunction, m: int, seed: int = 0,
@@ -600,15 +763,20 @@ def check_rs_multi(fbar, seed: int = 0, outer_samples: int | None = None,
                    inner_samples: int | None = None) -> Verdict:
     """||(fbar)_oplus_m||_inf * ||(fbar)_star_m||_1 <= binom * prod ||f_i||_inf ||f_i||_1.
 
-    The sup norm is a compass search over x of the int-convolution: the
-    deterministic breakpoint rule of `int_convolution` in one dimension
-    (route `breakpoint-gauss`; `inner_samples` unused), a mixture Monte
-    Carlo over `inner_samples` draws above it (`mixture-mc`).  The sup
-    value is `int_convolution` re-evaluated at the search's argmax with
-    seed + 1 and 4 x `inner_samples`, so Monte Carlo selection bias does
-    not enter it.  Each compass stencil is one objective call: one row-batched
-    rule in one dimension, one Monte Carlo estimate per row above it.
-    metadata["sup_evals"] counts the points evaluated.
+    The sup norm is a compass search over x of the int-convolution, as
+    `int_convolution` computes it: in one dimension exact cell by cell for
+    indicator, exponential and Gaussian tuples (route `closed-form`) and
+    the deterministic breakpoint rule otherwise (`breakpoint-gauss`), with
+    `inner_samples` unused on both; a mixture Monte Carlo over
+    `inner_samples` draws above it (`mixture-mc`).  The sup value is
+    `int_convolution` re-evaluated at the search's argmax with seed + 1 and
+    4 x `inner_samples`, so Monte Carlo selection bias does not enter it.
+    Each compass stencil is one objective call: one row-batched kernel in
+    one dimension, one Monte Carlo estimate per row above it.
+    metadata["sup_evals"] counts the points evaluated.  On the
+    `pointwise-sup` route of the L1 norm, metadata["row_kernel"] names the
+    pointwise sups' kernel: `closed-form` for those same 1-D tuples,
+    `bracket-search` for other 1-D tuples, `compass-search` above.
     """
     fbar, n, m = _validated_tuple(fbar)
     if n * m > 4:
@@ -648,7 +816,8 @@ def check_rs_multi(fbar, seed: int = 0, outer_samples: int | None = None,
         np.prod([f.sup_norm * f.mass() for f in fbar]))
     meta = {"n": n, "m": m, "seed": seed,
             "sup_norm": sup_est.value, "sup_argmax": [float(v) for v in x_star],
-            "sup_route": "breakpoint-gauss" if n == 1 else "mixture-mc",
+            "sup_route": ("closed-form" if _closed_form(fbar) else
+                          "breakpoint-gauss" if n == 1 else "mixture-mc"),
             "sup_evals": evals,
             "l1_norm": l1_est.value, "runtime_s": time.perf_counter() - t0, **info}
     return make_verdict("rs-multi", lhs, EstimateWithError(rhs_val, 0.0, 0),

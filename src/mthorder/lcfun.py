@@ -100,6 +100,19 @@ class Profile:
             return -1.0 / self.param
         return 0.0 if self.kind == "indicator" else -math.inf
 
+    @property
+    def log_quadratic(self) -> tuple[float, float, float] | None:
+        """(b, c1, c2) with log phi(t) = b - c1 t - c2 t^2 for t up to the
+        support radius: zeros for the indicator, (0, 1, 0) for the
+        exponential, (0, 0, 1/2) for the Gaussian, and the p-family's own at
+        p = 1 or 2; None for every other profile."""
+        if self.kind == "indicator":
+            return 0.0, 0.0, 0.0
+        if self._stretch and self._stretch[0] in (1.0, 2.0):
+            a, c, b = self._stretch
+            return (b, c, 0.0) if a == 1.0 else (b, 0.0, c)
+        return None
+
     def value(self, t):
         t = np.asarray(t, dtype=float)[()]     # 0-d input: a numpy scalar, cheap to compute on
         if self._stretch:

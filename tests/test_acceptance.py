@@ -42,6 +42,10 @@ def test_criterion_02_covariogram_mass():
     assert v.status == EQUALITY
     assert abs(v.margin) <= 1e-2 * v.rhs.value                  # 1% MC
     assert v.rhs.value == pytest.approx(16.0, abs=1e-12)        # vol^2
+    # the tensor Gauss rule on the quadrants is exact: 8 x 8 nodes, no sigma
+    assert abs(v.margin) <= 1e-13 * v.rhs.value
+    assert v.lhs.std_error == 0.0
+    assert v.lhs.samples_or_nodes == v.metadata["samples"] == 64
 
 
 def test_criterion_03_rogers_shephard_bodies():

@@ -276,10 +276,111 @@ def test_breakpoint_rows_match_single_rows():
 
 
 def test_coinciding_breakpoints_add_no_interval():
-    # chi * chi at x = 0: every cut is 0 or 1, so one interval
+    # chi * chi at x = 0: every cut is 0 or 1, so one closed-form piece
     got = iq.int_convolution([chi, chi], [0.0])
+    assert (got.value, got.std_error, got.samples_or_nodes) == (1.0, 0.0, 1)
+    # the same supports under a power profile: one interval of the graded rule
+    power = LogConcaveFunction(profile_from_kind("power", 2.0, 1),
+                               unit_interval(), np.zeros(1))
+    got = iq.int_convolution([power, power], [0.0])
     assert got.samples_or_nodes == 2 * len(iq._HALF_NODES)
-    assert got.value == pytest.approx(1.0, rel=1e-14)
+    assert got.value == pytest.approx(0.5, rel=1e-12)
+
+
+def _rows_both_ways(fbar, X):
+    """(int, sup) per row from the closed-form kernels and from the numeric
+    ones they replace: the graded Gauss rule and the bracket search."""
+    boxes = iq._factor_boxes(fbar)
+    X = np.asarray(X, dtype=float)
+    closed = (iq._breakpoint_rows(fbar, boxes, X)[0], iq._sup_rows(fbar, boxes, X)[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(iq, "_closed_form", lambda fbar: False)
+        numeric = (iq._breakpoint_rows(fbar, boxes, X)[0],
+                   iq._sup_rows(fbar, boxes, X)[1])
+    return closed, numeric
+
+
+class TestClosedFormKernels:
+    def test_gaussian_pair(self):
+        # int e^(-z^2/2) e^(-(z-x)^2/2) dz = sqrt(pi) e^(-x^2/4)
+        x = np.linspace(-6.0, 6.0, 49)
+        value, error, cells = iq._breakpoint_rows(
+            [std_gauss, std_gauss], iq._factor_boxes([std_gauss] * 2), x[:, None])
+        np.testing.assert_allclose(value, math.sqrt(math.pi) * np.exp(-0.25 * x * x),
+                                   rtol=1e-14)
+        # the two centres split the joint box into 3 cells, 2 where they meet
+        assert np.all(error == 0.0) and set(cells.tolist()) == {2, 3}
+
+    def test_two_sided_exponential_pair(self):
+        # int e^-|z| e^-|z-x| dz = (1 + |x|) e^-|x|
+        for x in np.linspace(-5.0, 5.0, 41):
+            got = iq.int_convolution([two_sided, two_sided], [x])
+            assert got.value == pytest.approx((1.0 + abs(x)) * math.exp(-abs(x)),
+                                              rel=1e-13)
+            assert got.std_error == 0.0
+
+    def test_one_sided_exponential_sup_is_exact(self):
+        # sup_z e^-z e^-(z-x) over z >= max(0, x) is e^-|x| exactly; the
+        # cell left of each centre, where the gauge of [0, 1] is +inf,
+        # contributes nothing
+        X = make_rng(15, 0).uniform(-4.0, 4.0, size=(64, 1))
+        z, sup = sup_rows([f_exp, f_exp], X)
+        assert np.array_equal(sup, np.exp(-np.abs(X[:, 0])))
+        assert np.array_equal(z, np.maximum(X[:, 0], 0.0))
+        got = iq.int_convolution([f_exp, f_exp], [1.5])
+        assert got.value == pytest.approx(0.5 * math.exp(-1.5), rel=1e-13)
+
+    def test_far_tail_row_stays_finite(self):
+        # a steep exponential (slope 100) against a wide Gaussian: on the
+        # cells right of the exponential's centre the quadratic's vertex
+        # lies near z = -10^4, where its value e^(5 10^5) overflows, while
+        # the erf differences there round to 0, so the expanded form
+        # e^(vertex value) (erf w - erf u) reads inf * 0 = NaN
+        sharp = LogConcaveFunction(profile_from_kind("exponential", ambient_dim=1),
+                                   cc.cube(1, 0.01), np.zeros(1))
+        wide = make_fn("gaussian", cc.cube(1, 10.0))
+        fbar = [sharp, wide]
+        boxes = iq._factor_boxes(fbar)
+        pieces = iq._exponent_pieces(fbar, boxes, np.array([[30.0]]))
+        vertex_value = pieces.top + pieces.fall_hi ** 2 / (4.0 * pieces.q)
+        assert np.max(vertex_value) > 1e5
+        for x in (0.0, 30.0, 60.0):
+            got = iq.int_convolution(fbar, [x])
+            want = _quad_int_convolution(fbar, [x])
+            assert math.isfinite(got.value) and want > 0.0
+            assert got.value == pytest.approx(want, rel=1e-12)
+
+    def test_against_the_numeric_kernels_on_seeded_triples(self):
+        from mthorder.harness import _random_triple
+        for seed in range(200):
+            fbar = _random_triple(make_rng(seed, 907))
+            X = make_rng(seed, 1).uniform(-3.0, 3.0, size=(16, 2))
+            (c_int, c_sup), (g_int, g_sup) = _rows_both_ways(fbar, X)
+            np.testing.assert_allclose(c_int, g_int, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(c_sup, g_sup, rtol=1e-13, atol=0.0)
+
+    def test_never_evaluate_the_product(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("closed-form kinds evaluate no product")
+        monkeypatch.setattr(iq, "_product_many", refuse)
+        monkeypatch.setattr(iq, "_bracket_max_many", refuse)
+        fbar = [std_gauss, two_sided, chi]
+        assert iq.int_convolution(fbar, [0.3, -0.2]).value > 0.0
+        assert iq.sup_convolution(fbar, [0.3, -0.2]) > 0.0
+        multi = iq.check_rs_multi([two_sided, std_gauss], outer_samples=50)
+        assert (multi.metadata["sup_route"], multi.metadata["row_kernel"]) == (
+            "closed-form", "closed-form")
+        single = iq.check_rs_single(f_exp, 1, samples=50)
+        assert single.metadata["row_kernel"] == "closed-form"
+        assert iq.check_rs_multi([chi, chi]).metadata["route"] == "interval"
+
+    def test_other_profiles_keep_the_numeric_kernels(self):
+        power = LogConcaveFunction(profile_from_kind("power", 2.0, 1),
+                                   cc.cube(1, 1.0), np.zeros(1))
+        multi = iq.check_rs_multi([power, std_gauss], outer_samples=50)
+        assert (multi.metadata["sup_route"], multi.metadata["row_kernel"]) == (
+            "breakpoint-gauss", "bracket-search")
+        assert multi.lhs.std_error > 0.0
 
 
 def test_sup_evals_count_points_of_batched_calls(monkeypatch):
@@ -674,6 +775,7 @@ class TestRsSingle:
         v = iq.check_rs_single(make_fn("indicator", K), 3, samples=64)
         assert v.metadata["route"] == "pointwise-sup"
         assert v.metadata["samples"] == 64
+        assert v.metadata["row_kernel"] == "compass-search"
 
     def test_exponential_goes_pointwise(self):
         v = iq.check_rs_single(f_exp, 1, samples=800)
@@ -701,7 +803,7 @@ class TestRsMulti:
     def test_chi_pair_equality(self):
         v = iq.check_rs_multi([chi, chi])
         assert v.status == iq.EQUALITY
-        assert v.metadata["sup_route"] == "breakpoint-gauss"
+        assert v.metadata["sup_route"] == "closed-form"
         assert v.metadata["sup_evals"] > 0
         assert v.rhs.value == pytest.approx(2.0, rel=1e-12)
         assert v.lhs.value == pytest.approx(2.0, rel=0.05)

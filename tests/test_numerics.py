@@ -15,6 +15,7 @@ from mthorder.numerics import (
     ZeroFunctionRegionError,
     beta,
     digamma,
+    erfcx,
     gamma_ratio,
     gamma_q,
     integrate_1d,
@@ -347,6 +348,24 @@ class TestSpecialFunctions:
             assert gamma_ratio((g,), (), lf) == pytest.approx(want, rel=1e-12)
         for a, b in [(0.5, 0.5), (1e-3, 2.0), (2.5, 1.5), (100.0, 80.5), (300.0, 0.5)]:
             assert beta(a, b) == pytest.approx(float(special.beta(a, b)), rel=1e-12)
+
+    def test_erfcx_against_mpmath(self):
+        # both sides of the continued fraction's cutoff at 3, the range where
+        # erfc itself underflows (x > 26.5), and the negative reflection
+        xs = np.concatenate([np.linspace(-5.0, 5.0, 1001), np.linspace(2.99, 3.01, 21),
+                             np.geomspace(5.0, 1e4, 300), [0.0, 1e-300, 26.5, 27.0]])
+        got = erfcx(xs)
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.erfc(x) * mpmath.exp(x * x))
+                             for x in map(mpmath.mpf, xs.tolist())])
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        assert erfcx(1e4) == pytest.approx(1.0 / (1e4 * math.sqrt(math.pi)), rel=1e-8)
+
+    def test_erfcx_scalar_and_limits(self):
+        assert isinstance(erfcx(0.5), float) and erfcx(0.0) == 1.0
+        assert erfcx(math.inf) == 0.0 and erfcx(-30.0) == math.inf
+        assert math.isnan(erfcx(math.nan))
+        assert erfcx(np.empty(0)).shape == (0,)
 
     def test_gamma_overflow_raises(self):
         with pytest.raises(OverflowError):
