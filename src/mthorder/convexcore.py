@@ -38,10 +38,6 @@ class OriginNotContainedError(ValueError):
     pass
 
 
-class OriginNotInteriorError(ValueError):
-    pass
-
-
 @dataclass(frozen=True, eq=False)
 class ConvexBody:
     dim: int
@@ -291,7 +287,7 @@ def make_body(spec: dict) -> ConvexBody:
 
 
 # ---------------------------------------------------------------------------
-# gauges / supports / membership
+# gauges
 
 
 def gauge(K: ConvexBody, x) -> float:
@@ -330,33 +326,6 @@ def gauge_many(K: ConvexBody, X) -> np.ndarray:
         bad = np.any(AX[:, ~pos] > _GEOM_TOL, axis=1)
         out[bad] = np.inf
     return out
-
-
-def support(K: ConvexBody, u) -> float:
-    u = np.asarray(u, dtype=float)
-    if K.kind == "ball":
-        return float(K.center @ u) + K.radius * float(np.linalg.norm(u))
-    return float(np.max(K.vertices @ u))
-
-
-def radial(K: ConvexBody, x) -> float:
-    """Radial function sup{t > 0 : t x in K}; origin must be interior."""
-    if K.kind == "ball":
-        if float(K.center @ K.center) >= K.radius ** 2 - _GEOM_TOL:
-            raise OriginNotInteriorError("radial needs the origin in the interior")
-    elif np.min(K.offsets) <= _GEOM_TOL:
-        raise OriginNotInteriorError("radial needs the origin in the interior")
-    g = gauge(K, x)
-    if g == 0.0:
-        return math.inf
-    return 1.0 / g
-
-
-def contains(K: ConvexBody, X) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if K.kind == "ball":
-        return np.linalg.norm(X - K.center, axis=1) <= K.radius + _GEOM_TOL
-    return np.all(X @ K.normals.T <= K.offsets + _GEOM_TOL, axis=1)
 
 
 def outer_radius(K: ConvexBody) -> float:

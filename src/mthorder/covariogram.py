@@ -32,10 +32,8 @@ from .numerics import (
     sphere_surface,
 )
 
-_STREAM_DIRECT_MC = 201
 _STREAM_BALL_COV = 202
 _NODE_SEED_STRIDE = 100_003  # decorrelates per-node seeds inside quadratures
-_MC_SHARDS = 8
 # layer cakes feed difference quotients: a tight tolerance, and an absolute
 # one that puts a compact profile's depth horizon where e^-v is 1e-17
 _LEVELSET_QUAD = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-16)
@@ -314,14 +312,6 @@ def dm_support_membership(K: ConvexBody, xbar) -> bool:
     return cc.intersect_translates(K, xb.blocks) is not None
 
 
-def dm_support_membership_fn(f: LogConcaveFunction, xbar) -> bool:
-    """supp g_{f,m} = D^m(supp f); everywhere true when supp f is unbounded."""
-    supp = f.support_body()
-    if supp is None:
-        return True
-    return dm_support_membership(supp, as_mvector(xbar, f.dim))
-
-
 def dm_support_radius(K: ConvexBody, theta) -> float:
     """max{r >= 0 : r*theta in D^m(K)} -- the radial function of D^m(K).
 
@@ -401,18 +391,6 @@ def dm_volume(K: ConvexBody, m: int) -> float:
     return meeting_volume([K] * (m + 1))
 
 
-def dm_body(K: ConvexBody, m: int) -> ConvexBody:
-    """D^m(K) as an explicit body: the hull of the vertex sums for a
-    polytope with n*m <= 3, the ball 2rB^n for a ball at m = 1."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if K.kind == "ball" and m == 1:
-        return cc.ball(K.dim, 2.0 * K.radius)
-    if K.kind == "polytope" and K.dim * m <= 3:
-        return cc.from_vertices(_meeting_points([K] * (m + 1)))
-    raise NotImplementedError("no explicit D^m body for this (K, m)")
-
-
 # ---------------------------------------------------------------------------
 # function covariograms
 
@@ -425,8 +403,16 @@ def profile_cut(prof, n: int, scale: float) -> float:
     return prof.truncation_radius(eps, extra_power=n + max(1.0, prof.exponent) + 2.0)
 
 
-def _cov_fn_levelset(f: LogConcaveFunction, xb: MVector, seed: int,
-                     samples) -> EstimateWithError:
+def covariogram_fn(f: LogConcaveFunction, xbar, seed: int = 0,
+                   samples: int | None = None) -> EstimateWithError:
+    """g_{f,m}(xbar) by level-set quadrature: covariogram_body folded
+    through the layer-cake decomposition of f.  Exact inner volumes make it
+    a deterministic quadrature; a ball meeting three or more distinct
+    translates takes seeded Monte Carlo inner volumes (`seed`, `samples`)."""
+    xb = as_mvector(xbar, f.dim)
+    if not math.isfinite(f.profile.phi0):
+        raise NonIntegrableError("the p = 0 profile has infinite mass and "
+                                 "no covariogram")
     K, prof, A = f.body, f.profile, f.amplitude
     n, m = f.dim, xb.m
     if prof.kind == "indicator":
@@ -506,115 +492,3 @@ def coercive_box_radius(f: LogConcaveFunction, tol: float) -> float:
             hi = mid
     return hi
 
-
-def _min_translate(f: LogConcaveFunction, Y: np.ndarray, blocks) -> np.ndarray:
-    vals = f.eval_many(Y)
-    for x in blocks:
-        np.minimum(vals, f.eval_many(Y - x), out=vals)
-    return vals
-
-
-def _box_mc(f, blocks, lo, hi, N, seed, stream, inner=None):
-    """MC integral of min_i f(y-x_i) over box [lo,hi] minus the inner box."""
-    n = len(lo)
-    box_vol = float(np.prod(hi - lo))
-    per_shard = max(1, N // _MC_SHARDS)
-    total = total_sq = 0.0
-    count = 0
-    for s in range(_MC_SHARDS):
-        gen = make_rng(seed, stream * _MC_SHARDS + s)
-        Y = lo + gen.random((per_shard, n)) * (hi - lo)
-        vals = _min_translate(f, Y, blocks)
-        if inner is not None:
-            vals[np.all(np.abs(Y) < inner, axis=1)] = 0.0
-        total += float(vals.sum())
-        total_sq += float(np.square(vals).sum())
-        count += per_shard
-    mean = total / count
-    var = max(0.0, (total_sq - count * mean * mean) / max(count - 1, 1))
-    return box_vol * mean, box_vol * math.sqrt(var / count), count
-
-
-def _cov_fn_direct(f: LogConcaveFunction, xb: MVector, seed: int,
-                   samples) -> EstimateWithError:
-    n = f.dim
-    shifts = np.vstack([np.zeros(n), xb.blocks])
-    N = samples or default_mc_samples(xb.total_dim)
-    supp = f.support_body()
-    if supp is not None:
-        lo0, hi0 = cc.bounding_box(supp)
-        lo = (lo0[None, :] + shifts).max(axis=0)
-        hi = (hi0[None, :] + shifts).min(axis=0)
-        if np.any(hi <= lo):
-            return EstimateWithError(0.0, 0.0, 0)
-        val, sig, cnt = _box_mc(f, xb.blocks, lo, hi, N, seed,
-                                _STREAM_DIRECT_MC)
-        return EstimateWithError(val, sig, cnt)
-
-    # Unbounded support: min_i f(y - x_i) <= f(y), so f's own tail bounds the
-    # truncation loss.  A single box out to that radius has terrible variance
-    # for slowly decaying profiles, so stratify: a core box where f is large,
-    # then geometrically growing box shells out to the truncation radius.
-    r_total = coercive_box_radius(f, tol=1e-12)
-    shift_norm = float(np.linalg.norm(f.shift))
-    r_core = min(r_total, shift_norm + cc.outer_radius(f.body)
-                 * f.profile.inverse_level(1e-2)
-                 + float(np.abs(xb.blocks).max()))
-    radii = [r_core]
-    while radii[-1] < r_total:
-        radii.append(min(2.0 * radii[-1], r_total))
-    n_shells = len(radii) - 1
-    val, sig, cnt = _box_mc(f, xb.blocks, np.full(n, -r_core),
-                            np.full(n, r_core), N // 2, seed,
-                            _STREAM_DIRECT_MC)
-    sig_sq = sig * sig
-    per_shell = max(2000, (N - N // 2) // max(n_shells, 1))
-    for a in range(n_shells):
-        v, s, c = _box_mc(f, xb.blocks, np.full(n, -radii[a + 1]),
-                          np.full(n, radii[a + 1]), per_shell, seed,
-                          _STREAM_DIRECT_MC + a + 1, inner=radii[a])
-        val += v
-        sig_sq += s * s
-        cnt += c
-    return EstimateWithError(val, math.sqrt(sig_sq), cnt)
-
-
-def covariogram_fn(f: LogConcaveFunction, xbar, method: str = "levelset",
-                   seed: int = 0, samples: int | None = None) -> EstimateWithError:
-    """g_{f,m}(xbar), by level-set quadrature or direct Monte Carlo.
-
-    The two methods are deliberately independent: "levelset" folds
-    covariogram_body through the layer-cake decomposition of f, while
-    "direct_mc" integrates min_i f(y - x_i) over a truncation box.
-    """
-    xb = as_mvector(xbar, f.dim)
-    if not math.isfinite(f.profile.phi0):
-        raise NonIntegrableError("the p = 0 profile has infinite mass and "
-                                 "no covariogram")
-    if method == "levelset":
-        return _cov_fn_levelset(f, xb, seed, samples)
-    if method == "direct_mc":
-        return _cov_fn_direct(f, xb, seed, samples)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def cov_radial_derivative(f: LogConcaveFunction, m: int, theta, h: float = 1e-3,
-                          method: str = "levelset", seed: int = 0) -> float:
-    """One-sided slope of r -> g_{f,m}(r*theta) at r = 0+.
-
-    Difference quotients at h and h/10 are combined by Richardson
-    extrapolation; as h -> 0 the value tends to minus the polar projection
-    gauge of theta.
-    """
-    if h <= 0.0:
-        raise ValueError("invalid step: h must be positive")
-    th = as_mvector(theta, f.dim)
-    if th.m != m:
-        raise ValueError(f"direction has {th.m} blocks, expected m = {m}")
-    th = th.unit()
-    g0 = f.mass()
-    d_h = (covariogram_fn(f, th.scaled(h), method=method, seed=seed).value
-           - g0) / h
-    d_h10 = (covariogram_fn(f, th.scaled(h / 10.0), method=method,
-                            seed=seed).value - g0) / (h / 10.0)
-    return (10.0 * d_h10 - d_h) / 9.0

@@ -578,10 +578,23 @@ def _need_int(raw, key, minimum=None):
     return val
 
 
+def _all_finite(obj) -> bool:
+    """No inf or NaN anywhere in a loaded JSON value (JSON's 1e400 loads as inf)."""
+    if isinstance(obj, float):
+        return math.isfinite(obj)
+    if isinstance(obj, dict):
+        return all(_all_finite(v) for v in obj.values())
+    if isinstance(obj, list):
+        return all(_all_finite(v) for v in obj)
+    return True
+
+
 def validate_config(raw: dict) -> ExperimentConfig:
     """Schema-check a config dict; unknown fields are rejected."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    if not _all_finite(raw):
+        raise ConfigError("every number in the config must be finite")
     name = raw.get("name")
     if not isinstance(name, str) or not name:
         raise ConfigError("config needs a non-empty string field 'name'")
@@ -630,7 +643,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         grid = params["p_grid"]
         if (not isinstance(grid, list) or not grid
                 or not all(isinstance(p, (int, float)) and not isinstance(p, bool)
-                           and math.isfinite(p) and p > -1.0 for p in grid)):
+                           and p > -1.0 for p in grid)):
             raise ConfigError("'p_grid' must be a non-empty list of finite "
                               "numbers greater than -1")
     if "points" in params:
@@ -677,6 +690,8 @@ def _require_shapes(name: str, key: str, vectors: list, allowed: list) -> None:
         if shape not in allowed:
             raise ConfigError(f"{name!r}: {key!r} entry {v!r} is not a vector "
                               f"of n*m = {allowed[0][0]} numbers")
+        if key == "directions" and not np.any(np.asarray(v, dtype=float)):
+            raise ConfigError(f"{name!r}: direction {v!r} is zero")
 
 
 def _custom_jobs(cfg: ExperimentConfig, seed: int, samples: int | None):
@@ -691,6 +706,9 @@ def _custom_jobs(cfg: ExperimentConfig, seed: int, samples: int | None):
         raise
     except Exception as e:
         raise ConfigError(f"bad input spec in {cfg.name!r}: {e}") from e
+    if funcs is not None and len({f.dim for f in funcs}) > 1:
+        raise ConfigError(f"{cfg.name!r}: all functions must share the "
+                          f"ambient dimension")
 
     n_samples = samples if samples is not None else p.get("samples")
     check = cfg.check
@@ -767,6 +785,8 @@ def _named(label: str, thunk):
             return thunk()
         except NumericFailure:
             raise
+        except NotImplementedError as e:     # input outside a check's scope
+            raise ConfigError(f"{label}: {e}") from e
         except Exception as e:
             raise NumericFailure(label, e) from e
     return run

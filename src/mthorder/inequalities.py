@@ -515,12 +515,6 @@ def _sup_point(fbar, boxes, offsets):
     return maximize_logconcave(F, candidates[best])
 
 
-def sup_convolution(fbar, xbar) -> float:
-    """sup_z f_0(z) * prod_i f_i(z - x_i); 0 when the supports never meet."""
-    fbar, _, _ = _validated_tuple(fbar)
-    return _sup_point(fbar, _factor_boxes(fbar), _offsets(fbar, xbar))[1]
-
-
 def int_convolution(fbar, xbar, seed: int = 0,
                     samples: int | None = None) -> EstimateWithError:
     """int_z f_0(z) * prod_i f_i(z - x_i) dz.
@@ -666,7 +660,7 @@ def check_rs_body(K: ConvexBody, m: int, seed: int = 0,
     """
     n = K.dim
     if n * m > 6:
-        raise ValueError("difference-body check is limited to n*m <= 6")
+        raise NotImplementedError("difference-body check is limited to n*m <= 6")
     t0 = time.perf_counter()
     const = float(math.comb(n * (m + 1), n))
     rhs = EstimateWithError(const * cc.volume(K).value ** m, 0.0, 0)
@@ -748,7 +742,7 @@ def check_rs_single(f: LogConcaveFunction, m: int, seed: int = 0,
     """
     n = f.dim
     if n * m > 6:
-        raise ValueError("single-function check is limited to n*m <= 6")
+        raise NotImplementedError("single-function check is limited to n*m <= 6")
     t0 = time.perf_counter()
     fbar = [f] * (m + 1)
     lhs, info = _star_l1(fbar, _factor_boxes(fbar), seed, samples)
@@ -780,7 +774,7 @@ def check_rs_multi(fbar, seed: int = 0, outer_samples: int | None = None,
     """
     fbar, n, m = _validated_tuple(fbar)
     if n * m > 4:
-        raise ValueError("the inner sup-norm search is limited to n*m <= 4")
+        raise NotImplementedError("the inner sup-norm search is limited to n*m <= 4")
     t0 = time.perf_counter()
     inner = int(inner_samples or 20_000)
     boxes = _factor_boxes(fbar)
@@ -841,7 +835,7 @@ def check_zhang_fn(f: LogConcaveFunction, m: int, seed: int = 0,
     n = f.dim
     d = n * m
     if d > 6:
-        raise ValueError("functional Zhang check is limited to n*m <= 6")
+        raise NotImplementedError("functional Zhang check is limited to n*m <= 6")
     t0 = time.perf_counter()
     lhs = (f.amplitude * f.profile.level_moment(n * (m + 1))
            * cc.volume(f.body).value ** (m + 1) / math.factorial(d))
@@ -870,8 +864,7 @@ def check_tangent_bound(f: LogConcaveFunction, m: int, points,
         raise ValueError(f"every point must carry {m} blocks")
     margins, entries = [], []
     for xb in pts:
-        g = cov.covariogram_fn(f, xb, method="levelset", seed=seed,
-                               samples=samples)
+        g = cov.covariogram_fn(f, xb, seed=seed, samples=samples)
         bound = mass * math.exp(-proj.ppb_gauge_fn(f, m, xb) / mass)
         margins.append(bound - g.value)
         entries.append((g, EstimateWithError(bound, 0.0, 0)))

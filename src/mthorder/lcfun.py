@@ -160,16 +160,6 @@ class Profile:
                 out = self.ambient_dim * t ** (-self.ambient_dim - 1.0)
         return out if out.ndim else float(out)
 
-    def inverse_level(self, u: float) -> float:
-        """sup{r >= 0 : phi(r) >= u} for 0 < u <= phi(0); 0 above phi(0)."""
-        if u <= 0:
-            return self.support_radius
-        if not math.isfinite(self.phi0):
-            return u ** (-1.0 / self.ambient_dim)
-        if u > self.phi0:
-            return 0.0
-        return float(self.depth_scale(max(math.log(self.phi0) - math.log(u), 0.0)))
-
     def depth(self, r):
         """The level depth v = log(phi(0) / phi(r)) at radii r >= 0 (scalar or
         array), the inverse of `depth_scale`; inf where phi vanishes."""
@@ -331,17 +321,6 @@ class LogConcaveFunction:
         integral = (self.amplitude ** q * cc.volume(self.body).value
                     * n * self.profile.moment(n - 1.0, q=q))
         return integral ** (1.0 / q)
-
-    def level_set(self, t: float) -> ConvexBody | None:
-        """{f >= t} = shift + s*K; None when t exceeds the sup or s degenerates."""
-        if t <= 0:
-            raise ValueError("level must be positive")
-        if t > self.sup_norm:
-            return None
-        s = self.profile.inverse_level(t / self.amplitude)
-        if s <= 1e-15 or not math.isfinite(s):
-            return None
-        return cc.translate(cc.scale(self.body, s), self.shift)
 
     def support_body(self) -> ConvexBody | None:
         """Closure of supp f when compact, else None."""

@@ -413,7 +413,7 @@ def gauss_panels(edges, order: int = 16):
 
 def _direction_set(d: int) -> np.ndarray:
     dirs = list(np.eye(d)) + list(-np.eye(d))
-    if d <= 6:
+    if 2 <= d <= 6:         # at d = 1 the diagonals are +-e_1 again
         for signs in itertools.product((-1.0, 1.0), repeat=d):
             v = np.array(signs) / math.sqrt(d)
             dirs.append(v)

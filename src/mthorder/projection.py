@@ -30,19 +30,12 @@ import numpy as np
 from . import convexcore as cc
 from . import starbodies as sb
 from .convexcore import ConvexBody, UnboundedBodyError
-from .covariogram import MVector, as_mvector, covariogram_fn
+from .covariogram import as_mvector, covariogram_fn
 from .lcfun import LogConcaveFunction
 from .numerics import EstimateWithError, sphere_sample, sphere_surface
 
 _STREAM_PPB_DIRS = 301
 _FLAT_TOL = 1e-12   # relative singular value below which a hull counts as flat
-
-
-def cone_support(theta, u) -> float:
-    """Support function of the reflected block cone: max_i max(0, -<u, theta_i>)."""
-    th = theta.blocks if isinstance(theta, MVector) else np.atleast_2d(np.asarray(theta, float))
-    u = np.asarray(u, dtype=float)
-    return float(np.max(np.maximum(0.0, -(th @ u))))
 
 
 def require_exact_gauge(K: ConvexBody, m: int) -> None:

@@ -34,7 +34,6 @@ is the independent reference that checks that factorization.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -45,7 +44,7 @@ from . import covariogram as cov
 from . import mellin as ml
 from . import projection as proj
 from .convexcore import ConvexBody, UnboundedBodyError
-from .lcfun import ZERO_P_WINDOW, LogConcaveFunction
+from .lcfun import LogConcaveFunction
 from .numerics import (EstimateWithError, combine_sigma, gauss_panels,
                        sphere_sample, sphere_surface)
 
@@ -214,25 +213,6 @@ def radial_from_ray(ray: RadialRay, p: float) -> EstimateWithError:
     return EstimateWithError(rho, 0.5 * (max(bounds) - min(bounds)), 0)
 
 
-def radial_from_ray_derivative(ray: RadialRay, p: float,
-                               nodes: int = 4001) -> float:
-    """Independent route: integrate r^p against the finite-difference -psi'."""
-    if p <= -1.0:
-        raise ValueError("p must exceed -1")
-    T = float(ray.profile.cutoff(max(p, 0.0)))
-    power = 2.0 if p >= 0.0 else 4.0
-    r = T * np.linspace(0.0, 1.0, nodes) ** power
-    vals = ray.profile.value(r)
-    neg_slope = -np.gradient(vals, r, edge_order=1)
-    if abs(p) <= ZERO_P_WINDOW:
-        integrand = np.where(r > 0.0, np.log(np.maximum(r, 1e-300)), 0.0) * neg_slope
-        integrand[0] = 0.0
-        return math.exp(float(np.trapezoid(integrand, r)))
-    integrand = np.where(r > 0.0, r, 1.0) ** p * neg_slope
-    integrand[0] = 0.0
-    return float(np.trapezoid(integrand, r)) ** (1.0 / p)
-
-
 def limit_body_minus1(ray: RadialRay) -> float:
     """rho of the limiting body at p = -1: reciprocal normalized slope at 0+."""
     if ray.slope0 <= 0.0:
@@ -273,28 +253,6 @@ class StarBodyTable:
     @property
     def has_unbounded(self) -> bool:
         return bool(np.any(~np.isfinite(self.radii)))
-
-    def to_csv(self, path) -> None:
-        d = self.dim
-        header = ",".join([f"theta_{k}" for k in range(d)] + ["rho", "sigma"])
-        rows = [f"# {json.dumps(self.meta, sort_keys=True)}", header]
-        for k in range(len(self.radii)):
-            cells = [f"{v:.17g}" for v in self.directions[k]]
-            cells += [f"{self.radii[k]:.17g}", f"{self.std_errors[k]:.17g}"]
-            rows.append(",".join(cells))
-        with open(path, "w") as fh:
-            fh.write("\n".join(rows) + "\n")
-
-    @staticmethod
-    def from_csv(path) -> "StarBodyTable":
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        if not lines or not lines[0].startswith("#"):
-            raise ValueError("missing metadata header")
-        meta = json.loads(lines[0][1:].strip())
-        data = np.array([[float(c) for c in ln.split(",")] for ln in lines[2:]])
-        return StarBodyTable(data[:, :-2], data[:, -2], data[:, -1], meta)
-
 
 def _build_table(rays, dirs, p, meta) -> StarBodyTable:
     radii = np.empty(len(dirs))

@@ -1,0 +1,187 @@
+"""Reference implementations that the tests compare mthorder against.
+
+No run of mthorder reaches any of these; each computes a quantity that the
+package computes another way, so agreement checks both.
+
+* `cov_fn_direct`: g_{f,m}(xbar) by seeded direct Monte Carlo of
+  min_i f(y - x_i) over a truncation box, against the level-set quadrature
+  of `covariogram.covariogram_fn`;
+* `cov_radial_derivative`: the slope of r -> g_{f,m}(r theta) at 0+ by
+  Richardson-extrapolated difference quotients, which tends to minus the
+  polar projection gauge of theta;
+* `radial_from_ray_derivative`: the Ball-body radius of a ray by the
+  trapezoid rule on a finite-difference -psi', against
+  `starbodies.radial_from_ray`;
+* `dm_body` and `contains`: D^m(K) as an explicit hull, against
+  `covariogram.dm_support_membership`;
+* `sup_convolution`: sup_z f_0(z) prod_i f_i(z - x_i) at one x, by the
+  search that the Rogers-Shephard checks run on every row.
+"""
+import math
+
+import numpy as np
+
+import mthorder.convexcore as cc
+import mthorder.covariogram as cov
+import mthorder.inequalities as iq
+from mthorder.lcfun import ZERO_P_WINDOW, LogConcaveFunction
+from mthorder.numerics import EstimateWithError, default_mc_samples, make_rng
+
+_STREAM_DIRECT_MC = 201
+_MC_SHARDS = 8
+_CORE_LEVEL = 1e-2   # the core box reaches where f falls to this fraction of phi(0)
+
+
+# ---------------------------------------------------------------------------
+# direct Monte Carlo covariogram
+
+
+def _min_translate(f: LogConcaveFunction, Y: np.ndarray, blocks) -> np.ndarray:
+    vals = f.eval_many(Y)
+    for x in blocks:
+        np.minimum(vals, f.eval_many(Y - x), out=vals)
+    return vals
+
+
+def _box_mc(f, blocks, lo, hi, N, seed, stream, inner=None):
+    """MC integral of min_i f(y-x_i) over box [lo,hi] minus the inner box."""
+    n = len(lo)
+    box_vol = float(np.prod(hi - lo))
+    per_shard = max(1, N // _MC_SHARDS)
+    total = total_sq = 0.0
+    count = 0
+    for s in range(_MC_SHARDS):
+        gen = make_rng(seed, stream * _MC_SHARDS + s)
+        Y = lo + gen.random((per_shard, n)) * (hi - lo)
+        vals = _min_translate(f, Y, blocks)
+        if inner is not None:
+            vals[np.all(np.abs(Y) < inner, axis=1)] = 0.0
+        total += float(vals.sum())
+        total_sq += float(np.square(vals).sum())
+        count += per_shard
+    mean = total / count
+    var = max(0.0, (total_sq - count * mean * mean) / max(count - 1, 1))
+    return box_vol * mean, box_vol * math.sqrt(var / count), count
+
+
+def _core_radius(prof) -> float:
+    """sup{r : phi(r) >= _CORE_LEVEL} through the level depth."""
+    depth = math.log(prof.phi0) - math.log(_CORE_LEVEL)
+    return float(prof.depth_scale(depth)) if depth >= 0.0 else 0.0
+
+
+def cov_fn_direct(f: LogConcaveFunction, xbar, seed: int = 0,
+                  samples: int | None = None) -> EstimateWithError:
+    """g_{f,m}(xbar) = int min_i f(y - x_i) dy by seeded Monte Carlo, over the
+    box of the intersected supports when supp f is compact."""
+    xb = cov.as_mvector(xbar, f.dim)
+    n = f.dim
+    shifts = np.vstack([np.zeros(n), xb.blocks])
+    N = samples or default_mc_samples(xb.total_dim)
+    supp = f.support_body()
+    if supp is not None:
+        lo0, hi0 = cc.bounding_box(supp)
+        lo = (lo0[None, :] + shifts).max(axis=0)
+        hi = (hi0[None, :] + shifts).min(axis=0)
+        if np.any(hi <= lo):
+            return EstimateWithError(0.0, 0.0, 0)
+        val, sig, cnt = _box_mc(f, xb.blocks, lo, hi, N, seed,
+                                _STREAM_DIRECT_MC)
+        return EstimateWithError(val, sig, cnt)
+
+    # Unbounded support: min_i f(y - x_i) <= f(y), so f's own tail bounds the
+    # truncation loss.  A single box out to that radius has terrible variance
+    # for slowly decaying profiles, so stratify: a core box where f is large,
+    # then geometrically growing box shells out to the truncation radius.
+    r_total = cov.coercive_box_radius(f, tol=1e-12)
+    shift_norm = float(np.linalg.norm(f.shift))
+    r_core = min(r_total, shift_norm + cc.outer_radius(f.body)
+                 * _core_radius(f.profile)
+                 + float(np.abs(xb.blocks).max()))
+    radii = [r_core]
+    while radii[-1] < r_total:
+        radii.append(min(2.0 * radii[-1], r_total))
+    n_shells = len(radii) - 1
+    val, sig, cnt = _box_mc(f, xb.blocks, np.full(n, -r_core),
+                            np.full(n, r_core), N // 2, seed,
+                            _STREAM_DIRECT_MC)
+    sig_sq = sig * sig
+    per_shell = max(2000, (N - N // 2) // max(n_shells, 1))
+    for a in range(n_shells):
+        v, s, c = _box_mc(f, xb.blocks, np.full(n, -radii[a + 1]),
+                          np.full(n, radii[a + 1]), per_shell, seed,
+                          _STREAM_DIRECT_MC + a + 1, inner=radii[a])
+        val += v
+        sig_sq += s * s
+        cnt += c
+    return EstimateWithError(val, math.sqrt(sig_sq), cnt)
+
+
+def cov_radial_derivative(f: LogConcaveFunction, m: int, theta,
+                          h: float = 1e-3) -> float:
+    """One-sided slope of r -> g_{f,m}(r theta / |theta|) at r = 0+, from the
+    difference quotients at h and h/10 by Richardson extrapolation."""
+    if h <= 0.0:
+        raise ValueError("invalid step: h must be positive")
+    th = cov.as_mvector(theta, f.dim)
+    if th.m != m:
+        raise ValueError(f"direction has {th.m} blocks, expected m = {m}")
+    th = th.unit()
+    g0 = f.mass()
+    d_h = (cov.covariogram_fn(f, th.scaled(h)).value - g0) / h
+    d_h10 = (cov.covariogram_fn(f, th.scaled(h / 10.0)).value - g0) / (h / 10.0)
+    return (10.0 * d_h10 - d_h) / 9.0
+
+
+# ---------------------------------------------------------------------------
+# Ball-body radii
+
+
+def radial_from_ray_derivative(ray, p: float, nodes: int = 4001) -> float:
+    """Integrate r^p (log r at p = 0) against the finite-difference -psi'."""
+    if p <= -1.0:
+        raise ValueError("p must exceed -1")
+    T = float(ray.profile.cutoff(max(p, 0.0)))
+    power = 2.0 if p >= 0.0 else 4.0
+    r = T * np.linspace(0.0, 1.0, nodes) ** power
+    vals = ray.profile.value(r)
+    neg_slope = -np.gradient(vals, r, edge_order=1)
+    if abs(p) <= ZERO_P_WINDOW:
+        integrand = np.where(r > 0.0, np.log(np.maximum(r, 1e-300)), 0.0) * neg_slope
+        integrand[0] = 0.0
+        return math.exp(float(np.trapezoid(integrand, r)))
+    integrand = np.where(r > 0.0, r, 1.0) ** p * neg_slope
+    integrand[0] = 0.0
+    return float(np.trapezoid(integrand, r)) ** (1.0 / p)
+
+
+# ---------------------------------------------------------------------------
+# D^m(K) as a body
+
+
+def contains(K: cc.ConvexBody, X) -> np.ndarray:
+    """Membership of every row of X in K, with the package's geometric tolerance."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if K.kind == "ball":
+        return np.linalg.norm(X - K.center, axis=1) <= K.radius + cc._GEOM_TOL
+    return np.all(X @ K.normals.T <= K.offsets + cc._GEOM_TOL, axis=1)
+
+
+def dm_body(K: cc.ConvexBody, m: int) -> cc.ConvexBody:
+    """D^m(K) as an explicit body: the hull of the vertex sums for a
+    polytope with n*m <= 3, the ball 2rB^n for a ball at m = 1."""
+    if K.kind == "ball" and m == 1:
+        return cc.ball(K.dim, 2.0 * K.radius)
+    if K.kind == "polytope" and K.dim * m <= 3:
+        return cc.from_vertices(cov._meeting_points([K] * (m + 1)))
+    raise NotImplementedError("no explicit D^m body for this (K, m)")
+
+
+# ---------------------------------------------------------------------------
+# sup-convolution
+
+
+def sup_convolution(fbar, xbar) -> float:
+    """sup_z f_0(z) * prod_i f_i(z - x_i); 0 when the supports never meet."""
+    fbar, _, _ = iq._validated_tuple(fbar)
+    return iq._sup_point(fbar, iq._factor_boxes(fbar), iq._offsets(fbar, xbar))[1]

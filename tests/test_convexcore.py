@@ -84,28 +84,6 @@ class TestGauge:
         assert cc.gauge(Boff, [-1.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
 
 
-class TestSupportRadial:
-    def test_cube_support(self):
-        assert cc.support(cc.cube(2, 1.0), [1.0, 1.0]) == pytest.approx(2.0)
-
-    def test_ball_radial(self):
-        B = cc.ball(3, 2.0)
-        theta = np.array([1.0, 2.0, -1.0])
-        theta /= np.linalg.norm(theta)
-        assert cc.radial(B, theta) == pytest.approx(2.0, abs=1e-12)
-
-    def test_simplex_support_negative_dir(self):
-        K = cc.simplex(2, "corner")
-        u = np.array([-1.0, -1.0])
-        oracle = max(float(v @ u) for v in [(0, 0), (1, 0), (0, 1)])
-        assert cc.support(K, u) == pytest.approx(oracle, abs=1e-12) == 0.0
-
-    def test_radial_needs_interior_origin(self):
-        K = cc.simplex(2, "corner")      # origin is a vertex
-        with pytest.raises(cc.OriginNotInteriorError):
-            cc.radial(K, [1.0, 1.0])
-
-
 class TestIntersectTranslates:
     def test_single_shift(self):
         K = cc.from_vertices([[0.0], [1.0]])

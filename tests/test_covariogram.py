@@ -12,13 +12,10 @@ from mthorder.covariogram import (
     MVector,
     as_mvector,
     box_rates,
-    cov_radial_derivative,
     covariogram_body,
     covariogram_body_many,
     covariogram_fn,
-    dm_body,
     dm_support_membership,
-    dm_support_membership_fn,
     dm_support_radius,
     dm_support_radius_fn,
     dm_volume,
@@ -30,6 +27,7 @@ from mthorder.covariogram import (
 )
 from mthorder.lcfun import LogConcaveFunction, NonIntegrableError, Profile
 from mthorder.numerics import combine_sigma, make_rng, max_slack
+from oracles import contains, cov_fn_direct, cov_radial_derivative, dm_body
 
 
 def interval01():
@@ -260,12 +258,12 @@ class TestBallCovariogram:
 class TestFunctionCovariogram:
     def test_one_sided_exponential_closed_form(self):
         f = expfun(interval01())
-        est = covariogram_fn(f, [0.7], method="levelset")
+        est = covariogram_fn(f, [0.7])
         assert est.value == pytest.approx(math.exp(-0.7), rel=1e-6)
 
     def test_two_sided_exponential_closed_form(self):
         f = expfun(cc.cube(1, 1.0))
-        est = covariogram_fn(f, [1.0], method="levelset")
+        est = covariogram_fn(f, [1.0])
         assert est.value == pytest.approx(2.0 * math.exp(-0.5), rel=1e-6)
 
     @pytest.mark.parametrize("f", [
@@ -277,7 +275,7 @@ class TestFunctionCovariogram:
     def test_value_at_origin_is_mass(self, f):
         f = f()
         xb = np.zeros((2, f.dim))
-        est = covariogram_fn(f, xb, method="levelset")
+        est = covariogram_fn(f, xb)
         assert est.value == pytest.approx(f.mass(), rel=1e-7)
 
     @pytest.mark.parametrize("kind, param", [("exponential", 0.0), ("gaussian", 0.0),
@@ -293,40 +291,40 @@ class TestFunctionCovariogram:
 
     def test_indicator_reduces_to_body(self):
         f = LogConcaveFunction(Profile("indicator"), cc.cube(2, 1.0), np.zeros(2), 2.0)
-        est = covariogram_fn(f, [0.5, 0.5], method="levelset")
+        est = covariogram_fn(f, [0.5, 0.5])
         assert est.value == pytest.approx(2.0 * 1.5 * 1.5, rel=1e-12)
         assert est.std_error == 0.0
 
     def test_direct_mc_on_exponential(self):
         f = expfun(interval01())
-        est = covariogram_fn(f, [0.7], method="direct_mc", seed=3)
+        est = cov_fn_direct(f, [0.7], seed=3)
         assert abs(est.value - math.exp(-0.7)) <= 3 * est.std_error
 
     def test_levelset_shift_invariance_exact(self):
         f0 = expfun(cc.cube(1, 1.0))
         f1 = expfun(cc.cube(1, 1.0), shift=[2.5])
-        a = covariogram_fn(f0, [0.8], method="levelset").value
-        b = covariogram_fn(f1, [0.8], method="levelset").value
+        a = covariogram_fn(f0, [0.8]).value
+        b = covariogram_fn(f1, [0.8]).value
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_direct_mc_shift_invariance(self):
         f0 = LogConcaveFunction(Profile("gaussian"), cc.cube(1, 1.0), np.zeros(1))
         f1 = LogConcaveFunction(Profile("gaussian"), cc.cube(1, 1.0), np.array([1.5]))
-        a = covariogram_fn(f0, [0.6], method="direct_mc", seed=1)
-        b = covariogram_fn(f1, [0.6], method="direct_mc", seed=2)
+        a = cov_fn_direct(f0, [0.6], seed=1)
+        b = cov_fn_direct(f1, [0.6], seed=2)
         assert abs(a.value - b.value) <= 3 * combine_sigma(a.std_error, b.std_error)
 
     def test_noisy_levelset_branch_agrees_with_direct(self):
         f = expfun(cc.ball(2, 1.0))
         xb = np.array([[0.3, 0.0], [0.0, 0.3]])
-        ls = covariogram_fn(f, xb, method="levelset", seed=5, samples=300_000)
-        mc = covariogram_fn(f, xb, method="direct_mc", seed=6)
+        ls = covariogram_fn(f, xb, seed=5, samples=300_000)
+        mc = cov_fn_direct(f, xb, seed=6)
         assert ls.std_error > 0.0
         assert abs(ls.value - mc.value) <= 3 * combine_sigma(ls.std_error, mc.std_error)
 
     def test_duplicate_blocks_keep_exact_levelset(self):
         f = expfun(cc.ball(2, 1.0))
-        est = covariogram_fn(f, np.zeros((2, 2)), method="levelset")
+        est = covariogram_fn(f, np.zeros((2, 2)))
         assert est.value == pytest.approx(f.mass(), rel=1e-7)
 
     def test_p0_profile_rejected(self):
@@ -334,10 +332,6 @@ class TestFunctionCovariogram:
                                cc.cube(1, 1.0), np.zeros(1))
         with pytest.raises(NonIntegrableError):
             covariogram_fn(f, [0.1])
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            covariogram_fn(expfun(interval01()), [0.1], method="grid")
 
 
 def _random_cases(count):
@@ -378,8 +372,8 @@ class TestMethodAgreement:
     @pytest.mark.parametrize("case_id", range(50))
     def test_levelset_vs_direct(self, case_id):
         f, xb = _random_cases(50)[case_id]
-        ls = covariogram_fn(f, xb, method="levelset", seed=case_id)
-        mc = covariogram_fn(f, xb, method="direct_mc", seed=case_id)
+        ls = covariogram_fn(f, xb, seed=case_id)
+        mc = cov_fn_direct(f, xb, seed=case_id)
         tol = 3 * combine_sigma(ls.std_error, mc.std_error) + 1e-9
         assert abs(ls.value - mc.value) <= tol
 
@@ -521,10 +515,10 @@ class TestDmSupport:
 
     def test_function_form(self):
         f = LogConcaveFunction(Profile("indicator"), interval01(), np.zeros(1))
-        assert dm_support_membership_fn(f, [0.5, -0.25])
-        assert not dm_support_membership_fn(f, [1.5, 0.0])
+        assert dm_support_membership(f.support_body(), [0.5, -0.25])
+        assert not dm_support_membership(f.support_body(), [1.5, 0.0])
         g = expfun(interval01())
-        assert dm_support_membership_fn(g, [99.0])
+        assert g.support_body() is None
         assert dm_support_radius_fn(g, [1.0]) == math.inf
         assert dm_support_radius_fn(f, [1.0]) == pytest.approx(1.0, abs=1e-9)
 
@@ -556,7 +550,7 @@ class TestDmBody:
         X = gen.normal(size=(40, 3)) * 0.8
         for x in X:
             member = dm_support_membership(interval01(), x.reshape(3, 1))
-            assert member == bool(cc.contains(D, x)[0])
+            assert member == bool(contains(D, x)[0])
 
     def test_unsupported(self):
         with pytest.raises(NotImplementedError):

@@ -254,11 +254,14 @@ class TestCli:
         assert "unknown fields" in capsys.readouterr().err
 
     def test_numeric_failure_exits_three_naming_job(self, tmp_path, capsys):
-        path = _write(tmp_path, {"name": "cap", "check": "rs-body",
-                                 "body": _BODY, "m": 4})
-        assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 3
+        # valid input whose sides overflow: sup f^m = (1e300)^2
+        path = _write(tmp_path, {"name": "overflow", "check": "rs-single", "m": 2,
+                                 "function": {"profile": "indicator", "body": _BODY,
+                                              "amplitude": 1e300}})
+        with np.errstate(over="ignore"):
+            assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
-        assert "numeric failure" in err and "rs-body" in err
+        assert "numeric failure" in err and "rs-single" in err
 
     def test_unsupported_ball_gauge_exits_two(self, tmp_path, capsys):
         path = _write(tmp_path, {"name": "x", "check": "zhang-body", "m": 4,
@@ -300,6 +303,44 @@ class TestCli:
                                  "directions": [[1.0, 0.0, 0.0]]})
         assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 2
         assert "n*m = 2 numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, fragment", [
+        # functions of two dimensions in one tuple
+        ('{"name": "x", "check": "rs-multi", "functions": ['
+         '{"profile": "exponential", "body": {"kind": "simplex", "dim": 1}}, '
+         '{"profile": "exponential", "body": {"kind": "cube", "dim": 2}}]}',
+         "share the ambient dimension"),
+        # the n*m scope caps of the checks
+        ('{"name": "x", "check": "rs-multi", "functions": ['
+         + ", ".join(['{"profile": "indicator", "body": {"kind": "simplex", "dim": 1}}'] * 8)
+         + "]}", "n*m <= 4"),
+        ('{"name": "x", "check": "rs-multi", "functions": ['
+         + ", ".join(['{"profile": "indicator", "body": {"kind": "cube", "dim": 2}}'] * 4)
+         + "]}", "n*m <= 4"),
+        ('{"name": "x", "check": "rs-single", "m": 3, "function": '
+         '{"profile": "exponential", "body": {"kind": "cube", "dim": 3}}}', "n*m <= 6"),
+        ('{"name": "x", "check": "zhang-fn", "m": 3, "function": '
+         '{"profile": "exponential", "body": {"kind": "cube", "dim": 3}}}', "n*m <= 6"),
+        ('{"name": "x", "check": "rs-body", "m": 4, "body": {"kind": "cube", "dim": 2}}',
+         "n*m <= 6"),
+        # a zero direction
+        ('{"name": "x", "check": "chain", "m": 1, "p_grid": [1.0], '
+         '"body": {"kind": "cube", "dim": 2}, "directions": [[0, 0]]}', "is zero"),
+        # numbers that JSON loads as inf or nan
+        ('{"name": "x", "check": "rs-single", "m": 1, "function": {"profile": '
+         '"exponential", "body": {"kind": "cube", "dim": 1}, "shift": [1e400]}}', "finite"),
+        ('{"name": "x", "check": "tangent-bound", "m": 1, "points": [[NaN]], "function": '
+         '{"profile": "exponential", "body": {"kind": "cube", "dim": 1}}}', "finite"),
+        ('{"name": "x", "check": "rs-body", "m": 1, "body": '
+         '{"kind": "ball", "dim": 2, "center": [1e400, 0.0]}}', "finite"),
+    ], ids=["mixed-dimensions", "rs-multi-1d-cap", "rs-multi-2d-cap", "rs-single-cap",
+            "zhang-fn-cap", "rs-body-cap", "zero-direction", "inf-shift", "nan-point",
+            "inf-center"])
+    def test_invalid_input_exits_two(self, tmp_path, capsys, text, fragment):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert fragment in capsys.readouterr().err
 
     def test_zhang_simplex_report(self, tmp_path, capsys):
         out = tmp_path / "report"

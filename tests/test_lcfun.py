@@ -166,9 +166,13 @@ class TestLevelMoments:
 
     @pytest.mark.parametrize("prof", _LEVEL_PROFILES)
     def test_depth_scale_inverts_the_level(self, prof):
+        # phi(s(v)) = phi(0) e^-v, read from both sides of s(v) so that the
+        # indicator's jump at s = 1 passes too
         v = np.array([1e-3, 0.5, 3.0, 20.0])
-        want = [prof.inverse_level(prof.phi0 * math.exp(-x)) for x in v]
-        np.testing.assert_allclose(prof.depth_scale(v), want, rtol=1e-12)
+        s = prof.depth_scale(v)
+        level = prof.phi0 * np.exp(-v)
+        assert np.all(prof.value(s * (1.0 - 1e-9)) >= level * (1.0 - 1e-7))
+        assert np.all(prof.value(s * (1.0 + 1e-6)) <= level * (1.0 + 1e-6))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_indicator_factor_is_exactly_one(self, n):
@@ -221,7 +225,7 @@ class TestProfileShape:
     def test_inverse_level_is_inverse(self, prof):
         for u in [0.9, 0.5, 0.11]:
             uu = u * min(prof.phi0, 1e6)
-            s = prof.inverse_level(uu)
+            s = prof.depth_scale(math.log(prof.phi0) - math.log(uu))   # phi(s) = uu
             assert prof.value(s * (1.0 - 1e-9)) >= uu * (1.0 - 1e-7)
             assert prof.value(s * (1.0 + 1e-6)) <= uu * (1.0 + 1e-6)
 
@@ -273,40 +277,6 @@ class TestMass:
     def test_shift_and_amplitude(self):
         f = expfun(interval01(), shift=[3.0], A=2.5)
         assert f.mass() == pytest.approx(2.5, rel=1e-12)
-
-
-class TestLevelSets:
-    def test_exponential_unit_level(self):
-        f = expfun(interval01())
-        L = f.level_set(math.exp(-1.0))
-        assert L.vertices.min() == pytest.approx(0.0, abs=1e-12)
-        assert L.vertices.max() == pytest.approx(1.0, abs=1e-12)
-
-    def test_gaussian_ball(self):
-        f = LogConcaveFunction(Profile("gaussian"), cc.ball(2, 1.0), np.zeros(2))
-        L = f.level_set(math.exp(-2.0))
-        assert L.radius == pytest.approx(2.0, rel=1e-12)
-
-    def test_indicator_returns_body(self):
-        K = cc.cube(2, 1.0)
-        f = LogConcaveFunction(Profile("indicator"), K, np.zeros(2))
-        L = f.level_set(0.5)
-        assert np.allclose(sorted(map(tuple, L.vertices)), sorted(map(tuple, K.vertices)))
-
-    def test_above_sup_is_empty(self):
-        f = expfun(interval01())
-        assert f.level_set(1.5) is None
-
-    def test_nesting(self):
-        f = LogConcaveFunction(Profile("gaussian"), cc.simplex(2, "centered"),
-                               np.array([0.2, 0.1]))
-        dirs = np.array([[1.0, 0.0], [0.0, 1.0], [-0.7, 0.7], [0.5, -0.5]])
-        prev = f.level_set(0.9)
-        for t in [0.7, 0.4, 0.1]:
-            cur = f.level_set(t)
-            for u in dirs:      # smaller level -> larger set, in support values
-                assert cc.support(cur, u) >= cc.support(prev, u) - 1e-12
-            prev = cur
 
 
 class TestLpNorm:

@@ -216,3 +216,55 @@ def test_radial_run_leaves_spatial_and_special_unloaded(config, tmp_path):
     run = ("from mthorder import cli\n"
            f"assert cli.main(['run', {str(path)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0")
     assert _loaded_after(run, _LAZY) == []
+
+
+# loaded from outside the package: the `mthorder` console script
+_ENTRY_POINTS = {"cli.main"}
+
+
+def _unloaded_functions(sources: dict[str, str]) -> list[str]:
+    """Public module-level functions, and public methods of module-level
+    classes, that no module of `sources` (module name -> source) loads.  A
+    function is loaded where its name is a `Name` in its own module, is
+    imported by `from .<its module> import`, or is an attribute anywhere."""
+    trees = {mod: ast.parse(source) for mod, source in sources.items()}
+    names = {mod: {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+             for mod, tree in trees.items()}
+    attrs = {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    imported = {(node.module, alias.name) for tree in trees.values()
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0
+                for alias in node.names}
+    found = []
+    for mod, tree in trees.items():
+        defs = [(node.name, f"{mod}.{node.name}") for node in tree.body
+                if isinstance(node, ast.FunctionDef)]
+        defs += [(node.name, f"{mod}.{cls.name}.{node.name}") for cls in tree.body
+                 if isinstance(cls, ast.ClassDef)
+                 for node in cls.body if isinstance(node, ast.FunctionDef)]
+        found += [label for name, label in defs
+                  if not name.startswith("_") and label not in _ENTRY_POINTS
+                  and name not in names[mod] and (mod, name) not in imported
+                  and name not in attrs]
+    return found
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    """Reference routes that only tests call live in tests/oracles.py."""
+    assert _unloaded_functions({p.stem: p.read_text() for p in _sources()}) == []
+
+
+def test_unloaded_scan_reads_every_kind_of_load():
+    sources = {
+        "a": ("def by_name():\n    pass\n\nTABLE = {'x': by_name}\n\n"
+              "def imported():\n    pass\n\ndef attribute():\n    pass\n\n"
+              "def orphan():\n    pass\n\ndef main():\n    pass\n\n"
+              "class C:\n    def method(self):\n        return self.attribute()\n\n"
+              "    def alias(self):\n        pass\n\n    other = alias\n\n"
+              "    def unused(self):\n        pass\n"),
+        "b": "from .a import imported\nfrom .c import orphan\n",
+        "cli": "def main():\n    pass\n",
+    }
+    assert _unloaded_functions(sources) == ["a.orphan", "a.main", "a.C.method",
+                                            "a.C.unused"]

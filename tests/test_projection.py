@@ -16,26 +16,6 @@ def expc(body, **kw):
     return LogConcaveFunction(prof, body, np.zeros(body.dim), **kw)
 
 
-class TestConeSupport:
-    def test_two_block_example(self):
-        th = as_mvector(np.array([0.6, 0.8, 1.0, 0.0]), 2)
-        assert proj.cone_support(th, [-1.0, 0.0]) == pytest.approx(1.0, abs=1e-15)
-
-    def test_single_block_negative_part(self):
-        th = as_mvector(np.array([1.0, 0.0]), 2)
-        assert proj.cone_support(th, [1.0, 0.0]) == 0.0
-        assert proj.cone_support(th, [-1.0, 0.0]) == 1.0
-
-    def test_positive_homogeneous(self):
-        rng = make_rng(3, 1)
-        for _ in range(20):
-            th = rng.normal(size=(2, 3))
-            u = rng.normal(size=3)
-            s = float(rng.uniform(0.1, 4.0))
-            assert proj.cone_support(s * th, u) == pytest.approx(
-                s * proj.cone_support(th, u), rel=1e-12)
-
-
 class TestGaugeBody:
     def test_interval_m1(self):
         K = cc.cube(1, 0.5)  # [-1/2, 1/2]
