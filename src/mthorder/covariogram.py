@@ -23,20 +23,18 @@ from .numerics import (
     EstimateWithError,
     QuadratureConfig,
     beta,
-    default_mc_samples,
     gamma_q,
-    gauss_panels,
     integrate_1d,
-    make_rng,
     max_slack,
     sphere_surface,
 )
 
-_STREAM_BALL_COV = 202
-_NODE_SEED_STRIDE = 100_003  # decorrelates per-node seeds inside quadratures
+_SPAN_TOL = 1e-12   # singular value, in ball radii, below which translates count as flat
 # layer cakes feed difference quotients: a tight tolerance, and an absolute
 # one that puts a compact profile's depth horizon where e^-v is 1e-17
 _LEVELSET_QUAD = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-16)
+# ball meetings are integrals of exact disc meetings; 1e-12 keeps them to 1e-13
+_MEETING_QUAD = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-16)
 
 
 # ---------------------------------------------------------------------------
@@ -62,10 +60,6 @@ class MVector:
     @property
     def n(self) -> int:
         return self.blocks.shape[1]
-
-    @property
-    def total_dim(self) -> int:
-        return self.blocks.size
 
     @property
     def flat(self) -> np.ndarray:
@@ -180,29 +174,99 @@ def lens_slope(n: int, u):
     return out if out.ndim else float(out)
 
 
-def _ball_cov(K: ConvexBody, xb: MVector, seed: int, samples) -> EstimateWithError:
-    """Seeded Monte Carlo g_{K,m} of a ball meeting three or more distinct
-    translates, over the box that bounds their intersection."""
-    r = K.radius
-    pts = np.vstack([np.zeros(K.dim), xb.blocks])
-    pts = np.unique(pts, axis=0)  # only distinct translates matter
-    if cc.miniball_radius(pts) > r + 1e-12:
-        return EstimateWithError(0.0, 0.0, 0)
-    centers = K.center + pts
-    lo = centers.max(axis=0) - r
-    hi = centers.min(axis=0) + r
-    if np.any(hi <= lo):
-        return EstimateWithError(0.0, 0.0, 0)
-    N = samples or default_mc_samples(K.dim)
-    gen = make_rng(seed, _STREAM_BALL_COV)
-    Y = lo + gen.random((N, K.dim)) * (hi - lo)
-    inside = np.ones(N, dtype=bool)
-    for p in centers:
-        inside &= np.sum((Y - p) ** 2, axis=1) <= r * r
-    frac = float(inside.mean())
-    box_vol = float(np.prod(hi - lo))
-    sigma = box_vol * math.sqrt(max(frac * (1.0 - frac), 0.0) / N)
-    return EstimateWithError(box_vol * frac, sigma, N)
+def _disc_meeting(C, rad) -> np.ndarray:
+    """Area of the meeting of the discs B(C[:, i], rad[:, i]) in each row of
+    an (N, k, 2) centre and (N, k) radius batch (centres near o, so the
+    terms cancel less), by Green's theorem over its boundary arcs.  Circle
+    i is cut where it crosses circle j, at phi_ij +- arccos kappa_ij with
+    kappa_ij = (d^2 + r_i^2 - r_j^2) / (2 r_i d), and a piece bounds the
+    meeting when its midpoint lies in every other disc (an arc longer than
+    pi can meet a disc in two pieces); the arc from t0 to t1 adds
+    (1/2) [r (c_x (sin t1 - sin t0) - c_y (cos t1 - cos t0)) + r^2 (t1 - t0)].
+    Pairs within 1e-12 of tangency touch rather than cross (rounding would
+    cut a spurious arc of angle ~1e-8): discs that touch from outside meet
+    in no area, and of nested or coincident ones the outer circle bounds
+    nothing.  Discs that meet pairwise but not all together keep no piece."""
+    N, k = rad.shape
+    x, y = C[..., 0], C[..., 1]
+    dx = x[:, None, :] - x[:, :, None]                         # c_j - c_i at [i, j]
+    dy = y[:, None, :] - y[:, :, None]
+    d = np.hypot(dx, dy)
+    ri, rj = rad[:, :, None], rad[:, None, :]
+    tol = 1e-12 * rad.max(axis=1)[:, None, None]
+    other = ~np.eye(k, dtype=bool)
+    nested = (d <= np.abs(ri - rj) + tol) & other
+    cross = ~nested & other
+    outer = nested & ((ri > rj) | ((ri == rj) & np.tri(k, k, -1, dtype=bool)))
+    apart = np.any((d >= ri + rj - tol) & other, axis=(1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half = np.arccos(np.clip((d * d + ri * ri - rj * rj) / (2.0 * ri * d), -1.0, 1.0))
+    phi = np.arctan2(dy, dx)
+    cuts = np.concatenate([np.where(cross, phi - half, 0.0), np.where(cross, phi + half, 0.0)],
+                          axis=2)
+    ends = np.sort(np.concatenate([np.mod(cuts, 2.0 * math.pi), np.zeros((N, k, 1)),
+                                   np.full((N, k, 1), 2.0 * math.pi)], axis=2), axis=2)
+    mid = 0.5 * (ends[..., :-1] + ends[..., 1:])
+    px = x[:, :, None] + rad[:, :, None] * np.cos(mid)
+    py = y[:, :, None] + rad[:, :, None] * np.sin(mid)
+    keep = ~np.any(outer, axis=2, keepdims=True) & ~apart[:, None, None]
+    for j in range(k):      # one disc at a time keeps the arrays (N, k, pieces)
+        dist2 = (px - x[:, j, None, None]) ** 2 + (py - y[:, j, None, None]) ** 2
+        keep = keep & ((dist2 <= rad[:, j, None, None] ** 2) | ~cross[:, :, j, None])
+    r = rad[:, :, None]
+    arc = (r * (x[:, :, None] * np.diff(np.sin(ends), axis=2)
+                - y[:, :, None] * np.diff(np.cos(ends), axis=2))
+           + r * r * np.diff(ends, axis=2))
+    return np.maximum(0.5 * np.sum(np.where(keep, arc, 0.0), axis=(1, 2)), 0.0)
+
+
+def _unit_ball_meeting(X: np.ndarray, n: int) -> float:
+    """vol_n of the meeting of unit balls B(x_i, 1) in R^n, for distinct
+    centres X given in the coordinates of their affine span, of dimension 2
+    or 3.  A slice at height s over the first two axes is a meeting of discs
+    of radii (1 - (s - z_i)^2)^(1/2).  In R^3 the volume integrates the
+    slices along the third axis.  Over a plane (z = 0) every point at
+    distance t from it sees the slice at s = t, so the volume is
+    |S^{n-3}| int_0^reach t^(n-3) A(t) dt, reach^2 = 1 - R^2 with R the
+    miniball radius of the centres, where the discs stop meeting."""
+    R = cc.miniball_radius(X)
+    if R >= 1.0:
+        return 0.0
+    z = X[:, 2] if X.shape[1] == 3 else np.zeros(len(X))
+
+    def slices(s):
+        rad = np.sqrt(np.maximum(1.0 - (s[:, None] - z) ** 2, 0.0))
+        return _disc_meeting(np.broadcast_to(X[:, :2], (len(s), len(X), 2)), rad)
+    if X.shape[1] == 2:
+        return sphere_surface(n - 2) * integrate_1d(
+            slices, 0.0, math.sqrt(1.0 - R * R), _MEETING_QUAD, weight_exponent=n - 3.0).value
+    return integrate_1d(slices, z.max() - 1.0, z.min() + 1.0, _MEETING_QUAD).value
+
+
+def _ball_meeting_cov(K: ConvexBody, blocks) -> np.ndarray:
+    """Vectorized covariogram of a ball B(c, a) on an (N, m, n) batch, the
+    meeting of the balls B(x_i, a), x_0 = o: the lens of the two translates
+    farthest apart when all lie on a line (the balls between them contain
+    it), else a meeting of discs in the plane, or an integral of them over
+    a plane in R^n or across R^3 (`_unit_ball_meeting`)."""
+    n, a = K.dim, K.radius
+    pts = np.concatenate([np.zeros((len(blocks), 1, n)), blocks], axis=1)
+    diam = np.linalg.norm(pts[:, :, None, :] - pts[:, None, :, :], axis=3).max(axis=(1, 2))
+    out = cc.volume(K).value * lens(n, diam / (2.0 * a))
+    Q = (pts - pts.mean(axis=1, keepdims=True)) / a
+    _, sing, frames = np.linalg.svd(Q, full_matrices=False)
+    span = np.sum(sing > _SPAN_TOL, axis=1)
+    if n > 3 and np.any(span > 2):
+        raise NotImplementedError("exact ball meetings need translates that span "
+                                  "at most a plane when n > 3")
+    if n == 2:
+        flat = span == 2
+        out[flat] = a * a * _disc_meeting(Q[flat], np.ones(Q[flat].shape[:2]))
+        return out
+    for i in np.flatnonzero(span >= 2):
+        X = np.unique(Q[i] @ frames[i, :span[i]].T, axis=0)
+        out[i] = a ** n * _unit_ball_meeting(X, n)
+    return out
 
 
 def _polygon_cov(K: ConvexBody, blocks) -> np.ndarray:
@@ -232,24 +296,11 @@ def _polygon_cov(K: ConvexBody, blocks) -> np.ndarray:
     return np.maximum(0.5 * np.sum(c * length, axis=1), 0.0)
 
 
-def _ball_lens_cov(K: ConvexBody, blocks) -> np.ndarray | None:
-    """Vectorized covariogram of a ball whose translates o, x_1, ..., x_m
-    take at most two distinct values in every row: the lens of the origin
-    and the farthest translate.  None when some row has three or more."""
-    pts = np.concatenate([np.zeros((len(blocks), 1, K.dim)), blocks], axis=1)
-    dist = np.linalg.norm(pts, axis=2)
-    far = pts[np.arange(len(pts)), np.argmax(dist, axis=1)]
-    if not np.all((dist == 0.0) | np.all(pts == far[:, None, :], axis=2)):
-        return None
-    return cc.volume(K).value * lens(K.dim, dist.max(axis=1) / (2.0 * K.radius))
-
-
 def _exact_cov(K: ConvexBody, blocks) -> np.ndarray | None:
-    """The vectorized closed form of g_{K,m} on an (N, m, n) batch: axis-aligned
-    boxes, polygons, and balls with at most two distinct translates per row;
-    None where it has none."""
+    """The vectorized g_{K,m} on an (N, m, n) batch: balls, axis-aligned
+    boxes and polygons; None for other polytopes."""
     if K.kind == "ball":
-        return _ball_lens_cov(K, blocks)
+        return _ball_meeting_cov(K, blocks)
     box = axis_box(K)
     if box is not None:
         return _box_cov(box[0], box[1], blocks)
@@ -258,29 +309,25 @@ def _exact_cov(K: ConvexBody, blocks) -> np.ndarray | None:
     return None
 
 
-def covariogram_body(K: ConvexBody, xbar, seed: int = 0,
-                     samples: int | None = None) -> EstimateWithError:
-    """g_{K,m}(xbar); exact for polytopes and for balls with at most two
-    distinct translates, seeded Monte Carlo for balls otherwise."""
+def covariogram_body(K: ConvexBody, xbar) -> EstimateWithError:
+    """g_{K,m}(xbar), exact: `_exact_cov`, else the volume of the
+    intersected translates."""
     xb = as_mvector(xbar, K.dim)
     val = _exact_cov(K, xb.blocks[None])
     if val is not None:
         return EstimateWithError(float(val[0]), 0.0, 0)
-    if K.kind == "ball":
-        return _ball_cov(K, xb, seed, samples)
     body = cc.intersect_translates(K, xb.blocks)
     if body is None:
         return EstimateWithError(0.0, 0.0, 0)
     return cc.volume(body)
 
 
-def covariogram_body_many(K: ConvexBody, xbars, seed: int = 0,
-                          samples: int | None = None):
-    """Batch g_{K,m}; returns (values, std_errors) arrays.
+def covariogram_body_many(K: ConvexBody, xbars) -> np.ndarray:
+    """Batch g_{K,m} over an (N, m, n) or (N, m*n) batch, exact.
 
-    Axis-aligned boxes (intervals included), polygons and balls with at
-    most two distinct translates per row go through a fully vectorized
-    closed form (`_exact_cov`); everything else loops over covariogram_body.
+    Balls, axis-aligned boxes (intervals included) and polygons go through
+    a vectorized closed form (`_exact_cov`); other polytopes loop over
+    covariogram_body.
     """
     B = np.asarray(xbars, dtype=float)
     if B.ndim == 2:
@@ -289,14 +336,8 @@ def covariogram_body_many(K: ConvexBody, xbars, seed: int = 0,
         raise ValueError("expected an (N, m, n) or (N, m*n) batch")
     vals = _exact_cov(K, B)
     if vals is not None:
-        return vals, np.zeros(len(vals))
-    vals = np.empty(len(B))
-    sigs = np.empty(len(B))
-    for j, xb in enumerate(B):
-        est = covariogram_body(K, xb, seed=seed, samples=samples)
-        vals[j] = est.value
-        sigs[j] = est.std_error
-    return vals, sigs
+        return vals
+    return np.array([covariogram_body(K, xb).value for xb in B])
 
 
 # ---------------------------------------------------------------------------
@@ -403,64 +444,41 @@ def profile_cut(prof, n: int, scale: float) -> float:
     return prof.truncation_radius(eps, extra_power=n + max(1.0, prof.exponent) + 2.0)
 
 
-def covariogram_fn(f: LogConcaveFunction, xbar, seed: int = 0,
-                   samples: int | None = None) -> EstimateWithError:
+def covariogram_fn(f: LogConcaveFunction, xbar) -> EstimateWithError:
     """g_{f,m}(xbar) by level-set quadrature: covariogram_body folded
-    through the layer-cake decomposition of f.  Exact inner volumes make it
-    a deterministic quadrature; a ball meeting three or more distinct
-    translates takes seeded Monte Carlo inner volumes (`seed`, `samples`)."""
+    through the layer-cake decomposition of f, over exact inner volumes."""
     xb = as_mvector(xbar, f.dim)
     if not math.isfinite(f.profile.phi0):
         raise NonIntegrableError("the p = 0 profile has infinite mass and "
                                  "no covariogram")
     K, prof, A = f.body, f.profile, f.amplitude
-    n, m = f.dim, xb.m
+    n = f.dim
     if prof.kind == "indicator":
-        return covariogram_body(K, xb, seed=seed, samples=samples).scaled(A)
+        return covariogram_body(K, xb).scaled(A)
 
     # with {f >= t} = shift + rK and t = A*phi(r) the t-integral becomes
-    #   A * int (-phi'(r)) r^n g_{K,m}(xbar / r) dr
+    #   A * int (-phi'(r)) r^n g_{K,m}(xbar / r) dr,
+    # and over the level depth v, with r = s(v) = prof.depth_scale(v) and
+    # -phi'(r) dr = phi(0) e^-v dv, it is
+    #   A phi(0) int e^-v s(v)^n g_{K,m}(xbar / s(v)) dv,
+    # smooth where phi is not: the power kind's end r = 1 is v = inf
     vol_k = cc.volume(K).value
     nrm = xb.norm()
     r_lo = 0.0 if nrm < 1e-300 else nrm / dm_support_radius(K, xb.unit())
     r_hi = profile_cut(prof, n, A * vol_k)
     if r_hi <= r_lo:
         return EstimateWithError(0.0, 0.0, 0)
+    peak = A * prof.phi0
 
-    distinct = len(np.unique(np.vstack([np.zeros(n), xb.blocks]), axis=0))
-    if K.kind == "polytope" or distinct <= 2:   # exact inner volumes
-        # over the level depth v, with r = s(v) = prof.depth_scale(v) and
-        # -phi'(r) dr = phi(0) e^-v dv, it is
-        #   A phi(0) int e^-v s(v)^n g_{K,m}(xbar / s(v)) dv,
-        # smooth where phi is not: the power kind's end r = 1 is v = inf
-        peak = A * prof.phi0
+    def integrand(v):
+        s = prof.depth_scale(v)
+        return peak * np.exp(-v) * s ** n * covariogram_body_many(
+            K, xb.blocks[None] / s[:, None, None])
 
-        def integrand(v):
-            s = prof.depth_scale(v)
-            g, _ = covariogram_body_many(K, xb.blocks[None] / s[:, None, None])
-            return peak * np.exp(-v) * s ** n * g
-
-        v_hi = prof.depth(r_hi)
-        tail = None if math.isfinite(v_hi) else (peak * vol_k, 1.0)   # s(v) <= 1 there
-        return integrate_1d(integrand, prof.depth(r_lo), v_hi, _LEVELSET_QUAD,
-                            tail_bound=tail)
-
-    # a ball meeting three or more distinct translates has Monte Carlo inner
-    # volumes: fixed Gauss grid with independent per-node seeds, so
-    # adaptivity never chases the noise
-    nodes, weights = gauss_panels(np.linspace(r_lo, r_hi, 33), order=8)
-    factors = A * prof.neg_derivative(nodes) * nodes ** n * weights
-    budget = samples or default_mc_samples(xb.total_dim)
-    per_node = max(1000, budget // len(nodes))
-    total = 0.0
-    var = 0.0
-    for k, (r, factor) in enumerate(zip(nodes, factors)):
-        est = covariogram_body(K, xb.scaled(1.0 / r),
-                               seed=seed + _NODE_SEED_STRIDE * (k + 1),
-                               samples=per_node)
-        total += factor * est.value
-        var += (factor * est.std_error) ** 2
-    return EstimateWithError(total, math.sqrt(var), len(nodes) * per_node)
+    v_hi = prof.depth(r_hi)
+    tail = None if math.isfinite(v_hi) else (peak * vol_k, 1.0)   # s(v) <= 1 there
+    return integrate_1d(integrand, prof.depth(r_lo), v_hi, _LEVELSET_QUAD,
+                        tail_bound=tail)
 
 
 def coercive_box_radius(f: LogConcaveFunction, tol: float) -> float:

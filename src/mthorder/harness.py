@@ -149,7 +149,7 @@ def _jobs_covariogram_mass(seed, samples):
         K = cc.cube(2, 1.0)
         t, w = gauss_panels(np.array([-2.0, 0.0, 2.0]), 4)
         X = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 1, 2)
-        vals, _ = cov.covariogram_body_many(K, X)
+        vals = cov.covariogram_body_many(K, X)
         lhs = EstimateWithError(float(vals @ np.outer(w, w).ravel()), 0.0, len(X))
         vol2 = cc.volume(K).value ** 2
         return make_verdict("covariogram-mass[square]", lhs, _exact(vol2),
@@ -223,7 +223,7 @@ def _jobs_matheron(seed, samples):
                   theta=theta):
             K = cc.simplex(1) if n == 1 else cc.cube(2, 1.0)
             f = _fn(profile, K, s_or_p)
-            out = proj.matheron_consistency(f, m, theta, seed=seed)
+            out = proj.matheron_consistency(f, m, theta)
             ratio = out["ratio"]
             meta = {"ratio": ratio, "errors": list(out["errors"]),
                     "steps": list(out["steps"]), "gauge": out["gauge"]}
@@ -243,16 +243,14 @@ def _jobs_chain(seed, samples):
     jobs = [
         ("chain[exponential]",
          lambda: [_retag(v, "exponential")
-                  for v in iq.check_chain(f_exp, 1, _CHAIN_GRID, seed=seed,
-                                          samples=samples)]),
+                  for v in iq.check_chain(f_exp, 1, _CHAIN_GRID, seed=seed)]),
         ("chain[gaussian]",
          lambda: [_retag(v, "gaussian")
-                  for v in iq.check_chain(f_gauss, 1, _CHAIN_GRID, seed=seed,
-                                          samples=samples)]),
+                  for v in iq.check_chain(f_gauss, 1, _CHAIN_GRID, seed=seed)]),
     ]
 
     def endpoint():
-        ray = sb.body_ray(f_gauss.body, 1, [1.0], seed=seed, samples=samples)
+        ray = sb.body_ray(f_gauss.body, 1, [1.0])
         lhs = (ml.c_const(0.0) * f_gauss.radial_factor(-1.0)
                * sb.limit_body_minus1(ray))
         rhs = f_gauss.mass() / proj.ppb_gauge_fn(f_gauss, 1, [1.0])
@@ -365,10 +363,8 @@ def _jobs_scaling(seed, samples):
                 law = law_of(n, p)
                 ratios = []
                 for theta in _scaling_dirs(n, m):
-                    rf = sb.radial_from_ray(sb.layer_cake_ray(
-                        f, m, theta, seed=seed, samples=samples), p)
-                    rk = sb.radial_from_ray(sb.body_ray(K, m, theta, seed=seed,
-                                                        samples=samples), p)
+                    rf = sb.radial_from_ray(sb.layer_cake_ray(f, m, theta), p)
+                    rk = sb.radial_from_ray(sb.body_ray(K, m, theta), p)
                     ratios.append(rf.value / rk.value)
                 worst = max(ratios, key=lambda r: abs(r - law))
                 name = f"scaling[{profile},n={n},m={m},p={p:g}]"
@@ -384,10 +380,8 @@ def _jobs_scaling(seed, samples):
             dirs = [[1.0]] if n == 1 else [[1.0, 0.0], [0.6, 0.8]]
             pairs = []
             for theta in dirs:
-                rf = sb.radial_from_ray(sb.layer_cake_ray(
-                    f, 1, theta, seed=seed, samples=samples), p).value
-                rk = sb.radial_from_ray(sb.body_ray(K, 1, theta, seed=seed,
-                                                    samples=samples), p).value
+                rf = sb.radial_from_ray(sb.layer_cake_ray(f, 1, theta), p).value
+                rk = sb.radial_from_ray(sb.body_ray(K, 1, theta), p).value
                 pairs.append((rf, coef * rk))
             worst = max(pairs, key=lambda t: abs(t[0] - t[1]) / t[1])
             name = f"pfamily[n={n},p={p:g}]"
@@ -443,7 +437,7 @@ def _jobs_support_identity(seed, samples):
         def thunk(m=m):
             dirs = sphere_sample(m, 64, seed, stream=_STREAM_SUPPORT_DIRS)
             table = sb.radial_mean_body_fn(chi, m, 200.0, directions=dirs,
-                                           seed=seed, samples=samples)
+                                           seed=seed)
             radii, exact, devs = [], [], []
             for th, rho in zip(dirs, table.radii.tolist()):
                 ref = cov.dm_support_radius_fn(chi, th)
@@ -549,9 +543,8 @@ _CHECK_PARAMS = {
     "rs-single": ({"function", "m"}, {"samples"}),
     "rs-multi": ({"functions"}, {"samples", "inner_samples"}),
     "zhang-fn": ({"function", "m"}, {"directions"}),
-    "tangent-bound": ({"function", "m", "points"}, {"samples"}),
-    "chain": ({"m", "p_grid"}, {"body", "function", "directions", "samples",
-                                "nodes"}),
+    "tangent-bound": ({"function", "m", "points"}, set()),
+    "chain": ({"m", "p_grid"}, {"body", "function", "directions", "nodes"}),
     "zhang-body": ({"body", "m"}, {"directions"}),
 }
 
@@ -720,6 +713,10 @@ def _custom_jobs(cfg: ExperimentConfig, seed: int, samples: int | None):
             proj.require_exact_gauge(gauge_body, p["m"])
         except NotImplementedError as e:
             raise ConfigError(f"{cfg.name!r}: {e}") from e
+    if check == "chain" and body is not None and all(
+            abs(q) <= lc.ZERO_P_WINDOW for q in p["p_grid"]):
+        raise ConfigError(f"{cfg.name!r}: a body chain skips p = 0, so 'p_grid' "
+                          f"needs another value")
     if check in ("tangent-bound", "chain"):
         n, m = (func if func is not None else body).dim, p["m"]
         shapes = {"points": [(n * m,), (m, n)], "directions": [(n * m,)]}
@@ -742,7 +739,7 @@ def _custom_jobs(cfg: ExperimentConfig, seed: int, samples: int | None):
                                           directions=p.get("directions"))
     elif check == "tangent-bound":
         thunk = lambda: iq.check_tangent_bound(func, p["m"], p["points"],
-                                               seed=seed, samples=n_samples)
+                                               seed=seed)
     elif check == "zhang-body":
         thunk = lambda: iq.check_zhang_body(body, p["m"],
                                             seed=seed,
@@ -757,7 +754,6 @@ def _custom_jobs(cfg: ExperimentConfig, seed: int, samples: int | None):
             dirs = np.asarray(dirs, dtype=float)
         thunk = lambda: iq.check_chain(source, p["m"], p["p_grid"],
                                        directions=dirs, seed=seed,
-                                       samples=n_samples,
                                        nodes=p.get("nodes", 256))
     return [(check, thunk)]
 

@@ -848,7 +848,7 @@ def check_zhang_fn(f: LogConcaveFunction, m: int, seed: int = 0,
 
 
 def check_tangent_bound(f: LogConcaveFunction, m: int, points,
-                        seed: int = 0, samples: int | None = None) -> Verdict:
+                        seed: int = 0) -> Verdict:
     """g_{f,m}(x) <= ||f||_1 exp(-||x||_{PPB<f>} / ||f||_1) at each point.
 
     The verdict reports the most binding point; per-point margins live in
@@ -864,7 +864,7 @@ def check_tangent_bound(f: LogConcaveFunction, m: int, points,
         raise ValueError(f"every point must carry {m} blocks")
     margins, entries = [], []
     for xb in pts:
-        g = cov.covariogram_fn(f, xb, seed=seed, samples=samples)
+        g = cov.covariogram_fn(f, xb)
         bound = mass * math.exp(-proj.ppb_gauge_fn(f, m, xb) / mass)
         margins.append(bound - g.value)
         entries.append((g, EstimateWithError(bound, 0.0, 0)))
@@ -881,7 +881,7 @@ def check_tangent_bound(f: LogConcaveFunction, m: int, points,
 
 
 def check_chain(source, m: int, p_grid, directions=None, seed: int = 0,
-                samples: int | None = None, nodes: int = 256) -> list[Verdict]:
+                nodes: int = 256) -> list[Verdict]:
     """Normalized radial mean bodies shrink as p grows: one inclusion verdict
     per adjacent grid pair, plus the p -> -1 endpoint as the outermost body.
 
@@ -909,8 +909,7 @@ def check_chain(source, m: int, p_grid, directions=None, seed: int = 0,
     else:
         s, label, factor = 0.0, source.profile.kind, source.radial_factor
     dirs = sb.direction_set(directions, K.dim * m, seed)
-    rays = sb.rays_for(dirs, m, lambda th: sb.body_ray(K, m, th, seed=seed,
-                                                       samples=samples, nodes=nodes))
+    rays = sb.rays_for(dirs, m, lambda th: sb.body_ray(K, m, th, nodes=nodes))
 
     cache: dict[tuple[int, float], EstimateWithError] = {}
 

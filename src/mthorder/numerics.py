@@ -111,11 +111,6 @@ def sphere_sample(d: int, count: int, seed: int, stream: int = 0) -> np.ndarray:
     return out[:count]
 
 
-def default_mc_samples(total_dim: int) -> int:
-    """Monte Carlo budgets by ambient dimension; keeps suite runtime in minutes."""
-    return 200_000 if total_dim <= 4 else 1_000_000
-
-
 def sphere_surface(d: int) -> float:
     """Surface measure of the unit sphere S^{d-1} in R^d."""
     if d < 1:

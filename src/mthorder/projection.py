@@ -195,12 +195,11 @@ def ppb_volume(source, m: int, seed: int = 0,
     gauges = ppb_gauge_body_many(K, m, dirs.reshape(len(dirs), m, K.dim))
     if np.any(gauges <= 1e-12):
         raise UnboundedBodyError("PPB gauge vanishes along a sampled direction")
-    table = sb.StarBodyTable(dirs, 1.0 / gauges, np.zeros(len(dirs)), {})
+    table = sb.StarBodyTable(dirs, 1.0 / gauges, {})
     return sb.star_volume(table)
 
 
-def matheron_consistency(f: LogConcaveFunction, m: int, theta,
-                         seed: int = 0) -> dict:
+def matheron_consistency(f: LogConcaveFunction, m: int, theta) -> dict:
     """Error of the raw covariogram difference quotient against the PPB gauge.
 
     The quotient (g(h) - g(0))/h converges at first order, so halving-type
@@ -216,7 +215,7 @@ def matheron_consistency(f: LogConcaveFunction, m: int, theta,
     g0 = f.mass()
     errors = []
     for h in steps:
-        quot = (covariogram_fn(f, th.scaled(h), seed=seed).value - g0) / h
+        quot = (covariogram_fn(f, th.scaled(h)).value - g0) / h
         errors.append(abs(quot + gauge))
     ratio = errors[0] / errors[1] if errors[1] > 0 else math.inf
     return {"gauge": gauge, "steps": steps, "errors": errors,

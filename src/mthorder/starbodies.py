@@ -21,8 +21,8 @@ for every kind of ray:
   `mellin.from_table(..., root=n)` (the in-house monotone cubic interpolant
   `mellin.pchip` of psi^(1/n), with each cubic piece raised to the n-th
   power and its slope at 0 pinned to the exact projection-body gauge) is
-  integrated knot by knot, so many p values reuse one ray.  Monte Carlo
-  tables also carry the profiles of psi + sigma and psi - sigma.
+  integrated knot by knot, so many p values reuse one ray.  The tabulated
+  values are exact covariograms (`covariogram.covariogram_body_many`).
 
 A function f = A phi(||x - c||_K) needs no rays of its own.  The layer cake
 g_{f,m}(x) = A int (-phi'(s)) s^n g_{K,m}(x/s) ds factors its radial mean
@@ -45,8 +45,7 @@ from . import mellin as ml
 from . import projection as proj
 from .convexcore import ConvexBody, UnboundedBodyError
 from .lcfun import LogConcaveFunction
-from .numerics import (EstimateWithError, combine_sigma, gauss_panels,
-                       sphere_sample, sphere_surface)
+from .numerics import EstimateWithError, gauss_panels, sphere_sample, sphere_surface
 
 _STREAM_STAR_DIRS = 401
 
@@ -68,22 +67,18 @@ class RadialRay:
     """A normalized radial section psi(r) = g(r*theta)/g(0) along one direction.
 
     `profile` is psi as a Mellin profile, and slope0 = |psi'(0+)|, exact (the
-    normalized projection-body gauge).  `envelope`, set on Monte Carlo
-    tables only, holds the profiles of psi + sigma and psi - sigma.
+    normalized projection-body gauge).
     """
 
     profile: ml.MellinProfile
     slope0: float
-    envelope: tuple = ()
 
 
-def _body_section_direct(K: ConvexBody, thb: np.ndarray, vol: float,
-                         seed: int, samples: int | None):
+def _body_section_direct(K: ConvexBody, thb: np.ndarray, vol: float):
     """Vectorized normalized section of a body with cheap exact covariograms."""
     def section(r):
         rr = np.atleast_1d(np.asarray(r, dtype=float))
-        vals, _ = cov.covariogram_body_many(
-            K, rr[:, None, None] * thb[None, :, :], seed=seed, samples=samples)
+        vals = cov.covariogram_body_many(K, rr[:, None, None] * thb[None, :, :])
         out = np.clip(vals / vol, 0.0, 1.0)
         return out if np.ndim(r) else float(out[0])
     return section
@@ -97,13 +92,11 @@ def _box_ray(lo, hi, blocks) -> RadialRay:
     return RadialRay(ml.from_ppoly(pp), float(rates.sum()))
 
 
-def body_ray(K: ConvexBody, m: int, theta, seed: int = 0,
-             samples: int | None = None, nodes: int = 256) -> RadialRay:
+def body_ray(K: ConvexBody, m: int, theta, nodes: int = 256) -> RadialRay:
     """The normalized covariogram section of a body along one unit direction:
     the polynomial prod_j (1 - r t_j)_+ for an axis-aligned box, the lens for
-    a ball at m = 1, else a table of covariograms at `nodes` radii
-    (`samples` draws each where they are Monte Carlo) whose interpolants,
-    the envelope's too, start at the exact slope.
+    a ball at m = 1, else a table of exact covariograms at `nodes` radii
+    whose interpolant starts at the exact slope.
     """
     th = as_unit(theta, K.dim)
     box = cov.axis_box(K)
@@ -116,18 +109,10 @@ def body_ray(K: ConvexBody, m: int, theta, seed: int = 0,
     R = cov.dm_support_radius(K, th)
     slope0 = proj.ppb_gauge_body(K, m, th) / vol
     grid = np.linspace(0.0, R, nodes)
-    vals, sigs = cov.covariogram_body_many(
-        K, grid[:, None, None] * th.blocks[None, :, :], seed=seed, samples=samples)
+    vals = cov.covariogram_body_many(K, grid[:, None, None] * th.blocks[None, :, :])
     vals = np.clip(vals / vol, 0.0, 1.0)
     vals[0] = 1.0
-    sig = sigs / vol
-    sig[0] = 0.0
-    envelope = () if not np.any(sig > 0.0) else tuple(
-        ml.from_table(grid, np.clip(vals + sign * sig, 0.0, 1.0), root=K.dim,
-                      slope0=slope0)
-        for sign in (1.0, -1.0))
-    return RadialRay(ml.from_table(grid, vals, root=K.dim, slope0=slope0), slope0,
-                     envelope)
+    return RadialRay(ml.from_table(grid, vals, root=K.dim, slope0=slope0), slope0)
 
 
 def _fd_slope(psi, scale: float) -> float:
@@ -137,8 +122,7 @@ def _fd_slope(psi, scale: float) -> float:
     return (10.0 * d2 - d1) / 9.0
 
 
-def layer_cake_ray(f: LogConcaveFunction, m: int, theta, seed: int = 0,
-                   samples: int | None = None) -> RadialRay:
+def layer_cake_ray(f: LogConcaveFunction, m: int, theta) -> RadialRay:
     """Reference section g_{f,m}(r theta) / ||f||_1 at fixed radii,
     by the layer cake in its original order, over the level depth v:
 
@@ -178,7 +162,7 @@ def layer_cake_ray(f: LogConcaveFunction, m: int, theta, seed: int = 0,
     else:   # quartic grading resolves heavy tails that fall steeply at 0
         horizon = R * prof.truncation_radius(1e-12, n + 8)
         grid = horizon * np.linspace(0.0, 1.0, _LAYER_CAKE_NODES) ** 4
-    body = body_ray(K, m, th, seed=seed, samples=samples)
+    body = body_ray(K, m, th)
     # Batches of 256 radii keep the (radius, level) arrays under 1 MB each.
     # glibc's malloc maps blocks of that size afresh, as zeroed pages, until
     # it has freed a larger mapping.  So one block the size of the whole grid
@@ -189,7 +173,7 @@ def layer_cake_ray(f: LogConcaveFunction, m: int, theta, seed: int = 0,
     vals = np.concatenate([section(rows, body.profile.value)
                            for rows in np.array_split(grid, _LAYER_CAKE_NODES // 256)])
     exact = body.profile.value if body.profile.kind != "table" \
-        else _body_section_direct(K, th.blocks, vol, seed, samples)
+        else _body_section_direct(K, th.blocks, vol)
     slope0 = _fd_slope(lambda r: float(section(np.array([r]), exact)[0]), R)
     return RadialRay(ml.from_table(grid, vals, root=n), slope0)
 
@@ -206,11 +190,8 @@ def as_unit(theta, n: int) -> cov.MVector:
 
 
 def radial_from_ray(ray: RadialRay, p: float) -> EstimateWithError:
-    """rho of the Ball body of a ray, `mellin.i_p` of its profile; the error
-    bar is half the spread of i_p over the envelope profiles of a noisy ray."""
-    rho = ml.i_p(ray.profile, p)
-    bounds = [ml.i_p(env, p) for env in ray.envelope] or [rho]
-    return EstimateWithError(rho, 0.5 * (max(bounds) - min(bounds)), 0)
+    """rho of the Ball body of a ray, `mellin.i_p` of its profile."""
+    return EstimateWithError(ml.i_p(ray.profile, p), 0.0, 0)
 
 
 def limit_body_minus1(ray: RadialRay) -> float:
@@ -228,16 +209,13 @@ def limit_body_minus1(ray: RadialRay) -> float:
 class StarBodyTable:
     directions: np.ndarray   # (D, d) unit rows
     radii: np.ndarray        # (D,)
-    std_errors: np.ndarray   # (D,)
     meta: dict
 
     def __post_init__(self):
         D = np.atleast_2d(np.asarray(self.directions, dtype=float))
         object.__setattr__(self, "directions", D)
         object.__setattr__(self, "radii", np.asarray(self.radii, dtype=float))
-        object.__setattr__(self, "std_errors",
-                           np.asarray(self.std_errors, dtype=float))
-        if len(self.radii) != len(D) or len(self.std_errors) != len(D):
+        if len(self.radii) != len(D):
             raise ValueError("table columns disagree in length")
         norms = np.linalg.norm(D, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
@@ -255,16 +233,9 @@ class StarBodyTable:
         return bool(np.any(~np.isfinite(self.radii)))
 
 def _build_table(rays, dirs, p, meta) -> StarBodyTable:
-    radii = np.empty(len(dirs))
-    sigs = np.empty(len(dirs))
-    cache: dict[int, EstimateWithError] = {}
-    for k, ray in enumerate(rays):
-        if id(ray) not in cache:
-            cache[id(ray)] = radial_from_ray(ray, p)
-        est = cache[id(ray)]
-        radii[k] = est.value
-        sigs[k] = est.std_error
-    return StarBodyTable(dirs, radii, sigs, meta)
+    distinct = {id(ray): ray for ray in rays}
+    rho = {key: radial_from_ray(ray, p).value for key, ray in distinct.items()}
+    return StarBodyTable(dirs, np.array([rho[id(ray)] for ray in rays]), meta)
 
 
 def rays_for(dirs, m: int, make_ray):
@@ -285,29 +256,24 @@ def rays_for(dirs, m: int, make_ray):
 
 
 def radial_mean_body_body(K: ConvexBody, m: int, p: float, directions=None,
-                          seed: int = 0, samples: int | None = None,
-                          nodes: int = 256) -> StarBodyTable:
+                          seed: int = 0, nodes: int = 256) -> StarBodyTable:
     """Radial table of R_p^m K over a sampled (or given) direction set."""
     d = K.dim * m
     dirs = direction_set(directions, d, seed)
-    rays = rays_for(dirs, m, lambda th: body_ray(K, m, th, seed=seed,
-                                                 samples=samples, nodes=nodes))
+    rays = rays_for(dirs, m, lambda th: body_ray(K, m, th, nodes=nodes))
     meta = {"p": p, "m": m, "kind": "body", "source": _describe(K), "seed": seed}
     return _build_table(rays, dirs, p, meta)
 
 
 def radial_mean_body_fn(f: LogConcaveFunction, m: int, p: float,
-                        directions=None, seed: int = 0,
-                        samples: int | None = None) -> StarBodyTable:
+                        directions=None, seed: int = 0) -> StarBodyTable:
     """Radial table of R_p^m f: the table of R_p^m K for the body K of f,
     times the profile-moment factor f.radial_factor(p) (1 for indicators)."""
-    body = radial_mean_body_body(f.body, m, p, directions=directions, seed=seed,
-                                 samples=samples)
+    body = radial_mean_body_body(f.body, m, p, directions=directions, seed=seed)
     factor = f.radial_factor(p)
     meta = {"p": p, "m": m, "kind": "function",
             "source": f"{f.profile.kind} on {_describe(f.body)}", "seed": seed}
-    return StarBodyTable(body.directions, factor * body.radii,
-                         factor * body.std_errors, meta)
+    return StarBodyTable(body.directions, factor * body.radii, meta)
 
 
 def direction_set(directions, d: int, seed: int) -> np.ndarray:
@@ -336,8 +302,6 @@ def star_volume(table: StarBodyTable) -> EstimateWithError:
     surface = sphere_surface(d)
     count = len(rho_d)
     value = surface * float(rho_d.mean()) / d
-    sig_mc = surface * float(rho_d.std(ddof=1)) / (d * math.sqrt(count)) \
+    sigma = surface * float(rho_d.std(ddof=1)) / (d * math.sqrt(count)) \
         if count > 1 else 0.0
-    sig_nodes = surface * float(np.mean(d * table.radii ** (d - 1)
-                                        * table.std_errors)) / d
-    return EstimateWithError(value, combine_sigma(sig_mc, sig_nodes), count)
+    return EstimateWithError(value, sigma, count)

@@ -6,6 +6,9 @@ package computes another way, so agreement checks both.
 * `cov_fn_direct`: g_{f,m}(xbar) by seeded direct Monte Carlo of
   min_i f(y - x_i) over a truncation box, against the level-set quadrature
   of `covariogram.covariogram_fn`;
+* `ball_cov_mc`: the covariogram of a ball by seeded Monte Carlo over the
+  box that bounds the meeting of its translates (once the package's own
+  `covariogram._ball_cov`), against the exact ball meetings;
 * `cov_radial_derivative`: the slope of r -> g_{f,m}(r theta) at 0+ by
   Richardson-extrapolated difference quotients, which tends to minus the
   polar projection gauge of theta;
@@ -25,11 +28,17 @@ import mthorder.convexcore as cc
 import mthorder.covariogram as cov
 import mthorder.inequalities as iq
 from mthorder.lcfun import ZERO_P_WINDOW, LogConcaveFunction
-from mthorder.numerics import EstimateWithError, default_mc_samples, make_rng
+from mthorder.numerics import EstimateWithError, make_rng
 
 _STREAM_DIRECT_MC = 201
+_STREAM_BALL_COV = 202
 _MC_SHARDS = 8
 _CORE_LEVEL = 1e-2   # the core box reaches where f falls to this fraction of phi(0)
+
+
+def default_mc_samples(total_dim: int) -> int:
+    """Monte Carlo budgets by ambient dimension; keeps suite runtime in minutes."""
+    return 200_000 if total_dim <= 4 else 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +86,7 @@ def cov_fn_direct(f: LogConcaveFunction, xbar, seed: int = 0,
     xb = cov.as_mvector(xbar, f.dim)
     n = f.dim
     shifts = np.vstack([np.zeros(n), xb.blocks])
-    N = samples or default_mc_samples(xb.total_dim)
+    N = samples or default_mc_samples(xb.blocks.size)
     supp = f.support_body()
     if supp is not None:
         lo0, hi0 = cc.bounding_box(supp)
@@ -115,6 +124,32 @@ def cov_fn_direct(f: LogConcaveFunction, xbar, seed: int = 0,
         sig_sq += s * s
         cnt += c
     return EstimateWithError(val, math.sqrt(sig_sq), cnt)
+
+
+def ball_cov_mc(K: cc.ConvexBody, xb: cov.MVector, seed: int,
+                samples) -> EstimateWithError:
+    """Seeded Monte Carlo g_{K,m} of a ball meeting three or more distinct
+    translates, over the box that bounds their intersection."""
+    r = K.radius
+    pts = np.vstack([np.zeros(K.dim), xb.blocks])
+    pts = np.unique(pts, axis=0)  # only distinct translates matter
+    if cc.miniball_radius(pts) > r + 1e-12:
+        return EstimateWithError(0.0, 0.0, 0)
+    centers = K.center + pts
+    lo = centers.max(axis=0) - r
+    hi = centers.min(axis=0) + r
+    if np.any(hi <= lo):
+        return EstimateWithError(0.0, 0.0, 0)
+    N = samples or default_mc_samples(K.dim)
+    gen = make_rng(seed, _STREAM_BALL_COV)
+    Y = lo + gen.random((N, K.dim)) * (hi - lo)
+    inside = np.ones(N, dtype=bool)
+    for p in centers:
+        inside &= np.sum((Y - p) ** 2, axis=1) <= r * r
+    frac = float(inside.mean())
+    box_vol = float(np.prod(hi - lo))
+    sigma = box_vol * math.sqrt(max(frac * (1.0 - frac), 0.0) / N)
+    return EstimateWithError(box_vol * frac, sigma, N)
 
 
 def cov_radial_derivative(f: LogConcaveFunction, m: int, theta,

@@ -10,6 +10,7 @@ from scipy.spatial import ConvexHull
 from mthorder import convexcore as cc
 from mthorder.covariogram import (
     MVector,
+    _disc_meeting,
     as_mvector,
     box_rates,
     covariogram_body,
@@ -27,7 +28,7 @@ from mthorder.covariogram import (
 )
 from mthorder.lcfun import LogConcaveFunction, NonIntegrableError, Profile
 from mthorder.numerics import combine_sigma, make_rng, max_slack
-from oracles import contains, cov_fn_direct, cov_radial_derivative, dm_body
+from oracles import ball_cov_mc, contains, cov_fn_direct, cov_radial_derivative, dm_body
 
 
 def interval01():
@@ -42,7 +43,7 @@ def expfun(K, shift=None, A=1.0):
 class TestMVector:
     def test_flat_roundtrip(self):
         xb = as_mvector([1.0, 2.0, 3.0, 4.0], 2)
-        assert xb.m == 2 and xb.n == 2 and xb.total_dim == 4
+        assert xb.m == 2 and xb.n == 2 and xb.flat.size == 4
         assert np.allclose(xb.flat, [1, 2, 3, 4])
 
     def test_bad_split(self):
@@ -114,8 +115,7 @@ class TestBodyCovariogram:
                                    for t in 2 * math.pi * np.arange(5) / 5 + 0.3])]
         for K in polys:
             B = gen.normal(size=(60, m, 2)) * 0.5
-            vals, sigs = covariogram_body_many(K, B)
-            assert np.all(sigs == 0.0)
+            vals = covariogram_body_many(K, B)
             for xb, v in zip(B, vals):
                 body = cc.intersect_translates(K, xb)
                 slow = 0.0 if body is None else cc.volume(body).value
@@ -134,8 +134,7 @@ class TestBodyCovariogram:
         K = cc.simplex(2, "centered")
         gen = make_rng(13, 0)
         B = gen.normal(size=(15, 2, 2)) * 0.3
-        vals, sigs = covariogram_body_many(K, B)
-        assert np.allclose(sigs, 0.0)
+        vals = covariogram_body_many(K, B)
         for xb, v in zip(B, vals):
             assert v == pytest.approx(covariogram_body(K, xb).value, rel=1e-12)
 
@@ -146,8 +145,9 @@ class TestBodyCovariogram:
 
     def test_simplex3_origin(self):
         K = cc.simplex(3, "corner")
-        est = covariogram_body(K, np.zeros((1, 3)), seed=4)
-        assert abs(est.value - 1.0 / 6.0) <= 3 * est.std_error + 1e-3
+        est = covariogram_body(K, np.zeros((1, 3)))
+        assert est.std_error == 0.0
+        assert est.value == pytest.approx(1.0 / 6.0, rel=1e-12)
 
 
 class TestBallCovariogram:
@@ -225,8 +225,8 @@ class TestBallCovariogram:
 
     def test_duplicate_translate_reduces_to_lens(self):
         lens = covariogram_body(cc.ball(2, 1.0), [[1.0, 0.0]]).value
-        est = covariogram_body(cc.ball(2, 1.0), [[1.0, 0.0], [1.0, 0.0]], seed=2)
-        assert abs(est.value - lens) <= 3 * est.std_error
+        est = covariogram_body(cc.ball(2, 1.0), [[1.0, 0.0], [1.0, 0.0]])
+        assert est.std_error == 0.0 and est.value == lens
 
     def test_far_translates_empty(self):
         assert covariogram_body(cc.ball(2, 1.0), [[3.0, 0.0], [0.0, 0.1]]).value == 0.0
@@ -238,21 +238,179 @@ class TestBallCovariogram:
                         - 0.5 * d * np.sqrt(np.maximum(4 * r * r - d * d, 0.0)), 0.0)
         x = np.stack([0.6 * d, -0.8 * d], axis=1)
         for B in (x[:, None, :], np.stack([x, x], axis=1), np.stack([x, 0.0 * x], axis=1)):
-            vals, sigs = covariogram_body_many(cc.ball(2, r), B)
-            assert np.all(sigs == 0.0)
+            vals = covariogram_body_many(cc.ball(2, r), B)
             np.testing.assert_allclose(vals, disc, rtol=1e-13, atol=1e-15)
 
-    def test_batch_with_three_translates_falls_back_to_monte_carlo(self):
-        B = np.array([[[0.4, 0.0], [0.4, 0.0]], [[0.4, 0.0], [0.0, 0.3]]])
-        vals, sigs = covariogram_body_many(cc.ball(2, 1.0), B, seed=4, samples=20_000)
-        assert sigs[0] == 0.0 and sigs[1] > 0.0
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_batch_with_three_translates_matches_single_rows(self, n):
+        B = np.zeros((3, 2, n))
+        B[0, :, 0] = 0.4                             # a duplicate translate: the lens
+        B[1, 0, 0], B[1, 1, 1] = 0.4, 0.3            # three distinct translates
+        B[2, 0, 0], B[2, 1, 0] = 1.5, -1.5           # collinear, too far apart
+        vals = covariogram_body_many(cc.ball(n, 1.0), B)
+        assert vals[0] == covariogram_body(cc.ball(n, 1.0), [[0.4] + [0.0] * (n - 1)]).value
+        assert 0.0 < vals[1] < vals[0] and vals[2] == 0.0
         for xb, v in zip(B, vals):
-            assert v == covariogram_body(cc.ball(2, 1.0), xb, seed=4, samples=20_000).value
+            assert v == covariogram_body(cc.ball(n, 1.0), xb).value
 
     def test_determinism(self):
-        a = covariogram_body(cc.ball(2, 1.0), [[0.5, 0.2], [0.1, 0.4]], seed=9)
-        b = covariogram_body(cc.ball(2, 1.0), [[0.5, 0.2], [0.1, 0.4]], seed=9)
+        a = covariogram_body(cc.ball(2, 1.0), [[0.5, 0.2], [0.1, 0.4]])
+        b = covariogram_body(cc.ball(2, 1.0), [[0.5, 0.2], [0.1, 0.4]])
         assert a.value == b.value
+
+
+def _scipy_disc_area(c, rad):
+    """Area of the meeting of the discs B(c_i, rad_i) by scipy quad over x of
+    the chord, with breakpoints where a disc ends or two circles cross."""
+    lo, hi = np.max(c[:, 0] - rad), np.min(c[:, 0] + rad)
+    if hi <= lo:
+        return 0.0
+    cuts = list(c[:, 0] - rad) + list(c[:, 0] + rad)
+    for i, j in itertools.combinations(range(len(c)), 2):
+        v = c[j] - c[i]
+        d = math.hypot(*v)
+        if abs(rad[i] - rad[j]) < d < rad[i] + rad[j]:
+            a = (d * d + rad[i] ** 2 - rad[j] ** 2) / (2.0 * d)
+            h = math.sqrt(max(rad[i] ** 2 - a * a, 0.0))
+            cuts += [c[i, 0] + (a * v[0] + s * h * v[1]) / d for s in (1.0, -1.0)]
+    discs = [(float(x0), float(y0), float(r) ** 2) for (x0, y0), r in zip(c, rad)]
+
+    def chord(x):
+        top, bottom = math.inf, -math.inf
+        for x0, y0, r2 in discs:
+            h = math.sqrt(max(r2 - (x - x0) ** 2, 0.0))
+            top, bottom = min(top, y0 + h), max(bottom, y0 - h)
+        return max(top - bottom, 0.0)
+    pts = sorted(x for x in cuts if lo < x < hi)
+    return integrate.quad(chord, lo, hi, points=pts or None, epsabs=1e-13,
+                          epsrel=1e-11, limit=200)[0]
+
+
+def _scipy_ball_meeting(c):
+    """Volume of the meeting of the unit balls B(c_i, 1) in R^3 by scipy quad
+    over z of the slice areas, with breakpoints where a slice disc vanishes,
+    two slice circles touch (the z-extremes of a pair's circle) or three
+    spheres meet."""
+    lo, hi = c[:, 2].max() - 1.0, c[:, 2].min() + 1.0
+    if hi <= lo:
+        return 0.0
+    cuts = []
+    for i, j in itertools.combinations(range(len(c)), 2):
+        u = c[j] - c[i]
+        d = float(np.linalg.norm(u))
+        if 0.0 < d < 2.0:
+            rho = math.sqrt(1.0 - d * d / 4.0) * math.sqrt(max(1.0 - (u[2] / d) ** 2, 0.0))
+            cuts += [0.5 * (c[i, 2] + c[j, 2]) + s * rho for s in (1.0, -1.0)]
+    for i, j, k in itertools.combinations(range(len(c)), 3):
+        a, b = c[j] - c[i], c[k] - c[i]
+        nrm = np.cross(a, b)
+        centre = c[i] + np.cross(a @ a * b - b @ b * a, nrm) / (2.0 * nrm @ nrm)
+        gap = 1.0 - float(np.sum((centre - c[i]) ** 2))
+        if gap > 0.0:
+            off = math.sqrt(gap) * nrm[2] / float(np.linalg.norm(nrm))
+            cuts += [centre[2] + off, centre[2] - off]
+
+    def area(z):
+        return _scipy_disc_area(c[:, :2], np.sqrt(np.maximum(1.0 - (z - c[:, 2]) ** 2, 0.0)))
+    pts = sorted(z for z in cuts if lo < z < hi)
+    return integrate.quad(area, lo, hi, points=pts or None, epsabs=1e-13,
+                          epsrel=1e-8, limit=200)[0]
+
+
+def _rotation(n, seed):
+    q, _ = np.linalg.qr(make_rng(seed, 90).normal(size=(n, n)))
+    return q
+
+
+class TestBallMeetings:
+    """Exact meetings of three or more equal balls against closed forms,
+    scipy quadrature and the Monte Carlo oracle."""
+
+    def test_reuleaux_triangle(self):
+        a = 1.3
+        xb = a * np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]]) @ _rotation(2, 1)
+        want = 0.5 * (math.pi - math.sqrt(3.0)) * a * a
+        assert covariogram_body(cc.ball(2, a), xb).value == pytest.approx(want, rel=1e-12)
+
+    def test_reuleaux_tetrahedron(self):
+        a = 1.3
+        xb = a * np.array([[1.0, 0.0, 0.0], [0.5, math.sqrt(3.0) / 2.0, 0.0],
+                           [0.5, math.sqrt(3.0) / 6.0, math.sqrt(2.0 / 3.0)]]) @ _rotation(3, 2)
+        want = a ** 3 * (3.0 * math.sqrt(2.0) - 49.0 * math.pi
+                         + 162.0 * math.atan(math.sqrt(2.0))) / 12.0
+        assert covariogram_body(cc.ball(3, a), xb).value == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_collinear_translates_give_the_lens(self, n):
+        a = 0.8
+        e = _rotation(n, n)[0]
+        K = cc.ball(n, a)
+        for s, t in [(0.3, 0.9), (-0.5, 0.6), (0.2, 1.7)]:
+            want = cc.volume(K).value * lens(n, (t - min(s, 0.0)) / (2.0 * a))
+            got = covariogram_body(K, [s * e, t * e]).value
+            assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_duplicate_translate_counts_once(self, n):
+        x, y = make_rng(3, n).normal(size=(2, n)) * 0.5
+        K = cc.ball(n, 1.0)
+        assert covariogram_body(K, [x, x, y]).value == pytest.approx(
+            covariogram_body(K, [x, y]).value, rel=1e-12)
+
+    def test_pairwise_meeting_balls_can_miss_together(self):
+        side = 1.9      # every pair of unit balls meets; the circumradii exceed 1
+        tri = side * np.array([[1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
+        tet = side * np.array([[1.0, 0.0, 0.0], [0.5, math.sqrt(3.0) / 2.0, 0.0],
+                               [0.5, math.sqrt(3.0) / 6.0, math.sqrt(2.0 / 3.0)]])
+        assert covariogram_body(cc.ball(2, 1.0), tri[:1]).value > 0.0
+        assert covariogram_body(cc.ball(2, 1.0), tri).value == 0.0
+        assert covariogram_body(cc.ball(3, 1.0), np.hstack([tri, np.zeros((2, 1))])).value == 0.0
+        assert covariogram_body(cc.ball(3, 1.0), tet).value == 0.0
+
+    def test_disc_meeting_at_tangency(self):
+        """Tangent, nested and nearly coincident pairs of unequal discs."""
+        C = np.zeros((5, 2, 2))
+        C[:, 1, 0] = [0.5, 0.0, 1.1, 1e-13, 0.7]
+        rad = np.array([[0.3, 0.8], [0.3, 0.8], [0.3, 0.8], [0.3, 0.3 + 2e-13], [0.3, 0.8]])
+        got = _disc_meeting(C - C.mean(axis=1, keepdims=True), rad)
+        small = math.pi * 0.09
+        np.testing.assert_allclose(got[:2], small, rtol=1e-14)
+        assert got[2] == 0.0
+        assert got[3] == pytest.approx(small, rel=1e-11)
+        assert got[4] == pytest.approx(_scipy_disc_area(C[4], rad[4]), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_discs_match_scipy_quadrature(self, seed):
+        xb = make_rng(seed, 77).normal(size=(2 + seed % 2, 2)) * 0.5
+        c = np.vstack([np.zeros(2), xb])
+        want = _scipy_disc_area(c, np.ones(len(c)))
+        assert covariogram_body(cc.ball(2, 1.0), xb).value == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_balls_match_scipy_quadrature(self, m):
+        xb = make_rng(m, 78).normal(size=(m, 3)) * 0.5
+        want = _scipy_ball_meeting(np.vstack([np.zeros(3), xb]))
+        assert want > 0.0
+        assert covariogram_body(cc.ball(3, 1.0), xb).value == pytest.approx(want, rel=1e-9)
+
+    def test_translates_beyond_a_plane_in_r4_are_out_of_scope(self):
+        K = cc.ball(4, 1.0)
+        assert covariogram_body(K, 0.3 * np.eye(4)[:2]).value > 0.0
+        with pytest.raises(NotImplementedError):
+            covariogram_body(K, 0.3 * np.eye(4)[:3])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_monte_carlo_oracle_is_calibrated(self, n):
+        """z-scores of 40 seeded 20,000-draw estimates against the exact value."""
+        K = cc.ball(n, 1.0)
+        xb = MVector(make_rng(5, n).normal(size=(2, n)) * 0.5)
+        exact = covariogram_body(K, xb).value
+        z = []
+        for seed in range(40):
+            est = ball_cov_mc(K, xb, seed, 20_000)
+            z.append((est.value - exact) / est.std_error)
+        assert 0.6 <= np.std(z, ddof=1) <= 1.5
+        assert np.max(np.abs(z)) <= 4.0
 
 
 class TestFunctionCovariogram:
@@ -314,12 +472,13 @@ class TestFunctionCovariogram:
         b = cov_fn_direct(f1, [0.6], seed=2)
         assert abs(a.value - b.value) <= 3 * combine_sigma(a.std_error, b.std_error)
 
-    def test_noisy_levelset_branch_agrees_with_direct(self):
-        f = expfun(cc.ball(2, 1.0))
-        xb = np.array([[0.3, 0.0], [0.0, 0.3]])
-        ls = covariogram_fn(f, xb, seed=5, samples=300_000)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_ball_levelset_with_three_translates_agrees_with_direct(self, n):
+        f = expfun(cc.ball(n, 1.0))
+        xb = 0.3 * np.eye(n)[:2]
+        ls = covariogram_fn(f, xb)
         mc = cov_fn_direct(f, xb, seed=6)
-        assert ls.std_error > 0.0
+        assert ls.std_error <= 1e-9 * ls.value
         assert abs(ls.value - mc.value) <= 3 * combine_sigma(ls.std_error, mc.std_error)
 
     def test_duplicate_blocks_keep_exact_levelset(self):
@@ -372,7 +531,7 @@ class TestMethodAgreement:
     @pytest.mark.parametrize("case_id", range(50))
     def test_levelset_vs_direct(self, case_id):
         f, xb = _random_cases(50)[case_id]
-        ls = covariogram_fn(f, xb, seed=case_id)
+        ls = covariogram_fn(f, xb)
         mc = cov_fn_direct(f, xb, seed=case_id)
         tol = 3 * combine_sigma(ls.std_error, mc.std_error) + 1e-9
         assert abs(ls.value - mc.value) <= tol
@@ -404,7 +563,7 @@ def test_integral_of_classical_covariogram_is_volume_squared():
     K = cc.cube(2, 1.0)
     gen = make_rng(41, 0)
     X = gen.random((200_000, 1, 2)) * 4.0 - 2.0
-    vals, _ = covariogram_body_many(K, X)
+    vals = covariogram_body_many(K, X)
     integral = 16.0 * float(vals.mean())
     assert integral == pytest.approx(cc.volume(K).value ** 2, rel=1e-2)
 
@@ -536,7 +695,7 @@ class TestDmBody:
     def test_interval_m2_grid_oracle(self):
         xs = np.linspace(-1.049, 1.049, 1500)
         G = np.stack(np.meshgrid(xs, xs), axis=-1).reshape(-1, 2, 1)
-        vals, _ = covariogram_body_many(interval01(), G)
+        vals = covariogram_body_many(interval01(), G)
         area = (vals > 0).mean() * (2.098) ** 2
         assert area == pytest.approx(3.0, rel=1e-2)
 

@@ -333,9 +333,15 @@ class TestCli:
          '{"profile": "exponential", "body": {"kind": "cube", "dim": 1}}}', "finite"),
         ('{"name": "x", "check": "rs-body", "m": 1, "body": '
          '{"kind": "ball", "dim": 2, "center": [1e400, 0.0]}}', "finite"),
+        # a body chain skips p = 0, so a grid of zeros alone is empty
+        ('{"name": "x", "check": "chain", "m": 1, "p_grid": [0], '
+         '"body": {"kind": "cube", "dim": 2}}', "skips p = 0"),
+        # four translates of a ball in R^4 span three dimensions
+        ('{"name": "x", "check": "chain", "m": 3, "p_grid": [1.0], '
+         '"body": {"kind": "ball", "dim": 4}}', "at most a plane"),
     ], ids=["mixed-dimensions", "rs-multi-1d-cap", "rs-multi-2d-cap", "rs-single-cap",
             "zhang-fn-cap", "rs-body-cap", "zero-direction", "inf-shift", "nan-point",
-            "inf-center"])
+            "inf-center", "chain-body-p0", "chain-ball4-m3"])
     def test_invalid_input_exits_two(self, tmp_path, capsys, text, fragment):
         path = tmp_path / "config.json"
         path.write_text(text)
@@ -376,15 +382,20 @@ class TestCli:
 
     def test_verdicts_byte_identical_across_thread_counts(self, tmp_path, capsys,
                                                          monkeypatch):
-        path = _write(tmp_path, {"name": "rsf", "experiment": "rs-functional",
-                                 "seed": 0})
-        reports = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("MTHORDER_THREADS", threads)
-            out = tmp_path / f"t{threads}"
-            assert cli.main(["run", path, "--out", str(out)]) == 0
-            reports.append((out / "verdicts.json").read_bytes())
-        assert reports[0] == reports[1]
+        configs = [{"name": "rsf", "experiment": "rs-functional", "seed": 0},
+                   # exact meetings of three discs along every ray
+                   {"name": "disc-chain", "check": "chain", "m": 2,
+                    "p_grid": [-0.5, 1.0], "body": {"kind": "ball", "dim": 2},
+                    "directions": 2}]
+        for config in configs:
+            path = _write(tmp_path, config)
+            reports = []
+            for threads in ("1", "2"):
+                monkeypatch.setenv("MTHORDER_THREADS", threads)
+                out = tmp_path / f"{config['name']}-t{threads}"
+                assert cli.main(["run", path, "--out", str(out)]) == 0
+                reports.append((out / "verdicts.json").read_bytes())
+            assert reports[0] == reports[1]
 
     def test_samples_override_lands_in_manifest(self, tmp_path, capsys):
         out = tmp_path / "pair"

@@ -143,7 +143,6 @@ class TestBodyRays:
         # normalized lens area at distance 1
         want = (2.0 * math.acos(0.5) - 0.5 * math.sqrt(3.0)) / math.pi
         assert ray.profile.value(1.0) == pytest.approx(want, rel=1e-12)
-        assert ray.envelope == ()
 
 
 def _box(n):
@@ -284,36 +283,34 @@ class TestTableRays:
         assert got.value == pytest.approx(_per_knot_radius(ray, knots, p), rel=1e-10)
         assert got.std_error == 0.0
 
-    def test_monte_carlo_table_carries_an_envelope(self):
-        ray = sb.body_ray(cc.ball(2, 1.0), 2, [0.6, 0.0, 0.0, 0.8],
-                          samples=4000, nodes=32)
-        assert len(ray.envelope) == 2
-        for p in [-0.5, 0.0, 1.0]:
-            est = sb.radial_from_ray(ray, p)
-            lo, hi = sorted(ml.i_p(env, p) for env in ray.envelope)
-            assert lo <= est.value <= hi
-            assert est.std_error == pytest.approx(0.5 * (hi - lo), rel=1e-12)
+    def test_disc_table_is_exact_at_m2(self):
+        """The disc ray at m = 2 tabulates exact meetings of three discs: no
+        sigma, and 256 nodes agree with 16,384 to 1e-7 at both ends of p."""
+        th = [2 ** -0.5, 0.0, 0.0, 2 ** -0.5]
+        ray = sb.body_ray(cc.ball(2, 1.0), 2, th)
+        fine = sb.body_ray(cc.ball(2, 1.0), 2, th, nodes=16_384)
+        for p, want in [(-0.99, 0.0124449566), (1.0, 0.7760086)]:
+            got = sb.radial_from_ray(ray, p)
+            ref = sb.radial_from_ray(fine, p).value
+            assert got.std_error == 0.0
+            assert got.value == pytest.approx(ref, rel=1e-7)
+            assert ref == pytest.approx(want, rel=1e-7)
 
-    def test_monte_carlo_table_takes_the_exact_slope(self):
-        """Pinning the slope at 0 to the projection gauge narrows the p -> -1
-        radius of a noisy disc ray, and keeps it on the long-run value."""
+    def test_disc_table_takes_the_exact_slope(self):
+        """Pinning the slope at 0 to the projection gauge brings the p -> -1
+        radius of a coarse disc ray onto the fine-table value."""
         disc, th = cc.ball(2, 1.0), sb.as_unit([1.0, 0.0, 0.0, 1.0], 2)
-        ray = sb.body_ray(disc, 2, th, samples=4000, nodes=64)
-        for prof in (ray.profile, *ray.envelope):
-            assert prof.slope0 == pytest.approx(-ray.slope0, rel=1e-12)
-        pinned = sb.radial_from_ray(ray, -0.99)
+        ray = sb.body_ray(disc, 2, th, nodes=64)
+        assert ray.profile.slope0 == pytest.approx(-ray.slope0, rel=1e-12)
+        pinned = sb.radial_from_ray(ray, -0.99).value
         # the same table with one-sided end slopes, as before the pin
         grid = np.linspace(0.0, cov.dm_support_radius(disc, th), 64)
-        vals, sigs = cov.covariogram_body_many(disc, grid[:, None, None] * th.blocks[None],
-                                               seed=0, samples=4000)
-        vals, sig = np.clip(vals / math.pi, 0.0, 1.0), sigs / math.pi
-        vals[0], sig[0] = 1.0, 0.0
-        bounds = [ml.i_p(ml.from_table(grid, np.clip(vals + s * sig, 0.0, 1.0), root=2),
-                         -0.99) for s in (1.0, -1.0)]
-        assert pinned.std_error <= abs(bounds[0] - bounds[1]) / 40.0
-        long_run = sb.radial_from_ray(sb.body_ray(disc, 2, th, samples=64000, nodes=64),
-                                      -0.99)
-        assert abs(pinned.value - long_run.value) <= 3.0 * pinned.std_error
+        vals = np.clip(cov.covariogram_body_many(disc, grid[:, None, None] * th.blocks[None])
+                       / math.pi, 0.0, 1.0)
+        vals[0] = 1.0
+        unpinned = ml.i_p(ml.from_table(grid, vals, root=2), -0.99)
+        fine = sb.radial_from_ray(sb.body_ray(disc, 2, th, nodes=16_384), -0.99).value
+        assert abs(pinned - fine) <= abs(unpinned - fine) / 40.0
 
 
 class TestBallRays:
@@ -438,34 +435,37 @@ class TestStarVolume:
     def test_unit_sphere_d2(self):
         dirs = np.array([[math.cos(t), math.sin(t)]
                          for t in np.linspace(0, 2 * math.pi, 33)[:-1]])
-        t = sb.StarBodyTable(dirs, np.ones(32), np.zeros(32), {"p": 1})
+        t = sb.StarBodyTable(dirs, np.ones(32), {"p": 1})
         assert sb.star_volume(t).value == pytest.approx(math.pi, rel=1e-12)
 
     def test_unit_sphere_d3(self):
         rng = make_rng(5, 9)
         dirs = rng.normal(size=(64, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        t = sb.StarBodyTable(dirs, np.ones(64), np.zeros(64), {})
+        t = sb.StarBodyTable(dirs, np.ones(64), {})
         assert sb.star_volume(t).value == pytest.approx(4.0 * math.pi / 3.0,
                                                         rel=1e-12)
 
     def test_unbounded_entry_rejected(self):
         t = sb.StarBodyTable(np.array([[1.0], [-1.0]]),
-                             np.array([1.0, math.inf]), np.zeros(2), {})
+                             np.array([1.0, math.inf]), {})
         with pytest.raises(cc.UnboundedBodyError):
             sb.star_volume(t)
 
     def test_sigma_propagates(self):
+        # the standard error of the sphere average of rho^d / d over the directions
         dirs = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-        t = sb.StarBodyTable(dirs, np.ones(4), np.full(4, 0.01), {})
-        assert sb.star_volume(t).std_error > 0.0
+        radii = np.array([1.0, 2.0, 1.0, 2.0])
+        est = sb.star_volume(sb.StarBodyTable(dirs, radii, {}))
+        assert est.value == pytest.approx(math.pi * 2.5, rel=1e-14)
+        assert est.std_error == pytest.approx(math.pi * np.std(radii ** 2, ddof=1) / 2.0,
+                                              rel=1e-14)
 
 
 class TestTableSerialization:
     def test_non_unit_directions_rejected(self):
         with pytest.raises(ValueError):
-            sb.StarBodyTable(np.array([[2.0, 0.0]]), np.array([1.0]),
-                             np.array([0.0]), {})
+            sb.StarBodyTable(np.array([[2.0, 0.0]]), np.array([1.0]), {})
 
 
 class TestChains:
