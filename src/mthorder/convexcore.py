@@ -234,6 +234,8 @@ def ball(n: int, r: float, center=None) -> ConvexBody:
     if r <= 0:
         raise DegenerateBodyError("radius must be positive")
     c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
+    if c.shape != (n,):
+        raise ValueError(f"center must have shape ({n},), got {c.shape}")
     if n == 1:
         return from_halfspaces(np.array([[1.0], [-1.0]]),
                                np.array([c[0] + r, -(c[0] - r)]))
@@ -242,6 +244,8 @@ def ball(n: int, r: float, center=None) -> ConvexBody:
 
 def translate(K: ConvexBody, v) -> ConvexBody:
     v = np.asarray(v, dtype=float)
+    if v.shape != (K.dim,):
+        raise ValueError(f"translation must have shape ({K.dim},), got {v.shape}")
     if K.kind == "ball":
         return ConvexBody(K.dim, "ball", None, None, None, K.center + v, K.radius)
     return ConvexBody(K.dim, "polytope", K.normals, K.offsets + K.normals @ v,

@@ -37,8 +37,6 @@ _STREAM_SUPPORT_DIRS = 903
 _STREAM_RANDOM_BODIES = 905
 _STREAM_RANDOM_TRIPLES = 907
 
-_DEFAULT_THREAD_CAP = 8
-
 
 class ConfigError(ValueError):
     """Config rejected before any computation starts."""
@@ -763,7 +761,8 @@ def _custom_jobs(cfg: ExperimentConfig, seed: int, samples: int | None):
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Explicit argument, else MTHORDER_THREADS, else a capped CPU count."""
+    """Explicit argument, else MTHORDER_THREADS, else 1: the catalog's jobs
+    hold the GIL for most of their time, so a pool only adds contention."""
     if threads is not None:
         return max(1, int(threads))
     env = os.environ.get("MTHORDER_THREADS")
@@ -772,7 +771,7 @@ def resolve_threads(threads: int | None = None) -> int:
             return max(1, int(env))
         except ValueError:
             raise ConfigError("MTHORDER_THREADS must be an integer") from None
-    return min(_DEFAULT_THREAD_CAP, os.cpu_count() or 1)
+    return 1
 
 
 def _named(label: str, thunk):

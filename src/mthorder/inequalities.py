@@ -38,7 +38,6 @@ its radial mean bodies are those of K times one profile moment factor.
 from __future__ import annotations
 
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -153,13 +152,14 @@ def csv_summary(verdicts) -> str:
 
 
 def run_jobs(jobs, threads: int | None = None) -> list:
-    """Run independent verdict jobs on a thread pool, preserving order.
+    """Run independent verdict jobs in order on the caller's thread, or on a
+    pool of `threads` threads when more than one is asked for.
 
     Each job is a zero-argument callable returning a Verdict or a list of
     Verdicts; the flattened results come back in submission order.
     """
-    workers = threads if threads else min(len(jobs), os.cpu_count() or 1)
-    if workers <= 1 or len(jobs) <= 1:
+    workers = min(threads or 1, len(jobs))
+    if workers <= 1:
         results = [job() for job in jobs]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -279,6 +279,9 @@ class LogConcaveFunction:
             raise ValueError("amplitude must be positive")
         if self.profile.kind == "pfamily" and self.profile.ambient_dim != self.body.dim:
             raise ValueError("pfamily profile bound to a different dimension")
+        if np.shape(self.shift) != (self.body.dim,):
+            raise ValueError(f"shift must have shape ({self.body.dim},), "
+                             f"got {np.shape(self.shift)}")
         cc.gauge(self.body, np.zeros(self.body.dim))   # origin-in-body check
 
     @property

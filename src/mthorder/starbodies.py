@@ -29,7 +29,11 @@ g_{f,m}(x) = A int (-phi'(s)) s^n g_{K,m}(x/s) ds factors its radial mean
 bodies as rho(R_p^m f) = f.radial_factor(p) * rho(R_p^m K), with the profile
 moments M_k = int (-phi') s^k ds in closed form.  `layer_cake_ray`
 tabulates the function section in the original order of integration; it
-is the independent reference that checks that factorization.
+is the independent reference that checks that factorization.  Its level
+integral runs on geometric Gauss panels sized to each radius's level span
+over a box's polynomial section, and on a fixed number of panels per
+radius over a table or lens, whose knots are kinks; the (radius, level)
+nodes go to the body section in batches of a fixed node budget.
 """
 
 from __future__ import annotations
@@ -49,9 +53,14 @@ from .numerics import EstimateWithError, gauss_panels, sphere_sample, sphere_sur
 
 _STREAM_STAR_DIRS = 401
 
-_LEVEL_PANELS = 24        # geometric Gauss panels per radius of a layer-cake ray
-_LAYER_CAKE_NODES = 1024  # fixed radii of a layer-cake ray (Gaussian section to 2e-8)
-_LEVEL_DEPTH = 40.0       # least level depth v (levels down to e^-v of the peak)
+_LEVEL_PANELS = 24          # geometric Gauss panels per radius over a table or lens section
+_LEVEL_PANEL_WIDTH = 1.9    # most e-folds of level depth per panel over a box section
+_LAYER_CAKE_NODES = 1024    # fixed radii of a layer-cake ray (Gaussian section to 2e-8)
+_LEVEL_DEPTH = 40.0         # least level depth v (levels down to e^-v of the peak)
+# (radius, level) nodes per batch of a layer-cake ray.  Each array of a batch
+# stays under 128 KiB, glibc's default mmap threshold, so it comes from reused
+# heap pages instead of a fresh mapping of zeroed pages on every call
+_LEVEL_NODE_BUDGET = 16_368
 
 
 def default_direction_count(d: int) -> int:
@@ -129,10 +138,15 @@ def layer_cake_ray(f: LogConcaveFunction, m: int, theta) -> RadialRay:
         g_{f,m}(r theta) = A phi(0) int e^{-v} s(v)^n g_{K,m}(r theta / s(v)) dv,
 
     s(v) = profile.depth_scale(v), on geometric Gauss panels from the depth
-    at which r theta enters s(v) D^m(K); all (radius, level) pairs take one
-    call of the body section.  The slope at 0 is a Richardson difference of
-    the same integral over exact body covariograms.  Never swapping the
-    order of integration, it checks `radial_mean_body_fn`.
+    v_lo at which r theta enters s(v) D^m(K) down to the least depth.  A
+    one-piece polynomial body section (a box) is smooth in v, so each radius
+    takes panels of at most `_LEVEL_PANEL_WIDTH` e-folds over its own span
+    log(depth / v_lo); a table or lens section has kinks at its knots and
+    keeps `_LEVEL_PANELS` panels per radius.  The (radius, level) pairs go
+    to the body section in batches of at most `_LEVEL_NODE_BUDGET` nodes.
+    The slope at 0 is a Richardson difference of the same integral over
+    exact body covariograms.  Never swapping the order of integration, it
+    checks `radial_mean_body_fn`.
     """
     th = as_unit(theta, f.dim)
     K, prof, n = f.body, f.profile, f.dim
@@ -141,19 +155,32 @@ def layer_cake_ray(f: LogConcaveFunction, m: int, theta) -> RadialRay:
     weight = f.amplitude * prof.phi0 * vol / f.mass()
     cut = prof.depth(cov.profile_cut(prof, n, f.amplitude * vol))
     depth = max(_LEVEL_DEPTH, cut) if math.isfinite(cut) else _LEVEL_DEPTH
-    unit, unit_w = gauss_panels(np.linspace(0.0, 1.0, _LEVEL_PANELS + 1))
+    body = body_ray(K, m, th)
+    smooth = body.profile.kind == "ppoly"
+    unit, unit_w = gauss_panels(np.array([0.0, 1.0]))
 
-    def section(r, body_psi):
+    def levels(r):
+        """The radii inside the support, their least depths v_lo, spans
+        log(depth / v_lo) and panel counts."""
         v_lo = prof.depth(r / R)
         live = (v_lo < depth) & (r > 0.0)
-        v_lo = np.maximum(v_lo[live, None], 1e-18)
+        v_lo = np.maximum(v_lo[live], 1e-18)
         span = np.log(depth / v_lo)
-        V = v_lo * np.exp(span * unit)
+        panels = np.maximum(2, np.ceil(span / _LEVEL_PANEL_WIDTH)).astype(np.intp) \
+            if smooth else np.full(span.size, _LEVEL_PANELS)
+        return live, v_lo, span, panels
+
+    def section(r, body_psi):
+        live, v_lo, span, panels = levels(r)
+        row = np.repeat(np.arange(span.size), panels)          # radius of each panel
+        k = np.arange(row.size) - (np.cumsum(panels) - panels)[row]
+        width = (span / panels)[row, None]                      # e-folds per panel
+        V = v_lo[row, None] * np.exp(width * (k[:, None] + unit))
         S = prof.depth_scale(V)
-        g = body_psi((r[live, None] / S).ravel()).reshape(S.shape)
+        g = body_psi((r[live][row, None] / S).ravel()).reshape(S.shape)
+        terms = (width * unit_w) * V * np.exp(-V) * S ** n * g
         out = np.where(r > 0.0, 0.0, 1.0)
-        out[live] = weight * np.sum(span * unit_w * V * np.exp(-V) * S ** n * g,
-                                    axis=1)
+        out[live] = weight * np.bincount(row, terms.sum(axis=1), span.size)
         return np.clip(out, 0.0, 1.0)
 
     support = R * prof.support_radius
@@ -162,20 +189,27 @@ def layer_cake_ray(f: LogConcaveFunction, m: int, theta) -> RadialRay:
     else:   # quartic grading resolves heavy tails that fall steeply at 0
         horizon = R * prof.truncation_radius(1e-12, n + 8)
         grid = horizon * np.linspace(0.0, 1.0, _LAYER_CAKE_NODES) ** 4
-    body = body_ray(K, m, th)
-    # Batches of 256 radii keep the (radius, level) arrays under 1 MB each.
-    # glibc's malloc maps blocks of that size afresh, as zeroed pages, until
-    # it has freed a larger mapping.  So one block the size of the whole grid
-    # (3 MB) is allocated and freed at once first, and the batches reuse heap
-    # pages (scaling-laws in a fresh process: 65k minor page faults and
-    # 0.33 s without it, none and 0.15 s with it)
-    np.empty((_LAYER_CAKE_NODES, unit.size))
-    vals = np.concatenate([section(rows, body.profile.value)
-                           for rows in np.array_split(grid, _LAYER_CAKE_NODES // 256)])
+    live, _, _, panels = levels(grid)
+    nodes = np.zeros(grid.size, dtype=np.intp)
+    nodes[live] = panels * unit.size
+    vals = np.concatenate([section(grid[rows], body.profile.value)
+                           for rows in _batches(nodes, _LEVEL_NODE_BUDGET)])
     exact = body.profile.value if body.profile.kind != "table" \
         else _body_section_direct(K, th.blocks, vol)
     slope0 = _fd_slope(lambda r: float(section(np.array([r]), exact)[0]), R)
     return RadialRay(ml.from_table(grid, vals, root=n), slope0)
+
+
+def _batches(sizes: np.ndarray, budget: int):
+    """Consecutive slices of items whose sizes sum to at most `budget` (an
+    item larger than the budget goes alone)."""
+    ends = np.cumsum(sizes)
+    a = 0
+    while a < len(sizes):
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - sizes[a] + budget,
+                                           side="right")))
+        yield slice(a, b)
+        a = b
 
 
 def as_unit(theta, n: int) -> cov.MVector:

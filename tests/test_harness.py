@@ -160,8 +160,9 @@ class TestThreads:
             harness.resolve_threads()
 
     def test_default_positive(self, monkeypatch):
+        # serial unless asked: the catalog's jobs are GIL-bound
         monkeypatch.delenv("MTHORDER_THREADS", raising=False)
-        assert harness.resolve_threads() >= 1
+        assert harness.resolve_threads() == 1
 
 
 class TestJsonRendering:
@@ -339,9 +340,16 @@ class TestCli:
         # four translates of a ball in R^4 span three dimensions
         ('{"name": "x", "check": "chain", "m": 3, "p_grid": [1.0], '
          '"body": {"kind": "ball", "dim": 4}}', "at most a plane"),
+        # vectors of the wrong length, which numpy would broadcast
+        ('{"name": "x", "check": "rs-body", "m": 1, "body": '
+         '{"kind": "ball", "dim": 2, "center": [1]}}', "must have shape (2,)"),
+        ('{"name": "x", "check": "rs-single", "m": 1, "function": {"profile": '
+         '"exponential", "body": {"kind": "simplex", "dim": 1}, "shift": [1, 2, 3]}}',
+         "must have shape (1,)"),
     ], ids=["mixed-dimensions", "rs-multi-1d-cap", "rs-multi-2d-cap", "rs-single-cap",
             "zhang-fn-cap", "rs-body-cap", "zero-direction", "inf-shift", "nan-point",
-            "inf-center", "chain-body-p0", "chain-ball4-m3"])
+            "inf-center", "chain-body-p0", "chain-ball4-m3", "center-length",
+            "shift-length"])
     def test_invalid_input_exits_two(self, tmp_path, capsys, text, fragment):
         path = tmp_path / "config.json"
         path.write_text(text)

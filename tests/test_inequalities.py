@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -131,6 +132,16 @@ class TestCsvAndJobs:
         vs = [iq.make_verdict(f"v{i}", est(0.0), est(1.0)) for i in range(6)]
         jobs = [lambda v=v: v for v in vs]
         assert iq.run_jobs(jobs, threads=3) == iq.run_jobs(jobs, threads=1)
+
+    def test_run_jobs_default_is_the_callers_thread(self):
+        seen = []
+
+        def job():
+            seen.append(threading.get_ident())
+            return iq.make_verdict("v", est(0.0), est(1.0))
+
+        assert len(iq.run_jobs([job] * 4)) == 4
+        assert seen == [threading.get_ident()] * 4
 
 
 class TestConvolutions:

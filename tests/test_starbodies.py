@@ -553,6 +553,13 @@ class TestScalingLaws:
 _PENTAGON = cc.from_vertices(make_rng(1, 1).normal(size=(5, 2)))   # 5 vertices
 
 
+def _quarter_level_panels(monkeypatch):
+    """Layer-cake rays at four times the level resolution, whichever rule a
+    ray's body section takes."""
+    monkeypatch.setattr(sb, "_LEVEL_PANELS", 4 * sb._LEVEL_PANELS)
+    monkeypatch.setattr(sb, "_LEVEL_PANEL_WIDTH", sb._LEVEL_PANEL_WIDTH / 4.0)
+
+
 class TestLayerCakeReference:
     """The profile-moment factor against the layer cake in its original order."""
 
@@ -592,6 +599,38 @@ class TestLayerCakeReference:
         rk = sb.radial_from_ray(sb.body_ray(cc.simplex(1), 1, [1.0]), -0.5).value
         assert f.radial_factor(-0.5) == pytest.approx(1.0, rel=1e-12)
         assert ref == pytest.approx(rk, rel=1e-5)
+
+    @pytest.mark.parametrize("body,m,theta", [
+        (cc.cube(1, 1.0), 1, [1.0]), (cc.cube(1, 1.0), 2, [0.6, 0.8]),
+        (cc.cube(2, 1.0), 1, [0.6, 0.8]), (cc.cube(2, 1.0), 2, [0.36, 0.48, 0.48, 0.64])],
+        ids=["interval-m1", "interval-m2", "square-m1", "square-m2"])
+    @pytest.mark.parametrize("kind,par", [
+        ("exponential", None), ("gaussian", None), ("pfamily", -0.5)])
+    def test_box_level_rule_converged(self, monkeypatch, body, m, theta, kind, par):
+        # span-sized panels against the same ray at a quarter of the panel width
+        f = LogConcaveFunction(profile_from_kind(kind, par, ambient_dim=body.dim),
+                               body, np.zeros(body.dim))
+        ray = sb.layer_cake_ray(f, m, theta)
+        _quarter_level_panels(monkeypatch)
+        fine = sb.layer_cake_ray(f, m, theta)
+        for p in [-0.5, 0.0, 1.0, 5.0]:
+            assert sb.radial_from_ray(ray, p).value == pytest.approx(
+                sb.radial_from_ray(fine, p).value, rel=1e-8)
+        assert ray.slope0 == pytest.approx(fine.slope0, rel=1e-8)
+
+    @pytest.mark.parametrize("kind", ["exponential", "gaussian"])
+    def test_table_level_rule_converged(self, monkeypatch, kind):
+        # a table's knots are kinks in the level integrand: 24 panels per
+        # radius against 96
+        f = LogConcaveFunction(profile_from_kind(kind, ambient_dim=2),
+                               _PENTAGON, np.zeros(2))
+        ray = sb.layer_cake_ray(f, 1, [0.6, 0.8])
+        _quarter_level_panels(monkeypatch)
+        fine = sb.layer_cake_ray(f, 1, [0.6, 0.8])
+        for p in [-0.5, 0.0, 1.0, 5.0]:
+            assert sb.radial_from_ray(ray, p).value == pytest.approx(
+                sb.radial_from_ray(fine, p).value, rel=1e-8)
+        assert ray.slope0 == pytest.approx(fine.slope0, rel=1e-8)
 
     def test_indicator_section_is_body_section(self):
         f = LogConcaveFunction(profile_from_kind("indicator", ambient_dim=2),
