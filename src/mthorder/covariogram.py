@@ -344,15 +344,6 @@ def covariogram_body_many(K: ConvexBody, xbars) -> np.ndarray:
 # support of g_{K,m}: the m-th difference construction D^m(K)
 
 
-def dm_support_membership(K: ConvexBody, xbar) -> bool:
-    """Whether xbar lies in D^m(K) = supp g_{K,m}."""
-    xb = as_mvector(xbar, K.dim)
-    if K.kind == "ball":
-        pts = np.vstack([np.zeros(K.dim), xb.blocks])
-        return cc.miniball_radius(pts) <= K.radius + 1e-12
-    return cc.intersect_translates(K, xb.blocks) is not None
-
-
 def dm_support_radius(K: ConvexBody, theta) -> float:
     """max{r >= 0 : r*theta in D^m(K)} -- the radial function of D^m(K).
 
@@ -418,18 +409,6 @@ def meeting_volume(bodies) -> float:
         return cc.polygon_area(pts)
     from scipy.spatial import ConvexHull
     return float(ConvexHull(pts).volume)
-
-
-def dm_volume(K: ConvexBody, m: int) -> float:
-    """vol_{nm}(D^m(K)), exact: the meeting volume of m + 1 copies of a
-    polytope with n*m <= 6, vol(2K) = 2^n vol(K) for a ball at m = 1."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if K.kind == "ball":
-        if m > 1:
-            raise NotImplementedError("D^m of a ball has no closed form for m > 1")
-        return 2.0 ** K.dim * cc.volume(K).value
-    return meeting_volume([K] * (m + 1))
 
 
 # ---------------------------------------------------------------------------

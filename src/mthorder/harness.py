@@ -434,14 +434,10 @@ def _jobs_support_identity(seed, samples):
     for m in (1, 2):
         def thunk(m=m):
             dirs = sphere_sample(m, 64, seed, stream=_STREAM_SUPPORT_DIRS)
-            table = sb.radial_mean_body_fn(chi, m, 200.0, directions=dirs,
-                                           seed=seed)
-            radii, exact, devs = [], [], []
-            for th, rho in zip(dirs, table.radii.tolist()):
-                ref = cov.dm_support_radius_fn(chi, th)
-                radii.append(rho)
-                exact.append(ref)
-                devs.append(abs(rho - ref) / ref)
+            radii = sb.radial_mean_body_fn(chi, m, 200.0, directions=dirs,
+                                           seed=seed).tolist()
+            exact = [cov.dm_support_radius_fn(chi, th) for th in dirs]
+            devs = [abs(rho - ref) / ref for rho, ref in zip(radii, exact)]
             meta = {"m": m, "directions": len(dirs),
                     "radii": radii, "support_radii": exact,
                     "curve": {"x": list(range(len(dirs))), "y": radii}}
@@ -701,7 +697,6 @@ def _custom_jobs(cfg: ExperimentConfig, seed: int, samples: int | None):
         raise ConfigError(f"{cfg.name!r}: all functions must share the "
                           f"ambient dimension")
 
-    n_samples = samples if samples is not None else p.get("samples")
     check = cfg.check
     if check in ("zhang-body", "chain", "tangent-bound"):
         # the Petty side of zhang-body is the unit ball
@@ -723,14 +718,14 @@ def _custom_jobs(cfg: ExperimentConfig, seed: int, samples: int | None):
                 _require_shapes(cfg.name, key, p[key], allowed)
     if check == "rs-body":
         thunk = lambda: iq.check_rs_body(body, p["m"], seed=seed,
-                                         samples=n_samples)
+                                         samples=samples)
     elif check == "rs-single":
         thunk = lambda: iq.check_rs_single(func, p["m"], seed=seed,
-                                           samples=n_samples)
+                                           samples=samples)
     elif check == "rs-multi":
         inner = p.get("inner_samples")
         thunk = lambda: iq.check_rs_multi(funcs, seed=seed,
-                                          outer_samples=n_samples,
+                                          outer_samples=samples,
                                           inner_samples=inner)
     elif check == "zhang-fn":
         thunk = lambda: iq.check_zhang_fn(func, p["m"], seed=seed,

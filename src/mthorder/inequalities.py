@@ -21,11 +21,14 @@ every requested translate is the best cell's peak in closed form; for
 other profiles it is a single row-batched bracket search over all
 translates at once (the product is log-concave, hence unimodal).  Above
 one dimension it is a compass search per translate.  The L1 norm over the
-translates is exact for indicator tuples of polytopes with n*m <= 6 (the
-hull of the vertex sums: `interval` in one dimension, `meeting-volume`
-above), of two balls (`ball-overlap`) and of a polygon and a disc
-(`steiner`), and a uniform Monte Carlo over the translation box of those
-sups otherwise (`pointwise-sup`).  The sup norm rests on the int-convolution
+translates is exact for indicator tuples of polytopes with n*m <= 6 and at
+most `_MEETING_SUMS_MAX` vertex sums (the hull of the sums: `interval` in
+one dimension, `meeting-volume` above), of two balls (`ball-overlap`) and
+of a polygon and a disc (`steiner`), and a uniform Monte Carlo over the
+translation box of those sups otherwise (`pointwise-sup`).  The body
+inequality vol(D^m K) <= binom(n(m+1), n) vol(K)^m is the single-function
+one on chi_K, so `check_rs_body` takes its left side from the same
+routes.  The sup norm rests on the int-convolution
 int_z f_0(z) prod_i f_i(z - x_i) dz: in one dimension the same cells
 integrated in closed form, or a fixed breakpoint-aligned Gauss rule for
 other profiles; Monte Carlo above.
@@ -50,7 +53,7 @@ from . import mellin as ml
 from . import projection as proj
 from . import starbodies as sb
 from .convexcore import ConvexBody
-from .lcfun import ZERO_P_WINDOW, LogConcaveFunction
+from .lcfun import ZERO_P_WINDOW, LogConcaveFunction, profile_from_kind
 from .numerics import (EstimateWithError, combine_sigma, erfcx, gauss_panels,
                        make_rng, max_slack, maximize_logconcave,
                        minimize_convex)
@@ -61,7 +64,6 @@ VIOLATED = "violated_beyond_3sigma"
 
 _EQUALITY_TOL = 1e-6
 
-_STREAM_RS_BOX = 502
 _STREAM_STAR_L1 = 503
 _STREAM_INT_CONV = 504
 
@@ -258,12 +260,17 @@ def _feasible_point(fbar, offsets):
         t, x = max_slack(A, b, np.ones(len(b)), polys[0].vertices.mean(axis=0))
         return x if t >= -1e-9 else None
     if not polys and len(balls) == 2:
-        c0, c1 = balls[0].center, balls[1].center
+        # on the segment from c0 to c1, the points at distance t from c0
+        # with t in [gap - r1, r0] lie in both balls; take the middle of
+        # that piece of [0, gap]
+        (c0, r0), (c1, r1) = [(B.center, B.radius) for B in balls]
         gap = float(np.linalg.norm(c1 - c0))
-        if gap > balls[0].radius + balls[1].radius + 1e-12:
+        if gap > r0 + r1 + 1e-12:
             return None
-        w = balls[0].radius / max(gap, 1e-300)
-        return c0 + min(w, 0.5) * (c1 - c0) if gap > 0 else c0.copy()
+        if gap == 0.0:
+            return c0.copy()
+        t = 0.5 * (max(0.0, gap - r1) + min(r0, gap))
+        return c0 + (t / gap) * (c1 - c0)
 
     def excess(Z):
         total = np.zeros(len(Z))
@@ -453,17 +460,15 @@ def _sup_rows(fbar, boxes, X: np.ndarray):
     """(argmax, sup) of z -> f_0(z) * prod_i f_i(z - x_i) for every row x of
     X (n = 1); sup 0 where supports miss.
 
-    All-indicator tuples take the product at the centre of their supports'
-    overlap.  Other tuples that `_closed_form` admits (indicator,
-    exponential and Gaussian factors) take the exact peak of
-    `_exponent_pieces`.  Power and other p-family factors take one bracket
-    search over all rows at once (the product is log-concave, hence
-    unimodal); a row then keeps its feasible start (the centre of the
-    compact supports' overlap, else 0) when the search finds no larger
-    value there, as on a zero-valued grid around a sliver of positive
-    product.
+    Tuples that `_closed_form` admits (indicator, exponential and Gaussian
+    factors) take the exact peak of `_exponent_pieces`.  Power and other
+    p-family factors take one bracket search over all rows at once (the
+    product is log-concave, hence unimodal); a row then keeps its feasible
+    start (the centre of the compact supports' overlap, else 0) when the
+    search finds no larger value there, as on a zero-valued grid around a
+    sliver of positive product.
     """
-    if _closed_form(fbar) and any(f.profile.kind != "indicator" for f in fbar):
+    if _closed_form(fbar):
         return _closed_sup_rows(_exponent_pieces(fbar, boxes, X), len(X))
     T, lo_i, hi_i = _row_boxes(boxes, X)
 
@@ -478,8 +483,6 @@ def _sup_rows(fbar, boxes, X: np.ndarray):
         z = 0.5 * (lo_i[:, compact].max(axis=1) + hi_i[:, compact].min(axis=1))
     live = lo < hi
     val = np.where(live, product(slice(None))(z[:, None])[:, 0], 0.0)
-    if all(f.profile.kind == "indicator" for f in fbar):
-        return z, val
     search = live & (hi - lo > 1e-14)
     if np.any(search):
         x, v = _bracket_max_many(product(search), lo[search], hi[search])
@@ -490,11 +493,8 @@ def _sup_rows(fbar, boxes, X: np.ndarray):
 
 
 def _sup_point(fbar, boxes, offsets):
-    """(argmax, sup) of the translated product; sup 0.0 when supports miss."""
-    n = fbar[0].dim
-    if n == 1:
-        z, val = _sup_rows(fbar, boxes, np.concatenate(offsets[1:])[None, :])
-        return z, float(val[0])
+    """(argmax, sup) of the translated product for n >= 2; sup 0.0 when
+    supports miss.  One-dimensional tuples take `_sup_rows`."""
     if _conv_box(boxes, offsets) is None:
         return None, 0.0
     start = _feasible_point(fbar, offsets)
@@ -651,36 +651,39 @@ def _mode_scales(fbar, offsets, z_star, f_max, widths) -> np.ndarray:
 # Rogers-Shephard family
 
 
+def _indicator(K: ConvexBody) -> LogConcaveFunction:
+    """chi_K, with K moved by an interior point (its vertex mean or centre)
+    when it does not contain the origin, which a function's body must."""
+    flat = profile_from_kind("indicator")
+    try:
+        return LogConcaveFunction(flat, K, np.zeros(K.dim))
+    except cc.OriginNotContainedError:
+        inner = K.center if K.kind == "ball" else K.vertices.mean(axis=0)
+        return LogConcaveFunction(flat, cc.translate(K, -inner), np.zeros(K.dim))
+
+
 def check_rs_body(K: ConvexBody, m: int, seed: int = 0,
                   samples: int | None = None) -> Verdict:
-    """vol(D^m K) <= binom(n(m+1), n) * vol(K)^m.
+    """vol(D^m K) <= binom(n(m+1), n) * vol(K)^m: Rogers and Shephard at
+    m = 1, Schneider above; simplices give equality.
 
-    The left side is exact (cov.dm_volume) except for a ball at m >= 2,
-    where `samples` seeded membership tests estimate it.
+    This is `check_rs_single` on f = chi_K, whose left side
+    ||(chi_K, ..., chi_K)_star_m||_1 is vol(D^m K): the same `_star_l1`
+    routes, meeting-volume cap and `samples`, so metadata["route"] and
+    metadata["samples"] are its.  vol(D^m K) does not change when K is
+    translated to contain the origin (`_indicator`); the right side is
+    taken on K as given.
     """
     n = K.dim
     if n * m > 6:
         raise NotImplementedError("difference-body check is limited to n*m <= 6")
     t0 = time.perf_counter()
+    fbar = [_indicator(K)] * (m + 1)
+    lhs, info = _star_l1(fbar, _factor_boxes(fbar), seed, samples)
     const = float(math.comb(n * (m + 1), n))
     rhs = EstimateWithError(const * cc.volume(K).value ** m, 0.0, 0)
-    try:
-        lhs = EstimateWithError(cov.dm_volume(K, m), 0.0, 0)
-        route = "exact"
-    except NotImplementedError:
-        lo, hi = cc.bounding_box(K)
-        width = hi - lo
-        N = int(samples or 20_000)
-        gen = make_rng(seed, _STREAM_RS_BOX)
-        X = (2.0 * gen.random((N, m, n)) - 1.0) * width
-        hits = sum(cov.dm_support_membership(K, X[i]) for i in range(N))
-        box_vol = float(np.prod(2.0 * width)) ** m
-        frac = hits / N
-        lhs = EstimateWithError(box_vol * frac,
-                                box_vol * math.sqrt(frac * (1.0 - frac) / N), N)
-        route = "monte-carlo"
-    meta = {"n": n, "m": m, "seed": seed, "route": route,
-            "runtime_s": time.perf_counter() - t0}
+    meta = {"n": n, "m": m, "seed": seed,
+            "runtime_s": time.perf_counter() - t0, **info}
     return make_verdict("rs-body", lhs, rhs, metadata=meta)
 
 
@@ -736,9 +739,13 @@ def check_rs_single(f: LogConcaveFunction, m: int, seed: int = 0,
 
     The tuple repeats f unreflected, as `check_rs_multi` takes its tuples:
     sup_z f(z) prod_i f(z - x_i) is positive exactly where supp f meets
-    every supp f + x_i, so on f = chi_K the left side is vol(D^m K), the
-    check coincides with `check_rs_body`, and simplices give Schneider's
-    equality.
+    every supp f + x_i, so on f = chi_K the left side is vol(D^m K) and
+    simplices give Schneider's equality; `check_rs_body` is this check on
+    chi_K.  The left side is `_star_l1`'s: exact for the indicator of a
+    polytope with at most `_MEETING_SUMS_MAX` vertex sums (`interval`,
+    `meeting-volume`) and of a ball at m = 1 (`ball-overlap`); otherwise
+    the mean sup over `samples` seeded translates (`pointwise-sup`, 1,500
+    by default) with a shard sigma.
     """
     n = f.dim
     if n * m > 6:
@@ -911,15 +918,10 @@ def check_chain(source, m: int, p_grid, directions=None, seed: int = 0,
     dirs = sb.direction_set(directions, K.dim * m, seed)
     rays = sb.rays_for(dirs, m, lambda th: sb.body_ray(K, m, th, nodes=nodes))
 
-    cache: dict[tuple[int, float], EstimateWithError] = {}
-
-    def level(k: int, p: float) -> EstimateWithError:
-        key = (id(rays[k]), p)
-        if key not in cache:
-            norm = ml.binom_root(p, s) * factor(p)
-            cache[key] = sb.radial_from_ray(rays[k], p).scaled(norm)
-        return cache[key]
-
+    levels = {}
+    for p in grid.tolist():
+        radii = sb.radii_at(rays, p) * (ml.binom_root(p, s) * factor(p))
+        levels[p] = [EstimateWithError(r, 0.0, 0) for r in radii.tolist()]
     reach = ml.c_const(s) * factor(-1.0)
     endpoint = [EstimateWithError(reach * sb.limit_body_minus1(rays[k]), 0.0, 0)
                 for k in range(len(dirs))]
@@ -927,9 +929,8 @@ def check_chain(source, m: int, p_grid, directions=None, seed: int = 0,
     pairs += [(float(a), float(b)) for a, b in zip(grid, grid[1:])]
     verdicts = []
     for p_out, p_in in pairs:
-        outer = endpoint if p_out == -1.0 else [level(k, p_out)
-                                                for k in range(len(dirs))]
-        inner = [level(k, p_in) for k in range(len(dirs))]
+        outer = endpoint if p_out == -1.0 else levels[p_out]
+        inner = levels[p_in]
         margins = np.array([o.value - i.value for o, i in zip(outer, inner)])
         worst = int(np.argmin(margins))
         meta = {"p_outer": p_out, "p_inner": p_in, "source": label, "m": m,

@@ -195,8 +195,7 @@ def ppb_volume(source, m: int, seed: int = 0,
     gauges = ppb_gauge_body_many(K, m, dirs.reshape(len(dirs), m, K.dim))
     if np.any(gauges <= 1e-12):
         raise UnboundedBodyError("PPB gauge vanishes along a sampled direction")
-    table = sb.StarBodyTable(dirs, 1.0 / gauges, {})
-    return sb.star_volume(table)
+    return sb.star_volume(1.0 / gauges, d)
 
 
 def matheron_consistency(f: LogConcaveFunction, m: int, theta) -> dict:

@@ -1,4 +1,4 @@
-"""Ball bodies and radial p-th mean bodies, as star-body radial tables.
+"""Ball bodies and radial p-th mean bodies, as radii along direction sets.
 
 The radial function of the Ball body of a radial section psi (normalized so
 psi(0) = sup psi = 1) is a Mellin mean of the section,
@@ -236,40 +236,15 @@ def limit_body_minus1(ray: RadialRay) -> float:
 
 
 # ---------------------------------------------------------------------------
-# star-body tables
+# radial mean bodies over direction sets
 
 
-@dataclass(frozen=True)
-class StarBodyTable:
-    directions: np.ndarray   # (D, d) unit rows
-    radii: np.ndarray        # (D,)
-    meta: dict
-
-    def __post_init__(self):
-        D = np.atleast_2d(np.asarray(self.directions, dtype=float))
-        object.__setattr__(self, "directions", D)
-        object.__setattr__(self, "radii", np.asarray(self.radii, dtype=float))
-        if len(self.radii) != len(D):
-            raise ValueError("table columns disagree in length")
-        norms = np.linalg.norm(D, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ValueError("directions must be unit vectors")
-        finite = self.radii[np.isfinite(self.radii)]
-        if np.any(finite < 0.0):
-            raise ValueError("radial values must be nonnegative")
-
-    @property
-    def dim(self) -> int:
-        return self.directions.shape[1]
-
-    @property
-    def has_unbounded(self) -> bool:
-        return bool(np.any(~np.isfinite(self.radii)))
-
-def _build_table(rays, dirs, p, meta) -> StarBodyTable:
+def radii_at(rays, p: float) -> np.ndarray:
+    """rho at p of every ray's Ball body, `radial_from_ray` once per
+    distinct ray object."""
     distinct = {id(ray): ray for ray in rays}
     rho = {key: radial_from_ray(ray, p).value for key, ray in distinct.items()}
-    return StarBodyTable(dirs, np.array([rho[id(ray)] for ray in rays]), meta)
+    return np.array([rho[id(ray)] for ray in rays])
 
 
 def rays_for(dirs, m: int, make_ray):
@@ -290,24 +265,19 @@ def rays_for(dirs, m: int, make_ray):
 
 
 def radial_mean_body_body(K: ConvexBody, m: int, p: float, directions=None,
-                          seed: int = 0, nodes: int = 256) -> StarBodyTable:
-    """Radial table of R_p^m K over a sampled (or given) direction set."""
-    d = K.dim * m
-    dirs = direction_set(directions, d, seed)
-    rays = rays_for(dirs, m, lambda th: body_ray(K, m, th, nodes=nodes))
-    meta = {"p": p, "m": m, "kind": "body", "source": _describe(K), "seed": seed}
-    return _build_table(rays, dirs, p, meta)
+                          seed: int = 0, nodes: int = 256) -> np.ndarray:
+    """Radii of R_p^m K along `direction_set(directions, nm, seed)`."""
+    dirs = direction_set(directions, K.dim * m, seed)
+    return radii_at(rays_for(dirs, m, lambda th: body_ray(K, m, th, nodes=nodes)), p)
 
 
 def radial_mean_body_fn(f: LogConcaveFunction, m: int, p: float,
-                        directions=None, seed: int = 0) -> StarBodyTable:
-    """Radial table of R_p^m f: the table of R_p^m K for the body K of f,
-    times the profile-moment factor f.radial_factor(p) (1 for indicators)."""
-    body = radial_mean_body_body(f.body, m, p, directions=directions, seed=seed)
+                        directions=None, seed: int = 0) -> np.ndarray:
+    """Radii of R_p^m f: those of R_p^m K for the body K of f, times the
+    profile-moment factor f.radial_factor(p) (1 for indicators)."""
     factor = f.radial_factor(p)
-    meta = {"p": p, "m": m, "kind": "function",
-            "source": f"{f.profile.kind} on {_describe(f.body)}", "seed": seed}
-    return StarBodyTable(body.directions, factor * body.radii, meta)
+    return factor * radial_mean_body_body(f.body, m, p, directions=directions,
+                                          seed=seed)
 
 
 def direction_set(directions, d: int, seed: int) -> np.ndarray:
@@ -321,18 +291,12 @@ def direction_set(directions, d: int, seed: int) -> np.ndarray:
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
-def _describe(K: ConvexBody) -> str:
-    if K.kind == "ball":
-        return f"ball(dim={K.dim}, r={K.radius:g})"
-    return f"polytope(dim={K.dim}, facets={len(K.offsets)})"
-
-
-def star_volume(table: StarBodyTable) -> EstimateWithError:
-    """(1/d) * surface(S^{d-1}) * mean(rho^d) over the table's directions."""
-    if table.has_unbounded:
-        raise UnboundedBodyError("table contains unbounded radial entries")
-    d = table.dim
-    rho_d = table.radii ** d
+def star_volume(radii: np.ndarray, d: int) -> EstimateWithError:
+    """(1/d) * surface(S^{d-1}) * mean(rho^d) over the radii of a star body
+    along directions sampled uniformly on S^{d-1}."""
+    if np.any(~np.isfinite(radii)):
+        raise UnboundedBodyError("a radius of the star body is unbounded")
+    rho_d = radii ** d
     surface = sphere_surface(d)
     count = len(rho_d)
     value = surface * float(rho_d.mean()) / d

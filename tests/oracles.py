@@ -15,8 +15,11 @@ package computes another way, so agreement checks both.
 * `radial_from_ray_derivative`: the Ball-body radius of a ray by the
   trapezoid rule on a finite-difference -psi', against
   `starbodies.radial_from_ray`;
+* `dm_support_membership`: whether xbar lies in D^m(K), by a miniball
+  radius or an LP; its hit rate over a box checks the meeting volumes
+  and the sampled translates of the Rogers-Shephard checks;
 * `dm_body` and `contains`: D^m(K) as an explicit hull, against
-  `covariogram.dm_support_membership`;
+  `dm_support_membership`;
 * `sup_convolution`: sup_z f_0(z) prod_i f_i(z - x_i) at one x, by the
   search that the Rogers-Shephard checks run on every row.
 """
@@ -194,6 +197,15 @@ def radial_from_ray_derivative(ray, p: float, nodes: int = 4001) -> float:
 # D^m(K) as a body
 
 
+def dm_support_membership(K: cc.ConvexBody, xbar) -> bool:
+    """Whether xbar lies in D^m(K) = supp g_{K,m}."""
+    xb = cov.as_mvector(xbar, K.dim)
+    if K.kind == "ball":
+        pts = np.vstack([np.zeros(K.dim), xb.blocks])
+        return cc.miniball_radius(pts) <= K.radius + 1e-12
+    return cc.intersect_translates(K, xb.blocks) is not None
+
+
 def contains(K: cc.ConvexBody, X) -> np.ndarray:
     """Membership of every row of X in K, with the package's geometric tolerance."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -218,5 +230,8 @@ def dm_body(K: cc.ConvexBody, m: int) -> cc.ConvexBody:
 
 def sup_convolution(fbar, xbar) -> float:
     """sup_z f_0(z) * prod_i f_i(z - x_i); 0 when the supports never meet."""
-    fbar, _, _ = iq._validated_tuple(fbar)
-    return iq._sup_point(fbar, iq._factor_boxes(fbar), iq._offsets(fbar, xbar))[1]
+    fbar, n, _ = iq._validated_tuple(fbar)
+    boxes, offsets = iq._factor_boxes(fbar), iq._offsets(fbar, xbar)
+    if n == 1:
+        return float(iq._sup_rows(fbar, boxes, np.concatenate(offsets[1:])[None, :])[1][0])
+    return iq._sup_point(fbar, boxes, offsets)[1]

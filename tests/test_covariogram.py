@@ -16,10 +16,8 @@ from mthorder.covariogram import (
     covariogram_body,
     covariogram_body_many,
     covariogram_fn,
-    dm_support_membership,
     dm_support_radius,
     dm_support_radius_fn,
-    dm_volume,
     lens,
     lens_drop,
     lens_slope,
@@ -28,7 +26,8 @@ from mthorder.covariogram import (
 )
 from mthorder.lcfun import LogConcaveFunction, NonIntegrableError, Profile
 from mthorder.numerics import combine_sigma, make_rng, max_slack
-from oracles import ball_cov_mc, contains, cov_fn_direct, cov_radial_derivative, dm_body
+from oracles import (ball_cov_mc, contains, cov_fn_direct, cov_radial_derivative, dm_body,
+                     dm_support_membership)
 
 
 def interval01():
@@ -726,7 +725,10 @@ class TestDmBody:
     @pytest.mark.parametrize("K,m", [(interval01(), 1), (interval01(), 3),
                                      (cc.simplex(2, "corner"), 2)])
     def test_dm_volume_is_meeting_volume_of_copies(self, K, m):
-        assert dm_volume(K, m) == meeting_volume([K] * (m + 1))
+        # D^m of a simplex meets Schneider's bound binom(n(m+1), n) vol(K)^m
+        n = K.dim
+        want = math.comb(n * (m + 1), n) * cc.volume(K).value ** m
+        assert meeting_volume([K] * (m + 1)) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("bodies", [
         [cc.cube(2, 1.0), cc.simplex(2, "corner")],
@@ -752,7 +754,7 @@ class TestDmBody:
 
     def test_quadrilateral_volume_against_membership_oracle(self):
         K = cc.from_vertices([[0.0, 0.0], [2.0, 0.0], [1.5, 1.0], [0.2, 1.3]])
-        exact = dm_volume(K, 2)
+        exact = meeting_volume([K] * 3)
         lo, hi = cc.bounding_box(K)
         width = hi - lo
         N = 4000

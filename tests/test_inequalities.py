@@ -13,7 +13,7 @@ import mthorder.inequalities as iq
 import mthorder.mellin as ml
 from mthorder.lcfun import LogConcaveFunction, profile_from_kind
 from mthorder.numerics import EstimateWithError, make_rng
-from oracles import sup_convolution
+from oracles import dm_support_membership, sup_convolution
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -213,6 +213,25 @@ class TestConvolutions:
         monkeypatch.setattr(iq, "_sup_rows", refuse)
         got = iq.int_convolution([std_gauss, two_sided, chi], [0.3, -0.2])
         assert got.value > 0.0
+
+    @pytest.mark.parametrize("r,gap", [(0.1, 0.5), (0.3, 1.2)],
+                             ids=["inside", "partial"])
+    def test_disc_meets_a_smaller_disc(self, r, gap):
+        # a feasible start must lie in both discs: the point half way along
+        # the centres, (gap / 2, 0), misses the smaller one in both cases
+        small = LogConcaveFunction(profile_from_kind("indicator", ambient_dim=2),
+                                   cc.ball(2, r), np.array([gap, 0.0]))
+        assert sup_convolution([disc_chi, small], [0.0, 0.0]) == 1.0
+        got = iq.int_convolution([disc_chi, small], [0.0, 0.0], samples=20_000)
+        if gap + r <= 1.0:
+            exact = math.pi * r * r
+        else:       # the lens of circles of radii 1 and r at distance gap
+            exact = (r * r * math.acos((gap * gap + r * r - 1.0) / (2.0 * gap * r))
+                     + math.acos((gap * gap + 1.0 - r * r) / (2.0 * gap))
+                     - 0.5 * math.sqrt((r + 1.0 - gap) * (gap + r - 1.0)
+                                       * (gap - r + 1.0) * (gap + r + 1.0)))
+        assert got.std_error > 0.0
+        assert abs(got.value - exact) <= 4.0 * got.std_error
 
     def test_int_disjoint_is_exact_zero(self):
         got = iq.int_convolution([disc_chi, disc_chi], [3.0, 0.0])
@@ -534,7 +553,7 @@ class TestRsBody:
         v = iq.check_rs_body(cc.simplex(2), 1)
         assert v.status == iq.EQUALITY
         assert (v.lhs.value, v.rhs.value) == (3.0, 3.0)   # exact vertices
-        assert v.metadata["route"] == "exact"
+        assert (v.metadata["route"], v.metadata["samples"]) == ("meeting-volume", 0)
 
     def test_interval_m2_equality(self):
         v = iq.check_rs_body(unit_interval(), 2)
@@ -544,13 +563,13 @@ class TestRsBody:
     @pytest.mark.parametrize("m", [4, 5, 6])
     def test_interval_high_order_equality(self, m):
         v = iq.check_rs_body(unit_interval(), m)
-        assert v.metadata["route"] == "exact"
+        assert v.metadata["route"] == "interval"
         assert v.lhs.value == pytest.approx(m + 1.0, rel=1e-12)
         assert v.status == iq.EQUALITY
 
     def test_simplex3_m2_is_exact_equality(self):
         v = iq.check_rs_body(cc.simplex(3), 2)
-        assert v.metadata["route"] == "exact"
+        assert v.metadata["route"] == "meeting-volume"
         assert v.lhs.value == pytest.approx(7.0 / 3.0, rel=1e-12)
         assert v.rhs.value == pytest.approx(7.0 / 3.0, rel=1e-12)
         assert v.lhs.std_error == v.rhs.std_error == 0.0
@@ -559,24 +578,54 @@ class TestRsBody:
     def test_disc_is_strict(self):
         v = iq.check_rs_body(cc.ball(2, 1.0), 1)
         assert v.status == iq.HOLDS
+        assert v.metadata["route"] == "ball-overlap"
         assert v.lhs.value == pytest.approx(4.0 * math.pi, rel=1e-9)
         assert v.rhs.value == pytest.approx(6.0 * math.pi, rel=1e-9)
 
     def test_disc_m2_goes_monte_carlo(self):
-        v = iq.check_rs_body(cc.ball(2, 1.0), 2, samples=3_000)
-        assert v.metadata["route"] == "monte-carlo"
+        # D^2 of a disc has no meeting volume: the mean sup over sampled
+        # translates, against the membership oracle's hit rate on a box
+        v = iq.check_rs_body(cc.ball(2, 1.0), 2, samples=800)
+        assert (v.metadata["route"], v.metadata["samples"]) == ("pointwise-sup", 800)
+        assert v.metadata["row_kernel"] == "compass-search"
         assert v.status == iq.HOLDS
         assert 0.0 < v.lhs.value < v.rhs.value
         assert v.lhs.std_error > 0.0
+        N = 3_000
+        X = 4.0 * make_rng(11, 1).random((N, 2, 2)) - 2.0    # D^2 B lies in [-2, 2]^4
+        frac = np.mean([dm_support_membership(cc.ball(2, 1.0), x) for x in X])
+        hit = EstimateWithError(256.0 * frac, 256.0 * math.sqrt(frac * (1.0 - frac) / N), N)
+        sigma = math.hypot(v.lhs.std_error, hit.std_error)
+        assert abs(v.lhs.value - hit.value) <= 4.0 * sigma
 
     def test_monte_carlo_route_matches_exact(self, monkeypatch):
-        def refuse(K, m):
-            raise NotImplementedError
+        # with no meeting volume allowed, the triangle's D(K), a hexagon of
+        # area 3 in the box [-1, 1]^2, is sampled
+        monkeypatch.setattr(iq, "_MEETING_SUMS_MAX", 0)
+        v = iq.check_rs_body(cc.simplex(2), 1, samples=2_000)
+        assert v.metadata["route"] == "pointwise-sup"
+        assert v.lhs.std_error > 0.0
+        assert abs(v.lhs.value - 3.0) <= 4.0 * v.lhs.std_error
 
-        monkeypatch.setattr(cov, "dm_volume", refuse)
-        v = iq.check_rs_body(cc.ball(2, 1.0), 1, samples=4_000)
-        assert v.metadata["route"] == "monte-carlo"
-        assert abs(v.lhs.value - 4.0 * math.pi) <= 4.0 * v.lhs.std_error
+    def test_ten_gon_m3_is_sampled(self):
+        # 10^4 vertex sums in R^6, past the meeting-volume cap
+        t = 2.0 * math.pi * np.arange(10) / 10
+        v = iq.check_rs_body(cc.from_vertices(np.c_[np.cos(t), np.sin(t)]), 3,
+                             samples=64)
+        assert (v.metadata["route"], v.metadata["samples"]) == ("pointwise-sup", 64)
+        assert v.lhs.samples_or_nodes == 64
+        assert v.status != iq.VIOLATED
+
+    def test_body_off_the_origin_is_translated(self):
+        # chi_K needs the origin in K; vol(D^m K) does not see the shift
+        K = cc.from_vertices([[2.0, 1.0], [3.5, 1.2], [3.0, 2.4], [2.2, 2.0]])
+        v = iq.check_rs_body(K, 2)
+        assert v.metadata["route"] == "meeting-volume"
+        assert v.lhs.value == pytest.approx(cov.meeting_volume([K] * 3), rel=1e-14)
+        assert v.rhs.value == 15.0 * cc.volume(K).value ** 2
+        assert v.status == iq.HOLDS
+        ball = iq.check_rs_body(cc.ball(2, 0.5, center=[3.0, -1.0]), 1)
+        assert ball.lhs.value == pytest.approx(math.pi, rel=1e-14)
 
     def test_budget_guard(self):
         with pytest.raises(NotImplementedError):
@@ -718,6 +767,22 @@ class TestChainFunctions:
         assert v.lhs.value > 0.985 * v.rhs.value
 
 
+# (K, m) pairs on which rs-body and rs-single on chi_K agree; the ids "n-m"
+# are simplex(n) at order m
+_RS_BODY_CASES = ([(cc.simplex(1), m) for m in range(1, 7)]
+                  + [(cc.simplex(2), m) for m in (1, 2, 3)]
+                  + [(cc.simplex(3), m) for m in (1, 2)]
+                  + [(cc.cube(2, 1.0), m) for m in (1, 2)]
+                  + [(cc.from_vertices(make_rng(7, 5).normal(size=(5, 2))), m)
+                     for m in (1, 2)]
+                  + [(cc.cube(3, 1.0), 2)]
+                  + [(cc.from_vertices([[2.0, 1.0], [3.5, 1.2], [3.0, 2.4], [2.2, 2.0]]), m)
+                     for m in (1, 2)])
+_RS_BODY_IDS = ([f"1-{m}" for m in range(1, 7)] + ["2-1", "2-2", "2-3", "3-1", "3-2"]
+                + ["square-1", "square-2", "pentagon-1", "pentagon-2", "cube3-2",
+                   "quad-off-origin-1", "quad-off-origin-2"])
+
+
 class TestRsSingle:
     def test_chi_m1_equality(self):
         v = iq.check_rs_single(chi, 1)
@@ -759,18 +824,22 @@ class TestRsSingle:
         assert v.sigma_combined == 0.0
         assert v.status == iq.EQUALITY
 
-    @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 1)])
-    def test_indicator_matches_rs_body(self, n, m):
-        # the tuple (chi_K, ..., chi_K) meets exactly on D^m(K), so both
-        # sides equal those of rs-body and simplices reach Schneider's
-        # equality: 3, 3.75 and 10/3
-        K = cc.simplex(n)
-        single = iq.check_rs_single(make_fn("indicator", K), m)
+    @pytest.mark.parametrize("K,m", _RS_BODY_CASES, ids=_RS_BODY_IDS)
+    def test_indicator_matches_rs_body(self, K, m):
+        # rs-body is rs-single on chi_K: (chi_K, ..., chi_K) meets exactly on
+        # D^m(K), so both checks give the same left side, byte for byte, and
+        # simplices reach Schneider's equality.  A body without the origin
+        # is moved by its vertex mean first, as rs-body moves it.
+        moved = cc.translate(K, -K.vertices.mean(axis=0)) if K.offsets.min() < 0 else K
+        single = iq.check_rs_single(make_fn("indicator", moved), m)
         body = iq.check_rs_body(K, m)
-        assert single.metadata["route"] == "meeting-volume"
-        assert single.lhs.value == body.lhs.value
+        assert single.metadata["route"] == body.metadata["route"]
+        assert body.metadata["route"] == ("interval" if K.dim == 1 else "meeting-volume")
+        assert (single.lhs.value, single.lhs.std_error) == (body.lhs.value, body.lhs.std_error)
         assert single.rhs.value == pytest.approx(body.rhs.value, rel=1e-12)
-        assert single.status == body.status == iq.EQUALITY
+        assert single.status == body.status
+        simplex = len(K.vertices) == K.dim + 1
+        assert body.status == (iq.EQUALITY if simplex else iq.HOLDS)
 
     def test_cube_indicator_at_m2_is_exact(self):
         # D^2 of a box is the product of the D^2 of its edges: 12^3 for [-1, 1]^3

@@ -1,11 +1,13 @@
 """No module of the package reaches into another module's private names, or
-loads a scipy subpackage that the package has its own code for."""
+loads a scipy subpackage that the package has its own code for; every
+public function has a caller, and every random stream is its own and read."""
 import ast
 import json
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -268,3 +270,38 @@ def test_unloaded_scan_reads_every_kind_of_load():
     }
     assert _unloaded_functions(sources) == ["a.orphan", "a.main", "a.C.method",
                                             "a.C.unused"]
+
+
+def _stream_faults(sources: dict[str, str]) -> list[str]:
+    """Module-level `_STREAM_*` constants (module name -> source) whose id
+    another one shares, or that their own module never reads: a random
+    stream left behind by a deleted Monte Carlo route."""
+    streams, reads = [], {}
+    for mod, source in sources.items():
+        tree = ast.parse(source)
+        streams += [(mod, target.id, node.value.value) for node in tree.body
+                    if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                    for target in node.targets
+                    if isinstance(target, ast.Name) and target.id.startswith("_STREAM_")]
+        reads[mod] = {node.id for node in ast.walk(tree)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    ids = Counter(value for _, _, value in streams)
+    return ([f"{mod}.{name} = {value} shares its id" for mod, name, value in streams
+             if ids[value] > 1]
+            + [f"{mod}.{name} is never read" for mod, name, _ in streams
+               if name not in reads[mod]])
+
+
+def test_random_streams_are_distinct_and_read():
+    assert _stream_faults({p.stem: p.read_text() for p in _sources()}) == []
+
+
+def test_stream_scan_reads_shared_and_unread_streams():
+    sources = {
+        "a": "_STREAM_X = 1\n_STREAM_Y = 2\n_STREAM_OLD = 3\n\ndef f(seed):\n"
+             "    return make_rng(seed, _STREAM_X), sample(seed, stream=_STREAM_Y)\n",
+        "b": "_STREAM_Z = 2\n_SHARDS = 3\n\ndef g(seed):\n    return make_rng(seed, _STREAM_Z)\n",
+    }
+    assert _stream_faults(sources) == ["a._STREAM_Y = 2 shares its id",
+                                       "b._STREAM_Z = 2 shares its id",
+                                       "a._STREAM_OLD is never read"]

@@ -246,9 +246,9 @@ class TestBoxRays:
         chi = LogConcaveFunction(profile_from_kind("indicator", ambient_dim=1),
                                  cc.simplex(1), np.zeros(1))
         dirs = make_rng(0, 3).normal(size=(8, 2))
-        t = sb.radial_mean_body_fn(chi, 2, 200.0, directions=dirs)
-        want = [cov.dm_support_radius(chi.body, th) for th in t.directions]
-        np.testing.assert_allclose(t.radii, want, rtol=0.05)
+        radii = sb.radial_mean_body_fn(chi, 2, 200.0, directions=dirs)
+        want = [cov.dm_support_radius(chi.body, th) for th in sb.direction_set(dirs, 2, 0)]
+        np.testing.assert_allclose(radii, want, rtol=0.05)
         gauss = LogConcaveFunction(profile_from_kind("gaussian", ambient_dim=1),
                                    cc.cube(1, 1.0), np.zeros(1))
         verdicts = iq.check_chain(gauss, 1, [-0.5, 0.0, 1.0, 2.0])
@@ -340,37 +340,34 @@ class TestBallRays:
 
 class TestRadialMeanBodies:
     def test_interval_p1_table(self):
-        t = sb.radial_mean_body_body(unit_interval(), 1, 1.0)
-        assert t.dim == 1
-        np.testing.assert_allclose(t.radii, 0.5, rtol=1e-9)
-        assert sb.star_volume(t).value == pytest.approx(1.0, rel=1e-9)
+        radii = sb.radial_mean_body_body(unit_interval(), 1, 1.0)
+        np.testing.assert_allclose(radii, 0.5, rtol=1e-9)
+        assert sb.star_volume(radii, 1).value == pytest.approx(1.0, rel=1e-9)
 
     def test_interval_p200_near_difference_body(self):
-        t = sb.radial_mean_body_body(unit_interval(), 1, 200.0)
+        radii = sb.radial_mean_body_body(unit_interval(), 1, 200.0)
         # exact closed form (p+1)^{-1/p}, which sits within 5% of the
         # difference-body radius 1
-        np.testing.assert_allclose(t.radii, 201.0 ** (-1.0 / 200.0), rtol=1e-6)
-        np.testing.assert_allclose(t.radii, 1.0, rtol=0.05)
+        np.testing.assert_allclose(radii, 201.0 ** (-1.0 / 200.0), rtol=1e-6)
+        np.testing.assert_allclose(radii, 1.0, rtol=0.05)
 
     def test_interval_m2_p200_near_difference_body(self):
         K = unit_interval()
-        t = sb.radial_mean_body_body(K, 2, 200.0, seed=3)
-        want = np.array([cov.dm_support_radius(K, th) for th in t.directions])
-        np.testing.assert_allclose(t.radii, want, rtol=0.05)
+        radii = sb.radial_mean_body_body(K, 2, 200.0, seed=3)
+        want = [cov.dm_support_radius(K, th) for th in sb.direction_set(None, 2, 3)]
+        np.testing.assert_allclose(radii, want, rtol=0.05)
 
     def test_exponential_function_gamma_radii(self):
         f = expfun(unit_interval())
-        t = sb.radial_mean_body_fn(f, 1, 1.0)
-        np.testing.assert_allclose(t.radii, 1.0, rtol=1e-7)
-        tm = sb.radial_mean_body_fn(f, 1, -0.5)
-        np.testing.assert_allclose(tm.radii, 1.0 / math.pi, rtol=1e-5)
+        np.testing.assert_allclose(sb.radial_mean_body_fn(f, 1, 1.0), 1.0, rtol=1e-7)
+        np.testing.assert_allclose(sb.radial_mean_body_fn(f, 1, -0.5), 1.0 / math.pi,
+                                   rtol=1e-5)
 
     def test_gaussian_p1_value(self):
         f = LogConcaveFunction(profile_from_kind("gaussian", ambient_dim=1),
                                cc.cube(1, 1.0), np.zeros(1))
-        t = sb.radial_mean_body_fn(f, 1, 1.0)
-        np.testing.assert_allclose(t.radii, 4.0 / math.sqrt(2.0 * math.pi),
-                                   rtol=1e-6)
+        np.testing.assert_allclose(sb.radial_mean_body_fn(f, 1, 1.0),
+                                   4.0 / math.sqrt(2.0 * math.pi), rtol=1e-6)
 
     def test_gaussian_section_matches_hand_formula(self):
         f = LogConcaveFunction(profile_from_kind("gaussian", ambient_dim=1),
@@ -384,17 +381,21 @@ class TestRadialMeanBodies:
         f = expfun(cc.cube(1, 1.0))
         a = sb.radial_mean_body_fn(f, 1, 2.0, seed=7)
         b = sb.radial_mean_body_fn(f, 1, 2.0, seed=7)
-        np.testing.assert_array_equal(a.radii, b.radii)
-        np.testing.assert_array_equal(a.directions, b.directions)
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(sb.direction_set(None, 1, 7),
+                                      sb.direction_set(None, 1, 7))
 
     def test_direction_count_default(self):
         assert sb.default_direction_count(2) == 64
         assert sb.default_direction_count(5) == 256
 
     def test_explicit_directions_are_normalized(self):
-        t = sb.radial_mean_body_body(unit_interval(), 2, 1.0,
-                                     directions=np.array([[2.0, 0.0], [0.0, -3.0]]))
-        np.testing.assert_allclose(np.linalg.norm(t.directions, axis=1), 1.0)
+        given = np.array([[2.0, 0.0], [0.0, -3.0]])
+        dirs = sb.direction_set(given, 2, 0)
+        np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0)
+        np.testing.assert_array_equal(
+            sb.radial_mean_body_body(unit_interval(), 2, 1.0, directions=given),
+            sb.radial_mean_body_body(unit_interval(), 2, 1.0, directions=dirs))
 
 
 class TestDerivativeRoute:
@@ -433,39 +434,23 @@ class TestLimitBodies:
 
 class TestStarVolume:
     def test_unit_sphere_d2(self):
-        dirs = np.array([[math.cos(t), math.sin(t)]
-                         for t in np.linspace(0, 2 * math.pi, 33)[:-1]])
-        t = sb.StarBodyTable(dirs, np.ones(32), {"p": 1})
-        assert sb.star_volume(t).value == pytest.approx(math.pi, rel=1e-12)
+        assert sb.star_volume(np.ones(32), 2).value == pytest.approx(math.pi, rel=1e-12)
 
     def test_unit_sphere_d3(self):
-        rng = make_rng(5, 9)
-        dirs = rng.normal(size=(64, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        t = sb.StarBodyTable(dirs, np.ones(64), {})
-        assert sb.star_volume(t).value == pytest.approx(4.0 * math.pi / 3.0,
-                                                        rel=1e-12)
+        assert sb.star_volume(np.ones(64), 3).value == pytest.approx(4.0 * math.pi / 3.0,
+                                                                    rel=1e-12)
 
     def test_unbounded_entry_rejected(self):
-        t = sb.StarBodyTable(np.array([[1.0], [-1.0]]),
-                             np.array([1.0, math.inf]), {})
         with pytest.raises(cc.UnboundedBodyError):
-            sb.star_volume(t)
+            sb.star_volume(np.array([1.0, math.inf]), 1)
 
     def test_sigma_propagates(self):
         # the standard error of the sphere average of rho^d / d over the directions
-        dirs = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         radii = np.array([1.0, 2.0, 1.0, 2.0])
-        est = sb.star_volume(sb.StarBodyTable(dirs, radii, {}))
+        est = sb.star_volume(radii, 2)
         assert est.value == pytest.approx(math.pi * 2.5, rel=1e-14)
         assert est.std_error == pytest.approx(math.pi * np.std(radii ** 2, ddof=1) / 2.0,
                                               rel=1e-14)
-
-
-class TestTableSerialization:
-    def test_non_unit_directions_rejected(self):
-        with pytest.raises(ValueError):
-            sb.StarBodyTable(np.array([[2.0, 0.0]]), np.array([1.0]), {})
 
 
 class TestChains:
@@ -585,11 +570,10 @@ class TestLayerCakeReference:
         f = LogConcaveFunction(profile_from_kind("gaussian", ambient_dim=2),
                                cc.cube(2, 1.0), np.zeros(2))
         dirs = [[0.6, 0.8], [1.0, 0.0]]
-        t = sb.radial_mean_body_fn(f, 1, p, directions=dirs)
+        radii = sb.radial_mean_body_fn(f, 1, p, directions=dirs)
         ref = [sb.radial_from_ray(sb.layer_cake_ray(f, 1, th), p).value
                for th in dirs]
-        np.testing.assert_allclose(t.radii, ref, rtol=1e-5)
-        assert t.meta["kind"] == "function"
+        np.testing.assert_allclose(radii, ref, rtol=1e-5)
 
     def test_heavy_tailed_pfamily(self):
         # p = -0.5: phi(t) = exp(-2(sqrt(t) - 1)) and a unit slope law
