@@ -349,23 +349,36 @@ def bounding_box(K: ConvexBody):
 # intersections of translates
 
 
+def intersect(bodies) -> ConvexBody | None:
+    """K_0 cap K_1 cap ... cap K_m for polytopes; None when its interior is
+    empty.
+
+    The meeting keeps every body's rows a_j.x <= b_j; of rows that share a
+    normal only the least offset binds.  Balls in n >= 2 meet in no
+    polytope; `covariogram.common_volume` takes their volume.
+    """
+    if any(K.kind != "polytope" for K in bodies):
+        raise ValueError("intersect needs polytopes; ball meetings are "
+                         "handled by the covariogram module")
+    normals, rows = np.unique(np.vstack([K.normals for K in bodies]), axis=0,
+                              return_inverse=True)
+    offsets = np.full(len(normals), math.inf)
+    np.minimum.at(offsets, rows.ravel(), np.concatenate([K.offsets for K in bodies]))
+    try:
+        return from_halfspaces(normals, offsets)
+    except DegenerateBodyError:
+        return None
+
+
 def intersect_translates(K: ConvexBody, xbar) -> ConvexBody | None:
     """K cap (x_1+K) cap ... cap (x_m+K); None when its interior is empty.
 
-    x in x_i + K reads a_j.x <= b_j + a_j.x_i on every row of K, so the
-    intersection keeps K's own rows with right sides b_j + min(0, min_i
-    a_j.x_i).  For a Euclidean ball in n >= 2 it is not polyhedral; use
-    covariogram helpers for its volume and miniball_radius for emptiness.
+    x in x_i + K reads a_j.x <= b_j + a_j.x_i on every row of K, so
+    `intersect` keeps K's own rows with right sides b_j + min(0, min_i
+    a_j.x_i).
     """
     xbar = np.atleast_2d(np.asarray(xbar, dtype=float))
-    if K.kind == "ball":
-        raise ValueError("intersect_translates needs a polytope; "
-                         "ball intersections are handled by the covariogram module")
-    shift = np.minimum(0.0, (xbar @ K.normals.T).min(axis=0))
-    try:
-        return from_halfspaces(K.normals, K.offsets + shift)
-    except DegenerateBodyError:
-        return None
+    return intersect([K] + [translate(K, x) for x in xbar])
 
 
 def miniball_radius(points) -> float:

@@ -220,6 +220,39 @@ def _disc_meeting(C, rad) -> np.ndarray:
     return np.maximum(0.5 * np.sum(np.where(keep, arc, 0.0), axis=(1, 2)), 0.0)
 
 
+def common_volume(bodies) -> float:
+    """vol_n(K_0 cap K_1 cap ... cap K_m) of bodies already moved into
+    place, exact: polytopes through their stacked rows (`cc.intersect`),
+    discs in the plane through `_disc_meeting`, and two balls in R^n, n >= 3,
+    as two caps cut by their radical plane, each a half `lens` (a cap past
+    the centre is the ball less the other half).  Other tuples raise
+    NotImplementedError."""
+    n = bodies[0].dim
+    kinds = {K.kind for K in bodies}
+    if kinds == {"polytope"}:
+        body = cc.intersect(bodies)
+        return 0.0 if body is None else cc.volume(body).value
+    if kinds != {"ball"} or (n > 2 and len(bodies) > 2):
+        raise NotImplementedError("exact common volumes need polytopes, discs in "
+                                  "the plane or two balls")
+    C = np.array([K.center for K in bodies])
+    rad = np.array([K.radius for K in bodies])
+    if n == 2:
+        return float(_disc_meeting((C - C.mean(axis=0))[None], rad[None])[0])
+    (r0, r1), gap = rad, float(np.linalg.norm(C[1] - C[0]))
+    if gap >= r0 + r1:
+        return 0.0
+    if gap <= abs(r0 - r1):
+        return cc.volume(bodies[int(np.argmin(rad))]).value
+    # the radical plane lies at signed distance a_i from centre i
+    a0 = 0.5 * (gap + (r0 - r1) * (r0 + r1) / gap)
+    total = 0.0
+    for K, a in zip(bodies, (a0, gap - a0)):
+        half = 0.5 * lens(n, abs(a) / K.radius)
+        total += cc.volume(K).value * (half if a >= 0.0 else 1.0 - half)
+    return total
+
+
 def _unit_ball_meeting(X: np.ndarray, n: int) -> float:
     """vol_n of the meeting of unit balls B(x_i, 1) in R^n, for distinct
     centres X given in the coordinates of their affine span, of dimension 2

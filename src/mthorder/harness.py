@@ -535,6 +535,7 @@ def catalog_lines() -> list[str]:
 _CHECK_PARAMS = {
     "rs-body": ({"body", "m"}, {"samples"}),
     "rs-single": ({"function", "m"}, {"samples"}),
+    # rs-multi accepts inner_samples for older configs; nothing reads it
     "rs-multi": ({"functions"}, {"samples", "inner_samples"}),
     "zhang-fn": ({"function", "m"}, {"directions"}),
     "tangent-bound": ({"function", "m", "points"}, set()),
@@ -723,16 +724,13 @@ def _custom_jobs(cfg: ExperimentConfig, seed: int, samples: int | None):
         thunk = lambda: iq.check_rs_single(func, p["m"], seed=seed,
                                            samples=samples)
     elif check == "rs-multi":
-        inner = p.get("inner_samples")
         thunk = lambda: iq.check_rs_multi(funcs, seed=seed,
-                                          outer_samples=samples,
-                                          inner_samples=inner)
+                                          outer_samples=samples)
     elif check == "zhang-fn":
         thunk = lambda: iq.check_zhang_fn(func, p["m"], seed=seed,
                                           directions=p.get("directions"))
     elif check == "tangent-bound":
-        thunk = lambda: iq.check_tangent_bound(func, p["m"], p["points"],
-                                               seed=seed)
+        thunk = lambda: iq.check_tangent_bound(func, p["m"], p["points"])
     elif check == "zhang-body":
         thunk = lambda: iq.check_zhang_body(body, p["m"],
                                             seed=seed,

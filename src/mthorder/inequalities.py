@@ -23,15 +23,16 @@ translates at once (the product is log-concave, hence unimodal).  Above
 one dimension it is a compass search per translate.  The L1 norm over the
 translates is exact for indicator tuples of polytopes with n*m <= 6 and at
 most `_MEETING_SUMS_MAX` vertex sums (the hull of the sums: `interval` in
-one dimension, `meeting-volume` above), of two balls (`ball-overlap`) and
-of a polygon and a disc (`steiner`), and a uniform Monte Carlo over the
-translation box of those sups otherwise (`pointwise-sup`).  The body
-inequality vol(D^m K) <= binom(n(m+1), n) vol(K)^m is the single-function
-one on chi_K, so `check_rs_body` takes its left side from the same
-routes.  The sup norm rests on the int-convolution
-int_z f_0(z) prod_i f_i(z - x_i) dz: in one dimension the same cells
-integrated in closed form, or a fixed breakpoint-aligned Gauss rule for
-other profiles; Monte Carlo above.
+one dimension, `meeting-volume` above) and of two balls (`ball-overlap`),
+and a uniform Monte Carlo over the translation box of those sups
+otherwise (`pointwise-sup`).  The body inequality
+vol(D^m K) <= binom(n(m+1), n) vol(K)^m is the single-function one on
+chi_K, so `check_rs_body` takes its left side from the same routes.  The
+sup norm rests on the int-convolution int_z f_0(z) prod_i f_i(z - x_i) dz:
+in one dimension the same cells integrated in closed form, or a fixed
+breakpoint-aligned Gauss rule for other profiles; above, for indicator
+tuples only, the exact volume of the translated supports' meeting
+(`covariogram.common_volume`).
 
 The functional Zhang and chain checks rest on the layer cake: every
 function here is f = A phi(||x - c||_K), so its covariogram integral and
@@ -65,7 +66,6 @@ VIOLATED = "violated_beyond_3sigma"
 _EQUALITY_TOL = 1e-6
 
 _STREAM_STAR_L1 = 503
-_STREAM_INT_CONV = 504
 
 _SHARDS = 8
 
@@ -237,6 +237,11 @@ def _conv_box(boxes, offsets):
     return lo, hi
 
 
+def _inner_point(K: ConvexBody) -> np.ndarray:
+    """An interior point of K: its centre, or its vertex mean."""
+    return K.center if K.kind == "ball" else K.vertices.mean(axis=0)
+
+
 def _feasible_point(fbar, offsets):
     """A point where every compactly supported factor is positive, or None.
 
@@ -281,8 +286,7 @@ def _feasible_point(fbar, offsets):
                 total += np.maximum(0.0, np.max(Z @ S.normals.T - S.offsets, axis=1))
         return total
 
-    start = np.mean([S.vertices.mean(axis=0) for S in polys]
-                    + [S.center for S in balls], axis=0)
+    start = np.mean([_inner_point(S) for S in polys + balls], axis=0)
     z, val = minimize_convex(excess, start)
     return z if val <= 1e-9 else None
 
@@ -515,41 +519,40 @@ def _sup_point(fbar, boxes, offsets):
     return maximize_logconcave(F, candidates[best])
 
 
-def int_convolution(fbar, xbar, seed: int = 0,
-                    samples: int | None = None) -> EstimateWithError:
+def int_convolution(fbar, xbar) -> EstimateWithError:
     """int_z f_0(z) * prod_i f_i(z - x_i) dz.
 
     In one dimension the product is smooth between the breakpoints of its
     translated factors (each centre, where the gauge kinks, and each end of
-    a support or truncation box), and `seed` and `samples` are unused.
-    When every factor is an indicator, exponential or Gaussian (see
-    `Profile.log_quadratic`), its log is a concave quadratic on each cell
-    between breakpoints, and the cells are
+    a support or truncation box).  When every factor is an indicator,
+    exponential or Gaussian (see `Profile.log_quadratic`), its log is a
+    concave quadratic on each cell between breakpoints, and the cells are
     integrated in closed form (scaled erfc differences): the error bar is
     0 and `samples_or_nodes` counts the cells.  Other profiles take a
     composite Gauss-Legendre rule graded geometrically toward every
     breakpoint; the error bar is the difference from the same rule at half
-    the grading levels.  Above one dimension it is
-    mixture-importance Monte Carlo over `samples` seeded draws: half uniform
-    on the joint truncation box, half Gaussian around the product's mode,
-    so the estimate stays sharp for peaked products without losing the
-    heavy-tail coverage of the uniform part.
+    the grading levels.  Above one dimension the tuple must be all
+    indicators: the integral is the product of their amplitudes times the
+    exact volume of the translated supports' meeting
+    (`covariogram.common_volume`), and other tuples raise
+    NotImplementedError.
     """
     fbar, _, _ = _validated_tuple(fbar)
-    return _int_convolution(fbar, _factor_boxes(fbar), _offsets(fbar, xbar),
-                            seed, samples)
+    return _int_convolution(fbar, _factor_boxes(fbar), _offsets(fbar, xbar))
 
 
-def _int_convolution(fbar, boxes, offsets, seed: int,
-                     samples: int | None) -> EstimateWithError:
+def _int_convolution(fbar, boxes, offsets) -> EstimateWithError:
     if fbar[0].dim == 1:
         value, error, nodes = _breakpoint_rows(
             fbar, boxes, np.concatenate(offsets[1:])[None, :])
         return EstimateWithError(float(value[0]), float(error[0]), int(nodes[0]))
-    box = _conv_box(boxes, offsets)
-    if box is None:
-        return EstimateWithError(0.0, 0.0, 0)
-    return _mixture_mc(fbar, boxes, offsets, box, seed, samples)
+    if any(f.profile.kind != "indicator" for f in fbar):
+        raise NotImplementedError("above one dimension the int-convolution is "
+                                  "exact only for indicator tuples")
+    height = math.prod(f.sup_norm for f in fbar)
+    meeting = cov.common_volume([cc.translate(f.support_body(), t)
+                                 for f, t in zip(fbar, offsets)])
+    return EstimateWithError(height * meeting, 0.0, 0)
 
 
 def _graded_edges(levels: int) -> np.ndarray:
@@ -598,55 +601,6 @@ def _breakpoint_rows(fbar, boxes, X: np.ndarray):
     return fine, np.abs(fine - coarse), np.bincount(rows, minlength=len(X)) * Z.shape[1]
 
 
-def _mixture_mc(fbar, boxes, offsets, box, seed: int,
-                samples: int | None) -> EstimateWithError:
-    n = fbar[0].dim
-    z_star, f_max = _sup_point(fbar, boxes, offsets)
-    if f_max <= 0.0:
-        return EstimateWithError(0.0, 0.0, 0)
-    lo, hi = box
-    widths = hi - lo
-    volume = float(np.prod(widths))
-    scales = _mode_scales(fbar, offsets, z_star, f_max, widths)
-
-    N = int(samples or 100_000)
-    half = max(N // 2, 1)
-    gen = make_rng(seed, _STREAM_INT_CONV)
-    Z = np.empty((2 * half, n))
-    Z[0::2] = lo + widths * gen.random((half, n))
-    Z[1::2] = z_star + scales * gen.standard_normal((half, n))
-    vals = _product_many(fbar, offsets, Z)
-    inside = np.all((Z >= lo) & (Z <= hi), axis=1)
-    vals = np.where(inside, vals, 0.0)
-    log_norm = -0.5 * n * math.log(2.0 * math.pi) - float(np.log(scales).sum())
-    gauss = np.exp(log_norm - 0.5 * (((Z - z_star) / scales) ** 2).sum(axis=1))
-    q = 0.5 / volume + 0.5 * gauss
-    w = vals / q
-    # adjacent samples pair one uniform with one Gaussian draw; only the
-    # pair means are unbiased, so the error bar comes from those
-    pairs = 0.5 * (w[0::2] + w[1::2])
-    sigma = float(pairs.std(ddof=1)) / math.sqrt(len(pairs))
-    return EstimateWithError(float(w.mean()), sigma, len(w))
-
-
-def _mode_scales(fbar, offsets, z_star, f_max, widths) -> np.ndarray:
-    """Per-axis e^-2 half-widths of the product around its mode: the first
-    doubling r = r0 * 2^k whose probes z* +- r e_j both fall to the e^-2
-    level, capped at the box width."""
-    target = f_max * math.exp(-2.0)
-    scales = np.empty(len(widths))
-    for j, w in enumerate(widths):
-        r = 1e-3 * max(w, 1.0) * 2.0 ** np.arange(60)
-        r = r[:int(np.argmax(r >= w)) + 1]       # r0 >= w / 1000: k <= 10
-        probes = np.repeat(z_star[None, :], 2 * len(r), axis=0)
-        probes[:len(r), j] += r
-        probes[len(r):, j] -= r
-        vals = _product_many(fbar, offsets, probes)
-        low = np.maximum(vals[:len(r)], vals[len(r):]) <= target
-        scales[j] = min(r[int(np.argmax(low | (r >= w)))], w)
-    return scales
-
-
 # ---------------------------------------------------------------------------
 # Rogers-Shephard family
 
@@ -658,8 +612,8 @@ def _indicator(K: ConvexBody) -> LogConcaveFunction:
     try:
         return LogConcaveFunction(flat, K, np.zeros(K.dim))
     except cc.OriginNotContainedError:
-        inner = K.center if K.kind == "ball" else K.vertices.mean(axis=0)
-        return LogConcaveFunction(flat, cc.translate(K, -inner), np.zeros(K.dim))
+        return LogConcaveFunction(flat, cc.translate(K, -_inner_point(K)),
+                                  np.zeros(K.dim))
 
 
 def check_rs_body(K: ConvexBody, m: int, seed: int = 0,
@@ -700,15 +654,6 @@ def _star_l1(fbar, boxes, seed: int,
         overlap = cc.volume(cc.ball(n, S0.radius + S1.radius)).value
         return (EstimateWithError(height * overlap, 0.0, 0),
                 {"route": "ball-overlap", "samples": 0})
-    if all_indicator and m == 1 and n == 2 and S0.kind != S1.kind:
-        # S0 meets x + S1 for x in S0 - S1, a polygon plus a disc of radius r:
-        # Steiner's formula gives area(P) + r per(P) + pi r^2
-        P, B = (S0, S1) if S1.kind == "ball" else (S1, S0)
-        r = B.radius
-        overlap = (cc.volume(P).value + r * float(cc.facets(P).areas.sum())
-                   + math.pi * r * r)
-        return (EstimateWithError(height * overlap, 0.0, 0),
-                {"route": "steiner", "samples": 0})
     sums = cov.meeting_sums(supports) if all_indicator else None
     if sums is not None and sums <= _MEETING_SUMS_MAX:
         overlap = cov.meeting_volume(supports)
@@ -760,21 +705,23 @@ def check_rs_single(f: LogConcaveFunction, m: int, seed: int = 0,
                         metadata=meta)
 
 
-def check_rs_multi(fbar, seed: int = 0, outer_samples: int | None = None,
-                   inner_samples: int | None = None) -> Verdict:
+def check_rs_multi(fbar, seed: int = 0,
+                   outer_samples: int | None = None) -> Verdict:
     """||(fbar)_oplus_m||_inf * ||(fbar)_star_m||_1 <= binom * prod ||f_i||_inf ||f_i||_1.
 
     The sup norm is a compass search over x of the int-convolution, as
     `int_convolution` computes it: in one dimension exact cell by cell for
     indicator, exponential and Gaussian tuples (route `closed-form`) and
-    the deterministic breakpoint rule otherwise (`breakpoint-gauss`), with
-    `inner_samples` unused on both; a mixture Monte Carlo over
-    `inner_samples` draws above it (`mixture-mc`).  The sup value is
-    `int_convolution` re-evaluated at the search's argmax with seed + 1 and
-    4 x `inner_samples`, so Monte Carlo selection bias does not enter it.
-    Each compass stencil is one objective call: one row-batched kernel in
-    one dimension, one Monte Carlo estimate per row above it.
-    metadata["sup_evals"] counts the points evaluated.  On the
+    the deterministic breakpoint rule otherwise (`breakpoint-gauss`); above
+    it the exact volume of the translated supports' meeting for indicator
+    tuples (`common-volume`), and NotImplementedError for other tuples.
+    The search starts from x = 0 and from the shift differences, or, when
+    both read 0 (supports that meet only on their boundary there), from
+    the x that lays an interior point of every factor's support (its
+    shift when not compact) on f_0's.  The sup value is `int_convolution`
+    at the search's argmax.  Each compass stencil is one objective call:
+    one row-batched kernel in one dimension, one common volume per row
+    above it.  metadata["sup_evals"] counts the points evaluated.  On the
     `pointwise-sup` route of the L1 norm, metadata["row_kernel"] names the
     pointwise sups' kernel: `closed-form` for those same 1-D tuples,
     `bracket-search` for other 1-D tuples, `compass-search` above.
@@ -783,7 +730,6 @@ def check_rs_multi(fbar, seed: int = 0, outer_samples: int | None = None,
     if n * m > 4:
         raise NotImplementedError("the inner sup-norm search is limited to n*m <= 4")
     t0 = time.perf_counter()
-    inner = int(inner_samples or 20_000)
     boxes = _factor_boxes(fbar)
     evals = 0
 
@@ -792,21 +738,27 @@ def check_rs_multi(fbar, seed: int = 0, outer_samples: int | None = None,
         evals += len(X)
         if n == 1:
             return _breakpoint_rows(fbar, boxes, X)[0]
-        return np.array([_int_convolution(fbar, boxes, _offsets(fbar, x), seed,
-                                          inner).value for x in X])
+        return np.array([_int_convolution(fbar, boxes, _offsets(fbar, x)).value
+                         for x in X])
 
     base = np.asarray(fbar[0].shift, dtype=float)
     starts = np.array([np.zeros(n * m),
                        np.concatenate([base - np.asarray(f.shift, dtype=float)
                                        for f in fbar[1:]])])
     values = objective(starts)
+    if values.max() <= 0.0:
+        supports = [f.support_body() for f in fbar]
+        inner = [np.asarray(f.shift, dtype=float) if S is None else _inner_point(S)
+                 for f, S in zip(fbar, supports)]
+        starts = np.concatenate([inner[0] - c for c in inner[1:]])[None, :]
+        values = objective(starts)
     best = starts[int(np.argmax(values))]
     if values.max() > 0.0:
         x_star, _ = maximize_logconcave(objective, best, tol=1e-7,
                                         max_evals=2_000)
     else:
         x_star = best
-    sup_est = int_convolution(fbar, x_star, seed=seed + 1, samples=4 * inner)
+    sup_est = int_convolution(fbar, x_star)
 
     l1_est, info = _star_l1(fbar, boxes, seed, outer_samples)
     lhs = EstimateWithError(
@@ -818,7 +770,7 @@ def check_rs_multi(fbar, seed: int = 0, outer_samples: int | None = None,
     meta = {"n": n, "m": m, "seed": seed,
             "sup_norm": sup_est.value, "sup_argmax": [float(v) for v in x_star],
             "sup_route": ("closed-form" if _closed_form(fbar) else
-                          "breakpoint-gauss" if n == 1 else "mixture-mc"),
+                          "breakpoint-gauss" if n == 1 else "common-volume"),
             "sup_evals": evals,
             "l1_norm": l1_est.value, "runtime_s": time.perf_counter() - t0, **info}
     return make_verdict("rs-multi", lhs, EstimateWithError(rhs_val, 0.0, 0),
@@ -854,8 +806,7 @@ def check_zhang_fn(f: LogConcaveFunction, m: int, seed: int = 0,
                         rhs.scaled(f.mass() ** (d + 1)), metadata=meta)
 
 
-def check_tangent_bound(f: LogConcaveFunction, m: int, points,
-                        seed: int = 0) -> Verdict:
+def check_tangent_bound(f: LogConcaveFunction, m: int, points) -> Verdict:
     """g_{f,m}(x) <= ||f||_1 exp(-||x||_{PPB<f>} / ||f||_1) at each point.
 
     The verdict reports the most binding point; per-point margins live in
@@ -877,7 +828,7 @@ def check_tangent_bound(f: LogConcaveFunction, m: int, points,
         entries.append((g, EstimateWithError(bound, 0.0, 0)))
     worst = int(np.argmin(margins))
     lhs, rhs = entries[worst]
-    meta = {"m": m, "seed": seed, "points": [p.flat.tolist() for p in pts],
+    meta = {"m": m, "points": [p.flat.tolist() for p in pts],
             "margins": [float(v) for v in margins], "worst_point": worst,
             "runtime_s": time.perf_counter() - t0}
     return make_verdict("tangent-bound", lhs, rhs, metadata=meta)

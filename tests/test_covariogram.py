@@ -13,6 +13,7 @@ from mthorder.covariogram import (
     _disc_meeting,
     as_mvector,
     box_rates,
+    common_volume,
     covariogram_body,
     covariogram_body_many,
     covariogram_fn,
@@ -226,6 +227,33 @@ class TestBallCovariogram:
         lens = covariogram_body(cc.ball(2, 1.0), [[1.0, 0.0]]).value
         est = covariogram_body(cc.ball(2, 1.0), [[1.0, 0.0], [1.0, 0.0]])
         assert est.std_error == 0.0 and est.value == lens
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_common_volume_of_equal_balls_is_the_lens(self, n):
+        # the two caps of equal balls are the two halves of the lens
+        for d in (0.0, 0.3, 1.0, 1.9, 2.0, 2.5):
+            B0 = cc.ball(n, 0.8, center=np.full(n, 0.1))
+            B1 = cc.translate(B0, np.r_[d * 0.8, np.zeros(n - 1)])
+            gap = np.linalg.norm(B1.center - B0.center)
+            assert common_volume([B0, B1]) == cc.volume(B0).value * lens(n, gap / 1.6)
+
+    def test_common_volume_of_discs_and_polytopes(self):
+        # discs of radius 1 at distance 1 meet in the lens; the unit square
+        # and its translate by (1, 0) only touch; the corner simplex and the
+        # square [-1/2, 1/2]^2 meet in the quarter square
+        disc = cc.ball(2, 1.0, center=[5.0, -3.0])
+        lens_area = 2.0 * math.acos(0.5) - 0.5 * math.sqrt(3.0)
+        assert common_volume([disc, cc.translate(disc, [0.6, 0.8])]) == \
+            pytest.approx(lens_area, rel=1e-12)
+        square = cc.cube(2, 0.5)
+        assert common_volume([square, cc.translate(square, [1.0, 0.0])]) == 0.0
+        assert common_volume([cc.simplex(2), square]) == pytest.approx(0.25, rel=1e-12)
+
+    def test_common_volume_outside_its_cases(self):
+        ball3 = cc.ball(3, 1.0)
+        for bodies in ([cc.cube(2, 1.0), cc.ball(2, 1.0)], [ball3] * 3):
+            with pytest.raises(NotImplementedError):
+                common_volume(bodies)
 
     def test_far_translates_empty(self):
         assert covariogram_body(cc.ball(2, 1.0), [[3.0, 0.0], [0.0, 0.1]]).value == 0.0

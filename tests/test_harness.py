@@ -270,16 +270,34 @@ class TestCli:
         assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 2
         assert "n <= 3 or m <= 3" in capsys.readouterr().err
 
-    def test_rs_multi_square_and_disc_runs(self, tmp_path):
-        funcs = [{"profile": "indicator", "body": _BODY},
-                 {"profile": "indicator", "body": {"kind": "ball", "dim": 2}}]
+    @pytest.mark.parametrize("functions", [
+        [{"profile": "indicator", "body": _BODY},
+         {"profile": "indicator", "body": {"kind": "ball", "dim": 2}}],
+        [{"profile": "gaussian", "body": {"kind": "ball", "dim": 2}}] * 2,
+    ], ids=["square-disc", "gaussian-discs"])
+    def test_rs_multi_without_exact_meeting_exits_two(self, tmp_path, capsys,
+                                                     functions):
+        # above one dimension the int-convolution is an exact common volume
+        # of polytopes, of discs or of two balls, so these tuples are
+        # outside the check's scope
         path = _write(tmp_path, {"name": "x", "check": "rs-multi",
-                                 "functions": funcs, "samples": 300,
-                                 "inner_samples": 1000})
-        out = tmp_path / "o"
-        assert cli.main(["run", path, "--out", str(out)]) == 0
-        report = json.loads((out / "verdicts.json").read_text())
-        assert [v["status"] for v in report["verdicts"]] == ["holds"]
+                                 "functions": functions, "samples": 300})
+        assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "rs-multi" in err
+
+    def test_inner_samples_is_accepted_and_changes_nothing(self, tmp_path,
+                                                           capsys):
+        config = json.loads((EXAMPLES / "rs_ball_pair.json").read_text())
+        reports = []
+        for label, extra in (("without", {}), ("with", {"inner_samples": 7})):
+            path = _write(tmp_path, {**config, **extra})
+            out = tmp_path / label
+            assert cli.main(["run", path, "--out", str(out)]) == 0
+            reports.append((out / "verdicts.json").read_bytes())
+        assert reports[0] == reports[1]
+        path = _write(tmp_path, {**config, "inner_samples": 0})
+        assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("nodes", [1, 3])
     def test_too_few_ray_nodes_exit_two(self, tmp_path, capsys, nodes):
@@ -394,7 +412,8 @@ class TestCli:
                    # exact meetings of three discs along every ray
                    {"name": "disc-chain", "check": "chain", "m": 2,
                     "p_grid": [-0.5, 1.0], "body": {"kind": "ball", "dim": 2},
-                    "directions": 2}]
+                    "directions": 2},
+                   json.loads((EXAMPLES / "rs_ball_pair.json").read_text())]
         for config in configs:
             path = _write(tmp_path, config)
             reports = []
