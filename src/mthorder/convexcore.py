@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,17 @@ class ConvexBody:
     vertices: np.ndarray | None      # (V, n), polytopes only
     center: np.ndarray | None = None  # balls only
     radius: float | None = None
+
+    @cached_property
+    def axis_box(self):
+        """(lo, hi) when the body is an axis-aligned box (every facet normal
+        is +-e_j), else None; found once per body."""
+        if self.kind != "polytope":
+            return None
+        A = np.abs(self.normals)
+        if np.any(np.sum(A > 1e-12, axis=1) != 1) or np.any(np.abs(A.max(axis=1) - 1.0) > 1e-12):
+            return None
+        return bounding_box(self)
 
     def __repr__(self):
         if self.kind == "ball":

@@ -99,16 +99,6 @@ def as_mvector(x, n: int) -> MVector:
 # body covariograms
 
 
-def axis_box(K: ConvexBody):
-    """(lo, hi) when K is an axis-aligned box (every facet normal is +-e_j)."""
-    if K.kind != "polytope":
-        return None
-    A = np.abs(K.normals)
-    if np.any(np.sum(A > 1e-12, axis=1) != 1) or np.any(np.abs(A.max(axis=1) - 1.0) > 1e-12):
-        return None
-    return cc.bounding_box(K)
-
-
 def _box_cov(lo, hi, blocks):
     """Vectorized box covariogram; blocks has shape (N, m, n)."""
     drop = np.minimum(0.0, blocks.min(axis=1))
@@ -334,7 +324,7 @@ def _exact_cov(K: ConvexBody, blocks) -> np.ndarray | None:
     boxes and polygons; None for other polytopes."""
     if K.kind == "ball":
         return _ball_meeting_cov(K, blocks)
-    box = axis_box(K)
+    box = K.axis_box
     if box is not None:
         return _box_cov(box[0], box[1], blocks)
     if K.dim == 2:
@@ -393,7 +383,7 @@ def dm_support_radius(K: ConvexBody, theta) -> float:
     if K.kind == "ball":
         base = cc.miniball_radius(np.vstack([np.zeros(K.dim), th.blocks]))
         return K.radius / base
-    box = axis_box(K)
+    box = K.axis_box
     if box is not None:
         return 1.0 / float(box_rates(box[0], box[1], th.blocks).max())
     s = np.maximum(0.0, -(th.blocks @ K.normals.T).min(axis=0))

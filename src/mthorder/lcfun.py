@@ -12,7 +12,9 @@ profile phi lives in `Profile`, once per family:
 
 The form gives closed-form masses, level sets, q-norms and the level moments
 M_k = int (-phi') s^k ds, which `mellin` reads as the closed-form Mellin
-transforms of these profiles.
+transforms of these profiles, and their tails over the levels below a depth
+(`tail_level_moment`), which close the layer cake over a polynomial body
+section.
 
 Note the p-family with |p| < 1 is a valid monotone profile but is *not*
 log-concave; it participates only in scaling-law computations.
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import convexcore as cc
 from .convexcore import ConvexBody
-from .numerics import digamma, gamma_ratio
+from .numerics import digamma, gamma_q, gamma_ratio
 
 _KINDS = ("exponential", "gaussian", "power", "indicator", "pfamily")
 
@@ -214,6 +216,29 @@ class Profile:
             return gamma_ratio((k / a + 1.0,), (), q * b - (k / a) * math.log(q * c))
         r = q / self.param
         return gamma_ratio((r + 1.0, k + 1.0), (k + r + 1.0,))
+
+    def tail_level_moment(self, k: float, v):
+        """T_k(v) = phi(0) int_v^inf e^-w s(w)^k dw, the level moment over
+        the levels deeper than v (scalar or array), with T_k(0) = M_k: on
+        the stretched family M_k Q(1 + k/a, v) (`gamma_q`, so k/a must be
+        an integer or a half-integer), on the power kind the finite sum
+        sum_j C(k, j) (-1)^j e^(-(1 + j s) v) / (1 + j s) at an integer
+        k >= 0, and e^-v for the indicator.  The layer cake over the levels
+        below depth v reads these where the body section is a polynomial."""
+        v = np.asarray(v, dtype=float)[()]
+        if self.kind == "indicator":
+            out = np.exp(-v)
+        elif self._stretch:
+            out = self.level_moment(k) * gamma_q(1.0 + k / self._stretch[0], v)
+        elif self.kind == "power":
+            if k != int(k) or k < 0:
+                raise ValueError("the power kind's tail moments need an integer k >= 0")
+            s = self.param
+            out = sum(math.comb(int(k), j) * (-1) ** j * np.exp(-(1.0 + j * s) * v)
+                      / (1.0 + j * s) for j in range(int(k) + 1))
+        else:
+            raise NonIntegrableError(_P0_MESSAGE)
+        return out if np.ndim(out) else float(out)
 
     def level_moment_log_slope(self, k: float) -> float:
         """d/dk log M_k (see `level_moment`) on the same domain; 0 for the

@@ -90,25 +90,50 @@ class Pieces:
 
     def roots(self) -> np.ndarray:
         """The distinct real roots in each piece's own interval, ascending;
-        a piece that vanishes identically is skipped."""
-        found = [np.empty(0)]
-        for i in np.flatnonzero(np.any(self.c != 0.0, axis=0)):
-            s = _real_roots(np.trim_zeros(self.c[:, i], "f"))
-            found.append(self.x[i] + s[(s >= 0.0) & (s <= self.x[i + 1] - self.x[i])])
-        return np.unique(np.concatenate(found))
+        a piece that vanishes identically is skipped.  Each piece is taken
+        without its leading and trailing zero coefficients (a trailing zero
+        is a root at the piece's left knot), and all pieces of one degree
+        are solved together (`_real_roots`)."""
+        nz = self.c != 0.0
+        live = np.flatnonzero(nz.any(axis=0))
+        top = len(self.c) - 1
+        lead = nz[:, live].argmax(axis=0)
+        tail = top - nz[::-1, live].argmax(axis=0)
+        owners, found = [live[tail < top]], [np.zeros(np.count_nonzero(tail < top))]
+        degree = tail - lead
+        for d in np.unique(degree[degree > 0]):
+            pick = np.flatnonzero(degree == d)
+            row, s = _real_roots(self.c[lead[pick, None] + np.arange(d + 1), live[pick, None]])
+            owners.append(live[pick[row]])
+            found.append(s)
+        owner, s = np.concatenate(owners), np.concatenate(found)
+        keep = (s >= 0.0) & (s <= np.diff(self.x)[owner])
+        return np.unique(self.x[owner[keep]] + s[keep])
 
 
-def _real_roots(coef: np.ndarray) -> np.ndarray:
-    """Real roots of a polynomial, highest power first, with a nonzero lead."""
-    if len(coef) == 3:   # without cancellation, and a double root stays real
-        a, b, c = coef
+def _real_roots(coef: np.ndarray):
+    """The real roots of a stack of polynomials of one degree d >= 1
+    (rows, highest power first, with nonzero first and last coefficients),
+    as (row, root) arrays: -b/a at d = 1, the quadratic formula without
+    cancellation at d = 2 (so that a double root stays real), else the
+    eigenvalues of the stacked companion matrices in one call."""
+    d = coef.shape[1] - 1
+    rows = np.arange(len(coef))
+    if d == 1:
+        return rows, -coef[:, 1] / coef[:, 0]
+    if d == 2:
+        a, b, c = coef.T
         disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            return np.empty(0)
-        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-        return np.array([q / a, c / q]) if q else np.zeros(2)
-    z = np.roots(coef)
-    return z[z.imag == 0.0].real
+        real = disc >= 0.0
+        a, b, c = coef[real].T
+        q = -0.5 * (b + np.copysign(np.sqrt(disc[real]), b))
+        return np.tile(rows[real], 2), np.concatenate([q / a, c / q])
+    companion = np.zeros((len(coef), d, d))
+    companion[:, 0] = -coef[:, 1:] / coef[:, :1]
+    companion[:, 1:, :-1] = np.eye(d - 1)
+    z = np.linalg.eigvals(companion)
+    row, col = np.nonzero(z.imag == 0.0)
+    return row, z.real[row, col]
 
 
 def pchip(x, y, slope0: float | None = None) -> Pieces:

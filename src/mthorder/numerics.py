@@ -164,14 +164,26 @@ def beta(a: float, b: float) -> float:
     return gamma_ratio((a, b), (a + b,))
 
 
-def gamma_q(n: int, x: float) -> float:
-    """The regularized upper incomplete gamma Gamma(n, x) / Gamma(n) at an
-    integer n >= 1 and x >= 0: e^-x sum_{k<n} x^k / k!."""
-    term = total = 1.0
-    for k in range(1, n):
-        term *= x / k
-        total += term
-    return math.exp(-x) * total
+def gamma_q(a: float, x):
+    """The regularized upper incomplete gamma Q(a, x) = Gamma(a, x) / Gamma(a)
+    at an integer or half-integer order a > 0 and x >= 0 (a number or an
+    ndarray), by the upward recurrence Q(b + 1, x) = Q(b, x) + x^b e^-x /
+    Gamma(b + 1) from Q(1, x) = e^-x or Q(1/2, x) = e^-x erfcx(sqrt x).
+    Every term is positive, so nothing cancels; at an integer order it is
+    the finite sum e^-x sum_{k<a} x^k / k!.  Any other order raises
+    ValueError."""
+    if not (a > 0.0 and 2.0 * a == math.floor(2.0 * a)):
+        raise ValueError(f"gamma_q needs an integer or half-integer order, got {a}")
+    scalar = not isinstance(x, np.ndarray)
+    x = float(x) if scalar else x.astype(float, copy=False)
+    b = 1.0 if a == math.floor(a) else 0.5
+    total = 1.0 if b == 1.0 else erfcx(np.sqrt(x))
+    term = x ** b / math.gamma(b + 1.0)
+    while b < a:
+        total = total + term
+        b += 1.0
+        term = term * (x / b)
+    return (math.exp(-x) if scalar else np.exp(-x)) * total
 
 
 # From this |x| on, erfcx takes Laplace's continued fraction, which at this
@@ -229,11 +241,12 @@ def integrate_1d(phi, a: float, b: float, cfg: QuadratureConfig | None = None,
 
     phi maps a 1-D array of nodes to the array of its values there; the
     adaptive rule (`_adaptive_gk21`) calls it once per refinement round.
-    For k < 0 the substitution w = ((t - a) / (b - a))^(k+1) absorbs the
+    For k < 1 the substitution w = ((t - a) / (b - a))^(k+1) absorbs the
     weight, (b - a)^(k+1) / (k+1) int_0^1 phi(t(w)) dw, so no power of a
-    tiny t - a is formed even as k -> -1; phi is taken at
+    tiny t - a is formed even as k -> -1, and for 0 < k < 1 the rule no
+    longer refines the infinite slope of t^k at a; phi is taken at
     t - a >= _T_FLOOR (b - a), below which t(w) would underflow.  For
-    k > 0 the weight is ((t - a) / (b - a))^k <= 1, and the factor
+    k >= 1 the weight is ((t - a) / (b - a))^k <= 1, and the factor
     (b - a)^k, like the absolute tolerance it rescales, is applied in logs,
     so the result overflows only when the integral itself does.
     An infinite upper limit requires tail_bound = (A, B) with
@@ -265,7 +278,7 @@ def integrate_1d(phi, a: float, b: float, cfg: QuadratureConfig | None = None,
     if k == 0.0:
         return _adaptive_gk21(phi, a, b, cfg, cfg.abs_tol)
     span = b - a
-    if k > 0.0:
+    if k >= 1.0:
         log_unit = k * math.log(span)
         inner = _adaptive_gk21(lambda t: phi(t) * ((t - a) / span) ** k, a, b, cfg,
                                _times_exp(cfg.abs_tol, -log_unit))

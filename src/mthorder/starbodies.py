@@ -29,11 +29,13 @@ g_{f,m}(x) = A int (-phi'(s)) s^n g_{K,m}(x/s) ds factors its radial mean
 bodies as rho(R_p^m f) = f.radial_factor(p) * rho(R_p^m K), with the profile
 moments M_k = int (-phi') s^k ds in closed form.  `layer_cake_ray`
 tabulates the function section in the original order of integration; it
-is the independent reference that checks that factorization.  Its level
-integral runs on geometric Gauss panels sized to each radius's level span
-over a box's polynomial section, and on a fixed number of panels per
-radius over a table or lens, whose knots are kinks; the (radius, level)
-nodes go to the body section in batches of a fixed node budget.
+is the independent reference that checks that factorization.  Over a box's
+polynomial section its level integral is closed, a sum of the profile's
+tail level moments (`lcfun.Profile.tail_level_moment`) at the depth where
+each radius enters the support; over a table or lens, whose knots are
+kinks, it runs on a fixed number of geometric Gauss panels per radius, and
+the (radius, level) nodes go to the body section in batches of a fixed
+node budget.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from .numerics import EstimateWithError, gauss_panels, sphere_sample, sphere_sur
 _STREAM_STAR_DIRS = 401
 
 _LEVEL_PANELS = 24          # geometric Gauss panels per radius over a table or lens section
-_LEVEL_PANEL_WIDTH = 1.9    # most e-folds of level depth per panel over a box section
 _LAYER_CAKE_NODES = 1024    # fixed radii of a layer-cake ray (Gaussian section to 2e-8)
 _LEVEL_DEPTH = 40.0         # least level depth v (levels down to e^-v of the peak)
 # (radius, level) nodes per batch of a layer-cake ray.  Each array of a batch
@@ -108,7 +109,7 @@ def body_ray(K: ConvexBody, m: int, theta, nodes: int = 256) -> RadialRay:
     whose interpolant starts at the exact slope.
     """
     th = as_unit(theta, K.dim)
-    box = cov.axis_box(K)
+    box = K.axis_box
     if box is not None:
         return _box_ray(box[0], box[1], th.blocks)
     if K.kind == "ball" and m == 1:
@@ -137,50 +138,61 @@ def layer_cake_ray(f: LogConcaveFunction, m: int, theta) -> RadialRay:
 
         g_{f,m}(r theta) = A phi(0) int e^{-v} s(v)^n g_{K,m}(r theta / s(v)) dv,
 
-    s(v) = profile.depth_scale(v), on geometric Gauss panels from the depth
-    v_lo at which r theta enters s(v) D^m(K) down to the least depth.  A
-    one-piece polynomial body section (a box) is smooth in v, so each radius
-    takes panels of at most `_LEVEL_PANEL_WIDTH` e-folds over its own span
-    log(depth / v_lo); a table or lens section has kinks at its knots and
-    keeps `_LEVEL_PANELS` panels per radius.  The (radius, level) pairs go
-    to the body section in batches of at most `_LEVEL_NODE_BUDGET` nodes.
-    The slope at 0 is a Richardson difference of the same integral over
-    exact body covariograms.  Never swapping the order of integration, it
-    checks `radial_mean_body_fn`.
+    s(v) = profile.depth_scale(v), over the depths v >= v_lo at which
+    r theta lies in s(v) D^m(K).  A box's body section is the polynomial
+    sum_k d_k (u / R)^k up to R, so its level integral is closed: with the
+    tail level moments T_j(v) = phi(0) int_v^inf e^{-w} s(w)^j dw,
+
+        g_{f,m}(r theta) = A vol(K) sum_k d_k (r / R)^k T_{n-k}(v_lo).
+
+    On the stretched family T_j needs 2j / a to be an integer
+    (`numerics.gamma_q`), so a box under a p-family profile with 2 / |p|
+    not an integer raises ValueError.  A table or lens section has kinks
+    at its knots, so its level integral runs on `_LEVEL_PANELS` geometric
+    Gauss panels per radius from v_lo down to the least depth, and the
+    (radius, level) nodes go to the body section in batches of at most
+    `_LEVEL_NODE_BUDGET` nodes.  Either way a radius whose v_lo lies
+    beyond the least depth reads 0.  The slope at 0 is a Richardson
+    difference of the same integral over exact body covariograms.  Never
+    swapping the order of integration, it checks `radial_mean_body_fn`.
     """
     th = as_unit(theta, f.dim)
     K, prof, n = f.body, f.profile, f.dim
     vol = cc.volume(K).value
     R = cov.dm_support_radius(K, th)
-    weight = f.amplitude * prof.phi0 * vol / f.mass()
+    scale = f.amplitude * vol / f.mass()
     cut = prof.depth(cov.profile_cut(prof, n, f.amplitude * vol))
     depth = max(_LEVEL_DEPTH, cut) if math.isfinite(cut) else _LEVEL_DEPTH
     body = body_ray(K, m, th)
-    smooth = body.profile.kind == "ppoly"
     unit, unit_w = gauss_panels(np.array([0.0, 1.0]))
 
     def levels(r):
-        """The radii inside the support, their least depths v_lo, spans
-        log(depth / v_lo) and panel counts."""
+        """The radii inside the support and their least depths v_lo."""
         v_lo = prof.depth(r / R)
         live = (v_lo < depth) & (r > 0.0)
-        v_lo = np.maximum(v_lo[live], 1e-18)
-        span = np.log(depth / v_lo)
-        panels = np.maximum(2, np.ceil(span / _LEVEL_PANEL_WIDTH)).astype(np.intp) \
-            if smooth else np.full(span.size, _LEVEL_PANELS)
-        return live, v_lo, span, panels
+        return live, np.maximum(v_lo[live], 1e-18)
 
-    def section(r, body_psi):
-        live, v_lo, span, panels = levels(r)
-        row = np.repeat(np.arange(span.size), panels)          # radius of each panel
-        k = np.arange(row.size) - (np.cumsum(panels) - panels)[row]
-        width = (span / panels)[row, None]                      # e-folds per panel
+    def closed_section(r):
+        live, v_lo = levels(r)
+        u = r[live] / R
+        d = body.profile.spline.c[::-1, 0]          # d_k, lowest power first
+        out = np.where(r > 0.0, 0.0, 1.0)
+        out[live] = scale * sum(d[k] * u ** k * prof.tail_level_moment(n - k, v_lo)
+                                for k in range(len(d)))
+        return np.clip(out, 0.0, 1.0)
+
+    def panel_section(r, body_psi):
+        live, v_lo = levels(r)
+        span = np.log(depth / v_lo)
+        row = np.repeat(np.arange(span.size), _LEVEL_PANELS)   # radius of each panel
+        k = np.tile(np.arange(_LEVEL_PANELS), span.size)
+        width = (span / _LEVEL_PANELS)[row, None]                 # e-folds per panel
         V = v_lo[row, None] * np.exp(width * (k[:, None] + unit))
         S = prof.depth_scale(V)
         g = body_psi((r[live][row, None] / S).ravel()).reshape(S.shape)
         terms = (width * unit_w) * V * np.exp(-V) * S ** n * g
         out = np.where(r > 0.0, 0.0, 1.0)
-        out[live] = weight * np.bincount(row, terms.sum(axis=1), span.size)
+        out[live] = scale * prof.phi0 * np.bincount(row, terms.sum(axis=1), span.size)
         return np.clip(out, 0.0, 1.0)
 
     support = R * prof.support_radius
@@ -189,14 +201,18 @@ def layer_cake_ray(f: LogConcaveFunction, m: int, theta) -> RadialRay:
     else:   # quartic grading resolves heavy tails that fall steeply at 0
         horizon = R * prof.truncation_radius(1e-12, n + 8)
         grid = horizon * np.linspace(0.0, 1.0, _LAYER_CAKE_NODES) ** 4
-    live, _, _, panels = levels(grid)
-    nodes = np.zeros(grid.size, dtype=np.intp)
-    nodes[live] = panels * unit.size
-    vals = np.concatenate([section(grid[rows], body.profile.value)
-                           for rows in _batches(nodes, _LEVEL_NODE_BUDGET)])
-    exact = body.profile.value if body.profile.kind != "table" \
-        else _body_section_direct(K, th.blocks, vol)
-    slope0 = _fd_slope(lambda r: float(section(np.array([r]), exact)[0]), R)
+    if K.axis_box is not None:
+        vals, section = closed_section(grid), closed_section
+    else:
+        nodes = np.where(levels(grid)[0], _LEVEL_PANELS * unit.size, 0)
+        vals = np.concatenate([panel_section(grid[rows], body.profile.value)
+                               for rows in _batches(nodes, _LEVEL_NODE_BUDGET)])
+        exact = body.profile.value if body.profile.kind != "table" \
+            else _body_section_direct(K, th.blocks, vol)
+
+        def section(r):
+            return panel_section(r, exact)
+    slope0 = _fd_slope(lambda r: float(section(np.array([r]))[0]), R)
     return RadialRay(ml.from_table(grid, vals, root=n), slope0)
 
 

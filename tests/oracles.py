@@ -15,6 +15,10 @@ package computes another way, so agreement checks both.
 * `radial_from_ray_derivative`: the Ball-body radius of a ray by the
   trapezoid rule on a finite-difference -psi', against
   `starbodies.radial_from_ray`;
+* `layer_cake_section`: g_{f,m}(r theta) / ||f||_1 by one adaptive
+  QUADPACK integral over the level depth per radius, over exact body
+  covariograms, against the closed level integral of
+  `starbodies.layer_cake_ray` on box sections;
 * `dm_support_membership`: whether xbar lies in D^m(K), by a miniball
   radius or an LP; its hit rate over a box checks the meeting volumes
   and the sampled translates of the Rogers-Shephard checks;
@@ -26,6 +30,7 @@ package computes another way, so agreement checks both.
 import math
 
 import numpy as np
+from scipy import integrate
 
 import mthorder.convexcore as cc
 import mthorder.covariogram as cov
@@ -191,6 +196,29 @@ def radial_from_ray_derivative(ray, p: float, nodes: int = 4001) -> float:
     integrand = np.where(r > 0.0, r, 1.0) ** p * neg_slope
     integrand[0] = 0.0
     return float(np.trapezoid(integrand, r)) ** (1.0 / p)
+
+
+def layer_cake_section(f: LogConcaveFunction, m: int, theta, r: float) -> float:
+    """g_{f,m}(r theta) / ||f||_1 along a direction theta, by the layer cake
+    in its original order: A phi(0) int e^-v s(v)^n g_{K,m}(r theta / s(v)) dv
+    over the depths v at which r theta lies in s(v) D^m(K), one adaptive
+    QUADPACK integral per radius."""
+    th = cov.as_mvector(theta, f.dim).unit()
+    if th.m != m:
+        raise ValueError(f"direction has {th.m} blocks, expected m = {m}")
+    K, prof, n = f.body, f.profile, f.dim
+    v_lo = float(prof.depth(r / cov.dm_support_radius(K, th)))
+    if not math.isfinite(v_lo):
+        return 0.0
+
+    def level(v):
+        s = float(prof.depth_scale(v))
+        return math.exp(-v) * s ** n * float(
+            cov.covariogram_body_many(K, (r / s) * th.blocks[None])[0])
+
+    val, _ = integrate.quad(level, v_lo, math.inf, epsabs=1e-16, epsrel=1e-13,
+                            limit=400)
+    return f.amplitude * prof.phi0 * val / f.mass()
 
 
 # ---------------------------------------------------------------------------

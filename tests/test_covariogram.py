@@ -791,3 +791,16 @@ class TestDmBody:
         box = float(np.prod(2.0 * width)) ** 2
         sigma = box * math.sqrt(frac * (1.0 - frac) / N)
         assert abs(box * frac - exact) <= 4.0 * sigma
+
+
+def test_axis_box_is_found_once_per_body(monkeypatch):
+    K = cc.cube(2, 1.0)
+    calls = []
+    real = cc.bounding_box
+    monkeypatch.setattr(cc, "bounding_box", lambda body: calls.append(body) or real(body))
+    for theta in ([1.0, 0.0], [0.6, 0.8], [[0.6, 0.8], [0.0, 1.0]]):
+        dm_support_radius(K, theta)
+        covariogram_body_many(K, np.array(theta, dtype=float).reshape(1, -1))
+    assert len(calls) == 1
+    np.testing.assert_array_equal(np.concatenate(K.axis_box), [-1.0, -1.0, 1.0, 1.0])
+    assert cc.simplex(2).axis_box is None and cc.ball(2, 1.0).axis_box is None

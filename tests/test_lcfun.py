@@ -12,7 +12,7 @@ from mthorder.lcfun import (
     make_function,
     profile_from_kind,
 )
-from mthorder.numerics import make_rng
+from mthorder.numerics import QuadratureConfig, integrate_1d, make_rng
 
 
 def expfun(K, shift=None, A=1.0):
@@ -194,6 +194,47 @@ class TestLevelMoments:
                                                       rel=1e-6)
         with pytest.raises(ValueError):
             f.radial_factor(-1.5)
+
+
+# every profile whose tail moments have integer or half-integer gamma orders
+_TAIL_PROFILES = [
+    Profile("exponential"), Profile("gaussian"), Profile("power", 2.0),
+    Profile("power", 0.5), Profile("indicator"),
+    Profile("pfamily", 1.0, ambient_dim=1), Profile("pfamily", -0.5, ambient_dim=1),
+    Profile("pfamily", 2.0, ambient_dim=3),
+]
+
+
+class TestTailLevelMoments:
+    """T_k(v) = phi(0) int_v^inf e^-w s(w)^k dw."""
+
+    @pytest.mark.parametrize("prof", _TAIL_PROFILES)
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_zero_depth_is_the_level_moment(self, prof, k):
+        assert prof.tail_level_moment(k, 0.0) == pytest.approx(prof.level_moment(k),
+                                                               rel=1e-14)
+
+    @pytest.mark.parametrize("prof", _TAIL_PROFILES)
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_against_quadrature(self, prof, k):
+        # e^-w s(w)^k <= 1e3 e^(-w/2) for every profile here at k <= 3
+        cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-300)
+        depths = np.array([0.0, 0.3, 2.0, 10.0, 35.0])
+        got = prof.tail_level_moment(k, depths)
+        for v, value in zip(depths, got):
+            oracle = prof.phi0 * integrate_1d(
+                lambda w: np.exp(-w) * prof.depth_scale(w) ** k, v, math.inf, cfg,
+                tail_bound=(1e3, 0.5)).value
+            assert value == pytest.approx(oracle, rel=1e-10)
+            assert prof.tail_level_moment(k, v) == value
+
+    def test_orders_off_the_half_integers_raise(self):
+        with pytest.raises(ValueError):
+            Profile("pfamily", 1.5, ambient_dim=2).tail_level_moment(1, 0.5)
+        with pytest.raises(ValueError):
+            Profile("power", 2.0).tail_level_moment(1.5, 0.5)
+        with pytest.raises(NonIntegrableError):
+            Profile("pfamily", 0.0, ambient_dim=2).tail_level_moment(1, 0.5)
 
 
 class TestProfileShape:

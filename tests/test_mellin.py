@@ -10,6 +10,7 @@ from scipy.interpolate import PchipInterpolator, PPoly
 
 import mthorder.mellin as ml
 from mthorder.lcfun import NonIntegrableError, Profile
+from mthorder.numerics import make_rng
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -235,6 +236,33 @@ class TestPieces:
         got = ml.Pieces(c, x).roots()
         np.testing.assert_allclose(got, np.unique(want[~zero_piece]), rtol=1e-12)
         np.testing.assert_allclose(got, [1.5, 3.5, 4.0, 4.2, 4.5, 4.9], rtol=1e-12)
+
+    def test_stacked_double_roots_stay_real(self):
+        # quadratics solved in one stack: double roots at 0.25, 1.5 and 2.75,
+        # a pair at 3.2 and 3.6, and one with no real root
+        c = np.zeros((3, 5))
+        for i, (r1, r2) in enumerate([(0.25, 0.25), (0.5, 0.5), (0.75, 0.75), (0.2, 0.6)]):
+            c[:, i] = np.poly([r1, r2])
+        c[:, 4] = [1.0, 0.0, 1.0]
+        got = ml.Pieces(c, np.arange(6.0)).roots()
+        np.testing.assert_allclose(got, [0.25, 1.5, 2.75, 3.2, 3.6], rtol=1e-15)
+
+    def test_roots_match_a_loop_over_pieces(self):
+        # mixed degrees with leading and trailing zeros, against np.roots
+        # piece by piece
+        gen = make_rng(3, 3)
+        c = gen.normal(size=(8, 40))
+        c[gen.random(c.shape) < 0.3] = 0.0
+        x = np.concatenate([[0.0], np.cumsum(gen.random(40) + 0.1)])
+        want = []
+        for i in np.flatnonzero(np.any(c != 0.0, axis=0)):
+            z = np.roots(c[:, i])
+            s = z[z.imag == 0.0].real
+            want.append(x[i] + s[(s >= 0.0) & (s <= x[i + 1] - x[i])])
+        want = np.unique(np.concatenate(want))
+        got = ml.Pieces(c, x).roots()
+        assert got.size == want.size > 10
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
 class TestMellinTransform:

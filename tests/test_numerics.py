@@ -340,6 +340,40 @@ class TestSpecialFunctions:
             want = float(special.gammaincc(n, x))
             assert gamma_q(n, x) == pytest.approx(want, rel=1e-13, abs=1e-300)
 
+    def test_half_integer_gamma_q(self):
+        xs = [0.0, 1e-12, 0.3, 1.0, 4.5, 30.0, 300.0]
+        # Q(1/2, x) = erfc(sqrt x); past x = 30 the rounding of sqrt x alone
+        # moves erfc by about 2 x eps
+        for x in xs[:-1]:
+            assert gamma_q(0.5, x) == pytest.approx(math.erfc(math.sqrt(x)), rel=1e-14)
+        cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300)
+        for a in (1.5, 2.5, 3.5, 6.5):
+            got = gamma_q(a, np.array(xs))
+            for x, value in zip(xs, got):
+                # Gamma(a, x) = int_x^inf t^(a-1) e^-t dt, shifted to start at 0
+                direct = integrate_1d(lambda u: (x + u) ** (a - 1.0) * np.exp(-x - u),
+                                      0.0, math.inf, cfg, tail_bound=(1e4, 0.5)).value
+                assert value == pytest.approx(direct / math.gamma(a), rel=1e-12, abs=1e-300)
+                assert gamma_q(a, x) == value
+
+    def test_gamma_q_arrays_keep_the_integer_sum(self):
+        xs = np.array([0.0, 1e-12, 0.3, 1.0, 4.5, 30.0, 300.0])
+        for n in (1, 2, 3, 6):
+            want = []
+            for x in xs.tolist():   # the finite sum, term by term
+                term = total = 1.0
+                for k in range(1, n):
+                    term *= x / k
+                    total += term
+                want.append(math.exp(-x) * total)
+            assert [gamma_q(n, x) for x in xs.tolist()] == want
+            np.testing.assert_allclose(gamma_q(n, xs), want, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("a", [0.0, -0.5, 0.25, 1.3, 2.75])
+    def test_gamma_q_rejects_other_orders(self, a):
+        with pytest.raises(ValueError):
+            gamma_q(a, 1.0)
+
     def test_gamma_ratio_and_beta(self):
         assert gamma_ratio((4.0,)) == 6.0          # exact factorials
         assert gamma_ratio((2.5, 1.0), (2.5,)) == 1.0

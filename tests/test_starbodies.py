@@ -13,7 +13,7 @@ import mthorder.projection as proj
 import mthorder.starbodies as sb
 from mthorder.lcfun import LogConcaveFunction, profile_from_kind
 from mthorder.numerics import make_rng
-from oracles import radial_from_ray_derivative
+from oracles import layer_cake_section, radial_from_ray_derivative
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -538,13 +538,6 @@ class TestScalingLaws:
 _PENTAGON = cc.from_vertices(make_rng(1, 1).normal(size=(5, 2)))   # 5 vertices
 
 
-def _quarter_level_panels(monkeypatch):
-    """Layer-cake rays at four times the level resolution, whichever rule a
-    ray's body section takes."""
-    monkeypatch.setattr(sb, "_LEVEL_PANELS", 4 * sb._LEVEL_PANELS)
-    monkeypatch.setattr(sb, "_LEVEL_PANEL_WIDTH", sb._LEVEL_PANEL_WIDTH / 4.0)
-
-
 class TestLayerCakeReference:
     """The profile-moment factor against the layer cake in its original order."""
 
@@ -586,21 +579,29 @@ class TestLayerCakeReference:
 
     @pytest.mark.parametrize("body,m,theta", [
         (cc.cube(1, 1.0), 1, [1.0]), (cc.cube(1, 1.0), 2, [0.6, 0.8]),
-        (cc.cube(2, 1.0), 1, [0.6, 0.8]), (cc.cube(2, 1.0), 2, [0.36, 0.48, 0.48, 0.64])],
-        ids=["interval-m1", "interval-m2", "square-m1", "square-m2"])
+        (cc.cube(2, 1.0), 1, [0.6, 0.8]), (cc.cube(2, 1.0), 2, [0.36, 0.48, 0.48, 0.64]),
+        (cc.cube(3, 1.0), 1, [0.48, 0.6, 0.64])],
+        ids=["interval-m1", "interval-m2", "square-m1", "square-m2", "cube-m1"])
     @pytest.mark.parametrize("kind,par", [
-        ("exponential", None), ("gaussian", None), ("pfamily", -0.5)])
-    def test_box_level_rule_converged(self, monkeypatch, body, m, theta, kind, par):
-        # span-sized panels against the same ray at a quarter of the panel width
+        ("exponential", None), ("gaussian", None), ("pfamily", -0.5), ("pfamily", 2.0),
+        ("power", 2.0)])
+    def test_box_level_rule_converged(self, body, m, theta, kind, par):
+        # the closed level integral against one adaptive integral per radius
         f = LogConcaveFunction(profile_from_kind(kind, par, ambient_dim=body.dim),
                                body, np.zeros(body.dim))
         ray = sb.layer_cake_ray(f, m, theta)
-        _quarter_level_panels(monkeypatch)
-        fine = sb.layer_cake_ray(f, m, theta)
-        for p in [-0.5, 0.0, 1.0, 5.0]:
-            assert sb.radial_from_ray(ray, p).value == pytest.approx(
-                sb.radial_from_ray(fine, p).value, rel=1e-8)
-        assert ray.slope0 == pytest.approx(fine.slope0, rel=1e-8)
+        knots = ray.profile.spline.x * ray.profile.support_radius
+        rows = [1, 5, 30, 100, 300, 600, 900, 1020]
+        ref = [layer_cake_section(f, m, theta, float(knots[i])) for i in rows]
+        np.testing.assert_allclose(ray.profile.value(knots[rows]), ref, rtol=0.0,
+                                   atol=1e-12)
+
+    def test_box_section_needs_half_integer_gamma_orders(self):
+        # p = 3: the tail moment T_1 needs Q(4/3, v), which gamma_q lacks
+        f = LogConcaveFunction(profile_from_kind("pfamily", 3.0, ambient_dim=1),
+                               cc.cube(1, 1.0), np.zeros(1))
+        with pytest.raises(ValueError):
+            sb.layer_cake_ray(f, 1, [1.0])
 
     @pytest.mark.parametrize("kind", ["exponential", "gaussian"])
     def test_table_level_rule_converged(self, monkeypatch, kind):
@@ -609,7 +610,7 @@ class TestLayerCakeReference:
         f = LogConcaveFunction(profile_from_kind(kind, ambient_dim=2),
                                _PENTAGON, np.zeros(2))
         ray = sb.layer_cake_ray(f, 1, [0.6, 0.8])
-        _quarter_level_panels(monkeypatch)
+        monkeypatch.setattr(sb, "_LEVEL_PANELS", 4 * sb._LEVEL_PANELS)
         fine = sb.layer_cake_ray(f, 1, [0.6, 0.8])
         for p in [-0.5, 0.0, 1.0, 5.0]:
             assert sb.radial_from_ray(ray, p).value == pytest.approx(
