@@ -60,6 +60,21 @@ class ConvexBody:
             return None
         return bounding_box(self)
 
+    @cached_property
+    def measure(self) -> float:
+        """vol_n(K), found once per body: closed form for balls, the
+        shoelace area of the hull for polygons, the qhull volume for 3-D
+        polytopes."""
+        n = self.dim
+        if self.kind == "ball":
+            return sphere_surface(n) / n * self.radius ** n
+        if n == 1:
+            return float(self.vertices.max() - self.vertices.min())
+        if n == 2:
+            return polygon_area(self.vertices)
+        from scipy.spatial import ConvexHull
+        return float(ConvexHull(self.vertices).volume)
+
     def __repr__(self):
         if self.kind == "ball":
             return f"ConvexBody(ball, dim={self.dim}, r={self.radius}, c={self.center})"
@@ -421,18 +436,8 @@ def miniball_radius(points) -> float:
 
 
 def volume(K: ConvexBody) -> EstimateWithError:
-    """vol_n(K), exact: closed form for balls, the qhull volume for 3-D polytopes."""
-    n = K.dim
-    if K.kind == "ball":
-        value = sphere_surface(n) / n * K.radius ** n
-    elif n == 1:
-        value = float(K.vertices.max() - K.vertices.min())
-    elif n == 2:
-        value = polygon_area(K.vertices)
-    else:
-        from scipy.spatial import ConvexHull
-        value = float(ConvexHull(K.vertices).volume)
-    return EstimateWithError(value, 0.0, 0)
+    """vol_n(K), exact (`ConvexBody.measure`, found once per body)."""
+    return EstimateWithError(K.measure, 0.0, 0)
 
 
 def polygon_area(points: np.ndarray) -> float:

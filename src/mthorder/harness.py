@@ -278,7 +278,7 @@ def _jobs_mellin(seed, samples):
     jobs = []
     for label, psi in profiles:
         def mono(psi=psi, label=label):
-            vals = [ml.i_p(psi, p) for p in _IP_GRID]
+            vals = ml.i_p(psi, _IP_GRID)
             return _monotone_verdict(f"ip-monotone[{label}]", _IP_GRID, vals,
                                      "increasing")
         jobs.append((f"ip-monotone[{label}]", mono))
@@ -287,8 +287,7 @@ def _jobs_mellin(seed, samples):
              ("linear", ml.power(1.0), 1.0))
     for label, psi, s in flats:
         def flat(psi=psi, s=s, label=label):
-            worst = max(abs(ml.berwald_g(psi, p, s) - 1.0)
-                        for p in _BERWALD_GRID)
+            worst = float(np.max(np.abs(ml.berwald_g(psi, _BERWALD_GRID, s) - 1.0)))
             return make_verdict(f"berwald-flat[{label}]", _exact(worst),
                                 _exact(0.0), equality_tol=1e-9,
                                 metadata={"s": s,
@@ -297,7 +296,7 @@ def _jobs_mellin(seed, samples):
 
     def gauss_curve():
         grid = (-0.5, -0.1, 0.0, 0.5, 1.0, 2.0, 4.0, 6.0)
-        vals = [ml.berwald_g(ml.gaussian(), p, 0.0) for p in grid]
+        vals = ml.berwald_g(ml.gaussian(), grid, 0.0)
         return _monotone_verdict("berwald-decreasing[gaussian]", grid, vals,
                                  "decreasing")
     jobs.append(("berwald-decreasing[gaussian]", gauss_curve))
@@ -313,19 +312,23 @@ def _jobs_mellin(seed, samples):
 
     def collapse():
         grid = (20.0, 50.0, 100.0)
-        vals = [math.exp((math.log(p * ml.mellin(ml.gaussian(), p))
-                          - math.log(math.gamma(p + 1.0))) / p) for p in grid]
+        vals = [math.exp((math.log(p * m) - math.log(math.gamma(p + 1.0))) / p)
+                for p, m in zip(grid, ml.mellin(ml.gaussian(), grid).tolist())]
         return _monotone_verdict("gaussian-collapse", grid, vals, "decreasing")
     jobs.append(("gaussian-collapse", collapse))
 
-    for k in (2, 3, 4):
-        def fractional(k=k):
-            q = 10.0 ** (-k)
-            got = q * ml.mellin(ml.exponential(), q)
-            return make_verdict(f"fractional-derivative[k={k}]",
-                                _exact(abs(got - 1.0)), _exact(10.0 * q),
-                                metadata={"q": q, "value": got})
-        jobs.append((f"fractional-derivative[k={k}]", fractional))
+    def fractional():
+        ks = (2, 3, 4)
+        qs = [10.0 ** (-k) for k in ks]
+        moments = ml.mellin(ml.exponential(), qs).tolist()
+        verdicts = []
+        for k, q, m in zip(ks, qs, moments):
+            got = q * m
+            verdicts.append(make_verdict(f"fractional-derivative[k={k}]",
+                                         _exact(abs(got - 1.0)), _exact(10.0 * q),
+                                         metadata={"q": q, "value": got}))
+        return verdicts
+    jobs.append(("fractional-derivative", fractional))
     return jobs
 
 

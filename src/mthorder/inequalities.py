@@ -870,8 +870,8 @@ def check_chain(source, m: int, p_grid, directions=None, seed: int = 0,
     rays = sb.rays_for(dirs, m, lambda th: sb.body_ray(K, m, th, nodes=nodes))
 
     levels = {}
-    for p in grid.tolist():
-        radii = sb.radii_at(rays, p) * (ml.binom_root(p, s) * factor(p))
+    for p, radii in zip(grid.tolist(), sb.radii_at(rays, grid).T):
+        radii = radii * (ml.binom_root(p, s) * factor(p))
         levels[p] = [EstimateWithError(r, 0.0, 0) for r in radii.tolist()]
     reach = ml.c_const(s) * factor(-1.0)
     endpoint = [EstimateWithError(reach * sb.limit_body_minus1(rays[k]), 0.0, 0)

@@ -220,10 +220,9 @@ class Profile:
     def tail_level_moment(self, k: float, v):
         """T_k(v) = phi(0) int_v^inf e^-w s(w)^k dw, the level moment over
         the levels deeper than v (scalar or array), with T_k(0) = M_k: on
-        the stretched family M_k Q(1 + k/a, v) (`gamma_q`, so k/a must be
-        an integer or a half-integer), on the power kind the finite sum
-        sum_j C(k, j) (-1)^j e^(-(1 + j s) v) / (1 + j s) at an integer
-        k >= 0, and e^-v for the indicator.  The layer cake over the levels
+        the stretched family M_k Q(1 + k/a, v) (`gamma_q`), on the power
+        kind the finite sum sum_j C(k, j) (-1)^j e^(-(1 + j s) v) / (1 + j s)
+        at an integer k >= 0, and e^-v for the indicator.  The layer cake over the levels
         below depth v reads these where the body section is a polynomial."""
         v = np.asarray(v, dtype=float)[()]
         if self.kind == "indicator":

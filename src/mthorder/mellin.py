@@ -14,10 +14,18 @@ small numpy piecewise polynomial; `from_ppoly`, and `from_table` through
 the in-house monotone cubic interpolant `pchip`) are integrated knot by
 knot, exactly up to rounding; closed-form profiles by adaptive quadrature,
 `integrate_1d` taking the t^p weight in units of the integration span.
-Every integrand here maps an array of nodes to an array of values, so one
-refinement round is one call of the profile's vectorized formulas.  A
-profile of finite support is measured in units of its support, so no power
-of a large radius overflows.
+A profile of finite support is measured in units of its support, so no
+power of a large radius overflows.
+
+`mellin`, `i_p` and `berwald_g` take one exponent or an array of them, and
+an entry of an array result equals the call at that exponent alone.  A
+grid costs one adaptive pass: both routes at every exponent, and the p = 0
+log moment, are the integrals of one batched `integrate_1d` call, whose
+integrand maps the nodes of every unconverged integral to their values in
+one call of the profile's vectorized formulas per refinement round.  The
+knot routes evaluate the spline once at the shared Gauss nodes and weight
+it by t^p for every exponent.  The checks (admissible exponents, route
+agreement, closed form) still run exponent by exponent.
 
 On top of the transform sit the normalized means I_p (with a log-moment
 branch at p = 0), generalized binomial coefficients, and the Berwald-type
@@ -74,13 +82,12 @@ class Pieces:
             i = np.clip(i, 0, self.c.shape[1] - 1)
             s = t - self.x[i]
             coef = np.take(self.c, i, axis=1)   # three times faster than c[:, i]
-        if len(coef) == 1:
-            return np.zeros_like(s) + coef[0]
-        y = coef[0] * s + coef[1]
-        for ck in coef[2:]:   # Horner
-            y *= s
-            y += ck
-        return y
+        return _horner(coef, s)
+
+    def on_panels(self, t: np.ndarray, piece: np.ndarray) -> np.ndarray:
+        """Values at the (panels, k) nodes t, row i lying in piece piece[i]:
+        the same values as a call at t, with no search per node."""
+        return _horner(self.c[:, piece, None], t - self.x[piece, None])
 
     def derivative(self) -> Pieces:
         K = len(self.c) - 1
@@ -109,6 +116,17 @@ class Pieces:
         owner, s = np.concatenate(owners), np.concatenate(found)
         keep = (s >= 0.0) & (s <= np.diff(self.x)[owner])
         return np.unique(self.x[owner[keep]] + s[keep])
+
+
+def _horner(coef, s):
+    """sum_k coef[k] s^(K - k), each coef[k] broadcasting against s."""
+    if len(coef) == 1:
+        return np.zeros_like(s) + coef[0]
+    y = coef[0] * s + coef[1]
+    for ck in coef[2:]:
+        y *= s
+        y += ck
+    return y
 
 
 def _real_roots(coef: np.ndarray):
@@ -334,14 +352,19 @@ def from_ppoly(pp: Pieces) -> MellinProfile:
     psi0 = float(pp.c[-1, 0])
     dip = _minus(pp, psi0)          # first piece has constant term 0: no cancellation
     dpp = pp.derivative()
-    at_knots = pp(knots)
+    at_knots = np.append(pp.c[-1], pp(knots[-1]))    # each piece starts at its constant
     # a piece rises above the knot values only if its bound sum_j |c_j| h^j
-    # does; critical points are sought on those pieces alone
+    # does, and only if its slope can be positive (the slope is at most its
+    # value at the left knot plus its positive terms); critical points are
+    # sought on those pieces alone
     powers = np.arange(len(pp.c) - 1, -1, -1)[:, None]
-    reach = np.sum(np.abs(pp.c) * np.diff(knots) ** powers, axis=0)
+    h = np.diff(knots) ** powers
+    reach = np.sum(np.abs(pp.c) * h, axis=0)
+    rise = dpp.c[-1] + np.sum(np.maximum(dpp.c[:-1], 0.0) * h[1:-1], axis=0)
     dc = dpp.c.copy()
-    dc[:, reach <= at_knots.max()] = 0.0
-    sup = float(np.max(pp(np.concatenate([knots, Pieces(dc, knots).roots()]))))
+    dc[:, (reach <= at_knots.max()) | (rise <= 0.0)] = 0.0
+    crit = Pieces(dc, knots).roots() if dc.any() else knots[:0]
+    sup = float(np.concatenate([at_knots, pp(crit)]).max())
     last = float(at_knots[-1])
 
     def inside(spline, beyond):
@@ -377,9 +400,28 @@ def _minus(pp: Pieces, c0: float) -> Pieces:
 # the transform
 
 
-def mellin(psi: MellinProfile, p: float, cfg: QuadratureConfig | None = None) -> float:
-    """M(psi)(p) for p in (-1, 0) or p > 0, computed and cross-checked twice."""
-    return _scale(psi) ** p * _transform(psi, p, cfg or _DEFAULT_CFG)
+def mellin(psi: MellinProfile, p, cfg: QuadratureConfig | None = None):
+    """M(psi)(p) for p in (-1, 0) or p > 0, computed and cross-checked twice.
+    p may be an array of exponents, with a result of its shape whose every
+    entry equals the call at that exponent alone."""
+    grid = _grid(p)
+    for q in grid.tolist():
+        _require_exponent(psi, q)
+    vals, _ = _transform(psi, grid, cfg or _DEFAULT_CFG)
+    return _like(p, [_scale(psi) ** q * v for q, v in zip(grid.tolist(), vals.tolist())])
+
+
+def _grid(p) -> np.ndarray:
+    """The exponents p, a number or an array, as a flat float array."""
+    return np.asarray(p, dtype=float).reshape(-1)
+
+
+def _like(p, values):
+    """One value per exponent, in the shape of p: a float for a number."""
+    if isinstance(p, (int, float)):
+        return float(values[0])
+    out = np.asarray(values, dtype=float).reshape(np.shape(p))
+    return float(out) if out.ndim == 0 else out
 
 
 def _scale(psi: MellinProfile) -> float:
@@ -388,39 +430,61 @@ def _scale(psi: MellinProfile) -> float:
     return psi.support_radius if math.isfinite(psi.support_radius) else 1.0
 
 
-def _transform(psi: MellinProfile, p: float, cfg: QuadratureConfig) -> float:
-    """M(psi)(p) / _scale(psi)^p from both routes, reconciled."""
-    _require_exponent(psi, p)
-    first = _branch_route(psi, p, cfg)
-    second = _derivative_route(psi, p, cfg)
-    _reconcile("branch and derivative routes", first, second)
-    if psi.pmellin is not None:
-        _reconcile("quadrature and closed form", first, psi.pmellin(p) / p)
-    return first
+def _transform(psi: MellinProfile, p: np.ndarray, cfg: QuadratureConfig,
+               log_moment: bool = False):
+    """M(psi)(p) / _scale(psi)^p at admissible exponents p != 0 from the
+    branch and derivative routes, reconciled exponent by exponent; and, with
+    log_moment, int log(t/s) (-psi'(t)) dt over the atoms too (else None),
+    the p -> 0 limit of the derivative route."""
+    routes = _knot_routes if psi.spline is not None else _quadrature_routes
+    first, second, log_total = routes(psi, p, cfg, log_moment)
+    for q, a, b in zip(p.tolist(), first.tolist(), second.tolist()):
+        _reconcile("branch and derivative routes", a, b)
+        if psi.pmellin is not None:
+            _reconcile("quadrature and closed form", a, psi.pmellin(q) / q)
+    return first, log_total
 
 
-def i_p(psi: MellinProfile, p: float, cfg: QuadratureConfig | None = None) -> float:
-    """(p M(psi/sup)(p))^(1/p); geometric mean of -psi'/sup radii at p = 0."""
-    cfg = cfg or _DEFAULT_CFG
-    if not math.isfinite(p) or p <= -1.0:
-        raise ValueError("i_p needs a finite exponent p > -1")
-    if abs(p) <= ZERO_P_WINDOW:
-        _require_peak_at_zero(psi)
-        return _log_moment_mean(psi, cfg)
-    pm = p * _transform(psi, p, cfg) / psi.sup
-    if not pm > 0.0:
-        raise ArithmeticError(f"p*M = {pm:g} is not positive; cannot take the 1/p power")
-    return _scale(psi) * pm ** (1.0 / p)
+def i_p(psi: MellinProfile, p, cfg: QuadratureConfig | None = None):
+    """(p M(psi/sup)(p))^(1/p); geometric mean of -psi'/sup radii at p = 0.
+
+    p may be an array of exponents, with a result of its shape whose every
+    entry equals the call at that exponent alone: each adaptive route is
+    one batched `integrate_1d` call over the grid (the p = 0 log moment
+    rides with the derivative route), the knot routes weight one spline
+    evaluation by every t^p, and the checks run exponent by exponent, in
+    grid order, so an inadmissible exponent raises what its own call raises.
+    """
+    exps = _grid(p).tolist()
+    for q in exps:
+        if not math.isfinite(q) or q <= -1.0:
+            raise ValueError("i_p needs a finite exponent p > -1")
+        if abs(q) <= ZERO_P_WINDOW:
+            _require_peak_at_zero(psi)
+        else:
+            _require_exponent(psi, q)
+    zero = [abs(q) <= ZERO_P_WINDOW for q in exps]
+    rest = [q for q, z in zip(exps, zero) if not z]
+    moments, log_total = _transform(psi, np.array(rest), cfg or _DEFAULT_CFG, any(zero))
+    pm = [q * m / psi.sup for q, m in zip(rest, moments.tolist())]
+    for x in pm:
+        if not x > 0.0:
+            raise ArithmeticError(f"p*M = {x:g} is not positive; cannot take the 1/p power")
+    s = _scale(psi)
+    mean = iter([s * x ** (1.0 / q) for q, x in zip(rest, pm)])
+    return _like(p, [s * math.exp(log_total / psi.sup) if z else next(mean) for z in zero])
 
 
-def berwald_g(psi: MellinProfile, p: float, s: float) -> float:
-    """G(psi, p, s) = binom_root(p, s) * i_p(psi).
+def berwald_g(psi: MellinProfile, p, s: float):
+    """G(psi, p, s) = binom_root(p, s) * i_p(psi), at a number or an array p.
 
     Nonincreasing in p when psi is s-concave with its maximum at 0, and
     constant exactly on the family psi(0) * (1 - t/alpha)_+^(1/s)
     (exponential psi(0) e^(-t/alpha) at s = 0).
     """
-    return binom_root(p, s) * i_p(psi, p)
+    grid = _grid(p)
+    roots = [binom_root(q, s) for q in grid.tolist()]
+    return _like(p, [r * v for r, v in zip(roots, _grid(i_p(psi, grid)).tolist())])
 
 
 def _extremal(s: float) -> Profile:
@@ -476,20 +540,30 @@ def _require_peak_at_zero(psi: MellinProfile) -> None:
         raise ValueError("p <= 0 needs the profile maximum at t = 0")
 
 
-def _weighted_knot_integral(pp, alpha: float, with_log: bool = False) -> float:
-    """int t^alpha * pp(t) [* log t] over the knot span of the piecewise poly pp.
+def _weighted_knot_integral(pp, alphas: list, with_log: bool = False) -> list:
+    """int t^alpha * pp(t) [* log t] over the knot span of the piecewise poly
+    pp, for each exponent alpha of the list alphas.
 
     The first interval starts at t = 0 and owns the t^alpha endpoint behavior;
     there the local power-basis coefficients give the integral analytically.
     Every other interval is cut at doublings of its left end, so t^alpha is
     smooth on each panel (an end at most twice the other), and Gauss-Legendre
-    of at least the pieces' degree is exact to rounding there.
+    of at least the pieces' degree is exact to rounding there.  Those nodes
+    do not depend on alpha: pp is evaluated there once, each panel in its
+    own piece (`Pieces.on_panels`), and weighted by each row t^alpha of the
+    (exponents, nodes) matrix, one exponent at a time, so every entry is
+    what the exponent alone gives.
     """
+    if not alphas:
+        return []
     knots, c = pp.x, pp.c
-    q = np.arange(len(c) - 1, -1, -1) + alpha + 1.0      # first piece: t^(q-1) terms
+    powers = np.arange(len(c) - 1, -1, -1)
     b = float(knots[1])
-    first = float(c[:, 0] @ (b ** q * (q * math.log(b) - 1.0) / (q * q) if with_log
-                             else b ** q / q))
+    first = []
+    for alpha in alphas:
+        q = powers + alpha + 1.0                     # first piece: t^(q-1) terms
+        first.append(float(c[:, 0] @ (b ** q * (q * math.log(b) - 1.0) / (q * q) if with_log
+                                      else b ** q / q)))
     lo, hi = knots[1:-1], knots[2:]
     if lo.size == 0:
         return first
@@ -497,29 +571,37 @@ def _weighted_knot_integral(pp, alpha: float, with_log: bool = False) -> float:
             for a, b in zip(lo[hi > 2.0 * lo], hi[hi > 2.0 * lo])]
     edges = np.sort(np.concatenate([knots[1:], *cuts]))
     nodes, weights = gauss_panels(edges, order=max(8, len(c) - 1))
-    vals = pp(nodes) * nodes ** alpha
-    if with_log:
-        vals = vals * np.log(nodes)
-    return first + float(weights @ vals)
+    piece = np.minimum(np.searchsorted(knots, edges[:-1], side="right") - 1, c.shape[1] - 1)
+    spline = pp.on_panels(nodes.reshape(piece.size, -1), piece).ravel()
+    log = np.log(nodes) if with_log else None
+    out = []
+    for head, alpha in zip(first, alphas):
+        vals = spline * nodes ** alpha
+        if with_log:
+            vals = vals * log
+        out.append(head + float(weights @ vals))
+    return out
 
 
-def _branch_route(psi: MellinProfile, p: float, cfg: QuadratureConfig) -> float:
-    if psi.spline is not None:
-        if p > 0.0:
-            return _weighted_knot_integral(psi.spline, p - 1.0)
-        return psi.psi0 / p + _weighted_knot_integral(_minus(psi.spline, psi.psi0), p - 1.0)
-    s = _scale(psi)
-    horizon = float(psi.cutoff(p)) / s
-    if p >= _SMALL_P:
-        return integrate_1d(lambda u: psi.value(s * u), 0.0, horizon, cfg,
-                            weight_exponent=p - 1.0).value
-    # subtracted form: exact for p in (-1, 0), and for 0 < p < _SMALL_P the
-    # identity int_0^T t^(p-1) psi = psi(0) T^p / p + int_0^T t^(p-1) (psi - psi(0))
-    # keeps the integrand bounded; drop(t) ~ t^(1 + deriv_exponent) at 0.
-    e = psi.deriv_exponent
-    return psi.psi0 * horizon ** p / p + integrate_1d(
-        lambda u: psi.drop(s * u) / u ** (1.0 + e), 0.0, horizon, cfg,
-        weight_exponent=p + e).value
+def _knot_routes(psi: MellinProfile, p: np.ndarray, cfg: QuadratureConfig,
+                 log_moment: bool):
+    """Both routes and the log moment of a piecewise polynomial profile,
+    knot by knot on its unit support: the branch integral int t^(p-1) psi
+    (subtracted, psi0 / p + int t^(p-1) (psi - psi0), for p < 0), and
+    (1/p) int t^p (-psi') with the atom at the support end."""
+    spline, s, exps = psi.spline, _scale(psi), p.tolist()
+    dpp = spline.derivative()
+    up = iter(_weighted_knot_integral(spline, [q - 1.0 for q in exps if q > 0.0]))
+    negative = [q - 1.0 for q in exps if q <= 0.0]
+    down = iter(_weighted_knot_integral(_minus(spline, psi.psi0), negative) if negative else [])
+    first = [next(up) if q > 0.0 else psi.psi0 / q + next(down) for q in exps]
+    second = [(-d + a) / q for q, d, a in
+              zip(exps, _weighted_knot_integral(dpp, exps), _atoms(psi, exps))]
+    log_total = None
+    if log_moment:
+        log_total = (-_weighted_knot_integral(dpp, [0.0], with_log=True)[0]
+                     + sum(w * math.log(loc / s) for loc, w in psi.atoms))
+    return np.array(first), np.array(second), log_total
 
 
 def _over_depth(psi: MellinProfile) -> bool:
@@ -531,41 +613,76 @@ def _over_depth(psi: MellinProfile) -> bool:
     return psi.level is not None and math.isfinite(psi.support_radius)
 
 
-def _derivative_route(psi: MellinProfile, p: float, cfg: QuadratureConfig) -> float:
-    s = _scale(psi)
-    if psi.spline is not None:
-        quad_part = -_weighted_knot_integral(psi.spline.derivative(), p)
-    elif _over_depth(psi):
-        # level(v) ~ v^(1/a) at 0, a = 1 + deriv_exponent: the weight v^(p/a)
-        # is absorbed, and (level/s)^p <= 2 where the tail is cut
-        a = 1.0 + psi.deriv_exponent
-        quad_part = psi.psi0 * integrate_1d(
-            lambda v: np.exp(-v) * (psi.level(v) / (s * v ** (1.0 / a))) ** p,
-            0.0, math.inf, cfg, tail_bound=(2.0, 1.0), weight_exponent=p / a).value
+def _quadrature_routes(psi: MellinProfile, p: np.ndarray, cfg: QuadratureConfig,
+                       log_moment: bool):
+    """Both routes of a closed-form profile at every exponent of p, and the
+    log moment with log_moment, as the integrals of one batched
+    `integrate_1d` call, t in units of s = _scale(psi): integral j < P = p.size
+    is the branch route at p[j], P + j the derivative route at p[j], and 2P
+    the log moment.  The branch integrand is psi, the derivative one -psi',
+    over t or, `_over_depth`, over the level depth v."""
+    s, e, P = _scale(psi), psi.deriv_exponent, p.size
+    horizon = np.array([float(psi.cutoff(q)) for q in p.tolist()]) / s
+    # subtracted form below _SMALL_P: exact for p in (-1, 0), and for
+    # 0 < p < _SMALL_P the identity int_0^T t^(p-1) psi = psi(0) T^p / p +
+    # int_0^T t^(p-1) (psi - psi(0)) keeps the integrand bounded; drop(t) ~
+    # t^(1 + deriv_exponent) at 0.
+    small = p < _SMALL_P
+    ends, weights, envelopes = [horizon], [np.where(small, p + e, p - 1.0)], [np.ones(P)]
+    depth = _over_depth(psi)
+    a = 1.0 + e
+    if depth:
+        # level(v) ~ v^(1/a) at 0: the weight v^(p/a) is absorbed, and
+        # (level/s)^p <= 2 where the tail is cut (1 for the log moment)
+        ends += [np.full(P, math.inf), [math.inf] * log_moment]
+        weights += [p / a, [0.0] * log_moment]
+        envelopes += [np.full(P, 2.0), [1.0] * log_moment]
     else:
-        e = psi.deriv_exponent
-        quad_part = integrate_1d(lambda u: s * psi.neg_derivative(s * u) / u ** e,
-                                 0.0, float(psi.cutoff(p)) / s, cfg,
-                                 weight_exponent=p + e).value
-    total = quad_part + sum(w * (loc / s) ** p for loc, w in psi.atoms)
-    return total / p
+        ends += [horizon, [float(psi.cutoff(1.0)) / s] * log_moment]
+        weights += [p + e, [e] * log_moment]
+        envelopes += [np.ones(P + log_moment)]
+    subtracted = np.concatenate([small, np.zeros(P + log_moment, dtype=bool)])
+
+    def phi(t, owner):
+        out = np.empty_like(t)
+        branch, log = owner < P, owner == 2 * P
+        drop = subtracted[owner]
+        keep = branch & ~drop
+        if keep.any():
+            out[keep] = psi.value(s * t[keep])
+        if drop.any():
+            out[drop] = psi.drop(s * t[drop]) / t[drop] ** (1.0 + e)
+        deriv = ~branch & ~log
+        for rows, logged in ((deriv, False), (log, True)):
+            if not rows.any():
+                continue
+            v = t[rows]
+            if depth and logged:
+                out[rows] = np.exp(-v) * np.log(psi.level(v) / s)
+            elif depth:
+                out[rows] = np.exp(-v) * (psi.level(v) / (s * v ** (1.0 / a))) ** p[owner[rows] - P]
+            else:
+                out[rows] = s * psi.neg_derivative(s * v) / v ** e * (np.log(v) if logged else 1.0)
+        return out
+
+    quad = integrate_1d(phi, 0.0, np.concatenate(ends), cfg,
+                        tail_bound=(np.concatenate(envelopes), 1.0),
+                        weight_exponent=np.concatenate(weights)).value
+    if depth:
+        quad[P:] *= psi.psi0
+    head = [psi.psi0 * h ** q / q if sm else 0.0
+            for q, h, sm in zip(p.tolist(), horizon.tolist(), small.tolist())]
+    log_total = None
+    if log_moment:
+        log_total = float(quad[-1]) + sum(w * math.log(loc / s) for loc, w in psi.atoms)
+    return np.array(head) + quad[:P], (quad[P:2 * P] + _atoms(psi, p.tolist())) / p, log_total
 
 
-def _log_moment_mean(psi: MellinProfile, cfg: QuadratureConfig) -> float:
+def _atoms(psi: MellinProfile, exps: list) -> list:
+    """sum_atoms w (loc/s)^p at each exponent, the jumps' share of
+    int (t/s)^p (-psi'(t)) dt."""
     s = _scale(psi)
-    if psi.spline is not None:
-        quad_part = -_weighted_knot_integral(psi.spline.derivative(), 0.0, with_log=True)
-    elif _over_depth(psi):
-        quad_part = psi.psi0 * integrate_1d(
-            lambda v: np.exp(-v) * np.log(psi.level(v) / s), 0.0, math.inf, cfg,
-            tail_bound=(1.0, 1.0)).value
-    else:
-        e = psi.deriv_exponent
-        quad_part = integrate_1d(
-            lambda u: s * psi.neg_derivative(s * u) / u ** e * np.log(u),
-            0.0, float(psi.cutoff(1.0)) / s, cfg, weight_exponent=e).value
-    total = quad_part + sum(w * math.log(loc / s) for loc, w in psi.atoms)
-    return s * math.exp(total / psi.sup)
+    return [sum(w * (loc / s) ** q for loc, w in psi.atoms) for q in exps]
 
 
 def _reconcile(label: str, a: float, b: float) -> None:

@@ -5,7 +5,11 @@ over A x + t s <= b (`max_slack`, a one-phase simplex).
 Quadrature and search are array-first: `integrate_1d` is adaptive
 Gauss-Kronrod 21 whose integrand maps a 1-D array of nodes to their values,
 one call per refinement round, and the compass search takes objectives on
-(k, d) arrays of points, one call per stencil.
+(k, d) arrays of points, one call per stencil.  One adaptive pass refines a
+whole batch of integrals, each with its own interval, weight, tail cut,
+panels and tolerance test, with one integrand call per round over every
+integral still short of its tolerance; a single integral is the batch of
+one, and each integral of a batch comes out as it would alone.
 
 Everything here is deterministic given its inputs.  Random draws come from a
 counter-based generator keyed by (seed, stream id) so that parallel shards can
@@ -58,6 +62,20 @@ class EstimateWithError:
                                  self.samples_or_nodes)
 
 
+@dataclass(frozen=True)
+class Estimates:
+    """The integrals of one batched `integrate_1d` call: the value, error
+    bar and node count of each, and `samples_or_nodes`, their node total."""
+
+    value: np.ndarray
+    std_error: np.ndarray
+    nodes: np.ndarray
+
+    @property
+    def samples_or_nodes(self) -> int:
+        return int(self.nodes.sum())
+
+
 def combine_sigma(*sigmas: float) -> float:
     return math.sqrt(sum(s * s for s in sigmas))
 
@@ -73,6 +91,9 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
+
+
+_DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +187,25 @@ def beta(a: float, b: float) -> float:
 
 def gamma_q(a: float, x):
     """The regularized upper incomplete gamma Q(a, x) = Gamma(a, x) / Gamma(a)
-    at an integer or half-integer order a > 0 and x >= 0 (a number or an
-    ndarray), by the upward recurrence Q(b + 1, x) = Q(b, x) + x^b e^-x /
-    Gamma(b + 1) from Q(1, x) = e^-x or Q(1/2, x) = e^-x erfcx(sqrt x).
-    Every term is positive, so nothing cancels; at an integer order it is
-    the finite sum e^-x sum_{k<a} x^k / k!.  Any other order raises
-    ValueError."""
-    if not (a > 0.0 and 2.0 * a == math.floor(2.0 * a)):
-        raise ValueError(f"gamma_q needs an integer or half-integer order, got {a}")
+    at an order a > 0 and x >= 0 (a number or an ndarray).  At an integer
+    or half-integer order, by the upward recurrence Q(b + 1, x) = Q(b, x) +
+    x^b e^-x / Gamma(b + 1) from Q(1, x) = e^-x or Q(1/2, x) = e^-x
+    erfcx(sqrt x): every term is positive, so nothing cancels, and at an
+    integer order it is the finite sum e^-x sum_{k<a} x^k / k!.  At any
+    other order, 1 - P(a, x) by the series of P below x < a + 1, where
+    Q > 1/4 so the difference keeps its digits, and the continued fraction
+    of Q above (`_gamma_q_series`, `_gamma_q_fraction`)."""
+    if not a > 0.0:
+        raise ValueError(f"gamma_q needs an order a > 0, got {a}")
     scalar = not isinstance(x, np.ndarray)
     x = float(x) if scalar else x.astype(float, copy=False)
+    if 2.0 * a != math.floor(2.0 * a):
+        xs = np.atleast_1d(x)
+        out = np.empty_like(xs)
+        low = xs < a + 1.0
+        out[low] = _gamma_q_series(a, xs[low])
+        out[~low] = _gamma_q_fraction(a, xs[~low])
+        return float(out[0]) if scalar else out
     b = 1.0 if a == math.floor(a) else 0.5
     total = 1.0 if b == 1.0 else erfcx(np.sqrt(x))
     term = x ** b / math.gamma(b + 1.0)
@@ -184,6 +214,57 @@ def gamma_q(a: float, x):
         b += 1.0
         term = term * (x / b)
     return (math.exp(-x) if scalar else np.exp(-x)) * total
+
+
+_GAMMA_Q_TERMS = 1000    # bound on series terms and continued-fraction levels
+
+
+def _gamma_prefactor(a: float, x: np.ndarray) -> np.ndarray:
+    """x^a e^-x / Gamma(a), in logs; 0 at x = 0."""
+    with np.errstate(divide="ignore"):
+        return np.exp(a * np.log(x) - x - math.lgamma(a))
+
+
+def _gamma_q_series(a: float, x: np.ndarray) -> np.ndarray:
+    """1 - P(a, x), P = x^a e^-x / Gamma(a) sum_n x^n / (a (a+1) ... (a+n)),
+    each entry summed until its terms stop changing its sum (x < a + 1: the
+    terms fall at least geometrically), so an entry does not depend on the
+    others."""
+    term = np.full_like(x, 1.0 / a)
+    total = term.copy()
+    live = np.ones(x.shape, dtype=bool)
+    for n in range(1, _GAMMA_Q_TERMS):
+        if not live.any():
+            break
+        term = np.where(live, term * (x / (a + n)), 0.0)
+        total = total + term
+        live &= term > _EPS * total
+    return 1.0 - _gamma_prefactor(a, x) * total
+
+
+def _gamma_q_fraction(a: float, x: np.ndarray) -> np.ndarray:
+    """Q(a, x) = x^a e^-x / Gamma(a) / (x + 1 - a - 1 (1 - a) / (x + 3 - a -
+    2 (2 - a) / ...)) for x >= a + 1, by the modified Lentz method (Numerical
+    Recipes, 6.2), each entry until a level changes it by at most eps."""
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c = np.full_like(x, 1.0 / tiny)
+    d = 1.0 / b
+    h = d
+    live = np.ones(x.shape, dtype=bool)
+    for i in range(1, _GAMMA_Q_TERMS):
+        if not live.any():
+            break
+        an = -i * (i - a)
+        b = b + 2.0
+        d = an * d + b
+        d = 1.0 / np.where(np.abs(d) < tiny, tiny, d)
+        c = b + an / c
+        c = np.where(np.abs(c) < tiny, tiny, c)
+        step = d * c
+        h = np.where(live, h * step, h)
+        live &= np.abs(step - 1.0) > _EPS
+    return _gamma_prefactor(a, x) * h
 
 
 # From this |x| on, erfcx takes Laplace's continued fraction, which at this
@@ -233,9 +314,8 @@ def erfcx(x):
 # quadrature
 
 
-def integrate_1d(phi, a: float, b: float, cfg: QuadratureConfig | None = None,
-                 tail_bound: tuple[float, float] | None = None,
-                 weight_exponent: float = 0.0) -> EstimateWithError:
+def integrate_1d(phi, a, b, cfg: QuadratureConfig | None = None, tail_bound=None,
+                 weight_exponent=0.0):
     """Integrate (t - a)^k phi(t) over [a, b] (b may be +inf) to the configured
     tolerance, with k = weight_exponent > -1 and phi bounded near a.
 
@@ -252,9 +332,19 @@ def integrate_1d(phi, a: float, b: float, cfg: QuadratureConfig | None = None,
     An infinite upper limit requires tail_bound = (A, B) with
     (t - a)^k phi(t) <= A*exp(-B*t); the integral is truncated where that
     envelope drops below abs_tol/10.  Raises QuadratureFailure (carrying the
-    best estimate) if the adaptive rule cannot reach the tolerance within
-    cfg.max_subdivisions panels.  `samples_or_nodes` counts the nodes phi
-    was evaluated at.
+    best estimate, in the units of the result) if the adaptive rule cannot
+    reach the tolerance within cfg.max_subdivisions panels.
+    `samples_or_nodes` counts the nodes phi was evaluated at.
+
+    A batch of J integrals: a, b, k and the two entries of tail_bound may
+    be 1-D arrays, broadcast to a common length J.  Then phi(t, owner)
+    receives, with the nodes, the index of the integral each node belongs
+    to; every integral keeps its own panels, tolerance test and
+    max_subdivisions, and each round is one phi call over the new panels of
+    every integral not yet converged.  The result is an `Estimates`, whose
+    j-th entry is, to the bit, what the call with the j-th scalars returns.
+    If any integral fails, QuadratureFailure carries the best estimate of
+    the first to fail.
 
     Only the end a has this singular treatment.  An algebraic singularity
     at b is resolved only down to panels 1024 eps (relative) wide, as the
@@ -262,34 +352,76 @@ def integrate_1d(phi, a: float, b: float, cfg: QuadratureConfig | None = None,
     int_0^1 (1 - t)^(-1/2) dt fails at the default tolerance: the caller
     must move such a point to a, or substitute it away.
     """
-    cfg = cfg or QuadratureConfig()
-    if not weight_exponent > -1.0:
+    cfg = cfg or _DEFAULT_QUADRATURE
+    args = (a, b, weight_exponent, *((1.0, 1.0) if tail_bound is None else tail_bound))
+    batch = not all(isinstance(x, (int, float)) for x in args) and any(map(np.ndim, args))
+    a, b, k, big_a, big_b = ((np.asarray(x, dtype=float).ravel().tolist() for x in
+                              np.broadcast_arrays(*args)) if batch
+                             else ([float(x)] for x in args))
+    if not all(kj > -1.0 for kj in k):
         raise ValueError("the weight exponent must exceed -1")
-    if math.isinf(b):
-        if tail_bound is None:
-            raise ValueError("infinite upper limit needs an exponential tail_bound (A, B)")
-        big_a, big_b = tail_bound
-        if big_b <= 0:
-            raise ValueError("tail bound decay rate must be positive")
-        cut = math.log(max(10.0 * big_a / cfg.abs_tol, 2.0)) / big_b
-        b = max(a + 1.0, cut)
+    if not a:
+        return Estimates(np.zeros(0), np.zeros(0), np.zeros(0, dtype=int))
+    for j, bj in enumerate(b):
+        if math.isinf(bj):
+            if tail_bound is None:
+                raise ValueError("infinite upper limit needs an exponential tail_bound (A, B)")
+            if big_b[j] <= 0:
+                raise ValueError("tail bound decay rate must be positive")
+            cut = math.log(max(10.0 * big_a[j] / cfg.abs_tol, 2.0)) / big_b[j]
+            b[j] = max(a[j] + 1.0, cut)
 
-    k = weight_exponent
-    if k == 0.0:
-        return _adaptive_gk21(phi, a, b, cfg, cfg.abs_tol)
-    span = b - a
-    if k >= 1.0:
-        log_unit = k * math.log(span)
-        inner = _adaptive_gk21(lambda t: phi(t) * ((t - a) / span) ** k, a, b, cfg,
-                               _times_exp(cfg.abs_tol, -log_unit))
-        return EstimateWithError(_times_exp(inner.value, log_unit),
-                                 _times_exp(inner.std_error, log_unit),
-                                 inner.samples_or_nodes)
-    q = 1.0 / (k + 1.0)
-    floor = a + _T_FLOOR * span
-    inner = _adaptive_gk21(lambda w: phi(np.maximum(a + span * w ** q, floor)),
-                           0.0, 1.0, cfg, cfg.abs_tol)
-    return inner.scaled(span ** (k + 1.0) * q)
+    span = [bj - aj for aj, bj in zip(a, b)]
+    sub = [kj != 0.0 and kj < 1.0 for kj in k]           # integrated over w in [0, 1]
+    weighted = [kj >= 1.0 for kj in k]                   # ((t - a) / span)^k in the integrand
+    unit = [kj * math.log(sj) if wj else 0.0 for kj, sj, wj in zip(k, span, weighted)]
+    abs_tol = [_times_exp(cfg.abs_tol, -u) if wj else cfg.abs_tol
+               for u, wj in zip(unit, weighted)]
+    any_sub, any_weighted = any(sub), any(weighted)
+    if any_sub or any_weighted:
+        a_, span_, k_, sub_, weighted_ = map(np.array, (a, span, k, sub, weighted))
+        q_, floor_ = 1.0 / (k_ + 1.0), a_ + _T_FLOOR * span_
+
+    def integrand(x, panel_owner):
+        x = x.ravel()
+        owner = panel_owner.repeat(_GK_NODES.size) if batch or any_sub or any_weighted else None
+        t = x
+        if any_sub:
+            s = sub_[owner]
+            o = owner[s]
+            t = x.copy()
+            t[s] = np.maximum(a_[o] + span_[o] * x[s] ** q_[o], floor_[o])
+        f = np.asarray(phi(t, owner) if batch else phi(t), dtype=float)
+        if f.shape != x.shape:
+            raise ValueError("phi must map a 1-D array of nodes to an array of its values")
+        if any_weighted:
+            w = weighted_[owner]
+            o = owner[w]
+            f = f.copy()
+            f[w] = f[w] * ((t[w] - a_[o]) / span_[o]) ** k_[o]
+        return f
+
+    val, err, nodes, failure = _adaptive_gk21(
+        integrand, np.array([0.0 if sj else aj for aj, sj in zip(a, sub)]),
+        np.array([1.0 if sj else bj for bj, sj in zip(b, sub)]), np.array(abs_tol), cfg)
+
+    def finish(j):
+        v, e = float(val[j]), float(err[j])
+        if weighted[j]:
+            v, e = _times_exp(v, unit[j]), _times_exp(e, unit[j])
+        elif sub[j]:
+            factor = span[j] ** (k[j] + 1.0) * (1.0 / (k[j] + 1.0))
+            v, e = v * factor, e * abs(factor)
+        return EstimateWithError(v, e, int(nodes[j]))
+
+    if failure is not None:
+        j, message = failure
+        raise QuadratureFailure(message, finish(j))
+    if not batch:
+        return finish(0)
+    est = [finish(j) for j in range(len(a))]
+    return Estimates(np.array([e.value for e in est]), np.array([e.std_error for e in est]),
+                     nodes)
 
 
 # Gauss-Kronrod 21-point rule (QUADPACK's qk21): the Kronrod abscissae of
@@ -315,77 +447,124 @@ _GK_NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
 _GK_WEIGHTS = np.concatenate([_WGK, _WGK[-2::-1]])
 _GK_ERROR = _GK_WEIGHTS - np.concatenate([_WG, _WG[-2::-1]])
 _CASCADE = 2.0 ** -np.arange(8.0, 0.0, -1.0)   # 1/256, ..., 1/2 of a panel toward its end
+# cuts of a panel as fractions of its width from the end it is split toward:
+# the cascade toward a, toward b, and a bisection (its other cuts fall on hi)
+_CUTS = np.stack([_CASCADE, _CASCADE[::-1], np.r_[0.5, np.ones(_CASCADE.size - 1)]])
 _EPS = np.finfo(float).eps
 _MIN_PANEL = 1024.0 * _EPS   # least panel width relative to its edges' magnitude
 
 
-def _gk21(phi, lo, hi):
-    """GK21 integrals, errors |K21 - G10| and integrals of |phi| on the
-    panels [lo, hi], all nodes in one phi call."""
+def _gk21(f, lo, hi, owner):
+    """The panels [lo, hi] of the integrals `owner` as a (5, panels) table:
+    lo, hi, the GK21 integral, its error |K21 - G10| and the integral of
+    |f|, all nodes in one call f(nodes, owner), 21 nodes per panel in a row.
+    Each panel's sums run over its own row (`np.vecdot` sums a row alike
+    wherever it sits, where a matrix product need not), so they do not
+    depend on the other panels of the call."""
     half = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES
-    f = np.asarray(phi(x.ravel()), dtype=float)
-    if f.shape != (x.size,):
-        raise ValueError("phi must map a 1-D array of nodes to an array of its values")
-    f = f.reshape(x.shape)
-    return half * (f @ _GK_WEIGHTS), np.abs(half * (f @ _GK_ERROR)), \
-        np.abs(half) * (np.abs(f) @ _GK_WEIGHTS)
+    y = f(x, owner).reshape(x.shape)
+    out = np.empty((5, lo.size))
+    out[0], out[1] = lo, hi
+    out[2] = half * np.vecdot(y, _GK_WEIGHTS)
+    out[3] = np.abs(half * np.vecdot(y, _GK_ERROR))
+    out[4] = np.abs(half) * np.vecdot(np.abs(y), _GK_WEIGHTS)
+    return out
 
 
 def _children(lo, hi, a, b):
-    """The panels that replace [lo_i, hi_i]: a geometric cascade of halvings
-    toward the one end of [a, b] that a panel touches, else its bisection
-    (so the first split halves [a, b]).  Cuts closer than _MIN_PANEL
-    (relative) to an edge are dropped, so the outer nodes of every child
-    stay distinct from its edges."""
-    edges = []
-    for l, h in zip(lo.tolist(), hi.tolist()):
-        w = h - l
-        if l == a and h != b:
-            cuts = l + w * _CASCADE
-        elif h == b and l != a:
-            cuts = h - w * _CASCADE[::-1]
-        else:
-            cuts = np.array([l + 0.5 * w])
-        gap = _MIN_PANEL * max(abs(l), abs(h))
-        edges.append(np.concatenate([[l], cuts[(cuts - l >= gap) & (h - cuts >= gap)], [h]]))
-    return (np.concatenate([np.empty(0)] + [e[:-1] for e in edges]),
-            np.concatenate([np.empty(0)] + [e[1:] for e in edges]))
+    """The panels that replace [lo_i, hi_i], a panel of an integral over
+    [a_i, b_i]: a geometric cascade of halvings toward the one end of
+    [a_i, b_i] that it touches, else its bisection (so the first split
+    halves [a, b]).  Cuts closer than _MIN_PANEL (relative) to an edge are
+    dropped (moved onto that edge), so the outer nodes of every child stay
+    distinct from its edges.  Returns the children's ends, each panel's
+    children in order, and how many children each panel has."""
+    w = hi - lo
+    at_a, at_b = lo == a, hi == b
+    kind = np.where(at_a == at_b, 2, at_b)          # 0: toward a, 1: toward b, 2: halve
+    base, step = np.where(kind == 1, hi, lo), np.where(kind == 1, -w, w)
+    cuts = base[:, None] + step[:, None] * _CUTS[kind]
+    gap = (_MIN_PANEL * np.maximum(np.abs(lo), np.abs(hi)))[:, None]
+    cuts = np.where(cuts - lo[:, None] < gap, lo[:, None],
+                    np.where(hi[:, None] - cuts < gap, hi[:, None], cuts))
+    edges = np.concatenate([lo[:, None], cuts, hi[:, None]], axis=1)
+    left, right = edges[:, :-1], edges[:, 1:]
+    real = right > left
+    return left[real], right[real], real.sum(axis=1)
 
 
-def _adaptive_gk21(phi, a, b, cfg, abs_tol):
-    """Adaptive GK21 on [a, b].  Each round splits the worst panels until the
-    error left on unsplit panels is within half the tolerance, and evaluates
-    all of their children in one phi call.  Panel errors are |K21 - G10|;
-    the rule stops once their sum is within max(abs_tol, rel_tol |I|), or
-    within the rounding floor 50 eps int |phi|."""
-    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
-    val, err, mag = _gk21(phi, lo, hi)
-    evals = _GK_NODES.size
+def _adaptive_gk21(f, a, b, abs_tol, cfg):
+    """Adaptive GK21 on the intervals [a_j, b_j] at once, f(x, owner) taking
+    nodes and the integral each belongs to.  Each round splits, in every
+    integral not yet converged, its worst panels until the error left on its
+    unsplit panels is within half its tolerance, and evaluates all of their
+    children in one f call.  Panel errors are |K21 - G10|; integral j stops
+    once their sum is within max(abs_tol_j, rel_tol |I_j|), or within the
+    rounding floor 50 eps int |f|, and its panels leave the pass.  Sums
+    over an integral's panels run in panel order, and an integral's panels
+    keep their order (survivors first, then children), so each integral's
+    result does not depend on the others.  Returns values, errors, node
+    counts and a failure: None, or (j, message) for the first integral that
+    cannot converge, whose value and error are then its best estimate."""
+    J = a.size
+    own = np.arange(J)
+    tab = _gk21(f, a, b, own)                # rows: lo, hi, integral, error, |f| integral
+    nodes = np.full(J, _GK_NODES.size)
+    value, error = np.zeros(J), np.zeros(J)
+    live = np.ones(J, dtype=bool)
     while True:
-        total, total_err = float(val.sum()), float(err.sum())
-        if not (math.isfinite(total) and math.isfinite(total_err)):
-            raise QuadratureFailure("quadrature met a non-finite integrand value",
-                                    EstimateWithError(total, 0.0, evals))
-        tol = max(abs_tol, cfg.rel_tol * abs(total))
-        if total_err <= max(tol, 50.0 * _EPS * float(mag.sum())):
-            return EstimateWithError(total, total_err, evals)
-        splittable = hi - lo >= 2.0 * _MIN_PANEL * np.maximum(np.abs(lo), np.abs(hi))
-        order = np.flatnonzero(splittable)
-        order = order[np.argsort(-err[order], kind="stable")]
-        left = float(err[~splittable].sum()) + np.cumsum(err[order][::-1])[::-1]
-        pick = order[:max(1, int(np.count_nonzero(left > 0.5 * tol)))]
-        new_lo, new_hi = _children(lo[pick], hi[pick], a, b)
-        if pick.size == 0 or lo.size - pick.size + new_lo.size > cfg.max_subdivisions:
-            raise QuadratureFailure(
-                f"quadrature did not converge: error {total_err:.3g} above tolerance "
-                f"{tol:.3g} on {lo.size} panels", EstimateWithError(total, total_err, evals))
-        v, e, g = _gk21(phi, new_lo, new_hi)
-        evals += new_lo.size * _GK_NODES.size
-        keep = np.ones(lo.size, dtype=bool)
+        total, total_err = np.bincount(own, tab[2], J), np.bincount(own, tab[3], J)
+        finite = np.isfinite(total) & np.isfinite(total_err)   # an integral without panels reads 0
+        if not finite.all():
+            j = int((~finite).nonzero()[0][0])
+            value[j] = total[j]
+            return value, error, nodes, (j, "quadrature met a non-finite integrand value")
+        tol = np.maximum(abs_tol, cfg.rel_tol * np.abs(total))
+        done = live & (total_err <= np.maximum(tol, 50.0 * _EPS * np.bincount(own, tab[4], J)))
+        if done.any():
+            value[done], error[done] = total[done], total_err[done]
+            live &= ~done
+            if not live.any():
+                return value, error, nodes, None
+            stay = live[own]
+            tab, own = tab[:, stay], own[stay]
+        lo, hi, err = tab[0], tab[1], tab[3]
+        # each integral's splittable panels by decreasing error; left[i] is
+        # the error its panels would keep if those before panel i were split
+        split = hi - lo >= 2.0 * _MIN_PANEL * np.maximum(np.abs(lo), np.abs(hi))
+        order = split.nonzero()[0]
+        order = order[np.lexsort((-err[order], own[order]))]
+        group = own[order]
+        count = np.bincount(group, minlength=J)
+        rank = np.arange(order.size) - group.searchsorted(group)
+        width = count.max()
+        col = (width - 1) - rank               # right to left: cumsum runs from the tail
+        tails = np.zeros((J, width))
+        tails[group, col] = err[order]
+        left = tails.cumsum(axis=1)[group, col]
+        if not split.all():
+            left += np.bincount(own, np.where(split, 0.0, err), J)[group]
+        take = np.maximum(np.bincount(group[left > 0.5 * tol[group]], minlength=J), 1)
+        pick = order[rank < take[group]]
+        picked = own[pick]
+        new_lo, new_hi, per = _children(lo[pick], hi[pick], a[picked], b[picked])
+        new_own = picked.repeat(per)
+        born = np.bincount(new_own, minlength=J)
+        panels = np.bincount(own, minlength=J)
+        stalled = live & ((count == 0)
+                          | (panels - np.minimum(take, count) + born > cfg.max_subdivisions))
+        if stalled.any():
+            j = int(stalled.nonzero()[0][0])
+            value[j], error[j] = total[j], total_err[j]
+            return value, error, nodes, (j, (
+                f"quadrature did not converge: error {total_err[j]:.3g} above tolerance "
+                f"{tol[j]:.3g} on {panels[j]} panels"))
+        keep = np.ones(own.size, dtype=bool)
         keep[pick] = False
-        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
-        val, err, mag = (np.concatenate([x[keep], y]) for x, y in ((val, v), (err, e), (mag, g)))
+        tab = np.concatenate([tab[:, keep], _gk21(f, new_lo, new_hi, new_own)], axis=1)
+        own = np.concatenate([own[keep], new_own])
+        nodes += _GK_NODES.size * born
 
 
 def _times_exp(x: float, log_factor: float) -> float:

@@ -145,9 +145,8 @@ def layer_cake_ray(f: LogConcaveFunction, m: int, theta) -> RadialRay:
 
         g_{f,m}(r theta) = A vol(K) sum_k d_k (r / R)^k T_{n-k}(v_lo).
 
-    On the stretched family T_j needs 2j / a to be an integer
-    (`numerics.gamma_q`), so a box under a p-family profile with 2 / |p|
-    not an integer raises ValueError.  A table or lens section has kinks
+    On the stretched family T_j is a regularized upper incomplete gamma
+    function (`numerics.gamma_q`).  A table or lens section has kinks
     at its knots, so its level integral runs on `_LEVEL_PANELS` geometric
     Gauss panels per radius from v_lo down to the least depth, and the
     (radius, level) nodes go to the body section in batches of at most
@@ -255,11 +254,12 @@ def limit_body_minus1(ray: RadialRay) -> float:
 # radial mean bodies over direction sets
 
 
-def radii_at(rays, p: float) -> np.ndarray:
-    """rho at p of every ray's Ball body, `radial_from_ray` once per
-    distinct ray object."""
+def radii_at(rays, p) -> np.ndarray:
+    """rho at p of every ray's Ball body, one row per ray, with one column
+    per exponent when p is an array: one `mellin.i_p` call over the whole
+    grid per distinct ray object."""
     distinct = {id(ray): ray for ray in rays}
-    rho = {key: radial_from_ray(ray, p).value for key, ray in distinct.items()}
+    rho = {key: ml.i_p(ray.profile, p) for key, ray in distinct.items()}
     return np.array([rho[id(ray)] for ray in rays])
 
 

@@ -167,6 +167,16 @@ class TestVolume:
         assert cc.volume(cc.scale(K, 3.0)).value == pytest.approx(
             9.0 * cc.volume(K).value, rel=1e-9)
 
+    def test_found_once_per_body(self, monkeypatch):
+        calls = []
+        real = cc.planar_hull
+        monkeypatch.setattr(cc, "planar_hull", lambda P: calls.append(len(P)) or real(P))
+        K = cc.from_vertices(np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]]))
+        calls.clear()
+        assert [cc.volume(K).value for _ in range(3)] == [2.0, 2.0, 2.0]
+        assert len(calls) == 1
+        assert cc.volume(cc.scale(K, 2.0)).value == 8.0 and len(calls) == 2
+
 
 class TestFacets:
     def test_interval(self):

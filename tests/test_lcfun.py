@@ -196,12 +196,13 @@ class TestLevelMoments:
             f.radial_factor(-1.5)
 
 
-# every profile whose tail moments have integer or half-integer gamma orders
+# integer and half-integer gamma orders, and others (the p-family at 1.5 and 3)
 _TAIL_PROFILES = [
     Profile("exponential"), Profile("gaussian"), Profile("power", 2.0),
     Profile("power", 0.5), Profile("indicator"),
     Profile("pfamily", 1.0, ambient_dim=1), Profile("pfamily", -0.5, ambient_dim=1),
-    Profile("pfamily", 2.0, ambient_dim=3),
+    Profile("pfamily", 2.0, ambient_dim=3), Profile("pfamily", 1.5, ambient_dim=2),
+    Profile("pfamily", 3.0, ambient_dim=1),
 ]
 
 
@@ -228,9 +229,7 @@ class TestTailLevelMoments:
             assert value == pytest.approx(oracle, rel=1e-10)
             assert prof.tail_level_moment(k, v) == value
 
-    def test_orders_off_the_half_integers_raise(self):
-        with pytest.raises(ValueError):
-            Profile("pfamily", 1.5, ambient_dim=2).tail_level_moment(1, 0.5)
+    def test_inadmissible_orders_raise(self):
         with pytest.raises(ValueError):
             Profile("power", 2.0).tail_level_moment(1.5, 0.5)
         with pytest.raises(NonIntegrableError):

@@ -522,3 +522,90 @@ class TestBerwald:
             ml.berwald_g(ml.exponential(), 1.0, -0.5)
         with pytest.raises(ValueError):
             ml.berwald_g(ml.exponential(), -1.2, 0.0)
+
+
+def _table_profile():
+    # a covariogram table along a pentagon direction (`from_table`, root 2)
+    from mthorder import convexcore as cc
+    from mthorder import starbodies as sb
+    pentagon = cc.from_vertices(np.array([[1.0, 0.0], [0.3, 0.95], [-0.8, 0.6],
+                                          [-0.8, -0.6], [0.3, -0.95]]))
+    return sb.body_ray(pentagon, 1, [0.6, 0.8]).profile
+
+
+def _box_profile():
+    from mthorder import convexcore as cc
+    from mthorder import starbodies as sb
+    return sb.body_ray(cc.cube(2, 1.0), 1, [0.6, 0.8]).profile
+
+
+GRID_PROFILES = {
+    "gaussian": ml.gaussian, "exponential": ml.exponential,
+    "power-0.5": lambda: ml.power(0.5), "power-1": lambda: ml.power(1.0),
+    "indicator": lambda: ml.indicator(2.0), "table": _table_profile, "box": _box_profile,
+}
+# p = 0, both sides of the subtracted branch's threshold, weights in (-1, 0),
+# (0, 1) and >= 1
+EXPONENT_GRID = np.array([-0.9, -0.5, -0.1, 0.0, 0.03, 0.25, 0.5, 1.0, 1.7, 2.0, 3.0, 6.0])
+
+
+class TestExponentGrids:
+    """An array of exponents gives, entry by entry, the call at each exponent."""
+
+    @pytest.mark.parametrize("name", sorted(GRID_PROFILES))
+    def test_i_p_and_berwald(self, name):
+        psi = GRID_PROFILES[name]()
+        got = ml.i_p(psi, EXPONENT_GRID)
+        assert isinstance(got, np.ndarray) and got.shape == EXPONENT_GRID.shape
+        assert got.tolist() == [ml.i_p(psi, p) for p in EXPONENT_GRID.tolist()]
+        for s in (0.0, 1.0):
+            assert ml.berwald_g(psi, EXPONENT_GRID, s).tolist() == [
+                ml.berwald_g(psi, p, s) for p in EXPONENT_GRID.tolist()]
+        assert ml.i_p(psi, EXPONENT_GRID[::-1].reshape(3, 4)).ravel().tolist() == got[::-1].tolist()
+        assert isinstance(ml.i_p(psi, 2.0), float)
+
+    @pytest.mark.parametrize("name", sorted(GRID_PROFILES))
+    def test_mellin(self, name):
+        psi = GRID_PROFILES[name]()
+        grid = EXPONENT_GRID[EXPONENT_GRID != 0.0]
+        assert ml.mellin(psi, grid).tolist() == [ml.mellin(psi, p) for p in grid.tolist()]
+        assert ml.mellin(psi, grid[:0]).shape == (0,)
+
+    @staticmethod
+    def _same_error(on_grid, alone):
+        with pytest.raises(Exception) as grid_error:
+            on_grid()
+        with pytest.raises(Exception) as scalar_error:
+            alone()
+        assert type(grid_error.value) is type(scalar_error.value)
+        assert str(grid_error.value) == str(scalar_error.value)
+
+    def test_inadmissible_exponent_raises_its_own_error(self):
+        gauss = ml.gaussian()
+        heavy = ml.from_profile(Profile("pfamily", 0.5, ambient_dim=1))   # p > -0.5 only
+        bump = ml.from_ppoly(ml.Pieces([[-1.0], [1.0], [1.0]], [0.0, 1.5]))  # peak inside
+        cases = [
+            (gauss, ml.i_p, [1.0, -1.0, 2.0], -1.0),
+            (gauss, ml.i_p, [1.0, math.nan], math.nan),
+            (gauss, ml.mellin, [1.0, 0.0, 2.0], 0.0),
+            (heavy, ml.i_p, [1.0, -0.7], -0.7),
+            (heavy, ml.mellin, [2.0, -0.7], -0.7),
+            (bump, ml.i_p, [1.0, 0.0], 0.0),
+            (bump, ml.mellin, [1.0, -0.5], -0.5),
+        ]
+        for psi, fn, grid, bad in cases:
+            self._same_error(lambda: fn(psi, np.array(grid)), lambda: fn(psi, bad))
+        self._same_error(lambda: ml.berwald_g(gauss, np.array([1.0, -1.2]), 0.0),
+                         lambda: ml.berwald_g(gauss, -1.2, 0.0))
+
+
+def test_pieces_on_panels_equal_the_call():
+    # the knot routes' per-panel gather gives the call's values to the bit
+    rng = make_rng(5, 0)
+    x = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1.0, 40))])
+    pp = ml.Pieces(rng.normal(size=(4, 40)), x)
+    edges = np.sort(np.concatenate([x, rng.uniform(0.0, x[-1], 60)]))
+    nodes, _ = ml.gauss_panels(edges, order=8)
+    piece = np.minimum(np.searchsorted(x, edges[:-1], side="right") - 1, 39)
+    got = pp.on_panels(nodes.reshape(piece.size, -1), piece).ravel()
+    assert got.tolist() == pp(nodes).tolist()

@@ -128,6 +128,31 @@ class TestIntegrate1d:
         est = integrate_1d(spy(lambda t: np.exp(-t)), 0.0, math.inf, tail_bound=(1.0, 1.0))
         assert len(calls) >= 2 and sum(calls) == est.samples_or_nodes
         assert all(c % 21 == 0 for c in calls)
+        # a batch: still one call per round, over every unconverged integral
+        calls.clear()
+        owners = []
+
+        def batch_phi(t, owner):
+            assert t.ndim == 1 and owner.shape == t.shape
+            calls.append(t.size)
+            owners.append(np.unique(owner).tolist())
+            return np.exp(-t) * (1.0 + 0.1 * owner)
+
+        ends = np.array([1.0, math.inf, 3.0, math.inf])
+        est = integrate_1d(batch_phi, 0.0, ends, tail_bound=(1.2, 1.0),
+                           weight_exponent=np.array([0.0, -0.5, 2.0, 0.5]))
+        solo_rounds = []
+        for j in range(4):
+            n = len(calls)
+            integrate_1d(lambda t: batch_phi(t, np.full(t.size, j)), 0.0, float(ends[j]),
+                         tail_bound=(1.2, 1.0), weight_exponent=[0.0, -0.5, 2.0, 0.5][j])
+            solo_rounds.append(len(calls) - n)
+        batch_rounds = len(calls) - sum(solo_rounds)
+        assert batch_rounds == max(solo_rounds) < sum(solo_rounds)
+        assert sum(calls[:batch_rounds]) == est.samples_or_nodes == int(est.nodes.sum())
+        assert owners[0] == [0, 1, 2, 3]
+        # an integral leaves the pass once it converges
+        assert all(len(o) <= len(prev) for prev, o in zip(owners, owners[1:batch_rounds]))
 
     def test_failure_carries_best_estimate(self):
         cfg = QuadratureConfig(max_subdivisions=5)
@@ -140,6 +165,49 @@ class TestIntegrate1d:
     def test_scalar_integrand_rejected(self):
         with pytest.raises(ValueError, match="array"):
             integrate_1d(lambda t: 1.0, 0.0, 1.0)
+
+    def test_batch_equals_solo_calls(self):
+        # k = 0, (-1, 0), (0, 1) and >= 1, finite and infinite upper limits:
+        # every integral of the batch is its solo call, to the bit
+        def f(t):
+            return np.exp(-t) * (2.0 + np.cos(3.0 * t))
+
+        a = np.array([0.0, 0.0, 1.0, 0.5, 0.0, 0.2, 0.0, 0.0, 0.0, 0.3, 2.0])
+        b = np.array([1.0, 2.0, 3.0, 4.0, 9.0, 1.5, math.inf, math.inf, math.inf, 2.0, 2.5])
+        k = np.array([0.0, -0.5, -0.9, 0.3, 0.7, 1.0, 2.5, 4.0, 0.0, -0.5, 7.0])
+        amp = np.linspace(3.0, 5.0, a.size)
+        cfg = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-13)
+        batch = integrate_1d(lambda t, owner: f(t), a, b, cfg, tail_bound=(amp, 1.0),
+                             weight_exponent=k)
+        assert batch.value.shape == batch.std_error.shape == batch.nodes.shape == a.shape
+        for j in range(a.size):
+            solo = integrate_1d(f, float(a[j]), float(b[j]), cfg,
+                                tail_bound=(float(amp[j]), 1.0), weight_exponent=float(k[j]))
+            assert (batch.value[j], batch.std_error[j], batch.nodes[j]) == (
+                solo.value, solo.std_error, solo.samples_or_nodes)
+        assert batch.samples_or_nodes == int(batch.nodes.sum())
+        assert integrate_1d(lambda t, owner: t, 0.0, np.zeros(0)).value.shape == (0,)
+
+    def test_batch_failure_carries_the_failing_integrals_best(self):
+        cfg = QuadratureConfig(max_subdivisions=5)
+
+        def f(t, owner):
+            out = np.cos(t)
+            one = owner == 1
+            out[one] = (1.0 - t[one]) ** -0.5
+            return out
+
+        with pytest.raises(QuadratureFailure) as solo:
+            integrate_1d(lambda t: (1.0 - t) ** -0.5, 0.0, 1.0, cfg)
+        with pytest.raises(QuadratureFailure) as batch:
+            integrate_1d(f, 0.0, np.array([1.0, 1.0, 2.0]), cfg)
+        assert batch.value.best == solo.value.best
+        assert 0.0 < abs(batch.value.best.value - 2.0) <= batch.value.best.std_error
+        # a weighted integral's best estimate is in the caller's units
+        with pytest.raises(QuadratureFailure) as weighted:
+            integrate_1d(lambda t: (4.0 - t) ** -0.5, 0.0, 4.0, cfg, weight_exponent=1.0)
+        # int_0^4 t (4 - t)^(-1/2) dt = 32/3
+        assert abs(weighted.value.best.value - 32.0 / 3.0) <= weighted.value.best.std_error
 
 
 class TestMaximizeLogconcave:
@@ -369,7 +437,20 @@ class TestSpecialFunctions:
             assert [gamma_q(n, x) for x in xs.tolist()] == want
             np.testing.assert_allclose(gamma_q(n, xs), want, rtol=1e-15, atol=0.0)
 
-    @pytest.mark.parametrize("a", [0.0, -0.5, 0.25, 1.3, 2.75])
+    @pytest.mark.parametrize("a", [0.25, 1.3, 2.75, 1.0 / 3.0, 4.0 / 3.0, 7.1, 40.3])
+    def test_gamma_q_at_other_orders(self, a):
+        # the series below x = a + 1 and the continued fraction above, against
+        # scipy; both sides of the switch and the far tail
+        xs = np.concatenate([[0.0], np.geomspace(1e-10, 400.0, 120),
+                             np.linspace(a + 0.5, a + 1.5, 21)])
+        want = special.gammaincc(a, xs)
+        got = gamma_q(a, xs)
+        live = want > 1e-290
+        np.testing.assert_allclose(got[live], want[live], rtol=1e-13, atol=0.0)
+        assert gamma_q(a, 0.0) == 1.0
+        assert [gamma_q(a, x) for x in xs[::10].tolist()] == got[::10].tolist()
+
+    @pytest.mark.parametrize("a", [0.0, -0.5])
     def test_gamma_q_rejects_other_orders(self, a):
         with pytest.raises(ValueError):
             gamma_q(a, 1.0)

@@ -385,6 +385,16 @@ class TestRadialMeanBodies:
         np.testing.assert_array_equal(sb.direction_set(None, 1, 7),
                                       sb.direction_set(None, 1, 7))
 
+    def test_radii_over_a_grid_are_the_columns_of_single_exponents(self):
+        dirs = np.array([[0.6, 0.8], [1.0, 0.0], [-0.6, -0.8]])
+        rays = sb.rays_for(dirs, 1, lambda th: sb.body_ray(_PENTAGON, 1, th))
+        grid = np.array([-0.5, 0.0, 1.0, 2.0, 5.0])
+        radii = sb.radii_at(rays, grid)
+        assert radii.shape == (3, 5)
+        for j, p in enumerate(grid.tolist()):
+            assert radii[:, j].tolist() == sb.radii_at(rays, p).tolist()
+        assert radii[0].tolist() == radii[2].tolist()      # one ray for +-theta
+
     def test_direction_count_default(self):
         assert sb.default_direction_count(2) == 64
         assert sb.default_direction_count(5) == 256
@@ -596,12 +606,19 @@ class TestLayerCakeReference:
         np.testing.assert_allclose(ray.profile.value(knots[rows]), ref, rtol=0.0,
                                    atol=1e-12)
 
-    def test_box_section_needs_half_integer_gamma_orders(self):
-        # p = 3: the tail moment T_1 needs Q(4/3, v), which gamma_q lacks
-        f = LogConcaveFunction(profile_from_kind("pfamily", 3.0, ambient_dim=1),
-                               cc.cube(1, 1.0), np.zeros(1))
-        with pytest.raises(ValueError):
-            sb.layer_cake_ray(f, 1, [1.0])
+    @pytest.mark.parametrize("body,m,theta", [
+        (cc.cube(1, 1.0), 1, [1.0]), (cc.cube(1, 1.0), 2, [0.6, 0.8]),
+        (cc.cube(2, 1.0), 1, [0.6, 0.8])], ids=["interval-m1", "interval-m2", "square-m1"])
+    def test_box_section_at_other_gamma_orders(self, body, m, theta):
+        # p = 3: the tail moments need Q(4/3, v) and Q(5/3, v)
+        f = LogConcaveFunction(profile_from_kind("pfamily", 3.0, ambient_dim=body.dim),
+                               body, np.zeros(body.dim))
+        ray = sb.layer_cake_ray(f, m, theta)
+        knots = ray.profile.spline.x * ray.profile.support_radius
+        rows = [1, 5, 30, 100, 300, 600, 900, 1020]
+        ref = [layer_cake_section(f, m, theta, float(knots[i])) for i in rows]
+        np.testing.assert_allclose(ray.profile.value(knots[rows]), ref, rtol=0.0,
+                                   atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["exponential", "gaussian"])
     def test_table_level_rule_converged(self, monkeypatch, kind):
