@@ -1,4 +1,4 @@
-"""Convex bodies in R^n (n <= 3): gauges, supports, facets, volumes, intersections.
+"""Convex bodies in R^n (n <= 3): gauges, supports, facets, volumes.
 
 Bodies are canonically halfspace-represented (<a_i, x> <= b_i); the vertex list
 is derived at construction for polytopes.  Euclidean balls are carried as a
@@ -318,7 +318,7 @@ def make_body(spec: dict) -> ConvexBody:
 
 
 # ---------------------------------------------------------------------------
-# gauges
+# gauges and extents
 
 
 def gauge(K: ConvexBody, x) -> float:
@@ -370,42 +370,6 @@ def bounding_box(K: ConvexBody):
     if K.kind == "ball":
         return K.center - K.radius, K.center + K.radius
     return K.vertices.min(axis=0), K.vertices.max(axis=0)
-
-
-# ---------------------------------------------------------------------------
-# intersections of translates
-
-
-def intersect(bodies) -> ConvexBody | None:
-    """K_0 cap K_1 cap ... cap K_m for polytopes; None when its interior is
-    empty.
-
-    The meeting keeps every body's rows a_j.x <= b_j; of rows that share a
-    normal only the least offset binds.  Balls in n >= 2 meet in no
-    polytope; `covariogram.common_volume` takes their volume.
-    """
-    if any(K.kind != "polytope" for K in bodies):
-        raise ValueError("intersect needs polytopes; ball meetings are "
-                         "handled by the covariogram module")
-    normals, rows = np.unique(np.vstack([K.normals for K in bodies]), axis=0,
-                              return_inverse=True)
-    offsets = np.full(len(normals), math.inf)
-    np.minimum.at(offsets, rows.ravel(), np.concatenate([K.offsets for K in bodies]))
-    try:
-        return from_halfspaces(normals, offsets)
-    except DegenerateBodyError:
-        return None
-
-
-def intersect_translates(K: ConvexBody, xbar) -> ConvexBody | None:
-    """K cap (x_1+K) cap ... cap (x_m+K); None when its interior is empty.
-
-    x in x_i + K reads a_j.x <= b_j + a_j.x_i on every row of K, so
-    `intersect` keeps K's own rows with right sides b_j + min(0, min_i
-    a_j.x_i).
-    """
-    xbar = np.atleast_2d(np.asarray(xbar, dtype=float))
-    return intersect([K] + [translate(K, x) for x in xbar])
 
 
 def miniball_radius(points) -> float:
@@ -467,7 +431,8 @@ def facets(K: ConvexBody) -> FacetData:
         else:
             if len(on) < 3:
                 continue
-            measure = _facet_polygon_area(on, a)
+            u, v = plane_frame(a)       # the facet's plane, then a 2-D shoelace
+            measure = polygon_area(np.column_stack([on @ u, on @ v]))
         normals.append(a)
         areas.append(measure)
     return FacetData(np.array(normals), np.array(areas))
@@ -477,12 +442,10 @@ def _edge_dir(normal2d):
     return np.array([-normal2d[1], normal2d[0]])
 
 
-def _facet_polygon_area(points3d, normal):
-    # orthonormal basis of the facet plane, then a 2-D shoelace
+def plane_frame(normal) -> np.ndarray:
+    """Rows u, v: an orthonormal frame of the plane orthogonal to a 3-D normal."""
     a = normal / np.linalg.norm(normal)
     t = np.array([1.0, 0.0, 0.0]) if abs(a[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     u = np.cross(a, t)
     u /= np.linalg.norm(u)
-    v = np.cross(a, u)
-    coords = np.column_stack([points3d @ u, points3d @ v])
-    return polygon_area(coords)
+    return np.array([u, np.cross(a, u)])

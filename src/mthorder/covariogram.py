@@ -7,6 +7,9 @@ The order-m covariogram of a body K is
 and for a function f it is the integral of min_{0<=i<=m} f(y - x_i) over
 R^n, with x_0 = o by convention.  Both are log-concave in
 xbar = (x_1, ..., x_m) and reduce to the classical covariogram at m = 1.
+A meeting of polytopes (translates of one body, or the supports of an
+int-convolution in `common_volume`) is {x : A x <= c}: one row-batched
+Lasserre volume, never a body.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ _SPAN_TOL = 1e-12   # singular value, in ball radii, below which translates coun
 _LEVELSET_QUAD = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-16)
 # ball meetings are integrals of exact disc meetings; 1e-12 keeps them to 1e-13
 _MEETING_QUAD = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-16)
+_PARALLEL_TOL = 1e-12   # |sine| of the angle below which two unit rows count as parallel
+_BLOCK = 1 << 19        # elements per block of the polytope volume kernel
+_QUARTER = np.array([[0.0, 1.0], [-1.0, 0.0]])   # a -> a turned by a right angle
 
 
 # ---------------------------------------------------------------------------
@@ -210,37 +216,42 @@ def _disc_meeting(C, rad) -> np.ndarray:
     return np.maximum(0.5 * np.sum(np.where(keep, arc, 0.0), axis=(1, 2)), 0.0)
 
 
-def common_volume(bodies) -> float:
-    """vol_n(K_0 cap K_1 cap ... cap K_m) of bodies already moved into
-    place, exact: polytopes through their stacked rows (`cc.intersect`),
-    discs in the plane through `_disc_meeting`, and two balls in R^n, n >= 3,
-    as two caps cut by their radical plane, each a half `lens` (a cap past
-    the centre is the ball less the other half).  Other tuples raise
-    NotImplementedError."""
-    n = bodies[0].dim
+def common_volume(bodies, shifts) -> np.ndarray:
+    """vol_n((K_0 + t_0) cap ... cap (K_k + t_k)) at every row of an
+    (N, k+1, n) batch of translations t, exact: the `_lasserre_volume` of
+    polytopes' stacked rows about the vertex mean of K_0 + t_0, the least
+    right side kept per normal (within 1e-12); `_disc_meeting` for discs;
+    for two balls in R^n, n >= 3, two caps cut by their radical plane, each
+    a half `lens` (past the centre, the ball less the other half).  Other
+    tuples raise NotImplementedError."""
+    n, T = bodies[0].dim, np.asarray(shifts, dtype=float)
     kinds = {K.kind for K in bodies}
     if kinds == {"polytope"}:
-        body = cc.intersect(bodies)
-        return 0.0 if body is None else cc.volume(body).value
+        A, T = np.vstack([K.normals for K in bodies]), T - T[:, :1]
+        p = bodies[0].vertices.mean(axis=0)         # the origin, near the meeting
+        c = np.hstack([K.offsets + (T[:, i] - p) @ K.normals.T for i, K in enumerate(bodies)])
+        _, first, group = np.unique(np.round(A, 12) + 0.0, axis=0,
+                                    return_index=True, return_inverse=True)
+        least = np.full((len(first), len(T)), np.inf)
+        np.minimum.at(least, group.ravel(), c.T)
+        return _lasserre_volume(A[first], least.T)
     if kinds != {"ball"} or (n > 2 and len(bodies) > 2):
         raise NotImplementedError("exact common volumes need polytopes, discs in "
                                   "the plane or two balls")
-    C = np.array([K.center for K in bodies])
+    C = np.array([K.center for K in bodies]) + T
     rad = np.array([K.radius for K in bodies])
     if n == 2:
-        return float(_disc_meeting((C - C.mean(axis=0))[None], rad[None])[0])
-    (r0, r1), gap = rad, float(np.linalg.norm(C[1] - C[0]))
-    if gap >= r0 + r1:
-        return 0.0
-    if gap <= abs(r0 - r1):
-        return cc.volume(bodies[int(np.argmin(rad))]).value
-    # the radical plane lies at signed distance a_i from centre i
-    a0 = 0.5 * (gap + (r0 - r1) * (r0 + r1) / gap)
-    total = 0.0
-    for K, a in zip(bodies, (a0, gap - a0)):
-        half = 0.5 * lens(n, abs(a) / K.radius)
-        total += cc.volume(K).value * (half if a >= 0.0 else 1.0 - half)
-    return total
+        return _disc_meeting(C - C.mean(axis=1, keepdims=True),
+                             np.broadcast_to(rad, C.shape[:2]))
+    vol = np.array([cc.volume(K).value for K in bodies])
+    (r0, r1), gap = rad, np.linalg.norm(C[:, 1] - C[:, 0], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the radical plane lies at signed distance a_i from centre i
+        a0 = 0.5 * (gap + (r0 - r1) * (r0 + r1) / gap)
+        a = np.stack([a0, gap - a0], axis=1)
+        half = 0.5 * lens(n, np.abs(a) / rad)
+        caps = np.sum(vol * np.where(a >= 0.0, half, 1.0 - half), axis=1)
+    return np.where(gap >= r0 + r1, 0.0, np.where(gap <= abs(r0 - r1), vol.min(), caps))
 
 
 def _unit_ball_meeting(X: np.ndarray, n: int) -> float:
@@ -292,75 +303,86 @@ def _ball_meeting_cov(K: ConvexBody, blocks) -> np.ndarray:
     return out
 
 
-def _polygon_cov(K: ConvexBody, blocks) -> np.ndarray:
-    """Vectorized covariogram of a polygon; blocks has shape (N, m, 2).
-
-    The intersection keeps K's unit rows a_j with right sides
-    c_j = b_j + min(0, min_i a_j.x_i) (`convexcore.intersect_translates`),
-    and its area is (1/2) sum_j c_j l_j (Lasserre, 1983), l_j being the
-    length of the segment of the line a_j.y = c_j that meets every other
-    row.  Along y = c_j a_j + tau e_j, with e_j = a_j turned by a right
-    angle, row k reads tau (a_k.e_j) <= c_k - c_j (a_k.a_j).  A segment is
-    empty when a parallel row excludes its line, and every segment is empty
-    when the intersection is.
-    """
-    A = K.normals
-    c = K.offsets + np.minimum(0.0, (blocks @ A.T).min(axis=1))        # (N, F)
-    slope = (A @ np.array([[0.0, 1.0], [-1.0, 0.0]])) @ A.T           # a_k.e_j at [j, k]
-    room = c[:, None, :] - c[:, :, None] * (A @ A.T)                  # (N, F, F)
-    up, down = slope > 1e-12, slope < -1e-12
+def _area(A, c) -> np.ndarray:
+    """Area of {y : A y <= c} for rows A (..., F, 2), unit or zero, at every
+    right side c (N, ..., F): (1/2) sum_j c_j l_j (Lasserre, 1983), l_j the
+    length of the segment of a_j.y = c_j that meets every other row.  Along
+    y = c_j a_j + tau e_j, e_j = a_j turned by a right angle, row k reads
+    tau (a_k.e_j) <= c_k - c_j (a_k.a_j).  A row parallel to a_j (its dot
+    +-1 exactly, so that facing rows agree on their gap) empties the segment
+    when it excludes the line, and of two rows on one line only the first
+    keeps it.  A zero row reads 0 <= c_k: no bound, or an empty set."""
+    F = A.shape[-2]
+    At = np.swapaxes(A, -1, -2)
+    slope = (A @ _QUARTER) @ At                                   # a_k.e_j at [j, k]
+    up, down = slope > _PARALLEL_TOL, slope < -_PARALLEL_TOL
+    parallel = ~(up | down) & ~np.eye(F, dtype=bool)
+    dots = np.where(parallel, np.sign(A @ At), A @ At)
+    room = c[..., None, :] - c[..., :, None] * dots
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = room / slope
-    hi = np.where(up, bound, np.inf).min(axis=2)
-    lo = np.where(down, bound, -np.inf).max(axis=2)
-    parallel = ~(up | down) & ~np.eye(len(A), dtype=bool)
-    blocked = np.any(parallel & (room < 0.0), axis=2)
+    hi = np.where(up, bound, np.inf).min(axis=-1)
+    lo = np.where(down, bound, -np.inf).max(axis=-1)
+    tie = (room == 0.0) & (dots > 0.0) & np.tri(F, F, -1, dtype=bool)   # k before j
+    blocked = np.any(parallel & ((room < 0.0) | tie), axis=-1) | ~np.any(A, axis=-1)
     length = np.where(blocked, 0.0, np.maximum(hi - lo, 0.0))
-    return np.maximum(0.5 * np.sum(c * length, axis=1), 0.0)
+    return np.maximum(0.5 * np.sum(c * length, axis=-1), 0.0)
 
 
-def _exact_cov(K: ConvexBody, blocks) -> np.ndarray | None:
-    """The vectorized g_{K,m} on an (N, m, n) batch: balls, axis-aligned
-    boxes and polygons; None for other polytopes."""
-    if K.kind == "ball":
-        return _ball_meeting_cov(K, blocks)
-    box = K.axis_box
-    if box is not None:
-        return _box_cov(box[0], box[1], blocks)
-    if K.dim == 2:
-        return _polygon_cov(K, blocks)
-    return None
+def _lasserre_volume(A, c) -> np.ndarray:
+    """vol_n{x : A x <= c} for distinct unit rows A (F, n), n <= 3, at every
+    row of an (N, F) batch of right sides c, exact (0 when empty): the
+    interval length, the `_area`, or (1/3) sum_j c_j area_j.  On facet j,
+    x = c_j a_j + E_j y with E_j a frame of a_j's plane, row k reads
+    (E_j a_k).y <= c_k - c_j (a_j.a_k), divided by |E_j a_k| (a zero row for
+    a_k parallel to a_j).  Rounding grows like (distance / size)^n, so
+    callers put the origin near the set.  Rows go in blocks of _BLOCK elements."""
+    F, n = A.shape
+    if n == 1:
+        return np.maximum(c[:, A[:, 0] > 0].min(axis=1) + c[:, A[:, 0] < 0].min(axis=1), 0.0)
+    if n == 3:
+        proj = np.einsum("jyx,kx->jky", np.array([cc.plane_frame(a) for a in A]), A)
+        size = np.linalg.norm(proj, axis=2)
+        flat = size <= _PARALLEL_TOL
+        size[flat] = 1.0
+        rows = np.where(flat[..., None], 0.0, proj / size[..., None])
+        dots = np.where(flat, np.sign(A @ A.T), A @ A.T)
+        np.fill_diagonal(dots, 1.0)                 # a facet's own row reads 0 <= 0
+
+    def volume(part):
+        if n == 2:
+            return _area(A, part)
+        area = _area(rows, (part[:, None, :] - part[:, :, None] * dots) / size)
+        return np.maximum(np.sum(part * area, axis=1) / 3.0, 0.0)
+
+    step = max(1, _BLOCK // F ** n)        # F^n elements per row
+    return np.concatenate([volume(c[s:s + step]) for s in range(0, max(len(c), 1), step)])
 
 
 def covariogram_body(K: ConvexBody, xbar) -> EstimateWithError:
-    """g_{K,m}(xbar), exact: `_exact_cov`, else the volume of the
-    intersected translates."""
+    """g_{K,m}(xbar), exact (`covariogram_body_many`)."""
     xb = as_mvector(xbar, K.dim)
-    val = _exact_cov(K, xb.blocks[None])
-    if val is not None:
-        return EstimateWithError(float(val[0]), 0.0, 0)
-    body = cc.intersect_translates(K, xb.blocks)
-    if body is None:
-        return EstimateWithError(0.0, 0.0, 0)
-    return cc.volume(body)
+    return EstimateWithError(float(covariogram_body_many(K, xb.blocks[None])[0]), 0.0, 0)
 
 
 def covariogram_body_many(K: ConvexBody, xbars) -> np.ndarray:
-    """Batch g_{K,m} over an (N, m, n) or (N, m*n) batch, exact.
-
-    Balls, axis-aligned boxes (intervals included) and polygons go through
-    a vectorized closed form (`_exact_cov`); other polytopes loop over
-    covariogram_body.
-    """
+    """Batch g_{K,m} over an (N, m, n) or (N, m*n) batch, exact and in one
+    vectorized pass: balls through their meetings, axis-aligned boxes in
+    closed form, other polytopes as the `_lasserre_volume` of K's rows with
+    right sides c_j = b_j + min(0, min_i a_j.x_i), about K's vertex mean."""
     B = np.asarray(xbars, dtype=float)
     if B.ndim == 2:
         B = B.reshape(len(B), -1, K.dim)
     if B.ndim != 3 or B.shape[2] != K.dim:
         raise ValueError("expected an (N, m, n) or (N, m*n) batch")
-    vals = _exact_cov(K, B)
-    if vals is not None:
-        return vals
-    return np.array([covariogram_body(K, xb).value for xb in B])
+    if K.kind == "ball":
+        return _ball_meeting_cov(K, B)
+    box = K.axis_box
+    if box is not None:
+        return _box_cov(box[0], box[1], B)
+    A = K.normals
+    base = K.offsets - A @ K.vertices.mean(axis=0)
+    return _lasserre_volume(A, base + np.minimum(0.0, (B @ A.T).min(axis=1)))
 
 
 # ---------------------------------------------------------------------------

@@ -547,6 +547,8 @@ _CHECK_PARAMS = {
 }
 
 _GLOBAL_KEYS = {"name", "experiment", "check", "seed", "samples"}
+# a budget that feeds a mean and its standard error needs two draws
+_MIN_DRAWS = 2
 
 
 @dataclass(frozen=True)
@@ -595,7 +597,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("config needs exactly one of 'experiment' or 'check'")
 
     seed = _need_int(raw, "seed") if "seed" in raw else 0
-    samples = _need_int(raw, "samples", 1) if "samples" in raw else None
+    samples = _need_int(raw, "samples", _MIN_DRAWS) if "samples" in raw else None
 
     if has_exp:
         exp = raw["experiment"]
@@ -627,7 +629,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if "m" in params:
         params["m"] = _need_int(raw, "m", 1)
     # a ray table takes at least the 4 nodes `mellin.from_table` needs
-    for key, least in (("samples", 1), ("inner_samples", 1), ("nodes", 4)):
+    for key, least in (("samples", _MIN_DRAWS), ("inner_samples", 1), ("nodes", 4)):
         if key in params:
             params[key] = _need_int(raw, key, least)
     if "p_grid" in params:
@@ -642,12 +644,13 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if not isinstance(pts, list) or not pts:
             raise ConfigError("'points' must be a non-empty list")
     if "directions" in params:
-        d = params["directions"]
-        ok_int = isinstance(d, int) and not isinstance(d, bool) and d >= 1
+        # chain's directions are a set of rays, not a mean: one will do
+        d, least = params["directions"], 1 if check == "chain" else _MIN_DRAWS
+        ok_int = isinstance(d, int) and not isinstance(d, bool) and d >= least
         ok_list = isinstance(d, list) and d and check == "chain"
         if not (ok_int or ok_list):
-            raise ConfigError("'directions' must be a positive integer or, "
-                              "for chain, a list of direction vectors")
+            raise ConfigError(f"'directions' must be an integer >= {least} or, "
+                              f"for chain, a list of direction vectors")
     for key in ("body", "function"):
         if key in params and not isinstance(params[key], dict):
             raise ConfigError(f"field {key!r} must be a JSON object")
@@ -783,6 +786,12 @@ def _named(label: str, thunk):
     return run
 
 
+def _check_samples(samples: int | None) -> None:
+    """A samples override (the CLI's `--samples`) obeys the config field's rule."""
+    if samples is not None:
+        _need_int({"samples": samples}, "samples", _MIN_DRAWS)
+
+
 def _execute(labeled_jobs, threads: int | None) -> list[Verdict]:
     jobs = [_named(label, thunk) for label, thunk in labeled_jobs]
     return iq.run_jobs(jobs, threads=resolve_threads(threads))
@@ -793,6 +802,7 @@ def run_experiment(name: str, seed: int = 0, samples: int | None = None,
     """Run one catalog experiment and return its verdicts in order."""
     if name not in CATALOG:
         raise ConfigError(f"unknown experiment {name!r}")
+    _check_samples(samples)
     return _execute(CATALOG[name].build(seed, samples), threads)
 
 
@@ -800,6 +810,7 @@ def run_config(cfg: ExperimentConfig, seed: int | None = None,
                samples: int | None = None,
                threads: int | None = None) -> list[Verdict]:
     """Run a validated config; CLI-level seed/samples take precedence."""
+    _check_samples(samples)
     eff_seed = cfg.seed if seed is None else seed
     eff_samples = cfg.samples if samples is None else samples
     if cfg.experiment is not None:

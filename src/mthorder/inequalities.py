@@ -31,8 +31,8 @@ chi_K, so `check_rs_body` takes its left side from the same routes.  The
 sup norm rests on the int-convolution int_z f_0(z) prod_i f_i(z - x_i) dz:
 in one dimension the same cells integrated in closed form, or a fixed
 breakpoint-aligned Gauss rule for other profiles; above, for indicator
-tuples only, the exact volume of the translated supports' meeting
-(`covariogram.common_volume`).
+tuples only, the exact volume of the translated supports' meeting, one
+`covariogram.common_volume` batch (stacked rows for polytopes) per stencil.
 
 The functional Zhang and chain checks rest on the layer cake: every
 function here is f = A phi(||x - c||_K), so its covariogram integral and
@@ -173,10 +173,11 @@ def run_jobs(jobs, threads: int | None = None) -> list:
 
 
 def _shard_sigma(values: np.ndarray) -> float:
-    """Standard error of the mean from _SHARDS interleaved shard means."""
+    """Standard error of the mean from _SHARDS interleaved shard means, or
+    the plain one below 2 _SHARDS values; one value has none."""
+    if len(values) < 2:
+        raise ValueError("a standard error needs at least two values")
     if len(values) < 2 * _SHARDS:
-        if len(values) < 2:
-            return 0.0
         return float(values.std(ddof=1)) / math.sqrt(len(values))
     means = np.array([values[s::_SHARDS].mean() for s in range(_SHARDS)])
     return float(means.std(ddof=1)) / math.sqrt(_SHARDS)
@@ -538,21 +539,25 @@ def int_convolution(fbar, xbar) -> EstimateWithError:
     NotImplementedError.
     """
     fbar, _, _ = _validated_tuple(fbar)
-    return _int_convolution(fbar, _factor_boxes(fbar), _offsets(fbar, xbar))
+    x = np.concatenate(_offsets(fbar, xbar)[1:])[None, :]
+    value, error, nodes = _int_rows(fbar, _factor_boxes(fbar), x)
+    return EstimateWithError(float(value[0]), float(error[0]), int(nodes[0]))
 
 
-def _int_convolution(fbar, boxes, offsets) -> EstimateWithError:
-    if fbar[0].dim == 1:
-        value, error, nodes = _breakpoint_rows(
-            fbar, boxes, np.concatenate(offsets[1:])[None, :])
-        return EstimateWithError(float(value[0]), float(error[0]), int(nodes[0]))
+def _int_rows(fbar, boxes, X: np.ndarray):
+    """(value, error, nodes) of the int-convolution at every row x of X:
+    `_breakpoint_rows` in one dimension; above, for indicator tuples only,
+    the amplitudes times one `covariogram.common_volume` batch, error 0."""
+    n = fbar[0].dim
+    if n == 1:
+        return _breakpoint_rows(fbar, boxes, X)
     if any(f.profile.kind != "indicator" for f in fbar):
         raise NotImplementedError("above one dimension the int-convolution is "
                                   "exact only for indicator tuples")
+    shifts = np.concatenate([np.zeros((len(X), 1, n)), X.reshape(len(X), -1, n)], axis=1)
     height = math.prod(f.sup_norm for f in fbar)
-    meeting = cov.common_volume([cc.translate(f.support_body(), t)
-                                 for f, t in zip(fbar, offsets)])
-    return EstimateWithError(height * meeting, 0.0, 0)
+    meeting = cov.common_volume([f.support_body() for f in fbar], shifts)
+    return height * meeting, np.zeros(len(X)), np.zeros(len(X), dtype=int)
 
 
 def _graded_edges(levels: int) -> np.ndarray:
@@ -720,7 +725,7 @@ def check_rs_multi(fbar, seed: int = 0,
     the x that lays an interior point of every factor's support (its
     shift when not compact) on f_0's.  The sup value is `int_convolution`
     at the search's argmax.  Each compass stencil is one objective call:
-    one row-batched kernel in one dimension, one common volume per row
+    one row-batched kernel in one dimension, one batched common volume
     above it.  metadata["sup_evals"] counts the points evaluated.  On the
     `pointwise-sup` route of the L1 norm, metadata["row_kernel"] names the
     pointwise sups' kernel: `closed-form` for those same 1-D tuples,
@@ -736,10 +741,7 @@ def check_rs_multi(fbar, seed: int = 0,
     def objective(X):
         nonlocal evals
         evals += len(X)
-        if n == 1:
-            return _breakpoint_rows(fbar, boxes, X)[0]
-        return np.array([_int_convolution(fbar, boxes, _offsets(fbar, x)).value
-                         for x in X])
+        return _int_rows(fbar, boxes, X)[0]
 
     base = np.asarray(fbar[0].shift, dtype=float)
     starts = np.array([np.zeros(n * m),

@@ -309,13 +309,14 @@ def direction_set(directions, d: int, seed: int) -> np.ndarray:
 
 def star_volume(radii: np.ndarray, d: int) -> EstimateWithError:
     """(1/d) * surface(S^{d-1}) * mean(rho^d) over the radii of a star body
-    along directions sampled uniformly on S^{d-1}."""
+    along directions sampled uniformly on S^{d-1}, with its standard error."""
     if np.any(~np.isfinite(radii)):
         raise UnboundedBodyError("a radius of the star body is unbounded")
+    count = len(radii)
+    if count < 2:
+        raise ValueError("a sphere average needs at least two directions")
     rho_d = radii ** d
     surface = sphere_surface(d)
-    count = len(rho_d)
     value = surface * float(rho_d.mean()) / d
-    sigma = surface * float(rho_d.std(ddof=1)) / (d * math.sqrt(count)) \
-        if count > 1 else 0.0
+    sigma = surface * float(rho_d.std(ddof=1)) / (d * math.sqrt(count))
     return EstimateWithError(value, sigma, count)

@@ -19,6 +19,11 @@ package computes another way, so agreement checks both.
   QUADPACK integral over the level depth per radius, over exact body
   covariograms, against the closed level integral of
   `starbodies.layer_cake_ray` on box sections;
+* `intersect`, `intersect_translates` and `common_volume_qhull`: a meeting
+  of polytopes as a body, its stacked rows through
+  `convexcore.from_halfspaces` (a Chebyshev LP, then qhull in R^3), whose
+  volume checks the batched Lasserre volumes of `covariogram.common_volume`
+  and `covariogram_body_many`;
 * `dm_support_membership`: whether xbar lies in D^m(K), by a miniball
   radius or an LP; its hit rate over a box checks the meeting volumes
   and the sampled translates of the Rogers-Shephard checks;
@@ -222,6 +227,36 @@ def layer_cake_section(f: LogConcaveFunction, m: int, theta, r: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# meetings of polytopes as bodies
+
+
+def intersect(bodies) -> cc.ConvexBody | None:
+    """K_0 cap K_1 cap ... cap K_m for polytopes; None when its interior is
+    empty.  The meeting keeps every body's rows a_j.x <= b_j; of rows that
+    share a normal only the least offset binds."""
+    normals, rows = np.unique(np.vstack([K.normals for K in bodies]), axis=0,
+                              return_inverse=True)
+    offsets = np.full(len(normals), math.inf)
+    np.minimum.at(offsets, rows.ravel(), np.concatenate([K.offsets for K in bodies]))
+    try:
+        return cc.from_halfspaces(normals, offsets)
+    except cc.DegenerateBodyError:
+        return None
+
+
+def intersect_translates(K: cc.ConvexBody, xbar) -> cc.ConvexBody | None:
+    """K cap (x_1+K) cap ... cap (x_m+K); None when its interior is empty."""
+    xbar = np.atleast_2d(np.asarray(xbar, dtype=float))
+    return intersect([K] + [cc.translate(K, x) for x in xbar])
+
+
+def common_volume_qhull(bodies) -> float:
+    """vol of the meeting of polytopes by `intersect`: 0 when it is flat or empty."""
+    body = intersect(bodies)
+    return 0.0 if body is None else cc.volume(body).value
+
+
+# ---------------------------------------------------------------------------
 # D^m(K) as a body
 
 
@@ -231,7 +266,7 @@ def dm_support_membership(K: cc.ConvexBody, xbar) -> bool:
     if K.kind == "ball":
         pts = np.vstack([np.zeros(K.dim), xb.blocks])
         return cc.miniball_radius(pts) <= K.radius + 1e-12
-    return cc.intersect_translates(K, xb.blocks) is not None
+    return intersect_translates(K, xb.blocks) is not None
 
 
 def contains(K: cc.ConvexBody, X) -> np.ndarray:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from mthorder import convexcore as cc
+from mthorder import covariogram as cov
 from mthorder.numerics import make_rng, max_slack
+from oracles import intersect_translates
 
 
 def test_simplex_corner():
@@ -85,26 +87,34 @@ class TestGauge:
 
 
 class TestIntersectTranslates:
+    """The qhull halfspace route (`oracles.intersect_translates`) and the
+    batched Lasserre volume of `covariogram` agree on meetings of translates."""
+
     def test_single_shift(self):
         K = cc.from_vertices([[0.0], [1.0]])
-        J = cc.intersect_translates(K, [[0.5]])
+        J = intersect_translates(K, [[0.5]])
         assert J.vertices.min() == pytest.approx(0.5, abs=1e-10)
         assert J.vertices.max() == pytest.approx(1.0, abs=1e-10)
+        assert cov.common_volume([K, K], [[[0.0], [0.5]]])[0] == 0.5
 
     def test_two_shifts(self):
         K = cc.from_vertices([[0.0], [1.0]])
-        J = cc.intersect_translates(K, [[0.5], [-0.25]])
+        J = intersect_translates(K, [[0.5], [-0.25]])
         assert J.vertices.min() == pytest.approx(0.5, abs=1e-10)
         assert J.vertices.max() == pytest.approx(0.75, abs=1e-10)
+        assert cov.common_volume([K] * 3, [[[0.0], [0.5], [-0.25]]])[0] == 0.25
 
     def test_empty(self):
         K = cc.from_vertices([[0.0], [1.0]])
-        assert cc.intersect_translates(K, [[1.5]]) is None
+        assert intersect_translates(K, [[1.5]]) is None
+        assert cov.common_volume([K, K], [[[0.0], [1.5]]])[0] == 0.0
 
     def test_zero_shift_keeps_volume(self):
         for K in [cc.simplex(2, "corner"), cc.cube(2, 1.0)]:
-            J = cc.intersect_translates(K, np.zeros((2, 2)))
+            J = intersect_translates(K, np.zeros((2, 2)))
             assert cc.volume(J).value == pytest.approx(cc.volume(K).value, rel=1e-9)
+            assert cov.covariogram_body(K, np.zeros((2, 2))).value == pytest.approx(
+                cc.volume(K).value, rel=1e-12)
 
     def test_matches_the_stacked_system(self):
         # reference: K's rows once per translate, K cap (x_1 + K) cap ...
@@ -124,12 +134,15 @@ class TestIntersectTranslates:
                     want = cc.volume(cc.from_halfspaces(A, b)).value
                 except cc.DegenerateBodyError:
                     want = None
-                J = cc.intersect_translates(K, xbar)
+                J = intersect_translates(K, xbar)
+                got = cov.covariogram_body(K, xbar).value
                 if want is None:
                     empty += 1
                     assert J is None
+                    assert got == pytest.approx(0.0, abs=1e-14)
                 else:
                     assert cc.volume(J).value == pytest.approx(want, rel=1e-12, abs=1e-14)
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
         assert 0 < empty < 24 * len(bodies)
 
 

@@ -11,6 +11,7 @@ from mthorder import convexcore as cc
 from mthorder.covariogram import (
     MVector,
     _disc_meeting,
+    _lasserre_volume,
     as_mvector,
     box_rates,
     common_volume,
@@ -27,8 +28,8 @@ from mthorder.covariogram import (
 )
 from mthorder.lcfun import LogConcaveFunction, NonIntegrableError, Profile
 from mthorder.numerics import combine_sigma, make_rng, max_slack
-from oracles import (ball_cov_mc, contains, cov_fn_direct, cov_radial_derivative, dm_body,
-                     dm_support_membership)
+from oracles import (ball_cov_mc, common_volume_qhull, contains, cov_fn_direct,
+                     cov_radial_derivative, dm_body, dm_support_membership, intersect)
 
 
 def interval01():
@@ -96,13 +97,17 @@ class TestBodyCovariogram:
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
 
     def test_box_fast_path_matches_general_route(self):
+        # the box closed form against the Lasserre volume of the same rows
+        # and against the qhull volume of the intersected halfspaces
         K = cc.cube(2, 1.0)
         gen = make_rng(7, 0)
         for _ in range(20):
             xb = gen.normal(size=(2, 2))
             fast = covariogram_body(K, xb).value
-            body = cc.intersect_translates(K, xb)
-            slow = 0.0 if body is None else cc.volume(body).value
+            rows = K.offsets + np.minimum(0.0, (xb @ K.normals.T).min(axis=0))
+            general = _lasserre_volume(K.normals, rows[None])[0]
+            slow = common_volume_qhull([K] + [cc.translate(K, x) for x in xb])
+            assert fast == pytest.approx(general, abs=1e-9)
             assert fast == pytest.approx(slow, abs=1e-9)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -117,8 +122,7 @@ class TestBodyCovariogram:
             B = gen.normal(size=(60, m, 2)) * 0.5
             vals = covariogram_body_many(K, B)
             for xb, v in zip(B, vals):
-                body = cc.intersect_translates(K, xb)
-                slow = 0.0 if body is None else cc.volume(body).value
+                slow = common_volume_qhull([K] + [cc.translate(K, x) for x in xb])
                 assert v == pytest.approx(slow, abs=1e-13 * cc.volume(K).value)
 
     def test_evenness_m1(self):
@@ -148,6 +152,122 @@ class TestBodyCovariogram:
         est = covariogram_body(K, np.zeros((1, 3)))
         assert est.std_error == 0.0
         assert est.value == pytest.approx(1.0 / 6.0, rel=1e-12)
+
+
+def placed(bodies):
+    """common_volume of bodies already moved into place."""
+    return common_volume(bodies, np.zeros((1, len(bodies), bodies[0].dim)))[0]
+
+
+def _rotated_cube():
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
+    return cc.from_vertices(corners @ _rotation(3, 3).T)
+
+
+def _kernel_bodies():
+    gen = make_rng(41, 0)
+    return [cc.simplex(3), cc.simplex(3, "centered"), _rotated_cube(),
+            cc.from_vertices(gen.normal(size=(12, 3))),
+            cc.from_vertices(gen.normal(size=(30, 3)))]
+
+
+def _bodies_in(n, count, seed):
+    gen = make_rng(seed, n)
+    out = [cc.from_vertices(gen.normal(size=(int(gen.integers(n + 1, 9)), n)))
+           for _ in range(count)]
+    return out, gen
+
+
+class TestLasserreVolume:
+    """The batched Lasserre volume behind every polytope meeting, against
+    the qhull volume of the intersected halfspaces (`oracles.intersect`)."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_polytope_translates_in_3d_match_qhull(self, m):
+        gen = make_rng(43, m)
+        for K in _kernel_bodies():
+            assert K.axis_box is None
+            lo, hi = cc.bounding_box(K)
+            B = (hi - lo) * gen.uniform(-0.6, 0.6, size=(40, m, 3))
+            vals = covariogram_body_many(K, B)
+            want = [common_volume_qhull([K] + [cc.translate(K, x) for x in xb]) for xb in B]
+            assert 0.0 < np.mean(np.array(want) > 0.0) < 1.0
+            np.testing.assert_allclose(vals, want, rtol=0.0, atol=1e-13 * K.measure)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_stacked_meetings_match_qhull(self, n, count):
+        bodies, gen = _bodies_in(n, count, 47 + count)
+        shifts = 0.8 * gen.normal(size=(30, count, n))
+        vals = common_volume(bodies, shifts)
+        want = [common_volume_qhull([cc.translate(K, t) for K, t in zip(bodies, row)])
+                for row in shifts]
+        assert 0.0 < np.mean(np.array(want) > 0.0) < 1.0
+        scale = min(K.measure for K in bodies)
+        np.testing.assert_allclose(vals, want, rtol=0.0, atol=1e-13 * scale)
+
+    def test_batch_matches_single_placements(self):
+        disc, ball3 = cc.ball(2, 1.0, center=[0.3, 0.0]), cc.ball(3, 0.7)
+        cases = [(_bodies_in(2, 3, 53)[0], 2), (_bodies_in(3, 2, 59)[0], 3),
+                 ([disc, disc, cc.ball(2, 0.6)], 2), ([ball3, cc.ball(3, 1.1)], 3)]
+        gen = make_rng(61, 0)
+        for bodies, n in cases:
+            shifts = 0.6 * gen.normal(size=(12, len(bodies), n))
+            single = [placed([cc.translate(K, t) for K, t in zip(bodies, row)])
+                      for row in shifts]
+            np.testing.assert_allclose(common_volume(bodies, shifts), single,
+                                       rtol=1e-13, atol=1e-15)
+
+    def test_rows_shared_by_two_bodies_count_once(self):
+        # the rectangle [-1, 1] x [-1/2, 2] shares the rows x <= 1, -x <= 1
+        # with the square [-1, 1]^2; both cubes share all six rows
+        rect = cc.from_halfspaces(cc.cube(2).normals, [1.0, 2.0, 1.0, 0.5])
+        for bodies, want in (([cc.cube(2), rect], 3.0), ([cc.cube(3)] * 2, 8.0),
+                             ([cc.simplex(3), cc.simplex(3)], 1.0 / 6.0)):
+            assert placed(bodies) == pytest.approx(want, rel=1e-14)
+        K = _rotated_cube()
+        assert placed([K, K, K]) == pytest.approx(8.0, rel=1e-13)
+
+    def test_planes_through_one_edge_count_it_once(self):
+        # the plane x + z = 2 meets [-1, 1]^3 only in its edge x = z = 1, so
+        # in the facets z = 1 and x = 1 two rows bound the same line
+        wedge = [[1.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0],
+                 [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]]
+        W = cc.from_halfspaces(wedge, [2.0, 5.0, 5.0, 5.0, 5.0])
+        assert placed([cc.cube(3), W]) == pytest.approx(8.0, rel=1e-14)
+        turned = [cc.from_vertices(B.vertices @ _rotation(3, 67).T) for B in (cc.cube(3), W)]
+        assert placed(turned) == pytest.approx(8.0, rel=1e-13)
+
+    def test_touching_translates_give_zero(self):
+        K = _rotated_cube()
+        for a in K.normals:
+            assert abs(covariogram_body(K, [2.0 * a]).value) <= 1e-15 * K.measure
+        S = cc.simplex(3)
+        for x in ([1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [1.0, 1.0, 1.0]):
+            assert abs(covariogram_body(S, [x]).value) <= 1e-15 * S.measure
+
+    def test_far_from_the_origin(self):
+        # the sum over facets cancels like (distance / size)^n unless it is
+        # taken about a point near the meeting
+        far = np.array([40.0, -25.0, 60.0])
+        B = make_rng(73, 0).uniform(-0.4, 0.4, size=(20, 2, 3))
+        for K in _kernel_bodies()[:4]:
+            moved = cc.translate(K, far)
+            np.testing.assert_allclose(covariogram_body_many(moved, B),
+                                       covariogram_body_many(K, B), rtol=0.0,
+                                       atol=1e-12 * K.measure)
+            shifts = np.stack([np.zeros((20, 3)), B[:, 0]], axis=1)
+            np.testing.assert_allclose(common_volume([moved, moved], shifts + far),
+                                       common_volume([K, K], shifts), rtol=0.0,
+                                       atol=1e-12 * K.measure)
+
+    def test_short_interval_keeps_its_length(self):
+        # the halfspace route reads a meeting shorter than 2e-10 as empty
+        I = cc.from_vertices([[0.0], [1.0]])
+        shift = 1.0 - 1e-10
+        assert intersect([I, cc.translate(I, [shift])]) is None
+        got = common_volume([I, I], [[[0.0], [shift]]])[0]
+        assert got == pytest.approx(1.0 - shift, rel=1e-15)
 
 
 class TestBallCovariogram:
@@ -235,7 +355,7 @@ class TestBallCovariogram:
             B0 = cc.ball(n, 0.8, center=np.full(n, 0.1))
             B1 = cc.translate(B0, np.r_[d * 0.8, np.zeros(n - 1)])
             gap = np.linalg.norm(B1.center - B0.center)
-            assert common_volume([B0, B1]) == cc.volume(B0).value * lens(n, gap / 1.6)
+            assert placed([B0, B1]) == cc.volume(B0).value * lens(n, gap / 1.6)
 
     def test_common_volume_of_discs_and_polytopes(self):
         # discs of radius 1 at distance 1 meet in the lens; the unit square
@@ -243,17 +363,17 @@ class TestBallCovariogram:
         # square [-1/2, 1/2]^2 meet in the quarter square
         disc = cc.ball(2, 1.0, center=[5.0, -3.0])
         lens_area = 2.0 * math.acos(0.5) - 0.5 * math.sqrt(3.0)
-        assert common_volume([disc, cc.translate(disc, [0.6, 0.8])]) == \
+        assert placed([disc, cc.translate(disc, [0.6, 0.8])]) == \
             pytest.approx(lens_area, rel=1e-12)
         square = cc.cube(2, 0.5)
-        assert common_volume([square, cc.translate(square, [1.0, 0.0])]) == 0.0
-        assert common_volume([cc.simplex(2), square]) == pytest.approx(0.25, rel=1e-12)
+        assert placed([square, cc.translate(square, [1.0, 0.0])]) == 0.0
+        assert placed([cc.simplex(2), square]) == pytest.approx(0.25, rel=1e-12)
 
     def test_common_volume_outside_its_cases(self):
         ball3 = cc.ball(3, 1.0)
         for bodies in ([cc.cube(2, 1.0), cc.ball(2, 1.0)], [ball3] * 3):
             with pytest.raises(NotImplementedError):
-                common_volume(bodies)
+                placed(bodies)
 
     def test_far_translates_empty(self):
         assert covariogram_body(cc.ball(2, 1.0), [[3.0, 0.0], [0.0, 0.1]]).value == 0.0

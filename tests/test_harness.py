@@ -310,6 +310,42 @@ class TestCli:
         assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 2
         assert "'nodes' must be >= 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", [
+        {"name": "x", "check": "rs-single", "m": 1, "samples": 1,
+         "function": {"profile": "exponential", "body": {"kind": "simplex", "dim": 1}}},
+        {"name": "x", "experiment": "rs-functional", "samples": 1},
+        {"name": "x", "check": "zhang-fn", "m": 2, "directions": 1,
+         "function": {"profile": "exponential", "body": {"kind": "cube", "dim": 2}}},
+        {"name": "x", "check": "zhang-body", "m": 2, "directions": 1, "body": _BODY},
+    ], ids=["rs-single-samples", "global-samples", "zhang-fn-directions",
+            "zhang-body-directions"])
+    def test_budget_of_one_draw_exits_two(self, tmp_path, capsys, config):
+        # one draw has no standard error: these once read sigma 0
+        path = _write(tmp_path, config)
+        assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 2
+        assert ">= 2" in capsys.readouterr().err
+
+    def test_chain_takes_one_direction(self):
+        cfg = harness.validate_config({"name": "x", "check": "chain", "m": 1,
+                                       "p_grid": [1.0], "body": _BODY,
+                                       "directions": 1})
+        assert cfg.params["directions"] == 1
+
+    @pytest.mark.parametrize("samples", ["-3", "0", "1", "2.5"])
+    @pytest.mark.parametrize("target", ["config", "all"])
+    def test_bad_samples_override_exits_two(self, tmp_path, capsys, samples, target):
+        where = ([str(EXAMPLES / "rs_ball_pair.json")] if target == "config"
+                 else ["--all"])
+        argv = ["run", *where, "--samples", samples, "--out", str(tmp_path / "o")]
+        if samples == "2.5":    # argparse rejects a non-integer itself
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            return
+        assert cli.main(argv) == 2
+        assert "'samples' must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_point_of_wrong_length_exits_two(self, tmp_path, capsys):
         path = _write(tmp_path, {"name": "x", "check": "tangent-bound", "m": 2,
                                  "function": _FUNC, "points": [[0.1, 0.2, 0.3]]})

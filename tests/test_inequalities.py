@@ -930,6 +930,63 @@ class TestRsMulti:
             iq.check_rs_multi([chi, disc_chi])
 
 
+def _polytope_triple():
+    triangle = cc.from_vertices([[-0.4, -0.3], [0.8, -0.1], [-0.1, 0.6]])
+    flat = profile_from_kind("indicator", ambient_dim=2)
+    return [make_fn("indicator", cc.cube(2)),
+            LogConcaveFunction(flat, triangle, np.array([-0.2, -0.2])),
+            make_fn("indicator", cc.simplex(2, "centered"))]
+
+
+class TestNoBodyPerPoint:
+    """Polytope meetings are batched volumes: no route builds a body (an LP
+    and a hull) per covariogram row or per int-convolution point."""
+
+    @staticmethod
+    def _count(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_simplex3_covariogram_rows(self, monkeypatch):
+        K = cc.simplex(3)
+        built = self._count(monkeypatch, cc, "from_halfspaces")
+        B = make_rng(71, 0).uniform(-0.5, 0.5, size=(64, 2, 3))
+        assert np.all(cov.covariogram_body_many(K, B) >= 0.0)
+        assert built == []
+
+    def test_rs_multi_polytope_triple(self, monkeypatch):
+        fbar = _polytope_triple()
+        built = self._count(monkeypatch, cc, "from_halfspaces")
+        volumes = self._count(monkeypatch, cov, "common_volume")
+        stencils = []
+        real_search = iq.maximize_logconcave
+
+        def search(F, x0, **kwargs):
+            return real_search(lambda Z: stencils.append(len(Z)) or F(Z), x0, **kwargs)
+        monkeypatch.setattr(iq, "maximize_logconcave", search)
+        v = iq.check_rs_multi(fbar)
+        assert built == []
+        assert v.status == iq.HOLDS and v.metadata["sup_route"] == "common-volume"
+        # one call for the two starts, one per compass stencil, one at the argmax
+        assert len(volumes) == len(stencils) + 2
+        rows = [len(shifts) for _, shifts in volumes]
+        assert rows[1:-1] == stencils and rows[0] == 2 and rows[-1] == 1
+        assert sum(rows) == v.metadata["sup_evals"] + 1
+
+
+class TestBudgets:
+    def test_shard_sigma_needs_two_values(self):
+        assert iq._shard_sigma(np.array([1.0, 3.0])) == pytest.approx(1.0, rel=1e-15)
+        with pytest.raises(ValueError, match="two values"):
+            iq._shard_sigma(np.array([2.0]))
+
+
 class TestZhangPettyBodies:
     def test_simplex_attains_lower_bound(self):
         left, right = iq.check_zhang_body(cc.simplex(2), 1)

@@ -454,6 +454,10 @@ class TestStarVolume:
         with pytest.raises(cc.UnboundedBodyError):
             sb.star_volume(np.array([1.0, math.inf]), 1)
 
+    def test_one_direction_has_no_error_bar(self):
+        with pytest.raises(ValueError, match="two directions"):
+            sb.star_volume(np.ones(1), 2)
+
     def test_sigma_propagates(self):
         # the standard error of the sphere average of rho^d / d over the directions
         radii = np.array([1.0, 2.0, 1.0, 2.0])
