@@ -372,11 +372,13 @@ def bounding_box(K: ConvexBody):
     return K.vertices.min(axis=0), K.vertices.max(axis=0)
 
 
-def miniball_radius(points) -> float:
-    """Radius of the smallest ball enclosing <= 4 points in dimension <= 3 (exact)."""
+def miniball(points) -> tuple[np.ndarray, float]:
+    """Centre and radius of the smallest ball enclosing a few points in
+    dimension <= 3, exact: the least ball, over every subset of at most n + 1
+    points, centred on its points' circumcentre and holding all the points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     k, n = pts.shape
-    best_r = math.inf
+    best_c, best_r = pts[0], math.inf
     for size in range(1, min(k, n + 1) + 1):
         for idx in itertools.combinations(range(k), size):
             sub = pts[list(idx)]
@@ -391,8 +393,8 @@ def miniball_radius(points) -> float:
                     continue
             r = float(np.max(np.linalg.norm(pts[list(idx)] - c, axis=1)))
             if float(np.max(np.linalg.norm(pts - c, axis=1))) <= r + 1e-10 and r < best_r:
-                best_r = r
-    return best_r
+                best_c, best_r = c, r
+    return best_c, best_r
 
 
 # ---------------------------------------------------------------------------

@@ -263,7 +263,7 @@ def _unit_ball_meeting(X: np.ndarray, n: int) -> float:
     distance t from it sees the slice at s = t, so the volume is
     |S^{n-3}| int_0^reach t^(n-3) A(t) dt, reach^2 = 1 - R^2 with R the
     miniball radius of the centres, where the discs stop meeting."""
-    R = cc.miniball_radius(X)
+    _, R = cc.miniball(X)
     if R >= 1.0:
         return 0.0
     z = X[:, 2] if X.shape[1] == 3 else np.zeros(len(X))
@@ -403,8 +403,7 @@ def dm_support_radius(K: ConvexBody, theta) -> float:
     if th.norm() <= 0.0:
         raise ValueError("direction must be nonzero")
     if K.kind == "ball":
-        base = cc.miniball_radius(np.vstack([np.zeros(K.dim), th.blocks]))
-        return K.radius / base
+        return K.radius / cc.miniball(np.vstack([np.zeros(K.dim), th.blocks]))[1]
     box = K.axis_box
     if box is not None:
         return 1.0 / float(box_rates(box[0], box[1], th.blocks).max())

@@ -20,7 +20,11 @@ quadratic on each cell between the factors' breakpoints, so the sup of
 every requested translate is the best cell's peak in closed form; for
 other profiles it is a single row-batched bracket search over all
 translates at once (the product is log-concave, hence unimodal).  Above
-one dimension it is a compass search per translate.  The L1 norm over the
+one dimension, for an indicator tuple it is the product of the heights
+where the translated supports meet, an exact test on all translates at
+once (a positive `covariogram.common_volume`, or the miniball of equal
+balls' centres); for other tuples it is a compass search per translate
+from an exact meeting point of the compact supports.  The L1 norm over the
 translates is exact for indicator tuples of polytopes with n*m <= 6 and at
 most `_MEETING_SUMS_MAX` vertex sums (the hull of the sums: `interval` in
 one dimension, `meeting-volume` above) and of two balls (`ball-overlap`),
@@ -56,8 +60,7 @@ from . import starbodies as sb
 from .convexcore import ConvexBody
 from .lcfun import ZERO_P_WINDOW, LogConcaveFunction, profile_from_kind
 from .numerics import (EstimateWithError, combine_sigma, erfcx, gauss_panels,
-                       make_rng, max_slack, maximize_logconcave,
-                       minimize_convex)
+                       make_rng, max_slack, maximize_logconcave)
 
 HOLDS = "holds"
 EQUALITY = "holds_with_equality"
@@ -244,52 +247,32 @@ def _inner_point(K: ConvexBody) -> np.ndarray:
 
 
 def _feasible_point(fbar, offsets):
-    """A point where every compactly supported factor is positive, or None.
+    """A point where every compactly supported factor is positive, or None,
+    decided exactly.
 
     Polytope supports go through the Chebyshev LP (`max_slack` on their
-    stacked rows); a degenerate (flat) intersection is still accepted.
-    Mixed supports fall back to minimizing the convex sum of gauge excesses
-    from the mean of the supports' interior points.
+    stacked rows); balls of one radius r meet exactly when the miniball of
+    their centres has radius at most r, and its centre lies in all of them.
+    A degenerate (flat) meeting is still accepted.  Other mixes of supports
+    raise NotImplementedError.
     """
-    polys, balls = [], []
-    for f, t in zip(fbar, offsets):
-        supp = f.support_body()
-        if supp is None:
-            continue
-        supp = cc.translate(supp, t)
-        (balls if supp.kind == "ball" else polys).append(supp)
-    if not polys and not balls:
+    supports = [cc.translate(f.support_body(), t) for f, t in zip(fbar, offsets)
+                if f.profile.support_radius < math.inf]
+    if not supports:
         return np.zeros(fbar[0].dim)
-    if not balls:
-        A = np.vstack([S.normals for S in polys])
-        b = np.concatenate([S.offsets for S in polys])
-        t, x = max_slack(A, b, np.ones(len(b)), polys[0].vertices.mean(axis=0))
+    kinds = {S.kind for S in supports}
+    if kinds == {"polytope"}:
+        A = np.vstack([S.normals for S in supports])
+        b = np.concatenate([S.offsets for S in supports])
+        t, x = max_slack(A, b, np.ones(len(b)), supports[0].vertices.mean(axis=0))
         return x if t >= -1e-9 else None
-    if not polys and len(balls) == 2:
-        # on the segment from c0 to c1, the points at distance t from c0
-        # with t in [gap - r1, r0] lie in both balls; take the middle of
-        # that piece of [0, gap]
-        (c0, r0), (c1, r1) = [(B.center, B.radius) for B in balls]
-        gap = float(np.linalg.norm(c1 - c0))
-        if gap > r0 + r1 + 1e-12:
-            return None
-        if gap == 0.0:
-            return c0.copy()
-        t = 0.5 * (max(0.0, gap - r1) + min(r0, gap))
-        return c0 + (t / gap) * (c1 - c0)
-
-    def excess(Z):
-        total = np.zeros(len(Z))
-        for S in polys + balls:
-            if S.kind == "ball":
-                total += np.maximum(0.0, np.linalg.norm(Z - S.center, axis=1) - S.radius)
-            else:
-                total += np.maximum(0.0, np.max(Z @ S.normals.T - S.offsets, axis=1))
-        return total
-
-    start = np.mean([_inner_point(S) for S in polys + balls], axis=0)
-    z, val = minimize_convex(excess, start)
-    return z if val <= 1e-9 else None
+    radii = {S.radius for S in supports} if kinds == {"ball"} else set()
+    if len(radii) != 1:
+        raise NotImplementedError("exact meeting tests need polytope supports or "
+                                  "ball supports of one radius")
+    r = radii.pop()
+    centre, R = cc.miniball([S.center for S in supports])
+    return centre if R <= r * (1.0 + 1e-12) else None
 
 
 def _bracket_max_many(F, lo: np.ndarray, hi: np.ndarray):
@@ -498,8 +481,9 @@ def _sup_rows(fbar, boxes, X: np.ndarray):
 
 
 def _sup_point(fbar, boxes, offsets):
-    """(argmax, sup) of the translated product for n >= 2; sup 0.0 when
-    supports miss.  One-dimensional tuples take `_sup_rows`."""
+    """(argmax, sup) of the translated product for n >= 2 and a tuple that
+    is not all indicators; sup 0.0 when supports miss.  The compass search
+    starts from the best of `_feasible_point` and the translated shifts."""
     if _conv_box(boxes, offsets) is None:
         return None, 0.0
     start = _feasible_point(fbar, offsets)
@@ -509,8 +493,6 @@ def _sup_point(fbar, boxes, offsets):
     def F(Z):
         return _product_many(fbar, offsets, Z)
 
-    if all(f.profile.kind == "indicator" for f in fbar):
-        return start, float(F(start[None, :])[0])
     candidates = np.array([start] + [t + np.asarray(f.shift, dtype=float)
                                      for f, t in zip(fbar, offsets)])
     values = F(candidates)
@@ -518,6 +500,39 @@ def _sup_point(fbar, boxes, offsets):
     if values[best] <= 0.0:
         return start, 0.0
     return maximize_logconcave(F, candidates[best])
+
+
+def _placements(X: np.ndarray, n: int) -> np.ndarray:
+    """The (N, m+1, n) translations (o, x_1, ..., x_m) of the rows of X."""
+    return np.concatenate([np.zeros((len(X), 1, n)), X.reshape(len(X), -1, n)], axis=1)
+
+
+def _sup_values(fbar, boxes, X: np.ndarray):
+    """The sup-convolution at every row x of X and its kernel's name.
+
+    In one dimension `_sup_rows`: `closed-form` where `_closed_form` admits
+    the tuple, else `bracket-search`.  Above, an indicator tuple's sup is
+    its height where the translated supports meet in positive volume
+    (`meeting-test`): one `covariogram.common_volume` batch, or for three or
+    more balls in R^3, whose common volume has no closed form here,
+    `_feasible_point`'s miniball rule per row (the two differ only where
+    translates touch, a null set of x).  Other tuples take `_sup_point`
+    per row (`compass-search`).
+    """
+    n = fbar[0].dim
+    if n == 1:
+        kernel = "closed-form" if _closed_form(fbar) else "bracket-search"
+        return _sup_rows(fbar, boxes, X)[1], kernel
+    if all(f.profile.kind == "indicator" for f in fbar):
+        supports = [f.support_body() for f in fbar]
+        if n > 2 and len(fbar) > 2 and all(S.kind == "ball" for S in supports):
+            meet = np.array([_feasible_point(fbar, _offsets(fbar, x)) is not None
+                             for x in X])
+        else:
+            meet = cov.common_volume(supports, _placements(X, n)) > 0.0
+        return np.where(meet, math.prod(f.sup_norm for f in fbar), 0.0), "meeting-test"
+    return (np.array([_sup_point(fbar, boxes, _offsets(fbar, x))[1] for x in X]),
+            "compass-search")
 
 
 def int_convolution(fbar, xbar) -> EstimateWithError:
@@ -554,9 +569,8 @@ def _int_rows(fbar, boxes, X: np.ndarray):
     if any(f.profile.kind != "indicator" for f in fbar):
         raise NotImplementedError("above one dimension the int-convolution is "
                                   "exact only for indicator tuples")
-    shifts = np.concatenate([np.zeros((len(X), 1, n)), X.reshape(len(X), -1, n)], axis=1)
     height = math.prod(f.sup_norm for f in fbar)
-    meeting = cov.common_volume([f.support_body() for f in fbar], shifts)
+    meeting = cov.common_volume([f.support_body() for f in fbar], _placements(X, n))
     return height * meeting, np.zeros(len(X)), np.zeros(len(X), dtype=int)
 
 
@@ -671,12 +685,7 @@ def _star_l1(fbar, boxes, seed: int,
     box_vol = float(np.prod(hi - lo))
     N = int(samples or 1_500)
     X = lo + (hi - lo) * make_rng(seed, _STREAM_STAR_L1).random((N, n * m))
-    if n == 1:
-        vals = _sup_rows(fbar, boxes, X)[1]
-        kernel = "closed-form" if _closed_form(fbar) else "bracket-search"
-    else:
-        vals = np.array([_sup_point(fbar, boxes, _offsets(fbar, x))[1] for x in X])
-        kernel = "compass-search"
+    vals, kernel = _sup_values(fbar, boxes, X)
     est = EstimateWithError(box_vol * float(vals.mean()),
                             box_vol * _shard_sigma(vals), len(vals))
     return est, {"route": "pointwise-sup", "samples": len(vals),
@@ -695,7 +704,8 @@ def check_rs_single(f: LogConcaveFunction, m: int, seed: int = 0,
     polytope with at most `_MEETING_SUMS_MAX` vertex sums (`interval`,
     `meeting-volume`) and of a ball at m = 1 (`ball-overlap`); otherwise
     the mean sup over `samples` seeded translates (`pointwise-sup`, 1,500
-    by default) with a shard sigma.
+    by default) with a shard sigma, whose kernel metadata["row_kernel"]
+    names as `check_rs_multi` lists them.
     """
     n = f.dim
     if n * m > 6:
@@ -729,7 +739,9 @@ def check_rs_multi(fbar, seed: int = 0,
     above it.  metadata["sup_evals"] counts the points evaluated.  On the
     `pointwise-sup` route of the L1 norm, metadata["row_kernel"] names the
     pointwise sups' kernel: `closed-form` for those same 1-D tuples,
-    `bracket-search` for other 1-D tuples, `compass-search` above.
+    `bracket-search` for other 1-D tuples; above one dimension
+    `meeting-test` for indicator tuples (exact, all translates in one
+    batch) and `compass-search` for others.
     """
     fbar, n, m = _validated_tuple(fbar)
     if n * m > 4:

@@ -369,8 +369,12 @@ class LogConcaveFunction:
 
 
 def make_function(spec: dict) -> LogConcaveFunction:
-    """Function from its JSON description (see the schema in the README)."""
+    """Function from its JSON description (see the schema in the README);
+    a p-family needs p >= 1, where it is log-concave (`Profile` takes less)."""
     body = cc.make_body(spec["body"])
     prof = profile_from_kind(spec["profile"], spec.get("s_or_p"), ambient_dim=body.dim)
+    if prof.kind == "pfamily" and prof.param < 1.0:
+        raise ValueError(f"a pfamily profile needs s_or_p >= 1: at p = {prof.param:g} "
+                         f"it is not log-concave")
     shift = np.asarray(spec.get("shift", np.zeros(body.dim)), dtype=float)
     return LogConcaveFunction(prof, body, shift, float(spec.get("amplitude", 1.0)))

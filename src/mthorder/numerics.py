@@ -1,15 +1,17 @@
 """Shared numeric primitives: seeded streams, the few special functions the
-package needs (on `math`), quadrature, convex search, and the one LP, max t
-over A x + t s <= b (`max_slack`, a one-phase simplex).
+package needs (on `math`), quadrature, the compass search for the maximum of
+a log-concave function, and the one LP, max t over A x + t s <= b
+(`max_slack`, a one-phase simplex).
 
 Quadrature and search are array-first: `integrate_1d` is adaptive
 Gauss-Kronrod 21 whose integrand maps a 1-D array of nodes to their values,
-one call per refinement round, and the compass search takes objectives on
-(k, d) arrays of points, one call per stencil.  One adaptive pass refines a
-whole batch of integrals, each with its own interval, weight, tail cut,
-panels and tolerance test, with one integrand call per round over every
-integral still short of its tolerance; a single integral is the batch of
-one, and each integral of a batch comes out as it would alone.
+one call per refinement round, and `maximize_logconcave` takes objectives on
+(k, d) arrays of points, one call per stencil, from a start where the
+objective is positive.  One adaptive pass refines a whole batch of
+integrals, each with its own interval, weight, tail cut, panels and
+tolerance test, with one integrand call per round over every integral still
+short of its tolerance; a single integral is the batch of one, and each
+integral of a batch comes out as it would alone.
 
 Everything here is deterministic given its inputs.  Random draws come from a
 counter-based generator keyed by (seed, stream id) so that parallel shards can
@@ -30,10 +32,6 @@ _T_FLOOR = 1e-150   # relative distance from the endpoint below which weighted i
 
 class InvalidDimensionError(ValueError):
     pass
-
-
-class ZeroFunctionRegionError(RuntimeError):
-    """Raised when no positive value of the objective could be located."""
 
 
 class QuadratureFailure(RuntimeError):
@@ -607,37 +605,24 @@ def _direction_set(d: int) -> np.ndarray:
     return np.array(dirs)
 
 
-def _ring_search(F, x0, dirs, base):
-    for k in range(-6, 64):
-        r = base * 2.0 ** k
-        if r > 1e18:
-            break
-        Y = x0 + r * dirs
-        fy = np.asarray(F(Y), dtype=float)
-        hit = np.flatnonzero(fy > 0.0)
-        if hit.size:
-            return Y[hit[0]], float(fy[hit[0]])
-    raise ZeroFunctionRegionError("no positive value found by expanding ring search")
-
-
 def maximize_logconcave(F, x0, tol: float = 1e-9, max_evals: int = 60_000):
     """Locate the supremum of a coercive log-concave F by compass search.
 
     F maps a (k, d) array of points to their k values.  Each sweep evaluates
     its whole stencil (the 2d axes and, for d <= 6, the 2^d diagonals) in one
     call and moves to the point of largest strictly positive log gain, the
-    first direction winning ties; each ring of the start-up search for a
-    positive value is one call too.  One restart with a fresh step;
-    deterministic for fixed inputs, and `max_evals` counts points.  Returns
-    (argmax, value) with the value within ~tol (relative) of the supremum
-    for smooth F; plateau maxima (indicator-type F) are returned exactly.
+    first direction winning ties.  The start x0 must have F(x0) > 0 (a
+    ValueError otherwise).  One restart with a fresh step; deterministic
+    for fixed inputs, and `max_evals` counts points.  Returns (argmax,
+    value) with the value within ~tol (relative) of the supremum for smooth
+    F; plateau maxima (indicator-type F) are returned exactly.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     dirs = _direction_set(x.size)
     fx = float(F(x[None, :])[0])
     evals = 1
     if not fx > 0.0:
-        x, fx = _ring_search(F, x, dirs, base=1.0)
+        raise ValueError(f"the search needs a start where F is positive, got {fx}")
     logf = math.log(fx)
 
     def sweep(x, logf, h, evals):
@@ -663,14 +648,6 @@ def maximize_logconcave(F, x0, tol: float = 1e-9, max_evals: int = 60_000):
             x, logf, evals = sweep(x, logf, h, evals)
             h *= 0.5
     return x, math.exp(logf)
-
-
-def minimize_convex(F, x0):
-    """Compass-search minimizer for a finite convex F on rows (same engine
-    and contract, flipped)."""
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    xm, _ = maximize_logconcave(lambda Z: np.exp(-np.clip(F(Z), -700.0, 700.0)), x)
-    return xm, float(F(xm[None, :])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,13 @@ package computes another way, so agreement checks both.
   and the sampled translates of the Rogers-Shephard checks;
 * `dm_body` and `contains`: D^m(K) as an explicit hull, against
   `dm_support_membership`;
+* `discs_meet`: whether discs of any radii share a point, by testing the
+  few points where the leftmost point of their meeting can lie, against
+  the common-volume meeting test of the Rogers-Shephard checks;
 * `sup_convolution`: sup_z f_0(z) prod_i f_i(z - x_i) at one x, by the
-  search that the Rogers-Shephard checks run on every row.
+  routes that the Rogers-Shephard checks take on every row.
 """
+import itertools
 import math
 
 import numpy as np
@@ -146,7 +150,7 @@ def ball_cov_mc(K: cc.ConvexBody, xb: cov.MVector, seed: int,
     r = K.radius
     pts = np.vstack([np.zeros(K.dim), xb.blocks])
     pts = np.unique(pts, axis=0)  # only distinct translates matter
-    if cc.miniball_radius(pts) > r + 1e-12:
+    if cc.miniball(pts)[1] > r + 1e-12:
         return EstimateWithError(0.0, 0.0, 0)
     centers = K.center + pts
     lo = centers.max(axis=0) - r
@@ -265,7 +269,7 @@ def dm_support_membership(K: cc.ConvexBody, xbar) -> bool:
     xb = cov.as_mvector(xbar, K.dim)
     if K.kind == "ball":
         pts = np.vstack([np.zeros(K.dim), xb.blocks])
-        return cc.miniball_radius(pts) <= K.radius + 1e-12
+        return cc.miniball(pts)[1] <= K.radius + 1e-12
     return intersect_translates(K, xb.blocks) is not None
 
 
@@ -291,10 +295,27 @@ def dm_body(K: cc.ConvexBody, m: int) -> cc.ConvexBody:
 # sup-convolution
 
 
+def discs_meet(centres, radii, tol: float = 1e-12) -> bool:
+    """Whether the closed discs B(c_i, r_i) share a point.  If they do, the
+    leftmost point of their meeting is the leftmost point of one disc or a
+    point where two circles cross or touch, so one of those candidates lies
+    in every disc (within tol)."""
+    C, r = np.asarray(centres, dtype=float), np.asarray(radii, dtype=float)
+    cands = [c - np.array([ri, 0.0]) for c, ri in zip(C, r)]
+    for i, j in itertools.combinations(range(len(r)), 2):
+        d = float(np.linalg.norm(C[j] - C[i]))
+        if d == 0.0 or d > r[i] + r[j] or d < abs(r[i] - r[j]):
+            continue
+        a = (d * d + r[i] * r[i] - r[j] * r[j]) / (2.0 * d)
+        h = math.sqrt(max(r[i] * r[i] - a * a, 0.0))
+        u = (C[j] - C[i]) / d
+        mid, perp = C[i] + a * u, np.array([-u[1], u[0]])
+        cands += [mid + h * perp, mid - h * perp]
+    return any(np.all(np.linalg.norm(C - p, axis=1) <= r + tol) for p in cands)
+
+
 def sup_convolution(fbar, xbar) -> float:
     """sup_z f_0(z) * prod_i f_i(z - x_i); 0 when the supports never meet."""
-    fbar, n, _ = iq._validated_tuple(fbar)
-    boxes, offsets = iq._factor_boxes(fbar), iq._offsets(fbar, xbar)
-    if n == 1:
-        return float(iq._sup_rows(fbar, boxes, np.concatenate(offsets[1:])[None, :])[1][0])
-    return iq._sup_point(fbar, boxes, offsets)[1]
+    fbar, _, _ = iq._validated_tuple(fbar)
+    x = np.concatenate(iq._offsets(fbar, xbar)[1:])[None, :]
+    return float(iq._sup_values(fbar, iq._factor_boxes(fbar), x)[0][0])

@@ -269,19 +269,31 @@ class TestConstruction:
         assert cc.volume(B).value == pytest.approx(4.0)
 
 
+def _assert_miniball(points, centre, radius, tol):
+    c, r = cc.miniball(points)
+    assert r == pytest.approx(radius, abs=tol)
+    np.testing.assert_allclose(c, centre, atol=tol)
+    assert np.linalg.norm(np.asarray(points, dtype=float) - c, axis=1).max() <= r + 1e-12
+
+
 def test_miniball():
-    assert cc.miniball_radius([[0.0, 0.0], [2.0, 0.0]]) == pytest.approx(1.0, abs=1e-10)
+    _assert_miniball([[0.0, 0.0], [2.0, 0.0]], [1.0, 0.0], 1.0, 1e-10)
     tri = [[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2.0]]
-    assert cc.miniball_radius(tri) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-9)
+    _assert_miniball(tri, [0.5, 0.5 / math.sqrt(3.0)], 1.0 / math.sqrt(3.0), 1e-9)
+    # an obtuse triangle's ball is its longest edge's
     obtuse = [[0.0, 0.0], [4.0, 0.0], [2.0, 0.1]]
-    assert cc.miniball_radius(obtuse) == pytest.approx(2.0, abs=1e-9)
+    _assert_miniball(obtuse, [2.0, 0.0], 2.0, 1e-9)
+    # a right triangle's ball is its hypotenuse's
+    _assert_miniball([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]], [1.0, 1.0], math.sqrt(2.0), 1e-12)
     # corner tetrahedron: the ball through {e1,e2,e3} (radius sqrt(6)/3, center at
     # their centroid) already covers the origin and beats the full circumball
     tetra = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert cc.miniball_radius(tetra) == pytest.approx(math.sqrt(6.0) / 3.0, abs=1e-8)
+    _assert_miniball(tetra, [1.0 / 3.0] * 3, math.sqrt(6.0) / 3.0, 1e-8)
     # regular tetrahedron needs all four points on the boundary
     reg = [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]
-    assert cc.miniball_radius(reg) == pytest.approx(math.sqrt(3.0), abs=1e-8)
+    _assert_miniball(reg, [0.0, 0.0, 0.0], math.sqrt(3.0), 1e-8)
+    # one point is its own ball
+    _assert_miniball([[0.3, -0.2, 1.0]], [0.3, -0.2, 1.0], 0.0, 0.0)
 
 
 def test_chebyshev_lp_of_square():

@@ -286,6 +286,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and "rs-multi" in err
 
+    @staticmethod
+    def _pfamily_configs(p):
+        """Every function check on a p-family function at parameter p."""
+        f = {"profile": "pfamily", "s_or_p": p, "body": {"kind": "cube", "dim": 1}}
+        return [
+            {"name": "x", "check": "rs-single", "function": f, "m": 1, "samples": 64},
+            {"name": "x", "check": "rs-multi", "functions": [f, f], "samples": 64},
+            {"name": "x", "check": "zhang-fn", "function": f, "m": 1},
+            {"name": "x", "check": "tangent-bound", "function": f, "m": 1,
+             "points": [[0.5]]},
+            {"name": "x", "check": "chain", "function": f, "m": 1,
+             "p_grid": [1.0, 2.0], "directions": 2, "nodes": 16},
+        ]
+
+    @pytest.mark.parametrize("p", [0, 0.5, -0.5])
+    def test_pfamily_below_one_exits_two(self, tmp_path, capsys, p):
+        # below p = 1 the p-family is not log-concave (at 0 not even
+        # integrable), outside every check's hypotheses
+        for k, cfg in enumerate(self._pfamily_configs(p)):
+            path = _write(tmp_path, cfg)
+            assert cli.main(["run", path, "--out", str(tmp_path / f"o{k}")]) == 2, cfg["check"]
+            err = capsys.readouterr().err
+            assert "config error" in err and "not log-concave" in err
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_pfamily_from_one_runs(self, tmp_path, capsys, p):
+        for k, cfg in enumerate(self._pfamily_configs(p)):
+            path = _write(tmp_path, cfg)
+            assert cli.main(["run", path, "--out", str(tmp_path / f"o{k}")]) == 0, cfg["check"]
+            assert (tmp_path / f"o{k}" / "verdicts.json").exists()
+
     def test_inner_samples_is_accepted_and_changes_nothing(self, tmp_path,
                                                            capsys):
         config = json.loads((EXAMPLES / "rs_ball_pair.json").read_text())

@@ -13,7 +13,7 @@ import mthorder.inequalities as iq
 import mthorder.mellin as ml
 from mthorder.lcfun import LogConcaveFunction, profile_from_kind
 from mthorder.numerics import EstimateWithError, make_rng
-from oracles import dm_support_membership, sup_convolution
+from oracles import discs_meet, dm_support_membership, sup_convolution
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -169,11 +169,20 @@ class TestConvolutions:
         assert sup_convolution([disc_chi, disc_chi], [1.5, 0.0]) == 1.0
 
     def test_sup_square_and_disc(self):
-        # a polytope support next to a ball support: the start of the
-        # excess search is the mean of a vertex mean and a centre
+        # a polytope support next to a ball support has no exact meeting
+        # test, meeting or not; rs-multi's sup side rejects the tuple too
         square_chi = make_fn("indicator", cc.cube(2, 1.0))
-        assert sup_convolution([square_chi, disc_chi], [0.3, 0.3]) == 1.0
-        assert sup_convolution([square_chi, disc_chi], [2.5, 2.5]) == 0.0
+        for x in ([0.3, 0.3], [2.5, 2.5]):
+            with pytest.raises(NotImplementedError):
+                sup_convolution([square_chi, disc_chi], x)
+        with pytest.raises(NotImplementedError):
+            iq.check_rs_multi([square_chi, disc_chi])
+        # nor do other profiles on such supports, or on balls of two radii
+        power = lambda K: LogConcaveFunction(profile_from_kind("power", 2.0), K, np.zeros(2))
+        for pair in ([power(cc.cube(2, 1.0)), power(cc.ball(2, 1.0))],
+                     [power(cc.ball(2, 1.0)), power(cc.ball(2, 0.5))]):
+            with pytest.raises(NotImplementedError):
+                sup_convolution(pair, [0.3, 0.3])
 
     def test_int_gaussian_pair_1d_exact(self):
         got = iq.int_convolution([std_gauss, std_gauss], [0.8])
@@ -573,7 +582,7 @@ class TestRsBody:
         # translates, against the membership oracle's hit rate on a box
         v = iq.check_rs_body(cc.ball(2, 1.0), 2, samples=800)
         assert (v.metadata["route"], v.metadata["samples"]) == ("pointwise-sup", 800)
-        assert v.metadata["row_kernel"] == "compass-search"
+        assert v.metadata["row_kernel"] == "meeting-test"
         assert v.status == iq.HOLDS
         assert 0.0 < v.lhs.value < v.rhs.value
         assert v.lhs.std_error > 0.0
@@ -842,7 +851,7 @@ class TestRsSingle:
         v = iq.check_rs_single(make_fn("indicator", K), 3, samples=64)
         assert v.metadata["route"] == "pointwise-sup"
         assert v.metadata["samples"] == 64
-        assert v.metadata["row_kernel"] == "compass-search"
+        assert v.metadata["row_kernel"] == "meeting-test"
 
     def test_exponential_goes_pointwise(self):
         v = iq.check_rs_single(f_exp, 1, samples=800)
@@ -978,6 +987,93 @@ class TestNoBodyPerPoint:
         rows = [len(shifts) for _, shifts in volumes]
         assert rows[1:-1] == stencils and rows[0] == 2 and rows[-1] == 1
         assert sum(rows) == v.metadata["sup_evals"] + 1
+
+
+def _unequal_discs():
+    """Indicators of the unit disc and of discs of radius 0.5 and 0.7
+    shifted to (0.2, 0) and (0, 0.1)."""
+    return [disc_chi,
+            LogConcaveFunction(profile_from_kind("indicator"), cc.ball(2, 0.5),
+                               np.array([0.2, 0.0])),
+            LogConcaveFunction(profile_from_kind("indicator"), cc.ball(2, 0.7),
+                               np.array([0.0, 0.1]))]
+
+
+class TestMeetingTest:
+    """Above one dimension the pointwise sup of an indicator tuple is its
+    height where the translated supports meet: exact, and one batch for all
+    draws, checked here on the seed-0 draws of the checks."""
+
+    @staticmethod
+    def _draws(monkeypatch, run):
+        """The translates and pointwise sups of the `pointwise-sup` route of run()."""
+        seen = []
+        real = iq._sup_values
+
+        def spy(fbar, boxes, X):
+            vals, kernel = real(fbar, boxes, X)
+            seen.append((X.copy(), vals, kernel))
+            return vals, kernel
+        monkeypatch.setattr(iq, "_sup_values", spy)
+        v = run()
+        (X, vals, kernel), = seen
+        assert kernel == v.metadata["row_kernel"] == "meeting-test"
+        return v, X, vals
+
+    def test_equal_discs_meet_where_the_miniball_fits(self, monkeypatch):
+        v, X, vals = self._draws(monkeypatch, lambda: iq.check_rs_body(cc.ball(2, 1.0), 2))
+        assert len(X) == 1_500 and set(vals.tolist()) == {0.0, 1.0}
+        radius = np.array([cc.miniball(np.vstack([np.zeros(2), x.reshape(2, 2)]))[1]
+                           for x in X])
+        assert np.array_equal(vals == 1.0, radius < 1.0)
+        # draw 271 meets with miniball radius 0.99993
+        assert vals[271] == 1.0 and 0.9999 < radius[271] < 1.0
+        # D^2 of the disc lies in the box [-2, 2]^4 of volume 256
+        assert v.lhs.value == pytest.approx(256.0 * 515 / 1_500, rel=1e-14)
+        assert v.status == iq.HOLDS
+
+    def test_three_balls_agree_with_membership(self, monkeypatch):
+        K = cc.ball(3, 1.0)
+        v, X, vals = self._draws(monkeypatch,
+                                 lambda: iq.check_rs_body(K, 2, samples=300))
+        member = np.array([dm_support_membership(K, x) for x in X])
+        assert np.array_equal(vals == 1.0, member) and member.sum() == 38
+        assert v.status == iq.HOLDS
+
+    def test_unequal_discs_agree_with_the_candidate_oracle(self, monkeypatch):
+        fbar = _unequal_discs()
+        v, X, vals = self._draws(monkeypatch, lambda: iq.check_rs_multi(fbar))
+        shifts = np.array([[0.0, 0.0], [0.2, 0.0], [0.0, 0.1]])
+        meet = np.array([discs_meet(shifts + np.vstack([np.zeros(2), x.reshape(2, 2)]),
+                                    [1.0, 0.5, 0.7]) for x in X])
+        assert np.array_equal(vals == 1.0, meet) and meet.sum() == 327
+        # two slivers of area 1.3e-6 and 4.4e-5
+        assert meet[271] and meet[1136]
+        assert v.metadata["l1_norm"] == pytest.approx(10.2 ** 2 * 327 / 1_500, rel=1e-14)
+        assert v.status == iq.HOLDS
+
+    def test_one_common_volume_for_all_draws(self, monkeypatch):
+        volumes = TestNoBodyPerPoint._count(monkeypatch, cov, "common_volume")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no search runs per draw for an indicator tuple")
+        monkeypatch.setattr(iq, "_sup_point", refuse)
+        monkeypatch.setattr(iq, "maximize_logconcave", refuse)
+        v = iq.check_rs_body(cc.ball(2, 1.0), 2)
+        assert [len(shifts) for _, shifts in volumes] == [1_500]
+        assert v.metadata["samples"] == 1_500
+
+    def test_ten_gon_m3_takes_one_batch(self, monkeypatch):
+        # 10^4 vertex sums, past the meeting-volume cap: the sampled meeting
+        # test is one batch of stacked rows, against the qhull oracle
+        t = 2.0 * math.pi * np.arange(10) / 10
+        K = cc.from_vertices(np.c_[np.cos(t), np.sin(t)])
+        volumes = TestNoBodyPerPoint._count(monkeypatch, cov, "common_volume")
+        v, X, vals = self._draws(monkeypatch,
+                                 lambda: iq.check_rs_body(K, 3, samples=64))
+        assert len(volumes) == 1
+        member = np.array([dm_support_membership(K, x) for x in X])
+        assert np.array_equal(vals == 1.0, member) and 0 < member.sum() < 64
 
 
 class TestBudgets:

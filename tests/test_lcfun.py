@@ -402,6 +402,16 @@ def test_make_function_json():
         make_function({"profile": "power", "body": {"kind": "cube", "dim": 1}})
 
 
+@pytest.mark.parametrize("p", [0.0, 0.5, -0.5, 0.999])
+def test_make_function_rejects_pfamily_below_one(p):
+    # not log-concave below p = 1; the profile itself stays available
+    spec = {"profile": "pfamily", "s_or_p": p, "body": {"kind": "cube", "dim": 1}}
+    with pytest.raises(ValueError, match="not log-concave"):
+        make_function(spec)
+    assert Profile("pfamily", p, ambient_dim=1).param == p
+    assert make_function({**spec, "s_or_p": 1.0}).profile.param == 1.0
+
+
 def test_profile_from_kind_requires_param():
     with pytest.raises(ValueError):
         profile_from_kind("pfamily")

@@ -305,3 +305,164 @@ def test_stream_scan_reads_shared_and_unread_streams():
     assert _stream_faults(sources) == ["a._STREAM_Y = 2 shares its id",
                                        "b._STREAM_Z = 2 shares its id",
                                        "a._STREAM_OLD is never read"]
+
+
+# ---------------------------------------------------------------------------
+# reach: every function of the package runs on a shipped input, or says why not
+
+_REPO = SRC.parent.parent
+
+# Runs, in a fresh process and under a call-only profile hook installed after
+# the package is imported, the seed-0 catalog (`mthorder run --all`), the
+# examples, and the seed-0 configs of the benchmark's workloads; prints the
+# exit codes and the qualified names of the package functions that ran.
+_REACH_PROBE = r'''
+import contextlib, importlib, io, json, sys, tempfile, threading
+from pathlib import Path
+
+root = Path(sys.argv[1])
+sys.dont_write_bytecode = True          # import the workload generator read-only
+sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+import workloads
+src = root / "src" / "mthorder"
+for path in sorted(src.glob("[!_]*.py")):
+    importlib.import_module("mthorder." + path.stem)
+from mthorder import cli
+
+reached = set()
+
+
+def hook(frame, event, arg):
+    code = frame.f_code              # lambdas and comprehensions are <...>
+    if (event == "call" and code.co_filename.startswith(str(src))
+            and not code.co_name.startswith("<")):
+        reached.add(Path(code.co_filename).stem + "." + code.co_qualname)
+
+
+with tempfile.TemporaryDirectory() as tmp:
+    tmp = Path(tmp)
+    runs = [["run", "--all", "--out", str(tmp / "catalog")]]
+    runs += [["run", str(p), "--out", str(tmp / p.stem)]
+             for p in sorted((root / "examples").glob("*.json"))]
+    for name in sorted(workloads.WORKLOADS):
+        for cfg in workloads.build(name, 0):
+            path = tmp / f"{name}-{cfg.name}.json"
+            path.write_text(json.dumps(cfg.raw))
+            runs.append(["run", str(path), "--out", str(tmp / path.stem)])
+    sys.setprofile(hook)
+    threading.setprofile(hook)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(argv) for argv in runs]
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+print(json.dumps({"codes": codes, "reached": sorted(reached)}))
+'''
+
+_ROUTE = "only tests reach it; ROADMAP item 5"
+# Functions and closures that none of those runs calls, each with the reason
+# it stays.  The guard also fails on an entry that a run reaches or that no
+# longer exists, so the list shrinks as routes gain shipped inputs or go.
+_UNREACHED = {
+    # error paths, import time and the command line's other commands
+    "harness.NumericFailure.__init__": "error path: a job that fails numerically",
+    "numerics.QuadratureFailure.__init__": "error path: a quadrature that does not converge",
+    "harness._require_shapes": "checks list-valued points and directions; no shipped config has them",
+    "harness.catalog_lines": "only `mthorder run --list` calls it",
+    "convexcore.ConvexBody.__repr__": "debugging aid; no run prints a body",
+    "numerics.QuadratureConfig.__post_init__": "runs at import: the module-level quadrature settings",
+    "inequalities._graded_edges": "runs at import, for `_graded_half_rule`",
+    "inequalities._graded_half_rule": "runs at import: the graded Gauss rule's table",
+    # small accessors that only tests read
+    "convexcore.FacetData.__len__": "only tests count facets this way",
+    "numerics.Estimates.samples_or_nodes": "only tests read a batch's node total",
+    # exact ball meetings and ball rays beyond m = 1
+    "convexcore.miniball": f"ball meetings, ball rays at m >= 2 and meeting tests of balls; {_ROUTE}",
+    "covariogram.lens": f"exact ball meetings; {_ROUTE}",
+    "covariogram.lens_drop": f"exact ball meetings; {_ROUTE}",
+    "covariogram.lens_slope": f"exact ball meetings; {_ROUTE}",
+    "covariogram._unit_ball_meeting": f"exact ball meetings; {_ROUTE}",
+    "covariogram._unit_ball_meeting.<locals>.slices": f"exact ball meetings; {_ROUTE}",
+    "covariogram._ball_meeting_cov": f"exact ball meetings; {_ROUTE}",
+    "covariogram.covariogram_body": f"one-row body covariogram; {_ROUTE}",
+    "mellin.lens": f"a ball's section at m = 1; {_ROUTE}",
+    "mellin.lens.<locals>.pmellin": f"a ball's section at m = 1; {_ROUTE}",
+    "numerics.beta": f"the lens formulas; {_ROUTE}",
+    "projection._with_origin": f"ball projection gauges at m >= 3; {_ROUTE}",
+    "projection._polyhedron_v1": f"ball projection gauges at m >= 3; {_ROUTE}",
+    "projection._perimeter_2d": f"ball projection gauges at m >= 3; {_ROUTE}",
+    # the tangent bound
+    "inequalities.check_tangent_bound": f"no shipped tangent-bound input; {_ROUTE}",
+    "covariogram.MVector.flat": f"tangent-bound metadata; {_ROUTE}",
+    # the Rogers-Shephard pointwise sups off the closed forms
+    "inequalities._sup_rows.<locals>.product": f"power and p-family 1-D kernels; {_ROUTE}",
+    "inequalities._bracket_max_many": f"power and p-family 1-D kernels; {_ROUTE}",
+    "inequalities._product_many": f"kernels off the closed forms; {_ROUTE}",
+    "lcfun.LogConcaveFunction.eval": f"kernels off the closed forms; {_ROUTE}",
+    "lcfun.LogConcaveFunction.eval_many": f"kernels off the closed forms; {_ROUTE}",
+    "inequalities._feasible_point": f"pointwise sups above one dimension; {_ROUTE}",
+    "inequalities._sup_point": f"pointwise sups above one dimension; {_ROUTE}",
+    "inequalities._sup_point.<locals>.F": f"pointwise sups above one dimension; {_ROUTE}",
+    "inequalities._conv_box": f"pointwise sups above one dimension; {_ROUTE}",
+    "convexcore.reflect": _ROUTE,
+    # layer-cake rays off box sections, and the order-a incomplete gamma
+    "starbodies._body_section_direct": f"layer-cake rays off box sections; {_ROUTE}",
+    "starbodies._body_section_direct.<locals>.section": f"layer-cake rays off box sections; {_ROUTE}",
+    "starbodies.layer_cake_ray.<locals>.panel_section": f"layer-cake rays off box sections; {_ROUTE}",
+    "starbodies.layer_cake_ray.<locals>.section": f"layer-cake rays off box sections; {_ROUTE}",
+    "starbodies._batches": f"layer-cake rays off box sections; {_ROUTE}",
+    "numerics._gamma_prefactor": f"gamma_q at an order that is not a half-integer; {_ROUTE}",
+    "numerics._gamma_q_series": f"gamma_q at an order that is not a half-integer; {_ROUTE}",
+    "numerics._gamma_q_fraction": f"gamma_q at an order that is not a half-integer; {_ROUTE}",
+    # piecewise-polynomial rays with interior critical points
+    "mellin.Pieces.roots": f"a polytope ray whose section rises inside a piece; {_ROUTE}",
+    "mellin._real_roots": f"a polytope ray whose section rises inside a piece; {_ROUTE}",
+    "mellin.from_ppoly.<locals>.inside.<locals>.f": f"no shipped input evaluates a polytope ray's profile; {_ROUTE}",
+}
+
+
+def _defined_functions(sources: dict[str, str]) -> list[str]:
+    """The qualified names (`module.qualname`, as code objects carry them) of
+    every function, method and closure in `sources` (module name -> source);
+    lambdas have no name of their own and are left out."""
+    found = []
+
+    def walk(node, mod, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append(f"{mod}.{prefix}{child.name}")
+                walk(child, mod, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, mod, f"{prefix}{child.name}.")
+            else:
+                walk(child, mod, prefix)
+    for mod, source in sources.items():
+        walk(ast.parse(source), mod, "")
+    return found
+
+
+def test_defined_scan_names_closures_and_methods():
+    source = ("def f():\n    def g():\n        pass\n    if True:\n"
+              "        def h():\n            pass\n    return lambda: 0\n\n"
+              "class C:\n    @property\n    def p(self):\n        class D:\n"
+              "            def q(self):\n                pass\n")
+    assert _defined_functions({"a": source}) == [
+        "a.f", "a.f.<locals>.g", "a.f.<locals>.h", "a.C.p", "a.C.p.<locals>.D.q"]
+
+
+def test_every_function_is_reached_by_a_shipped_input():
+    """A route that no shipped input runs is timed by no benchmark and backs
+    no seed-0 verdict: it gets a shipped input, an exemption that says why,
+    or it goes."""
+    out = subprocess.run([sys.executable, "-c", _REACH_PROBE, str(_REPO)],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "MTHORDER_THREADS": "1"})
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["codes"] and set(result["codes"]) == {0}
+    defined = set(_defined_functions({p.stem: p.read_text() for p in _sources()}))
+    reached = set(result["reached"])
+    assert reached <= defined
+    unreached = sorted(defined - reached - set(_UNREACHED))
+    stale = sorted(name for name in _UNREACHED if name in reached or name not in defined)
+    assert (unreached, stale) == ([], [])

@@ -12,7 +12,6 @@ from mthorder.numerics import (
     InvalidDimensionError,
     QuadratureConfig,
     QuadratureFailure,
-    ZeroFunctionRegionError,
     beta,
     digamma,
     erfcx,
@@ -22,7 +21,6 @@ from mthorder.numerics import (
     make_rng,
     max_slack,
     maximize_logconcave,
-    minimize_convex,
     sphere_sample,
 )
 
@@ -237,13 +235,18 @@ class TestMaximizeLogconcave:
         assert abs(val - 1.0) < 1e-8
 
     def test_zero_region_error(self):
-        with pytest.raises(ZeroFunctionRegionError):
+        # the search starts where the objective is positive or not at all
+        with pytest.raises(ValueError, match="positive"):
             maximize_logconcave(lambda Z: np.zeros(len(Z)), [0.0])
 
-    def test_ring_search_recovers_offset_support(self):
+    def test_start_off_the_support_rejected(self):
         f = lambda Z: ((4.0 <= Z[:, 0]) & (Z[:, 0] <= 6.0)).astype(float)
-        x, val = maximize_logconcave(f, [0.0])
-        assert val == 1.0
+        with pytest.raises(ValueError, match="positive"):
+            maximize_logconcave(f, [0.0])
+        with pytest.raises(ValueError, match="positive"):
+            maximize_logconcave(lambda Z: np.full(len(Z), math.nan), [5.0])
+        x, val = maximize_logconcave(f, [5.0])
+        assert val == 1.0 and 4.0 <= x[0] <= 6.0
 
     def test_deterministic(self):
         f = lambda Z: np.exp(-(Z * Z).sum(axis=1) - 0.2 * Z[:, 0])
@@ -252,8 +255,7 @@ class TestMaximizeLogconcave:
         assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_one_call_per_ring_and_per_sweep(self, d):
-        # the objective is zero at the start, so rings run before the sweeps
+    def test_one_call_per_sweep(self, d):
         # the 2^d diagonals join +-e_i from d = 2 on; at d = 1 they are +-e_1
         diagonals = [np.array(s) / math.sqrt(d)
                      for s in itertools.product((-1.0, 1.0), repeat=d)] if d > 1 else []
@@ -261,33 +263,21 @@ class TestMaximizeLogconcave:
         calls = []
 
         def spy(Z):
-            out = np.where(np.all(Z > 1.5, axis=1),
-                           np.exp(-((Z - 2.0) ** 2).sum(axis=1)), 0.0)
-            calls.append((np.array(Z, copy=True), out))
+            out = np.exp(-((Z - 2.0) ** 2).sum(axis=1))
+            calls.append(np.array(Z, copy=True))
             return out
 
         stencil = len(dirs)
         assert stencil == (2 if d == 1 else 2 * d + 2 ** d)
         maximize_logconcave(spy, np.zeros(d), max_evals=1 + 5 * stencil)
-        assert all(Z.ndim == 2 and Z.shape[1] == d for Z, _ in calls)
-        assert calls[0][0].shape == (1, d)
-        for Z, _ in calls[1:]:          # every other call is one whole stencil
+        assert all(Z.ndim == 2 and Z.shape[1] == d for Z in calls)
+        assert calls[0].shape == (1, d)
+        for Z in calls[1:]:             # every other call is one whole stencil
             c = Z.mean(axis=0)
             h = np.linalg.norm(Z[0] - c)
             np.testing.assert_allclose(Z, c + h * dirs, atol=1e-12 * (1.0 + h))
-        rings = [out for Z, out in calls[1:] if np.allclose(Z.mean(axis=0), 0.0)]
-        assert len(rings) >= 2
-        assert not any(np.any(out > 0.0) for out in rings[:-1])
-        assert np.any(rings[-1] > 0.0)
-        # the ring's points are not counted; each sweep adds its stencil
-        assert len(calls) - 1 - len(rings) == 5
-
-
-def test_minimize_convex_max_of_norms():
-    centers = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
-    F = lambda Z: np.linalg.norm(Z[:, None, :] - centers, axis=2).max(axis=1)
-    x, val = minimize_convex(F, [5.0, 5.0])
-    assert abs(val - math.sqrt(2.0)) < 1e-3      # min-enclosing-ball radius of the 3 points
+        # the start is one point; each sweep adds its stencil
+        assert len(calls) - 1 == 5
 
 
 def _linprog_max_slack(A, b, s):
