@@ -373,9 +373,8 @@ def bounding_box(K: ConvexBody):
 
 
 def miniball(points) -> tuple[np.ndarray, float]:
-    """Centre and radius of the smallest ball enclosing a few points in
-    dimension <= 3, exact: the least ball, over every subset of at most n + 1
-    points, centred on its points' circumcentre and holding all the points."""
+    """Centre and radius of the least ball holding a few points, exact: over every
+    subset of at most n + 1 points, the least one about its circumcentre holding all."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     k, n = pts.shape
     best_c, best_r = pts[0], math.inf

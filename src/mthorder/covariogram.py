@@ -338,6 +338,8 @@ def _lasserre_volume(A, c) -> np.ndarray:
     a_k parallel to a_j).  Rounding grows like (distance / size)^n, so
     callers put the origin near the set.  Rows go in blocks of _BLOCK elements."""
     F, n = A.shape
+    if n > 3:
+        raise NotImplementedError("exact polytope volumes need n <= 3")
     if n == 1:
         return np.maximum(c[:, A[:, 0] > 0].min(axis=1) + c[:, A[:, 0] < 0].min(axis=1), 0.0)
     if n == 3:

@@ -21,10 +21,9 @@ every requested translate is the best cell's peak in closed form; for
 other profiles it is a single row-batched bracket search over all
 translates at once (the product is log-concave, hence unimodal).  Above
 one dimension, for an indicator tuple it is the product of the heights
-where the translated supports meet, an exact test on all translates at
-once (a positive `covariogram.common_volume`, or the miniball of equal
-balls' centres); for other tuples it is a compass search per translate
-from an exact meeting point of the compact supports.  The L1 norm over the
+where the translated supports meet, an exact test (`_meets`); for other
+tuples it is a compass search per translate from an exact meeting point
+of the compact supports.  The L1 norm over the
 translates is exact for indicator tuples of polytopes with n*m <= 6 and at
 most `_MEETING_SUMS_MAX` vertex sums (the hull of the sums: `interval` in
 one dimension, `meeting-volume` above) and of two balls (`ball-overlap`),
@@ -78,6 +77,9 @@ _TRUNCATION_TOL = 1e-13   # tail mass a factor's truncation box may drop
 # 13-vertex 3-polytope at m = 2) took 2.7 s and 194 MB, 10,000 sums (a 10-gon
 # at m = 3) 14 s and 464 MB; R^4 and below stay under 0.05 s at this bound.
 _MEETING_SUMS_MAX = 2_500
+# Most F^n per row (F distinct normals) for which `_meets` batches volumes; per row
+# in R^3, one thread, volume against LP: 0.54/1.5 ms at F = 30, 2.3/2.7 at 50, 4.5/3.5 at 60.
+_LASSERRE_WORK_MAX = 50 ** 3
 _GRID_NODES = 65          # nodes per row and round of the 1-D bracket search
 _GRID_ROUNDS = 11         # rounds; each keeps 2 of 64 cells
 _GAUSS_ORDER = 16         # Gauss-Legendre points per panel of the 1-D int rule
@@ -230,15 +232,6 @@ def _factor_boxes(fbar) -> list[tuple[np.ndarray, np.ndarray]]:
             R = cov.coercive_box_radius(f, _TRUNCATION_TOL)
             boxes.append((np.full(f.dim, -R), np.full(f.dim, R)))
     return boxes
-
-
-def _conv_box(boxes, offsets):
-    """Joint box of the translated factors; None when it is empty."""
-    lo = np.max([b[0] + t for b, t in zip(boxes, offsets)], axis=0)
-    hi = np.min([b[1] + t for b, t in zip(boxes, offsets)], axis=0)
-    if np.any(lo >= hi):
-        return None
-    return lo, hi
 
 
 def _inner_point(K: ConvexBody) -> np.ndarray:
@@ -480,12 +473,10 @@ def _sup_rows(fbar, boxes, X: np.ndarray):
     return z, val
 
 
-def _sup_point(fbar, boxes, offsets):
+def _sup_point(fbar, offsets):
     """(argmax, sup) of the translated product for n >= 2 and a tuple that
     is not all indicators; sup 0.0 when supports miss.  The compass search
     starts from the best of `_feasible_point` and the translated shifts."""
-    if _conv_box(boxes, offsets) is None:
-        return None, 0.0
     start = _feasible_point(fbar, offsets)
     if start is None:
         return None, 0.0
@@ -511,28 +502,41 @@ def _sup_values(fbar, boxes, X: np.ndarray):
     """The sup-convolution at every row x of X and its kernel's name.
 
     In one dimension `_sup_rows`: `closed-form` where `_closed_form` admits
-    the tuple, else `bracket-search`.  Above, an indicator tuple's sup is
-    its height where the translated supports meet in positive volume
-    (`meeting-test`): one `covariogram.common_volume` batch, or for three or
-    more balls in R^3, whose common volume has no closed form here,
-    `_feasible_point`'s miniball rule per row (the two differ only where
-    translates touch, a null set of x).  Other tuples take `_sup_point`
-    per row (`compass-search`).
+    the tuple, else `bracket-search`.  Above, rows whose translated boxes
+    miss read 0; on the rest an indicator tuple's sup is its height where
+    `_meets` (`meeting-test`), and other tuples take `_sup_point` per row
+    (`compass-search`).
     """
     n = fbar[0].dim
     if n == 1:
         kernel = "closed-form" if _closed_form(fbar) else "bracket-search"
         return _sup_rows(fbar, boxes, X)[1], kernel
+    T = _placements(X, n)
+    lo = np.max([b[0] + T[:, i] for i, b in enumerate(boxes)], axis=0)
+    live = np.all(lo < np.min([b[1] + T[:, i] for i, b in enumerate(boxes)], axis=0), axis=1)
+    vals = np.zeros(len(X))
     if all(f.profile.kind == "indicator" for f in fbar):
-        supports = [f.support_body() for f in fbar]
-        if n > 2 and len(fbar) > 2 and all(S.kind == "ball" for S in supports):
-            meet = np.array([_feasible_point(fbar, _offsets(fbar, x)) is not None
-                             for x in X])
-        else:
-            meet = cov.common_volume(supports, _placements(X, n)) > 0.0
-        return np.where(meet, math.prod(f.sup_norm for f in fbar), 0.0), "meeting-test"
-    return (np.array([_sup_point(fbar, boxes, _offsets(fbar, x))[1] for x in X]),
-            "compass-search")
+        vals[live] = math.prod(f.sup_norm for f in fbar) * _meets(fbar, T[live])
+        return vals, "meeting-test"
+    vals[live] = [_sup_point(fbar, list(t))[1] for t in T[live]]
+    return vals, "compass-search"
+
+
+def _meets(fbar, T: np.ndarray) -> np.ndarray:
+    """Whether an indicator tuple's supports, translated by each row of an
+    (N, m+1, n) batch T, meet in positive volume: one `common_volume`
+    batch, or `_feasible_point` per row where that has no closed form (3 or
+    more balls in R^3) or costs more than the LP (F^n > _LASSERRE_WORK_MAX,
+    F distinct normals); they differ only on touching translates, a null set."""
+    supports = [f.support_body() for f in fbar]
+    normals = [S.normals for S in supports if S.kind == "polytope"]
+    if not normals or (len(np.unique(np.round(np.vstack(normals), 12), axis=0)) ** T.shape[2]
+                       <= _LASSERRE_WORK_MAX):
+        try:
+            return cov.common_volume(supports, T) > 0.0
+        except NotImplementedError:         # no closed form for the tuple
+            pass
+    return np.array([_feasible_point(fbar, list(t)) is not None for t in T], dtype=bool)
 
 
 def int_convolution(fbar, xbar) -> EstimateWithError:
@@ -740,8 +744,8 @@ def check_rs_multi(fbar, seed: int = 0,
     `pointwise-sup` route of the L1 norm, metadata["row_kernel"] names the
     pointwise sups' kernel: `closed-form` for those same 1-D tuples,
     `bracket-search` for other 1-D tuples; above one dimension
-    `meeting-test` for indicator tuples (exact, all translates in one
-    batch) and `compass-search` for others.
+    `meeting-test` for indicator tuples (exact, `_meets`) and
+    `compass-search` for others.
     """
     fbar, n, m = _validated_tuple(fbar)
     if n * m > 4:

@@ -32,6 +32,11 @@ package computes another way, so agreement checks both.
 * `discs_meet`: whether discs of any radii share a point, by testing the
   few points where the leftmost point of their meeting can lie, against
   the common-volume meeting test of the Rogers-Shephard checks;
+* `three_point_radius`: the miniball radius of three points by triangle
+  geometry, against the meeting test of three equal balls in R^3;
+* `polytopes_meet`: whether polytopes meet in positive volume, by scipy's
+  HiGHS LP on their stacked rows, against the common-volume and
+  Chebyshev-LP meeting tests of the Rogers-Shephard checks;
 * `sup_convolution`: sup_z f_0(z) prod_i f_i(z - x_i) at one x, by the
   routes that the Rogers-Shephard checks take on every row.
 """
@@ -312,6 +317,32 @@ def discs_meet(centres, radii, tol: float = 1e-12) -> bool:
         mid, perp = C[i] + a * u, np.array([-u[1], u[0]])
         cands += [mid + h * perp, mid - h * perp]
     return any(np.all(np.linalg.norm(C - p, axis=1) <= r + tol) for p in cands)
+
+
+def three_point_radius(points) -> float:
+    """Radius of the least ball holding three points in R^n, by triangle
+    geometry: half the longest side c when the angle facing it is not
+    acute (a^2 + b^2 <= c^2, collinear points included), else the
+    circumradius abc / (4 area)."""
+    P = np.asarray(points, dtype=float)
+    a, b, c = sorted(float(np.linalg.norm(P[i] - P[j])) for i, j in ((0, 1), (1, 2), (0, 2)))
+    if a * a + b * b <= c * c:
+        return 0.5 * c
+    u, v = P[1] - P[0], P[2] - P[0]
+    area = 0.5 * math.sqrt(max(float(u @ u) * float(v @ v) - float(u @ v) ** 2, 0.0))
+    return a * b * c / (4.0 * area)
+
+
+def polytopes_meet(bodies) -> bool:
+    """Whether polytopes meet in positive volume: the largest ball inside
+    all their rows, by scipy's HiGHS LP, has a positive radius."""
+    from scipy.optimize import linprog
+    A = np.vstack([K.normals for K in bodies])
+    b = np.concatenate([K.offsets for K in bodies])
+    n = A.shape[1]
+    res = linprog(np.append(np.zeros(n), -1.0), A_ub=np.c_[A, np.ones(len(A))], b_ub=b,
+                  bounds=[(None, None)] * n + [(None, 1.0)], method="highs")
+    return res.status == 0 and -res.fun > 0.0
 
 
 def sup_convolution(fbar, xbar) -> float:

@@ -110,6 +110,12 @@ class TestBodyCovariogram:
             assert fast == pytest.approx(general, abs=1e-9)
             assert fast == pytest.approx(slow, abs=1e-9)
 
+    def test_lasserre_volume_stops_above_three_dimensions(self):
+        # its kernels are the interval, the area and facets of areas
+        A = np.vstack([np.eye(4), -np.eye(4)])
+        with pytest.raises(NotImplementedError):
+            _lasserre_volume(A, np.ones((1, 8)))
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_polygon_closed_form_matches_halfspace_route(self, m):
         # oracle: the qhull volume of the intersected halfspaces

@@ -13,7 +13,8 @@ import mthorder.inequalities as iq
 import mthorder.mellin as ml
 from mthorder.lcfun import LogConcaveFunction, profile_from_kind
 from mthorder.numerics import EstimateWithError, make_rng
-from oracles import discs_meet, dm_support_membership, sup_convolution
+from oracles import (discs_meet, dm_support_membership, polytopes_meet, sup_convolution,
+                     three_point_radius)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -170,11 +171,12 @@ class TestConvolutions:
 
     def test_sup_square_and_disc(self):
         # a polytope support next to a ball support has no exact meeting
-        # test, meeting or not; rs-multi's sup side rejects the tuple too
+        # test where their boxes overlap; where the boxes miss, the sup is 0
+        # exactly; rs-multi's sup side rejects the tuple
         square_chi = make_fn("indicator", cc.cube(2, 1.0))
-        for x in ([0.3, 0.3], [2.5, 2.5]):
-            with pytest.raises(NotImplementedError):
-                sup_convolution([square_chi, disc_chi], x)
+        with pytest.raises(NotImplementedError):
+            sup_convolution([square_chi, disc_chi], [0.3, 0.3])
+        assert sup_convolution([square_chi, disc_chi], [2.5, 2.5]) == 0.0
         with pytest.raises(NotImplementedError):
             iq.check_rs_multi([square_chi, disc_chi])
         # nor do other profiles on such supports, or on balls of two radii
@@ -1032,13 +1034,30 @@ class TestMeetingTest:
         assert v.lhs.value == pytest.approx(256.0 * 515 / 1_500, rel=1e-14)
         assert v.status == iq.HOLDS
 
-    def test_three_balls_agree_with_membership(self, monkeypatch):
-        K = cc.ball(3, 1.0)
+    def test_three_balls_agree_with_the_triangle_radius(self, monkeypatch):
+        # the miniball of the centres (0, x_1, x_2) by triangle geometry,
+        # not by the package's subset search
         v, X, vals = self._draws(monkeypatch,
-                                 lambda: iq.check_rs_body(K, 2, samples=300))
-        member = np.array([dm_support_membership(K, x) for x in X])
-        assert np.array_equal(vals == 1.0, member) and member.sum() == 38
+                                 lambda: iq.check_rs_body(cc.ball(3, 1.0), 2, samples=300))
+        meet = np.array([three_point_radius(np.vstack([np.zeros(3), x.reshape(2, 3)])) <= 1.0
+                         for x in X])
+        assert np.array_equal(vals == 1.0, meet) and meet.sum() == 38
         assert v.status == iq.HOLDS
+
+    @pytest.mark.parametrize("points, batched", [(17, True), (40, False)])
+    def test_many_facet_hull_m2(self, monkeypatch, points, batched):
+        # past the vertex-sum cap: a hull with F^3 <= _LASSERRE_WORK_MAX
+        # (F facet normals) takes one common-volume batch, one with more the
+        # Chebyshev LP per draw whose boxes meet; both against HiGHS
+        P = make_rng(1, points).normal(size=(points, 3))
+        K = cc.from_vertices(P / np.linalg.norm(P, axis=1)[:, None])
+        assert (len(K.normals) ** 3 <= iq._LASSERRE_WORK_MAX) == batched
+        volumes = TestNoBodyPerPoint._count(monkeypatch, cov, "common_volume")
+        v, X, vals = self._draws(monkeypatch, lambda: iq.check_rs_body(K, 2, samples=64))
+        assert len(volumes) == int(batched)
+        meet = np.array([polytopes_meet([K] + [cc.translate(K, t) for t in x.reshape(2, 3)])
+                         for x in X])
+        assert np.array_equal(vals == 1.0, meet) and 0 < meet.sum() < 64
 
     def test_unequal_discs_agree_with_the_candidate_oracle(self, monkeypatch):
         fbar = _unequal_discs()
@@ -1059,8 +1078,10 @@ class TestMeetingTest:
             raise AssertionError("no search runs per draw for an indicator tuple")
         monkeypatch.setattr(iq, "_sup_point", refuse)
         monkeypatch.setattr(iq, "maximize_logconcave", refuse)
+        monkeypatch.setattr(iq, "_feasible_point", refuse)
         v = iq.check_rs_body(cc.ball(2, 1.0), 2)
-        assert [len(shifts) for _, shifts in volumes] == [1_500]
+        # the 841 draws whose translated boxes meet
+        assert [len(shifts) for _, shifts in volumes] == [841]
         assert v.metadata["samples"] == 1_500
 
     def test_ten_gon_m3_takes_one_batch(self, monkeypatch):

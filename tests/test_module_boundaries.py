@@ -404,7 +404,7 @@ _UNREACHED = {
     "inequalities._feasible_point": f"pointwise sups above one dimension; {_ROUTE}",
     "inequalities._sup_point": f"pointwise sups above one dimension; {_ROUTE}",
     "inequalities._sup_point.<locals>.F": f"pointwise sups above one dimension; {_ROUTE}",
-    "inequalities._conv_box": f"pointwise sups above one dimension; {_ROUTE}",
+    "inequalities._meets": f"pointwise sups above one dimension; {_ROUTE}",
     "convexcore.reflect": _ROUTE,
     # layer-cake rays off box sections, and the order-a incomplete gamma
     "starbodies._body_section_direct": f"layer-cake rays off box sections; {_ROUTE}",
