@@ -420,41 +420,43 @@ def dm_support_radius_fn(f: LogConcaveFunction, theta) -> float:
     return dm_support_radius(supp, as_mvector(theta, f.dim))
 
 
-def _meeting_points(bodies) -> np.ndarray:
-    """The vertex sums (y - k_1, ..., y - k_m), y a vertex of K_0 and k_i one
-    of K_i, flattened to R^{nm}.  Their hull is the set of x with
-    K_0 cap (x_1 + K_1) cap ... cap (x_m + K_m) nonempty; for K_i = K it is
-    D^m(K) = Delta(K) + (-K)^m (Rogers and Shephard, 1957)."""
-    V0, *rest = [K.vertices for K in bodies]
-    idx = np.indices([len(V0)] + [len(V) for V in rest]).reshape(len(bodies), -1)
-    sums = V0[idx[0]][:, None, :] - np.stack(
-        [V[i] for V, i in zip(rest, idx[1:])], axis=1)
-    return np.unique(sums.reshape(len(idx[0]), -1), axis=0)
-
-
-def meeting_sums(bodies) -> int | None:
-    """The number of vertex sums whose hull `meeting_volume` takes, or None
-    where it has no exact value (a body that is not a polytope, n*m > 6)."""
+def level_set_volumes(bodies, rates, ts, max_sums: float = math.inf) -> np.ndarray | None:
+    """vol_{nm}(t A + B) at every t of ts, exact, for polytopes K_0, ..., K_m
+    in R^n with n*m <= 6 and rates r_j >= 0, or None past `max_sums` vertex
+    sums.  With L(y_0, ..., y_m) = (y_0 - y_1, ..., y_0 - y_m), A is L of the
+    hull of the origin and the K_j / r_j with r_j > 0, each in its own slot,
+    and B is L of the product of the K_j with r_j = 0 ({0} if none): the x
+    with K_0 cap (x_1 + K_1) cap ... cap (x_m + K_m) nonempty when every
+    r_j is 0, D^m(K) for K_j = K.  Each volume is the hull of the vertex
+    sums: their span at n*m = 1, the shoelace area at 2, qhull's above."""
     n, m = bodies[0].dim, len(bodies) - 1
     if n * m > 6 or any(K.kind != "polytope" for K in bodies):
+        raise NotImplementedError("exact level-set volumes need polytopes with n*m <= 6")
+
+    def placed(j, V):       # L of the points V in slot j
+        Y = np.zeros((len(V), m + 1, n))
+        Y[:, j] = V
+        return (Y[:, :1] - Y[:, 1:]).reshape(len(V), n * m)
+
+    origin = np.zeros((1, n * m))
+    P = np.unique(np.vstack([origin] + [placed(j, K.vertices / r) for j, (K, r)
+                                        in enumerate(zip(bodies, rates)) if r > 0.0]), axis=0)
+    fixed = [j for j, r in enumerate(rates) if r == 0.0]
+    sizes = [len(bodies[j].vertices) for j in fixed]
+    if len(P) * math.prod(sizes) > max_sums:
         return None
-    return math.prod(len(K.vertices) for K in bodies)
-
-
-def meeting_volume(bodies) -> float:
-    """vol_{nm} of {x : K_0 cap (x_1 + K_1) cap ... cap (x_m + K_m) nonempty}
-    for polytopes K_0, ..., K_m in R^n with n*m <= 6, exact (a hull volume:
-    the planar hull's shoelace area at n*m = 2, qhull's above)."""
-    if meeting_sums(bodies) is None:
-        raise NotImplementedError("exact meeting volume needs polytopes with n*m <= 6")
-    n, m = bodies[0].dim, len(bodies) - 1
-    pts = _meeting_points(bodies)
-    if n * m == 1:
-        return float(pts.max() - pts.min())
-    if n * m == 2:
-        return cc.polygon_area(pts)
-    from scipy.spatial import ConvexHull
-    return float(ConvexHull(pts).volume)
+    idx = np.indices(sizes).reshape(len(fixed), math.prod(sizes))
+    Q = np.unique(sum((placed(j, bodies[j].vertices[i]) for j, i in zip(fixed, idx)), origin),
+                  axis=0)
+    out = []
+    for t in ts:
+        pts = (t * P[:, None, :] + Q[None, :, :]).reshape(-1, n * m)
+        if n * m <= 2:
+            out.append(float(np.ptp(pts)) if n * m == 1 else cc.polygon_area(pts))
+        else:
+            from scipy.spatial import ConvexHull
+            out.append(float(ConvexHull(pts).volume))
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import convexcore as cc
@@ -964,6 +963,7 @@ def _write_plots(plots_dir: Path, verdicts) -> list[Path]:
 
 def build_manifest(experiment: str, cfg: ExperimentConfig | None, seed: int,
                    samples: int | None, threads: int, verdicts) -> dict:
+    import scipy        # for its version only; importing it costs startup time
     counts: dict[str, int] = {}
     for v in verdicts:
         counts[v.status] = counts.get(v.status, 0) + 1

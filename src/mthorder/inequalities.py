@@ -14,28 +14,27 @@ sides are evaluated on a shared direction set so that direction noise
 cancels out of the margin.
 
 The functional Rogers-Shephard checks rest on the sup-convolution
-sup_z f_0(z) prod_i f_i(z - x_i).  In one dimension, for indicator,
-exponential and Gaussian factors, the log of the product is a concave
-quadratic on each cell between the factors' breakpoints, so the sup of
-every requested translate is the best cell's peak in closed form; for
-other profiles it is a single row-batched bracket search over all
-translates at once (the product is log-concave, hence unimodal).  Above
-one dimension, for an indicator tuple it is the product of the heights
-where the translated supports meet, an exact test (`_meets`); for other
-tuples it is a compass search per translate from an exact meeting point
-of the compact supports.  The L1 norm over the
-translates is exact for indicator tuples of polytopes with n*m <= 6 and at
-most `_MEETING_SUMS_MAX` vertex sums (the hull of the sums: `interval` in
-one dimension, `meeting-volume` above) and of two balls (`ball-overlap`),
-and a uniform Monte Carlo over the translation box of those sups
-otherwise (`pointwise-sup`).  The body inequality
-vol(D^m K) <= binom(n(m+1), n) vol(K)^m is the single-function one on
-chi_K, so `check_rs_body` takes its left side from the same routes.  The
-sup norm rests on the int-convolution int_z f_0(z) prod_i f_i(z - x_i) dz:
-in one dimension the same cells integrated in closed form, or a fixed
-breakpoint-aligned Gauss rule for other profiles; above, for indicator
-tuples only, the exact volume of the translated supports' meeting, one
-`covariogram.common_volume` batch (stacked rows for polytopes) per stencil.
+S(x) = sup_z f_0(z) prod_i f_i(z - x_i).  Its L1 norm is exact for
+exponential and indicator factors on polytopes (n*m <= 6, at most
+`_MEETING_SUMS_MAX` vertex sums), where -log S has sublevel sets tA + B and
+the norm integrates the mixed-volume polynomial vol(tA + B) against e^-t
+(`mixed-volume`), and for two ball indicators (`ball-overlap`); otherwise it
+is a uniform Monte Carlo over the translation box of pointwise sups
+(`pointwise-sup`).  In one dimension, for indicator, exponential and Gaussian
+factors, the log of the product is a concave quadratic on each cell between
+the factors' breakpoints, so each translate's sup is the best cell's peak in
+closed form; for other profiles it is a single row-batched bracket search
+over all translates (the product is log-concave, hence unimodal).  Above one
+dimension only indicator tuples have pointwise sups, their height where the
+translated supports meet, an exact test (`_meets`); other tuples outside
+`mixed-volume` raise NotImplementedError.  The body inequality vol(D^m K) <=
+binom(n(m+1), n) vol(K)^m is the single-function one on chi_K, so
+`check_rs_body` takes its left side from the same routes.  The sup norm rests
+on the int-convolution int_z f_0(z) prod_i f_i(z - x_i) dz: in one dimension
+the same cells integrated in closed form, or a fixed breakpoint-aligned Gauss
+rule for other profiles; above, for indicator tuples only, the exact volume
+of the translated supports' meeting, one `covariogram.common_volume` batch
+(stacked rows for polytopes) per stencil.
 
 The functional Zhang and chain checks rest on the layer cake: every
 function here is f = A phi(||x - c||_K), so its covariogram integral and
@@ -72,8 +71,8 @@ _STREAM_STAR_L1 = 503
 _SHARDS = 8
 
 _TRUNCATION_TOL = 1e-13   # tail mass a factor's truncation box may drop
-# Most vertex sums for which an all-indicator tuple takes the exact meeting
-# volume rather than sampled translates.  In R^6 the hull of 2,197 sums (a
+# Most vertex sums of tA + B for which a tuple takes the exact mixed volume
+# rather than sampled translates.  In R^6 the hull of 2,197 sums (a
 # 13-vertex 3-polytope at m = 2) took 2.7 s and 194 MB, 10,000 sums (a 10-gon
 # at m = 3) 14 s and 464 MB; R^4 and below stay under 0.05 s at this bound.
 _MEETING_SUMS_MAX = 2_500
@@ -240,8 +239,8 @@ def _inner_point(K: ConvexBody) -> np.ndarray:
 
 
 def _feasible_point(fbar, offsets):
-    """A point where every compactly supported factor is positive, or None,
-    decided exactly.
+    """A point where every factor of an indicator tuple is positive, or
+    None, decided exactly.
 
     Polytope supports go through the Chebyshev LP (`max_slack` on their
     stacked rows); balls of one radius r meet exactly when the miniball of
@@ -249,10 +248,7 @@ def _feasible_point(fbar, offsets):
     A degenerate (flat) meeting is still accepted.  Other mixes of supports
     raise NotImplementedError.
     """
-    supports = [cc.translate(f.support_body(), t) for f, t in zip(fbar, offsets)
-                if f.profile.support_radius < math.inf]
-    if not supports:
-        return np.zeros(fbar[0].dim)
+    supports = [cc.translate(f.support_body(), t) for f, t in zip(fbar, offsets)]
     kinds = {S.kind for S in supports}
     if kinds == {"polytope"}:
         A = np.vstack([S.normals for S in supports])
@@ -473,26 +469,6 @@ def _sup_rows(fbar, boxes, X: np.ndarray):
     return z, val
 
 
-def _sup_point(fbar, offsets):
-    """(argmax, sup) of the translated product for n >= 2 and a tuple that
-    is not all indicators; sup 0.0 when supports miss.  The compass search
-    starts from the best of `_feasible_point` and the translated shifts."""
-    start = _feasible_point(fbar, offsets)
-    if start is None:
-        return None, 0.0
-
-    def F(Z):
-        return _product_many(fbar, offsets, Z)
-
-    candidates = np.array([start] + [t + np.asarray(f.shift, dtype=float)
-                                     for f, t in zip(fbar, offsets)])
-    values = F(candidates)
-    best = int(np.argmax(values))
-    if values[best] <= 0.0:
-        return start, 0.0
-    return maximize_logconcave(F, candidates[best])
-
-
 def _placements(X: np.ndarray, n: int) -> np.ndarray:
     """The (N, m+1, n) translations (o, x_1, ..., x_m) of the rows of X."""
     return np.concatenate([np.zeros((len(X), 1, n)), X.reshape(len(X), -1, n)], axis=1)
@@ -502,24 +478,24 @@ def _sup_values(fbar, boxes, X: np.ndarray):
     """The sup-convolution at every row x of X and its kernel's name.
 
     In one dimension `_sup_rows`: `closed-form` where `_closed_form` admits
-    the tuple, else `bracket-search`.  Above, rows whose translated boxes
-    miss read 0; on the rest an indicator tuple's sup is its height where
-    `_meets` (`meeting-test`), and other tuples take `_sup_point` per row
-    (`compass-search`).
+    the tuple, else `bracket-search`.  Above, the tuple must be all
+    indicators, else NotImplementedError: rows whose translated boxes miss
+    read 0, and on the rest the sup is the tuple's height where `_meets`
+    (`meeting-test`).
     """
     n = fbar[0].dim
     if n == 1:
         kernel = "closed-form" if _closed_form(fbar) else "bracket-search"
         return _sup_rows(fbar, boxes, X)[1], kernel
+    if any(f.profile.kind != "indicator" for f in fbar):
+        raise NotImplementedError("above one dimension pointwise sups are exact only "
+                                  "for indicator tuples")
     T = _placements(X, n)
     lo = np.max([b[0] + T[:, i] for i, b in enumerate(boxes)], axis=0)
     live = np.all(lo < np.min([b[1] + T[:, i] for i, b in enumerate(boxes)], axis=0), axis=1)
     vals = np.zeros(len(X))
-    if all(f.profile.kind == "indicator" for f in fbar):
-        vals[live] = math.prod(f.sup_norm for f in fbar) * _meets(fbar, T[live])
-        return vals, "meeting-test"
-    vals[live] = [_sup_point(fbar, list(t))[1] for t in T[live]]
-    return vals, "compass-search"
+    vals[live] = math.prod(f.sup_norm for f in fbar) * _meets(fbar, T[live])
+    return vals, "meeting-test"
 
 
 def _meets(fbar, T: np.ndarray) -> np.ndarray:
@@ -646,7 +622,7 @@ def check_rs_body(K: ConvexBody, m: int, seed: int = 0,
 
     This is `check_rs_single` on f = chi_K, whose left side
     ||(chi_K, ..., chi_K)_star_m||_1 is vol(D^m K): the same `_star_l1`
-    routes, meeting-volume cap and `samples`, so metadata["route"] and
+    routes, vertex-sum cap and `samples`, so metadata["route"] and
     metadata["samples"] are its.  vol(D^m K) does not change when K is
     translated to contain the origin (`_indicator`); the right side is
     taken on K as given.
@@ -666,23 +642,20 @@ def check_rs_body(K: ConvexBody, m: int, seed: int = 0,
 
 def _star_l1(fbar, boxes, seed: int,
              samples: int | None) -> tuple[EstimateWithError, dict]:
-    """L1 norm of the sup-convolution over the m translation blocks."""
+    """L1 norm of the sup-convolution over the m translation blocks, and its
+    route: `ball-overlap` for two ball indicators, `mixed-volume` where
+    `_mixed_volume_l1` is exact, else the mean of `_sup_values` over
+    `samples` seeded translates (`pointwise-sup`, 1,500 by default) with a
+    shard sigma; above one dimension only indicator tuples have that."""
     fbar, n, m = _validated_tuple(fbar)
-    all_indicator = all(f.profile.kind == "indicator" for f in fbar)
     height = float(np.prod([f.sup_norm for f in fbar]))
-    supports = [f.support_body() for f in fbar]
-    S0, S1 = supports[0], supports[1]
-    if all_indicator and m == 1 and S0.kind == S1.kind == "ball":
-        # the x for which S0 meets x + S1 form a ball of radius r0 + r1
-        overlap = cc.volume(cc.ball(n, S0.radius + S1.radius)).value
-        return (EstimateWithError(height * overlap, 0.0, 0),
-                {"route": "ball-overlap", "samples": 0})
-    sums = cov.meeting_sums(supports) if all_indicator else None
-    if sums is not None and sums <= _MEETING_SUMS_MAX:
-        overlap = cov.meeting_volume(supports)
-        return (EstimateWithError(height * overlap, 0.0, 0),
-                {"route": "interval" if n == 1 else "meeting-volume",
-                 "samples": 0})
+    exact, route = _mixed_volume_l1(fbar), "mixed-volume"
+    if m == 1 and all(f.profile.kind == "indicator" and f.body.kind == "ball" for f in fbar):
+        # the x for which K0 meets x + K1 form a ball of radius r0 + r1
+        exact = cc.volume(cc.ball(n, fbar[0].body.radius + fbar[1].body.radius)).value
+        route = "ball-overlap"
+    if exact is not None:
+        return EstimateWithError(height * exact, 0.0, 0), {"route": route, "samples": 0}
     lo0, hi0 = boxes[0]
     lo = np.concatenate([lo0 - fhi for _, fhi in boxes[1:]])
     hi = np.concatenate([hi0 - flo for flo, _ in boxes[1:]])
@@ -696,6 +669,32 @@ def _star_l1(fbar, boxes, seed: int,
                  "row_kernel": kernel}
 
 
+def _mixed_volume_l1(fbar) -> float | None:
+    """||S||_1 / prod ||f_j||_inf for the sup-convolution S of exponential
+    (`log_quadratic` rate c1 > 0, c2 = 0) and indicator factors on
+    polytopes with n*m <= 6 and at most `_MEETING_SUMS_MAX` vertex sums;
+    None for other tuples.  -log(S / prod ||f_j||_inf) has the sublevel
+    sets tA + B + s of `covariogram.level_set_volumes` at rates c1, so the
+    ratio is int_0^inf e^-t vol(tA + B) dt, vol(tA + B) being a polynomial
+    of degree nm whose coefficients are mixed volumes (Schneider, Convex
+    Bodies, ch. 5): k! vol(A + B) where A or B is {0} (k = nm or 0), else
+    exact on ceil((nm + 1) / 2) Gauss-Laguerre nodes.
+    """
+    n, m = fbar[0].dim, len(fbar) - 1
+    coef = [f.profile.log_quadratic for f in fbar]
+    if (n * m > 6 or any(c is None or c[2] != 0.0 for c in coef)
+            or any(f.body.kind != "polytope" for f in fbar)):
+        return None
+    rates = [c[1] for c in coef]
+    if all(r > 0.0 for r in rates) or all(r == 0.0 for r in rates):
+        ts, ws = np.ones(1), np.array([math.factorial(n * m if rates[0] > 0.0 else 0)])
+    else:
+        from numpy.polynomial.laguerre import laggauss
+        ts, ws = laggauss((n * m + 2) // 2)
+    vols = cov.level_set_volumes([f.body for f in fbar], rates, ts, _MEETING_SUMS_MAX)
+    return None if vols is None else float(vols @ ws)
+
+
 def check_rs_single(f: LogConcaveFunction, m: int, seed: int = 0,
                     samples: int | None = None) -> Verdict:
     """||(f, f, ..., f)_star_m||_1 <= binom(n(m+1), n) ||f||_inf^m ||f||_{1/m}.
@@ -704,12 +703,11 @@ def check_rs_single(f: LogConcaveFunction, m: int, seed: int = 0,
     sup_z f(z) prod_i f(z - x_i) is positive exactly where supp f meets
     every supp f + x_i, so on f = chi_K the left side is vol(D^m K) and
     simplices give Schneider's equality; `check_rs_body` is this check on
-    chi_K.  The left side is `_star_l1`'s: exact for the indicator of a
-    polytope with at most `_MEETING_SUMS_MAX` vertex sums (`interval`,
-    `meeting-volume`) and of a ball at m = 1 (`ball-overlap`); otherwise
-    the mean sup over `samples` seeded translates (`pointwise-sup`, 1,500
-    by default) with a shard sigma, whose kernel metadata["row_kernel"]
-    names as `check_rs_multi` lists them.
+    chi_K.  The left side takes `_star_l1`'s routes: exact for an
+    exponential or indicator on a polytope (`mixed-volume`) and a ball
+    indicator at m = 1 (`ball-overlap`), else sampled, with the kernel
+    metadata["row_kernel"] named as in `check_rs_multi`; above one
+    dimension other functions raise NotImplementedError.
     """
     n = f.dim
     if n * m > 6:
@@ -741,11 +739,10 @@ def check_rs_multi(fbar, seed: int = 0,
     at the search's argmax.  Each compass stencil is one objective call:
     one row-batched kernel in one dimension, one batched common volume
     above it.  metadata["sup_evals"] counts the points evaluated.  On the
-    `pointwise-sup` route of the L1 norm, metadata["row_kernel"] names the
+    `pointwise-sup` route of `_star_l1`, metadata["row_kernel"] names the
     pointwise sups' kernel: `closed-form` for those same 1-D tuples,
-    `bracket-search` for other 1-D tuples; above one dimension
-    `meeting-test` for indicator tuples (exact, `_meets`) and
-    `compass-search` for others.
+    `bracket-search` for other 1-D tuples, and `meeting-test` for indicator
+    tuples above one dimension (exact, `_meets`).
     """
     fbar, n, m = _validated_tuple(fbar)
     if n * m > 4:

@@ -38,7 +38,10 @@ package computes another way, so agreement checks both.
   HiGHS LP on their stacked rows, against the common-volume and
   Chebyshev-LP meeting tests of the Rogers-Shephard checks;
 * `sup_convolution`: sup_z f_0(z) prod_i f_i(z - x_i) at one x, by the
-  routes that the Rogers-Shephard checks take on every row.
+  routes that the Rogers-Shephard checks take on every row;
+* `inf_convolution_gauge`: -log of the sup-convolution of exponentials
+  e^-||x||_K_j, an inf-convolution of gauges, by scipy's HiGHS LP over the
+  facets, against the hull whose volume the `mixed-volume` route takes.
 """
 import itertools
 import math
@@ -292,7 +295,9 @@ def dm_body(K: cc.ConvexBody, m: int) -> cc.ConvexBody:
     if K.kind == "ball" and m == 1:
         return cc.ball(K.dim, 2.0 * K.radius)
     if K.kind == "polytope" and K.dim * m <= 3:
-        return cc.from_vertices(cov._meeting_points([K] * (m + 1)))
+        sums = [np.ravel(y - np.array(ks)) for y in K.vertices
+                for ks in itertools.product(K.vertices, repeat=m)]
+        return cc.from_vertices(np.unique(sums, axis=0))
     raise NotImplementedError("no explicit D^m body for this (K, m)")
 
 
@@ -350,3 +355,22 @@ def sup_convolution(fbar, xbar) -> float:
     fbar, _, _ = iq._validated_tuple(fbar)
     x = np.concatenate(iq._offsets(fbar, xbar)[1:])[None, :]
     return float(iq._sup_values(fbar, iq._factor_boxes(fbar), x)[0][0])
+
+
+def inf_convolution_gauge(bodies, X) -> np.ndarray:
+    """min_z sum_j ||z - x_j||_K_j at every row x = (x_1, ..., x_m) of X,
+    with x_0 = o, for polytopes K_j holding the origin inside: one HiGHS LP
+    per row, min sum_j t_j over (z, t) subject to <a, z - x_j> <= b t_j
+    for every facet row (a, b) of K_j."""
+    from scipy.optimize import linprog
+    n, k = bodies[0].dim, len(bodies)
+    A = np.vstack([np.c_[K.normals, -np.outer(K.offsets, np.eye(k)[j])]
+                   for j, K in enumerate(bodies)])
+    out = []
+    for x in np.atleast_2d(np.asarray(X, dtype=float)):
+        shifts = np.vstack([np.zeros(n), x.reshape(k - 1, n)])
+        b = np.concatenate([K.normals @ c for K, c in zip(bodies, shifts)])
+        res = linprog(np.r_[np.zeros(n), np.ones(k)], A_ub=A, b_ub=b,
+                      bounds=[(None, None)] * (n + k), method="highs")
+        out.append(res.fun)
+    return np.array(out)

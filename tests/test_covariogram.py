@@ -23,13 +23,18 @@ from mthorder.covariogram import (
     lens,
     lens_drop,
     lens_slope,
-    meeting_sums,
-    meeting_volume,
+    level_set_volumes,
 )
 from mthorder.lcfun import LogConcaveFunction, NonIntegrableError, Profile
 from mthorder.numerics import combine_sigma, make_rng, max_slack
 from oracles import (ball_cov_mc, common_volume_qhull, contains, cov_fn_direct,
                      cov_radial_derivative, dm_body, dm_support_membership, intersect)
+
+
+def meeting_volume(bodies) -> float:
+    """vol of {x : K_0 cap (x_1 + K_1) cap ... nonempty}: the level set B of
+    an all-indicator tuple (every rate 0)."""
+    return float(level_set_volumes(bodies, [0.0] * len(bodies), [1.0])[0])
 
 
 def interval01():
@@ -897,14 +902,38 @@ class TestDmBody:
         assert meeting_volume(bodies) == pytest.approx(ConvexHull(pts).volume, rel=1e-14)
 
     def test_meeting_sums(self):
-        square, triangle = cc.cube(2, 1.0), cc.simplex(2, "corner")
-        assert meeting_sums([square, triangle, triangle]) == 4 * 3 * 3
-        assert meeting_sums([square, cc.ball(2, 1.0)]) is None
-        assert meeting_sums([square] * 5) is None            # n*m = 8
+        # the cap counts vertex sums: 4 * 3 * 3 for three indicators; with
+        # two squares at positive rate, (1 + 4 + 4) generators of A (the
+        # origin too) times the triangle's 3 vertices
+        square, triangle = cc.cube(2, 1.0), cc.simplex(2, "centered")
+        bodies = [square, triangle, triangle]
+        assert level_set_volumes(bodies, [0.0] * 3, [1.0], max_sums=36) is not None
+        assert level_set_volumes(bodies, [0.0] * 3, [1.0], max_sums=35) is None
+        bodies = [square, square, triangle]
+        assert level_set_volumes(bodies, [1.0, 2.0, 0.0], [1.0], max_sums=27) is not None
+        assert level_set_volumes(bodies, [1.0, 2.0, 0.0], [1.0], max_sums=26) is None
 
     def test_meeting_volume_needs_polytopes(self):
         with pytest.raises(NotImplementedError):
             meeting_volume([cc.ball(2, 1.0), cc.ball(2, 1.0)])
+        with pytest.raises(NotImplementedError):
+            meeting_volume([cc.cube(2, 1.0)] * 5)            # n*m = 8
+
+    def test_level_sets_of_exponentials_scale_by_t(self):
+        # B = {0}: vol(tA) = t^(nm) vol A, and A of the square at m = 1 is
+        # the hull of the square and its reflection, the square itself
+        sq = cc.cube(2, 1.0)
+        vols = level_set_volumes([sq, sq], [1.0, 1.0], [1.0, 2.0])
+        np.testing.assert_allclose(vols, [4.0, 16.0], rtol=1e-14)
+        # rate 2 halves the bodies: A is the hull of [-1/2, 1/2]^2 and [-1, 1]^2
+        assert level_set_volumes([sq, sq], [2.0, 1.0], [1.0])[0] == pytest.approx(4.0)
+
+    def test_mixed_level_set_of_intervals(self):
+        # A = L of the slotted [-1, 1] / r is [-2, 2] (m = 1, rate 1/2 on
+        # f_0), B = -[0, 1]: vol(tA + B) = 4t + 1, linear in t
+        unit = cc.cube(1, 1.0)
+        vols = level_set_volumes([unit, interval01()], [0.5, 0.0], [0.0, 1.0, 3.0])
+        np.testing.assert_allclose(vols, [1.0, 5.0, 13.0], rtol=1e-14)
 
     def test_quadrilateral_volume_against_membership_oracle(self):
         K = cc.from_vertices([[0.0, 0.0], [2.0, 0.0], [1.5, 1.0], [0.2, 1.3]])

@@ -286,6 +286,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and "rs-multi" in err
 
+    @pytest.mark.parametrize("function", [
+        {"profile": "gaussian", "body": _BODY},
+        {"profile": "exponential", "body": {"kind": "ball", "dim": 2}},
+        {"profile": "power", "s_or_p": 2.0, "body": {"kind": "ball", "dim": 2}},
+    ], ids=["gaussian-square", "exponential-disc", "power-disc"])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_rs_single_without_exact_sups_exits_two(self, tmp_path, capsys, function, m):
+        # above one dimension a tuple that is not all indicators has an exact
+        # L1 norm only on the mixed-volume route, so these are out of scope
+        path = _write(tmp_path, {"name": "x", "check": "rs-single", "m": m,
+                                 "function": function, "samples": 64})
+        assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "rs-single" in err
+
     @staticmethod
     def _pfamily_configs(p):
         """Every function check on a p-family function at parameter p."""
@@ -490,6 +505,16 @@ class TestCli:
                 assert cli.main(["run", path, "--out", str(out)]) == 0
                 reports.append((out / "verdicts.json").read_bytes())
             assert reports[0] == reports[1]
+
+    def test_exponential_square_example_is_exact(self, tmp_path, capsys):
+        # e^-||x||_inf on cube(2) at m = 2: the mixed-volume route's 144
+        out = tmp_path / "square"
+        assert cli.main(["run", str(EXAMPLES / "rs_exponential_square.json"),
+                         "--out", str(out)]) == 0
+        (v,) = json.loads((out / "verdicts.json").read_text())["verdicts"]
+        assert (v["status"], v["metadata"]["route"]) == ("holds", "mixed-volume")
+        assert v["lhs"]["value"] == pytest.approx(144.0, rel=1e-13)
+        assert v["sigma_combined"] == 0.0
 
     def test_samples_override_lands_in_manifest(self, tmp_path, capsys):
         out = tmp_path / "pair"

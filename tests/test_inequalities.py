@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.spatial import ConvexHull
 
 import mthorder.convexcore as cc
 import mthorder.covariogram as cov
@@ -13,8 +14,8 @@ import mthorder.inequalities as iq
 import mthorder.mellin as ml
 from mthorder.lcfun import LogConcaveFunction, profile_from_kind
 from mthorder.numerics import EstimateWithError, make_rng
-from oracles import (discs_meet, dm_support_membership, polytopes_meet, sup_convolution,
-                     three_point_radius)
+from oracles import (discs_meet, dm_support_membership, inf_convolution_gauge,
+                     polytopes_meet, sup_convolution, three_point_radius)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -205,7 +206,6 @@ class TestConvolutions:
     def test_int_1d_makes_no_sup_search(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the 1-D rule needs no mode")
-        monkeypatch.setattr(iq, "_sup_point", refuse)
         monkeypatch.setattr(iq, "_sup_rows", refuse)
         got = iq.int_convolution([std_gauss, two_sided, chi], [0.3, -0.2])
         assert got.value > 0.0
@@ -435,9 +435,10 @@ class TestClosedFormKernels:
         multi = iq.check_rs_multi([two_sided, std_gauss], outer_samples=50)
         assert (multi.metadata["sup_route"], multi.metadata["row_kernel"]) == (
             "closed-form", "closed-form")
-        single = iq.check_rs_single(f_exp, 1, samples=50)
+        single = iq.check_rs_single(std_gauss, 1, samples=50)
         assert single.metadata["row_kernel"] == "closed-form"
-        assert iq.check_rs_multi([chi, chi]).metadata["route"] == "interval"
+        assert iq.check_rs_single(f_exp, 1).metadata["route"] == "mixed-volume"
+        assert iq.check_rs_multi([chi, chi]).metadata["route"] == "mixed-volume"
 
     def test_other_profiles_keep_the_numeric_kernels(self):
         power = LogConcaveFunction(profile_from_kind("power", 2.0, 1),
@@ -539,7 +540,7 @@ def test_scalar_evaluations_do_not_grow_with_samples(monkeypatch):
     counts = []
     for samples in (100, 400):
         calls.clear()
-        v = iq.check_rs_single(f_exp, 1, samples=samples)
+        v = iq.check_rs_single(std_gauss, 1, samples=samples)
         assert v.metadata["route"] == "pointwise-sup"
         counts.append(len(calls))
     assert counts[0] == counts[1]
@@ -550,7 +551,7 @@ class TestRsBody:
         v = iq.check_rs_body(cc.simplex(2), 1)
         assert v.status == iq.EQUALITY
         assert (v.lhs.value, v.rhs.value) == (3.0, 3.0)   # exact vertices
-        assert (v.metadata["route"], v.metadata["samples"]) == ("meeting-volume", 0)
+        assert (v.metadata["route"], v.metadata["samples"]) == ("mixed-volume", 0)
 
     def test_interval_m2_equality(self):
         v = iq.check_rs_body(unit_interval(), 2)
@@ -560,13 +561,13 @@ class TestRsBody:
     @pytest.mark.parametrize("m", [4, 5, 6])
     def test_interval_high_order_equality(self, m):
         v = iq.check_rs_body(unit_interval(), m)
-        assert v.metadata["route"] == "interval"
+        assert v.metadata["route"] == "mixed-volume"
         assert v.lhs.value == pytest.approx(m + 1.0, rel=1e-12)
         assert v.status == iq.EQUALITY
 
     def test_simplex3_m2_is_exact_equality(self):
         v = iq.check_rs_body(cc.simplex(3), 2)
-        assert v.metadata["route"] == "meeting-volume"
+        assert v.metadata["route"] == "mixed-volume"
         assert v.lhs.value == pytest.approx(7.0 / 3.0, rel=1e-12)
         assert v.rhs.value == pytest.approx(7.0 / 3.0, rel=1e-12)
         assert v.lhs.std_error == v.rhs.std_error == 0.0
@@ -605,7 +606,7 @@ class TestRsBody:
         assert abs(v.lhs.value - 3.0) <= 4.0 * v.lhs.std_error
 
     def test_ten_gon_m3_is_sampled(self):
-        # 10^4 vertex sums in R^6, past the meeting-volume cap
+        # 10^4 vertex sums in R^6, past the vertex-sum cap
         t = 2.0 * math.pi * np.arange(10) / 10
         v = iq.check_rs_body(cc.from_vertices(np.c_[np.cos(t), np.sin(t)]), 3,
                              samples=64)
@@ -617,8 +618,9 @@ class TestRsBody:
         # chi_K needs the origin in K; vol(D^m K) does not see the shift
         K = cc.from_vertices([[2.0, 1.0], [3.5, 1.2], [3.0, 2.4], [2.2, 2.0]])
         v = iq.check_rs_body(K, 2)
-        assert v.metadata["route"] == "meeting-volume"
-        assert v.lhs.value == pytest.approx(cov.meeting_volume([K] * 3), rel=1e-14)
+        assert v.metadata["route"] == "mixed-volume"
+        meeting = cov.level_set_volumes([K] * 3, [0.0] * 3, [1.0])[0]
+        assert v.lhs.value == pytest.approx(meeting, rel=1e-14)
         assert v.rhs.value == 15.0 * cc.volume(K).value ** 2
         assert v.status == iq.HOLDS
         ball = iq.check_rs_body(cc.ball(2, 0.5, center=[3.0, -1.0]), 1)
@@ -786,7 +788,7 @@ class TestRsSingle:
         assert v.status == iq.EQUALITY
         assert v.rhs.value == pytest.approx(2.0, rel=1e-12)
         assert (v.lhs.value, v.lhs.std_error) == (2.0, 0.0)
-        assert v.metadata["route"] == "interval"
+        assert v.metadata["route"] == "mixed-volume"
         assert v.metadata["samples"] == 0
 
     def test_chi_m2_equality(self):
@@ -814,7 +816,7 @@ class TestRsSingle:
         # (chi_K, chi_K) meet where x lies in D(K) = K - K, so the L1 norm is
         # vol D(K) = 3 exactly; the right side is binom(4, 2) vol(K) = 3
         v = iq.check_rs_single(make_fn("indicator", cc.simplex(2)), 1)
-        assert v.metadata["route"] == "meeting-volume"
+        assert v.metadata["route"] == "mixed-volume"
         assert v.metadata["samples"] == 0
         assert v.lhs.value == pytest.approx(3.0, abs=1e-12)
         assert v.rhs.value == pytest.approx(3.0, abs=1e-12)
@@ -831,7 +833,7 @@ class TestRsSingle:
         single = iq.check_rs_single(make_fn("indicator", moved), m)
         body = iq.check_rs_body(K, m)
         assert single.metadata["route"] == body.metadata["route"]
-        assert body.metadata["route"] == ("interval" if K.dim == 1 else "meeting-volume")
+        assert body.metadata["route"] == "mixed-volume"
         assert (single.lhs.value, single.lhs.std_error) == (body.lhs.value, body.lhs.std_error)
         assert single.rhs.value == pytest.approx(body.rhs.value, rel=1e-12)
         assert single.status == body.status
@@ -841,7 +843,7 @@ class TestRsSingle:
     def test_cube_indicator_at_m2_is_exact(self):
         # D^2 of a box is the product of the D^2 of its edges: 12^3 for [-1, 1]^3
         v = iq.check_rs_single(make_fn("indicator", cc.cube(3, 1.0)), 2)
-        assert v.metadata["route"] == "meeting-volume"
+        assert v.metadata["route"] == "mixed-volume"
         assert v.lhs.value == pytest.approx(1728.0, rel=1e-12)
         assert v.lhs.std_error == 0.0
 
@@ -849,23 +851,145 @@ class TestRsSingle:
         # a 10-gon at m = 3 has 10^4 vertex sums in R^6, past the hull bound
         t = 2.0 * math.pi * np.arange(10) / 10
         K = cc.from_vertices(np.c_[np.cos(t), np.sin(t)])
-        assert cov.meeting_sums([K] * 4) > iq._MEETING_SUMS_MAX
+        assert len(K.vertices) ** 4 > iq._MEETING_SUMS_MAX
         v = iq.check_rs_single(make_fn("indicator", K), 3, samples=64)
         assert v.metadata["route"] == "pointwise-sup"
         assert v.metadata["samples"] == 64
         assert v.metadata["row_kernel"] == "meeting-test"
 
-    def test_exponential_goes_pointwise(self):
+    def test_exponential_is_exact(self):
         v = iq.check_rs_single(f_exp, 1, samples=800)
-        assert v.metadata["route"] == "pointwise-sup"
+        assert (v.metadata["route"], v.metadata["samples"]) == ("mixed-volume", 0)
         assert v.rhs.value == pytest.approx(2.0, rel=1e-12)
         # sup_z e^-z e^-(z - x) over z >= max(0, x) is e^-|x|: L1 norm 2
-        assert abs(v.lhs.value - 2.0) <= 4.0 * v.lhs.std_error
-        assert v.status != iq.VIOLATED
+        assert (v.lhs.value, v.lhs.std_error) == (pytest.approx(2.0, rel=1e-14), 0.0)
+        assert v.status == iq.EQUALITY
 
     def test_budget_guard(self):
         with pytest.raises(NotImplementedError):
             iq.check_rs_single(disc_chi, 4)
+
+
+_TRIANGLE = [[-0.4, -0.3], [0.8, -0.1], [-0.1, 0.6]]     # area 0.51, the origin inside
+
+
+def _mixed_l1(fbar) -> float:
+    """The exact L1 norm of a tuple's sup-convolution, asserting its route."""
+    lhs, info = iq._star_l1(fbar, iq._factor_boxes(fbar), 0, None)
+    assert info == {"route": "mixed-volume", "samples": 0}
+    assert lhs.std_error == 0.0
+    return lhs.value
+
+
+class TestMixedVolumeL1:
+    """The `mixed-volume` route against values worked out by hand.  For
+    f_j = e^-||x||_K_j, -log S(x) is the inf-convolution g of the gauges,
+    and the layer cake gives ||S||_1 = (nm)! vol{g <= 1}."""
+
+    def test_exponential_on_the_square(self):
+        sq = make_fn("exponential", cc.cube(2, 1.0))
+        # m = 1: g is the gauge of the hull of C and -C, C itself: 2! * 4
+        assert _mixed_l1([sq] * 2) == pytest.approx(8.0, rel=1e-14)
+        # m = 2: ||v||_inf = ||M v||_1 with M(a, b) = ((a + b) / 2, (a - b) / 2),
+        # det 1/2, so g splits by the coordinates of M x_j into the range of
+        # {0, u, v}, whose unit ball is conv{+-(1, 0), +-(0, 1), +-(1, 1)}
+        # of area 3; the Jacobian 2^2 times (2! * 3)^2 is 144
+        assert _mixed_l1([sq] * 3) == pytest.approx(144.0, rel=1e-13)
+
+    def test_exponential_on_the_unit_interval(self):
+        # the gauge of [0, 1] is x on x >= 0: at m = 1 S = e^-|x|, and at
+        # m = 2 g = 3 max(0, x_1, x_2) - x_1 - x_2, whose unit ball is three
+        # triangles of area 1/2: 2! * 3/2 = 3
+        assert _mixed_l1([f_exp] * 2) == pytest.approx(2.0, rel=1e-14)
+        assert _mixed_l1([f_exp] * 3) == pytest.approx(3.0, rel=1e-14)
+
+    def test_exponential_on_a_triangle_at_m1(self):
+        # the origin lies inside T = conv{a, b, c}, so the hull of T and -T is
+        # the hexagon +-a, +-b, +-c of area 2 vol T: 2! * 2 * 0.51
+        T = make_fn("exponential", cc.from_vertices(_TRIANGLE))
+        assert _mixed_l1([T] * 2) == pytest.approx(2.04, rel=1e-13)
+
+    def test_exponential_with_an_indicator_on_a_triangle(self):
+        # A = T and B = -T (or the reverse): vol(tT - T) = vol T (t^2 + 4t + 1),
+        # the mixed area V(T, -T) being 2 vol T as vol(T - T) = 6 vol T; so
+        # the L1 norm is (2 + 4 + 1) vol T
+        K = cc.from_vertices(_TRIANGLE)
+        pair = [make_fn("exponential", K), make_fn("indicator", K)]
+        assert _mixed_l1(pair) == pytest.approx(7.0 * 0.51, rel=1e-13)
+        assert _mixed_l1(pair[::-1]) == pytest.approx(7.0 * 0.51, rel=1e-13)
+
+    def test_exponential_with_two_square_indicators(self):
+        # A = {(u, u)}, B = C x C: the first (and the second) coordinates of
+        # the two blocks form the square [-1, 1]^2 plus t times the diagonal
+        # segment, of area 4 + 8t; int e^-t (8t + 4)^2 dt = 128 + 64 + 16
+        C = cc.cube(2, 1.0)
+        fbar = [make_fn("exponential", C)] + [make_fn("indicator", C)] * 2
+        assert _mixed_l1(fbar) == pytest.approx(208.0, rel=1e-13)
+
+    def test_amplitudes_and_offsets_scale_the_norm(self):
+        # the p-family at p = 1 is e^(1 - |x|) on cube(1): height e per factor
+        K = cc.cube(1, 1.0)
+        p1 = LogConcaveFunction(profile_from_kind("pfamily", 1.0, 1), K, np.zeros(1))
+        assert _mixed_l1([p1, p1]) == pytest.approx(2.0 * math.e ** 2, rel=1e-14)
+        loud = make_fn("exponential", K, amplitude=3.0)
+        assert _mixed_l1([loud, two_sided]) == pytest.approx(3.0 * 2.0, rel=1e-14)
+
+    @pytest.mark.parametrize("K,m", [(cc.cube(2, 1.0), 1), (cc.cube(2, 1.0), 2),
+                                     (cc.from_vertices(_TRIANGLE), 1),
+                                     (cc.from_vertices(_TRIANGLE), 2),
+                                     (cc.simplex(2, "centered"), 2)],
+                             ids=["square-1", "square-2", "triangle-1", "triangle-2",
+                                  "centred-simplex-2"])
+    def test_hull_gauge_is_the_lp_inf_convolution(self, K, m):
+        # the slotted vertices (v, ..., v) and -v in block i, built here,
+        # span a hull whose gauge the HiGHS LP matches at random points, and
+        # whose volume times (nm)! is the route's norm
+        n, d = K.dim, K.dim * m
+        P = [np.tile(v, m) for v in K.vertices]
+        for i in range(m):
+            for v in K.vertices:
+                p = np.zeros(d)
+                p[i * n:(i + 1) * n] = -v
+                P.append(p)
+        hull = ConvexHull(np.array(P))
+        X = make_rng(29, m).normal(size=(40, d))
+        gauge = np.max(X @ hull.equations[:, :-1].T / -hull.equations[:, -1], axis=1)
+        np.testing.assert_allclose(inf_convolution_gauge([K] * (m + 1), X), gauge,
+                                   rtol=1e-9)
+        f = make_fn("exponential", K)
+        assert _mixed_l1([f] * (m + 1)) == pytest.approx(
+            math.factorial(d) * hull.volume, rel=1e-12)
+
+    def test_triangle_at_m2(self):
+        T = make_fn("exponential", cc.from_vertices(_TRIANGLE))
+        assert _mixed_l1([T] * 3) == pytest.approx(2.8764, rel=1e-12)
+
+    def test_indicator_triple_keeps_the_meeting_volume(self):
+        # catalog random-5: the exact hull volume of the meeting route it replaces
+        from mthorder.harness import _random_triple
+        assert _mixed_l1(_random_triple(make_rng(5, 907))) == pytest.approx(
+            8.579039187180024, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_exponential_triples_against_midpoint_grids(self, seed):
+        # catalog random-0 and random-3, three exponentials each: midpoint
+        # sums of the closed-form 1-D sups over [-40, 40]^2, where S < 1e-9
+        # outside, converge to the exact norm; it lies within the gap between
+        # the h and h/2 grids of the finer one
+        from mthorder.harness import _random_triple
+        fbar = _random_triple(make_rng(seed, 907))
+        assert all(f.profile.kind == "exponential" for f in fbar)
+        boxes = iq._factor_boxes(fbar)
+
+        def grid(N):
+            h = 80.0 / N
+            g = -40.0 + h * (np.arange(N) + 0.5)
+            return h * h * sum(iq._sup_rows(fbar, boxes, np.stack(
+                np.meshgrid(a, g, indexing="ij"), -1).reshape(-1, 2))[1].sum()
+                for a in np.array_split(g, 4))
+
+        coarse, fine = grid(200), grid(400)
+        assert abs(_mixed_l1(fbar) - fine) <= abs(coarse - fine)
 
 
 class TestRsMulti:
@@ -875,7 +999,7 @@ class TestRsMulti:
         # and the int-convolution peaks at x = 0 with the area 1/2 of K:
         # lhs 1/2 * 3 meets rhs binom(4, 2) (1/2)^2 exactly
         v = iq.check_rs_multi([simplex_chi, simplex_chi])
-        assert v.metadata["route"] == "meeting-volume"
+        assert v.metadata["route"] == "mixed-volume"
         assert v.metadata["sup_route"] == "common-volume"
         assert v.metadata["sup_norm"] == pytest.approx(0.5, rel=1e-12)
         assert v.metadata["l1_norm"] == pytest.approx(3.0, abs=1e-12)
@@ -1076,7 +1200,6 @@ class TestMeetingTest:
 
         def refuse(*args, **kwargs):
             raise AssertionError("no search runs per draw for an indicator tuple")
-        monkeypatch.setattr(iq, "_sup_point", refuse)
         monkeypatch.setattr(iq, "maximize_logconcave", refuse)
         monkeypatch.setattr(iq, "_feasible_point", refuse)
         v = iq.check_rs_body(cc.ball(2, 1.0), 2)
@@ -1085,7 +1208,7 @@ class TestMeetingTest:
         assert v.metadata["samples"] == 1_500
 
     def test_ten_gon_m3_takes_one_batch(self, monkeypatch):
-        # 10^4 vertex sums, past the meeting-volume cap: the sampled meeting
+        # 10^4 vertex sums, past the vertex-sum cap: the sampled meeting
         # test is one batch of stacked rows, against the qhull oracle
         t = 2.0 * math.pi * np.arange(10) / 10
         K = cc.from_vertices(np.c_[np.cos(t), np.sin(t)])

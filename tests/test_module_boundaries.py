@@ -199,6 +199,12 @@ def test_cli_import_leaves_spatial_and_special_unloaded():
     assert _loaded_after("import mthorder.cli, mthorder.harness", _LAZY) == []
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    """Importing scipy itself costs startup time; the manifest reads its
+    version when a report is written, so a fresh import loads none of it."""
+    assert _loaded_after("import mthorder.cli", ("scipy", "scipy.spatial")) == []
+
+
 _PENTAGON_CHAIN = {
     "name": "chain-pentagon", "check": "chain",
     "body": {"kind": "vertices", "dim": 2,
@@ -401,10 +407,8 @@ _UNREACHED = {
     "inequalities._product_many": f"kernels off the closed forms; {_ROUTE}",
     "lcfun.LogConcaveFunction.eval": f"kernels off the closed forms; {_ROUTE}",
     "lcfun.LogConcaveFunction.eval_many": f"kernels off the closed forms; {_ROUTE}",
-    "inequalities._feasible_point": f"pointwise sups above one dimension; {_ROUTE}",
-    "inequalities._sup_point": f"pointwise sups above one dimension; {_ROUTE}",
-    "inequalities._sup_point.<locals>.F": f"pointwise sups above one dimension; {_ROUTE}",
-    "inequalities._meets": f"pointwise sups above one dimension; {_ROUTE}",
+    "inequalities._feasible_point": f"indicator pointwise sups above one dimension; {_ROUTE}",
+    "inequalities._meets": f"indicator pointwise sups above one dimension; {_ROUTE}",
     "convexcore.reflect": _ROUTE,
     # layer-cake rays off box sections, and the order-a incomplete gamma
     "starbodies._body_section_direct": f"layer-cake rays off box sections; {_ROUTE}",
