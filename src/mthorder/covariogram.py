@@ -24,6 +24,7 @@ from .convexcore import ConvexBody
 from .lcfun import LogConcaveFunction, NonIntegrableError
 from .numerics import (
     EstimateWithError,
+    Estimates,
     QuadratureConfig,
     beta,
     gamma_q,
@@ -115,9 +116,10 @@ def _box_cov(lo, hi, blocks):
 
 def box_rates(lo, hi, blocks) -> np.ndarray:
     """The rates t_j = ptp(0, x_1j, ..., x_mj) / (hi_j - lo_j) of the box
-    prod_j [lo_j, hi_j]: its covariogram at r * blocks is
-    vol * prod_j (1 - r t_j)_+."""
-    return np.ptp(np.vstack([np.zeros(len(lo)), blocks]), axis=0) / (hi - lo)
+    prod_j [lo_j, hi_j] at (m, n) blocks, or at each row of an (N, m, n)
+    batch: its covariogram at r * blocks is vol * prod_j (1 - r t_j)_+."""
+    return (np.maximum(blocks.max(axis=-2), 0.0)
+            - np.minimum(blocks.min(axis=-2), 0.0)) / (hi - lo)
 
 
 def lens(n: int, u):
@@ -361,10 +363,14 @@ def _lasserre_volume(A, c) -> np.ndarray:
     return np.concatenate([volume(c[s:s + step]) for s in range(0, max(len(c), 1), step)])
 
 
-def covariogram_body(K: ConvexBody, xbar) -> EstimateWithError:
-    """g_{K,m}(xbar), exact (`covariogram_body_many`)."""
-    xb = as_mvector(xbar, K.dim)
-    return EstimateWithError(float(covariogram_body_many(K, xb.blocks[None])[0]), 0.0, 0)
+def _batch(xbars, n: int) -> np.ndarray:
+    """An (N, m, n) or (N, m*n) batch of m-vectors as an (N, m, n) array."""
+    B = np.asarray(xbars, dtype=float)
+    if B.ndim == 2:
+        B = B.reshape(len(B), -1, n)
+    if B.ndim != 3 or B.shape[2] != n:
+        raise ValueError("expected an (N, m, n) or (N, m*n) batch")
+    return B
 
 
 def covariogram_body_many(K: ConvexBody, xbars) -> np.ndarray:
@@ -372,11 +378,7 @@ def covariogram_body_many(K: ConvexBody, xbars) -> np.ndarray:
     vectorized pass: balls through their meetings, axis-aligned boxes in
     closed form, other polytopes as the `_lasserre_volume` of K's rows with
     right sides c_j = b_j + min(0, min_i a_j.x_i), about K's vertex mean."""
-    B = np.asarray(xbars, dtype=float)
-    if B.ndim == 2:
-        B = B.reshape(len(B), -1, K.dim)
-    if B.ndim != 3 or B.shape[2] != K.dim:
-        raise ValueError("expected an (N, m, n) or (N, m*n) batch")
+    B = _batch(xbars, K.dim)
     if K.kind == "ball":
         return _ball_meeting_cov(K, B)
     box = K.axis_box
@@ -472,40 +474,78 @@ def profile_cut(prof, n: int, scale: float) -> float:
 
 
 def covariogram_fn(f: LogConcaveFunction, xbar) -> EstimateWithError:
-    """g_{f,m}(xbar) by level-set quadrature: covariogram_body folded
-    through the layer-cake decomposition of f, over exact inner volumes."""
-    xb = as_mvector(xbar, f.dim)
-    if not math.isfinite(f.profile.phi0):
+    """g_{f,m}(xbar), the one-row `covariogram_fn_many`."""
+    return covariogram_fn_many(f, as_mvector(xbar, f.dim).blocks[None]).row(0)
+
+
+def covariogram_fn_many(f: LogConcaveFunction, xbars) -> Estimates:
+    """g_{f,m} over an (N, m, n) or (N, m*n) batch, by the layer cake of
+    f = A phi(||x - c||_K): with {f >= A phi(0) e^-v} = c + s(v) K,
+
+        g_{f,m}(xbar) = A phi(0) int e^-v s(v)^n g_{K,m}(xbar / s(v)) dv
+
+    over the depths v >= v_lo at which xbar lies in s(v) D^m(K).
+
+    * An indicator is A g_{K,m}(xbar), exact.
+    * On an axis box (every body in R^1 is one) g_{K,m}(xbar / s) is
+      vol(K) sum_k c_k s^-k, with c_k the coefficients of prod_j (1 - u t_j)
+      at the `box_rates` t of xbar, so the integral is closed: with the tail
+      level moments T_j(v) = phi(0) int_v^inf e^-w s(w)^j dw
+      (`lcfun.Profile.tail_level_moment`) and v_lo = depth(max_j t_j),
+
+          g_{f,m}(xbar) = A vol(K) sum_k c_k T_{n-k}(v_lo),
+
+      exact up to rounding, with no error bar.
+    * Any other body integrates over exact body covariograms, one adaptive
+      `integrate_1d` batch for every row, each row to the bit its solo
+      integral; the error bar is the rule's.
+    """
+    K, prof, A, n = f.body, f.profile, f.amplitude, f.dim
+    B = _batch(xbars, n)
+    zero = np.zeros(len(B))
+    if not math.isfinite(prof.phi0):
         raise NonIntegrableError("the p = 0 profile has infinite mass and "
                                  "no covariogram")
-    K, prof, A = f.body, f.profile, f.amplitude
-    n = f.dim
     if prof.kind == "indicator":
-        return covariogram_body(K, xb).scaled(A)
-
-    # with {f >= t} = shift + rK and t = A*phi(r) the t-integral becomes
-    #   A * int (-phi'(r)) r^n g_{K,m}(xbar / r) dr,
-    # and over the level depth v, with r = s(v) = prof.depth_scale(v) and
-    # -phi'(r) dr = phi(0) e^-v dv, it is
-    #   A phi(0) int e^-v s(v)^n g_{K,m}(xbar / s(v)) dv,
-    # smooth where phi is not: the power kind's end r = 1 is v = inf
+        return Estimates(A * covariogram_body_many(K, B), zero, zero.astype(int))
     vol_k = cc.volume(K).value
-    nrm = xb.norm()
-    r_lo = 0.0 if nrm < 1e-300 else nrm / dm_support_radius(K, xb.unit())
-    r_hi = profile_cut(prof, n, A * vol_k)
-    if r_hi <= r_lo:
-        return EstimateWithError(0.0, 0.0, 0)
-    peak = A * prof.phi0
+    box = K.axis_box
+    if box is not None:
+        t = box_rates(box[0], box[1], B)
+        c = np.zeros((len(B), n + 1))
+        c[:, 0] = 1.0
+        for j in range(n):                          # times (1 - u t_j)
+            c[:, 1:] = c[:, 1:] - t[:, j, None] * c[:, :-1]
+        v_lo = prof.depth(t.max(axis=1))
+        total = sum(c[:, k] * prof.tail_level_moment(n - k, v_lo) for k in range(n + 1))
+        return Estimates(np.maximum(A * vol_k * total, 0.0), zero, zero.astype(int))
 
-    def integrand(v):
+    # r_lo = |xbar| / rho_{D^m K}(xbar / |xbar|): xbar enters s(v) D^m(K) at
+    # the radius s = r_lo; past the profile's cut the integrand is negligible
+    r_hi = profile_cut(prof, n, A * vol_k)
+    r_lo = []
+    for b in B:
+        xb = MVector(b)
+        nrm = xb.norm()
+        r_lo.append(0.0 if nrm < 1e-300 else nrm / dm_support_radius(K, xb.unit()))
+    live = np.flatnonzero(np.array(r_lo) < r_hi)
+    out = Estimates(zero.copy(), zero.copy(), zero.astype(int))
+    if not live.size:
+        return out
+    peak = A * prof.phi0
+    X = B[live]
+
+    def integrand(v, owner):
         s = prof.depth_scale(v)
         return peak * np.exp(-v) * s ** n * covariogram_body_many(
-            K, xb.blocks[None] / s[:, None, None])
+            K, X[owner] / s[:, None, None])
 
-    v_hi = prof.depth(r_hi)
-    tail = None if math.isfinite(v_hi) else (peak * vol_k, 1.0)   # s(v) <= 1 there
-    return integrate_1d(integrand, prof.depth(r_lo), v_hi, _LEVELSET_QUAD,
-                        tail_bound=tail)
+    v_hi = prof.depth(r_hi)           # the power kind's end r = 1 is v = inf
+    est = integrate_1d(integrand, [prof.depth(r_lo[i]) for i in live], v_hi,
+                       _LEVELSET_QUAD, tail_bound=(peak * vol_k, 1.0))   # s(v) <= 1 there
+    out.value[live], out.std_error[live], out.nodes[live] = (
+        est.value, est.std_error, est.nodes)
+    return out
 
 
 def coercive_box_radius(f: LogConcaveFunction, tol: float) -> float:

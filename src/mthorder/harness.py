@@ -211,8 +211,10 @@ _MATHERON_CASES = (
 def _jobs_matheron(seed, samples):
     """First-order slope of the covariogram along theta vs the gauge.
 
-    Each case compares Richardson finite differences at two step sizes;
-    first-order convergence means the error ratio sits near 10.
+    Each case takes the plain difference quotients (g(h theta) - g(0)) / h
+    at h = 1e-3 and 1e-4 (`projection.matheron_consistency`); first-order
+    convergence means the ratio of their errors sits near 10.  Every case
+    lies on an axis box, where the covariogram is exact.
     """
     jobs = []
     for label, profile, s_or_p, n, m, theta in _MATHERON_CASES:
@@ -482,7 +484,9 @@ class Experiment:
     name: str
     criterion: int
     summary: str
-    build: object  # (seed, samples) -> list of (label, thunk)
+    # (seed, samples) -> list of (label, thunk); builders that read neither
+    # still take both, because `run_experiment` calls every builder one way
+    build: object
 
 
 CATALOG = {e.name: e for e in (

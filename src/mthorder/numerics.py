@@ -73,6 +73,11 @@ class Estimates:
     def samples_or_nodes(self) -> int:
         return int(self.nodes.sum())
 
+    def row(self, i: int) -> EstimateWithError:
+        """The i-th integral as an `EstimateWithError`."""
+        return EstimateWithError(float(self.value[i]), float(self.std_error[i]),
+                                 int(self.nodes[i]))
+
 
 def combine_sigma(*sigmas: float) -> float:
     return math.sqrt(sum(s * s for s in sigmas))

@@ -28,14 +28,9 @@ A function f = A phi(||x - c||_K) needs no rays of its own.  The layer cake
 g_{f,m}(x) = A int (-phi'(s)) s^n g_{K,m}(x/s) ds factors its radial mean
 bodies as rho(R_p^m f) = f.radial_factor(p) * rho(R_p^m K), with the profile
 moments M_k = int (-phi') s^k ds in closed form.  `layer_cake_ray`
-tabulates the function section in the original order of integration; it
-is the independent reference that checks that factorization.  Over a box's
-polynomial section its level integral is closed, a sum of the profile's
-tail level moments (`lcfun.Profile.tail_level_moment`) at the depth where
-each radius enters the support; over a table or lens, whose knots are
-kinks, it runs on a fixed number of geometric Gauss panels per radius, and
-the (radius, level) nodes go to the body section in batches of a fixed
-node budget.
+tabulates the function section in the original order of integration, from
+`covariogram.covariogram_fn_many`; it is the independent reference that
+checks that factorization.
 """
 
 from __future__ import annotations
@@ -51,17 +46,11 @@ from . import mellin as ml
 from . import projection as proj
 from .convexcore import ConvexBody, UnboundedBodyError
 from .lcfun import LogConcaveFunction
-from .numerics import EstimateWithError, gauss_panels, sphere_sample, sphere_surface
+from .numerics import EstimateWithError, sphere_sample, sphere_surface
 
 _STREAM_STAR_DIRS = 401
 
-_LEVEL_PANELS = 24          # geometric Gauss panels per radius over a table or lens section
 _LAYER_CAKE_NODES = 1024    # fixed radii of a layer-cake ray (Gaussian section to 2e-8)
-_LEVEL_DEPTH = 40.0         # least level depth v (levels down to e^-v of the peak)
-# (radius, level) nodes per batch of a layer-cake ray.  Each array of a batch
-# stays under 128 KiB, glibc's default mmap threshold, so it comes from reused
-# heap pages instead of a fresh mapping of zeroed pages on every call
-_LEVEL_NODE_BUDGET = 16_368
 
 
 def default_direction_count(d: int) -> int:
@@ -82,16 +71,6 @@ class RadialRay:
 
     profile: ml.MellinProfile
     slope0: float
-
-
-def _body_section_direct(K: ConvexBody, thb: np.ndarray, vol: float):
-    """Vectorized normalized section of a body with cheap exact covariograms."""
-    def section(r):
-        rr = np.atleast_1d(np.asarray(r, dtype=float))
-        vals = cov.covariogram_body_many(K, rr[:, None, None] * thb[None, :, :])
-        out = np.clip(vals / vol, 0.0, 1.0)
-        return out if np.ndim(r) else float(out[0])
-    return section
 
 
 def _box_ray(lo, hi, blocks) -> RadialRay:
@@ -133,66 +112,22 @@ def _fd_slope(psi, scale: float) -> float:
 
 
 def layer_cake_ray(f: LogConcaveFunction, m: int, theta) -> RadialRay:
-    """Reference section g_{f,m}(r theta) / ||f||_1 at fixed radii,
-    by the layer cake in its original order, over the level depth v:
-
-        g_{f,m}(r theta) = A phi(0) int e^{-v} s(v)^n g_{K,m}(r theta / s(v)) dv,
-
-    s(v) = profile.depth_scale(v), over the depths v >= v_lo at which
-    r theta lies in s(v) D^m(K).  A box's body section is the polynomial
-    sum_k d_k (u / R)^k up to R, so its level integral is closed: with the
-    tail level moments T_j(v) = phi(0) int_v^inf e^{-w} s(w)^j dw,
-
-        g_{f,m}(r theta) = A vol(K) sum_k d_k (r / R)^k T_{n-k}(v_lo).
-
-    On the stretched family T_j is a regularized upper incomplete gamma
-    function (`numerics.gamma_q`).  A table or lens section has kinks
-    at its knots, so its level integral runs on `_LEVEL_PANELS` geometric
-    Gauss panels per radius from v_lo down to the least depth, and the
-    (radius, level) nodes go to the body section in batches of at most
-    `_LEVEL_NODE_BUDGET` nodes.  Either way a radius whose v_lo lies
-    beyond the least depth reads 0.  The slope at 0 is a Richardson
-    difference of the same integral over exact body covariograms.  Never
-    swapping the order of integration, it checks `radial_mean_body_fn`.
+    """Reference section g_{f,m}(r theta) / ||f||_1 at fixed radii, from
+    `covariogram.covariogram_fn_many`: the layer cake in its original order,
+    closed over a box and a level quadrature over exact body covariograms
+    elsewhere.  The radii run to the support, or on a quartic grading to
+    where the section is below 1e-12; the slope at 0 is a Richardson
+    difference of the same section.  Never swapping the order of
+    integration, it checks `radial_mean_body_fn`.
     """
     th = as_unit(theta, f.dim)
-    K, prof, n = f.body, f.profile, f.dim
-    vol = cc.volume(K).value
-    R = cov.dm_support_radius(K, th)
-    scale = f.amplitude * vol / f.mass()
-    cut = prof.depth(cov.profile_cut(prof, n, f.amplitude * vol))
-    depth = max(_LEVEL_DEPTH, cut) if math.isfinite(cut) else _LEVEL_DEPTH
-    body = body_ray(K, m, th)
-    unit, unit_w = gauss_panels(np.array([0.0, 1.0]))
+    prof, n = f.profile, f.dim
+    R = cov.dm_support_radius(f.body, th)
+    mass = f.mass()
 
-    def levels(r):
-        """The radii inside the support and their least depths v_lo."""
-        v_lo = prof.depth(r / R)
-        live = (v_lo < depth) & (r > 0.0)
-        return live, np.maximum(v_lo[live], 1e-18)
-
-    def closed_section(r):
-        live, v_lo = levels(r)
-        u = r[live] / R
-        d = body.profile.spline.c[::-1, 0]          # d_k, lowest power first
-        out = np.where(r > 0.0, 0.0, 1.0)
-        out[live] = scale * sum(d[k] * u ** k * prof.tail_level_moment(n - k, v_lo)
-                                for k in range(len(d)))
-        return np.clip(out, 0.0, 1.0)
-
-    def panel_section(r, body_psi):
-        live, v_lo = levels(r)
-        span = np.log(depth / v_lo)
-        row = np.repeat(np.arange(span.size), _LEVEL_PANELS)   # radius of each panel
-        k = np.tile(np.arange(_LEVEL_PANELS), span.size)
-        width = (span / _LEVEL_PANELS)[row, None]                 # e-folds per panel
-        V = v_lo[row, None] * np.exp(width * (k[:, None] + unit))
-        S = prof.depth_scale(V)
-        g = body_psi((r[live][row, None] / S).ravel()).reshape(S.shape)
-        terms = (width * unit_w) * V * np.exp(-V) * S ** n * g
-        out = np.where(r > 0.0, 0.0, 1.0)
-        out[live] = scale * prof.phi0 * np.bincount(row, terms.sum(axis=1), span.size)
-        return np.clip(out, 0.0, 1.0)
+    def section(r):
+        g = cov.covariogram_fn_many(f, r[:, None, None] * th.blocks[None])
+        return np.clip(g.value / mass, 0.0, 1.0)
 
     support = R * prof.support_radius
     if math.isfinite(support):
@@ -200,31 +135,9 @@ def layer_cake_ray(f: LogConcaveFunction, m: int, theta) -> RadialRay:
     else:   # quartic grading resolves heavy tails that fall steeply at 0
         horizon = R * prof.truncation_radius(1e-12, n + 8)
         grid = horizon * np.linspace(0.0, 1.0, _LAYER_CAKE_NODES) ** 4
-    if K.axis_box is not None:
-        vals, section = closed_section(grid), closed_section
-    else:
-        nodes = np.where(levels(grid)[0], _LEVEL_PANELS * unit.size, 0)
-        vals = np.concatenate([panel_section(grid[rows], body.profile.value)
-                               for rows in _batches(nodes, _LEVEL_NODE_BUDGET)])
-        exact = body.profile.value if body.profile.kind != "table" \
-            else _body_section_direct(K, th.blocks, vol)
-
-        def section(r):
-            return panel_section(r, exact)
+    vals = section(grid)
     slope0 = _fd_slope(lambda r: float(section(np.array([r]))[0]), R)
     return RadialRay(ml.from_table(grid, vals, root=n), slope0)
-
-
-def _batches(sizes: np.ndarray, budget: int):
-    """Consecutive slices of items whose sizes sum to at most `budget` (an
-    item larger than the budget goes alone)."""
-    ends = np.cumsum(sizes)
-    a = 0
-    while a < len(sizes):
-        b = max(a + 1, int(np.searchsorted(ends, ends[a] - sizes[a] + budget,
-                                           side="right")))
-        yield slice(a, b)
-        a = b
 
 
 def as_unit(theta, n: int) -> cov.MVector:

@@ -1,11 +1,14 @@
 """Reference implementations that the tests compare mthorder against.
 
-No run of mthorder reaches any of these; each computes a quantity that the
-package computes another way, so agreement checks both.
+No run of mthorder reaches any of these.  Each but `covariogram_body`
+computes a quantity that the package computes another way, so agreement
+checks both; `covariogram_body` is g_{K,m}(xbar) at one point as an
+estimate, one row of `covariogram.covariogram_body_many`, which only the
+tests of single points take.
 
 * `cov_fn_direct`: g_{f,m}(xbar) by seeded direct Monte Carlo of
-  min_i f(y - x_i) over a truncation box, against the level-set quadrature
-  of `covariogram.covariogram_fn`;
+  min_i f(y - x_i) over a truncation box, against
+  `covariogram.covariogram_fn`;
 * `ball_cov_mc`: the covariogram of a ball by seeded Monte Carlo over the
   box that bounds the meeting of its translates (once the package's own
   `covariogram._ball_cov`), against the exact ball meetings;
@@ -17,8 +20,9 @@ package computes another way, so agreement checks both.
   `starbodies.radial_from_ray`;
 * `layer_cake_section`: g_{f,m}(r theta) / ||f||_1 by one adaptive
   QUADPACK integral over the level depth per radius, over exact body
-  covariograms, against the closed level integral of
-  `starbodies.layer_cake_ray` on box sections;
+  covariograms, against the closed tail-moment sum of
+  `covariogram.covariogram_fn_many` on axis boxes and the reference ray
+  `starbodies.layer_cake_ray` built on it;
 * `intersect`, `intersect_translates` and `common_volume_qhull`: a meeting
   of polytopes as a body, its stacked rows through
   `convexcore.from_halfspaces` (a Chebyshev LP, then qhull in R^3), whose
@@ -175,6 +179,12 @@ def ball_cov_mc(K: cc.ConvexBody, xb: cov.MVector, seed: int,
     box_vol = float(np.prod(hi - lo))
     sigma = box_vol * math.sqrt(max(frac * (1.0 - frac), 0.0) / N)
     return EstimateWithError(box_vol * frac, sigma, N)
+
+
+def covariogram_body(K: cc.ConvexBody, xbar) -> EstimateWithError:
+    """g_{K,m}(xbar), exact, with no error bar."""
+    xb = cov.as_mvector(xbar, K.dim)
+    return EstimateWithError(float(cov.covariogram_body_many(K, xb.blocks[None])[0]), 0.0, 0)
 
 
 def cov_radial_derivative(f: LogConcaveFunction, m: int, theta,

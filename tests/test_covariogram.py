@@ -15,9 +15,9 @@ from mthorder.covariogram import (
     as_mvector,
     box_rates,
     common_volume,
-    covariogram_body,
     covariogram_body_many,
     covariogram_fn,
+    covariogram_fn_many,
     dm_support_radius,
     dm_support_radius_fn,
     lens,
@@ -28,7 +28,8 @@ from mthorder.covariogram import (
 from mthorder.lcfun import LogConcaveFunction, NonIntegrableError, Profile
 from mthorder.numerics import combine_sigma, make_rng, max_slack
 from oracles import (ball_cov_mc, common_volume_qhull, contains, cov_fn_direct,
-                     cov_radial_derivative, dm_body, dm_support_membership, intersect)
+                     cov_radial_derivative, covariogram_body, dm_body,
+                     dm_support_membership, intersect, layer_cake_section)
 
 
 def meeting_volume(bodies) -> float:
@@ -649,6 +650,52 @@ class TestFunctionCovariogram:
                                cc.cube(1, 1.0), np.zeros(1))
         with pytest.raises(NonIntegrableError):
             covariogram_fn(f, [0.1])
+
+
+_BOX_PROFILES = [("exponential", 0.0), ("gaussian", 0.0), ("power", 2.0), ("pfamily", 3.0),
+                 ("pfamily", -0.5)]
+
+
+class TestBoxLayerCake:
+    """The closed tail-moment sum over an axis box against one QUADPACK
+    integral over the level depth per point (`oracles.layer_cake_section`)."""
+
+    @pytest.mark.parametrize("kind,param", _BOX_PROFILES,
+                             ids=[f"{k}-{p:g}" for k, p in _BOX_PROFILES])
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_matches_level_quadrature(self, n, m, kind, param):
+        K = cc.cube(n, 1.0 if n < 3 else 0.7)
+        f = LogConcaveFunction(Profile(kind, param, ambient_dim=n), K,
+                               np.full(n, 0.3), 1.7)
+        theta = make_rng(n, m).normal(size=m * n)
+        theta /= np.linalg.norm(theta)
+        R = dm_support_radius(K, theta)
+        mass = f.mass()
+        radii = [0.0, 1e-4 * R, 0.05 * R, 0.4 * R, 0.9 * R, 1.3 * R, 2.5 * R]
+        for r in radii:
+            est = covariogram_fn(f, r * theta)
+            want = mass * layer_cake_section(f, m, theta, r)
+            assert abs(est.value - want) <= 1e-12 * mass
+            assert est.std_error == 0.0
+            if kind == "power" and r > R:       # beyond the support of g_{f,m}
+                assert est.value == 0.0
+
+    @pytest.mark.parametrize("K", [cc.cube(2, 1.0), cc.ball(2, 1.0)], ids=["square", "disc"])
+    @pytest.mark.parametrize("kind,param", [("gaussian", 0.0), ("power", 2.0)])
+    def test_batch_rows_are_one_row_calls(self, K, kind, param):
+        f = LogConcaveFunction(Profile(kind, param), K, np.zeros(2), 1.3)
+        X = make_rng(8, 2).normal(size=(5, 2, 2)) * 0.6
+        X[0] = 0.0
+        X[1] = [[20.0, 0.0], [0.0, 0.0]]            # deep in the tail, or past the support
+        batch = covariogram_fn_many(f, X)
+        for i, x in enumerate(X):
+            one = covariogram_fn(f, x)
+            assert (batch.value[i], batch.std_error[i], batch.nodes[i]) == (
+                one.value, one.std_error, one.samples_or_nodes)
+        assert (batch.value[1] == 0.0) == (kind == "power")
+        assert np.all(batch.std_error == 0.0) == (K.kind == "polytope")
+        flat = covariogram_fn_many(f, X.reshape(len(X), -1))
+        np.testing.assert_array_equal(flat.value, batch.value)
 
 
 def _random_cases(count):

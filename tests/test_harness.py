@@ -516,6 +516,21 @@ class TestCli:
         assert v["lhs"]["value"] == pytest.approx(144.0, rel=1e-13)
         assert v["sigma_combined"] == 0.0
 
+    def test_tangent_bound_disc_example(self, tmp_path, capsys):
+        # the Gaussian on the unit disc at m = 2: the batched level quadrature
+        # over exact disc meetings, pinned to its values
+        out = tmp_path / "disc"
+        assert cli.main(["run", str(EXAMPLES / "tangent_bound_disc.json"),
+                         "--out", str(out)]) == 0
+        (v,) = json.loads((out / "verdicts.json").read_text())["verdicts"]
+        assert v["status"] == "holds"
+        assert v["lhs"]["value"] == 4.849782353360204
+        assert v["rhs"]["value"] == 4.945666300034217
+        assert 0.0 < v["lhs"]["std_error"] <= 1e-12
+        np.testing.assert_allclose(v["metadata"]["margins"], [0.09588394667401356,
+                                   0.2181461131751785, 0.3390052064043374], rtol=1e-12)
+        assert v["metadata"]["worst_point"] == 0
+
     def test_samples_override_lands_in_manifest(self, tmp_path, capsys):
         out = tmp_path / "pair"
         rc = cli.main(["run", str(EXAMPLES / "rs_ball_pair.json"),

@@ -374,7 +374,6 @@ _UNREACHED = {
     # error paths, import time and the command line's other commands
     "harness.NumericFailure.__init__": "error path: a job that fails numerically",
     "numerics.QuadratureFailure.__init__": "error path: a quadrature that does not converge",
-    "harness._require_shapes": "checks list-valued points and directions; no shipped config has them",
     "harness.catalog_lines": "only `mthorder run --list` calls it",
     "convexcore.ConvexBody.__repr__": "debugging aid; no run prints a body",
     "numerics.QuadratureConfig.__post_init__": "runs at import: the module-level quadrature settings",
@@ -384,23 +383,14 @@ _UNREACHED = {
     "convexcore.FacetData.__len__": "only tests count facets this way",
     "numerics.Estimates.samples_or_nodes": "only tests read a batch's node total",
     # exact ball meetings and ball rays beyond m = 1
-    "convexcore.miniball": f"ball meetings, ball rays at m >= 2 and meeting tests of balls; {_ROUTE}",
-    "covariogram.lens": f"exact ball meetings; {_ROUTE}",
-    "covariogram.lens_drop": f"exact ball meetings; {_ROUTE}",
     "covariogram.lens_slope": f"exact ball meetings; {_ROUTE}",
     "covariogram._unit_ball_meeting": f"exact ball meetings; {_ROUTE}",
     "covariogram._unit_ball_meeting.<locals>.slices": f"exact ball meetings; {_ROUTE}",
-    "covariogram._ball_meeting_cov": f"exact ball meetings; {_ROUTE}",
-    "covariogram.covariogram_body": f"one-row body covariogram; {_ROUTE}",
     "mellin.lens": f"a ball's section at m = 1; {_ROUTE}",
     "mellin.lens.<locals>.pmellin": f"a ball's section at m = 1; {_ROUTE}",
-    "numerics.beta": f"the lens formulas; {_ROUTE}",
     "projection._with_origin": f"ball projection gauges at m >= 3; {_ROUTE}",
     "projection._polyhedron_v1": f"ball projection gauges at m >= 3; {_ROUTE}",
     "projection._perimeter_2d": f"ball projection gauges at m >= 3; {_ROUTE}",
-    # the tangent bound
-    "inequalities.check_tangent_bound": f"no shipped tangent-bound input; {_ROUTE}",
-    "covariogram.MVector.flat": f"tangent-bound metadata; {_ROUTE}",
     # the Rogers-Shephard pointwise sups off the closed forms
     "inequalities._sup_rows.<locals>.product": f"power and p-family 1-D kernels; {_ROUTE}",
     "inequalities._bracket_max_many": f"power and p-family 1-D kernels; {_ROUTE}",
@@ -410,12 +400,7 @@ _UNREACHED = {
     "inequalities._feasible_point": f"indicator pointwise sups above one dimension; {_ROUTE}",
     "inequalities._meets": f"indicator pointwise sups above one dimension; {_ROUTE}",
     "convexcore.reflect": _ROUTE,
-    # layer-cake rays off box sections, and the order-a incomplete gamma
-    "starbodies._body_section_direct": f"layer-cake rays off box sections; {_ROUTE}",
-    "starbodies._body_section_direct.<locals>.section": f"layer-cake rays off box sections; {_ROUTE}",
-    "starbodies.layer_cake_ray.<locals>.panel_section": f"layer-cake rays off box sections; {_ROUTE}",
-    "starbodies.layer_cake_ray.<locals>.section": f"layer-cake rays off box sections; {_ROUTE}",
-    "starbodies._batches": f"layer-cake rays off box sections; {_ROUTE}",
+    # the order-a incomplete gamma
     "numerics._gamma_prefactor": f"gamma_q at an order that is not a half-integer; {_ROUTE}",
     "numerics._gamma_q_series": f"gamma_q at an order that is not a half-integer; {_ROUTE}",
     "numerics._gamma_q_fraction": f"gamma_q at an order that is not a half-integer; {_ROUTE}",

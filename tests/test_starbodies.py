@@ -13,7 +13,7 @@ import mthorder.projection as proj
 import mthorder.starbodies as sb
 from mthorder.lcfun import LogConcaveFunction, profile_from_kind
 from mthorder.numerics import make_rng
-from oracles import layer_cake_section, radial_from_ray_derivative
+from oracles import covariogram_body, layer_cake_section, radial_from_ray_derivative
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -110,7 +110,7 @@ class TestBodyRays:
         ray = sb.body_ray(K, 1, th)
         vol = cc.volume(K).value
         for r in [0.1, 0.3, 0.55, 0.8]:
-            exact = cov.covariogram_body(K, th.scaled(r)).value / vol
+            exact = covariogram_body(K, th.scaled(r)).value / vol
             assert ray.profile.value(r) == pytest.approx(exact, abs=2e-6)
 
     def test_antithetic_pair_shares_one_ray_at_m1(self):
@@ -208,7 +208,7 @@ class TestBoxRays:
             th = sb.as_unit(theta.ravel(), n)
             ray = sb.body_ray(K, m, th)
             r = np.linspace(0.0, 1.2 * ray.profile.support_radius, 9)
-            want = [cov.covariogram_body(K, th.scaled(x)).value / vol for x in r]
+            want = [covariogram_body(K, th.scaled(x)).value / vol for x in r]
             np.testing.assert_allclose(ray.profile.value(r), want, rtol=1e-12, atol=1e-15)
             assert ray.profile.value(float(r[3])) == pytest.approx(want[3], rel=1e-12)
             assert ray.profile.support_radius == pytest.approx(
@@ -623,20 +623,6 @@ class TestLayerCakeReference:
         ref = [layer_cake_section(f, m, theta, float(knots[i])) for i in rows]
         np.testing.assert_allclose(ray.profile.value(knots[rows]), ref, rtol=0.0,
                                    atol=1e-12)
-
-    @pytest.mark.parametrize("kind", ["exponential", "gaussian"])
-    def test_table_level_rule_converged(self, monkeypatch, kind):
-        # a table's knots are kinks in the level integrand: 24 panels per
-        # radius against 96
-        f = LogConcaveFunction(profile_from_kind(kind, ambient_dim=2),
-                               _PENTAGON, np.zeros(2))
-        ray = sb.layer_cake_ray(f, 1, [0.6, 0.8])
-        monkeypatch.setattr(sb, "_LEVEL_PANELS", 4 * sb._LEVEL_PANELS)
-        fine = sb.layer_cake_ray(f, 1, [0.6, 0.8])
-        for p in [-0.5, 0.0, 1.0, 5.0]:
-            assert sb.radial_from_ray(ray, p).value == pytest.approx(
-                sb.radial_from_ray(fine, p).value, rel=1e-8)
-        assert ray.slope0 == pytest.approx(fine.slope0, rel=1e-8)
 
     def test_indicator_section_is_body_section(self):
         f = LogConcaveFunction(profile_from_kind("indicator", ambient_dim=2),
