@@ -122,6 +122,17 @@ def box_rates(lo, hi, blocks) -> np.ndarray:
             - np.minimum(blocks.min(axis=-2), 0.0)) / (hi - lo)
 
 
+def box_coefficients(t) -> np.ndarray:
+    """The coefficients c_0, ..., c_n, lowest power first, of
+    prod_j (1 - u t_j) at each row of an (..., n) array of rates t."""
+    t = np.asarray(t, dtype=float)
+    c = np.zeros(t.shape[:-1] + (t.shape[-1] + 1,))
+    c[..., 0] = 1.0
+    for j in range(t.shape[-1]):                    # times (1 - u t_j)
+        c[..., 1:] = c[..., 1:] - t[..., j, None] * c[..., :-1]
+    return c
+
+
 def lens(n: int, u):
     """vol(B cap (B + x)) / vol(B) for a ball B in R^n and |x| = 2u radius(B):
     twice a cap, the regularized incomplete beta I_w(b, 1/2) with
@@ -393,33 +404,51 @@ def covariogram_body_many(K: ConvexBody, xbars) -> np.ndarray:
 # support of g_{K,m}: the m-th difference construction D^m(K)
 
 
-def dm_support_radius(K: ConvexBody, theta) -> float:
-    """max{r >= 0 : r*theta in D^m(K)} -- the radial function of D^m(K).
+def _m_vectors(theta, n: int):
+    """An (N, m, n) array as a batch (True), or one m-vector as a batch of
+    one (False)."""
+    if isinstance(theta, np.ndarray) and theta.ndim == 3:
+        return theta, True
+    return as_mvector(theta, n).blocks[None], False
+
+
+def dm_support_radius(K: ConvexBody, theta):
+    """max{r >= 0 : r*theta in D^m(K)} -- the radial function of D^m(K) --
+    at one m-vector, or at each row of an (N, m, n) batch (an array).
 
     For a box it is 1/max_j t_j with the `box_rates` t, for a ball its
     radius over the miniball radius of (0, theta_1, ..., theta_m).  For
     another polytope it is the LP max r with y and every y - r theta_i in
     K; on K's own rows a_j that is a_j.y + r s_j <= b_j with
     s_j = max_i (-a_j.theta_i)_+, solved by `max_slack` from the vertex
-    mean of K.
+    mean of K.  A batch takes one `box_rates` call on a box; a ball or
+    another polytope takes its rows one at a time, each the one-row call.
     """
-    th = as_mvector(theta, K.dim)
-    if th.norm() <= 0.0:
+    B, batch = _m_vectors(theta, K.dim)
+    if B.shape[2] != K.dim:
+        raise ValueError(f"m-vectors have block dimension {B.shape[2]}, expected {K.dim}")
+    if not np.all(np.linalg.norm(B, axis=(1, 2)) > 0.0):
         raise ValueError("direction must be nonzero")
-    if K.kind == "ball":
-        return K.radius / cc.miniball(np.vstack([np.zeros(K.dim), th.blocks]))[1]
     box = K.axis_box
     if box is not None:
-        return 1.0 / float(box_rates(box[0], box[1], th.blocks).max())
-    s = np.maximum(0.0, -(th.blocks @ K.normals.T).min(axis=0))
-    return float(max_slack(K.normals, K.offsets, s, K.vertices.mean(axis=0))[0])
+        radii = 1.0 / box_rates(box[0], box[1], B).max(axis=1)
+    elif K.kind == "ball":
+        radii = np.array([K.radius / cc.miniball(np.vstack([np.zeros(K.dim), b]))[1]
+                          for b in B])
+    else:
+        s = np.maximum(0.0, -(B @ K.normals.T).min(axis=1))
+        x0 = K.vertices.mean(axis=0)
+        radii = np.array([max_slack(K.normals, K.offsets, row, x0)[0] for row in s])
+    return radii if batch else float(radii[0])
 
 
-def dm_support_radius_fn(f: LogConcaveFunction, theta) -> float:
+def dm_support_radius_fn(f: LogConcaveFunction, theta):
+    """`dm_support_radius` of the support of f, built once per call; inf
+    where f is not compactly supported."""
+    B, batch = _m_vectors(theta, f.dim)
     supp = f.support_body()
-    if supp is None:
-        return math.inf
-    return dm_support_radius(supp, as_mvector(theta, f.dim))
+    radii = np.full(len(B), math.inf) if supp is None else dm_support_radius(supp, B)
+    return radii if batch else float(radii[0])
 
 
 def level_set_volumes(bodies, rates, ts, max_sums: float = math.inf) -> np.ndarray | None:
@@ -512,10 +541,7 @@ def covariogram_fn_many(f: LogConcaveFunction, xbars) -> Estimates:
     box = K.axis_box
     if box is not None:
         t = box_rates(box[0], box[1], B)
-        c = np.zeros((len(B), n + 1))
-        c[:, 0] = 1.0
-        for j in range(n):                          # times (1 - u t_j)
-            c[:, 1:] = c[:, 1:] - t[:, j, None] * c[:, :-1]
+        c = box_coefficients(t)
         v_lo = prof.depth(t.max(axis=1))
         total = sum(c[:, k] * prof.tail_level_moment(n - k, v_lo) for k in range(n + 1))
         return Estimates(np.maximum(A * vol_k * total, 0.0), zero, zero.astype(int))

@@ -363,11 +363,10 @@ def _jobs_scaling(seed, samples):
                 K = cc.cube(n, 1.0)
                 f = _fn(profile, K)
                 law = law_of(n, p)
-                ratios = []
-                for theta in _scaling_dirs(n, m):
-                    rf = sb.radial_from_ray(sb.layer_cake_ray(f, m, theta), p)
-                    rk = sb.radial_from_ray(sb.body_ray(K, m, theta), p)
-                    ratios.append(rf.value / rk.value)
+                dirs = _scaling_dirs(n, m)
+                rks = sb.box_radii(K, m, dirs, p)[0].tolist()
+                ratios = [sb.radial_from_ray(sb.layer_cake_ray(f, m, theta), p).value / rk
+                          for theta, rk in zip(dirs, rks)]
                 worst = max(ratios, key=lambda r: abs(r - law))
                 name = f"scaling[{profile},n={n},m={m},p={p:g}]"
                 return _identity_verdict(name, worst, law, 1e-2,
@@ -380,11 +379,9 @@ def _jobs_scaling(seed, samples):
             f = _fn("pfamily", K, p)
             coef = 1.0 if p < 0 else (1.0 + p / n) ** (1.0 / p)
             dirs = [[1.0]] if n == 1 else [[1.0, 0.0], [0.6, 0.8]]
-            pairs = []
-            for theta in dirs:
-                rf = sb.radial_from_ray(sb.layer_cake_ray(f, 1, theta), p).value
-                rk = sb.radial_from_ray(sb.body_ray(K, 1, theta), p).value
-                pairs.append((rf, coef * rk))
+            rks = sb.box_radii(K, 1, dirs, p)[0].tolist()
+            pairs = [(sb.radial_from_ray(sb.layer_cake_ray(f, 1, theta), p).value, coef * rk)
+                     for theta, rk in zip(dirs, rks)]
             worst = max(pairs, key=lambda t: abs(t[0] - t[1]) / t[1])
             name = f"pfamily[n={n},p={p:g}]"
             return _identity_verdict(name, worst[0], worst[1], 1e-2,
@@ -440,7 +437,7 @@ def _jobs_support_identity(seed, samples):
             dirs = sphere_sample(m, 64, seed, stream=_STREAM_SUPPORT_DIRS)
             radii = sb.radial_mean_body_fn(chi, m, 200.0, directions=dirs,
                                            seed=seed).tolist()
-            exact = [cov.dm_support_radius_fn(chi, th) for th in dirs]
+            exact = cov.dm_support_radius_fn(chi, dirs[:, :, None]).tolist()
             devs = [abs(rho - ref) / ref for rho, ref in zip(radii, exact)]
             meta = {"m": m, "directions": len(dirs),
                     "radii": radii, "support_radii": exact,

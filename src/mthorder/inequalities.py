@@ -862,7 +862,8 @@ def check_chain(source, m: int, p_grid, directions=None, seed: int = 0,
 
     Bodies use the binomial normalizer (concavity index 1/n) and skip p = 0;
     functions use the Gamma normalizer (index 0) and include it.  A function
-    reuses the rays of its body K, each level and the endpoint scaled by
+    reuses the radii of its body K (`starbodies.body_radii`: stacked on an
+    axis box, rays elsewhere), each level and the endpoint scaled by
     f.radial_factor(p).
     """
     is_body = isinstance(source, ConvexBody)
@@ -884,15 +885,14 @@ def check_chain(source, m: int, p_grid, directions=None, seed: int = 0,
     else:
         s, label, factor = 0.0, source.profile.kind, source.radial_factor
     dirs = sb.direction_set(directions, K.dim * m, seed)
-    rays = sb.rays_for(dirs, m, lambda th: sb.body_ray(K, m, th, nodes=nodes))
+    radii, limits = sb.body_radii(K, m, dirs, grid, nodes=nodes)
 
     levels = {}
-    for p, radii in zip(grid.tolist(), sb.radii_at(rays, grid).T):
-        radii = radii * (ml.binom_root(p, s) * factor(p))
-        levels[p] = [EstimateWithError(r, 0.0, 0) for r in radii.tolist()]
+    for p, column in zip(grid.tolist(), radii.T):
+        column = column * (ml.binom_root(p, s) * factor(p))
+        levels[p] = [EstimateWithError(r, 0.0, 0) for r in column.tolist()]
     reach = ml.c_const(s) * factor(-1.0)
-    endpoint = [EstimateWithError(reach * sb.limit_body_minus1(rays[k]), 0.0, 0)
-                for k in range(len(dirs))]
+    endpoint = [EstimateWithError(reach * limit, 0.0, 0) for limit in limits.tolist()]
     pairs = [(-1.0, float(grid[0]))]
     pairs += [(float(a), float(b)) for a, b in zip(grid, grid[1:])]
     verdicts = []

@@ -475,6 +475,61 @@ def i_p(psi: MellinProfile, p, cfg: QuadratureConfig | None = None):
     return _like(p, [s * math.exp(log_total / psi.sup) if z else next(mean) for z in zero])
 
 
+def poly_means(c, p) -> np.ndarray:
+    """I_p of each one-piece profile psi(x) = sum_k c[i, k] x^k on [0, 1],
+    zero beyond, at every exponent of p: an (N,) array for a number p, an
+    (N, P) one for P exponents.  Each psi peaks at psi(0) = c[i, 0] > 0, as
+    a covariogram section does.  The stack takes one array expression per
+    route where `i_p` takes a spline pass per profile:
+
+    * branch route: M = sum_k c_k / (p + k), with the pole term c_0 / p
+      added apart for p < 0 (the subtracted integral);
+    * derivative route: (sum_k c_k - sum_{k>=1} k c_k / (p + k)) / p, the
+      atom psi(1) at the support end plus int x^p (-psi');
+    * log moment within ZERO_P_WINDOW: int log x (-psi') = sum_{k>=1} c_k / k.
+
+    The routes are reconciled entry by entry at _ROUTE_AGREEMENT, and the
+    errors are those of `i_p`.  Every sum and power is formed as the knot
+    routes form it, so an entry is `i_p` of the `from_ppoly` profile with
+    the same coefficients, to the bit.
+    """
+    c = np.atleast_2d(np.asarray(c, dtype=float))
+    exps = _grid(p).tolist()
+    for q in exps:
+        if not math.isfinite(q) or q <= -1.0:
+            raise ValueError("i_p needs a finite exponent p > -1")
+    zero = [abs(q) <= ZERO_P_WINDOW for q in exps]
+    rest = np.array([q for q, z in zip(exps, zero) if not z])
+    top = np.arange(c.shape[1] - 1, -1, -1.0)            # powers, highest first
+    desc = np.ascontiguousarray(c[:, ::-1])   # BLAS dots, as in the knot routes
+    # 1 / (p + k), the integral of x^(p+k-1) over [0, 1], formed as
+    # `_weighted_knot_integral` forms it from the weight exponent p - 1
+    weights = 1.0 / (top + (rest[:, None] - 1.0) + 1.0)   # (P, K + 1)
+    pole = rest < 0.0
+    first = np.where(pole, c[:, :1] / rest, 0.0) + np.where(
+        pole, _dots(desc[:, :-1], weights[:, :-1]), _dots(desc, weights))
+    second = (c.sum(axis=1)[:, None] - _dots(desc * top, weights)) / rest
+    for a, b in zip(first.ravel().tolist(), second.ravel().tolist()):
+        _reconcile("branch and derivative routes", a, b)
+    pm = (rest * first / c[:, :1]).tolist()
+    k = top[:-1]                      # sum_{k>=1} c_k / k, as -(k c_k) . (-1 / k^2)
+    logs = -np.vecdot(desc[:, :-1] * k, -1.0 / (k * k)) / c[:, 0]
+    out = []     # Python floats: numpy's vector pow and exp may differ in the last bit
+    for row, log in zip(pm, logs.tolist()):
+        for x in row:
+            if not x > 0.0:
+                raise ArithmeticError(f"p*M = {x:g} is not positive; cannot take the 1/p power")
+        mean = iter([x ** (1.0 / q) for q, x in zip(rest.tolist(), row)])
+        out.append([math.exp(log) if z else next(mean) for z in zero])
+    return np.array(out).reshape((len(c),) + np.shape(p))
+
+
+def _dots(a, b) -> np.ndarray:
+    """Every row of a dotted with every row of b, each pair summed as a
+    1-d dot sums it (a matrix product may sum in another order)."""
+    return np.vecdot(a[:, None, :], b[None, :, :])
+
+
 def berwald_g(psi: MellinProfile, p, s: float):
     """G(psi, p, s) = binom_root(p, s) * i_p(psi), at a number or an array p.
 

@@ -13,7 +13,11 @@ for every kind of ray:
 * an axis-aligned box K = prod_j [lo_j, hi_j] has the polynomial section
   prod_j (1 - r t_j)_+ with rates t_j = ptp(0, theta_1j, ..., theta_mj) /
   (hi_j - lo_j): one piece on [0, R], R = 1 / max_j t_j, with the
-  coefficients of np.poly(t), and slope sum_j t_j at 0;
+  `covariogram.box_coefficients` of t, and slope sum_j t_j at 0.  Its
+  radii need no ray: `box_radii` takes a whole direction set and grid of
+  exponents in one stacked call (`mellin.poly_means`), to the bit the
+  radii of its rays; `body_radii` sends a box there and any other body to
+  its rays;
 * a ball of radius a at m = 1 has the lens section
   I_{1-(r/2a)^2}((n+1)/2, 1/2) (`mellin.lens`), whose Beta closed form
   `mellin` checks its quadratures against;
@@ -77,7 +81,7 @@ def _box_ray(lo, hi, blocks) -> RadialRay:
     """The section prod_j (1 - r t_j)_+ of a box along a unit m-direction."""
     rates = cov.box_rates(lo, hi, blocks)
     R = 1.0 / float(rates.max())
-    pp = ml.Pieces(np.poly(rates)[::-1, None], np.array([0.0, R]))
+    pp = ml.Pieces(cov.box_coefficients(rates)[::-1, None], np.array([0.0, R]))
     return RadialRay(ml.from_ppoly(pp), float(rates.sum()))
 
 
@@ -104,40 +108,33 @@ def body_ray(K: ConvexBody, m: int, theta, nodes: int = 256) -> RadialRay:
     return RadialRay(ml.from_table(grid, vals, root=K.dim, slope0=slope0), slope0)
 
 
-def _fd_slope(psi, scale: float) -> float:
-    h = 1e-5 * scale
-    d1 = (1.0 - psi(h)) / h
-    d2 = (1.0 - psi(h / 10.0)) / (h / 10.0)
-    return (10.0 * d2 - d1) / 9.0
-
-
 def layer_cake_ray(f: LogConcaveFunction, m: int, theta) -> RadialRay:
     """Reference section g_{f,m}(r theta) / ||f||_1 at fixed radii, from
     `covariogram.covariogram_fn_many`: the layer cake in its original order,
     closed over a box and a level quadrature over exact body covariograms
     elsewhere.  The radii run to the support, or on a quartic grading to
-    where the section is below 1e-12; the slope at 0 is a Richardson
-    difference of the same section.  Never swapping the order of
-    integration, it checks `radial_mean_body_fn`.
+    where the section is below 1e-12; the slope at 0 is the Richardson
+    difference (10 d(h/10) - d(h)) / 9 of the quotients d(x) = (1 - psi(x)) / x
+    at h = 1e-5 R.  Both points ride in the one section call with the grid;
+    its rows are independent.  Never swapping the order of integration, it
+    checks `radial_mean_body_fn`.
     """
     th = as_unit(theta, f.dim)
     prof, n = f.profile, f.dim
     R = cov.dm_support_radius(f.body, th)
-    mass = f.mass()
-
-    def section(r):
-        g = cov.covariogram_fn_many(f, r[:, None, None] * th.blocks[None])
-        return np.clip(g.value / mass, 0.0, 1.0)
-
     support = R * prof.support_radius
     if math.isfinite(support):
         grid = np.linspace(0.0, support, _LAYER_CAKE_NODES)
     else:   # quartic grading resolves heavy tails that fall steeply at 0
         horizon = R * prof.truncation_radius(1e-12, n + 8)
         grid = horizon * np.linspace(0.0, 1.0, _LAYER_CAKE_NODES) ** 4
-    vals = section(grid)
-    slope0 = _fd_slope(lambda r: float(section(np.array([r]))[0]), R)
-    return RadialRay(ml.from_table(grid, vals, root=n), slope0)
+    h = 1e-5 * R
+    radii = np.append(grid, [h, h / 10.0])
+    g = cov.covariogram_fn_many(f, radii[:, None, None] * th.blocks[None])
+    vals = np.clip(g.value / f.mass(), 0.0, 1.0)
+    d1, d2 = (1.0 - vals[-2:]) / radii[-2:]
+    slope0 = (10.0 * d2 - d1) / 9.0
+    return RadialRay(ml.from_table(grid, vals[:-2], root=n), float(slope0))
 
 
 def as_unit(theta, n: int) -> cov.MVector:
@@ -193,11 +190,41 @@ def rays_for(dirs, m: int, make_ray):
     return rays
 
 
+def box_radii(K: ConvexBody, m: int, dirs, p) -> tuple[np.ndarray, np.ndarray]:
+    """rho at p of R_p^m K for an axis box K along every row of dirs (each
+    normalized, as `as_unit` does), one column per exponent when p is an
+    array, and the p -> -1 limit 1 / sum_j t_j.  One `covariogram.box_rates`
+    call takes the whole (D, m, n) batch; with R = 1 / max_j t_j, the
+    section in units of R is prod_j (1 - x R t_j), with coefficients c_k R^k
+    (c = `covariogram.box_coefficients` of t), and rho is R times its
+    `mellin.poly_means`.  No ray is built."""
+    lo, hi = K.axis_box
+    dirs = np.asarray(dirs, dtype=float)
+    norms = np.sqrt(np.vecdot(dirs, dirs))
+    if not np.all(norms > 0.0):
+        raise ValueError("direction must be nonzero")
+    t = cov.box_rates(lo, hi, (dirs / norms[:, None]).reshape(len(dirs), m, K.dim))
+    R = 1.0 / t.max(axis=1)
+    c = cov.box_coefficients(t) * R[:, None] ** np.arange(K.dim + 1)   # as from_ppoly scales
+    means = ml.poly_means(c, p)
+    return R.reshape((-1,) + (1,) * (means.ndim - 1)) * means, 1.0 / t.sum(axis=1)
+
+
+def body_radii(K: ConvexBody, m: int, dirs, p, nodes: int = 256):
+    """`box_radii` on an axis box; on any other body the radii of one
+    `body_ray` per distinct direction (`rays_for`, `radii_at`), and their
+    p -> -1 limits (`limit_body_minus1`)."""
+    if K.axis_box is not None:
+        return box_radii(K, m, dirs, p)
+    rays = rays_for(dirs, m, lambda th: body_ray(K, m, th, nodes=nodes))
+    return radii_at(rays, p), np.array([limit_body_minus1(ray) for ray in rays])
+
+
 def radial_mean_body_body(K: ConvexBody, m: int, p: float, directions=None,
                           seed: int = 0, nodes: int = 256) -> np.ndarray:
     """Radii of R_p^m K along `direction_set(directions, nm, seed)`."""
     dirs = direction_set(directions, K.dim * m, seed)
-    return radii_at(rays_for(dirs, m, lambda th: body_ray(K, m, th, nodes=nodes)), p)
+    return body_radii(K, m, dirs, p, nodes=nodes)[0]
 
 
 def radial_mean_body_fn(f: LogConcaveFunction, m: int, p: float,

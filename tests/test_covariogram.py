@@ -13,6 +13,7 @@ from mthorder.covariogram import (
     _disc_meeting,
     _lasserre_volume,
     as_mvector,
+    box_coefficients,
     box_rates,
     common_volume,
     covariogram_body_many,
@@ -871,6 +872,41 @@ class TestDmSupport:
                 lp, _ = max_slack(K.normals, K.offsets, s, K.vertices.mean(axis=0))
                 assert dm_support_radius(K, th) == want
                 assert want == pytest.approx(lp, rel=1e-12)
+
+    @pytest.mark.parametrize("K", [cc.cube(2, 1.0), cc.ball(2, 1.0),
+                                   cc.from_vertices(make_rng(1, 1).normal(size=(5, 2)))],
+                             ids=["box", "disc", "pentagon"])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_batch_rows_are_one_row_calls(self, K, m):
+        X = make_rng(9, m).normal(size=(7, m, 2))
+        X[1, :, 0] = 0.0
+        got = dm_support_radius(K, X)
+        assert got.shape == (7,)
+        assert got.tolist() == [dm_support_radius(K, x) for x in X]
+        f = LogConcaveFunction(Profile("indicator"), K, np.full(2, 0.2))
+        assert dm_support_radius_fn(f, X).tolist() == [dm_support_radius_fn(f, x) for x in X]
+
+    def test_batch_of_a_noncompact_function_is_unbounded(self):
+        X = make_rng(9, 3).normal(size=(4, 2, 1))
+        assert dm_support_radius_fn(expfun(interval01()), X).tolist() == [math.inf] * 4
+
+    def test_batch_with_a_zero_row_raises(self):
+        X = np.ones((3, 1, 2))
+        X[2] = 0.0
+        with pytest.raises(ValueError, match="nonzero"):
+            dm_support_radius(cc.cube(2, 1.0), X)
+
+    def test_box_coefficients(self):
+        t = make_rng(9, 4).random((6, 3))
+        t[0, 1] = 0.0
+        c = box_coefficients(t)
+        for row, ci in zip(t, c):
+            np.testing.assert_allclose(ci, np.poly(row), rtol=1e-15, atol=1e-16)
+        u = np.linspace(0.0, 2.0, 5)
+        np.testing.assert_allclose(np.polynomial.polynomial.polyval(u, c.T),
+                                   np.prod(1.0 - u[None, :, None] * t[:, None, :], axis=2),
+                                   rtol=1e-14, atol=1e-15)
+        assert box_coefficients(t[0]).tolist() == c[0].tolist()
 
     def test_box_rates(self):
         lo, hi = np.array([0.0, -1.0]), np.array([2.0, 1.0])

@@ -433,6 +433,55 @@ class TestIp:
         assert ml.i_p(psi, lo) <= ml.i_p(psi, hi) * (1.0 + 1e-9)
 
 
+def _one_piece(c):
+    """The `from_ppoly` profile of sum_k c[k] x^k on [0, 1]."""
+    return ml.from_ppoly(ml.Pieces(np.asarray(c, dtype=float)[::-1, None], [0.0, 1.0]))
+
+
+# nonincreasing on [0, 1], peaks at 0; the last two keep an atom psi(1) > 0
+POLY_STACK = np.array([[1.0, -1.0, 0.0, 0.0], [1.0, -1.2, 0.27, 0.0],
+                       [1.0, -1.5, 0.66, -0.08], [1.0, -0.5, 0.0, 0.0],
+                       [1.0, -0.6, -0.2, 0.05]])
+
+
+class TestPolyMeans:
+    """I_p of a stack of one-piece polynomial profiles in one call."""
+
+    def test_equals_i_p_of_each_profile(self):
+        grid = [-0.99, -0.5, -1e-7, 0.0, 1e-3, 0.03, 1.0, 2.0, 5.0, 200.0]
+        got = ml.poly_means(POLY_STACK, grid)
+        assert got.shape == (len(POLY_STACK), len(grid))
+        for c, row in zip(POLY_STACK, got):
+            assert row.tolist() == ml.i_p(_one_piece(c), np.array(grid)).tolist()
+        assert ml.poly_means(POLY_STACK, 2.0).tolist() == got[:, 7].tolist()
+
+    @pytest.mark.parametrize("p", [-0.5, 1.0, 3.0])
+    def test_atom_at_the_support_end(self, p):
+        # psi = 1 - x/2: p M = 1 - p / (2 (p + 1)), the jump 1/2 at x = 1 included
+        got = ml.poly_means([[1.0, -0.5]], p)[0]
+        assert got == pytest.approx((1.0 - p / (2.0 * (p + 1.0))) ** (1.0 / p), rel=1e-14)
+
+    def test_log_moment(self):
+        # psi = 1 - x/2: int log x (-psi') = sum_{k>=1} c_k / k = -1/2
+        assert ml.poly_means([[1.0, -0.5]], 0.0)[0] == pytest.approx(math.exp(-0.5),
+                                                                       rel=1e-15)
+
+    @pytest.mark.parametrize("p", [-1.0, -2.0, math.nan, math.inf])
+    def test_inadmissible_exponent_raises_like_i_p(self, p):
+        with pytest.raises(ValueError) as stacked:
+            ml.poly_means(POLY_STACK, [1.0, p])
+        with pytest.raises(ValueError) as single:
+            ml.i_p(_one_piece(POLY_STACK[0]), [1.0, p])
+        assert str(stacked.value) == str(single.value)
+
+    def test_nonpositive_moment_raises_like_i_p(self):
+        # psi = 1 - 6x + 5.5x^2 dips below zero: p M = -1/6 at p = 1
+        with pytest.raises(ArithmeticError, match="not positive"):
+            ml.poly_means([[1.0, -6.0, 5.5]], 1.0)
+        with pytest.raises(ArithmeticError, match="not positive"):
+            ml.i_p(_one_piece([1.0, -6.0, 5.5]), 1.0)
+
+
 class TestBerwald:
     def test_binomial_values(self):
         assert ml.binom_gen(2.0, 1.0) == pytest.approx(3.0, rel=1e-12)

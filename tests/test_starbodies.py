@@ -11,7 +11,7 @@ import mthorder.covariogram as cov
 import mthorder.mellin as ml
 import mthorder.projection as proj
 import mthorder.starbodies as sb
-from mthorder.lcfun import LogConcaveFunction, profile_from_kind
+from mthorder.lcfun import ZERO_P_WINDOW, LogConcaveFunction, profile_from_kind
 from mthorder.numerics import make_rng
 from oracles import covariogram_body, layer_cake_section, radial_from_ray_derivative
 
@@ -254,6 +254,65 @@ class TestBoxRays:
         verdicts = iq.check_chain(gauss, 1, [-0.5, 0.0, 1.0, 2.0])
         assert all(v.status != iq.VIOLATED for v in verdicts)
         assert calls == {"cov": 0, "quad": 0}
+
+
+_STACKED_PS = [-0.99, -0.5, 0.5 * ZERO_P_WINDOW, 1e-3, 1.0, 2.0, 5.0, 200.0]
+
+
+class TestBoxRadii:
+    """The stacked closed route for a whole direction set against the radii
+    of one box ray per direction."""
+
+    @pytest.mark.parametrize("n,m", [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)
+                                     if n * m <= 6])
+    def test_matches_rays(self, n, m):
+        K = _box(n)
+        dirs = make_rng(5, 10 * n + m).normal(size=(12, n * m))
+        if n > 1:
+            dirs[0, ::n] = 0.0              # t_0 = 0
+        elif m > 1:
+            dirs[0, 0] = 0.0                # one block at rest
+        radii, limits = sb.box_radii(K, m, dirs, _STACKED_PS)
+        assert radii.shape == (12, len(_STACKED_PS))
+        for k, theta in enumerate(dirs):
+            ray = sb.body_ray(K, m, theta)
+            want = [sb.radial_from_ray(ray, p).value for p in _STACKED_PS]
+            np.testing.assert_allclose(radii[k], want, rtol=1e-13, atol=0.0)
+            assert limits[k] == pytest.approx(sb.limit_body_minus1(ray), rel=1e-13)
+        for j, p in enumerate(_STACKED_PS):     # a number p gives one column
+            np.testing.assert_array_equal(sb.box_radii(K, m, dirs, p)[0], radii[:, j])
+
+    def test_equals_rays_to_the_bit(self):
+        # the same sums and powers as the knot routes: seed-0 verdicts do not move
+        for n, m in [(1, 2), (2, 1), (3, 2)]:
+            dirs = make_rng(6, 10 * n + m).normal(size=(6, n * m))
+            radii, limits = sb.box_radii(_box(n), m, dirs, _STACKED_PS)
+            rays = [sb.body_ray(_box(n), m, th) for th in dirs]
+            assert radii.tolist() == sb.radii_at(rays, np.array(_STACKED_PS)).tolist()
+            assert limits.tolist() == [sb.limit_body_minus1(ray) for ray in rays]
+
+    @pytest.mark.parametrize("p", [-1.0, -3.0, math.nan, math.inf])
+    def test_inadmissible_exponents_raise_like_i_p(self, p):
+        with pytest.raises(ValueError) as stacked:
+            sb.box_radii(unit_interval(), 1, [[1.0]], p)
+        with pytest.raises(ValueError) as single:
+            sb.radial_from_ray(sb.body_ray(unit_interval(), 1, [1.0]), p)
+        assert str(stacked.value) == str(single.value)
+
+    def test_zero_direction_raises(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            sb.box_radii(cc.cube(2, 1.0), 1, [[0.6, 0.8], [0.0, 0.0]], 1.0)
+
+    def test_radial_mean_body_builds_no_profile(self, monkeypatch):
+        def refuse(*args, **kw):
+            raise AssertionError("a box takes the stacked route")
+
+        monkeypatch.setattr(ml, "from_ppoly", refuse)
+        monkeypatch.setattr(ml, "i_p", refuse)
+        radii = sb.radial_mean_body_body(cc.cube(2, 1.0), 2, [-0.5, 0.0, 2.0], seed=4)
+        assert radii.shape == (64, 3) and np.all(np.isfinite(radii))
+        with pytest.raises(AssertionError, match="stacked"):      # the patch holds
+            sb.radial_mean_body_body(_PENTAGON, 1, 1.0, directions=[[0.6, 0.8]])
 
 
 def _per_knot_radius(ray, knots, p):
@@ -571,6 +630,24 @@ class TestLayerCakeReference:
             assert got == pytest.approx(sb.radial_from_ray(ref, p).value, rel=1e-5)
         endpoint = f.radial_factor(-1.0) * sb.limit_body_minus1(body_ray)
         assert endpoint == pytest.approx(sb.limit_body_minus1(ref), rel=1e-5)
+
+    @pytest.mark.parametrize("body,theta", [
+        (cc.cube(2, 1.0), [0.6, 0.8]), (cc.ball(2, 1.0), [0.6, 0.8])], ids=["square", "disc"])
+    def test_slope_rides_with_the_grid(self, body, theta):
+        # the two difference points share the grid's section call; rows are
+        # independent, so the slope is that of two one-point calls
+        f = LogConcaveFunction(profile_from_kind("exponential", ambient_dim=2),
+                               body, np.zeros(2))
+        th = sb.as_unit(theta, 2)
+        h = 1e-5 * cov.dm_support_radius(body, th)
+
+        def psi(r):
+            g = cov.covariogram_fn_many(f, np.array([r])[:, None, None] * th.blocks[None])
+            return float(np.clip(g.value / f.mass(), 0.0, 1.0)[0])
+
+        d1 = (1.0 - psi(h)) / h
+        d2 = (1.0 - psi(h / 10.0)) / (h / 10.0)
+        assert sb.layer_cake_ray(f, 1, theta).slope0 == (10.0 * d2 - d1) / 9.0
 
     @pytest.mark.parametrize("p", [-0.5, 0.0, 1.0, 5.0])
     def test_table_is_body_table_times_factor(self, p):
