@@ -34,7 +34,7 @@ on the int-convolution int_z f_0(z) prod_i f_i(z - x_i) dz: in one dimension
 the same cells integrated in closed form, or a fixed breakpoint-aligned Gauss
 rule for other profiles; above, for indicator tuples only, the exact volume
 of the translated supports' meeting, one `covariogram.common_volume` batch
-(stacked rows for polytopes) per stencil.
+(stacked rows for polytopes) per sweep of the compass search.
 
 The functional Zhang and chain checks rest on the layer cake: every
 function here is f = A phi(||x - c||_K), so its covariogram integral and
@@ -219,18 +219,48 @@ def _product_many(fbar, offsets, Z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _factor_boxes(fbar) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Axis box of each untranslated factor outside which it is negligible
-    (or zero); translating a factor by t moves its box by t."""
-    boxes = []
+@dataclass(frozen=True)
+class _Boxes:
+    """Per-tuple constants of the row kernels, built once by `_factor_boxes`.
+
+    Row i of the (factors, n) arrays lo and hi is the axis box of the
+    untranslated factor f_i outside which it is negligible (or zero);
+    translating a factor by t moves its box by t.  `shifts` holds each
+    factor's centre.  For a tuple that `_closed_form` admits, c1 and c2 are
+    the `log_quadratic` rates, log_amp the log of the amplitudes' product
+    plus the constant terms, and ends the body ends (-w, v) per factor;
+    they are None otherwise."""
+    lo: np.ndarray
+    hi: np.ndarray
+    shifts: np.ndarray
+    c1: np.ndarray | None = None
+    c2: np.ndarray | None = None
+    log_amp: float | None = None
+    ends: np.ndarray | None = None
+
+
+def _factor_boxes(fbar) -> _Boxes:
+    """The `_Boxes` of a tuple: a bounding box per compact support, else a
+    cube of radius `coercive_box_radius`."""
+    lo, hi = [], []
     for f in fbar:
         supp = f.support_body()
         if supp is not None:
-            boxes.append(cc.bounding_box(supp))
+            a, b = cc.bounding_box(supp)
         else:
             R = cov.coercive_box_radius(f, _TRUNCATION_TOL)
-            boxes.append((np.full(f.dim, -R), np.full(f.dim, R)))
-    return boxes
+            a, b = np.full(f.dim, -R), np.full(f.dim, R)
+        lo.append(a)
+        hi.append(b)
+    closed = {}
+    if _closed_form(fbar):
+        coef = np.array([f.profile.log_quadratic for f in fbar])
+        closed = {"c1": coef[:, 1], "c2": coef[:, 2],
+                  "log_amp": (math.fsum(math.log(f.amplitude) for f in fbar)
+                              + math.fsum(coef[:, 0])),
+                  "ends": np.sort([f.body.vertices[:, 0] for f in fbar], axis=1)}
+    return _Boxes(np.array(lo, dtype=float), np.array(hi, dtype=float),
+                  np.array([f.shift for f in fbar], dtype=float), **closed)
 
 
 def _inner_point(K: ConvexBody) -> np.ndarray:
@@ -288,15 +318,14 @@ def _bracket_max_many(F, lo: np.ndarray, hi: np.ndarray):
     return best_x, best_v
 
 
-def _row_boxes(boxes, X: np.ndarray):
+def _row_boxes(boxes: _Boxes, X: np.ndarray):
     """n = 1: the offsets T = (0, x) of every row x of X, and the lower and
     upper ends of each factor's box translated by them; all (rows, factors)."""
     T = np.concatenate([np.zeros((len(X), 1)), X], axis=1)
-    return (T, np.array([b[0][0] for b in boxes]) + T,
-            np.array([b[1][0] for b in boxes]) + T)
+    return T, boxes.lo[:, 0] + T, boxes.hi[:, 0] + T
 
 
-def _row_cells(fbar, boxes, X: np.ndarray):
+def _row_cells(boxes: _Boxes, X: np.ndarray):
     """n = 1: the cells between consecutive breakpoints of every row x of X
     inside its joint box.  The breakpoints are each translated factor's
     centre, where its gauge kinks, and its box ends, all clipped to the
@@ -305,7 +334,7 @@ def _row_cells(fbar, boxes, X: np.ndarray):
     cell its row and its ends a < b, in row order."""
     T, lo_i, hi_i = _row_boxes(boxes, X)
     lo, hi = lo_i.max(axis=1, keepdims=True), hi_i.min(axis=1, keepdims=True)
-    centres = np.array([f.shift[0] for f in fbar]) + T
+    centres = boxes.shifts[:, 0] + T
     cuts = np.concatenate([lo, hi, centres, lo_i, hi_i], axis=1)
     cuts = np.sort(np.minimum(np.maximum(cuts, lo), hi), axis=1)
     rows, cols = np.nonzero(cuts[:, 1:] > cuts[:, :-1])
@@ -337,9 +366,10 @@ class _Pieces:
     q: np.ndarray
 
 
-def _exponent_pieces(fbar, boxes, X: np.ndarray) -> _Pieces:
+def _exponent_pieces(boxes: _Boxes, X: np.ndarray) -> _Pieces:
     """The log of z -> f_0(z) prod_i f_i(z - x_i) on every cell of
-    `_row_cells`, for a tuple that `_closed_form` admits.
+    `_row_cells`, for a tuple that `_closed_form` admits, from the rates and
+    body ends stored in its `_Boxes`.
 
     On a cell, each factor A phi(||z - c||_K) with K = [-w, v] sees one side
     of its centre c, where its gauge is g = s (z - c) with s = 1/v on the
@@ -352,11 +382,8 @@ def _exponent_pieces(fbar, boxes, X: np.ndarray) -> _Pieces:
     are far from the origin.  A cell beyond a one-sided body's centre
     (w or v = 0) gets top = -inf.
     """
-    _, centres, rows, a, b = _row_cells(fbar, boxes, X)
-    coef = np.array([f.profile.log_quadratic for f in fbar])
-    log_amp = math.fsum(math.log(f.amplitude) for f in fbar) + math.fsum(coef[:, 0])
-    c1, c2 = coef[:, 1], coef[:, 2]
-    ends = np.sort([f.body.vertices[:, 0] for f in fbar], axis=1)    # (-w, v)
+    _, centres, rows, a, b = _row_cells(boxes, X)
+    c1, c2, ends = boxes.c1, boxes.c2, boxes.ends     # ends: (-w, v)
     C = centres[rows]
     right = C <= a[:, None]                 # centres are cuts: none lies inside a cell
     reach = np.where(right, ends[:, 1], -ends[:, 0])
@@ -371,7 +398,7 @@ def _exponent_pieces(fbar, boxes, X: np.ndarray) -> _Pieces:
     d = p[:, None] - C
     g = S * d                               # every factor's gauge at the peak
     top = np.where(np.any(~live & (c1 + c2 > 0.0), axis=1), -math.inf,
-                   log_amp - ((c1 + c2 * g) * g).sum(axis=1))
+                   boxes.log_amp - ((c1 + c2 * g) * g).sum(axis=1))
     slope = -(c1S + 2.0 * c2S2 * d).sum(axis=1)
     return _Pieces(rows, a, b, p, top, np.maximum(slope, 0.0),
                    np.maximum(-slope, 0.0), q)
@@ -446,7 +473,7 @@ def _sup_rows(fbar, boxes, X: np.ndarray):
     sliver of positive product.
     """
     if _closed_form(fbar):
-        return _closed_sup_rows(_exponent_pieces(fbar, boxes, X), len(X))
+        return _closed_sup_rows(_exponent_pieces(boxes, X), len(X))
     T, lo_i, hi_i = _row_boxes(boxes, X)
 
     def product(rows):          # the product on a grid (rows, G) of those rows
@@ -491,8 +518,8 @@ def _sup_values(fbar, boxes, X: np.ndarray):
         raise NotImplementedError("above one dimension pointwise sups are exact only "
                                   "for indicator tuples")
     T = _placements(X, n)
-    lo = np.max([b[0] + T[:, i] for i, b in enumerate(boxes)], axis=0)
-    live = np.all(lo < np.min([b[1] + T[:, i] for i, b in enumerate(boxes)], axis=0), axis=1)
+    lo = (boxes.lo + T).max(axis=1)
+    live = np.all(lo < (boxes.hi + T).min(axis=1), axis=1)
     vals = np.zeros(len(X))
     vals[live] = math.prod(f.sup_norm for f in fbar) * _meets(fbar, T[live])
     return vals, "meeting-test"
@@ -515,7 +542,7 @@ def _meets(fbar, T: np.ndarray) -> np.ndarray:
     return np.array([_feasible_point(fbar, list(t)) is not None for t in T], dtype=bool)
 
 
-def int_convolution(fbar, xbar) -> EstimateWithError:
+def int_convolution(fbar, xbar, boxes: _Boxes | None = None) -> EstimateWithError:
     """int_z f_0(z) * prod_i f_i(z - x_i) dz.
 
     In one dimension the product is smooth between the breakpoints of its
@@ -531,11 +558,12 @@ def int_convolution(fbar, xbar) -> EstimateWithError:
     indicators: the integral is the product of their amplitudes times the
     exact volume of the translated supports' meeting
     (`covariogram.common_volume`), and other tuples raise
-    NotImplementedError.
+    NotImplementedError.  A caller that holds the tuple's `_factor_boxes`
+    passes them as `boxes`, which are otherwise built here.
     """
     fbar, _, _ = _validated_tuple(fbar)
     x = np.concatenate(_offsets(fbar, xbar)[1:])[None, :]
-    value, error, nodes = _int_rows(fbar, _factor_boxes(fbar), x)
+    value, error, nodes = _int_rows(fbar, boxes or _factor_boxes(fbar), x)
     return EstimateWithError(float(value[0]), float(error[0]), int(nodes[0]))
 
 
@@ -586,10 +614,10 @@ def _breakpoint_rows(fbar, boxes, X: np.ndarray):
     both halves of every cell, in one product call, with the error from the
     coarse rule."""
     if _closed_form(fbar):
-        pieces = _exponent_pieces(fbar, boxes, X)
+        pieces = _exponent_pieces(boxes, X)
         return (_closed_int_rows(pieces, len(X)), np.zeros(len(X)),
                 np.bincount(pieces.rows, minlength=len(X)))
-    T, _, rows, a, b = _row_cells(fbar, boxes, X)
+    T, _, rows, a, b = _row_cells(boxes, X)
     a, b = a[:, None], b[:, None]
     h = 0.5 * (b - a)
     Z = np.concatenate([a + h * _HALF_NODES, b - h * _HALF_NODES], axis=1)
@@ -656,9 +684,8 @@ def _star_l1(fbar, boxes, seed: int,
         route = "ball-overlap"
     if exact is not None:
         return EstimateWithError(height * exact, 0.0, 0), {"route": route, "samples": 0}
-    lo0, hi0 = boxes[0]
-    lo = np.concatenate([lo0 - fhi for _, fhi in boxes[1:]])
-    hi = np.concatenate([hi0 - flo for flo, _ in boxes[1:]])
+    lo = (boxes.lo[0] - boxes.hi[1:]).ravel()
+    hi = (boxes.hi[0] - boxes.lo[1:]).ravel()
     box_vol = float(np.prod(hi - lo))
     N = int(samples or 1_500)
     X = lo + (hi - lo) * make_rng(seed, _STREAM_STAR_L1).random((N, n * m))
@@ -736,9 +763,13 @@ def check_rs_multi(fbar, seed: int = 0,
     both read 0 (supports that meet only on their boundary there), from
     the x that lays an interior point of every factor's support (its
     shift when not compact) on f_0's.  The sup value is `int_convolution`
-    at the search's argmax.  Each compass stencil is one objective call:
-    one row-batched kernel in one dimension, one batched common volume
-    above it.  metadata["sup_evals"] counts the points evaluated.  On the
+    at the search's argmax, on the factor boxes that the search used.  Each
+    sweep of the multi-scale compass stencil (every direction at six step
+    sizes) is one objective call: one row-batched kernel in one dimension,
+    one batched common volume above it.  The budget of 10,000 points lets a
+    search at n*m = 4 (144 points a sweep) reach its step floor.
+    metadata["sup_evals"] counts the points evaluated by the starts and
+    the search, not the value at the argmax.  On the
     `pointwise-sup` route of `_star_l1`, metadata["row_kernel"] names the
     pointwise sups' kernel: `closed-form` for those same 1-D tuples,
     `bracket-search` for other 1-D tuples, and `meeting-test` for indicator
@@ -770,10 +801,10 @@ def check_rs_multi(fbar, seed: int = 0,
     best = starts[int(np.argmax(values))]
     if values.max() > 0.0:
         x_star, _ = maximize_logconcave(objective, best, tol=1e-7,
-                                        max_evals=2_000)
+                                        max_evals=10_000)
     else:
         x_star = best
-    sup_est = int_convolution(fbar, x_star)
+    sup_est = int_convolution(fbar, x_star, boxes)
 
     l1_est, info = _star_l1(fbar, boxes, seed, outer_samples)
     lhs = EstimateWithError(

@@ -48,6 +48,7 @@ from .numerics import QuadratureConfig, beta, gauss_panels, integrate_1d
 _ROUTE_AGREEMENT = 1e-6    # required relative match between the two routes
 _SMALL_P = 0.05            # below this the transform takes the subtracted form
 _TAIL_EPS = 1e-18          # pointwise envelope level used to place the horizon
+_END_ROUNDING = 1e-12      # a negative end within this of the last piece's size is a rounded 0
 
 _DEFAULT_CFG = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-13)
 
@@ -343,7 +344,9 @@ def from_ppoly(pp: Pieces) -> MellinProfile:
     Every route integrates it knot by knot (`_weighted_knot_integral`) on
     the unit support, so its transforms are exact up to rounding for any
     size and exponent.  The maximum is taken over the knots and the interior
-    critical points.
+    critical points.  An end value below zero raises ValueError, unless it
+    is within `_END_ROUNDING` of the last piece's bound sum_j |c_j| h^j,
+    the rounding of an end at zero.
     """
     knots = pp.x
     if knots[0] != 0.0 or not np.all(np.isfinite(pp.c)):
@@ -366,6 +369,9 @@ def from_ppoly(pp: Pieces) -> MellinProfile:
     crit = Pieces(dc, knots).roots() if dc.any() else knots[:0]
     sup = float(np.concatenate([at_knots, pp(crit)]).max())
     last = float(at_knots[-1])
+    if last < -_END_ROUNDING * reach[-1]:
+        raise ValueError(f"a profile polynomial must not end below zero: its value "
+                         f"at the support end {support} is {last}")
 
     def inside(spline, beyond):
         def f(t):

@@ -6,7 +6,8 @@ a log-concave function, and the one LP, max t over A x + t s <= b
 Quadrature and search are array-first: `integrate_1d` is adaptive
 Gauss-Kronrod 21 whose integrand maps a 1-D array of nodes to their values,
 one call per refinement round, and `maximize_logconcave` takes objectives on
-(k, d) arrays of points, one call per stencil, from a start where the
+(k, d) arrays of points, one call per sweep of a multi-scale compass stencil
+(every direction at `_SCALES` halving steps), from a start where the
 objective is positive.  One adaptive pass refines a whole batch of
 integrals, each with its own interval, weight, tail cut, panels and
 tolerance test, with one integrand call per round over every integral still
@@ -601,6 +602,9 @@ def gauss_panels(edges, order: int = 16):
 # derivative-free maximization of log-concave objectives
 
 
+_SCALES = 6     # steps per compass sweep: h, h/2, ..., h/2^5 in one objective call
+
+
 def _direction_set(d: int) -> np.ndarray:
     dirs = list(np.eye(d)) + list(-np.eye(d))
     if 2 <= d <= 6:         # at d = 1 the diagonals are +-e_1 again
@@ -611,47 +615,45 @@ def _direction_set(d: int) -> np.ndarray:
 
 
 def maximize_logconcave(F, x0, tol: float = 1e-9, max_evals: int = 60_000):
-    """Locate the supremum of a coercive log-concave F by compass search.
+    """Locate the supremum of a coercive log-concave F by compass search on
+    a multi-scale stencil.
 
     F maps a (k, d) array of points to their k values.  Each sweep evaluates
-    its whole stencil (the 2d axes and, for d <= 6, the 2^d diagonals) in one
-    call and moves to the point of largest strictly positive log gain, the
-    first direction winning ties.  The start x0 must have F(x0) > 0 (a
-    ValueError otherwise).  One restart with a fresh step; deterministic
-    for fixed inputs, and `max_evals` counts points.  Returns (argmax,
-    value) with the value within ~tol (relative) of the supremum for smooth
-    F; plateau maxima (indicator-type F) are returned exactly.
+    the direction set (the 2d axes and, for 2 <= d <= 6, the 2^d diagonals)
+    at the `_SCALES` steps h, h/2, ..., h/2^(_SCALES - 1) in one call and
+    moves to the point of largest strictly positive log gain, the largest
+    step and then the first direction winning ties; the next sweep starts
+    from the step that won.  A sweep without gain divides h by
+    2^_SCALES.  The start x0 must have F(x0) > 0 (a ValueError otherwise).
+    One restart with a fresh step; deterministic for fixed inputs, and
+    `max_evals` counts points.  Returns (argmax, value) with the value
+    within ~tol (relative) of the supremum for smooth F; plateau maxima
+    (indicator-type F) are returned exactly.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     dirs = _direction_set(x.size)
+    stencil = np.vstack([0.5 ** j * dirs for j in range(_SCALES)])    # largest step first
     fx = float(F(x[None, :])[0])
     evals = 1
     if not fx > 0.0:
         raise ValueError(f"the search needs a start where F is positive, got {fx}")
     logf = math.log(fx)
-
-    def sweep(x, logf, h, evals):
-        moved = True
-        while moved and evals < max_evals:
-            Y = x + h * dirs
-            fy = np.asarray(F(Y), dtype=float)
-            evals += len(Y)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ly = np.where(fy > 0.0, np.log(fy), -math.inf)
-            gain = ly - logf
-            k = int(np.argmax(gain))
-            moved = bool(gain[k] > 0.0)
-            if moved:
-                x, logf = Y[k], float(ly[k])
-        return x, logf, evals
-
     scale = max(1.0, float(np.linalg.norm(x)))
     h_min = math.sqrt(max(tol, 1e-15)) * scale * 0.05
     for start in range(2):                     # restart once with a fresh step
         h = 0.5 * scale if start == 0 else 64.0 * h_min
         while h > h_min and evals < max_evals:
-            x, logf, evals = sweep(x, logf, h, evals)
-            h *= 0.5
+            Y = x + h * stencil
+            fy = np.asarray(F(Y), dtype=float)
+            evals += len(Y)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ly = np.where(fy > 0.0, np.log(fy), -math.inf)
+            k = int(np.argmax(ly - logf))
+            if ly[k] - logf > 0.0:
+                x, logf = Y[k], float(ly[k])
+                h *= 0.5 ** (k // len(dirs))
+            else:
+                h *= 0.5 ** _SCALES
     return x, math.exp(logf)
 
 

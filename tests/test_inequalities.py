@@ -13,7 +13,7 @@ import mthorder.covariogram as cov
 import mthorder.inequalities as iq
 import mthorder.mellin as ml
 from mthorder.lcfun import LogConcaveFunction, profile_from_kind
-from mthorder.numerics import EstimateWithError, make_rng
+from mthorder.numerics import _SCALES, EstimateWithError, make_rng
 from oracles import (discs_meet, dm_support_membership, inf_convolution_gauge,
                      polytopes_meet, sup_convolution, three_point_radius)
 
@@ -289,11 +289,11 @@ def _quad_int_convolution(fbar, x):
     (each factor's centre and box ends) inside the joint box."""
     offsets = [0.0] + list(x)
     boxes = iq._factor_boxes(fbar)
-    lo = max(b[0][0] + t for b, t in zip(boxes, offsets))
-    hi = min(b[1][0] + t for b, t in zip(boxes, offsets))
+    lo = max(b + t for b, t in zip(boxes.lo[:, 0], offsets))
+    hi = min(b + t for b, t in zip(boxes.hi[:, 0], offsets))
     cuts = {lo, hi}
-    for f, b, t in zip(fbar, boxes, offsets):
-        cuts |= {f.shift[0] + t, b[0][0] + t, b[1][0] + t}
+    for f, a, b, t in zip(fbar, boxes.lo[:, 0], boxes.hi[:, 0], offsets):
+        cuts |= {f.shift[0] + t, a + t, b + t}
     cuts = sorted(c for c in cuts if lo <= c <= hi)
 
     def F(z):
@@ -406,7 +406,7 @@ class TestClosedFormKernels:
         wide = make_fn("gaussian", cc.cube(1, 10.0))
         fbar = [sharp, wide]
         boxes = iq._factor_boxes(fbar)
-        pieces = iq._exponent_pieces(fbar, boxes, np.array([[30.0]]))
+        pieces = iq._exponent_pieces(boxes, np.array([[30.0]]))
         vertex_value = pieces.top + pieces.fall_hi ** 2 / (4.0 * pieces.q)
         assert np.max(vertex_value) > 1e5
         for x in (0.0, 30.0, 60.0):
@@ -460,11 +460,85 @@ def test_sup_evals_count_points_of_batched_calls(monkeypatch):
     monkeypatch.setattr(iq, "_breakpoint_rows", spy)
     v = iq.check_rs_multi([two_sided, std_gauss], outer_samples=50)
     # the two starts share one call, the search evaluates its start, each
-    # sweep's 2-point stencil (+-e_1) is one call, and the last call is
-    # int_convolution at the argmax
+    # sweep's stencil (+-e_1 at _SCALES steps) is one call, and the last
+    # call is the int-convolution at the argmax
     assert shapes[:2] == [(2, 1), (1, 1)] and shapes[-1] == (1, 1)
-    assert len(shapes) > 4 and all(s == (2, 1) for s in shapes[2:-1])
+    assert len(shapes) > 4 and all(s == (2 * _SCALES, 1) for s in shapes[2:-1])
     assert v.metadata["sup_evals"] == sum(s[0] for s in shapes[:-1])
+
+
+def _seeded_pair(seed, kinds):
+    """Two 1-D functions of the given kinds, with widths, shift and
+    amplitude drawn as for the benchmark's rs-multi pairs."""
+    gen = np.random.default_rng([seed, 3])
+    fbar = []
+    for kind in kinds:
+        w, v = 0.4 + 1.2 * gen.random(), 0.4 + 1.2 * gen.random()
+        fbar.append(LogConcaveFunction(profile_from_kind(kind, ambient_dim=1),
+                                       cc.from_vertices([[-w], [v]]),
+                                       np.array([gen.uniform(-0.5, 0.5)]),
+                                       0.5 + 1.5 * gen.random()))
+    return fbar
+
+
+_PAIR_KINDS = [("exponential", "gaussian"), ("gaussian", "exponential")]
+
+
+@pytest.mark.parametrize("kinds", _PAIR_KINDS)
+def test_rs_multi_kernel_calls_stay_few(monkeypatch, kinds):
+    # a timing-free guard on the search: the starts, every sweep and the
+    # value at the argmax take at most 12 row-kernel calls on these pairs
+    calls = []
+    rows_rule = iq._int_rows
+    monkeypatch.setattr(iq, "_int_rows", lambda *a: calls.append(1) or rows_rule(*a))
+    for seed in range(20):
+        calls.clear()
+        iq.check_rs_multi(_seeded_pair(seed, kinds), outer_samples=10)
+        assert len(calls) <= 12, seed
+
+
+@pytest.mark.parametrize("kinds", _PAIR_KINDS)
+def test_rs_multi_sup_matches_a_dense_bracket_search(kinds):
+    # the search's sup against `_bracket_max_many` on the same objective
+    # over the whole translation box (to ~1e-16 of its width)
+    for seed in range(12):
+        fbar = _seeded_pair(seed, kinds)
+        v = iq.check_rs_multi(fbar, outer_samples=10)
+        boxes = iq._factor_boxes(fbar)
+        lo = boxes.lo[0] - boxes.hi[1]
+        hi = boxes.hi[0] - boxes.lo[1]
+        _, best = iq._bracket_max_many(
+            lambda Z: iq._int_rows(fbar, boxes, Z.reshape(-1, 1))[0].reshape(Z.shape), lo, hi)
+        assert v.metadata["sup_norm"] <= best[0]
+        assert v.metadata["sup_norm"] == pytest.approx(best[0], rel=5e-11, abs=0.0)
+
+
+def test_rs_multi_search_at_nm_4_is_not_cut_short(monkeypatch):
+    # a sweep has 144 points at n*m = 4; each search must stop at its step
+    # floor with points of its budget left, where an unlimited one stops
+    budgets = []
+    real = iq.maximize_logconcave
+
+    def search(F, x0, **kwargs):
+        points = []
+        out = real(lambda Z: points.append(len(Z)) or F(Z), x0, **kwargs)
+        free = real(F, x0, tol=kwargs["tol"], max_evals=10 ** 9)
+        assert np.array_equal(out[0], free[0]) and out[1] == free[1]
+        budgets.append((sum(points), kwargs["max_evals"]))
+        return out
+    monkeypatch.setattr(iq, "maximize_logconcave", search)
+    gen = make_rng(30, 0)
+    for _ in range(3):
+        fbar = [LogConcaveFunction(profile_from_kind(kind, ambient_dim=1),
+                                   cc.from_vertices([[-gen.uniform(0.4, 1.6)],
+                                                     [gen.uniform(0.4, 1.6)]]),
+                                   np.array([gen.uniform(-0.5, 0.5)]))
+                for kind in ("gaussian", "exponential", "gaussian", "exponential",
+                             "indicator")]
+        iq.check_rs_multi(fbar, outer_samples=10)
+    iq.check_rs_multi(_polytope_triple(), outer_samples=10)
+    assert len(budgets) == 4
+    assert all(used < budget for used, budget in budgets)
 
 
 def sup_rows(fbar, X):

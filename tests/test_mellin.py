@@ -474,6 +474,12 @@ class TestPolyMeans:
             ml.i_p(_one_piece(POLY_STACK[0]), [1.0, p])
         assert str(stacked.value) == str(single.value)
 
+    def test_polynomial_ending_below_zero_is_rejected(self):
+        # 1 - 3x on [0, 1] ends at -2; the rounding of an end at zero passes
+        with pytest.raises(ValueError, match=r"below zero.* is -2\.0$"):
+            _one_piece([1.0, -3.0])
+        assert _one_piece([1.0, -1.0 - 2.0 ** -52]).support_radius == 1.0
+
     def test_nonpositive_moment_raises_like_i_p(self):
         # psi = 1 - 6x + 5.5x^2 dips below zero: p M = -1/6 at p = 1
         with pytest.raises(ArithmeticError, match="not positive"):

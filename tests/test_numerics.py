@@ -8,6 +8,7 @@ from scipy import optimize, special
 
 from mthorder import convexcore as cc
 from mthorder.numerics import (
+    _SCALES,
     EstimateWithError,
     InvalidDimensionError,
     QuadratureConfig,
@@ -260,6 +261,8 @@ class TestMaximizeLogconcave:
         diagonals = [np.array(s) / math.sqrt(d)
                      for s in itertools.product((-1.0, 1.0), repeat=d)] if d > 1 else []
         dirs = np.vstack([np.eye(d), -np.eye(d)] + diagonals)
+        # every direction at h, h/2, ..., h/2^(K-1), the largest step first
+        rows = np.vstack([0.5 ** j * dirs for j in range(_SCALES)])
         calls = []
 
         def spy(Z):
@@ -267,17 +270,47 @@ class TestMaximizeLogconcave:
             calls.append(np.array(Z, copy=True))
             return out
 
-        stencil = len(dirs)
-        assert stencil == (2 if d == 1 else 2 * d + 2 ** d)
+        stencil = len(rows)
+        assert stencil == _SCALES * (2 if d == 1 else 2 * d + 2 ** d)
         maximize_logconcave(spy, np.zeros(d), max_evals=1 + 5 * stencil)
         assert all(Z.ndim == 2 and Z.shape[1] == d for Z in calls)
         assert calls[0].shape == (1, d)
         for Z in calls[1:]:             # every other call is one whole stencil
             c = Z.mean(axis=0)
             h = np.linalg.norm(Z[0] - c)
-            np.testing.assert_allclose(Z, c + h * dirs, atol=1e-12 * (1.0 + h))
+            np.testing.assert_allclose(Z, c + h * rows, atol=1e-12 * (1.0 + h))
         # the start is one point; each sweep adds its stencil
         assert len(calls) - 1 == 5
+
+    def test_next_sweep_starts_from_the_winning_step(self):
+        # from 0 at h = 1/2 the peak 1/16 is the +e_1 point of the fourth
+        # step; the next sweep steps 1/16 from there, gains nothing, and
+        # the one after steps 1/16 / 2^K
+        calls = []
+
+        def spy(Z):
+            calls.append(np.array(Z, copy=True))
+            return np.exp(-8.0 * (Z[:, 0] - 0.0625) ** 2)
+
+        x, val = maximize_logconcave(spy, [0.0])
+        assert x[0] == 0.0625 and val == 1.0
+        centres = [Z.mean(axis=0)[0] for Z in calls[1:4]]
+        steps = [Z[0, 0] - c for Z, c in zip(calls[1:4], centres)]
+        assert centres == [0.0, 0.0625, 0.0625]
+        assert steps == [0.5, 0.0625, 0.0625 * 0.5 ** _SCALES]
+
+    def test_ties_go_to_the_largest_step_then_the_first_direction(self):
+        # the second call gains equally everywhere: the move is to x0 + h e_1
+        calls = []
+
+        def spy(Z):
+            calls.append(np.array(Z, copy=True))
+            return np.full(len(Z), 1.0 if len(calls) == 1 else 2.0)
+
+        x, val = maximize_logconcave(spy, [0.0, 0.0])
+        assert val == 2.0 and x.tolist() == [0.5, 0.0]
+        assert calls[2].mean(axis=0).tolist() == [0.5, 0.0]
+        assert calls[2][0].tolist() == [1.0, 0.0]       # the same step, 1/2
 
 
 def _linprog_max_slack(A, b, s):
