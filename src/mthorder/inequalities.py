@@ -226,13 +226,14 @@ class _Boxes:
     Row i of the (factors, n) arrays lo and hi is the axis box of the
     untranslated factor f_i outside which it is negligible (or zero);
     translating a factor by t moves its box by t.  `shifts` holds each
-    factor's centre.  For a tuple that `_closed_form` admits, c1 and c2 are
-    the `log_quadratic` rates, log_amp the log of the amplitudes' product
-    plus the constant terms, and ends the body ends (-w, v) per factor;
-    they are None otherwise."""
+    factor's centre.  `closed` says whether `_closed_form` admits the
+    tuple; then c1 and c2 are the `log_quadratic` rates, log_amp the log of
+    the amplitudes' product plus the constant terms, and ends the body ends
+    (-w, v) per factor, which are None otherwise."""
     lo: np.ndarray
     hi: np.ndarray
     shifts: np.ndarray
+    closed: bool = False
     c1: np.ndarray | None = None
     c2: np.ndarray | None = None
     log_amp: float | None = None
@@ -255,7 +256,7 @@ def _factor_boxes(fbar) -> _Boxes:
     closed = {}
     if _closed_form(fbar):
         coef = np.array([f.profile.log_quadratic for f in fbar])
-        closed = {"c1": coef[:, 1], "c2": coef[:, 2],
+        closed = {"closed": True, "c1": coef[:, 1], "c2": coef[:, 2],
                   "log_amp": (math.fsum(math.log(f.amplitude) for f in fbar)
                               + math.fsum(coef[:, 0])),
                   "ends": np.sort([f.body.vertices[:, 0] for f in fbar], axis=1)}
@@ -464,15 +465,15 @@ def _sup_rows(fbar, boxes, X: np.ndarray):
     """(argmax, sup) of z -> f_0(z) * prod_i f_i(z - x_i) for every row x of
     X (n = 1); sup 0 where supports miss.
 
-    Tuples that `_closed_form` admits (indicator, exponential and Gaussian
-    factors) take the exact peak of `_exponent_pieces`.  Power and other
+    Closed tuples (`_Boxes`: indicator, exponential and Gaussian factors)
+    take the exact peak of `_exponent_pieces`.  Power and other
     p-family factors take one bracket search over all rows at once (the
     product is log-concave, hence unimodal); a row then keeps its feasible
     start (the centre of the compact supports' overlap, else 0) when the
     search finds no larger value there, as on a zero-valued grid around a
     sliver of positive product.
     """
-    if _closed_form(fbar):
+    if boxes.closed:
         return _closed_sup_rows(_exponent_pieces(boxes, X), len(X))
     T, lo_i, hi_i = _row_boxes(boxes, X)
 
@@ -504,15 +505,15 @@ def _placements(X: np.ndarray, n: int) -> np.ndarray:
 def _sup_values(fbar, boxes, X: np.ndarray):
     """The sup-convolution at every row x of X and its kernel's name.
 
-    In one dimension `_sup_rows`: `closed-form` where `_closed_form` admits
-    the tuple, else `bracket-search`.  Above, the tuple must be all
+    In one dimension `_sup_rows`: `closed-form` for a closed tuple
+    (`_Boxes`), else `bracket-search`.  Above, the tuple must be all
     indicators, else NotImplementedError: rows whose translated boxes miss
     read 0, and on the rest the sup is the tuple's height where `_meets`
     (`meeting-test`).
     """
     n = fbar[0].dim
     if n == 1:
-        kernel = "closed-form" if _closed_form(fbar) else "bracket-search"
+        kernel = "closed-form" if boxes.closed else "bracket-search"
         return _sup_rows(fbar, boxes, X)[1], kernel
     if any(f.profile.kind != "indicator" for f in fbar):
         raise NotImplementedError("above one dimension pointwise sups are exact only "
@@ -542,7 +543,7 @@ def _meets(fbar, T: np.ndarray) -> np.ndarray:
     return np.array([_feasible_point(fbar, list(t)) is not None for t in T], dtype=bool)
 
 
-def int_convolution(fbar, xbar, boxes: _Boxes | None = None) -> EstimateWithError:
+def int_convolution(fbar, xbar) -> EstimateWithError:
     """int_z f_0(z) * prod_i f_i(z - x_i) dz.
 
     In one dimension the product is smooth between the breakpoints of its
@@ -558,12 +559,11 @@ def int_convolution(fbar, xbar, boxes: _Boxes | None = None) -> EstimateWithErro
     indicators: the integral is the product of their amplitudes times the
     exact volume of the translated supports' meeting
     (`covariogram.common_volume`), and other tuples raise
-    NotImplementedError.  A caller that holds the tuple's `_factor_boxes`
-    passes them as `boxes`, which are otherwise built here.
+    NotImplementedError.
     """
     fbar, _, _ = _validated_tuple(fbar)
     x = np.concatenate(_offsets(fbar, xbar)[1:])[None, :]
-    value, error, nodes = _int_rows(fbar, boxes or _factor_boxes(fbar), x)
+    value, error, nodes = _int_rows(fbar, _factor_boxes(fbar), x)
     return EstimateWithError(float(value[0]), float(error[0]), int(nodes[0]))
 
 
@@ -608,12 +608,12 @@ _HALF_NODES, _HALF_FINE, _HALF_COARSE = _graded_half_rule()
 def _breakpoint_rows(fbar, boxes, X: np.ndarray):
     """n = 1: (value, error, nodes) of the int-convolution at every row x of
     X, all rows at once, over the cells of `_row_cells`; a row whose
-    supports miss gets value, error and nodes 0.  Tuples that `_closed_form`
-    admits integrate each cell of `_exponent_pieces` in closed form, with
+    supports miss gets value, error and nodes 0.  Closed tuples (`_Boxes`)
+    integrate each cell of `_exponent_pieces` in closed form, with
     error 0 and the cells counted as nodes.  Others take the graded rule on
     both halves of every cell, in one product call, with the error from the
     coarse rule."""
-    if _closed_form(fbar):
+    if boxes.closed:
         pieces = _exponent_pieces(boxes, X)
         return (_closed_int_rows(pieces, len(X)), np.zeros(len(X)),
                 np.bincount(pieces.rows, minlength=len(X)))
@@ -763,15 +763,14 @@ def check_rs_multi(fbar, seed: int = 0,
     both read 0 (supports that meet only on their boundary there), from
     the x that lays an interior point of every factor's support (its
     shift when not compact) on f_0's.  The sup value is `int_convolution`
-    at the search's argmax, on the factor boxes that the search used.  Each
-    sweep of the multi-scale compass stencil (every direction at six step
-    sizes) is one objective call: one row-batched kernel in one dimension,
-    one batched common volume above it.  The budget of 10,000 points lets a
-    search at n*m = 4 (144 points a sweep) reach its step floor.
-    metadata["sup_evals"] counts the points evaluated by the starts and
-    the search, not the value at the argmax.  On the
-    `pointwise-sup` route of `_star_l1`, metadata["row_kernel"] names the
-    pointwise sups' kernel: `closed-form` for those same 1-D tuples,
+    at the search's argmax.  Each sweep of the multi-scale compass stencil
+    (every direction at six step sizes) is one objective call: one
+    row-batched kernel in one dimension, one batched common volume above
+    it.  The budget of 10,000 points lets a search at n*m = 4 (144 points a
+    sweep) reach its step floor.  metadata["sup_evals"] counts the points
+    evaluated by the starts and the search, not the value at the argmax.
+    On the `pointwise-sup` route of `_star_l1`, metadata["row_kernel"]
+    names the pointwise sups' kernel: `closed-form` for those same 1-D tuples,
     `bracket-search` for other 1-D tuples, and `meeting-test` for indicator
     tuples above one dimension (exact, `_meets`).
     """
@@ -804,7 +803,7 @@ def check_rs_multi(fbar, seed: int = 0,
                                         max_evals=10_000)
     else:
         x_star = best
-    sup_est = int_convolution(fbar, x_star, boxes)
+    sup_est = int_convolution(fbar, x_star)
 
     l1_est, info = _star_l1(fbar, boxes, seed, outer_samples)
     lhs = EstimateWithError(
@@ -815,7 +814,7 @@ def check_rs_multi(fbar, seed: int = 0,
         np.prod([f.sup_norm * f.mass() for f in fbar]))
     meta = {"n": n, "m": m, "seed": seed,
             "sup_norm": sup_est.value, "sup_argmax": [float(v) for v in x_star],
-            "sup_route": ("closed-form" if _closed_form(fbar) else
+            "sup_route": ("closed-form" if boxes.closed else
                           "breakpoint-gauss" if n == 1 else "common-volume"),
             "sup_evals": evals,
             "l1_norm": l1_est.value, "runtime_s": time.perf_counter() - t0, **info}

@@ -360,8 +360,8 @@ def _rows_both_ways(fbar, X):
     closed = (iq._breakpoint_rows(fbar, boxes, X)[0], iq._sup_rows(fbar, boxes, X)[1])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(iq, "_closed_form", lambda fbar: False)
-        numeric = (iq._breakpoint_rows(fbar, boxes, X)[0],
-                   iq._sup_rows(fbar, boxes, X)[1])
+        boxes = iq._factor_boxes(fbar)
+    numeric = (iq._breakpoint_rows(fbar, boxes, X)[0], iq._sup_rows(fbar, boxes, X)[1])
     return closed, numeric
 
 
