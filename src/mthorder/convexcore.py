@@ -75,12 +75,6 @@ class ConvexBody:
         from scipy.spatial import ConvexHull
         return float(ConvexHull(self.vertices).volume)
 
-    def __repr__(self):
-        if self.kind == "ball":
-            return f"ConvexBody(ball, dim={self.dim}, r={self.radius}, c={self.center})"
-        return (f"ConvexBody(polytope, dim={self.dim}, "
-                f"facets={len(self.offsets)}, vertices={len(self.vertices)})")
-
 
 @dataclass(frozen=True)
 class FacetData:
@@ -280,21 +274,12 @@ def translate(K: ConvexBody, v) -> ConvexBody:
 
 
 def scale(K: ConvexBody, t: float) -> ConvexBody:
-    """Dilation about the origin; negative t reflects then dilates by |t|."""
-    if t == 0:
-        raise DegenerateBodyError("scale factor must be nonzero")
-    if t < 0:
-        return scale(reflect(K), -t)
+    """Dilation about the origin by t > 0."""
+    if t <= 0:
+        raise DegenerateBodyError("scale factor must be positive")
     if K.kind == "ball":
         return ConvexBody(K.dim, "ball", None, None, None, K.center * t, K.radius * t)
     return ConvexBody(K.dim, "polytope", K.normals, K.offsets * t, K.vertices * t)
-
-
-def reflect(K: ConvexBody) -> ConvexBody:
-    if K.kind == "ball":
-        return ConvexBody(K.dim, "ball", None, None, None, -K.center, K.radius)
-    normals, offsets = _canonical_order(-K.normals, K.offsets.copy())
-    return ConvexBody(K.dim, "polytope", normals, offsets, -K.vertices)
 
 
 def make_body(spec: dict) -> ConvexBody:

@@ -751,7 +751,7 @@ def _custom_jobs(cfg: ExperimentConfig, seed: int, samples: int | None):
             dirs = np.asarray(dirs, dtype=float)
         thunk = lambda: iq.check_chain(source, p["m"], p["p_grid"],
                                        directions=dirs, seed=seed,
-                                       nodes=p.get("nodes", 256))
+                                       nodes=p.get("nodes", sb.RAY_NODES))
     return [(check, thunk)]
 
 

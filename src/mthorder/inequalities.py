@@ -886,7 +886,7 @@ def check_tangent_bound(f: LogConcaveFunction, m: int, points) -> Verdict:
 
 
 def check_chain(source, m: int, p_grid, directions=None, seed: int = 0,
-                nodes: int = 256) -> list[Verdict]:
+                nodes: int = sb.RAY_NODES) -> list[Verdict]:
     """Normalized radial mean bodies shrink as p grows: one inclusion verdict
     per adjacent grid pair, plus the p -> -1 endpoint as the outermost body.
 

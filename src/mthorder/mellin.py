@@ -12,8 +12,10 @@ psi(0) e^-v dv tames a singular end), and its level moment M_p, which is the
 closed form p M(phi)(p).  Piecewise polynomial profiles (`Pieces`, a
 small numpy piecewise polynomial; `from_ppoly`, and `from_table` through
 the in-house monotone cubic interpolant `pchip`) are integrated knot by
-knot, exactly up to rounding; closed-form profiles by adaptive quadrature,
-`integrate_1d` taking the t^p weight in units of the integration span.
+knot, exactly up to rounding, and peak at a knot: their pieces do not rise
+(`from_ppoly` says why each one the package builds is so); closed-form
+profiles by adaptive quadrature, `integrate_1d` taking the t^p weight in
+units of the integration span.
 A profile of finite support is measured in units of its support, so no
 power of a large radius overflows.
 
@@ -96,28 +98,6 @@ class Pieces:
             return Pieces(np.zeros_like(self.c), self.x)
         return Pieces(self.c[:-1] * np.arange(K, 0, -1.0)[:, None], self.x)
 
-    def roots(self) -> np.ndarray:
-        """The distinct real roots in each piece's own interval, ascending;
-        a piece that vanishes identically is skipped.  Each piece is taken
-        without its leading and trailing zero coefficients (a trailing zero
-        is a root at the piece's left knot), and all pieces of one degree
-        are solved together (`_real_roots`)."""
-        nz = self.c != 0.0
-        live = np.flatnonzero(nz.any(axis=0))
-        top = len(self.c) - 1
-        lead = nz[:, live].argmax(axis=0)
-        tail = top - nz[::-1, live].argmax(axis=0)
-        owners, found = [live[tail < top]], [np.zeros(np.count_nonzero(tail < top))]
-        degree = tail - lead
-        for d in np.unique(degree[degree > 0]):
-            pick = np.flatnonzero(degree == d)
-            row, s = _real_roots(self.c[lead[pick, None] + np.arange(d + 1), live[pick, None]])
-            owners.append(live[pick[row]])
-            found.append(s)
-        owner, s = np.concatenate(owners), np.concatenate(found)
-        keep = (s >= 0.0) & (s <= np.diff(self.x)[owner])
-        return np.unique(self.x[owner[keep]] + s[keep])
-
 
 def _horner(coef, s):
     """sum_k coef[k] s^(K - k), each coef[k] broadcasting against s."""
@@ -128,31 +108,6 @@ def _horner(coef, s):
         y *= s
         y += ck
     return y
-
-
-def _real_roots(coef: np.ndarray):
-    """The real roots of a stack of polynomials of one degree d >= 1
-    (rows, highest power first, with nonzero first and last coefficients),
-    as (row, root) arrays: -b/a at d = 1, the quadratic formula without
-    cancellation at d = 2 (so that a double root stays real), else the
-    eigenvalues of the stacked companion matrices in one call."""
-    d = coef.shape[1] - 1
-    rows = np.arange(len(coef))
-    if d == 1:
-        return rows, -coef[:, 1] / coef[:, 0]
-    if d == 2:
-        a, b, c = coef.T
-        disc = b * b - 4.0 * a * c
-        real = disc >= 0.0
-        a, b, c = coef[real].T
-        q = -0.5 * (b + np.copysign(np.sqrt(disc[real]), b))
-        return np.tile(rows[real], 2), np.concatenate([q / a, c / q])
-    companion = np.zeros((len(coef), d, d))
-    companion[:, 0] = -coef[:, 1:] / coef[:, :1]
-    companion[:, 1:, :-1] = np.eye(d - 1)
-    z = np.linalg.eigvals(companion)
-    row, col = np.nonzero(z.imag == 0.0)
-    return row, z.real[row, col]
 
 
 def pchip(x, y, slope0: float | None = None) -> Pieces:
@@ -343,10 +298,15 @@ def from_ppoly(pp: Pieces) -> MellinProfile:
 
     Every route integrates it knot by knot (`_weighted_knot_integral`) on
     the unit support, so its transforms are exact up to rounding for any
-    size and exponent.  The maximum is taken over the knots and the interior
-    critical points.  An end value below zero raises ValueError, unless it
-    is within `_END_ROUNDING` of the last piece's bound sum_j |c_j| h^j,
-    the rounding of an end at zero.
+    size and exponent.  `sup` is the largest knot value, so no piece may
+    rise above its ends, and none that the package builds does: a box
+    section is a product of decreasing linear factors on [0, R], and
+    `from_table` raises a shape-preserving `pchip` of nonincreasing data to
+    the root-th power, whose slope at 0 as `starbodies.body_ray` pins it is
+    no steeper than the first secant, because the n-th root of a covariogram
+    section is concave (Brunn-Minkowski).  An end value below zero raises
+    ValueError, unless it is within `_END_ROUNDING` of the last piece's
+    bound sum_j |c_j| h^j, the rounding of an end at zero.
     """
     knots = pp.x
     if knots[0] != 0.0 or not np.all(np.isfinite(pp.c)):
@@ -356,18 +316,9 @@ def from_ppoly(pp: Pieces) -> MellinProfile:
     dip = _minus(pp, psi0)          # first piece has constant term 0: no cancellation
     dpp = pp.derivative()
     at_knots = np.append(pp.c[-1], pp(knots[-1]))    # each piece starts at its constant
-    # a piece rises above the knot values only if its bound sum_j |c_j| h^j
-    # does, and only if its slope can be positive (the slope is at most its
-    # value at the left knot plus its positive terms); critical points are
-    # sought on those pieces alone
+    sup = float(at_knots.max())
     powers = np.arange(len(pp.c) - 1, -1, -1)[:, None]
-    h = np.diff(knots) ** powers
-    reach = np.sum(np.abs(pp.c) * h, axis=0)
-    rise = dpp.c[-1] + np.sum(np.maximum(dpp.c[:-1], 0.0) * h[1:-1], axis=0)
-    dc = dpp.c.copy()
-    dc[:, (reach <= at_knots.max()) | (rise <= 0.0)] = 0.0
-    crit = Pieces(dc, knots).roots() if dc.any() else knots[:0]
-    sup = float(np.concatenate([at_knots, pp(crit)]).max())
+    reach = np.sum(np.abs(pp.c) * np.diff(knots) ** powers, axis=0)
     last = float(at_knots[-1])
     if last < -_END_ROUNDING * reach[-1]:
         raise ValueError(f"a profile polynomial must not end below zero: its value "

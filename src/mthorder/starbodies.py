@@ -55,6 +55,7 @@ from .numerics import EstimateWithError, sphere_sample, sphere_surface
 _STREAM_STAR_DIRS = 401
 
 _LAYER_CAKE_NODES = 1024    # fixed radii of a layer-cake ray (Gaussian section to 2e-8)
+RAY_NODES = 256             # default radii tabulated along a body's ray (`body_ray`)
 
 
 def default_direction_count(d: int) -> int:
@@ -85,7 +86,7 @@ def _box_ray(lo, hi, blocks) -> RadialRay:
     return RadialRay(ml.from_ppoly(pp), float(rates.sum()))
 
 
-def body_ray(K: ConvexBody, m: int, theta, nodes: int = 256) -> RadialRay:
+def body_ray(K: ConvexBody, m: int, theta, nodes: int = RAY_NODES) -> RadialRay:
     """The normalized covariogram section of a body along one unit direction:
     the polynomial prod_j (1 - r t_j)_+ for an axis-aligned box, the lens for
     a ball at m = 1, else a table of exact covariograms at `nodes` radii
@@ -210,7 +211,7 @@ def box_radii(K: ConvexBody, m: int, dirs, p) -> tuple[np.ndarray, np.ndarray]:
     return R.reshape((-1,) + (1,) * (means.ndim - 1)) * means, 1.0 / t.sum(axis=1)
 
 
-def body_radii(K: ConvexBody, m: int, dirs, p, nodes: int = 256):
+def body_radii(K: ConvexBody, m: int, dirs, p, nodes: int = RAY_NODES):
     """`box_radii` on an axis box; on any other body the radii of one
     `body_ray` per distinct direction (`rays_for`, `radii_at`), and their
     p -> -1 limits (`limit_body_minus1`)."""
@@ -221,7 +222,7 @@ def body_radii(K: ConvexBody, m: int, dirs, p, nodes: int = 256):
 
 
 def radial_mean_body_body(K: ConvexBody, m: int, p: float, directions=None,
-                          seed: int = 0, nodes: int = 256) -> np.ndarray:
+                          seed: int = 0, nodes: int = RAY_NODES) -> np.ndarray:
     """Radii of R_p^m K along `direction_set(directions, nm, seed)`."""
     dirs = direction_set(directions, K.dim * m, seed)
     return body_radii(K, m, dirs, p, nodes=nodes)[0]

@@ -531,6 +531,63 @@ class TestCli:
                                    0.2181461131751785, 0.3390052064043374], rtol=1e-12)
         assert v["metadata"]["worst_point"] == 0
 
+    @staticmethod
+    def _example_verdicts(name, tmp_path):
+        out = tmp_path / name
+        assert cli.main(["run", str(EXAMPLES / f"{name}.json"), "--out", str(out)]) == 0
+        return json.loads((out / "verdicts.json").read_text())["verdicts"]
+
+    def test_chain_disc_example(self, tmp_path, capsys):
+        # the unit disc at m = 1: every ray is the lens section, whose Beta
+        # closed form checks each radius; the normalized radius is pi at the
+        # p -> -1 end, 8/pi at p = 1 and sqrt(6) at p = 2 along every ray
+        verdicts = self._example_verdicts("chain_disc", tmp_path)
+        assert [v["name"] for v in verdicts] == [
+            "chain[-1->-0.5]", "chain[-0.5->1]", "chain[1->2]", "chain[2->5]"]
+        assert {v["status"] for v in verdicts} == {"holds"}
+        sides = [x for v in verdicts for x in (v["rhs"]["value"], v["lhs"]["value"])]
+        np.testing.assert_allclose(sides, [
+            math.pi, 2.871080044184515, 2.871080044184515, 8.0 / math.pi,
+            8.0 / math.pi, math.sqrt(6.0), math.sqrt(6.0), 2.3058763547102115], rtol=1e-12)
+        assert all(v["sigma_combined"] == 0.0 for v in verdicts)
+
+    def test_zhang_body_simplex_m3_example(self, tmp_path, capsys):
+        # the centred triangle at m = 3: the simplex constant binom(8, 2) / 2^6
+        # is met within the sphere average's error bar, and the disc bounds it
+        zhang, petty = self._example_verdicts("zhang_body_simplex_m3", tmp_path)
+        assert (zhang["status"], petty["status"]) == (iq.EQUALITY, "holds")
+        assert zhang["lhs"]["value"] == 0.4375
+        assert zhang["rhs"]["value"] == pytest.approx(0.4435074531139455, rel=1e-12)
+        assert zhang["rhs"]["std_error"] == pytest.approx(0.012772822174565683, rel=1e-12)
+        assert petty["lhs"] == zhang["rhs"]
+        assert petty["rhs"]["value"] == pytest.approx(1.532911235782554, rel=1e-12)
+        assert petty["rhs"]["std_error"] == pytest.approx(0.02228903687680626, rel=1e-12)
+        assert zhang["metadata"]["directions"] == [0, 10000]
+
+    def test_tangent_bound_ball3_example(self, tmp_path, capsys):
+        # the indicator of the unit ball in R^3 at m = 2: exact meetings of
+        # three balls, pinned to their values
+        (v,) = self._example_verdicts("tangent_bound_ball3", tmp_path)
+        assert v["status"] == "holds"
+        assert v["lhs"]["value"] == pytest.approx(2.450849458418381, rel=1e-12)
+        assert v["rhs"]["value"] == pytest.approx(2.6708905558093354, rel=1e-12)
+        assert v["sigma_combined"] == 0.0
+        np.testing.assert_allclose(v["metadata"]["margins"], [0.22004109739095457,
+                                   0.4939356934477517, 0.7954939911574594], rtol=1e-12)
+        assert v["metadata"]["worst_point"] == 0
+
+    def test_tangent_bound_pfamily_square_example(self, tmp_path, capsys):
+        # exp(2/3 (1 - ||x||_inf^3)) on cube(2) at m = 2: the closed layer
+        # cake over the box, through the incomplete gamma at orders 1 + k/3
+        (v,) = self._example_verdicts("tangent_bound_pfamily_square", tmp_path)
+        assert v["status"] == "holds"
+        assert v["lhs"]["value"] == pytest.approx(6.662424911966368, rel=1e-12)
+        assert v["rhs"]["value"] == pytest.approx(6.810807591973617, rel=1e-12)
+        assert v["sigma_combined"] == 0.0
+        np.testing.assert_allclose(v["metadata"]["margins"], [0.1483826800072494,
+                                   0.36883094486361045, 0.725010228001798], rtol=1e-12)
+        assert v["metadata"]["worst_point"] == 0
+
     def test_samples_override_lands_in_manifest(self, tmp_path, capsys):
         out = tmp_path / "pair"
         rc = cli.main(["run", str(EXAMPLES / "rs_ball_pair.json"),

@@ -573,7 +573,7 @@ class TestBatchedSup:
     def test_one_sided_sliver(self):
         # e^-z on z >= 0 times e^(z-x) on z <= x is e^-x on [0, x]: a
         # sliver no grid node of the truncation box hits
-        fbar = [f_exp, make_fn("exponential", cc.reflect(unit_interval()))]
+        fbar = [f_exp, make_fn("exponential", cc.from_vertices([[-1.0], [0.0]]))]
         _, sup = sup_rows(fbar, [[1e-3], [1e-7]])
         np.testing.assert_allclose(sup, np.exp(-np.array([1e-3, 1e-7])),
                                    rtol=1e-14)

@@ -319,9 +319,10 @@ def test_stream_scan_reads_shared_and_unread_streams():
 _REPO = SRC.parent.parent
 
 # Runs, in a fresh process and under a call-only profile hook installed after
-# the package is imported, the seed-0 catalog (`mthorder run --all`), the
-# examples, and the seed-0 configs of the benchmark's workloads; prints the
-# exit codes and the qualified names of the package functions that ran.
+# the package is imported, the catalog listing (`mthorder run --list`), the
+# seed-0 catalog (`mthorder run --all`), the examples, and the seed-0 configs
+# of the benchmark's workloads; prints the exit codes and the qualified names
+# of the package functions that ran.
 _REACH_PROBE = r'''
 import contextlib, importlib, io, json, sys, tempfile, threading
 from pathlib import Path
@@ -347,7 +348,7 @@ def hook(frame, event, arg):
 
 with tempfile.TemporaryDirectory() as tmp:
     tmp = Path(tmp)
-    runs = [["run", "--all", "--out", str(tmp / "catalog")]]
+    runs = [["run", "--list"], ["run", "--all", "--out", str(tmp / "catalog")]]
     runs += [["run", str(p), "--out", str(tmp / p.stem)]
              for p in sorted((root / "examples").glob("*.json"))]
     for name in sorted(workloads.WORKLOADS):
@@ -366,31 +367,22 @@ with tempfile.TemporaryDirectory() as tmp:
 print(json.dumps({"codes": codes, "reached": sorted(reached)}))
 '''
 
-_ROUTE = "only tests reach it; ROADMAP item 5"
+_ROUTE = "only tests reach it; ROADMAP item 7"
 # Functions and closures that none of those runs calls, each with the reason
 # it stays.  The guard also fails on an entry that a run reaches or that no
 # longer exists, so the list shrinks as routes gain shipped inputs or go.
 _UNREACHED = {
-    # error paths, import time and the command line's other commands
+    # error paths and import time
     "harness.NumericFailure.__init__": "error path: a job that fails numerically",
     "numerics.QuadratureFailure.__init__": "error path: a quadrature that does not converge",
-    "harness.catalog_lines": "only `mthorder run --list` calls it",
-    "convexcore.ConvexBody.__repr__": "debugging aid; no run prints a body",
     "numerics.QuadratureConfig.__post_init__": "runs at import: the module-level quadrature settings",
     "inequalities._graded_edges": "runs at import, for `_graded_half_rule`",
     "inequalities._graded_half_rule": "runs at import: the graded Gauss rule's table",
-    # small accessors that only tests read
-    "convexcore.FacetData.__len__": "only tests count facets this way",
-    "numerics.Estimates.samples_or_nodes": "only tests read a batch's node total",
-    # exact ball meetings and ball rays beyond m = 1
-    "covariogram.lens_slope": f"exact ball meetings; {_ROUTE}",
-    "covariogram._unit_ball_meeting": f"exact ball meetings; {_ROUTE}",
-    "covariogram._unit_ball_meeting.<locals>.slices": f"exact ball meetings; {_ROUTE}",
-    "mellin.lens": f"a ball's section at m = 1; {_ROUTE}",
-    "mellin.lens.<locals>.pmellin": f"a ball's section at m = 1; {_ROUTE}",
-    "projection._with_origin": f"ball projection gauges at m >= 3; {_ROUTE}",
-    "projection._polyhedron_v1": f"ball projection gauges at m >= 3; {_ROUTE}",
-    "projection._perimeter_2d": f"ball projection gauges at m >= 3; {_ROUTE}",
+    # accessors that only tests and the benchmark's layer tracer read
+    "convexcore.FacetData.__len__": "perfbench/tracer.py counts facet rows with len()",
+    "numerics.Estimates.samples_or_nodes": "perfbench/tracer.py reads a batch's node total",
+    # ball projection gauges at n = m = 3, beyond desk scale (n * m <= 6)
+    "projection._polyhedron_v1": f"ball projection gauges at n, m >= 3; {_ROUTE}",
     # the Rogers-Shephard pointwise sups off the closed forms
     "inequalities._sup_rows.<locals>.product": f"power and p-family 1-D kernels; {_ROUTE}",
     "inequalities._bracket_max_many": f"power and p-family 1-D kernels; {_ROUTE}",
@@ -399,14 +391,7 @@ _UNREACHED = {
     "lcfun.LogConcaveFunction.eval_many": f"kernels off the closed forms; {_ROUTE}",
     "inequalities._feasible_point": f"indicator pointwise sups above one dimension; {_ROUTE}",
     "inequalities._meets": f"indicator pointwise sups above one dimension; {_ROUTE}",
-    "convexcore.reflect": _ROUTE,
-    # the order-a incomplete gamma
-    "numerics._gamma_prefactor": f"gamma_q at an order that is not a half-integer; {_ROUTE}",
-    "numerics._gamma_q_series": f"gamma_q at an order that is not a half-integer; {_ROUTE}",
-    "numerics._gamma_q_fraction": f"gamma_q at an order that is not a half-integer; {_ROUTE}",
-    # piecewise-polynomial rays with interior critical points
-    "mellin.Pieces.roots": f"a polytope ray whose section rises inside a piece; {_ROUTE}",
-    "mellin._real_roots": f"a polytope ray whose section rises inside a piece; {_ROUTE}",
+    # the pointwise formulas of piecewise-polynomial profiles
     "mellin.from_ppoly.<locals>.inside.<locals>.f": f"no shipped input evaluates a polytope ray's profile; {_ROUTE}",
 }
 
