@@ -20,21 +20,20 @@ exponential and indicator factors on polytopes (n*m <= 6, at most
 the norm integrates the mixed-volume polynomial vol(tA + B) against e^-t
 (`mixed-volume`), and for two ball indicators (`ball-overlap`); otherwise it
 is a uniform Monte Carlo over the translation box of pointwise sups
-(`pointwise-sup`).  In one dimension, for indicator, exponential and Gaussian
-factors, the log of the product is a concave quadratic on each cell between
-the factors' breakpoints, so each translate's sup is the best cell's peak in
-closed form; for other profiles it is a single row-batched bracket search
-over all translates (the product is log-concave, hence unimodal).  Above one
-dimension only indicator tuples have pointwise sups, their height where the
-translated supports meet, an exact test (`_meets`); other tuples outside
-`mixed-volume` raise NotImplementedError.  The body inequality vol(D^m K) <=
-binom(n(m+1), n) vol(K)^m is the single-function one on chi_K, so
-`check_rs_body` takes its left side from the same routes.  The sup norm rests
-on the int-convolution int_z f_0(z) prod_i f_i(z - x_i) dz: in one dimension
-the same cells integrated in closed form, or a fixed breakpoint-aligned Gauss
-rule for other profiles; above, for indicator tuples only, the exact volume
-of the translated supports' meeting, one `covariogram.common_volume` batch
-(stacked rows for polytopes) per sweep of the compass search.
+(`pointwise-sup`).  In one dimension every factor must be an indicator,
+exponential or Gaussian: the log of the product is a concave quadratic on
+each cell between the factors' breakpoints, so each translate's sup is the
+best cell's peak in closed form; other 1-D tuples raise NotImplementedError.
+Above one dimension only indicator tuples have pointwise sups, their height
+where the translated supports meet, an exact test (`_meets`); other tuples
+outside `mixed-volume` raise NotImplementedError.  The body inequality
+vol(D^m K) <= binom(n(m+1), n) vol(K)^m is the single-function one on chi_K,
+so `check_rs_body` takes its left side from the same routes.  The sup norm
+rests on the int-convolution int_z f_0(z) prod_i f_i(z - x_i) dz: in one
+dimension the same cells integrated in closed form; above, for indicator
+tuples only, the exact volume of the translated supports' meeting, one
+`covariogram.common_volume` batch (stacked rows for polytopes) per sweep of
+the compass search.
 
 The functional Zhang and chain checks rest on the layer cake: every
 function here is f = A phi(||x - c||_K), so its covariogram integral and
@@ -79,13 +78,6 @@ _MEETING_SUMS_MAX = 2_500
 # Most F^n per row (F distinct normals) for which `_meets` batches volumes; per row
 # in R^3, one thread, volume against LP: 0.54/1.5 ms at F = 30, 2.3/2.7 at 50, 4.5/3.5 at 60.
 _LASSERRE_WORK_MAX = 50 ** 3
-_GRID_NODES = 65          # nodes per row and round of the 1-D bracket search
-_GRID_ROUNDS = 11         # rounds; each keeps 2 of 64 cells
-_GAUSS_ORDER = 16         # Gauss-Legendre points per panel of the 1-D int rule
-# Geometric panels from a breakpoint to mid-interval.  The innermost panel
-# carries the error at a power profile's support end, (1 - t)^(1/s): at s = 10
-# 16 levels left 1.3e-9 relative against scipy quad, 20 leave 6e-11.
-_GRADING_LEVELS = 20
 # Gauss-Legendre rule on [0, 1] for the closed-form half-cells whose exponent
 # drops by less than 1 (`_fall_integral`)
 _FLAT_NODES, _FLAT_WEIGHTS = gauss_panels(np.array([0.0, 1.0]), 10)
@@ -210,15 +202,6 @@ def _offsets(fbar, xbar) -> list[np.ndarray]:
     return [np.zeros(n)] + [xb.blocks[i].copy() for i in range(m)]
 
 
-def _product_many(fbar, offsets, Z: np.ndarray) -> np.ndarray:
-    """f_0(z - t_0) * prod_i f_i(z - t_i) at every point z (last axis) of Z;
-    each translation t_i broadcasts against Z."""
-    out = np.ones(Z.shape[:-1])
-    for f, t in zip(fbar, offsets):
-        out *= f.eval_many((Z - t).reshape(-1, Z.shape[-1])).reshape(out.shape)
-    return out
-
-
 @dataclass(frozen=True)
 class _Boxes:
     """Per-tuple constants of the row kernels, built once by `_factor_boxes`.
@@ -226,14 +209,12 @@ class _Boxes:
     Row i of the (factors, n) arrays lo and hi is the axis box of the
     untranslated factor f_i outside which it is negligible (or zero);
     translating a factor by t moves its box by t.  `shifts` holds each
-    factor's centre.  `closed` says whether `_closed_form` admits the
-    tuple; then c1 and c2 are the `log_quadratic` rates, log_amp the log of
-    the amplitudes' product plus the constant terms, and ends the body ends
-    (-w, v) per factor, which are None otherwise."""
+    factor's centre.  In one dimension c1 and c2 are the `log_quadratic`
+    rates, log_amp the log of the amplitudes' product plus the constant
+    terms, and ends the body ends (-w, v) per factor; above, they are None."""
     lo: np.ndarray
     hi: np.ndarray
     shifts: np.ndarray
-    closed: bool = False
     c1: np.ndarray | None = None
     c2: np.ndarray | None = None
     log_amp: float | None = None
@@ -242,7 +223,9 @@ class _Boxes:
 
 def _factor_boxes(fbar) -> _Boxes:
     """The `_Boxes` of a tuple: a bounding box per compact support, else a
-    cube of radius `coercive_box_radius`."""
+    cube of radius `coercive_box_radius`, and in one dimension the rates of
+    the closed-form row kernels; a 1-D tuple that `_closed_form` does not
+    admit raises NotImplementedError."""
     lo, hi = [], []
     for f in fbar:
         supp = f.support_body()
@@ -254,9 +237,12 @@ def _factor_boxes(fbar) -> _Boxes:
         lo.append(a)
         hi.append(b)
     closed = {}
-    if _closed_form(fbar):
+    if fbar[0].dim == 1:
+        if not _closed_form(fbar):
+            raise NotImplementedError("one-dimensional row kernels need indicator, "
+                                      "exponential or Gaussian factors")
         coef = np.array([f.profile.log_quadratic for f in fbar])
-        closed = {"closed": True, "c1": coef[:, 1], "c2": coef[:, 2],
+        closed = {"c1": coef[:, 1], "c2": coef[:, 2],
                   "log_amp": (math.fsum(math.log(f.amplitude) for f in fbar)
                               + math.fsum(coef[:, 0])),
                   "ends": np.sort([f.body.vertices[:, 0] for f in fbar], axis=1)}
@@ -295,60 +281,29 @@ def _feasible_point(fbar, offsets):
     return centre if R <= r * (1.0 + 1e-12) else None
 
 
-def _bracket_max_many(F, lo: np.ndarray, hi: np.ndarray):
-    """Row-wise max of a unimodal F on [lo, hi]; returns (argmax, max).
-
-    Each round evaluates F on _GRID_NODES equispaced nodes per row and keeps
-    the two cells around the row's best node, so _GRID_ROUNDS rounds shrink
-    the bracket to 32^-11 ~ 3e-17 of its width.  The best node seen wins.
-    """
-    rows = np.arange(len(lo))
-    nodes = np.linspace(0.0, 1.0, _GRID_NODES)
-    a, b = lo, hi
-    best_x = lo.copy()
-    best_v = np.full(len(lo), -math.inf)
-    for _ in range(_GRID_ROUNDS):
-        Z = a[:, None] + (b - a)[:, None] * nodes
-        V = F(Z)
-        k = np.argmax(V, axis=1)
-        gain = V[rows, k] > best_v
-        best_x[gain] = Z[rows, k][gain]
-        best_v[gain] = V[rows, k][gain]
-        a = Z[rows, np.maximum(k - 1, 0)]
-        b = Z[rows, np.minimum(k + 1, _GRID_NODES - 1)]
-    return best_x, best_v
-
-
-def _row_boxes(boxes: _Boxes, X: np.ndarray):
-    """n = 1: the offsets T = (0, x) of every row x of X, and the lower and
-    upper ends of each factor's box translated by them; all (rows, factors)."""
-    T = np.concatenate([np.zeros((len(X), 1)), X], axis=1)
-    return T, boxes.lo[:, 0] + T, boxes.hi[:, 0] + T
-
-
 def _row_cells(boxes: _Boxes, X: np.ndarray):
     """n = 1: the cells between consecutive breakpoints of every row x of X
     inside its joint box.  The breakpoints are each translated factor's
     centre, where its gauge kinks, and its box ends, all clipped to the
     joint box; zero-width cells are dropped, so a row whose supports miss
-    has none.  Returns the offsets T and centres per (row, factor), and per
-    cell its row and its ends a < b, in row order."""
-    T, lo_i, hi_i = _row_boxes(boxes, X)
+    has none.  Returns the centres per (row, factor), and per cell its row
+    and its ends a < b, in row order."""
+    T = np.concatenate([np.zeros((len(X), 1)), X], axis=1)     # the offsets (0, x)
+    lo_i, hi_i = boxes.lo[:, 0] + T, boxes.hi[:, 0] + T
     lo, hi = lo_i.max(axis=1, keepdims=True), hi_i.min(axis=1, keepdims=True)
     centres = boxes.shifts[:, 0] + T
     cuts = np.concatenate([lo, hi, centres, lo_i, hi_i], axis=1)
     cuts = np.sort(np.minimum(np.maximum(cuts, lo), hi), axis=1)
     rows, cols = np.nonzero(cuts[:, 1:] > cuts[:, :-1])
-    return T, centres, rows, cuts[rows, cols], cuts[rows, cols + 1]
+    return centres, rows, cuts[rows, cols], cuts[rows, cols + 1]
 
 
 def _closed_form(fbar) -> bool:
-    """True for one-dimensional tuples whose log-profiles are polynomials of
-    degree <= 2 on their supports (`Profile.log_quadratic`): the indicator,
-    exponential and Gaussian kinds.  `_exponent_pieces` gives their row
-    kernels in closed form."""
-    return fbar[0].dim == 1 and all(f.profile.log_quadratic is not None
-                                   for f in fbar)
+    """True when every log-profile of the tuple is a polynomial of degree
+    <= 2 on its support (`Profile.log_quadratic`): the indicator,
+    exponential and Gaussian kinds.  `_exponent_pieces` gives their 1-D
+    row kernels in closed form."""
+    return all(f.profile.log_quadratic is not None for f in fbar)
 
 
 @dataclass(frozen=True)
@@ -369,8 +324,8 @@ class _Pieces:
 
 def _exponent_pieces(boxes: _Boxes, X: np.ndarray) -> _Pieces:
     """The log of z -> f_0(z) prod_i f_i(z - x_i) on every cell of
-    `_row_cells`, for a tuple that `_closed_form` admits, from the rates and
-    body ends stored in its `_Boxes`.
+    `_row_cells`, from the rates and body ends stored in the tuple's
+    `_Boxes`.
 
     On a cell, each factor A phi(||z - c||_K) with K = [-w, v] sees one side
     of its centre c, where its gauge is g = s (z - c) with s = 1/v on the
@@ -383,7 +338,7 @@ def _exponent_pieces(boxes: _Boxes, X: np.ndarray) -> _Pieces:
     are far from the origin.  A cell beyond a one-sided body's centre
     (w or v = 0) gets top = -inf.
     """
-    _, centres, rows, a, b = _row_cells(boxes, X)
+    centres, rows, a, b = _row_cells(boxes, X)
     c1, c2, ends = boxes.c1, boxes.c2, boxes.ends     # ends: (-w, v)
     C = centres[rows]
     right = C <= a[:, None]                 # centres are cuts: none lies inside a cell
@@ -437,63 +392,31 @@ def _fall_integral(fall, q, L):
     return out
 
 
-def _closed_int_rows(pieces: _Pieces, count: int) -> np.ndarray:
-    """The integral of the product over every row: each cell's e^top times
-    the integrals falling away from its peak on either side."""
-    P = pieces
+def _closed_int_rows(boxes: _Boxes, X: np.ndarray):
+    """n = 1: (value, error, nodes) of the int-convolution at every row x of
+    X: each cell of `_exponent_pieces` gives its e^top times the integrals
+    falling away from its peak on either side, with error 0 and the cells
+    counted as nodes; a row whose supports miss gets 0 for all three."""
+    P = _exponent_pieces(boxes, X)
     k = len(P.p)
     halves = _fall_integral(np.concatenate([P.fall_lo, P.fall_hi]),
                             np.concatenate([P.q, P.q]),
                             np.concatenate([P.p - P.a, P.b - P.p]))
-    return np.bincount(P.rows, np.exp(P.top) * (halves[:k] + halves[k:]),
-                       minlength=count)
+    value = np.bincount(P.rows, np.exp(P.top) * (halves[:k] + halves[k:]),
+                        minlength=len(X))
+    return value, np.zeros(len(X)), np.bincount(P.rows, minlength=len(X))
 
 
-def _closed_sup_rows(pieces: _Pieces, count: int):
-    """(argmax, sup) over every row: the best cell's peak, the leftmost on
-    ties; (0, 0) on a row without cells."""
-    P = pieces
+def _closed_sup_rows(boxes: _Boxes, X: np.ndarray):
+    """n = 1: (argmax, sup) of z -> f_0(z) * prod_i f_i(z - x_i) at every
+    row x of X: the best peak among the cells of `_exponent_pieces`, the
+    leftmost on ties; (0, 0) on a row whose supports miss."""
+    P = _exponent_pieces(boxes, X)
     order = np.lexsort((-P.top, P.rows))
     best = order[np.unique(P.rows[order], return_index=True)[1]]
-    z, val = np.zeros(count), np.zeros(count)
+    z, val = np.zeros(len(X)), np.zeros(len(X))
     z[P.rows[best]] = P.p[best]
     val[P.rows[best]] = np.exp(P.top[best])
-    return z, val
-
-
-def _sup_rows(fbar, boxes, X: np.ndarray):
-    """(argmax, sup) of z -> f_0(z) * prod_i f_i(z - x_i) for every row x of
-    X (n = 1); sup 0 where supports miss.
-
-    Closed tuples (`_Boxes`: indicator, exponential and Gaussian factors)
-    take the exact peak of `_exponent_pieces`.  Power and other
-    p-family factors take one bracket search over all rows at once (the
-    product is log-concave, hence unimodal); a row then keeps its feasible
-    start (the centre of the compact supports' overlap, else 0) when the
-    search finds no larger value there, as on a zero-valued grid around a
-    sliver of positive product.
-    """
-    if boxes.closed:
-        return _closed_sup_rows(_exponent_pieces(boxes, X), len(X))
-    T, lo_i, hi_i = _row_boxes(boxes, X)
-
-    def product(rows):          # the product on a grid (rows, G) of those rows
-        offsets = [T[rows, i, None, None] for i in range(len(fbar))]
-        return lambda Z: _product_many(fbar, offsets, Z[..., None])
-
-    lo, hi = lo_i.max(axis=1), hi_i.min(axis=1)
-    compact = [i for i, f in enumerate(fbar) if f.profile.support_radius < math.inf]
-    z = np.zeros(len(X))
-    if compact:
-        z = 0.5 * (lo_i[:, compact].max(axis=1) + hi_i[:, compact].min(axis=1))
-    live = lo < hi
-    val = np.where(live, product(slice(None))(z[:, None])[:, 0], 0.0)
-    search = live & (hi - lo > 1e-14)
-    if np.any(search):
-        x, v = _bracket_max_many(product(search), lo[search], hi[search])
-        keep = val[search] > v
-        z[search] = np.where(keep, z[search], x)
-        val[search] = np.where(keep, val[search], v)
     return z, val
 
 
@@ -505,16 +428,14 @@ def _placements(X: np.ndarray, n: int) -> np.ndarray:
 def _sup_values(fbar, boxes, X: np.ndarray):
     """The sup-convolution at every row x of X and its kernel's name.
 
-    In one dimension `_sup_rows`: `closed-form` for a closed tuple
-    (`_Boxes`), else `bracket-search`.  Above, the tuple must be all
-    indicators, else NotImplementedError: rows whose translated boxes miss
-    read 0, and on the rest the sup is the tuple's height where `_meets`
-    (`meeting-test`).
+    In one dimension `_closed_sup_rows` (`closed-form`).  Above, the tuple
+    must be all indicators, else NotImplementedError: rows whose translated
+    boxes miss read 0, and on the rest the sup is the tuple's height where
+    `_meets` (`meeting-test`).
     """
     n = fbar[0].dim
     if n == 1:
-        kernel = "closed-form" if boxes.closed else "bracket-search"
-        return _sup_rows(fbar, boxes, X)[1], kernel
+        return _closed_sup_rows(boxes, X)[1], "closed-form"
     if any(f.profile.kind != "indicator" for f in fbar):
         raise NotImplementedError("above one dimension pointwise sups are exact only "
                                   "for indicator tuples")
@@ -546,18 +467,15 @@ def _meets(fbar, T: np.ndarray) -> np.ndarray:
 def int_convolution(fbar, xbar) -> EstimateWithError:
     """int_z f_0(z) * prod_i f_i(z - x_i) dz.
 
-    In one dimension the product is smooth between the breakpoints of its
-    translated factors (each centre, where the gauge kinks, and each end of
-    a support or truncation box).  When every factor is an indicator,
-    exponential or Gaussian (see `Profile.log_quadratic`), its log is a
-    concave quadratic on each cell between breakpoints, and the cells are
-    integrated in closed form (scaled erfc differences): the error bar is
-    0 and `samples_or_nodes` counts the cells.  Other profiles take a
-    composite Gauss-Legendre rule graded geometrically toward every
-    breakpoint; the error bar is the difference from the same rule at half
-    the grading levels.  Above one dimension the tuple must be all
-    indicators: the integral is the product of their amplitudes times the
-    exact volume of the translated supports' meeting
+    In one dimension every factor must be an indicator, exponential or
+    Gaussian (see `Profile.log_quadratic`), else NotImplementedError.  The
+    log of the product is then a concave quadratic on each cell between the
+    breakpoints of its translated factors (each centre, where the gauge
+    kinks, and each end of a support or truncation box), and the cells are
+    integrated in closed form (scaled erfc differences): the error bar is 0
+    and `samples_or_nodes` counts the cells.  Above one dimension the tuple
+    must be all indicators: the integral is the product of their amplitudes
+    times the exact volume of the translated supports' meeting
     (`covariogram.common_volume`), and other tuples raise
     NotImplementedError.
     """
@@ -569,63 +487,17 @@ def int_convolution(fbar, xbar) -> EstimateWithError:
 
 def _int_rows(fbar, boxes, X: np.ndarray):
     """(value, error, nodes) of the int-convolution at every row x of X:
-    `_breakpoint_rows` in one dimension; above, for indicator tuples only,
+    `_closed_int_rows` in one dimension; above, for indicator tuples only,
     the amplitudes times one `covariogram.common_volume` batch, error 0."""
     n = fbar[0].dim
     if n == 1:
-        return _breakpoint_rows(fbar, boxes, X)
+        return _closed_int_rows(boxes, X)
     if any(f.profile.kind != "indicator" for f in fbar):
         raise NotImplementedError("above one dimension the int-convolution is "
                                   "exact only for indicator tuples")
     height = math.prod(f.sup_norm for f in fbar)
     meeting = cov.common_volume([f.support_body() for f in fbar], _placements(X, n))
     return height * meeting, np.zeros(len(X)), np.zeros(len(X), dtype=int)
-
-
-def _graded_edges(levels: int) -> np.ndarray:
-    """[0, 2^-(L-1), ..., 1/2, 1]: L panels on [0, 1] graded toward 0."""
-    return np.append(0.0, 0.5 ** np.arange(levels)[::-1])
-
-
-def _graded_half_rule():
-    """Nodes u in (0, 1) with the weights of the composite Gauss-Legendre
-    rules on `_graded_edges` at L = _GRADING_LEVELS (fine) and at half that
-    (coarse).  The coarse rule shares every panel but its innermost, whose
-    nodes are appended."""
-    nodes, fine = gauss_panels(_graded_edges(_GRADING_LEVELS), _GAUSS_ORDER)
-    c_nodes, c_weights = gauss_panels(_graded_edges(_GRADING_LEVELS // 2),
-                                      _GAUSS_ORDER)
-    cut = 0.5 ** (_GRADING_LEVELS // 2 - 1)
-    inner = c_nodes < cut
-    return (np.concatenate([nodes, c_nodes[inner]]),
-            np.concatenate([fine, np.zeros(inner.sum())]),
-            np.concatenate([np.where(nodes > cut, fine, 0.0), c_weights[inner]]))
-
-
-_HALF_NODES, _HALF_FINE, _HALF_COARSE = _graded_half_rule()
-
-
-def _breakpoint_rows(fbar, boxes, X: np.ndarray):
-    """n = 1: (value, error, nodes) of the int-convolution at every row x of
-    X, all rows at once, over the cells of `_row_cells`; a row whose
-    supports miss gets value, error and nodes 0.  Closed tuples (`_Boxes`)
-    integrate each cell of `_exponent_pieces` in closed form, with
-    error 0 and the cells counted as nodes.  Others take the graded rule on
-    both halves of every cell, in one product call, with the error from the
-    coarse rule."""
-    if boxes.closed:
-        pieces = _exponent_pieces(boxes, X)
-        return (_closed_int_rows(pieces, len(X)), np.zeros(len(X)),
-                np.bincount(pieces.rows, minlength=len(X)))
-    T, _, rows, a, b = _row_cells(boxes, X)
-    a, b = a[:, None], b[:, None]
-    h = 0.5 * (b - a)
-    Z = np.concatenate([a + h * _HALF_NODES, b - h * _HALF_NODES], axis=1)
-    offsets = [T[rows, i, None, None] for i in range(len(fbar))]
-    vals = h * _product_many(fbar, offsets, Z[..., None])
-    fine = np.bincount(rows, (vals * np.tile(_HALF_FINE, 2)).sum(axis=1), len(X))
-    coarse = np.bincount(rows, (vals * np.tile(_HALF_COARSE, 2)).sum(axis=1), len(X))
-    return fine, np.abs(fine - coarse), np.bincount(rows, minlength=len(X)) * Z.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -733,8 +605,9 @@ def check_rs_single(f: LogConcaveFunction, m: int, seed: int = 0,
     chi_K.  The left side takes `_star_l1`'s routes: exact for an
     exponential or indicator on a polytope (`mixed-volume`) and a ball
     indicator at m = 1 (`ball-overlap`), else sampled, with the kernel
-    metadata["row_kernel"] named as in `check_rs_multi`; above one
-    dimension other functions raise NotImplementedError.
+    metadata["row_kernel"] named as in `check_rs_multi`.  Other functions
+    raise NotImplementedError: in one dimension those whose log-profile is
+    not a quadratic (`Profile.log_quadratic`), above it every one.
     """
     n = f.dim
     if n * m > 6:
@@ -755,10 +628,9 @@ def check_rs_multi(fbar, seed: int = 0,
 
     The sup norm is a compass search over x of the int-convolution, as
     `int_convolution` computes it: in one dimension exact cell by cell for
-    indicator, exponential and Gaussian tuples (route `closed-form`) and
-    the deterministic breakpoint rule otherwise (`breakpoint-gauss`); above
+    indicator, exponential and Gaussian tuples (route `closed-form`); above
     it the exact volume of the translated supports' meeting for indicator
-    tuples (`common-volume`), and NotImplementedError for other tuples.
+    tuples (`common-volume`); NotImplementedError for other tuples.
     The search starts from x = 0 and from the shift differences, or, when
     both read 0 (supports that meet only on their boundary there), from
     the x that lays an interior point of every factor's support (its
@@ -770,9 +642,9 @@ def check_rs_multi(fbar, seed: int = 0,
     sweep) reach its step floor.  metadata["sup_evals"] counts the points
     evaluated by the starts and the search, not the value at the argmax.
     On the `pointwise-sup` route of `_star_l1`, metadata["row_kernel"]
-    names the pointwise sups' kernel: `closed-form` for those same 1-D tuples,
-    `bracket-search` for other 1-D tuples, and `meeting-test` for indicator
-    tuples above one dimension (exact, `_meets`).
+    names the pointwise sups' kernel: `closed-form` for those same 1-D tuples
+    and `meeting-test` for indicator tuples above one dimension (exact,
+    `_meets`).
     """
     fbar, n, m = _validated_tuple(fbar)
     if n * m > 4:
@@ -814,8 +686,7 @@ def check_rs_multi(fbar, seed: int = 0,
         np.prod([f.sup_norm * f.mass() for f in fbar]))
     meta = {"n": n, "m": m, "seed": seed,
             "sup_norm": sup_est.value, "sup_argmax": [float(v) for v in x_star],
-            "sup_route": ("closed-form" if boxes.closed else
-                          "breakpoint-gauss" if n == 1 else "common-volume"),
+            "sup_route": "closed-form" if n == 1 else "common-volume",
             "sup_evals": evals,
             "l1_norm": l1_est.value, "runtime_s": time.perf_counter() - t0, **info}
     return make_verdict("rs-multi", lhs, EstimateWithError(rhs_val, 0.0, 0),

@@ -11,13 +11,12 @@ Bodies: The Brunn-Minkowski Theory) gives it in closed form,
     ||thetabar||_{PPB(rB^n,m)} = r^{n-1} kappa_{n-1} V_1(conv{0, -theta_1, ..., -theta_m}),
 
 with kappa_{n-1} the volume of the unit (n-1)-ball and V_1 the first
-intrinsic volume: half the perimeter of that hull when it is planar, and
-a sum over its edges when it spans three dimensions.  Both are exact; a
-ball gauge whose hull may span four or more dimensions (n >= 4 and
-m >= 4) raises NotImplementedError.  Function versions flow through the
-layer-cake decomposition: every level set of a profile function is a
-dilate of one body, so the gauge picks up a single profile-dependent
-factor.
+intrinsic volume: half the perimeter of that hull, which is planar when
+n <= 2 or m <= 2.  Both are exact; a ball gauge whose hull may span three
+or more dimensions (n >= 3 and m >= 3) raises NotImplementedError.
+Function versions flow through the layer-cake decomposition: every level
+set of a profile function is a dilate of one body, so the gauge picks up a
+single profile-dependent factor.
 """
 
 from __future__ import annotations
@@ -35,20 +34,20 @@ from .lcfun import LogConcaveFunction
 from .numerics import EstimateWithError, sphere_sample, sphere_surface
 
 _STREAM_PPB_DIRS = 301
-_FLAT_TOL = 1e-12   # relative singular value below which a hull counts as flat
 
 
 def require_exact_gauge(K: ConvexBody, m: int) -> None:
     """Raise NotImplementedError unless the gauge of PPB(K, m) is evaluated
-    here: always for a polytope, and for a ball when conv{0, theta_i} spans
-    at most three dimensions, that is n <= 3 or m <= 3."""
-    if K.kind == "ball" and min(K.dim, m) > 3:
+    here: always for a polytope, and for a ball when conv{0, theta_i} is
+    planar, that is n <= 2 or m <= 2."""
+    if K.kind == "ball" and min(K.dim, m) > 2:
         raise NotImplementedError(
-            f"exact ball gauge needs n <= 3 or m <= 3, got n = {K.dim}, m = {m}")
+            f"exact ball gauge needs n <= 2 or m <= 2, got n = {K.dim}, m = {m}")
 
 
 def ppb_gauge_body(K: ConvexBody, m: int, theta) -> float:
-    """||theta||_{PPB(K,m)}, exact for polytopes and balls."""
+    """||theta||_{PPB(K,m)}, exact for polytopes and for balls with n <= 2
+    or m <= 2."""
     th = as_mvector(theta, K.dim)
     if th.m != m:
         raise ValueError(f"direction has {th.m} blocks, expected m = {m}")
@@ -73,47 +72,14 @@ def ppb_gauge_body_many(K: ConvexBody, m: int, thetas) -> np.ndarray:
 
 def _hull_v1(T) -> np.ndarray:
     """V_1(conv{0, theta_1, ..., theta_m}) for a (D, m, n) batch whose hulls
-    span at most three dimensions."""
-    D, m, n = T.shape
+    are planar (n = 2 or m <= 2): half their perimeter."""
+    m = T.shape[1]
     if m == 1:
         return np.linalg.norm(T[:, 0], axis=1)
     if m == 2:
         return 0.5 * (np.linalg.norm(T[:, 0], axis=1) + np.linalg.norm(T[:, 1], axis=1)
                       + np.linalg.norm(T[:, 0] - T[:, 1], axis=1))
-    if n == 2:
-        return 0.5 * _perimeter_2d(_with_origin(T))
-    # m, n >= 3: read the hull in coordinates of the span of the blocks
-    _, s, vt = np.linalg.svd(T, full_matrices=False)   # min(n, m) = 3
-    P = _with_origin(T @ vt[:, :3].transpose(0, 2, 1))
-    out = np.full(D, math.nan)
-    for k in np.flatnonzero(s[:, 2] > _FLAT_TOL * s[:, 0]):
-        out[k] = _polyhedron_v1(P[k])
-    flat = np.isnan(out)
-    if flat.any():
-        out[flat] = 0.5 * _perimeter_2d(P[flat][..., :2])
-    return out
-
-
-def _with_origin(T) -> np.ndarray:
-    return np.concatenate([np.zeros((len(T), 1, T.shape[2])), T], axis=1)
-
-
-def _polyhedron_v1(P) -> float:
-    """V_1 of a 3-D hull conv(P): (1/2pi) sum over its edges of the length
-    times the angle between the normals of the two facets meeting there;
-    nan when qhull finds conv(P) flat to working precision."""
-    from scipy.spatial import ConvexHull, QhullError
-    try:
-        hull = ConvexHull(P)
-    except QhullError:
-        return math.nan
-    S, N = hull.simplices, hull.equations[:, :3]
-    # facet f meets its neighbour opposite vertex k along the other two
-    length = np.linalg.norm(P[S[:, [1, 2, 0]]] - P[S[:, [2, 0, 1]]], axis=-1)
-    n1, n2 = N[:, None, :], N[hull.neighbors]
-    angle = 2.0 * np.arctan2(np.linalg.norm(n1 - n2, axis=-1),
-                             np.linalg.norm(n1 + n2, axis=-1))
-    return float(np.sum(length * angle)) / (4.0 * math.pi)   # each edge twice
+    return 0.5 * _perimeter_2d(np.concatenate([np.zeros((len(T), 1, 2)), T], axis=1))
 
 
 def _perimeter_2d(P) -> np.ndarray:

@@ -43,6 +43,11 @@ tests of single points take.
   Chebyshev-LP meeting tests of the Rogers-Shephard checks;
 * `sup_convolution`: sup_z f_0(z) prod_i f_i(z - x_i) at one x, by the
   routes that the Rogers-Shephard checks take on every row;
+* `bracket_max_many`, `bracket_sup_rows` and `graded_int_rows`: the 1-D
+  sup- and int-convolutions of a row batch from pointwise values of the
+  product (a bracket search for the unimodal sup, a Gauss-Legendre rule
+  graded toward every breakpoint for the integral), against the closed
+  kernels `inequalities._closed_sup_rows` and `_closed_int_rows`;
 * `inf_convolution_gauge`: -log of the sup-convolution of exponentials
   e^-||x||_K_j, an inf-convolution of gauges, by scipy's HiGHS LP over the
   facets, against the hull whose volume the `mixed-volume` route takes.
@@ -57,12 +62,17 @@ import mthorder.convexcore as cc
 import mthorder.covariogram as cov
 import mthorder.inequalities as iq
 from mthorder.lcfun import ZERO_P_WINDOW, LogConcaveFunction
-from mthorder.numerics import EstimateWithError, make_rng
+from mthorder.numerics import EstimateWithError, gauss_panels, make_rng
 
 _STREAM_DIRECT_MC = 201
 _STREAM_BALL_COV = 202
 _MC_SHARDS = 8
 _CORE_LEVEL = 1e-2   # the core box reaches where f falls to this fraction of phi(0)
+_GRID_NODES = 65     # nodes per row and round of the bracket search
+_GRID_ROUNDS = 11    # rounds; each keeps 2 of 64 cells
+# 20 geometric panels from a cell's end to its middle, 16 Gauss-Legendre
+# points each
+_HALF_NODES, _HALF_WEIGHTS = gauss_panels(np.append(0.0, 0.5 ** np.arange(20)[::-1]), 16)
 
 
 def default_mc_samples(total_dim: int) -> int:
@@ -384,3 +394,84 @@ def inf_convolution_gauge(bodies, X) -> np.ndarray:
                       bounds=[(None, None)] * (n + k), method="highs")
         out.append(res.fun)
     return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# 1-D row kernels from pointwise values of the product
+
+
+def bracket_max_many(F, lo: np.ndarray, hi: np.ndarray):
+    """Row-wise max of a unimodal F on [lo, hi]; returns (argmax, max).
+
+    Each round evaluates F on _GRID_NODES equispaced nodes per row and keeps
+    the two cells around the row's best node, so _GRID_ROUNDS rounds shrink
+    the bracket to 32^-11 ~ 3e-17 of its width.  The best node seen wins.
+    """
+    rows = np.arange(len(lo))
+    nodes = np.linspace(0.0, 1.0, _GRID_NODES)
+    a, b = lo, hi
+    best_x = lo.copy()
+    best_v = np.full(len(lo), -math.inf)
+    for _ in range(_GRID_ROUNDS):
+        Z = a[:, None] + (b - a)[:, None] * nodes
+        V = F(Z)
+        k = np.argmax(V, axis=1)
+        gain = V[rows, k] > best_v
+        best_x[gain] = Z[rows, k][gain]
+        best_v[gain] = V[rows, k][gain]
+        a = Z[rows, np.maximum(k - 1, 0)]
+        b = Z[rows, np.minimum(k + 1, _GRID_NODES - 1)]
+    return best_x, best_v
+
+
+def _product_on(fbar, T: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """f_0(z) * prod_i f_i(z - t_i) at every z of a (rows, G) grid Z, each
+    row translated by its own offsets T[row] = (0, t_1, ..., t_m)."""
+    out = np.ones(Z.shape)
+    for i, f in enumerate(fbar):
+        out *= f.eval_many((Z - T[:, i, None]).reshape(-1, 1)).reshape(Z.shape)
+    return out
+
+
+def _row_offsets(X: np.ndarray) -> np.ndarray:
+    return np.concatenate([np.zeros((len(X), 1)), X], axis=1)
+
+
+def bracket_sup_rows(fbar, X) -> tuple[np.ndarray, np.ndarray]:
+    """(argmax, sup) of the 1-D sup-convolution at every row x of X: one
+    bracket search over each row's joint box (the product is log-concave,
+    hence unimodal).  A row keeps its feasible start (the centre of the
+    compact supports' overlap, else 0) when the search finds no larger
+    value, as on a zero-valued grid around a sliver of positive product."""
+    X = np.asarray(X, dtype=float)
+    boxes = iq._factor_boxes(fbar)
+    T = _row_offsets(X)
+    lo_i, hi_i = boxes.lo[:, 0] + T, boxes.hi[:, 0] + T
+    lo, hi = lo_i.max(axis=1), hi_i.min(axis=1)
+    compact = [i for i, f in enumerate(fbar) if f.profile.support_radius < math.inf]
+    z = np.zeros(len(X))
+    if compact:
+        z = 0.5 * (lo_i[:, compact].max(axis=1) + hi_i[:, compact].min(axis=1))
+    live = lo < hi
+    val = np.where(live, _product_on(fbar, T, z[:, None])[:, 0], 0.0)
+    search = live & (hi - lo > 1e-14)
+    if np.any(search):
+        x, v = bracket_max_many(lambda Z: _product_on(fbar, T[search], Z),
+                                lo[search], hi[search])
+        keep = val[search] > v
+        z[search] = np.where(keep, z[search], x)
+        val[search] = np.where(keep, val[search], v)
+    return z, val
+
+
+def graded_int_rows(fbar, X) -> np.ndarray:
+    """The 1-D int-convolution at every row x of X: on both halves of every
+    cell of `inequalities._row_cells`, a composite Gauss-Legendre rule on 20
+    panels graded geometrically toward the cell's end."""
+    X = np.asarray(X, dtype=float)
+    _, rows, a, b = iq._row_cells(iq._factor_boxes(fbar), X)
+    a, b = a[:, None], b[:, None]
+    h = 0.5 * (b - a)
+    Z = np.concatenate([a + h * _HALF_NODES, b - h * _HALF_NODES], axis=1)
+    vals = h * _product_on(fbar, _row_offsets(X)[rows], Z)
+    return np.bincount(rows, vals @ np.tile(_HALF_WEIGHTS, 2), len(X))

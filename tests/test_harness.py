@@ -115,17 +115,8 @@ class TestConfigSchema:
     ])
     def test_ball_gauge_beyond_three_dimensions_is_config_error(self, raw):
         cfg = harness.validate_config({"name": "x", **raw})
-        with pytest.raises(harness.ConfigError, match="n <= 3 or m <= 3"):
+        with pytest.raises(harness.ConfigError, match="n <= 2 or m <= 2"):
             harness.run_config(cfg)
-
-    def test_zhang_body_in_space_at_m4_runs(self):
-        # the Petty side needs the gauge of the 3-ball at m = 4
-        cfg = harness.validate_config(
-            {"name": "x", "check": "zhang-body",
-             "body": {"kind": "cube", "dim": 3}, "m": 4, "directions": 200})
-        verdicts = harness.run_config(cfg, threads=1)
-        assert [v.name for v in verdicts] == ["zhang-body", "petty-body"]
-        assert all(v.status != iq.VIOLATED for v in verdicts)
 
 
 class TestCatalog:
@@ -268,7 +259,7 @@ class TestCli:
         path = _write(tmp_path, {"name": "x", "check": "zhang-body", "m": 4,
                                  "body": {"kind": "ball", "dim": 4}})
         assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 2
-        assert "n <= 3 or m <= 3" in capsys.readouterr().err
+        assert "n <= 2 or m <= 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("functions", [
         [{"profile": "indicator", "body": _BODY},
@@ -437,9 +428,28 @@ class TestCli:
         # a body chain skips p = 0, so a grid of zeros alone is empty
         ('{"name": "x", "check": "chain", "m": 1, "p_grid": [0], '
          '"body": {"kind": "cube", "dim": 2}}', "skips p = 0"),
-        # four translates of a ball in R^4 span three dimensions
+        # four translates of a ball in R^4 span three dimensions, and so
+        # may the blocks of its projection gauge
         ('{"name": "x", "check": "chain", "m": 3, "p_grid": [1.0], '
-         '"body": {"kind": "ball", "dim": 4}}', "at most a plane"),
+         '"body": {"kind": "ball", "dim": 4}}', "n <= 2 or m <= 2"),
+        # 1-D tuples need profiles whose logs are quadratics
+        ('{"name": "x", "check": "rs-multi", "functions": ['
+         '{"profile": "gaussian", "body": {"kind": "cube", "dim": 1}}, '
+         '{"profile": "power", "s_or_p": 2.0, "body": {"kind": "cube", "dim": 1}}]}',
+         "indicator, exponential or Gaussian"),
+        ('{"name": "x", "check": "rs-single", "m": 1, "function": '
+         '{"profile": "pfamily", "s_or_p": 3.0, "body": {"kind": "cube", "dim": 1}}}',
+         "indicator, exponential or Gaussian"),
+        # ball projection gauges with three or more blocks in R^3: the Petty
+        # side of zhang-body is the unit ball
+        ('{"name": "x", "check": "zhang-body", "m": 3, "body": {"kind": "cube", "dim": 3}}',
+         "n <= 2 or m <= 2"),
+        ('{"name": "x", "check": "zhang-body", "m": 4, "directions": 200, '
+         '"body": {"kind": "cube", "dim": 3}}', "n <= 2 or m <= 2"),
+        ('{"name": "x", "check": "tangent-bound", "m": 3, '
+         '"points": [[0.1, 0.2, 0.3, 0.1, 0.2, 0.3, 0.1, 0.2, 0.3]], '
+         '"function": {"profile": "indicator", "body": {"kind": "ball", "dim": 3}}}',
+         "n <= 2 or m <= 2"),
         # vectors of the wrong length, which numpy would broadcast
         ('{"name": "x", "check": "rs-body", "m": 1, "body": '
          '{"kind": "ball", "dim": 2, "center": [1]}}', "must have shape (2,)"),
@@ -448,8 +458,9 @@ class TestCli:
          "must have shape (1,)"),
     ], ids=["mixed-dimensions", "rs-multi-1d-cap", "rs-multi-2d-cap", "rs-single-cap",
             "zhang-fn-cap", "rs-body-cap", "zero-direction", "inf-shift", "nan-point",
-            "inf-center", "chain-body-p0", "chain-ball4-m3", "center-length",
-            "shift-length"])
+            "inf-center", "chain-body-p0", "chain-ball4-m3", "rs-multi-1d-power",
+            "rs-single-1d-pfamily3", "zhang-body-cube3-m3", "zhang-body-cube3-m4",
+            "tangent-bound-ball3-m3", "center-length", "shift-length"])
     def test_invalid_input_exits_two(self, tmp_path, capsys, text, fragment):
         path = tmp_path / "config.json"
         path.write_text(text)

@@ -14,7 +14,8 @@ import mthorder.inequalities as iq
 import mthorder.mellin as ml
 from mthorder.lcfun import LogConcaveFunction, profile_from_kind
 from mthorder.numerics import _SCALES, EstimateWithError, make_rng
-from oracles import (discs_meet, dm_support_membership, inf_convolution_gauge,
+from oracles import (bracket_max_many, bracket_sup_rows, discs_meet,
+                     dm_support_membership, graded_int_rows, inf_convolution_gauge,
                      polytopes_meet, sup_convolution, three_point_radius)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -206,7 +207,7 @@ class TestConvolutions:
     def test_int_1d_makes_no_sup_search(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the 1-D rule needs no mode")
-        monkeypatch.setattr(iq, "_sup_rows", refuse)
+        monkeypatch.setattr(iq, "_closed_sup_rows", refuse)
         got = iq.int_convolution([std_gauss, two_sided, chi], [0.3, -0.2])
         assert got.value > 0.0
 
@@ -304,11 +305,9 @@ def _quad_int_convolution(fbar, x):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("kind,s_param", [
-    ("indicator", None), ("exponential", None), ("gaussian", None),
-    ("power", 0.3), ("power", 3.0), ("power", 10.0)])
+    ("indicator", None), ("exponential", None), ("gaussian", None)])
 def test_int_convolution_1d_matches_quad(kind, s_param, m):
-    """The breakpoint rule against quad on asymmetric, shifted factors; at
-    s = 10 the profile (1 - t)^0.1 has an infinite slope at its support end."""
+    """The closed-form cells against quad on asymmetric, shifted factors."""
     def factor(lo, hi, shift, amplitude):
         return LogConcaveFunction(profile_from_kind(kind, s_param, 1),
                                   cc.from_vertices([[lo], [hi]]),
@@ -328,10 +327,10 @@ def test_breakpoint_rows_match_single_rows():
     gives at that row alone; rows whose supports miss cost no nodes."""
     half = cc.from_vertices([[-0.7], [1.3]])
     fbar = [make_fn("indicator", half, 1.4), make_fn("gaussian", half),
-            LogConcaveFunction(profile_from_kind("power", 2.0, 1),
+            LogConcaveFunction(profile_from_kind("indicator", ambient_dim=1),
                                half, np.array([0.3]), 0.8)]
     X = make_rng(14, 0).uniform(-3.0, 3.0, size=(48, 2))
-    value, error, nodes = iq._breakpoint_rows(fbar, iq._factor_boxes(fbar), X)
+    value, error, nodes = iq._closed_int_rows(iq._factor_boxes(fbar), X)
     assert np.count_nonzero(nodes == 0) > 5 and np.count_nonzero(value) > 10
     assert np.all(value[nodes == 0] == 0.0)
     for k, x in enumerate(X):
@@ -344,33 +343,28 @@ def test_coinciding_breakpoints_add_no_interval():
     # chi * chi at x = 0: every cut is 0 or 1, so one closed-form piece
     got = iq.int_convolution([chi, chi], [0.0])
     assert (got.value, got.std_error, got.samples_or_nodes) == (1.0, 0.0, 1)
-    # the same supports under a power profile: one interval of the graded rule
-    power = LogConcaveFunction(profile_from_kind("power", 2.0, 1),
-                               unit_interval(), np.zeros(1))
-    got = iq.int_convolution([power, power], [0.0])
-    assert got.samples_or_nodes == 2 * len(iq._HALF_NODES)
-    assert got.value == pytest.approx(0.5, rel=1e-12)
+    # e^-z on the half line squared: every factor cuts its truncation box
+    # [-R, R] at its centre 0, so two cells, one of them dead; int e^-2z = 1/2
+    got = iq.int_convolution([f_exp, f_exp], [0.0])
+    assert (got.samples_or_nodes, got.std_error) == (2, 0.0)
+    assert got.value == pytest.approx(0.5, rel=1e-14)
 
 
 def _rows_both_ways(fbar, X):
-    """(int, sup) per row from the closed-form kernels and from the numeric
-    ones they replace: the graded Gauss rule and the bracket search."""
+    """(int, sup) per row from the closed-form kernels and from their numeric
+    twins in `oracles`: the graded Gauss rule and the bracket search."""
     boxes = iq._factor_boxes(fbar)
     X = np.asarray(X, dtype=float)
-    closed = (iq._breakpoint_rows(fbar, boxes, X)[0], iq._sup_rows(fbar, boxes, X)[1])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(iq, "_closed_form", lambda fbar: False)
-        boxes = iq._factor_boxes(fbar)
-    numeric = (iq._breakpoint_rows(fbar, boxes, X)[0], iq._sup_rows(fbar, boxes, X)[1])
-    return closed, numeric
+    closed = (iq._closed_int_rows(boxes, X)[0], iq._closed_sup_rows(boxes, X)[1])
+    return closed, (graded_int_rows(fbar, X), bracket_sup_rows(fbar, X)[1])
 
 
 class TestClosedFormKernels:
     def test_gaussian_pair(self):
         # int e^(-z^2/2) e^(-(z-x)^2/2) dz = sqrt(pi) e^(-x^2/4)
         x = np.linspace(-6.0, 6.0, 49)
-        value, error, cells = iq._breakpoint_rows(
-            [std_gauss, std_gauss], iq._factor_boxes([std_gauss] * 2), x[:, None])
+        value, error, cells = iq._closed_int_rows(
+            iq._factor_boxes([std_gauss] * 2), x[:, None])
         np.testing.assert_allclose(value, math.sqrt(math.pi) * np.exp(-0.25 * x * x),
                                    rtol=1e-14)
         # the two centres split the joint box into 3 cells, 2 where they meet
@@ -427,8 +421,8 @@ class TestClosedFormKernels:
     def test_never_evaluate_the_product(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("closed-form kinds evaluate no product")
-        monkeypatch.setattr(iq, "_product_many", refuse)
-        monkeypatch.setattr(iq, "_bracket_max_many", refuse)
+        monkeypatch.setattr(LogConcaveFunction, "eval", refuse)
+        monkeypatch.setattr(LogConcaveFunction, "eval_many", refuse)
         fbar = [std_gauss, two_sided, chi]
         assert iq.int_convolution(fbar, [0.3, -0.2]).value > 0.0
         assert sup_convolution(fbar, [0.3, -0.2]) > 0.0
@@ -440,24 +434,37 @@ class TestClosedFormKernels:
         assert iq.check_rs_single(f_exp, 1).metadata["route"] == "mixed-volume"
         assert iq.check_rs_multi([chi, chi]).metadata["route"] == "mixed-volume"
 
-    def test_other_profiles_keep_the_numeric_kernels(self):
+    def test_other_profiles_are_out_of_scope(self):
+        # a power profile, or a p-family one off p = 1 and 2, has no closed 1-D kernel
         power = LogConcaveFunction(profile_from_kind("power", 2.0, 1),
                                    cc.cube(1, 1.0), np.zeros(1))
-        multi = iq.check_rs_multi([power, std_gauss], outer_samples=50)
+        p3 = LogConcaveFunction(profile_from_kind("pfamily", 3.0, 1),
+                                cc.cube(1, 1.0), np.zeros(1))
+        for run in (lambda: iq.check_rs_multi([power, std_gauss], outer_samples=50),
+                    lambda: iq.check_rs_single(p3, 1, samples=50),
+                    lambda: iq.int_convolution([std_gauss, p3], [0.2])):
+            with pytest.raises(NotImplementedError, match="indicator, exponential or Gaussian"):
+                run()
+
+    def test_pfamily_at_p2_keeps_the_closed_kernels(self):
+        # its log is b - c t^2, a Gaussian's up to constants, which `log_quadratic` gives
+        p2 = LogConcaveFunction(profile_from_kind("pfamily", 2.0, 1),
+                                cc.cube(1, 1.0), np.zeros(1))
+        multi = iq.check_rs_multi([p2, std_gauss], outer_samples=50)
         assert (multi.metadata["sup_route"], multi.metadata["row_kernel"]) == (
-            "breakpoint-gauss", "bracket-search")
-        assert multi.lhs.std_error > 0.0
+            "closed-form", "closed-form")
+        assert multi.status != iq.VIOLATED
 
 
 def test_sup_evals_count_points_of_batched_calls(monkeypatch):
     shapes = []
-    rows_rule = iq._breakpoint_rows
+    rows_rule = iq._int_rows
 
     def spy(fbar, boxes, X):
         shapes.append(X.shape)
         return rows_rule(fbar, boxes, X)
 
-    monkeypatch.setattr(iq, "_breakpoint_rows", spy)
+    monkeypatch.setattr(iq, "_int_rows", spy)
     v = iq.check_rs_multi([two_sided, std_gauss], outer_samples=50)
     # the two starts share one call, the search evaluates its start, each
     # sweep's stencil (+-e_1 at _SCALES steps) is one call, and the last
@@ -499,15 +506,15 @@ def test_rs_multi_kernel_calls_stay_few(monkeypatch, kinds):
 
 @pytest.mark.parametrize("kinds", _PAIR_KINDS)
 def test_rs_multi_sup_matches_a_dense_bracket_search(kinds):
-    # the search's sup against `_bracket_max_many` on the same objective
-    # over the whole translation box (to ~1e-16 of its width)
+    # the search's sup against the oracle's bracket search on the same
+    # objective over the whole translation box (to ~1e-16 of its width)
     for seed in range(12):
         fbar = _seeded_pair(seed, kinds)
         v = iq.check_rs_multi(fbar, outer_samples=10)
         boxes = iq._factor_boxes(fbar)
         lo = boxes.lo[0] - boxes.hi[1]
         hi = boxes.hi[0] - boxes.lo[1]
-        _, best = iq._bracket_max_many(
+        _, best = bracket_max_many(
             lambda Z: iq._int_rows(fbar, boxes, Z.reshape(-1, 1))[0].reshape(Z.shape), lo, hi)
         assert v.metadata["sup_norm"] <= best[0]
         assert v.metadata["sup_norm"] == pytest.approx(best[0], rel=5e-11, abs=0.0)
@@ -543,7 +550,7 @@ def test_rs_multi_search_at_nm_4_is_not_cut_short(monkeypatch):
 
 def sup_rows(fbar, X):
     """Row-batched pointwise sups, as the pointwise-sup route computes them."""
-    return iq._sup_rows(fbar, iq._factor_boxes(fbar), np.asarray(X, dtype=float))
+    return iq._closed_sup_rows(iq._factor_boxes(fbar), np.asarray(X, dtype=float))
 
 
 class TestBatchedSup:
@@ -1058,7 +1065,7 @@ class TestMixedVolumeL1:
         def grid(N):
             h = 80.0 / N
             g = -40.0 + h * (np.arange(N) + 0.5)
-            return h * h * sum(iq._sup_rows(fbar, boxes, np.stack(
+            return h * h * sum(iq._closed_sup_rows(boxes, np.stack(
                 np.meshgrid(a, g, indexing="ij"), -1).reshape(-1, 2))[1].sum()
                 for a in np.array_split(g, 4))
 

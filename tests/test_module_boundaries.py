@@ -376,19 +376,12 @@ _UNREACHED = {
     "harness.NumericFailure.__init__": "error path: a job that fails numerically",
     "numerics.QuadratureFailure.__init__": "error path: a quadrature that does not converge",
     "numerics.QuadratureConfig.__post_init__": "runs at import: the module-level quadrature settings",
-    "inequalities._graded_edges": "runs at import, for `_graded_half_rule`",
-    "inequalities._graded_half_rule": "runs at import: the graded Gauss rule's table",
-    # accessors that only tests and the benchmark's layer tracer read
+    # methods that only tests and the benchmark's layer tracer use
     "convexcore.FacetData.__len__": "perfbench/tracer.py counts facet rows with len()",
     "numerics.Estimates.samples_or_nodes": "perfbench/tracer.py reads a batch's node total",
-    # ball projection gauges at n = m = 3, beyond desk scale (n * m <= 6)
-    "projection._polyhedron_v1": f"ball projection gauges at n, m >= 3; {_ROUTE}",
-    # the Rogers-Shephard pointwise sups off the closed forms
-    "inequalities._sup_rows.<locals>.product": f"power and p-family 1-D kernels; {_ROUTE}",
-    "inequalities._bracket_max_many": f"power and p-family 1-D kernels; {_ROUTE}",
-    "inequalities._product_many": f"kernels off the closed forms; {_ROUTE}",
-    "lcfun.LogConcaveFunction.eval": f"kernels off the closed forms; {_ROUTE}",
-    "lcfun.LogConcaveFunction.eval_many": f"kernels off the closed forms; {_ROUTE}",
+    "lcfun.LogConcaveFunction.eval": "perfbench/tracer.py patches both on the class",
+    "lcfun.LogConcaveFunction.eval_many": "perfbench/tracer.py patches both on the class",
+    # the Rogers-Shephard pointwise sups above one dimension
     "inequalities._feasible_point": f"indicator pointwise sups above one dimension; {_ROUTE}",
     "inequalities._meets": f"indicator pointwise sups above one dimension; {_ROUTE}",
     # the pointwise formulas of piecewise-polynomial profiles

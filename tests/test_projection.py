@@ -107,8 +107,7 @@ def _ball_gauge_reference(T):
 
 
 class TestGaugeBall:
-    @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
-                                     (3, 3), (3, 5)])
+    @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
     def test_matches_sphere_quadrature(self, n, m):
         rng = make_rng(13, 10 * n + m)
         K = cc.ball(n, 1.0)
@@ -140,45 +139,19 @@ class TestGaugeBall:
         for k in range(25):
             assert vals[k] == pytest.approx(proj.ppb_gauge_body(K, 3, T[k]), rel=1e-12)
 
-    @pytest.mark.parametrize("points,v1", [
-        # regular tetrahedron of unit edge: 6 edges at dihedral arccos(1/3)
-        (np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(8),
-         3.0 * (1.0 - math.acos(1.0 / 3.0) / math.pi)),
-        # unit cube: 12 edges at right angles; coplanar facet triangles add 0
-        (np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)]), 3.0),
-        # flat: the unit square in space, V_1 = half its perimeter
-        (np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]), 2.0),
-        # collinear and repeated points: the segment [-1, 2] e_1
-        (np.array([[0, 0, 0], [1, 0, 0], [1, 0, 0], [-1, 0, 0], [2, 0, 0]]), 3.0),
-    ])
-    def test_spatial_hulls_exact(self, points, v1):
-        # theta_i = p_0 - p_i, so that conv{0, -theta_i} is conv(P) - p_0
-        T = (points[0] - points[1:]).astype(float)
-        got = proj.ppb_gauge_body(cc.ball(3, 1.0), len(T), T.ravel())
-        assert got == pytest.approx(math.pi * v1, rel=1e-12)   # kappa_2 = pi
-
-    def test_three_blocks_in_four_space_match_three_space(self):
-        # V_1 is intrinsic: rotate 3-D blocks into R^4; kappa_3 / kappa_2 = 4/3
-        rng = make_rng(23, 1)
-        T3 = rng.normal(size=(8, 3, 3))
-        Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-        T4 = np.concatenate([T3, np.zeros((8, 3, 1))], axis=2) @ Q.T
-        g3 = proj.ppb_gauge_body_many(cc.ball(3, 1.0), 3, T3)
-        g4 = proj.ppb_gauge_body_many(cc.ball(4, 1.0), 3, T4)
-        np.testing.assert_allclose(g4, 4.0 / 3.0 * g3, rtol=1e-12)
-
     def test_four_blocks_in_four_space_not_implemented(self):
-        with pytest.raises(NotImplementedError, match="n <= 3 or m <= 3"):
+        # the hull of three or more blocks in R^3 or above need not be planar
+        with pytest.raises(NotImplementedError, match="n <= 2 or m <= 2"):
             proj.ppb_gauge_body(cc.ball(4, 1.0), 4, np.ones(16))
+        with pytest.raises(NotImplementedError, match="n <= 2 or m <= 2"):
+            proj.ppb_gauge_body_many(cc.ball(3, 1.0), 3, np.ones((2, 9)))
         with pytest.raises(NotImplementedError):
             iq.check_zhang_body(cc.ball(4, 1.0), 4)
 
     def test_zhang_body_cube3_m3(self):
-        # the Petty side builds the ball gauge at n = m = 3
-        left, right = iq.check_zhang_body(cc.cube(3), 3, directions=500)
-        assert left.status != iq.VIOLATED and right.status != iq.VIOLATED
-        assert right.lhs.value == left.rhs.value
-        assert math.isfinite(right.rhs.value) and right.rhs.std_error > 0.0
+        # the Petty side would need the ball gauge at n = m = 3
+        with pytest.raises(NotImplementedError, match="n <= 2 or m <= 2"):
+            iq.check_zhang_body(cc.cube(3), 3, directions=500)
 
     def test_petty_right_side_of_disc_is_exact(self):
         # vol(PPB(B^2, 1)) vol(B^2) = (pi/4) pi
